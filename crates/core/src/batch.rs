@@ -155,19 +155,20 @@ impl BatchOp {
         }
     }
 
-    /// The intent-entry payload: `[kind: u64][key_len: u64][key][val]`,
-    /// little-endian words (deletes carry no value bytes).
-    fn encode(&self) -> Vec<u8> {
+    /// Overwrites `out` with the intent-entry payload:
+    /// `[kind: u64][key_len: u64][key][val]`, little-endian words
+    /// (deletes carry no value bytes). Commit reuses one `out` across a
+    /// batch's ops.
+    fn encode_into(&self, out: &mut Vec<u8>) {
         let (kind, key, val): (u64, &[u8], &[u8]) = match self {
             BatchOp::Put { key, val } => (KIND_PUT, key, val),
             BatchOp::Delete { key } => (KIND_DELETE, key, &[]),
         };
-        let mut out = Vec::with_capacity(16 + key.len() + val.len());
+        out.clear();
         out.extend_from_slice(&kind.to_le_bytes());
         out.extend_from_slice(&(key.len() as u64).to_le_bytes());
         out.extend_from_slice(key);
         out.extend_from_slice(val);
-        out
     }
 }
 
@@ -177,7 +178,7 @@ pub(crate) enum RedoOp<'a> {
     Delete { key: &'a [u8] },
 }
 
-/// Decodes an intent payload written by [`BatchOp::encode`]. `None` on a
+/// Decodes an intent payload written by [`BatchOp::encode_into`]. `None` on a
 /// malformed payload — unreachable for entries that passed the log's
 /// checksum, but recovery treats it as a skip rather than a panic.
 pub(crate) fn decode_intent(payload: &[u8]) -> Option<RedoOp<'_>> {
@@ -390,15 +391,17 @@ impl<'s> WriteBatch<'s> {
             guards[pinned.iter().position(|&d| d == s).expect("shard pinned")].epoch()
         })?;
         let id = superblock::next_batch_id(&inner.arena);
+        let mut payload = Vec::new();
         for op in &self.ops {
             let s = store.shard_of(op.key());
             let g = pinned
                 .iter()
                 .position(|&d| d == s)
                 .expect("op shard pinned");
+            op.encode_into(&mut payload);
             inner
                 .log
-                .log_intent_in(tid, s, guards[g].epoch(), id, &op.encode());
+                .log_intent_in(tid, s, guards[g].epoch(), id, &payload);
         }
         // Under a nonzero persistence granularity the intents above are
         // merely staged: drain each covered shard's run now, so every
@@ -516,7 +519,9 @@ mod tests {
             key: b"k1".to_vec(),
             val: b"value bytes".to_vec(),
         };
-        match decode_intent(&put.encode()) {
+        let mut payload = Vec::new();
+        put.encode_into(&mut payload);
+        match decode_intent(&payload) {
             Some(RedoOp::Put { key, val }) => {
                 assert_eq!(key, b"k1");
                 assert_eq!(val, b"value bytes");
@@ -526,7 +531,10 @@ mod tests {
         let del = BatchOp::Delete {
             key: b"gone".to_vec(),
         };
-        match decode_intent(&del.encode()) {
+        // Reusing the buffer must leave nothing of the longer put behind.
+        del.encode_into(&mut payload);
+        assert_eq!(payload.len(), 16 + 4);
+        match decode_intent(&payload) {
             Some(RedoOp::Delete { key }) => assert_eq!(key, b"gone"),
             _ => panic!("delete payload decoded wrong"),
         }

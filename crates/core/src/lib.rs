@@ -403,9 +403,10 @@
 //! | one shared carve frontier, sequential replay (layout v3) | **per-shard allocator arenas** (layout v4): one carve region + InCLL watermark line per shard (doomed slabs un-carve; the multi-domain eager watermark flush is gone), and [`Options::recovery_threads`] replays shards in parallel (`INCLL_RECOVERY_THREADS` env default) |
 //! | cross-shard multi-key writes only via the `checkpoint()` barrier (layout v4) | **atomic write batches** (layout v5): [`Session::batch`] stages puts/deletes, commits via log intents + one durable batch-table record, and recovery redoes-or-drops in-doubt batches per shard — see "Batch atomicity and crash semantics" |
 //! | one static carve region per shard, `OutOfMemory` at its boundary (layout v5) | **chunked extent pool** (layout v6): the carvable arena is fixed-size power-of-two extents with a durable owner byte each; a shard that exhausts its active extent claims the next free one online (flushed owner-byte CAS — never torn), so hot shards grow until the *pool* is empty and recovery rebuilds each shard's extent chain from the table — see the crash-semantics section above |
+//! | external-log entries sealed with byte-serial FNV-1a (layout v6) | entries sealed with **XXH64** (layout v7): same 32 B header and entry size, the seal and the replay verify run at memory speed; the superblock cells did not move, but a v6 log would fail every checksum and silently skip undo, so the version screens it — see `incll-extlog`'s "Entry format" |
 //! | leaked `incll_palloc::Error` | crate-wide [`Error`] (incl. [`Error::ShardMismatch`], [`Error::UnsupportedLayout`]) |
 //!
-//! On-media layouts are version-screened: v6 (this build) refuses v1–v5
+//! On-media layouts are version-screened: v7 (this build) refuses v1–v6
 //! media with a typed [`Error::UnsupportedLayout`] — never a reformat.
 //!
 //! [`DurableMasstree`] remains public as the mid-level API, but it speaks

@@ -1979,6 +1979,15 @@ fn pv_store_parent(a: &PArena, node: u64, parent: u64) {
     a.pwrite_u64_release(node + OFF_PARENT, parent);
 }
 
+/// FNV-1a 64 of `bytes`: the **routing hash**. It belongs to
+/// [`shard_of`] alone — the external log seals its entries with its own
+/// checksum — so speeding up one can never silently re-route every key.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Routes a key to one of `shards` (power-of-two) keyspace shards: FNV-1a
 /// 64 over the key bytes, masked. Part of the on-media contract — the
 /// same key must route identically across restarts.
@@ -1987,7 +1996,7 @@ pub(crate) fn shard_of(key: &[u8], shards: usize) -> usize {
     if shards <= 1 {
         0
     } else {
-        (incll_extlog::fnv1a64(key) as usize) & (shards - 1)
+        (fnv1a64(key) as usize) & (shards - 1)
     }
 }
 
@@ -2044,3 +2053,18 @@ impl std::fmt::Debug for DurableMasstree {
 // Keep AtomicU64 import alive for the doc examples in lib.rs.
 #[allow(unused)]
 type _A = AtomicU64;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn routing_hash_is_fnv1a64() {
+        // Reference-table vectors: the routing hash is an on-media
+        // contract and must stay FNV-1a 64 bit for bit.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(shard_of(b"a", 8), 4);
+        assert_eq!(shard_of(b"a", 1), 0);
+    }
+}

@@ -67,16 +67,61 @@
 //! [`ExtLog::reset_domain`] and [`ExtLog::replay_domain`] scope discard
 //! and replay to one domain. A 1-domain log is bit-identical to the
 //! pre-domain layout.
+//!
+//! # Entry format
+//!
+//! Undo entries and batch intents share one format (superblock layout
+//! v7), appended back to back in a (thread, domain) buffer, each 8-byte
+//! aligned:
+//!
+//! | Bytes | Word | Contents |
+//! |-------|------|----------|
+//! | 0–7   | `epoch`    | the domain epoch the entry was appended in |
+//! | 8–15  | `target`   | arena offset the pre-image came from; for an intent, the batch id |
+//! | 16–23 | `len_word` | payload length (low 48 bits) and tag (high 16 bits: domain id, plus [`INTENT_TAG_BIT`]) |
+//! | 24–31 | `sum`      | the entry checksum |
+//! | 32–   | payload    | `len` bytes, zero-padded to the next multiple of 8 |
+//!
+//! `sum` is **XXH64** (seed 0) over `payload ‖ epoch ‖ target ‖
+//! len_word`, the three words little-endian: every payload byte and every
+//! header field feeds it, the payload length twice (inside `len_word` and
+//! through XXH64's own length fold); the padding does not. XXH64 consumes
+//! 32-byte stripes in four independent multiply-rotate lanes, then 8-byte
+//! words, then tail bytes, and ends in an avalanche, so sealing or
+//! verifying a 320 B node image costs tens of nanoseconds — well under
+//! the `sfence` that follows it — where the byte-serial FNV-1a of layouts
+//! ≤ v6 was half of an append and a third of a restart. The sum is part
+//! of what a crashed medium holds, which is why changing it was a layout
+//! version bump: read with the wrong function, every entry looks torn and
+//! undo is silently skipped.
+//!
+//! An entry is valid only once its stored `sum` matches, so a torn append
+//! — any subset of its cache lines missing — fails verification and ends
+//! the buffer's valid prefix. Replay reads each payload once, verifies it
+//! in that buffer and applies it from there.
+//!
+//! **Look-ahead headers are untrusted.** While entry *i* is verified,
+//! replay reads the header behind it and prefetches that entry's target
+//! ([`PArena::prefetch`]), because replay otherwise meets every node
+//! cold. That next header has not been verified — it may be torn, or
+//! debris of a completed epoch — so its `target` and length feed nothing
+//! but a size-capped hint that the arena bounds-checks and silently drops
+//! when out of range. Nothing is applied, collected or counted before its
+//! own checksum has matched.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use incll_pmem::{superblock, PArena};
 
 mod checksum;
-pub use checksum::fnv1a64;
 
 /// Fixed per-entry header size in bytes.
 const HEADER: u64 = 32;
+
+/// Replay prefetches at most this many bytes of a look-ahead entry's
+/// target (a node image is 320 B): the length comes from an unverified
+/// header, so it must not size an unbounded prefetch loop.
+const PREFETCH_BYTES: u64 = 512;
 
 /// The header's third word packs the payload length (low 48 bits) with an
 /// opaque caller tag (high 16 bits — the durable tree stores the owning
@@ -533,14 +578,14 @@ impl ExtLog {
         let base = self.region + (slot as u64) * self.per_slot + cur;
 
         // Payload first (chunked copy arena->arena), checksum streamed.
-        let mut hash = checksum::FNV_OFFSET;
+        let mut hash = checksum::Xxh64::new();
         let mut copied = 0usize;
         let mut chunk = [0u8; 512];
         while copied < len {
             let n = (len - copied).min(512);
             self.arena
                 .pread_bytes(target + copied as u64, &mut chunk[..n]);
-            hash = checksum::fnv1a64_update(hash, &chunk[..n]);
+            hash.update(&chunk[..n]);
             self.arena
                 .pwrite_bytes(base + HEADER + copied as u64, &chunk[..n]);
             copied += n;
@@ -625,8 +670,7 @@ impl ExtLog {
 
         self.arena.pwrite_bytes(base + HEADER, payload);
         let len_word = pack_len(len as u64, tag);
-        let hash = checksum::fnv1a64_update(checksum::FNV_OFFSET, payload);
-        let sum = checksum::seal(hash, epoch, target, len_word);
+        let sum = checksum::entry_checksum(payload, epoch, target, len_word);
 
         self.arena.pwrite_u64(base, epoch);
         self.arena.pwrite_u64(base + 8, target);
@@ -720,86 +764,87 @@ impl ExtLog {
         require_tag: Option<u16>,
         report: &mut ReplayReport,
     ) {
-        {
-            let slot_base = self.region + (slot as u64) * self.per_slot;
-            let mut cur = 0u64;
-            loop {
-                if cur + HEADER > self.per_slot {
-                    break;
-                }
-                let base = slot_base + cur;
-                let epoch = self.arena.pread_u64(base);
-                let target = self.arena.pread_u64(base + 8);
-                let len_word = self.arena.pread_u64(base + 16);
-                let sum = self.arena.pread_u64(base + 24);
-                let len = len_word & LEN_MASK;
-                let tag = (len_word >> 48) as u16;
-                let is_intent = tag & INTENT_TAG_BIT != 0;
-                // Three-way tag check under a required (domain) tag: the
-                // domain's own undo entries apply, its own intents are
-                // collected below, anything else is corruption and stops
-                // the slot scan like a torn checksum.
-                if epoch < min_epoch
-                    || epoch > max_epoch
-                    || len == 0
-                    || cur + HEADER + len > self.per_slot
-                    || require_tag.is_some_and(|t| tag != t && tag != (t | INTENT_TAG_BIT))
-                {
-                    break;
-                }
-                // Verify the checksum before trusting the entry.
-                let mut hash = checksum::FNV_OFFSET;
-                let mut chunk = [0u8; 512];
-                let mut copied = 0usize;
-                while copied < len as usize {
-                    let n = (len as usize - copied).min(512);
-                    self.arena
-                        .pread_bytes(base + HEADER + copied as u64, &mut chunk[..n]);
-                    hash = checksum::fnv1a64_update(hash, &chunk[..n]);
-                    copied += n;
-                }
-                if checksum::seal(hash, epoch, target, len_word) != sum {
-                    break; // torn tail entry: its modification never started
-                }
-                if is_intent {
-                    // Collect, never apply: the batch layer resolves
-                    // intents against the durable commit table after undo
-                    // replay finishes.
-                    let mut payload = vec![0u8; len as usize];
-                    self.arena.pread_bytes(base + HEADER, &mut payload);
-                    report.intents.push(IntentEntry {
-                        thread: slot / self.domains,
-                        epoch,
-                        batch_id: target,
-                        payload,
-                    });
-                } else {
-                    // Apply: copy the pre-image back.
-                    let mut copied = 0usize;
-                    while copied < len as usize {
-                        let n = (len as usize - copied).min(512);
-                        self.arena
-                            .pread_bytes(base + HEADER + copied as u64, &mut chunk[..n]);
-                        self.arena.pwrite_bytes(target + copied as u64, &chunk[..n]);
-                        copied += n;
-                    }
-                    report.entries_applied += 1;
-                    report.bytes_applied += len;
-                    report.applied.push((target, len));
-                    report.count_tag(tag, len);
-                }
-                cur += HEADER + ((len + 7) & !7);
+        let slot_base = self.region + (slot as u64) * self.per_slot;
+        // One payload buffer for the whole slot: each entry is read once,
+        // verified in it and applied from it.
+        let mut payload = Vec::new();
+        let mut cur = 0u64;
+        loop {
+            if cur + HEADER > self.per_slot {
+                break;
             }
-            self.cursors[slot].0.store(cur, Ordering::Relaxed);
-            // The surviving prefix is durable by construction; nothing is
-            // staged behind it.
-            self.staged[slot].0.store(cur, Ordering::Relaxed);
-            report.scan_stopped_at.push(cur);
-            // Emulated NVM device time for streaming this buffer's valid
-            // prefix (no-op unless the latency model configures a rate;
-            // see `LatencyModel::stall_replay_read`).
-            self.arena.latency().stall_replay_read(cur);
+            let base = slot_base + cur;
+            let epoch = self.arena.pread_u64(base);
+            let target = self.arena.pread_u64(base + 8);
+            let len_word = self.arena.pread_u64(base + 16);
+            let sum = self.arena.pread_u64(base + 24);
+            let len = len_word & LEN_MASK;
+            let tag = (len_word >> 48) as u16;
+            let is_intent = tag & INTENT_TAG_BIT != 0;
+            // Three-way tag check under a required (domain) tag: the
+            // domain's own undo entries apply, its own intents are
+            // collected below, anything else is corruption and stops
+            // the slot scan like a torn checksum.
+            if epoch < min_epoch
+                || epoch > max_epoch
+                || len == 0
+                || cur + HEADER + len > self.per_slot
+                || require_tag.is_some_and(|t| tag != t && tag != (t | INTENT_TAG_BIT))
+            {
+                break;
+            }
+            let next = cur + HEADER + ((len + 7) & !7);
+            // Look-ahead: while this entry is verified, pull the next
+            // entry's target towards the core — replay meets every node
+            // cold otherwise. The next header is *unverified* (it may be
+            // torn or stale debris), so it only ever feeds a bounded,
+            // bounds-checked hint; nothing is applied before its own
+            // checksum has matched.
+            if next + HEADER <= self.per_slot {
+                let ahead = slot_base + next;
+                let ahead_len_word = self.arena.pread_u64(ahead + 16);
+                if (ahead_len_word >> 48) as u16 & INTENT_TAG_BIT == 0 {
+                    self.arena.prefetch(
+                        self.arena.pread_u64(ahead + 8),
+                        (ahead_len_word & LEN_MASK).min(PREFETCH_BYTES) as usize,
+                    );
+                }
+            }
+            // Verify the checksum before trusting the entry.
+            payload.resize(len as usize, 0);
+            self.arena.pread_bytes(base + HEADER, &mut payload);
+            if checksum::entry_checksum(&payload, epoch, target, len_word) != sum {
+                break; // torn tail entry: its modification never started
+            }
+            if is_intent {
+                // Collect, never apply: the batch layer resolves
+                // intents against the durable commit table after undo
+                // replay finishes.
+                report.intents.push(IntentEntry {
+                    thread: slot / self.domains,
+                    epoch,
+                    batch_id: target,
+                    payload: payload.clone(),
+                });
+            } else {
+                // Apply: copy the pre-image back.
+                self.arena.pwrite_bytes(target, &payload);
+                report.entries_applied += 1;
+                report.bytes_applied += len;
+                report.applied.push((target, len));
+                report.count_tag(tag, len);
+            }
+            cur = next;
         }
+        self.cursors[slot].0.store(cur, Ordering::Relaxed);
+        // The surviving prefix is durable by construction; nothing is
+        // staged behind it.
+        self.staged[slot].0.store(cur, Ordering::Relaxed);
+        report.scan_stopped_at.push(cur);
+        // Emulated NVM device time for streaming this buffer's valid
+        // prefix (no-op unless the latency model configures a rate;
+        // see `LatencyModel::stall_replay_read`).
+        self.arena.latency().stall_replay_read(cur);
     }
 }
 
@@ -1098,12 +1143,13 @@ mod tests {
         // can reject it).
         let base = arena.pread_u64(superblock::SB_EXTLOG_OFF) + log.per_slot;
         let len_word = pack_len(64, 0);
-        let mut hash = checksum::FNV_OFFSET;
         let mut chunk = [0u8; 64];
         arena.pread_bytes(base + HEADER, &mut chunk);
-        hash = checksum::fnv1a64_update(hash, &chunk);
         arena.pwrite_u64(base + 16, len_word);
-        arena.pwrite_u64(base + 24, checksum::seal(hash, 3, obj, len_word));
+        arena.pwrite_u64(
+            base + 24,
+            checksum::entry_checksum(&chunk, 3, obj, len_word),
+        );
         let r = log.replay_domain(1, 3, 3);
         assert_eq!(r.entries_applied, 0, "foreign tag must not replay");
         assert_eq!(arena.pread_u64(obj), 8);
@@ -1199,9 +1245,11 @@ mod tests {
         let len_word = pack_len(64, 2);
         let mut chunk = [0u8; 64];
         arena.pread_bytes(base + HEADER, &mut chunk);
-        let hash = checksum::fnv1a64_update(checksum::FNV_OFFSET, &chunk);
         arena.pwrite_u64(base + 16, len_word);
-        arena.pwrite_u64(base + 24, checksum::seal(hash, 5, objs[1], len_word));
+        arena.pwrite_u64(
+            base + 24,
+            checksum::entry_checksum(&chunk, 5, objs[1], len_word),
+        );
 
         let reports: Vec<ReplayReport> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..3)
@@ -1278,9 +1326,8 @@ mod tests {
         // Re-seal domain 1's entry with domain 2's intent tag.
         let base = arena.pread_u64(superblock::SB_EXTLOG_OFF) + log.per_slot;
         let len_word = pack_len(1, 2 | INTENT_TAG_BIT);
-        let hash = checksum::fnv1a64_update(checksum::FNV_OFFSET, b"x");
         arena.pwrite_u64(base + 16, len_word);
-        arena.pwrite_u64(base + 24, checksum::seal(hash, 5, 77, len_word));
+        arena.pwrite_u64(base + 24, checksum::entry_checksum(b"x", 5, 77, len_word));
         let r = log.replay_domain(1, 5, 5);
         assert!(r.intents.is_empty());
         assert_eq!(r.scan_stopped_at, vec![0]);

@@ -607,6 +607,34 @@ impl PArena {
         }
     }
 
+    /// Hints the CPU to pull the cache lines overlapping
+    /// `[offset, offset+len)` towards the core (x86_64 `prefetcht0`; a
+    /// no-op elsewhere). Purely a performance hint with no durable or
+    /// observable effect, so callers may pass **untrusted** ranges —
+    /// recovery derives them from log headers it has not verified yet: a
+    /// range that does not lie wholly inside the arena is silently
+    /// ignored, and no out-of-bounds pointer is ever formed.
+    #[inline]
+    pub fn prefetch(&self, offset: u64, len: usize) {
+        let in_bounds = offset
+            .checked_add(len as u64)
+            .is_some_and(|end| end <= self.inner.capacity as u64);
+        if len == 0 || !in_bounds {
+            return;
+        }
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            let first = offset & !(CACHE_LINE as u64 - 1);
+            for line in (first..offset + len as u64).step_by(CACHE_LINE) {
+                // SAFETY: `first <= line < offset + len <= capacity`
+                // (checked above), so the pointer is in bounds; prefetch
+                // reads no memory architecturally.
+                unsafe { _mm_prefetch::<_MM_HINT_T0>(self.ptr_at(line) as *const i8) };
+            }
+        }
+    }
+
     // ------------------------------------------------------------------
     // Persistence primitives
     // ------------------------------------------------------------------
@@ -630,8 +658,12 @@ impl PArena {
         }
         let first = offset / CACHE_LINE as u64;
         let last = (offset + len as u64 - 1) / CACHE_LINE as u64;
-        for line in first..=last {
-            self.clwb(line * CACHE_LINE as u64);
+        // One update of the shared counter line per range, not per line.
+        self.inner.stats.add_clwb(last - first + 1);
+        if self.inner.tracked {
+            for line in first..=last {
+                self.inner.journal.clwb(line, || self.read_line(line));
+            }
         }
     }
 
@@ -826,6 +858,35 @@ mod tests {
         assert_eq!(s.clwb, 5);
         assert_eq!(s.sfence, 1);
         assert_eq!(s.global_flush, 1);
+    }
+
+    #[test]
+    fn clwb_range_journals_every_line_in_tracked_mode() {
+        let a = arena(true);
+        let off = a.carve(256, 64).unwrap();
+        for i in 0..4 {
+            a.pwrite_u64(off + i * 64, i + 1);
+        }
+        a.clwb_range(off + 8, 200); // lines 0..=3
+        a.sfence();
+        assert_eq!(a.stats().clwb(), 4);
+        a.crash_with(|_, _| 0);
+        for i in 0..4 {
+            assert_eq!(a.pread_u64(off + i * 64), i + 1);
+        }
+    }
+
+    #[test]
+    fn prefetch_ignores_out_of_range_hints() {
+        let a = arena(false);
+        let cap = a.capacity() as u64;
+        a.prefetch(superblock::CARVE_START, 320);
+        a.prefetch(cap - 64, 64); // last line: in range
+        a.prefetch(cap - 63, 64); // straddles the end
+        a.prefetch(cap, 1);
+        a.prefetch(u64::MAX - 8, 320); // offset + len overflows
+        a.prefetch(0xdead_beef_dead_0000, 320);
+        a.prefetch(64, 0);
     }
 
     #[test]

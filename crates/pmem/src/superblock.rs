@@ -43,8 +43,13 @@ use crate::{Error, PArena, Result};
 
 /// Identifies a formatted InCLL arena.
 pub const MAGIC: u64 = 0x19C1_1C05_A5B1_2019;
-/// On-media format version. Version 6 replaced the static per-shard
-/// region split with the **chunked extent pool**: the carvable space is a
+/// On-media format version. Version 7 changed the **external-log entry
+/// checksum** (byte-serial FNV-1a → XXH64, see `incll-extlog`'s "Entry
+/// format"): the superblock cells are where v6 left them, but the sum is
+/// part of what a crashed medium holds — a v6 log read by this build
+/// would fail every checksum and silently skip undo — so v6 media is
+/// rejected like every other foreign version. Version 6 replaced the
+/// static per-shard region split with the **chunked extent pool**: the carvable space is a
 /// pool of fixed-size extents and shards claim them online from the
 /// durable extent-owner table ([`SB_EXTENT_OWNERS`], descriptor at
 /// [`SB_ARENA_SPLIT`]/[`SB_ARENA_REGION_BYTES`]/[`SB_EXTENT_COUNT`]) — a
@@ -58,7 +63,7 @@ pub const MAGIC: u64 = 0x19C1_1C05_A5B1_2019;
 /// ([`SB_DOMAIN_TABLE`]); version 2 added the shard table
 /// ([`SB_SHARD_COUNT`], [`shard_root_holder`]); version-1 media has
 /// neither. Older media must be rejected by openers, not reinterpreted.
-pub const VERSION: u64 = 6;
+pub const VERSION: u64 = 7;
 
 /// Offset of the magic word.
 pub const SB_MAGIC: u64 = 64;
@@ -689,9 +694,9 @@ mod tests {
         assert!(has_magic(&a));
         assert!(is_formatted(&a));
         assert_eq!(raw_version(&a), VERSION);
-        // Pre-extent-pool (v1..v5) superblocks keep their magic but are
-        // no longer "formatted" in the current sense.
-        for stale in [1, 2, 3, 4, 5] {
+        // Older (v1..v6) superblocks keep their magic but are no longer
+        // "formatted" in the current sense.
+        for stale in 1..VERSION {
             a.pwrite_u64(SB_VERSION, stale);
             assert!(has_magic(&a));
             assert!(!is_formatted(&a));

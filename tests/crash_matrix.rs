@@ -943,3 +943,57 @@ fn granularity_sweep_preserves_batch_resolution() {
         }
     }
 }
+
+/// The layout-v7 point: a current-version medium crashed mid-epoch must
+/// **replay its external log** — the version bump exists because a log
+/// whose entry checksums the opener cannot verify replays nothing and
+/// silently skips undo. The doomed epoch splits nodes and overwrites
+/// committed values, so rolling it back needs externally logged
+/// pre-images; every worker count must apply them (`replayed_entries >
+/// 0`), land on the committed model, and agree on every arena byte.
+#[test]
+fn v7_medium_crashed_mid_epoch_replays_its_log_at_every_worker_count() {
+    for &shards in &[1usize, 4] {
+        let mut baseline: Option<(u64, u64)> = None;
+        for &workers in WORKER_SWEEP {
+            let arena = tracked();
+            {
+                let (store, _) = Store::open(&arena, options(shards, 1)).unwrap();
+                assert_eq!(incll_pmem::superblock::raw_version(&arena), 7);
+                let sess = store.session().unwrap();
+                for i in 0..300u64 {
+                    store.put(&sess, &i.to_be_bytes(), &bval(i)).unwrap();
+                }
+                store.checkpoint();
+                for i in 0..600u64 {
+                    store.put(&sess, &i.to_be_bytes(), &bval(i + 1000)).unwrap();
+                }
+            }
+            arena.crash_seeded(0x77 + shards as u64);
+            let (store, report) = Store::open(&arena, options(shards, workers)).unwrap();
+            assert!(
+                report.replayed_entries > 0,
+                "shards={shards} workers={workers}: the crashed epoch's undo \
+                 log must replay, not be skipped"
+            );
+            let sess = store.session().unwrap();
+            for i in 0..600u64 {
+                let want = (i < 300).then(|| bval(i));
+                assert_eq!(
+                    store.get(&sess, &i.to_be_bytes()),
+                    want,
+                    "shards={shards} workers={workers} key {i}"
+                );
+            }
+            drop(sess);
+            drop(store);
+            let cell = (report.replayed_entries, arena_digest(&arena));
+            assert_eq!(
+                *baseline.get_or_insert(cell),
+                cell,
+                "shards={shards} workers={workers}: parallel replay must be \
+                 byte-identical to sequential"
+            );
+        }
+    }
+}

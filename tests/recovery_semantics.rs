@@ -180,62 +180,74 @@ fn invalid_shard_counts_are_rejected_before_touching_media() {
 }
 
 #[test]
-fn pre_shard_layout_is_a_typed_error_not_a_reformat() {
-    use incll_pmem::superblock;
-    let arena = tracked();
-    let (store, _) = Store::open(&arena, options()).unwrap();
-    {
-        let sess = store.session().unwrap();
-        store.put_u64(&sess, b"precious", 1);
-        store.checkpoint();
+fn key_routing_is_pinned_to_fnv1a64() {
+    // Which shard owns a key is an on-media contract: a store reopened
+    // by a build that routes differently would look for every key in the
+    // wrong tree. The routing hash is FNV-1a 64 masked to the shard count
+    // (FNV-1a("a") = 0xaf63dc4c8601ec8c, so "a" lands on 0 of 4 and 4 of
+    // 8) and must never drift with, say, the log's entry checksum.
+    let golden: [(&[u8], usize, usize); 9] = [
+        (b"", 1, 5),
+        (b"a", 0, 4),
+        (b"key-000", 1, 1),
+        (b"key-001", 2, 6),
+        (b"user4219", 2, 6),
+        (b"durable-key", 2, 6),
+        (&[0, 0, 0, 0, 0, 0, 0, 1], 2, 2),
+        (&[0xff; 8], 1, 5),
+        (b"The quick brown fox jumps over the lazy dog", 0, 0),
+    ];
+    let open = |shards: usize| {
+        let arena = tracked();
+        Store::open(&arena, options().shards(shards)).unwrap().0
+    };
+    let (four, eight) = (open(4), open(8));
+    for (key, of4, of8) in golden {
+        assert_eq!(four.shard_of(key), of4, "shards(4) key {key:?}");
+        assert_eq!(eight.shard_of(key), of8, "shards(8) key {key:?}");
     }
-    drop(store);
-    // Rewind the version word to the pre-shard layout generation.
-    arena.pwrite_u64(superblock::SB_VERSION, 1);
-    match Store::open(&arena, options()) {
-        Err(Error::UnsupportedLayout { found, expected }) => {
-            assert_eq!(found, 1);
-            assert_eq!(expected, superblock::VERSION);
-        }
-        other => panic!("expected UnsupportedLayout, got {other:?}"),
-    }
-    // Crucially, the refused open must not have wiped anything: restoring
-    // the version word brings the data back.
-    arena.pwrite_u64(superblock::SB_VERSION, superblock::VERSION);
-    let (store, _) = Store::open(&arena, options()).unwrap();
-    let sess = store.session().unwrap();
-    assert_eq!(store.get_u64(&sess, b"precious"), Some(1));
 }
 
 #[test]
-fn v1_through_v5_media_fail_typed_without_reformat() {
+fn older_layouts_fail_typed_and_unwritten() {
     use incll_pmem::superblock;
-    // Fabricate pre-v6 superblocks: magic + stale version + plausible
-    // field debris (v3 media is a real shape: per-shard epoch domains but
-    // one shared carve frontier and no watermark table; v5 has per-shard
-    // static regions but no extent-owner table). The v6 opener must
-    // return UnsupportedLayout and leave every byte alone — never
-    // "helpfully" reformat over user data.
-    for stale_version in [1u64, 2, 3, 4, 5] {
+    assert_eq!(superblock::VERSION, 7);
+    // Every older generation, on a real store rewound to that version
+    // word. v1–v5 differ from this build in superblock shape; v6 has the
+    // same cells but seals its log entries with another checksum, so
+    // reading it would fail every entry and silently skip undo. The
+    // opener must return UnsupportedLayout and write not one byte —
+    // never "helpfully" reformat over user data.
+    for stale_version in 1..superblock::VERSION {
         let arena = tracked();
-        arena.pwrite_u64(superblock::SB_MAGIC, superblock::MAGIC);
+        let (store, _) = Store::open(&arena, options()).unwrap();
+        {
+            let sess = store.session().unwrap();
+            store.put_u64(&sess, b"precious", 1);
+            store.checkpoint();
+        }
+        drop(store);
         arena.pwrite_u64(superblock::SB_VERSION, stale_version);
-        arena.pwrite_u64(superblock::SB_CUR_EPOCH, 9);
-        arena.pwrite_u64(superblock::SB_TREE_META, 1);
-        arena.pwrite_u64(superblock::SB_SHARD_COUNT, 2);
-        let before: Vec<u64> = (0..64u64).map(|i| arena.pread_u64(i * 8 + 64)).collect();
+        let image =
+            |a: &PArena| -> Vec<u64> { (0..a.bump() / 8).map(|w| a.pread_u64(w * 8)).collect() };
+        let before = image(&arena);
         match Store::open(&arena, options()) {
             Err(Error::UnsupportedLayout { found, expected }) => {
                 assert_eq!(found, stale_version);
-                assert_eq!(expected, superblock::VERSION);
+                assert_eq!(expected, 7);
             }
             other => panic!("v{stale_version}: expected UnsupportedLayout, got {other:?}"),
         }
-        let after: Vec<u64> = (0..64u64).map(|i| arena.pread_u64(i * 8 + 64)).collect();
-        assert_eq!(
-            before, after,
+        assert!(
+            before == image(&arena),
             "v{stale_version}: refused open must not write"
         );
+        // Nothing was wiped: restoring the version word brings the data
+        // back.
+        arena.pwrite_u64(superblock::SB_VERSION, superblock::VERSION);
+        let (store, _) = Store::open(&arena, options()).unwrap();
+        let sess = store.session().unwrap();
+        assert_eq!(store.get_u64(&sess, b"precious"), Some(1));
     }
 }
 
