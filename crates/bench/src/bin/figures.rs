@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! cargo run --release -p incll-bench --bin figures -- <experiment> [options]
-//! cargo run --release -p incll-bench --bin figures -- --compare old.json new.json [--regressions-only]
 //! cargo run --release -p incll-bench --bin figures -- --plot [results/BENCH_results.json] [--out DIR]
 //!
 //! experiments:
@@ -18,14 +17,7 @@
 //!   --threads N        driver threads override
 //!   --out DIR          also write tables to DIR (default: results)
 //!
-//! `--compare A B` runs no experiments: it parses two `BENCH_results.json`
-//! files and prints per-experiment deltas (rows matched by label, numeric
-//! cells diffed as percentages). With `--regressions-only` it exits
-//! nonzero when any numeric cell regressed beyond the threshold **or**
-//! when an experiment has no baseline in the old file (a missing baseline
-//! is reported as `new`, never silently treated as "no change").
-//!
-//! `--plot [FILE]` also runs no experiments: it renders every table of a
+//! `--plot [FILE]` runs no experiments: it renders every table of a
 //! recorded `BENCH_results.json` (default `results/BENCH_results.json`)
 //! into standalone SVG bar charts under `<out>/plots/` — hand-rolled,
 //! since the workspace builds without plotting dependencies.
@@ -35,8 +27,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use incll_bench::compare;
 use incll_bench::experiments::{self, json_string, ExpParams, Table};
+use incll_bench::json::{self, Json};
 
 struct Args {
     experiment: String,
@@ -47,20 +39,6 @@ struct Args {
 fn parse_args() -> Args {
     let mut args = std::env::args().skip(1);
     let experiment = args.next().unwrap_or_else(|| usage("missing experiment"));
-    if experiment == "--compare" {
-        let old = args
-            .next()
-            .unwrap_or_else(|| usage("--compare needs OLD.json NEW.json"));
-        let new = args
-            .next()
-            .unwrap_or_else(|| usage("--compare needs OLD.json NEW.json"));
-        let regressions_only = match args.next().as_deref() {
-            None => false,
-            Some("--regressions-only") => true,
-            Some(other) => usage(&format!("unknown --compare flag {other}")),
-        };
-        run_compare(&old, &new, regressions_only);
-    }
     if experiment == "--plot" {
         let mut file = String::from("results/BENCH_results.json");
         let mut out = PathBuf::from("results");
@@ -111,56 +89,9 @@ fn usage(err: &str) -> ! {
          |shard_scaling|epoch_domains|recovery_latency|read_path|txn_batches\
          |extent_growth|adaptive_cadence|server_scaling|all> \
          [--paper] [--scale F] [--keys N] [--ops N] [--threads N] [--out DIR]\n\
-         \x20      figures --compare OLD.json NEW.json [--regressions-only]\n\
          \x20      figures --plot [RESULTS.json] [--out DIR]"
     );
     std::process::exit(2);
-}
-
-/// `--compare OLD NEW [--regressions-only]`: print per-experiment deltas
-/// and exit. In regressions-only mode the exit code gates: 1 when any
-/// cell regressed beyond the threshold or any experiment had no baseline
-/// (reported as `new` — never silently "no change"), 0 otherwise.
-fn run_compare(old_path: &str, new_path: &str, regressions_only: bool) -> ! {
-    let load = |path: &str| -> compare::Json {
-        let text = fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("error: cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        compare::parse_json(&text).unwrap_or_else(|e| {
-            eprintln!("error: {path} is not valid BENCH_results.json: {e}");
-            std::process::exit(2);
-        })
-    };
-    let (old, new) = (load(old_path), load(new_path));
-    match compare::compare_runs(&old, &new) {
-        Ok((report, summary)) => {
-            print!("{report}");
-            if !regressions_only {
-                std::process::exit(0);
-            }
-            for r in &summary.regressions {
-                eprintln!("regression: {r}");
-            }
-            for n in &summary.new_experiments {
-                eprintln!("no baseline (new): {n}");
-            }
-            if summary.should_fail() {
-                eprintln!(
-                    "--regressions-only: failing ({} regression(s), {} unbaselined)",
-                    summary.regressions.len(),
-                    summary.new_experiments.len()
-                );
-                std::process::exit(1);
-            }
-            println!("--regressions-only: clean");
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    }
 }
 
 /// `--plot [FILE] [--out DIR]`: render every recorded table as an SVG
@@ -170,7 +101,7 @@ fn run_plot(file: &str, out: &Path) -> ! {
         eprintln!("error: cannot read {file}: {e}");
         std::process::exit(2);
     });
-    let doc = compare::parse_json(&text).unwrap_or_else(|e| {
+    let doc = json::parse_json(&text).unwrap_or_else(|e| {
         eprintln!("error: {file} is not valid BENCH_results.json: {e}");
         std::process::exit(2);
     });
@@ -249,13 +180,13 @@ fn save_json(out: &PathBuf, params: &ExpParams, results: &[(String, Vec<Table>)]
     let fresh: std::collections::HashSet<&str> = results.iter().map(|(n, _)| n.as_str()).collect();
     let carried: Vec<String> = fs::read_to_string(out.join("BENCH_results.json"))
         .ok()
-        .and_then(|text| compare::parse_json(&text).ok())
+        .and_then(|text| json::parse_json(&text).ok())
         .and_then(|doc| match doc {
-            compare::Json::Obj(mut m) => m.remove("experiments"),
+            Json::Obj(mut m) => m.remove("experiments"),
             _ => None,
         })
         .map(|exps| match exps {
-            compare::Json::Obj(m) => m
+            Json::Obj(m) => m
                 .into_iter()
                 .filter(|(name, _)| !fresh.contains(name.as_str()))
                 .map(|(name, tables)| format!("{}:{}", json_string(&name), tables.render()))
@@ -312,10 +243,7 @@ fn main() {
             "shard_scaling" => ("shard_scaling", vec![experiments::shard_scaling(p)]),
             "epoch_domains" => ("epoch_domains", vec![experiments::epoch_domains(p)]),
             "recovery_latency" => ("recovery_latency", vec![experiments::recovery_latency(p)]),
-            "read_path" => {
-                let (t1, t2) = experiments::read_path(p);
-                ("read_path", vec![t1, t2])
-            }
+            "read_path" => ("read_path", vec![experiments::read_path(p)]),
             "txn_batches" => ("txn_batches", vec![experiments::txn_batches(p)]),
             "extent_growth" => ("extent_growth", vec![experiments::extent_growth(p)]),
             "server_scaling" => {

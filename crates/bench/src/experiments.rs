@@ -5,7 +5,7 @@
 
 use std::time::{Duration, Instant};
 
-use incll_ycsb::{load, run, run_with_reads, Dist, Mix, ReadMode, RunConfig};
+use incll_ycsb::{load, run, Dist, Mix, RunConfig};
 
 use crate::systems::{build_incll, build_mt, build_mtplus, SystemConfig};
 
@@ -939,30 +939,11 @@ pub fn epoch_domains(p: &ExpParams) -> Table {
 // Read path — zero-copy gets and epoch-snapshot scans
 // =====================================================================
 
-/// Driver thread counts the read-path experiment sweeps.
-pub const READ_PATH_THREADS: &[usize] = &[1, 4];
-/// Shard counts the read-path experiment sweeps.
-pub const READ_PATH_SHARDS: &[usize] = &[1, 8];
-/// Value size preloaded for the read-mode throughput table.
-pub const READ_PATH_VAL_BYTES: usize = 64;
-
-/// Read path: the three read modes (allocating `get`, buffer-reusing
-/// `get_into`, borrowed zero-copy `get_ref`) on the read-heavy YCSB
-/// mixes, plus the scan-vs-advance stall histogram before/after
+/// Read path: the scan-vs-advance stall histogram before/after
 /// epoch-snapshot scans.
 ///
-/// Table 1 runs YCSB-B (95 % reads) and YCSB-C (read-only) over each
-/// read mode at 1/4 driver threads × 1/8 shards on the durable store,
-/// preloaded with [`READ_PATH_VAL_BYTES`]-byte values (one cache line —
-/// a small web-service object, not the paper's bare 8-byte register, so
-/// the copying reads pay a real memcpy). The modes differ only in how
-/// `Op::Read` is served: `get` allocates a fresh `Vec` per hit,
-/// `get_into` copies into a reused buffer, and `get_ref` borrows the
-/// value bytes in place under an epoch read pin — no allocation, no
-/// copy.
-///
-/// Table 2 times `checkpoint_shard(0)` on a 1-shard store while a
-/// scanner loops over the whole keyspace, under two scan disciplines:
+/// Times `checkpoint_shard(0)` on a 1-shard store while a scanner loops
+/// over the whole keyspace, under two scan disciplines:
 ///
 /// * `pinned_scan` — the mid-level tree scan, which holds the shard's
 ///   epoch pin for the scan's **whole lifetime** (the pre-snapshot
@@ -973,62 +954,10 @@ pub const READ_PATH_VAL_BYTES: usize = 64;
 ///
 /// The stall columns are the p50/p99/max of the advance's quiesce +
 /// flush + hook time, the [`epoch_domains`] metric.
-pub fn read_path(p: &ExpParams) -> (Table, Table) {
+pub fn read_path(p: &ExpParams) -> Table {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-    // ---------------- Table 1: read-mode throughput ----------------
-    let mut t1 = Table::new(
-        "Read path: YCSB-B/C throughput by read mode (get vs get_into vs get_ref)",
-        &[
-            "mix",
-            "threads",
-            "shards",
-            "get_mops",
-            "get_into_mops",
-            "get_ref_mops",
-            "ref_vs_get",
-        ],
-    );
-    for &shards in READ_PATH_SHARDS {
-        for &threads in READ_PATH_THREADS {
-            let mut cfg = p.sys_config();
-            cfg.threads = threads.max(2); // slots for drivers and loader
-            cfg.shards = shards;
-            let sys = build_incll(&cfg);
-            {
-                // Preload cache-line-sized byte values (not `load`'s u64
-                // registers) so alloc-and-copy reads have real work.
-                let sess = sys.store.session().expect("loader session");
-                let val = [0x5Au8; READ_PATH_VAL_BYTES];
-                for i in 0..p.keys {
-                    sys.store
-                        .put(&sess, &incll_ycsb::storage_key(i), &val)
-                        .expect("fits size class");
-                }
-            }
-            for mix in [Mix::B, Mix::C] {
-                let mut rc = p.run_config(mix, Dist::Uniform);
-                rc.threads = threads;
-                let mops = |mode| run_with_reads(&sys.store, &rc, mode).mops();
-                let alloc = mops(ReadMode::Alloc);
-                let into = mops(ReadMode::Into);
-                let byref = mops(ReadMode::Ref);
-                t1.push(vec![
-                    mix.label().into(),
-                    threads.to_string(),
-                    shards.to_string(),
-                    f2(alloc),
-                    f2(into),
-                    f2(byref),
-                    pct(alloc, byref),
-                ]);
-            }
-        }
-    }
-    t1.print();
-
-    // ------------- Table 2: scan-vs-advance stall histogram -------------
-    let mut t2 = Table::new(
+    let mut t = Table::new(
         "Read path: advance stall while a long scan runs (pinned vs snapshot scan)",
         &[
             "mode",
@@ -1122,7 +1051,7 @@ pub fn read_path(p: &ExpParams) -> (Table, Table) {
         });
         stalls_us.sort_unstable();
         let pick = |q: usize| stalls_us[(stalls_us.len() - 1) * q / 100];
-        t2.push(vec![
+        t.push(vec![
             mode.into(),
             scanned.load(Ordering::Relaxed).to_string(),
             stalls_us.len().to_string(),
@@ -1131,8 +1060,8 @@ pub fn read_path(p: &ExpParams) -> (Table, Table) {
             stalls_us.last().copied().unwrap_or(0).to_string(),
         ]);
     }
-    t2.print();
-    (t1, t2)
+    t.print();
+    t
 }
 
 // =====================================================================
@@ -1643,10 +1572,10 @@ pub const EXTENT_GROWTH_VAL: usize = 3000;
 
 /// Extent growth: a skewed-hotspot fill on an 8-shard store, every
 /// insert routed to **one** shard — the workload that makes a static
-/// one-region-per-shard split (the layout-v5 shape) return
-/// `OutOfMemory` once the hot shard's 1/8th fills, with 7/8ths of the
-/// arena still free. Under the layout-v6 chunked extent pool the hot
-/// shard claims free extents online and the fill completes.
+/// one-region-per-shard split return `OutOfMemory` once the hot shard's
+/// 1/8th fills, with 7/8ths of the arena still free. Under the chunked
+/// extent pool the hot shard claims free extents online and the fill
+/// completes.
 ///
 /// The proof is in the extent accounting, not timing: the hot shard
 /// ends the fill owning **more extents than the static per-shard

@@ -1,0 +1,282 @@
+//! A minimal JSON reader for `BENCH_results.json` files.
+//!
+//! `figures` merges freshly run experiments into an existing results file
+//! and `figures --plot` renders a recorded one, so both need to read what
+//! [`crate::experiments::Table::to_json`]'s envelope wrote. The workspace
+//! builds without crates.io, so there is no serde: the parser below is
+//! hand-rolled and accepts exactly (a superset of) what the writer emits.
+
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
+
+/// A parsed JSON value (only the shapes the results file uses).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Any JSON number (kept as f64; the file only holds integers and
+    /// fixed-point decimals).
+    Num(f64),
+    /// A string.
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object, insertion order not preserved (keys are unique).
+    Obj(BTreeMap<String, Json>),
+}
+
+impl Json {
+    /// Serialises back to JSON text (object keys in `BTreeMap` order).
+    /// Round-trips everything [`parse_json`] accepts, so callers can
+    /// merge result files without a second writer.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out);
+        out
+    }
+
+    fn render_into(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => {
+                let _ = write!(out, "{b}");
+            }
+            Json::Num(n) => {
+                // Integers (the common case) must not grow a ".0" the
+                // hand-rolled parser's writers never produce.
+                if n.fract() == 0.0 && n.abs() < 9e15 {
+                    let _ = write!(out, "{}", *n as i64);
+                } else {
+                    let _ = write!(out, "{n}");
+                }
+            }
+            Json::Str(s) => out.push_str(&crate::experiments::json_string(s)),
+            Json::Arr(a) => {
+                out.push('[');
+                for (i, v) in a.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    v.render_into(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(m) => {
+                out.push('{');
+                for (i, (k, v)) in m.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    out.push_str(&crate::experiments::json_string(k));
+                    out.push(':');
+                    v.render_into(out);
+                }
+                out.push('}');
+            }
+        }
+    }
+}
+
+/// Parses a JSON document.
+///
+/// # Errors
+///
+/// Returns a human-readable message with the byte offset of the first
+/// syntax error.
+pub fn parse_json(text: &str) -> Result<Json, String> {
+    let bytes = text.as_bytes();
+    let mut pos = 0usize;
+    let v = parse_value(bytes, &mut pos)?;
+    skip_ws(bytes, &mut pos);
+    if pos != bytes.len() {
+        return Err(format!("trailing garbage at byte {pos}"));
+    }
+    Ok(v)
+}
+
+fn skip_ws(b: &[u8], pos: &mut usize) {
+    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
+        *pos += 1;
+    }
+}
+
+fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+    skip_ws(b, pos);
+    match b.get(*pos) {
+        None => Err("unexpected end of input".into()),
+        Some(b'{') => {
+            *pos += 1;
+            let mut map = BTreeMap::new();
+            skip_ws(b, pos);
+            if b.get(*pos) == Some(&b'}') {
+                *pos += 1;
+                return Ok(Json::Obj(map));
+            }
+            loop {
+                skip_ws(b, pos);
+                let key = match parse_value(b, pos)? {
+                    Json::Str(s) => s,
+                    other => return Err(format!("object key must be a string, got {other:?}")),
+                };
+                skip_ws(b, pos);
+                if b.get(*pos) != Some(&b':') {
+                    return Err(format!("expected ':' at byte {pos}"));
+                }
+                *pos += 1;
+                let val = parse_value(b, pos)?;
+                map.insert(key, val);
+                skip_ws(b, pos);
+                match b.get(*pos) {
+                    Some(b',') => *pos += 1,
+                    Some(b'}') => {
+                        *pos += 1;
+                        return Ok(Json::Obj(map));
+                    }
+                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
+                }
+            }
+        }
+        Some(b'[') => {
+            *pos += 1;
+            let mut arr = Vec::new();
+            skip_ws(b, pos);
+            if b.get(*pos) == Some(&b']') {
+                *pos += 1;
+                return Ok(Json::Arr(arr));
+            }
+            loop {
+                arr.push(parse_value(b, pos)?);
+                skip_ws(b, pos);
+                match b.get(*pos) {
+                    Some(b',') => *pos += 1,
+                    Some(b']') => {
+                        *pos += 1;
+                        return Ok(Json::Arr(arr));
+                    }
+                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
+                }
+            }
+        }
+        Some(b'"') => {
+            *pos += 1;
+            let mut out = String::new();
+            loop {
+                match b.get(*pos) {
+                    None => return Err("unterminated string".into()),
+                    Some(b'"') => {
+                        *pos += 1;
+                        return Ok(Json::Str(out));
+                    }
+                    Some(b'\\') => {
+                        *pos += 1;
+                        match b.get(*pos) {
+                            Some(b'"') => out.push('"'),
+                            Some(b'\\') => out.push('\\'),
+                            Some(b'/') => out.push('/'),
+                            Some(b'n') => out.push('\n'),
+                            Some(b'r') => out.push('\r'),
+                            Some(b't') => out.push('\t'),
+                            Some(b'u') => {
+                                let hex =
+                                    b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
+                                let code = u32::from_str_radix(
+                                    std::str::from_utf8(hex).map_err(|e| e.to_string())?,
+                                    16,
+                                )
+                                .map_err(|e| e.to_string())?;
+                                out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+                                *pos += 4;
+                            }
+                            other => return Err(format!("bad escape {other:?}")),
+                        }
+                        *pos += 1;
+                    }
+                    Some(&c) => {
+                        // Multibyte UTF-8 passes through byte by byte; the
+                        // input is a valid &str so reassembly is safe.
+                        let start = *pos;
+                        let mut end = *pos + 1;
+                        if c >= 0x80 {
+                            while end < b.len() && b[end] & 0xC0 == 0x80 {
+                                end += 1;
+                            }
+                        }
+                        out.push_str(
+                            std::str::from_utf8(&b[start..end]).map_err(|e| e.to_string())?,
+                        );
+                        *pos = end;
+                    }
+                }
+            }
+        }
+        Some(b't') if b[*pos..].starts_with(b"true") => {
+            *pos += 4;
+            Ok(Json::Bool(true))
+        }
+        Some(b'f') if b[*pos..].starts_with(b"false") => {
+            *pos += 5;
+            Ok(Json::Bool(false))
+        }
+        Some(b'n') if b[*pos..].starts_with(b"null") => {
+            *pos += 4;
+            Ok(Json::Null)
+        }
+        Some(_) => {
+            let start = *pos;
+            while *pos < b.len()
+                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+            {
+                *pos += 1;
+            }
+            let s = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
+            s.parse::<f64>()
+                .map(Json::Num)
+                .map_err(|_| format!("bad number {s:?} at byte {start}"))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parses_the_writer_shape() {
+        let j = parse_json(
+            r#"{"generated_unix":123,"params":{"keys":1000},
+               "experiments":{"e1":[{"title":"T","header":["k","v"],
+               "rows":[["a","1.5"],["b","2.0"]]}]}}"#,
+        )
+        .unwrap();
+        let Json::Obj(doc) = &j else { panic!("{j:?}") };
+        assert_eq!(doc.get("generated_unix"), Some(&Json::Num(123.0)));
+        let Some(Json::Obj(exps)) = doc.get("experiments") else {
+            panic!("{j:?}")
+        };
+        assert!(matches!(exps.get("e1"), Some(Json::Arr(t)) if t.len() == 1));
+        // And the merge path's writer round-trips it.
+        assert_eq!(parse_json(&j.render()).unwrap(), j);
+    }
+
+    #[test]
+    fn parses_escapes_and_unicode() {
+        let j = parse_json(r#"["a\nb", "A", "é"]"#).unwrap();
+        assert_eq!(
+            j,
+            Json::Arr(vec![
+                Json::Str("a\nb".into()),
+                Json::Str("A".into()),
+                Json::Str("é".into())
+            ])
+        );
+    }
+
+    #[test]
+    fn rejects_garbage() {
+        assert!(parse_json("{").is_err());
+        assert!(parse_json("[1,]").is_err());
+        assert!(parse_json("123 45").is_err());
+    }
+}

@@ -11,8 +11,8 @@
 //! so the whole suite runs in CI time; `--paper` selects the paper's
 //! 20 M-key / 8 M-op configuration.
 
-pub mod compare;
 pub mod experiments;
+pub mod json;
 pub mod plot;
 pub mod systems;
 

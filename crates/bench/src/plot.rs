@@ -9,7 +9,7 @@
 
 use std::fmt::Write as _;
 
-use crate::compare::Json;
+use crate::json::Json;
 
 /// Columns whose cells mostly parse as numbers become bar panels.
 fn numeric(cell: &str) -> Option<f64> {
@@ -209,7 +209,7 @@ pub fn plot_results(doc: &Json) -> Result<Vec<(String, String)>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compare::parse_json;
+    use crate::json::parse_json;
 
     const SAMPLE: &str = r#"{"generated_unix":1,"experiments":{"demo":[
         {"title":"Demo: kops by mode","header":["mode","kops","p99_us"],

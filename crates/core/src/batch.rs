@@ -17,7 +17,7 @@
 //!    into an object.
 //! 3. **Commit record** — one durable `(batch id, shard mask)` slot write
 //!    in the superblock batch table
-//!    ([`incll_pmem::superblock::set_batch_slot`], layout v5) marks the
+//!    ([`incll_pmem::superblock::set_batch_slot`]) marks the
 //!    batch committed. This is the atomicity point: a batch id present in
 //!    the table is committed everywhere, an absent id nowhere.
 //! 4. **Apply** — the staged operations run through the ordinary put /

@@ -34,7 +34,7 @@ pub enum Error {
         limit: usize,
     },
     /// The arena carries an InCLL superblock of a different on-media
-    /// layout version (e.g. pre-shard media); opening it would
+    /// layout version; opening it would
     /// misinterpret the layout, and formatting it would destroy data, so
     /// neither happens.
     UnsupportedLayout {

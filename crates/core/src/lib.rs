@@ -59,10 +59,6 @@
 //! );
 //! store.put_u64(&sess, b"counter", 7); // the paper's 8-byte payloads
 //!
-//! // Allocation-free reads: reuse one buffer across lookups.
-//! let mut buf = Vec::new();
-//! assert!(store.get_into(&sess, b"durable-key", &mut buf));
-//!
 //! // Zero-copy reads: borrow the value bytes in place. The view holds a
 //! // read pin on the key's shard until dropped (see "Read semantics").
 //! let v = store.get_ref(&sess, b"durable-key").expect("present");
@@ -112,8 +108,8 @@
 //!   all-domains barrier [`Store::checkpoint`] (which advances every
 //!   domain, yielding one common boundary) — or kept within one shard.
 //! * **Recovery names each boundary.** [`RecoveryReport::per_shard`]
-//!   carries every shard's failed and recovered epochs; shard 0's pair
-//!   doubles as the legacy top-level fields.
+//!   carries every shard's failed and recovered epochs; the top-level
+//!   fields repeat shard 0's pair.
 //! * **Recovery is parallel — and deterministic.** [`Store::open`]
 //!   spreads the per-shard recovery steps (failed-epoch resolution, log
 //!   replay, parent re-derivation, epoch restart, allocator repair) over
@@ -128,17 +124,15 @@
 //!   [`ShardReplay::replay_time`] report what ran); the crash-matrix
 //!   suite asserts the equivalence cell by cell.
 //! * **Allocation is per-shard too — and grows online.** Each shard owns
-//!   a **chain of extents** claimed from a shared pool (superblock v6):
-//!   the carvable arena is split into fixed-size power-of-two extents
+//!   a **chain of extents** claimed from a shared pool: the carvable arena is split into fixed-size power-of-two extents
 //!   with a durable owner byte per extent on dedicated superblock lines.
 //!   A shard carves from its active extent with its own InCLL-logged
 //!   watermark — the carve path stays flush-free — and when the extent
 //!   is exhausted it claims the lowest-index free extent (owner-byte CAS
 //!   then `clwb`+`sfence`, the one deliberate flush on the allocation
 //!   path), so a hot shard grows across the pool instead of failing with
-//!   `OutOfMemory` while siblings sit on free space. `OutOfMemory` now
-//!   means the *pool* is empty — the whole arena really is spent — not
-//!   that one shard hit a static share.
+//!   `OutOfMemory` while siblings sit on free space. `OutOfMemory`
+//!   means the *pool* is empty — the whole arena really is spent.
 //! * **Extent claims are crash-atomic and never torn.** The owner byte
 //!   is published by a flushed single-byte CAS, so a crash mid-claim
 //!   shows either a free extent or a fully owned one. A claim whose
@@ -150,9 +144,11 @@
 //!   [`Options::recovery_threads`] count. Slabs carved in a doomed epoch
 //!   still un-carve within their owning extent instead of leaking.
 //!
-//! `shards(1)` has a single domain and reproduces the paper's semantics
-//! (and media behavior) exactly: one barrier, one whole-cache flush, one
-//! boundary, one carve frontier.
+//! `shards(1)` is the paper's system: one epoch domain, one barrier, one
+//! whole-cache flush per checkpoint (`global_flush`, not a scoped one), one
+//! crash boundary. Its single shard uses the same superblock cell and the
+//! same extent pool as any other shard — the paper's *semantics*, not a
+//! layout of its own.
 //!
 //! # Cadence tuning and persistence granularity
 //!
@@ -195,7 +191,7 @@
 //!
 //! **Persistence granularity.** With the default
 //! `persistence_granularity(0)`, every external-log append is flushed
-//! and fenced individually — byte-for-byte the legacy write path. A
+//! and fenced individually — the paper's write path. A
 //! non-zero granularity batches the appends that can tolerate it.
 //! Which ones can is dictated by the write-ahead invariant: an undo
 //! pre-image guards an in-place node modification performed the moment
@@ -225,7 +221,7 @@
 //!   surfaces either every operation of a committed batch or none of an
 //!   uncommitted one — even though each touched shard rolls back to its
 //!   own boundary. The atomicity point is one durable `(batch id, shard
-//!   mask)` record in the superblock batch table (layout v5): commit
+//!   mask)` record in the superblock batch table: commit
 //!   first stages a checksummed *intent* entry per op in the owning
 //!   shard's external log, then flushes the commit record, then applies
 //!   the ops under per-shard epoch pins.
@@ -240,7 +236,7 @@
 //! * **Single-shard batches keep the fast path.** When every staged key
 //!   routes to one shard (always, with `shards(1)`), commit holds one
 //!   epoch pin across the ops — same-epoch atomicity with no batch id,
-//!   no intents, no commit record, and unchanged `shards(1)` media.
+//!   no intents, no commit record.
 //! * **Durability still arrives at the shard's boundary.** Commit makes
 //!   the batch *crash-atomic* immediately, not durable: each shard's
 //!   half persists when that shard next checkpoints (until then a crash
@@ -269,8 +265,10 @@
 //!
 //! # Read semantics
 //!
-//! The read path is decoupled from the persistence path: reads take a
-//! cheap **read pin** on their shard's epoch domain (one transient slot
+//! There is one read path: [`Store::get_ref`] borrows the value in place,
+//! and [`Store::get`] is its owned convenience (`get_ref` + one copy;
+//! [`Store::get_u64`] decodes the paper's 8-byte payloads in place). It is
+//! decoupled from the persistence path: reads take a cheap **read pin** on their shard's epoch domain (one transient slot
 //! store — no log-buffer write, no arena write, and never a "dirty"
 //! stamp, so pure-read traffic leaves lazily cadenced checkpoint timers
 //! idle).
@@ -383,35 +381,13 @@
 //! and miss it. The ack is the visibility point: read-your-writes
 //! holds once the write's `OK` has arrived.
 //!
-//! # Migrating from the pre-`Store` API
+//! # Media compatibility
 //!
-//! Earlier revisions exposed the plumbing directly; the mapping is
-//! one-to-one:
-//!
-//! | before | now |
-//! |--------|-----|
-//! | `superblock::format` + `DurableMasstree::create` / `open` | [`Store::open`] (format-if-empty, create-or-recover) |
-//! | `DurableConfig { .. }` | [`Options`] builder |
-//! | one tree behind `SB_TREE_ROOT` | [`Options::shards`]`(n)` — n root holders + n epoch-domain cells, fixed at format; `shards(1)` keeps the legacy cell positions |
-//! | `tree.thread_ctx(tid).unwrap()` (unchecked `tid`) | [`Store::session`] (bounded RAII pool) |
-//! | `tree.put(&ctx, k, u64)` | [`Store::put`] (`&[u8]`) or [`Store::put_u64`] (both shard-routed) |
-//! | `tree.get(&ctx, k)` + per-get allocation | [`Store::get`], [`Store::get_into`] reusing a caller buffer, or zero-copy [`Store::get_ref`] (all routed through the borrowed read path) |
-//! | `tree.scan(&ctx, ..)` (one tree) | [`Store::scan`] / [`Store::range`] (globally ordered k-way merge) |
-//! | scans pinned their shard's epoch for the scan's whole lifetime | `range`/`iter`/`scan` pin per **batch refill** only — a long scan never blocks any shard's checkpoint |
-//! | `tree.epoch_manager().advance()` | [`Store::checkpoint`] (all-domains barrier) or [`Store::checkpoint_shard`] (one shard's scoped boundary) |
-//! | one global epoch for all shards (layout v2) | one epoch **domain per shard** (layout v3): independent cadences, per-shard failed-epoch sets, per-shard recovery — see the crash-semantics section above |
-//! | one shared carve frontier, sequential replay (layout v3) | **per-shard allocator arenas** (layout v4): one carve region + InCLL watermark line per shard (doomed slabs un-carve; the multi-domain eager watermark flush is gone), and [`Options::recovery_threads`] replays shards in parallel (`INCLL_RECOVERY_THREADS` env default) |
-//! | cross-shard multi-key writes only via the `checkpoint()` barrier (layout v4) | **atomic write batches** (layout v5): [`Session::batch`] stages puts/deletes, commits via log intents + one durable batch-table record, and recovery redoes-or-drops in-doubt batches per shard — see "Batch atomicity and crash semantics" |
-//! | one static carve region per shard, `OutOfMemory` at its boundary (layout v5) | **chunked extent pool** (layout v6): the carvable arena is fixed-size power-of-two extents with a durable owner byte each; a shard that exhausts its active extent claims the next free one online (flushed owner-byte CAS — never torn), so hot shards grow until the *pool* is empty and recovery rebuilds each shard's extent chain from the table — see the crash-semantics section above |
-//! | external-log entries sealed with byte-serial FNV-1a (layout v6) | entries sealed with **XXH64** (layout v7): same 32 B header and entry size, the seal and the replay verify run at memory speed; the superblock cells did not move, but a v6 log would fail every checksum and silently skip undo, so the version screens it — see `incll-extlog`'s "Entry format" |
-//! | leaked `incll_palloc::Error` | crate-wide [`Error`] (incl. [`Error::ShardMismatch`], [`Error::UnsupportedLayout`]) |
-//!
-//! On-media layouts are version-screened: v7 (this build) refuses v1–v6
+//! On-media layouts are version-screened: v8 (this build) refuses v1–v7
 //! media with a typed [`Error::UnsupportedLayout`] — never a reformat.
 //!
 //! [`DurableMasstree`] remains public as the mid-level API, but it speaks
-//! to **one shard's** tree ([`Store::masstree`] and [`Session::ctx`] are
-//! unstable escape hatches; [`DurableMasstree::shard`] reaches the rest).
+//! to **one shard's** tree ([`DurableMasstree::shard`] reaches the rest).
 
 mod batch;
 mod error;
@@ -757,7 +733,7 @@ mod tests {
             let lo = arena.pread_u64(superblock::SB_EXTLOG_OFF);
             let threads = arena.pread_u64(superblock::SB_EXTLOG_THREADS);
             let per_slot = arena.pread_u64(superblock::SB_EXTLOG_PER_THREAD);
-            let domains = arena.pread_u64(superblock::SB_EXTLOG_DOMAINS).max(1);
+            let domains = arena.pread_u64(superblock::SB_EXTLOG_DOMAINS);
             let hi = lo + per_slot * threads * domains;
             assert!(lo != 0 && hi > lo, "log descriptor must be present");
             // Sealed entries live in the durable base and are untouched

@@ -213,7 +213,7 @@ impl DurableMasstree {
         // 0. The shard count is a format-time property: every root holder,
         //    every epoch-domain cell, and every key's routing depends on it.
         crate::tree::validate_shard_count(config.shards)?;
-        let on_media = (arena.pread_u64(superblock::SB_SHARD_COUNT) as usize).max(1);
+        let on_media = arena.pread_u64(superblock::SB_SHARD_COUNT) as usize;
         if config.shards != on_media {
             return Err(Error::ShardMismatch {
                 requested: config.shards,
@@ -232,7 +232,7 @@ impl DurableMasstree {
         // and compute its contiguous failed run. Each shard writes only
         // its own superblock cells.
         let resolved = run_per_shard(workers, on_media, |d| -> Result<Resolved, Error> {
-            let failed_epoch = arena.pread_u64(superblock::domain_cur_epoch_off(d)).max(1);
+            let failed_epoch = arena.pread_u64(superblock::domain_cur_epoch_off(d));
             superblock::record_failed_epoch_for(arena, d, failed_epoch)?;
             let failed = superblock::failed_epochs_for(arena, d);
             let mut run_min = failed_epoch;

@@ -16,7 +16,7 @@
 //!   8-byte-payload convenience.
 //! * **Zero-copy reads** — [`Store::get_ref`] returns a borrowed
 //!   [`ValueRef`] view of the value bytes in place, backed by an epoch
-//!   read pin; `get`/`get_into`/`get_u64` are wrappers over it.
+//!   read pin; `get`/`get_u64` are wrappers over it.
 //! * **Scans** — callback ([`Store::scan`]) and iterator
 //!   ([`Store::range`], [`Store::iter`]) forms, both in global key order.
 //! * **Sharding** — [`Options::shards`] hash partitions the keyspace over
@@ -98,8 +98,9 @@ impl Options {
     /// Keyspace shard count: the store holds `shards` independent durable
     /// trees, one epoch domain each, and routes every operation by key
     /// hash. Must be a power of two in
-    /// `1..=`[`incll_pmem::superblock::MAX_SHARDS`]; the default 1
-    /// reproduces the unsharded layout and behavior exactly.
+    /// `1..=`[`incll_pmem::superblock::MAX_SHARDS`]; the default 1 is
+    /// the paper's system: one tree, one epoch domain, one whole-cache
+    /// flush per checkpoint.
     ///
     /// The count is **fixed at format time**: it decides where every key
     /// lives, so reopening an existing store with a different value is a
@@ -151,7 +152,7 @@ impl Options {
     /// (before its record) and at every checkpoint boundary. Undo
     /// pre-images always seal before the modification they guard
     /// (write-ahead), so crash semantics are unchanged. Purely a
-    /// runtime knob: any value opens any v5 media.
+    /// runtime knob: nothing on media depends on it.
     #[must_use]
     pub fn persistence_granularity(mut self, bytes: usize) -> Self {
         self.config.persistence_granularity = bytes;
@@ -262,12 +263,9 @@ impl Session {
         &self.store
     }
 
-    /// The mid-level per-thread context — an **unstable escape hatch** for
-    /// APIs that still speak [`DurableMasstree`]; its shape may change in
-    /// any release. Using it keeps the slot under the pool's accounting —
-    /// prefer it over a separate [`DurableMasstree::thread_ctx`] call,
-    /// which the pool cannot see. See [`Store::masstree`] for the routing
-    /// hazards of bypassing the facade on a sharded store.
+    /// The mid-level per-thread context (experiments and tests; not part
+    /// of the facade).
+    #[doc(hidden)]
     pub fn ctx(&self) -> &DCtx {
         &self.ctx
     }
@@ -325,8 +323,8 @@ impl Store {
     ///
     /// Arena exhaustion while creating; a full failed-epoch set while
     /// recovering; [`Error::UnsupportedLayout`] when the arena carries a
-    /// superblock of a different on-media version (e.g. pre-shard media —
-    /// never silently reformatted); [`Error::InvalidShardCount`] /
+    /// superblock of a different on-media version (never silently
+    /// reformatted); [`Error::InvalidShardCount`] /
     /// [`Error::ShardMismatch`] when [`Options::shards`] is malformed or
     /// disagrees with the count fixed at format time.
     pub fn open(arena: &PArena, options: Options) -> Result<(Store, RecoveryReport), Error> {
@@ -492,8 +490,8 @@ impl Store {
     /// unaffected). Concurrent overwrites or removes of the key leave the
     /// viewed bytes intact — the reader always sees a complete old-or-
     /// current value, never a torn one — and can be detected with
-    /// [`ValueRef::is_stale`]. [`Store::get`], [`Store::get_into`] and
-    /// [`Store::get_u64`] are all thin wrappers over this method.
+    /// [`ValueRef::is_stale`]. [`Store::get`] and [`Store::get_u64`] are
+    /// thin wrappers over this method.
     ///
     /// ```
     /// # use incll_pmem::PArena;
@@ -519,43 +517,9 @@ impl Store {
     ///
     /// Exactly [`Store::get_ref`] + [`ValueRef::to_vec`]: one allocation
     /// and one copy per hit. Prefer [`Store::get_ref`] on read-heavy hot
-    /// paths and [`Store::get_into`] when a reusable buffer is at hand.
+    /// paths.
     pub fn get(&self, sess: &Session, key: &[u8]) -> Option<Vec<u8>> {
         self.get_ref(sess, key).map(|v| v.to_vec())
-    }
-
-    /// Looks up `key`, writing its value into `out` (cleared first) and
-    /// returning whether the key was present. The allocation-free twin of
-    /// [`Store::get`]: the caller's buffer (and its capacity) is reused
-    /// across lookups, eliminating the per-`get` allocation on byte-value
-    /// hot paths.
-    ///
-    /// ```
-    /// # use incll_pmem::PArena;
-    /// # use incll::{Options, Store};
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// # let arena = PArena::builder().capacity_bytes(16 << 20).build()?;
-    /// # let (store, _) = Store::open(&arena, Options::new().threads(1)
-    /// #     .log_bytes_per_thread(1 << 20))?;
-    /// # let sess = store.session()?;
-    /// store.put(&sess, b"k", b"value bytes")?;
-    /// let mut buf = Vec::new();
-    /// assert!(store.get_into(&sess, b"k", &mut buf));
-    /// assert_eq!(&buf, b"value bytes");
-    /// assert!(!store.get_into(&sess, b"missing", &mut buf));
-    /// assert!(buf.is_empty());
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn get_into(&self, sess: &Session, key: &[u8], out: &mut Vec<u8>) -> bool {
-        out.clear();
-        match self.get_ref(sess, key) {
-            Some(v) => {
-                out.extend_from_slice(&v);
-                true
-            }
-            None => false,
-        }
     }
 
     /// Removes `key`, returning whether it was present.
@@ -763,12 +727,12 @@ impl Store {
     /// Extent-pool observability: the pool descriptor
     /// `(pool_base, extent_bytes, extent_count)` plus the number of
     /// extents each shard currently owns (create claims one per shard;
-    /// hot shards claim more online). `None` on `shards(1)`, which
-    /// carves from the arena's single implicit chain. Diagnostics /
+    /// hot shards claim more online). Always `Some`: every store, at
+    /// every shard count, carves from the pool. Diagnostics /
     /// experiments.
     pub fn extent_stats(&self) -> Option<ExtentStats> {
         let alloc = self.shards[0].allocator();
-        let (pool_base, extent_bytes, extent_count) = alloc.extent_pool()?;
+        let (pool_base, extent_bytes, extent_count) = alloc.extent_pool();
         Some(ExtentStats {
             pool_base,
             extent_bytes,
@@ -785,23 +749,9 @@ impl Store {
         &self.shards[i]
     }
 
-    /// The mid-level tree behind **shard 0** — an **unstable escape
-    /// hatch**; the facade is the supported surface and this accessor's
-    /// shape may change in any release. Reach the other shards through
-    /// [`DurableMasstree::shard`].
-    ///
-    /// Two hazards when bypassing the facade:
-    ///
-    /// * **Slots** — the session pool and [`DurableMasstree::thread_ctx`]
-    ///   hand out the **same** per-thread slots without knowing about each
-    ///   other: do not run a raw `thread_ctx(tid)` context concurrently
-    ///   with sessions, or two owners of one allocator free list / log
-    ///   buffer can race. Use [`Session::ctx`] to reach mid-level APIs
-    ///   from a pooled slot.
-    /// * **Routing** — on a sharded store a `DurableMasstree` handle
-    ///   speaks to one shard's tree only; a key written there is invisible
-    ///   to the facade unless it lives on its hash shard
-    ///   ([`Store::shard_of`]).
+    /// The mid-level tree behind shard 0 (experiments and tests; not part
+    /// of the facade).
+    #[doc(hidden)]
     pub fn masstree(&self) -> &DurableMasstree {
         &self.shards[0]
     }
@@ -831,8 +781,8 @@ pub struct ShardStats {
     pub current_interval: Option<Duration>,
 }
 
-/// Extent-pool snapshot ([`Store::extent_stats`]): the superblock v6
-/// pool descriptor plus each shard's current chain length, read from the
+/// Extent-pool snapshot ([`Store::extent_stats`]): the superblock's pool
+/// descriptor plus each shard's current chain length, read from the
 /// durable owner table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExtentStats {

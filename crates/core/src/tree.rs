@@ -407,9 +407,9 @@ impl DurableMasstree {
         crate::tree::validate_shard_count(config.shards)?;
         // One epoch domain, one log buffer set and one allocator list set
         // per shard: every shard checkpoints on its own timeline. The log
-        // region is carved *before* the allocator: a multi-domain
-        // allocator splits all remaining carvable space into per-shard
-        // regions and must be the last create-time carver.
+        // region is carved *before* the allocator, which turns all
+        // remaining carvable space into the extent pool and must be the
+        // last create-time carver.
         let mgr = EpochManager::with_domains(arena.clone(), EpochOptions::durable(), config.shards);
         let log = ExtLog::create_sharded(
             arena,
@@ -420,6 +420,7 @@ impl DurableMasstree {
         log.set_persistence_granularity(config.persistence_granularity as u64);
         let alloc = PAlloc::create_sharded(arena, config.threads, config.shards)?;
         let epoch = mgr.current_epoch();
+        let exec_epochs = (0..config.shards).map(|s| mgr.exec_epoch_of(s)).collect();
 
         let inner = Arc::new(Inner {
             arena: arena.clone(),
@@ -427,7 +428,7 @@ impl DurableMasstree {
             alloc,
             log,
             failed: vec![Vec::new(); config.shards],
-            exec_epochs: vec![arena.pread_u64(superblock::SB_EXEC_EPOCH).max(1); config.shards],
+            exec_epochs,
             rec_locks: (0..REC_LOCKS).map(|_| Mutex::new(())).collect(),
             incll_enabled: config.incll_enabled,
             shard_count: config.shards,
@@ -643,20 +644,6 @@ impl DurableMasstree {
         let _g = self.enter(ctx);
         // SAFETY: as for `get`.
         unsafe { self.get_inner(key, read_value_bytes) }
-    }
-
-    /// Looks up `key`, appending its value to `out` (which is cleared
-    /// first). Returns whether the key was present. The allocation-free
-    /// twin of [`DurableMasstree::get_bytes`]: the caller's buffer is
-    /// reused across lookups.
-    pub fn get_bytes_into(&self, ctx: &DCtx, key: &[u8], out: &mut Vec<u8>) -> bool {
-        out.clear();
-        let _g = self.enter(ctx);
-        // SAFETY: as for `get`.
-        unsafe {
-            self.get_inner(key, |a, buf| read_value_bytes_into(a, buf, out))
-                .is_some()
-        }
     }
 
     /// Looks up `key`, returning a **borrowed, zero-copy** view of its
@@ -2026,16 +2013,6 @@ pub(crate) fn read_value_bytes(a: &PArena, buf: u64) -> Vec<u8> {
     let mut out = vec![0u8; len];
     a.pread_bytes(buf + 8, &mut out);
     out
-}
-
-/// Appends a buffer's payload to `out` (the allocation-free read path:
-/// `out`'s capacity is the caller's to reuse).
-pub(crate) fn read_value_bytes_into(a: &PArena, buf: u64, out: &mut Vec<u8>) {
-    let len = a.pread_u64(buf) as usize;
-    debug_assert!(len <= MAX_VALUE_BYTES, "corrupt value-buffer length");
-    let start = out.len();
-    out.resize(start + len, 0);
-    a.pread_bytes(buf + 8, &mut out[start..]);
 }
 
 impl std::fmt::Debug for DurableMasstree {

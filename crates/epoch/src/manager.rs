@@ -139,9 +139,8 @@ impl EpochManager {
 
     /// Creates a manager with `domains` independent epoch domains.
     ///
-    /// Domain `d`'s durable counters live in the superblock's domain table
-    /// (domain 0 on the legacy cells), so each domain restarts from its own
-    /// boundary after a crash.
+    /// Domain `d`'s durable counters live in shard `d`'s superblock cell,
+    /// so each domain restarts from its own boundary after a crash.
     ///
     /// # Panics
     ///
@@ -156,8 +155,8 @@ impl EpochManager {
             .map(|d| {
                 let (start, exec) = if options.durable_epoch {
                     (
-                        arena.pread_u64(superblock::domain_cur_epoch_off(d)).max(1),
-                        arena.pread_u64(superblock::domain_exec_epoch_off(d)).max(1),
+                        arena.pread_u64(superblock::domain_cur_epoch_off(d)),
+                        arena.pread_u64(superblock::domain_exec_epoch_off(d)),
                     )
                 } else {
                     (1, 1)
@@ -668,7 +667,10 @@ mod tests {
         let mgr = durable_mgr();
         assert_eq!(mgr.advance(), 2);
         assert_eq!(mgr.current_epoch(), 2);
-        assert_eq!(mgr.arena().pread_u64(superblock::SB_CUR_EPOCH), 2);
+        assert_eq!(
+            mgr.arena().pread_u64(superblock::domain_cur_epoch_off(0)),
+            2
+        );
         assert_eq!(mgr.arena().stats().global_flush(), 1);
     }
 
@@ -824,7 +826,10 @@ mod tests {
         mgr.restart_at(7);
         assert_eq!(mgr.current_epoch(), 7);
         assert_eq!(mgr.exec_epoch(), 7);
-        assert_eq!(mgr.arena().pread_u64(superblock::SB_EXEC_EPOCH), 7);
+        assert_eq!(
+            mgr.arena().pread_u64(superblock::domain_exec_epoch_off(0)),
+            7
+        );
     }
 
     // ---------------- multi-domain ----------------

@@ -65,14 +65,12 @@
 //! [`ExtLog::log_object_in`] appends to the caller's (thread, domain)
 //! buffer, sealing the domain id into the checksummed entry tag;
 //! [`ExtLog::reset_domain`] and [`ExtLog::replay_domain`] scope discard
-//! and replay to one domain. A 1-domain log is bit-identical to the
-//! pre-domain layout.
+//! and replay to one domain.
 //!
 //! # Entry format
 //!
-//! Undo entries and batch intents share one format (superblock layout
-//! v7), appended back to back in a (thread, domain) buffer, each 8-byte
-//! aligned:
+//! Undo entries and batch intents share one format, appended back to
+//! back in a (thread, domain) buffer, each 8-byte aligned:
 //!
 //! | Bytes | Word | Contents |
 //! |-------|------|----------|
@@ -89,11 +87,10 @@
 //! 32-byte stripes in four independent multiply-rotate lanes, then 8-byte
 //! words, then tail bytes, and ends in an avalanche, so sealing or
 //! verifying a 320 B node image costs tens of nanoseconds — well under
-//! the `sfence` that follows it — where the byte-serial FNV-1a of layouts
-//! ≤ v6 was half of an append and a third of a restart. The sum is part
-//! of what a crashed medium holds, which is why changing it was a layout
-//! version bump: read with the wrong function, every entry looks torn and
-//! undo is silently skipped.
+//! the `sfence` that follows it — where a byte-serial hash was half of an
+//! append and a third of a restart. The sum is part of what a crashed
+//! medium holds, so changing it is a layout version bump: read with the
+//! wrong function, every entry looks torn and undo is silently skipped.
 //!
 //! An entry is valid only once its stored `sum` matches, so a torn append
 //! — any subset of its cache lines missing — fails verification and ends
@@ -258,7 +255,7 @@ pub struct ExtLog {
     per_slot: u64,
     /// Thread slots.
     threads: usize,
-    /// Epoch domains (1 = the legacy single-domain layout).
+    /// Epoch domains.
     domains: usize,
     /// One cursor per (thread, domain), thread-major.
     cursors: Vec<Cursor>,
@@ -334,11 +331,9 @@ impl ExtLog {
         let region = arena.pread_u64(superblock::SB_EXTLOG_OFF);
         let threads = arena.pread_u64(superblock::SB_EXTLOG_THREADS) as usize;
         let per_slot = arena.pread_u64(superblock::SB_EXTLOG_PER_THREAD);
-        // 0 reads as 1 so a descriptor written without the domain word
-        // (tests poking at raw layouts) stays interpretable.
-        let domains = (arena.pread_u64(superblock::SB_EXTLOG_DOMAINS) as usize).max(1);
+        let domains = arena.pread_u64(superblock::SB_EXTLOG_DOMAINS) as usize;
         assert!(
-            region != 0 && threads > 0,
+            region != 0 && threads > 0 && domains > 0,
             "arena has no external log descriptor"
         );
         Self::with_layout(arena.clone(), region, per_slot, threads, domains)

@@ -33,39 +33,36 @@
 //! under the shard's epoch, spliced at the shard's boundary, repaired
 //! against the shard's failed set.
 //!
-//! The bump **watermark** is per shard too, and since superblock layout
-//! v6 the carvable space behind it is a **chunked extent pool**: a
-//! multi-domain allocator turns the arena's remaining space into a pool
-//! of fixed-size power-of-two extents ([`PAlloc::create_sharded`] must
-//! therefore be the last create-time carver) and each shard carves from
-//! a chain of extents it *claims online* from the shared durable
-//! extent-owner table ([`incll_pmem::superblock::SB_EXTENT_OWNERS`]) —
-//! one byte per extent on dedicated cache lines, claimed lowest-index
-//! first with a CAS-then-`clwb`/`sfence` so a crash mid-claim shows
-//! either an owned extent or a free one, never a torn owner. Each shard
-//! keeps its own carve frontier with its own durable InCLL watermark
-//! triple on a dedicated cache line
-//! ([`incll_pmem::superblock::shard_bump_off`]). Slab carves never cross
-//! shards, the frontier's epoch tag lives on the owning shard's own
-//! timeline, and the paper's flush-free watermark protocol applies per
-//! shard: a crash rolls each shard's frontier back to its epoch-start
-//! value, so slabs carved in a doomed epoch **un-carve** within the
-//! owning extent — nothing leaks, and no `clwb`/`sfence` ever runs on
-//! the common carve path (only the rare extent *claim* — once per
-//! extent, ever — issues one write-back + fence, so the durable claim
-//! always precedes any durable frontier referencing the extent).
+//! The bump **watermark** is per shard too, and the carvable space behind
+//! it is a **chunked extent pool**: the allocator turns the arena's
+//! remaining space into a pool of fixed-size power-of-two extents
+//! ([`PAlloc::create_sharded`] must therefore be the last create-time
+//! carver) and each shard carves from a chain of extents it *claims
+//! online* from the shared durable extent-owner table
+//! ([`incll_pmem::superblock::SB_EXTENT_OWNERS`]) — one byte per extent
+//! on dedicated cache lines, claimed lowest-index first with a
+//! CAS-then-`clwb`/`sfence` so a crash mid-claim shows either an owned
+//! extent or a free one, never a torn owner. Each shard keeps its own
+//! carve frontier with its own durable InCLL watermark triple on a
+//! dedicated cache line ([`incll_pmem::superblock::shard_bump_off`]).
+//! Slab carves never cross shards, the frontier's epoch tag lives on the
+//! owning shard's own timeline, and the paper's flush-free watermark
+//! protocol applies per shard: a crash rolls each shard's frontier back
+//! to its epoch-start value, so slabs carved in a doomed epoch
+//! **un-carve** within the owning extent — nothing leaks, and no
+//! `clwb`/`sfence` ever runs on the common carve path (only the rare
+//! extent *claim* — once per extent, ever — issues one write-back +
+//! fence, so the durable claim always precedes any durable frontier
+//! referencing the extent).
 //!
 //! Extents are never released: a claim made in an epoch that later
 //! failed (the frontier reverted out of the extent) merely leaves the
 //! extent on the owning shard's **reserve** chain, reused before any new
 //! claim — so recovery rebuilds each shard's chain from the owner table
 //! with zero media writes, byte-identical at every recovery worker
-//! count. [`Error::Pmem`]`(OutOfMemory)` from the carve path now means
-//! the **pool** is exhausted (every extent claimed and the shard's chain
-//! full), not that a fixed create-time region filled while siblings sat
-//! on free space. Single-domain allocators keep the paper's single
-//! shared frontier and media shape exactly (one implicit extent chain:
-//! the whole arena).
+//! count. [`Error::Pmem`]`(OutOfMemory)` from the carve path means the
+//! **pool** is exhausted (every extent claimed and the shard's chain
+//! full). A one-shard store is the same pool with a single claimant.
 //!
 //! # Example
 //!
@@ -149,7 +146,7 @@ pub const DEFAULT_EXTENT_BYTES: u64 = 1 << 20;
 /// hold at least one object of the largest class plus alignment slack.
 pub const MIN_EXTENT_BYTES: u64 = 64 * 1024;
 
-/// The extent pool a multi-domain allocator carves from (v6 media).
+/// The extent pool every domain carves from.
 #[derive(Debug, Clone, Copy)]
 struct Pool {
     /// Base offset of extent 0 (64-aligned).
@@ -178,27 +175,25 @@ struct Inner {
     /// `nthreads × ndomains × TOTAL_CLASSES` cache lines.
     root: u64,
     nthreads: usize,
-    /// Epoch domains (1 = the legacy single-timeline allocator).
+    /// Epoch domains.
     ndomains: usize,
     /// Low 32 bits of every durable failed epoch, per domain (object
     /// headers store 32-bit epochs).
     failed_low32: Vec<Vec<u32>>,
     /// Full failed epochs, per domain (head cells store full epochs).
     failed_full: Vec<Vec<u64>>,
-    /// The shared extent pool. Multi-domain only (the v6 layout); `None`
-    /// for a single-domain allocator, which carves from the arena's
-    /// shared frontier.
-    pool: Option<Pool>,
+    /// The shared extent pool.
+    pool: Pool,
     /// Per-domain transient carve frontier, mirroring the domain's durable
-    /// watermark. Multi-domain only.
+    /// watermark.
     frontier: Vec<AtomicU64>,
     /// Per-domain end of the *active* extent (the one the frontier is
-    /// inside); the frontier may carve up to it. Multi-domain only.
+    /// inside); the frontier may carve up to it.
     limit: Vec<AtomicU64>,
     /// Per-domain reserve chain: owned-but-not-yet-active extent indices
     /// in ascending order (claims are strictly lowest-index-first and
     /// extents are never released, so ascending order is canonical).
-    /// Activated front-first before any new claim. Multi-domain only.
+    /// Activated front-first before any new claim.
     reserve: Vec<Mutex<Vec<u32>>>,
     /// Serialises each domain's durable-watermark updates (slab carving is
     /// rare); one lock per domain so carves never contend across shards.
@@ -212,8 +207,8 @@ pub struct PAlloc {
 }
 
 impl PAlloc {
-    /// Creates a fresh allocator over a formatted arena, carving the
-    /// head-cell region and initialising the durable watermark.
+    /// [`PAlloc::create_sharded`] with one domain. Like it, this must be
+    /// the last create-time carver.
     ///
     /// # Errors
     ///
@@ -232,10 +227,10 @@ impl PAlloc {
     /// tags live entirely on `d`'s epoch timeline. See the crate docs'
     /// epoch-domains section.
     ///
-    /// With more than one domain the allocator also turns the rest of the
-    /// arena into the **extent pool**: all remaining carvable space
-    /// becomes up to [`incll_pmem::superblock::MAX_EXTENTS`] fixed-size
-    /// power-of-two extents (default [`DEFAULT_EXTENT_BYTES`], shrunk for
+    /// The allocator also turns the rest of the arena into the **extent
+    /// pool**: all remaining carvable space becomes up to
+    /// [`incll_pmem::superblock::MAX_EXTENTS`] fixed-size power-of-two
+    /// extents (default [`DEFAULT_EXTENT_BYTES`], shrunk for
     /// tiny arenas, grown for huge ones), each shard eagerly claims one,
     /// and further extents are claimed online from the shared durable
     /// owner table as shards exhaust their chains. The pool claims the
@@ -261,64 +256,52 @@ impl PAlloc {
         arena.pwrite_u64(superblock::SB_PALLOC_HEADS + 16, TOTAL_CLASSES as u64);
         arena.pwrite_u64(superblock::SB_PALLOC_HEADS + 24, ndomains as u64);
 
-        let (pool, frontier, limit, reserve) = if ndomains == 1 {
-            // Single domain: the paper's shared frontier on the legacy
-            // cells — one implicit extent chain spanning the whole arena.
-            arena.pwrite_u64(superblock::SB_ARENA_SPLIT, 0);
-            arena.pwrite_u64(superblock::SB_BUMP, arena.bump());
-            arena.pwrite_u64(superblock::SB_BUMP_INCLL, arena.bump());
-            arena.pwrite_u64(superblock::SB_BUMP_EPOCH, 0);
-            arena.clwb(superblock::SB_BUMP);
-            (None, Vec::new(), Vec::new(), Vec::new())
-        } else {
-            // Size the pool: start at the default extent, shrink while the
-            // pool cannot give every domain an extent, grow while it would
-            // overflow the owner table.
-            let base = (arena.bump() + 63) & !63;
-            let avail = (arena.capacity() as u64).saturating_sub(base);
-            let mut extent_bytes = DEFAULT_EXTENT_BYTES;
-            while extent_bytes > MIN_EXTENT_BYTES && avail / extent_bytes < ndomains as u64 {
-                extent_bytes /= 2;
-            }
-            while avail / extent_bytes > superblock::MAX_EXTENTS as u64 {
-                extent_bytes *= 2;
-            }
-            let count = (avail / extent_bytes).min(superblock::MAX_EXTENTS as u64) as usize;
-            if count < ndomains {
-                return Err(Error::Pmem(incll_pmem::Error::OutOfMemory {
-                    requested: (MIN_EXTENT_BYTES as usize) * ndomains,
-                    capacity: arena.capacity(),
-                }));
-            }
-            let split = arena.carve((extent_bytes * count as u64) as usize, 64)?;
-            arena.pwrite_u64(superblock::SB_ARENA_SPLIT, split);
-            arena.pwrite_u64(superblock::SB_ARENA_REGION_BYTES, extent_bytes);
-            arena.pwrite_u64(superblock::SB_EXTENT_COUNT, count as u64);
-            arena.clwb(superblock::SB_ARENA_SPLIT);
-            let pool = Pool {
-                base: split,
-                extent_bytes,
-                count,
-            };
-            let mut frontier = Vec::with_capacity(ndomains);
-            let mut limit = Vec::with_capacity(ndomains);
-            for d in 0..ndomains {
-                // Eagerly claim extent d for shard d: the claim flushes
-                // itself, so the pool starts with a durable one-extent
-                // chain per shard.
-                let claimed = superblock::claim_extent(arena, d, d);
-                debug_assert!(claimed, "fresh pool extent must be claimable");
-                let start = pool.start(d);
-                frontier.push(AtomicU64::new(start));
-                limit.push(AtomicU64::new(pool.end(d)));
-                arena.pwrite_u64(superblock::shard_bump_off(d), start);
-                arena.pwrite_u64(superblock::shard_bump_incll_off(d), start);
-                arena.pwrite_u64(superblock::shard_bump_epoch_off(d), 0);
-                arena.clwb(superblock::shard_bump_off(d));
-            }
-            let reserve = (0..ndomains).map(|_| Mutex::new(Vec::new())).collect();
-            (Some(pool), frontier, limit, reserve)
+        // Size the pool: start at the default extent, shrink while the
+        // pool cannot give every domain an extent, grow while it would
+        // overflow the owner table.
+        let base = (arena.bump() + 63) & !63;
+        let avail = (arena.capacity() as u64).saturating_sub(base);
+        let mut extent_bytes = DEFAULT_EXTENT_BYTES;
+        while extent_bytes > MIN_EXTENT_BYTES && avail / extent_bytes < ndomains as u64 {
+            extent_bytes /= 2;
+        }
+        while avail / extent_bytes > superblock::MAX_EXTENTS as u64 {
+            extent_bytes *= 2;
+        }
+        let count = (avail / extent_bytes).min(superblock::MAX_EXTENTS as u64) as usize;
+        if count < ndomains {
+            return Err(Error::Pmem(incll_pmem::Error::OutOfMemory {
+                requested: (MIN_EXTENT_BYTES as usize) * ndomains,
+                capacity: arena.capacity(),
+            }));
+        }
+        let split = arena.carve((extent_bytes * count as u64) as usize, 64)?;
+        arena.pwrite_u64(superblock::SB_ARENA_SPLIT, split);
+        arena.pwrite_u64(superblock::SB_ARENA_REGION_BYTES, extent_bytes);
+        arena.pwrite_u64(superblock::SB_EXTENT_COUNT, count as u64);
+        arena.clwb(superblock::SB_ARENA_SPLIT);
+        let pool = Pool {
+            base: split,
+            extent_bytes,
+            count,
         };
+        let mut frontier = Vec::with_capacity(ndomains);
+        let mut limit = Vec::with_capacity(ndomains);
+        for d in 0..ndomains {
+            // Eagerly claim extent d for shard d: the claim flushes
+            // itself, so the pool starts with a durable one-extent
+            // chain per shard.
+            let claimed = superblock::claim_extent(arena, d, d);
+            debug_assert!(claimed, "fresh pool extent must be claimable");
+            let start = pool.start(d);
+            frontier.push(AtomicU64::new(start));
+            limit.push(AtomicU64::new(pool.end(d)));
+            arena.pwrite_u64(superblock::shard_bump_off(d), start);
+            arena.pwrite_u64(superblock::shard_bump_incll_off(d), start);
+            arena.pwrite_u64(superblock::shard_bump_epoch_off(d), 0);
+            arena.clwb(superblock::shard_bump_off(d));
+        }
+        let reserve = (0..ndomains).map(|_| Mutex::new(Vec::new())).collect();
         arena.clwb_range(superblock::SB_PALLOC_HEADS, 32);
         arena.sfence();
         Ok(PAlloc {
@@ -338,7 +321,7 @@ impl PAlloc {
         })
     }
 
-    /// Reopens a single-domain allocator after a crash. See
+    /// Reopens a one-domain allocator after a crash. See
     /// [`PAlloc::open_sharded`].
     ///
     /// # Panics
@@ -396,7 +379,7 @@ impl PAlloc {
     pub fn open_staged(arena: &PArena, ndomains: usize) -> Self {
         let root = arena.pread_u64(superblock::SB_PALLOC_HEADS);
         let nthreads = arena.pread_u64(superblock::SB_PALLOC_HEADS + 8) as usize;
-        let on_media = (arena.pread_u64(superblock::SB_PALLOC_HEADS + 24) as usize).max(1);
+        let on_media = arena.pread_u64(superblock::SB_PALLOC_HEADS + 24) as usize;
         assert!(
             root != 0 && nthreads > 0,
             "arena has no allocator root; format + create first"
@@ -410,39 +393,31 @@ impl PAlloc {
             .map(|f| f.iter().map(|&e| e as u32).collect())
             .collect();
 
-        let (pool, frontier, limit, reserve) = if ndomains == 1 {
-            (None, Vec::new(), Vec::new(), Vec::new())
-        } else {
-            let split = arena.pread_u64(superblock::SB_ARENA_SPLIT);
-            let extent_bytes = arena.pread_u64(superblock::SB_ARENA_REGION_BYTES);
-            let count = arena.pread_u64(superblock::SB_EXTENT_COUNT) as usize;
-            assert!(
-                split != 0 && extent_bytes != 0 && count != 0,
-                "multi-domain allocator without an extent-pool descriptor"
-            );
-            // The pool claimed the rest of the arena at create; reflect
-            // that in the transient global frontier.
-            arena.set_bump(split + extent_bytes * count as u64);
-            let pool = Pool {
-                base: split,
-                extent_bytes,
-                count,
-            };
-            // Frontiers start at the raw durable watermark; recover_domain
-            // rolls each back past its failed epochs and then rebuilds the
-            // extent chain (active limit + reserve) from the owner table.
-            let frontier: Vec<AtomicU64> = (0..ndomains)
-                .map(|d| AtomicU64::new(arena.pread_u64(superblock::shard_bump_off(d))))
-                .collect();
-            let limit = (0..ndomains)
-                .map(|d| AtomicU64::new(frontier[d].load(Ordering::Relaxed)))
-                .collect();
-            let reserve = (0..ndomains).map(|_| Mutex::new(Vec::new())).collect();
-            (Some(pool), frontier, limit, reserve)
+        let split = arena.pread_u64(superblock::SB_ARENA_SPLIT);
+        let extent_bytes = arena.pread_u64(superblock::SB_ARENA_REGION_BYTES);
+        let count = arena.pread_u64(superblock::SB_EXTENT_COUNT) as usize;
+        assert!(
+            split != 0 && extent_bytes != 0 && count != 0,
+            "allocator without an extent-pool descriptor"
+        );
+        // The pool claimed the rest of the arena at create; reflect
+        // that in the transient global frontier.
+        arena.set_bump(split + extent_bytes * count as u64);
+        let pool = Pool {
+            base: split,
+            extent_bytes,
+            count,
         };
-        if ndomains == 1 {
-            arena.set_bump(arena.pread_u64(superblock::SB_BUMP));
-        }
+        // Frontiers start at the raw durable watermark; recover_domain
+        // rolls each back past its failed epochs and then rebuilds the
+        // extent chain (active limit + reserve) from the owner table.
+        let frontier: Vec<AtomicU64> = (0..ndomains)
+            .map(|d| AtomicU64::new(arena.pread_u64(superblock::shard_bump_off(d))))
+            .collect();
+        let limit = (0..ndomains)
+            .map(|d| AtomicU64::new(frontier[d].load(Ordering::Relaxed)))
+            .collect();
+        let reserve = (0..ndomains).map(|_| Mutex::new(Vec::new())).collect();
         PAlloc {
             inner: Arc::new(Inner {
                 arena: arena.clone(),
@@ -473,8 +448,7 @@ impl PAlloc {
     pub fn recover_domain(&self, domain: usize, exec_epoch: u64) {
         let arena = &self.inner.arena;
         let failed = &self.inner.failed_full[domain];
-        // Watermark: the InCLL revert, per shard since v4 (a single-domain
-        // allocator's shard-0 triple is the legacy shared one).
+        // Watermark: the InCLL revert, on the shard's own timeline.
         let we = arena.pread_u64(superblock::shard_bump_epoch_off(domain));
         if we != 0 && failed.contains(&we) {
             let logged = arena.pread_u64(superblock::shard_bump_incll_off(domain));
@@ -482,12 +456,8 @@ impl PAlloc {
             arena.pwrite_u64_release(superblock::shard_bump_epoch_off(domain), exec_epoch);
         }
         let wm = arena.pread_u64(superblock::shard_bump_off(domain));
-        if self.inner.ndomains == 1 {
-            arena.set_bump(wm);
-        } else {
-            self.inner.frontier[domain].store(wm, Ordering::Relaxed);
-            self.rebuild_chain(domain, wm);
-        }
+        self.inner.frontier[domain].store(wm, Ordering::Relaxed);
+        self.rebuild_chain(domain, wm);
         // Head cells: threads × classes lines of this domain, each against
         // the domain's own failed set.
         for t in 0..self.inner.nthreads {
@@ -513,7 +483,7 @@ impl PAlloc {
     /// rebuild itself is read-only media-wise, so it is byte-identical at
     /// every recovery worker count.
     fn rebuild_chain(&self, domain: usize, frontier: u64) {
-        let pool = self.inner.pool.as_ref().expect("multi-domain pool");
+        let pool = &self.inner.pool;
         let arena = &self.inner.arena;
         let owner = u8::try_from(domain + 1).expect("shard fits the owner byte");
         // Until an owned extent contains the frontier, the shard may not
@@ -535,23 +505,18 @@ impl PAlloc {
         *self.inner.reserve[domain].lock() = reserve;
     }
 
-    /// The extent pool descriptor `(base, extent_bytes, count)`, or `None`
-    /// on a single-domain allocator (which carves from the arena's shared
-    /// frontier). Diagnostics / tests.
-    pub fn extent_pool(&self) -> Option<(u64, u64, usize)> {
-        self.inner
-            .pool
-            .as_ref()
-            .map(|p| (p.base, p.extent_bytes, p.count))
+    /// The extent pool descriptor `(base, extent_bytes, count)`.
+    /// Diagnostics / tests.
+    pub fn extent_pool(&self) -> (u64, u64, usize) {
+        let p = &self.inner.pool;
+        (p.base, p.extent_bytes, p.count)
     }
 
     /// The `[start, end)` spans of every extent currently owned by
-    /// `domain` (ascending), or an empty list on a single-domain
-    /// allocator. Reads the durable owner table. Diagnostics / tests.
+    /// `domain` (ascending). Reads the durable owner table. Diagnostics /
+    /// tests.
     pub fn owned_extents(&self, domain: usize) -> Vec<(u64, u64)> {
-        let Some(pool) = self.inner.pool.as_ref() else {
-            return Vec::new();
-        };
+        let pool = &self.inner.pool;
         let owner = u8::try_from(domain + 1).expect("shard fits the owner byte");
         (0..pool.count)
             .filter(|&i| superblock::extent_owner(&self.inner.arena, i) == owner)
@@ -837,7 +802,7 @@ impl PAlloc {
     /// always precedes any durable frontier value referencing the extent
     /// (frontiers only persist at checkpoint flushes).
     fn activate_next_extent(&self, domain: usize, stride: u64) -> Result<(), Error> {
-        let pool = self.inner.pool.as_ref().expect("multi-domain pool");
+        let pool = &self.inner.pool;
         let idx = {
             let mut reserve = self.inner.reserve[domain].lock();
             if reserve.is_empty() {
@@ -855,7 +820,7 @@ impl PAlloc {
     /// claim CAS flushes itself). Losing a race to another shard just
     /// moves on to the next free index.
     fn claim_free_extent(&self, domain: usize, stride: u64) -> Result<usize, Error> {
-        let pool = self.inner.pool.as_ref().expect("multi-domain pool");
+        let pool = &self.inner.pool;
         let arena = &self.inner.arena;
         for i in 0..pool.count {
             if superblock::extent_owner(arena, i) == 0 && superblock::claim_extent(arena, i, domain)
@@ -883,24 +848,13 @@ impl PAlloc {
         } else {
             16
         };
-        let slab;
-        let objs;
-        {
+        let (slab, objs) = {
             let _g = self.inner.carve_locks[domain].lock();
-            let new_frontier;
-            if self.inner.ndomains == 1 {
-                slab = arena.carve(stride as usize * SLAB_OBJECTS, align as usize)?;
-                objs = SLAB_OBJECTS;
-                new_frontier = arena.bump();
-            } else {
-                // Extents may be smaller than a full slab of the largest
-                // class; carve whatever fits (at least one object) so small
-                // pools never strand extent tails.
-                let (s, n) = self.carve_objects(domain, stride, align, SLAB_OBJECTS)?;
-                slab = s;
-                objs = n;
-                new_frontier = self.inner.frontier[domain].load(Ordering::Relaxed);
-            }
+            // Extents may be smaller than a full slab of the largest
+            // class; carve whatever fits (at least one object) so small
+            // pools never strand extent tails.
+            let carved = self.carve_objects(domain, stride, align, SLAB_OBJECTS)?;
+            let new_frontier = self.inner.frontier[domain].load(Ordering::Relaxed);
             // InCLL-log the domain's durable watermark on its first move
             // this epoch (the paper's flush-free protocol, per shard: the
             // triple shares one cache line and the epoch tag lives on the
@@ -912,7 +866,8 @@ impl PAlloc {
                 arena.stats().add_incll_alloc();
             }
             arena.pwrite_u64_release(superblock::shard_bump_off(domain), new_frontier);
-        }
+            carved
+        };
         // Chain the fresh objects: slab[i].next = slab[i+1]; the last one
         // points at the current free head. Fresh headers need no logging:
         // a crash reverts the head swing and the slab is unreachable.
@@ -1224,7 +1179,7 @@ mod tests {
         // Epoch 1: warm the free list, then checkpoint.
         let warm = alloc.alloc(0, 1, 32).unwrap();
         alloc.free(0, 1, warm, 32);
-        arena.pwrite_u64(superblock::SB_CUR_EPOCH, 2);
+        arena.pwrite_u64(superblock::domain_cur_epoch_off(0), 2);
         arena.global_flush();
         alloc.on_epoch_boundary(2);
         let free_before: Vec<u64> = alloc.free_list(0, class);
@@ -1233,7 +1188,7 @@ mod tests {
         for _ in 0..3 {
             alloc.alloc(0, 2, 32).unwrap();
         }
-        superblock::record_failed_epoch(&arena, 2).unwrap();
+        superblock::record_failed_epoch_for(&arena, 0, 2).unwrap();
         arena.crash_seeded(11);
 
         let alloc2 = PAlloc::open(&arena, 3);
@@ -1249,14 +1204,14 @@ mod tests {
         let (arena, alloc) = tracked(1);
         let class = class_for(32).unwrap();
         let x = alloc.alloc(0, 1, 32).unwrap();
-        arena.pwrite_u64(superblock::SB_CUR_EPOCH, 2);
+        arena.pwrite_u64(superblock::domain_cur_epoch_off(0), 2);
         arena.global_flush();
         alloc.on_epoch_boundary(2);
         let free_before = alloc.free_list(0, class);
 
         // Epoch 2: free x, crash before the boundary.
         alloc.free(0, 2, x, 32);
-        superblock::record_failed_epoch(&arena, 2).unwrap();
+        superblock::record_failed_epoch_for(&arena, 0, 2).unwrap();
         arena.crash_seeded(5);
 
         let alloc2 = PAlloc::open(&arena, 3);
@@ -1273,12 +1228,12 @@ mod tests {
         let class = class_for(32).unwrap();
         let x = alloc.alloc(0, 1, 32).unwrap();
         alloc.free(0, 1, x, 32); // freed in epoch 1 (completes below)
-        arena.pwrite_u64(superblock::SB_CUR_EPOCH, 2);
+        arena.pwrite_u64(superblock::domain_cur_epoch_off(0), 2);
         arena.global_flush(); // checkpoint: epoch 1 completed
         alloc.on_epoch_boundary(2);
 
         // Epoch 2 does nothing; crash.
-        superblock::record_failed_epoch(&arena, 2).unwrap();
+        superblock::record_failed_epoch_for(&arena, 0, 2).unwrap();
         arena.crash_seeded(6);
 
         let alloc2 = PAlloc::open(&arena, 3);
@@ -1297,23 +1252,27 @@ mod tests {
     #[test]
     fn crash_reverts_watermark() {
         let (arena, alloc) = tracked(1);
-        arena.pwrite_u64(superblock::SB_CUR_EPOCH, 2);
+        arena.pwrite_u64(superblock::domain_cur_epoch_off(0), 2);
         arena.global_flush();
-        let wm_before = arena.pread_u64(superblock::SB_BUMP);
+        let wm_before = arena.pread_u64(superblock::shard_bump_off(0));
 
         // Epoch 2: force slab carving in a class never touched before.
-        alloc.alloc(0, 2, 320).unwrap();
-        assert!(arena.bump() > wm_before);
-        superblock::record_failed_epoch(&arena, 2).unwrap();
+        let doomed = alloc.alloc(0, 2, 320).unwrap();
+        assert!(arena.pread_u64(superblock::shard_bump_off(0)) > wm_before);
+        superblock::record_failed_epoch_for(&arena, 0, 2).unwrap();
         arena.crash_seeded(7);
 
-        let _alloc2 = PAlloc::open(&arena, 3);
+        let alloc2 = PAlloc::open(&arena, 3);
         assert_eq!(
-            arena.pread_u64(superblock::SB_BUMP),
+            arena.pread_u64(superblock::shard_bump_off(0)),
             wm_before,
-            "durable watermark must revert to the epoch-start value"
+            "the shard's durable frontier must revert to its epoch-start value"
         );
-        assert_eq!(arena.bump(), wm_before);
+        // The doomed slab un-carved inside its extent: the same space is
+        // handed out again.
+        assert_eq!(alloc2.alloc(0, 3, 320).unwrap(), doomed);
+        let (s, e) = alloc2.owned_extents(0)[0];
+        assert!(s <= doomed && doomed < e);
     }
 
     #[test]
@@ -1326,7 +1285,7 @@ mod tests {
             let a = alloc.alloc(0, 1, 32).unwrap();
             let b = alloc.alloc(0, 1, 32).unwrap();
             alloc.free(0, 1, a, 32);
-            arena.pwrite_u64(superblock::SB_CUR_EPOCH, 2);
+            arena.pwrite_u64(superblock::domain_cur_epoch_off(0), 2);
             arena.global_flush();
             alloc.on_epoch_boundary(2);
             let baseline = alloc.free_list(0, class);
@@ -1337,7 +1296,7 @@ mod tests {
             alloc.free(0, 2, b, 32);
             let _e = alloc.alloc(0, 2, 32).unwrap();
 
-            superblock::record_failed_epoch(&arena, 2).unwrap();
+            superblock::record_failed_epoch_for(&arena, 0, 2).unwrap();
             arena.crash_seeded(seed);
             let alloc2 = PAlloc::open(&arena, 3);
             assert_eq!(
@@ -1355,18 +1314,18 @@ mod tests {
         let class = class_for(32).unwrap();
         let a = alloc.alloc(0, 1, 32).unwrap();
         alloc.free(0, 1, a, 32);
-        arena.pwrite_u64(superblock::SB_CUR_EPOCH, 2);
+        arena.pwrite_u64(superblock::domain_cur_epoch_off(0), 2);
         arena.global_flush();
         alloc.on_epoch_boundary(2);
         let baseline = alloc.free_list(0, class);
 
         alloc.alloc(0, 2, 32).unwrap();
-        superblock::record_failed_epoch(&arena, 2).unwrap();
+        superblock::record_failed_epoch_for(&arena, 0, 2).unwrap();
         arena.crash_seeded(1);
         // First recovery starts, then crashes again before any checkpoint.
         let alloc2 = PAlloc::open(&arena, 3);
         alloc2.alloc(0, 3, 32).unwrap();
-        superblock::record_failed_epoch(&arena, 3).unwrap();
+        superblock::record_failed_epoch_for(&arena, 0, 3).unwrap();
         arena.crash_seeded(2);
         let alloc3 = PAlloc::open(&arena, 4);
         assert_eq!(alloc3.free_list(0, class), baseline);
@@ -1407,14 +1366,14 @@ mod tests {
         let class = class_for_aligned64(320).unwrap();
         let warm = alloc.alloc_aligned64(0, 1, 320).unwrap();
         alloc.free_aligned64(0, 1, warm, 320);
-        arena.pwrite_u64(superblock::SB_CUR_EPOCH, 2);
+        arena.pwrite_u64(superblock::domain_cur_epoch_off(0), 2);
         arena.global_flush();
         alloc.on_epoch_boundary(2);
         let baseline = alloc.free_list(0, class);
         for _ in 0..5 {
             alloc.alloc_aligned64(0, 2, 320).unwrap();
         }
-        superblock::record_failed_epoch(&arena, 2).unwrap();
+        superblock::record_failed_epoch_for(&arena, 0, 2).unwrap();
         arena.crash_seeded(9);
         let alloc2 = PAlloc::open(&arena, 3);
         assert_eq!(alloc2.free_list(0, class), baseline);
@@ -1451,7 +1410,7 @@ mod tests {
             }
             // Checkpoint the initial state.
             epoch += 1;
-            arena.pwrite_u64(superblock::SB_CUR_EPOCH, epoch);
+            arena.pwrite_u64(superblock::domain_cur_epoch_off(0), epoch);
             arena.global_flush();
             alloc.on_epoch_boundary(epoch);
             let mut checkpoint = live.clone();
@@ -1461,7 +1420,7 @@ mod tests {
                 // records the current (empty) epoch as failed and
                 // re-splices pendings under the next one — the pattern the
                 // full system produces on every reopen.
-                superblock::record_failed_epoch(&arena, epoch).unwrap();
+                superblock::record_failed_epoch_for(&arena, 0, epoch).unwrap();
                 epoch += 1;
                 alloc = PAlloc::open(&arena, epoch);
 
@@ -1475,7 +1434,7 @@ mod tests {
                         alloc.free(0, epoch, doomed_live.swap_remove(at), 32);
                     }
                 }
-                superblock::record_failed_epoch(&arena, epoch).unwrap();
+                superblock::record_failed_epoch_for(&arena, 0, epoch).unwrap();
                 arena.crash_seeded(seed * 100 + round);
 
                 epoch += 1;
@@ -1512,7 +1471,7 @@ mod tests {
                     }
                 }
                 epoch += 1;
-                arena.pwrite_u64(superblock::SB_CUR_EPOCH, epoch);
+                arena.pwrite_u64(superblock::domain_cur_epoch_off(0), epoch);
                 arena.global_flush();
                 alloc.on_epoch_boundary(epoch);
                 checkpoint = live.clone();
@@ -1607,7 +1566,7 @@ mod tests {
     #[test]
     fn multi_domain_extents_are_disjoint_and_every_domain_owns_one() {
         let (_arena, alloc) = tracked_sharded(2, 4);
-        let (base, ext, count) = alloc.extent_pool().unwrap();
+        let (base, ext, count) = alloc.extent_pool();
         assert!(ext.is_power_of_two());
         assert_eq!(base % 64, 0);
         assert!(count >= 4, "pool must fit one extent per domain");
@@ -1638,17 +1597,27 @@ mod tests {
     }
 
     #[test]
-    fn single_domain_allocator_has_no_extent_pool() {
-        let (_a, alloc) = fresh(1);
-        assert_eq!(alloc.extent_pool(), None);
-        assert!(alloc.owned_extents(0).is_empty());
+    fn one_domain_allocator_owns_a_pool_and_claims_from_it() {
+        let (arena, alloc) = fresh(1);
+        let (base, ext, count) = alloc.extent_pool();
+        assert!(ext.is_power_of_two() && count >= 2);
+        assert_eq!(alloc.owned_extents(0), vec![(base, base + ext)]);
+        // The pool took the rest of the arena: nothing else can carve.
+        assert_eq!(arena.bump(), base + ext * count as u64);
+        // Exhausting the first extent claims the next one online.
+        while alloc.owned_extents(0).len() == 1 {
+            alloc.alloc(0, 1, 4096).unwrap();
+        }
+        assert_eq!(
+            alloc.owned_extents(0),
+            vec![(base, base + ext), (base + ext, base + 2 * ext)]
+        );
     }
 
     #[test]
     fn multi_domain_carve_path_is_flush_free() {
-        // The v4 frontier is InCLL-logged per shard: not a single fence or
-        // write-back on the carve path (the deleted workaround fenced
-        // every carve).
+        // The frontier is InCLL-logged per shard: not a single fence or
+        // write-back on the carve path.
         let (arena, alloc) = tracked_sharded(1, 2);
         let base = arena.stats().snapshot();
         alloc.alloc_in(0, 0, 1, 320).unwrap(); // forces a slab carve
@@ -1705,15 +1674,13 @@ mod tests {
 
     #[test]
     fn hot_domain_grows_across_the_pool_before_out_of_memory() {
-        // The v5 bug this PR fixes: a hot domain used to OOM at its static
-        // region boundary while siblings sat on free space. Now it claims
-        // free extents until the *pool* is empty — far more than a static
-        // 1/ndomains share — and the error is typed. The cold sibling keeps
-        // allocating from its own extent afterwards.
+        // A hot domain claims free extents until the *pool* is empty — far
+        // more than a static 1/ndomains share — and the error is typed.
+        // The cold sibling keeps allocating from its own extent afterwards.
         let arena = PArena::builder().capacity_bytes(8 << 20).build().unwrap();
         superblock::format(&arena);
         let alloc = PAlloc::create_sharded(&arena, 1, 2).unwrap();
-        let (_base, ext, count) = alloc.extent_pool().unwrap();
+        let (_base, ext, count) = alloc.extent_pool();
         let stride = classes::stride(class_for(4096).unwrap()) as u64;
         let mut got = 0u64;
         let err = loop {
@@ -1743,61 +1710,52 @@ mod tests {
         // to a failed epoch: the frontier reverts out of the extent, the
         // owner byte stays (claims are never torn and never released), and
         // recovery queues the extent as reserve — reused before any fresh
-        // claim, so the owner table is byte-stable across the reuse.
-        let (arena, alloc) = tracked_sharded(1, 2);
-        arena.pwrite_u64(superblock::domain_cur_epoch_off(0), 2);
-        arena.pwrite_u64(superblock::domain_cur_epoch_off(1), 6);
-        arena.global_flush();
-        let owned_before = alloc.owned_extents(1).len();
-        let wm1 = arena.pread_u64(superblock::shard_bump_off(1));
+        // claim, so the owner table is byte-stable across the reuse. The
+        // same on an allocator's only domain as on one of several.
+        for (ndomains, d) in [(1usize, 0usize), (4, 1)] {
+            let (arena, alloc) = tracked_sharded(1, ndomains);
+            for dom in 0..ndomains {
+                arena.pwrite_u64(superblock::domain_cur_epoch_off(dom), 6);
+            }
+            arena.global_flush();
+            let owned_before = alloc.owned_extents(d).len();
+            let wm = arena.pread_u64(superblock::shard_bump_off(d));
+            let owners = |arena: &PArena| -> Vec<u8> {
+                (0..alloc.extent_pool().2)
+                    .map(|i| superblock::extent_owner(arena, i))
+                    .collect()
+            };
 
-        // Burn through domain 1's active extent in its doomed epoch 6
-        // until a fresh claim fires.
-        while alloc.owned_extents(1).len() == owned_before {
-            alloc.alloc_in(0, 1, 6, 4096).unwrap();
-        }
-        let owners_after_claim: Vec<u8> = {
-            let (_b, _e, count) = alloc.extent_pool().unwrap();
-            (0..count)
-                .map(|i| superblock::extent_owner(&arena, i))
-                .collect()
-        };
-        superblock::record_failed_epoch_for(&arena, 1, 6).unwrap();
-        arena.crash_seeded(11);
+            // Burn through the domain's active extent in its doomed epoch 6
+            // until a fresh claim fires.
+            while alloc.owned_extents(d).len() == owned_before {
+                alloc.alloc_in(0, d, 6, 4096).unwrap();
+            }
+            let owners_after_claim = owners(&arena);
+            superblock::record_failed_epoch_for(&arena, d, 6).unwrap();
+            arena.crash_seeded(11);
 
-        let alloc2 = PAlloc::open_sharded(&arena, &[3, 7]);
-        // Frontier reverted out of the claimed extent...
-        assert_eq!(arena.pread_u64(superblock::shard_bump_off(1)), wm1);
-        // ...but the claim itself survived (flushed at claim time).
-        let owners_now: Vec<u8> = {
-            let (_b, _e, count) = alloc2.extent_pool().unwrap();
-            (0..count)
-                .map(|i| superblock::extent_owner(&arena, i))
-                .collect()
-        };
-        assert_eq!(owners_now, owners_after_claim, "claims are never torn");
-        assert_eq!(alloc2.owned_extents(1).len(), owned_before + 1);
+            let alloc2 = PAlloc::open_sharded(&arena, &vec![7; ndomains]);
+            // Frontier reverted out of the claimed extent...
+            assert_eq!(arena.pread_u64(superblock::shard_bump_off(d)), wm);
+            // ...but the claim itself survived (flushed at claim time).
+            assert_eq!(owners(&arena), owners_after_claim, "claims are never torn");
+            assert_eq!(alloc2.owned_extents(d).len(), owned_before + 1);
 
-        // Refilling domain 1 again reuses the reserve extent — the owner
-        // table does not change.
-        while alloc2.arena().pread_u64(superblock::shard_bump_off(1)) == wm1 {
-            alloc2.alloc_in(0, 1, 7, 4096).unwrap();
+            // Refilling the domain again reuses the reserve extent — the
+            // owner table does not change.
+            while arena.pread_u64(superblock::shard_bump_off(d)) == wm {
+                alloc2.alloc_in(0, d, 7, 4096).unwrap();
+            }
+            for _ in 0..400 {
+                alloc2.alloc_in(0, d, 7, 4096).unwrap();
+            }
+            assert_eq!(
+                owners(&arena),
+                owners_after_claim,
+                "ndomains={ndomains}: reserve extents must be consumed before any fresh claim"
+            );
         }
-        let mut spent = 0;
-        while spent < 400 {
-            alloc2.alloc_in(0, 1, 7, 4096).unwrap();
-            spent += 1;
-        }
-        let owners_final: Vec<u8> = {
-            let (_b, _e, count) = alloc2.extent_pool().unwrap();
-            (0..count)
-                .map(|i| superblock::extent_owner(&arena, i))
-                .collect()
-        };
-        assert_eq!(
-            owners_final, owners_after_claim,
-            "reserve extents must be consumed before any fresh claim"
-        );
     }
 
     #[test]

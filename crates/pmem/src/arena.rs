@@ -61,7 +61,8 @@ fn current_domain() -> u16 {
 /// (the paper packs pointers assuming 16-byte allocation alignment, §4.1.3).
 pub const MIN_ALIGN: usize = 16;
 
-const MIN_CAPACITY: usize = 64 * 1024;
+/// An arena must at least hold the superblock.
+const MIN_CAPACITY: usize = superblock::CARVE_START as usize;
 
 /// A simulated persistent-memory arena.
 ///
@@ -184,7 +185,8 @@ impl PArenaBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::CapacityTooSmall`] for capacities below 64 KiB and
+    /// Returns [`Error::CapacityTooSmall`] for capacities that cannot hold the
+    /// superblock ([`superblock::CARVE_START`]) and
     /// [`Error::HostAllocationFailed`] if the host cannot back the arena.
     pub fn build(self) -> Result<PArena> {
         if self.capacity < MIN_CAPACITY {

@@ -6,115 +6,88 @@
 //! they cannot collide, plus the format/open handshake.
 //!
 //! Cache-line discipline matters here: every field group that is protected
-//! by an in-cache-line log (the allocator's bump watermark and free-list
-//! heads) occupies a single dedicated cache line, so the InCLL ordering
-//! argument (§2.1 "granularity") applies.
+//! by an in-cache-line log (a shard's carve watermark, a batch-commit
+//! slot) sits inside a single cache line, so the InCLL ordering argument
+//! (§2.1 "granularity") applies.
 //!
-//! Layout (byte offsets from the arena base; line = 64 B):
+//! **Global cells** (byte offsets from the arena base; line = 64 B):
 //!
-//! | Offset | Line(s)  | Contents |
-//! |--------|----------|----------|
-//! | 0      | 0        | reserved (offset 0 is the null `PPtr`) |
-//! | 64     | 1        | magic, version, shard-0 durable current epoch, shard-0 first epoch of current execution |
-//! | 128    | 2–16     | shard-0 failed-epoch set: count + up to 119 epochs |
-//! | 1088   | 17       | shard-0 allocator bump watermark InCLL triple |
-//! | 1152   | 18       | shard-0 root holder + tree metadata + shard count |
-//! | 1216   | 19       | external-log region descriptor (incl. domain count) |
-//! | 1280   | 20–43    | allocator class heads descriptor + head lines |
-//! | 2816   | 44–59    | shard root-holder table (shards 1..64, 16 B cells) |
-//! | 3840   | 60       | extent-pool descriptor (pool base + extent bytes + extent count) |
-//! | 3904   | 61       | batch next-id word (monotonic durable batch-id allocator) |
-//! | 3968   | 62–63    | batch-commit table: 8 × 16 B (batch id, shard mask) slots |
-//! | 4096   | 64–190   | epoch-domain table: per-shard epoch counters + failed sets (shards 1..64, 128 B cells) |
-//! | 12160  | 190–191  | extent-owner table: one owner byte per extent (up to 128) |
-//! | 12288  | 192–254  | per-shard watermark table: one InCLL triple line per shard 1..64 |
-//! | 16320  | 255      | spare |
-//! | 16384  | —        | start of carvable space |
+//! | Offset | Line(s) | Contents |
+//! |--------|---------|----------|
+//! | 0      | 0       | reserved (offset 0 is the null `PPtr`) |
+//! | 64     | 1       | magic, version, tree-created flag, shard count |
+//! | 128    | 2       | external-log descriptor (region, threads, per-slot bytes, domains) |
+//! | 192    | 3       | allocator descriptor (head-cell region, threads, classes, domains) |
+//! | 256    | 4       | extent-pool descriptor (pool base, extent bytes, extent count) |
+//! | 320    | 5       | batch next-id word (monotonic durable batch-id allocator) |
+//! | 384    | 6–7     | batch-commit table: 8 × 16 B (batch id, shard mask) slots |
+//! | 512    | 8–9     | extent-owner table: one owner byte per extent (up to 128) |
+//! | 640    | 10–63   | spare |
+//! | 4096   | 64–1151 | shard cells: [`MAX_SHARDS`] × [`SHARD_CELL_BYTES`] |
+//! | 73728  | —       | start of carvable space |
 //!
-//! Shard 0's epoch counters, failed-epoch set and watermark triple stay on
-//! the **legacy cells** (offsets 64–1152), so a `shards(1)` store keeps
-//! the pre-domain cell positions; shards 1..63 get a 128-byte cell each in
-//! the domain table (their own durable current/exec epoch pair plus a
-//! smaller failed-epoch set) and — since v4 — a dedicated watermark line
-//! each in the per-shard watermark table, so concurrent slab carves on
-//! different shards never share a cache line.
+//! **Shard cells.** Every shard `s` in `0..MAX_SHARDS` — a `shards(1)`
+//! store's only shard included — owns the 17 cache lines at
+//! [`shard_cell`]`(s)`, laid out identically (byte offsets within the cell):
+//!
+//! ```text
+//! line 0      +0    durable current epoch    +8    first epoch of current execution
+//!             +16   tree root holder         +24   holder's logged-epoch tag
+//! line 1      +64   carve watermark          +72   watermarkInCLL      +80  epoch tag
+//! lines 2–16  +128  failed-epoch count       +136  failed epochs (119 × u64)
+//! ```
+//!
+//! No cache line holds fields of two shards, so per-shard checkpoints,
+//! carves and recovery workers never contend on (or write back) another
+//! shard's line. The watermark triple is alone on its line: it is an InCLL
+//! group logged on the owning shard's own epoch timeline, and nothing else
+//! may dirty that line between the log word and the watermark store.
 
 use crate::{Error, PArena, Result};
 
 /// Identifies a formatted InCLL arena.
 pub const MAGIC: u64 = 0x19C1_1C05_A5B1_2019;
-/// On-media format version. Version 7 changed the **external-log entry
-/// checksum** (byte-serial FNV-1a → XXH64, see `incll-extlog`'s "Entry
-/// format"): the superblock cells are where v6 left them, but the sum is
-/// part of what a crashed medium holds — a v6 log read by this build
-/// would fail every checksum and silently skip undo — so v6 media is
-/// rejected like every other foreign version. Version 6 replaced the
-/// static per-shard region split with the **chunked extent pool**: the carvable space is a
-/// pool of fixed-size extents and shards claim them online from the
-/// durable extent-owner table ([`SB_EXTENT_OWNERS`], descriptor at
-/// [`SB_ARENA_SPLIT`]/[`SB_ARENA_REGION_BYTES`]/[`SB_EXTENT_COUNT`]) — a
-/// v5 split descriptor would be misread as a pool, so v5 media is
-/// rejected like every other foreign version. Version 5 added the
-/// batch-commit table ([`SB_BATCH_NEXT_ID`], [`SB_BATCH_TABLE`]) backing
-/// cross-shard atomic write batches. Version 4 added the per-shard
-/// allocator arenas: the carve-region descriptor, the per-shard
-/// watermark table ([`SB_SHARD_BUMP_TABLE`]) and another [`CARVE_START`]
-/// move. Version 3 added the per-shard epoch-domain table
-/// ([`SB_DOMAIN_TABLE`]); version 2 added the shard table
-/// ([`SB_SHARD_COUNT`], [`shard_root_holder`]); version-1 media has
-/// neither. Older media must be rejected by openers, not reinterpreted.
-pub const VERSION: u64 = 7;
+/// On-media format version. Every other version — older media included —
+/// must be rejected by openers, never reinterpreted or reformatted: the
+/// cells of one version read as garbage under another.
+pub const VERSION: u64 = 8;
 
 /// Offset of the magic word.
 pub const SB_MAGIC: u64 = 64;
 /// Offset of the format version.
 pub const SB_VERSION: u64 = 72;
-/// Offset of shard 0's durable current-epoch word (see `incll-epoch`).
-pub const SB_CUR_EPOCH: u64 = 80;
-/// Offset of shard 0's first-epoch-of-current-execution word.
-pub const SB_EXEC_EPOCH: u64 = 88;
+/// Offset of the tree-created flag (1 once a store has been created).
+pub const SB_TREE_META: u64 = 80;
+/// Offset of the keyspace shard count, fixed at store creation (power of
+/// two, `1..=`[`MAX_SHARDS`]).
+pub const SB_SHARD_COUNT: u64 = 88;
 
-/// Offset of shard 0's failed-epoch count.
-pub const SB_FAILED_CNT: u64 = 128;
-/// Offset of shard 0's failed-epoch array (u64 entries).
-pub const SB_FAILED_ARR: u64 = 136;
-/// Capacity of shard 0's failed-epoch set.
-///
-/// Each entry is one crash survived by this arena since the last completed
-/// checkpoint: completed checkpoints prune the set (see
-/// [`prune_failed_epochs`] and the compaction pass in `incll`'s advance
-/// hooks), so the bound is on crashes *between* checkpoints, not on the
-/// arena's lifetime.
-pub const MAX_FAILED_EPOCHS: usize = 119;
+/// Offset of the external-log region pointer.
+pub const SB_EXTLOG_OFF: u64 = 128;
+/// Offset of the external-log thread-count word.
+pub const SB_EXTLOG_THREADS: u64 = 136;
+/// Offset of the external-log per-slot capacity word.
+pub const SB_EXTLOG_PER_THREAD: u64 = 144;
+/// Offset of the external-log domain-count word.
+pub const SB_EXTLOG_DOMAINS: u64 = 152;
 
-/// Offset of **shard 0's** allocator bump-watermark InCLL triple
-/// (watermark, watermarkInCLL, epoch — one cache line). On a `shards(1)`
-/// store this is the whole arena's single carve frontier (the pre-v4
-/// meaning); under per-shard arenas (v4) it is shard 0's frontier, with
-/// shards 1..63 on [`SB_SHARD_BUMP_TABLE`] lines.
-pub const SB_BUMP: u64 = 1088;
-/// Offset of the logged (epoch-start) watermark.
-pub const SB_BUMP_INCLL: u64 = 1096;
-/// Offset of the watermark log's epoch tag.
-pub const SB_BUMP_EPOCH: u64 = 1104;
+/// Offset of the allocator descriptor: head-cell region base, then (at
+/// `+8`, `+16`, `+24`) the thread, class and domain counts.
+pub const SB_PALLOC_HEADS: u64 = 192;
 
-/// Offset of the extent-pool base word (v6): the base offset of the
-/// extent pool the allocator carved out of the arena at create time, or 0
-/// on a store whose allocator was created single-domain (one shared
-/// frontier, the paper's exact media shape — a `shards(1)` store keeps a
-/// single implicit extent chain and never touches the pool machinery).
-pub const SB_ARENA_SPLIT: u64 = 3840;
-/// Offset of the bytes-per-extent word (v6; meaningful only when
-/// [`SB_ARENA_SPLIT`] is nonzero). Power of two; extent `i` spans
+/// Offset of the extent-pool base word: the base offset of the extent
+/// pool the allocator carved out of the arena at create time.
+pub const SB_ARENA_SPLIT: u64 = 256;
+/// Offset of the bytes-per-extent word. Power of two; extent `i` spans
 /// `[base + i·extent_bytes, base + (i+1)·extent_bytes)`.
-pub const SB_ARENA_REGION_BYTES: u64 = 3848;
-/// Offset of the extent-count word (v6): how many extents the pool holds
-/// (`1..=`[`MAX_EXTENTS`]). Shares line 60 with the other two descriptor
+pub const SB_ARENA_REGION_BYTES: u64 = 264;
+/// Offset of the extent-count word: how many extents the pool holds
+/// (`1..=`[`MAX_EXTENTS`]). Shares its line with the other two descriptor
 /// words, so the whole descriptor persists with one write-back.
-pub const SB_EXTENT_COUNT: u64 = 3856;
+pub const SB_EXTENT_COUNT: u64 = 272;
 
 // ---------------------------------------------------------------------
-// Extent-owner table (v6)
+// Extent-owner table
 // ---------------------------------------------------------------------
 
 /// Offset of the extent-owner table: one byte per extent, 0 = free,
@@ -133,7 +106,7 @@ pub const SB_EXTENT_COUNT: u64 = 3856;
 /// **in-doubt claim**: recovery keeps the extent on the owning shard's
 /// reserve chain (extents are never released), with zero media writes,
 /// so the repair is byte-identical at every recovery worker count.
-pub const SB_EXTENT_OWNERS: u64 = 12160;
+pub const SB_EXTENT_OWNERS: u64 = 512;
 /// Maximum number of pool extents (the owner table is two cache lines).
 pub const MAX_EXTENTS: usize = 128;
 
@@ -173,18 +146,18 @@ pub fn claim_extent(arena: &PArena, i: usize, shard: usize) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Batch-commit table (v5)
+// Batch-commit table
 // ---------------------------------------------------------------------
 
-/// Offset of the durable next-batch-id word (v5). Monotonic: every
+/// Offset of the durable next-batch-id word. Monotonic: every
 /// cross-shard write batch takes the current value and durably bumps it
 /// **before** writing any intent entry, so a batch id on media is never
 /// reissued. Format initialises it to 1 (0 means "no batch" in the
 /// commit table below).
-pub const SB_BATCH_NEXT_ID: u64 = 3904;
+pub const SB_BATCH_NEXT_ID: u64 = 320;
 
-/// Offset of the batch-commit table (v5): [`BATCH_SLOTS`] slots of 16
-/// bytes each — word 0 the batch id (0 = empty slot), word 1 the mask of
+/// Offset of the batch-commit table: [`BATCH_SLOTS`] slots of 16 bytes
+/// each — word 0 the batch id (0 = empty slot), word 1 the mask of
 /// shards the batch touched (bit `s` = shard `s`; [`MAX_SHARDS`] is 64,
 /// so one word suffices).
 ///
@@ -193,7 +166,7 @@ pub const SB_BATCH_NEXT_ID: u64 = 3904;
 /// protocol (mask first, id second, same line) rides the InCLL
 /// same-line-ordering argument: a torn commit leaves the old id, never a
 /// new id with a stale mask.
-pub const SB_BATCH_TABLE: u64 = 3968;
+pub const SB_BATCH_TABLE: u64 = 384;
 /// Number of batch-commit slots. Bounds the batches that can be in-doubt
 /// at once; committers reuse slots once every shard in a slot's mask has
 /// advanced past the batch's intents (see `incll`'s eviction protocol).
@@ -259,195 +232,94 @@ pub fn batch_is_committed(arena: &PArena, batch_id: u64) -> bool {
     batch_id != 0 && (0..BATCH_SLOTS).any(|i| arena.pread_u64(batch_slot_off(i)) == batch_id)
 }
 
-/// Offset of the durable tree-root pointer (a root-holder cell). Under
-/// sharding this is **shard 0's** holder — the legacy single-tree layout
-/// is exactly the `shard_count == 1` case (see [`shard_root_holder`]).
-pub const SB_TREE_ROOT: u64 = 1152;
-/// Offset of the root holder's logged-epoch tag (holders are externally
-/// logged at most once per epoch; the tag enforces it).
-pub const SB_TREE_ROOT_TAG: u64 = 1160;
-/// Offset of tree metadata (initialisation flag).
-pub const SB_TREE_META: u64 = 1168;
-/// Offset of the keyspace shard count, fixed at store creation (power of
-/// two, `1..=`[`MAX_SHARDS`]; 0 on media that predates store creation).
-pub const SB_SHARD_COUNT: u64 = 1176;
+// ---------------------------------------------------------------------
+// Shard cells
+// ---------------------------------------------------------------------
 
-/// Offset of the shard root-holder table: one 16-byte holder/tag cell per
-/// shard **after the first** (shard 0 keeps the legacy
-/// [`SB_TREE_ROOT`]/[`SB_TREE_ROOT_TAG`] pair, so a 1-shard store is
-/// byte-identical to the pre-shard layout outside the version and count
-/// words).
-pub const SB_SHARD_TABLE: u64 = 2816;
-/// Maximum shard count (the table holds `MAX_SHARDS - 1` cells).
+/// Maximum shard count (one cell each).
 pub const MAX_SHARDS: usize = 64;
+/// Offset of shard 0's cell; see the module docs for the cell diagram.
+pub const SB_SHARD_CELLS: u64 = 4096;
+/// Bytes per shard cell (17 cache lines).
+pub const SHARD_CELL_BYTES: u64 = 1088;
+/// Capacity of each shard's failed-epoch set.
+///
+/// Each entry is one crash survived by the shard since its last completed
+/// checkpoint: completed checkpoints prune the set (see
+/// [`prune_failed_epochs`] and the compaction pass in `incll`'s advance
+/// hooks), so the bound is on crashes *between* checkpoints, not on the
+/// arena's lifetime.
+pub const MAX_FAILED_EPOCHS: usize = 119;
 
-/// The superblock offset of shard `i`'s root-holder cell (its logged-epoch
-/// tag lives at `+8`).
+const CELL_EXEC_EPOCH: u64 = 8;
+const CELL_ROOT_HOLDER: u64 = 16;
+const CELL_BUMP: u64 = 64;
+const CELL_FAILED_CNT: u64 = 128;
+const CELL_FAILED_ARR: u64 = 136;
+
+/// The offset of shard `s`'s cell.
 ///
 /// # Panics
 ///
-/// Panics if `i >= MAX_SHARDS`.
+/// Panics if `s >= MAX_SHARDS`.
 #[inline]
-pub const fn shard_root_holder(i: usize) -> u64 {
-    assert!(i < MAX_SHARDS, "shard index out of range");
-    if i == 0 {
-        SB_TREE_ROOT
-    } else {
-        SB_SHARD_TABLE + (i as u64 - 1) * 16
-    }
+pub const fn shard_cell(s: usize) -> u64 {
+    assert!(s < MAX_SHARDS, "shard index out of range");
+    SB_SHARD_CELLS + s as u64 * SHARD_CELL_BYTES
 }
 
-/// Offset of the external-log region pointer.
-pub const SB_EXTLOG_OFF: u64 = 1216;
-/// Offset of the external-log thread-count word.
-pub const SB_EXTLOG_THREADS: u64 = 1224;
-/// Offset of the external-log per-slot capacity word.
-pub const SB_EXTLOG_PER_THREAD: u64 = 1232;
-/// Offset of the external-log domain-count word (v3; 0 reads as 1 so
-/// domain-oblivious media stays interpretable).
-pub const SB_EXTLOG_DOMAINS: u64 = 1240;
-
-/// Offset of the first allocator class-head line.
-pub const SB_PALLOC_HEADS: u64 = 1280;
-/// Maximum number of allocator size classes (one line each).
-pub const PALLOC_MAX_CLASSES: usize = 24;
-
-// ---------------------------------------------------------------------
-// Epoch-domain table (v3)
-// ---------------------------------------------------------------------
-
-/// Offset of the epoch-domain table: one [`DOMAIN_CELL_BYTES`] cell per
-/// shard **after the first** (shard 0 keeps the legacy epoch and
-/// failed-set cells, preserving the pre-domain positions for `shards(1)`
-/// media).
-///
-/// Cell layout (byte offsets within the cell):
-///
-/// ```text
-/// +0  durable current epoch    +8  first epoch of current execution
-/// +16 failed-epoch count       +24 failed epochs (up to 13 × u64)
-/// ```
-pub const SB_DOMAIN_TABLE: u64 = 4096;
-/// Bytes per epoch-domain cell (two cache lines).
-pub const DOMAIN_CELL_BYTES: u64 = 128;
-/// Failed-epoch capacity of a non-zero shard's domain cell. Smaller than
-/// shard 0's legacy [`MAX_FAILED_EPOCHS`]; compaction at completed
-/// checkpoints keeps both far from full.
-pub const MAX_FAILED_EPOCHS_SHARD: usize = 13;
-
+/// The offset of shard `s`'s durable current-epoch word.
 #[inline]
-const fn domain_cell(shard: usize) -> u64 {
-    assert!(shard >= 1 && shard < MAX_SHARDS, "domain cell out of range");
-    SB_DOMAIN_TABLE + (shard as u64 - 1) * DOMAIN_CELL_BYTES
+pub const fn domain_cur_epoch_off(s: usize) -> u64 {
+    shard_cell(s)
 }
 
-/// The offset of shard `i`'s durable current-epoch word.
-///
-/// # Panics
-///
-/// Panics if `i >= MAX_SHARDS`.
+/// The offset of shard `s`'s first-epoch-of-current-execution word.
 #[inline]
-pub const fn domain_cur_epoch_off(i: usize) -> u64 {
-    if i == 0 {
-        SB_CUR_EPOCH
-    } else {
-        domain_cell(i)
-    }
+pub const fn domain_exec_epoch_off(s: usize) -> u64 {
+    shard_cell(s) + CELL_EXEC_EPOCH
 }
 
-/// The offset of shard `i`'s first-epoch-of-current-execution word.
-///
-/// # Panics
-///
-/// Panics if `i >= MAX_SHARDS`.
+/// The offset of shard `s`'s tree root-holder cell. Its logged-epoch tag
+/// lives at `+8` (holders are externally logged at most once per epoch;
+/// the tag enforces it).
 #[inline]
-pub const fn domain_exec_epoch_off(i: usize) -> u64 {
-    if i == 0 {
-        SB_EXEC_EPOCH
-    } else {
-        domain_cell(i) + 8
-    }
+pub const fn shard_root_holder(s: usize) -> u64 {
+    shard_cell(s) + CELL_ROOT_HOLDER
 }
 
-/// The offset of shard `i`'s failed-epoch count word.
+/// The offset of shard `s`'s durable carve watermark, first word of the
+/// shard's InCLL triple (watermark, watermarkInCLL, epoch tag). The tag
+/// is on the owning shard's **own** epoch timeline.
 #[inline]
-const fn failed_cnt_off(i: usize) -> u64 {
-    if i == 0 {
-        SB_FAILED_CNT
-    } else {
-        domain_cell(i) + 16
-    }
+pub const fn shard_bump_off(s: usize) -> u64 {
+    shard_cell(s) + CELL_BUMP
 }
 
-/// The offset of shard `i`'s failed-epoch array.
+/// The offset of shard `s`'s logged (epoch-start) watermark.
 #[inline]
-const fn failed_arr_off(i: usize) -> u64 {
-    if i == 0 {
-        SB_FAILED_ARR
-    } else {
-        domain_cell(i) + 24
-    }
+pub const fn shard_bump_incll_off(s: usize) -> u64 {
+    shard_bump_off(s) + 8
 }
 
-/// The failed-epoch capacity of shard `i`'s set.
+/// The offset of shard `s`'s watermark-log epoch tag.
 #[inline]
-pub const fn failed_capacity(i: usize) -> usize {
-    if i == 0 {
-        MAX_FAILED_EPOCHS
-    } else {
-        MAX_FAILED_EPOCHS_SHARD
-    }
+pub const fn shard_bump_epoch_off(s: usize) -> u64 {
+    shard_bump_off(s) + 16
 }
 
-// ---------------------------------------------------------------------
-// Per-shard watermark table (v4)
-// ---------------------------------------------------------------------
-
-/// Offset of the per-shard watermark table: one full cache line per shard
-/// **after the first** (shard 0 keeps the legacy [`SB_BUMP`] triple),
-/// holding that shard's carve-frontier InCLL triple:
-///
-/// ```text
-/// +0  watermark    +8  watermarkInCLL    +16 epoch tag
-/// ```
-///
-/// Each shard's triple lives on its own line, so the same-line-ordering
-/// (InCLL) protocol applies per shard and concurrent carves on different
-/// shards never contend on a cache line. The epoch tag is on the owning
-/// shard's **own** timeline — exactly the single-domain watermark
-/// protocol, instantiated once per shard.
-pub const SB_SHARD_BUMP_TABLE: u64 = 12288;
-
-/// The offset of shard `i`'s durable carve watermark.
-///
-/// # Panics
-///
-/// Panics if `i >= MAX_SHARDS`.
 #[inline]
-pub const fn shard_bump_off(i: usize) -> u64 {
-    assert!(i < MAX_SHARDS, "shard index out of range");
-    if i == 0 {
-        SB_BUMP
-    } else {
-        SB_SHARD_BUMP_TABLE + (i as u64 - 1) * 64
-    }
+const fn failed_cnt_off(s: usize) -> u64 {
+    shard_cell(s) + CELL_FAILED_CNT
 }
 
-/// The offset of shard `i`'s logged (epoch-start) watermark.
 #[inline]
-pub const fn shard_bump_incll_off(i: usize) -> u64 {
-    shard_bump_off(i) + 8
+const fn failed_arr_off(s: usize) -> u64 {
+    shard_cell(s) + CELL_FAILED_ARR
 }
 
-/// The offset of shard `i`'s watermark-log epoch tag.
-#[inline]
-pub const fn shard_bump_epoch_off(i: usize) -> u64 {
-    shard_bump_off(i) + 16
-}
-
-/// First carvable offset (end of the superblock + domain and watermark
-/// tables).
-pub const CARVE_START: u64 = 16384;
+/// First carvable offset (end of the superblock).
+pub const CARVE_START: u64 = SB_SHARD_CELLS + MAX_SHARDS as u64 * SHARD_CELL_BYTES;
 
 /// Formats a fresh arena: writes magic/version, zeroes all superblock
 /// fields, and flushes the superblock.
@@ -455,13 +327,14 @@ pub const CARVE_START: u64 = 16384;
 /// Calling `format` on an already-formatted arena wipes it.
 pub fn format(arena: &PArena) {
     // Zero the whole superblock area first (idempotent on fresh arenas).
-    let zeros = [0u8; (CARVE_START - 64) as usize];
-    arena.pwrite_bytes(64, &zeros);
+    for line in (64..CARVE_START).step_by(64) {
+        arena.pwrite_bytes(line, &[0u8; 64]);
+    }
     arena.pwrite_u64(SB_VERSION, VERSION);
-    arena.pwrite_u64(SB_CUR_EPOCH, 1);
-    arena.pwrite_u64(SB_EXEC_EPOCH, 1);
-    arena.pwrite_u64(SB_BUMP, CARVE_START);
-    arena.pwrite_u64(SB_BUMP_INCLL, CARVE_START);
+    for s in 0..MAX_SHARDS {
+        arena.pwrite_u64(domain_cur_epoch_off(s), 1);
+        arena.pwrite_u64(domain_exec_epoch_off(s), 1);
+    }
     arena.pwrite_u64(SB_BATCH_NEXT_ID, 1);
     // Magic last: a torn format leaves the arena unformatted.
     arena.pwrite_u64(SB_MAGIC, MAGIC);
@@ -490,36 +363,24 @@ pub fn raw_version(arena: &PArena) -> u64 {
     arena.pread_u64(SB_VERSION)
 }
 
-/// Appends `epoch` to shard 0's durable failed-epoch set. See
-/// [`record_failed_epoch_for`].
-///
-/// # Errors
-///
-/// [`Error::FailedEpochSetFull`] once [`MAX_FAILED_EPOCHS`] crashes have
-/// accumulated without a completed checkpoint.
-pub fn record_failed_epoch(arena: &PArena, epoch: u64) -> Result<()> {
-    record_failed_epoch_for(arena, 0, epoch)
-}
-
 /// Appends `epoch` to shard `shard`'s durable failed-epoch set
 /// (idempotent), flushing the update.
 ///
 /// # Errors
 ///
-/// [`Error::FailedEpochSetFull`] once [`failed_capacity`] crashes have
+/// [`Error::FailedEpochSetFull`] once [`MAX_FAILED_EPOCHS`] crashes have
 /// been recorded for the shard without an intervening completed
 /// checkpoint (which prunes the set).
 pub fn record_failed_epoch_for(arena: &PArena, shard: usize, epoch: u64) -> Result<()> {
-    let cap = failed_capacity(shard);
     let arr = failed_arr_off(shard);
     let cnt_off = failed_cnt_off(shard);
     let cnt = arena.pread_u64(cnt_off) as usize;
-    for i in 0..cnt.min(cap) {
+    for i in 0..cnt.min(MAX_FAILED_EPOCHS) {
         if arena.pread_u64(arr + (i as u64) * 8) == epoch {
             return Ok(()); // already recorded (re-crash during recovery)
         }
     }
-    if cnt >= cap {
+    if cnt >= MAX_FAILED_EPOCHS {
         return Err(Error::FailedEpochSetFull);
     }
     // Entry first, count second: a torn append is invisible.
@@ -532,24 +393,13 @@ pub fn record_failed_epoch_for(arena: &PArena, shard: usize, epoch: u64) -> Resu
     Ok(())
 }
 
-/// Reads shard 0's durable failed-epoch set.
-pub fn failed_epochs(arena: &PArena) -> Vec<u64> {
-    failed_epochs_for(arena, 0)
-}
-
 /// Reads shard `shard`'s durable failed-epoch set.
 pub fn failed_epochs_for(arena: &PArena, shard: usize) -> Vec<u64> {
-    let cap = failed_capacity(shard);
     let arr = failed_arr_off(shard);
-    let cnt = (arena.pread_u64(failed_cnt_off(shard)) as usize).min(cap);
+    let cnt = (arena.pread_u64(failed_cnt_off(shard)) as usize).min(MAX_FAILED_EPOCHS);
     (0..cnt)
         .map(|i| arena.pread_u64(arr + (i as u64) * 8))
         .collect()
-}
-
-/// Returns `true` if `epoch` is in shard 0's durable failed-epoch set.
-pub fn is_failed_epoch(arena: &PArena, epoch: u64) -> bool {
-    failed_epochs(arena).contains(&epoch)
 }
 
 /// Compacts shard `shard`'s durable failed-epoch set, keeping only entries
@@ -600,89 +450,102 @@ mod tests {
         PArena::builder().capacity_bytes(1 << 20).build().unwrap()
     }
 
+    /// `(offset, bytes)` of every global cell.
+    const GLOBAL_CELLS: [(u64, u64); 8] = [
+        (SB_MAGIC, 32), // magic, version, tree meta, shard count
+        (SB_EXTLOG_OFF, 32),
+        (SB_PALLOC_HEADS, 32),
+        (SB_ARENA_SPLIT, 24),
+        (SB_BATCH_NEXT_ID, 8),
+        (SB_BATCH_TABLE, BATCH_SLOTS as u64 * 16),
+        (SB_EXTENT_OWNERS, MAX_EXTENTS as u64),
+        (SB_SHARD_CELLS, MAX_SHARDS as u64 * SHARD_CELL_BYTES),
+    ];
+
     #[test]
-    fn layout_lines_do_not_collide() {
-        // Field groups that must share a line, and groups that must not.
-        assert_eq!(SB_BUMP / 64, SB_BUMP_INCLL / 64);
-        assert_eq!(SB_BUMP / 64, SB_BUMP_EPOCH / 64);
-        assert_ne!(SB_MAGIC / 64, SB_FAILED_CNT / 64);
-        assert_ne!(SB_BUMP / 64, SB_TREE_ROOT / 64);
-        assert!(SB_FAILED_ARR + (MAX_FAILED_EPOCHS as u64) * 8 <= SB_BUMP);
-        assert!(SB_PALLOC_HEADS + (PALLOC_MAX_CLASSES as u64) * 64 <= SB_SHARD_TABLE);
-        // The shard table must sit past the allocator heads and in front
-        // of the domain table, which in turn fits before the watermark
-        // table, which fits before carvable space.
-        assert!(shard_root_holder(MAX_SHARDS - 1) + 16 <= SB_DOMAIN_TABLE);
-        assert!(
-            domain_cur_epoch_off(MAX_SHARDS - 1) + DOMAIN_CELL_BYTES <= SB_SHARD_BUMP_TABLE,
-            "domain table must fit before the watermark table"
-        );
-        assert!(
-            shard_bump_off(MAX_SHARDS - 1) + 64 <= CARVE_START,
-            "watermark table must fit before carvable space"
-        );
-        // A domain cell must hold its epochs, count and full failed array.
-        assert!(24 + (MAX_FAILED_EPOCHS_SHARD as u64) * 8 <= DOMAIN_CELL_BYTES);
-        // The extent-pool descriptor must not collide with its neighbours,
-        // and all three words must share line 60 (one write-back).
-        assert!(SB_ARENA_SPLIT >= shard_root_holder(MAX_SHARDS - 1) + 16);
-        const { assert!(SB_EXTENT_COUNT + 8 <= SB_BATCH_NEXT_ID) };
+    fn layout_is_disjoint_and_every_shard_cell_has_the_same_line_exclusive_shape() {
+        for (i, &(off, len)) in GLOBAL_CELLS.iter().enumerate() {
+            assert!(off >= 64, "offset 0 is the null pointer's line");
+            assert!(off + len <= CARVE_START, "cell {i} runs past CARVE_START");
+            for &(o2, l2) in &GLOBAL_CELLS[i + 1..] {
+                assert!(off + len <= o2 || o2 + l2 <= off, "cell {i} overlaps");
+            }
+        }
+        // Groups written back as one unit share one line.
+        assert_eq!(SB_MAGIC / 64, SB_SHARD_COUNT / 64);
+        assert_eq!(SB_EXTLOG_OFF / 64, SB_EXTLOG_DOMAINS / 64);
         assert_eq!(SB_ARENA_SPLIT / 64, SB_EXTENT_COUNT / 64);
-        // The extent-owner table owns two dedicated lines between the
-        // domain table and the per-shard watermark table.
-        assert_eq!(SB_EXTENT_OWNERS % 64, 0);
-        assert!(domain_cur_epoch_off(MAX_SHARDS - 1) + DOMAIN_CELL_BYTES <= SB_EXTENT_OWNERS);
-        assert!(extent_owner_off(MAX_EXTENTS - 1) < SB_SHARD_BUMP_TABLE);
-        // The batch next-id word and commit table sit between the carve
-        // descriptor and the domain table; each slot's two words share a
-        // line (the commit-ordering requirement).
-        const { assert!(SB_BATCH_NEXT_ID + 8 <= SB_BATCH_TABLE) };
-        assert!(batch_slot_off(BATCH_SLOTS - 1) + 16 <= SB_DOMAIN_TABLE);
         for i in 0..BATCH_SLOTS {
             assert_eq!(batch_slot_off(i) / 64, (batch_slot_off(i) + 8) / 64);
         }
-    }
+        // The owner table is on dedicated lines.
+        assert_eq!(SB_EXTENT_OWNERS % 64, 0);
+        assert_eq!(MAX_EXTENTS % 64, 0);
+        assert_eq!(CARVE_START % 64, 0);
 
-    #[test]
-    fn shard_bump_triples_are_line_exclusive_and_legacy_anchored() {
-        assert_eq!(shard_bump_off(0), SB_BUMP);
-        assert_eq!(shard_bump_incll_off(0), SB_BUMP_INCLL);
-        assert_eq!(shard_bump_epoch_off(0), SB_BUMP_EPOCH);
-        let lines: Vec<u64> = (0..MAX_SHARDS).map(|i| shard_bump_off(i) / 64).collect();
-        for (i, &l) in lines.iter().enumerate() {
-            assert_eq!(shard_bump_off(i) % 64, 0, "triple {i} must start a line");
-            // The whole triple shares one line (the InCLL requirement)...
-            assert_eq!(shard_bump_epoch_off(i) / 64, l);
-            // ...and no two shards share a line (no cross-shard contention).
-            for &other in &lines[i + 1..] {
-                assert_ne!(l, other, "watermark lines must be per shard");
+        assert_eq!(SB_SHARD_CELLS % 64, 0);
+        assert_eq!(SHARD_CELL_BYTES % 64, 0);
+        for s in 0..MAX_SHARDS {
+            // Cells start on a line and span whole lines (asserted above),
+            // so fields inside their own cell never share a line with
+            // another shard's.
+            let cell = shard_cell(s);
+            let failed_end = failed_arr_off(s) + MAX_FAILED_EPOCHS as u64 * 8;
+            let fields = [
+                (domain_cur_epoch_off(s), 8),
+                (domain_exec_epoch_off(s), 8),
+                (shard_root_holder(s), 16),
+                (shard_bump_off(s), 24),
+                (failed_cnt_off(s), 8),
+                (failed_arr_off(s), failed_end - failed_arr_off(s)),
+            ];
+            for (i, &(off, len)) in fields.iter().enumerate() {
+                assert_eq!(off % 8, 0);
+                assert!(cell <= off && off + len <= cell + SHARD_CELL_BYTES);
+                for &(o2, l2) in &fields[i + 1..] {
+                    assert!(
+                        off + len <= o2 || o2 + l2 <= off,
+                        "shard {s} fields overlap"
+                    );
+                }
             }
+            // The watermark triple starts a line, shares it (the InCLL
+            // same-line requirement), and nothing else is on that line.
+            let bump_line = shard_bump_off(s) / 64;
+            assert_eq!(shard_bump_off(s) % 64, 0);
+            assert_eq!(shard_bump_incll_off(s), shard_bump_off(s) + 8);
+            assert_eq!(shard_bump_epoch_off(s), shard_bump_off(s) + 16);
+            for &(off, len) in &fields {
+                if off != shard_bump_off(s) {
+                    assert!((off + len - 1) / 64 < bump_line || off / 64 > bump_line);
+                }
+            }
+            // Root holder and its tag are adjacent words of one line.
+            assert_eq!(shard_root_holder(s) / 64, (shard_root_holder(s) + 8) / 64);
         }
     }
 
     #[test]
-    fn shard_holder_cells_are_distinct_and_aligned() {
-        assert_eq!(shard_root_holder(0), SB_TREE_ROOT);
-        let holders: Vec<u64> = (0..MAX_SHARDS).map(shard_root_holder).collect();
-        for (i, &h) in holders.iter().enumerate() {
-            assert_eq!(h % 16, 0, "holder {i} must be 16-byte aligned");
-            for &other in &holders[i + 1..] {
-                assert!(other >= h + 16, "holder cells must not overlap");
-            }
-        }
-    }
-
-    #[test]
-    fn domain_cells_are_distinct_and_legacy_anchored() {
-        assert_eq!(domain_cur_epoch_off(0), SB_CUR_EPOCH);
-        assert_eq!(domain_exec_epoch_off(0), SB_EXEC_EPOCH);
-        assert_eq!(failed_capacity(0), MAX_FAILED_EPOCHS);
-        let cells: Vec<u64> = (1..MAX_SHARDS).map(domain_cur_epoch_off).collect();
-        for (i, &c) in cells.iter().enumerate() {
-            assert_eq!(c % 64, 0, "domain cell {i} must start a cache line");
-            for &other in &cells[i + 1..] {
-                assert!(other >= c + DOMAIN_CELL_BYTES);
-            }
+    fn failed_set_append_is_entry_first_count_second() {
+        let a = PArena::builder()
+            .capacity_bytes(1 << 20)
+            .tracked(true)
+            .build()
+            .unwrap();
+        format(&a);
+        a.global_flush();
+        for s in [0, 1, MAX_SHARDS - 1] {
+            // An entry whose count bump never landed is invisible...
+            a.pwrite_u64(failed_arr_off(s), 77);
+            assert!(failed_epochs_for(&a, s).is_empty());
+            // ...and a real append pays one write-back + fence for the
+            // entry, then one for the count.
+            let before = a.stats().snapshot();
+            record_failed_epoch_for(&a, s, 9).unwrap();
+            let d = a.stats().snapshot().delta(&before);
+            assert_eq!((d.clwb, d.sfence), (2, 2));
+            a.crash_with(|_, _| 0);
+            assert_eq!(failed_epochs_for(&a, s), vec![9]);
         }
     }
 
@@ -694,8 +557,8 @@ mod tests {
         assert!(has_magic(&a));
         assert!(is_formatted(&a));
         assert_eq!(raw_version(&a), VERSION);
-        // Older (v1..v6) superblocks keep their magic but are no longer
-        // "formatted" in the current sense.
+        // Older superblocks keep their magic but are not "formatted" in
+        // the current sense.
         for stale in 1..VERSION {
             a.pwrite_u64(SB_VERSION, stale);
             assert!(has_magic(&a));
@@ -710,21 +573,22 @@ mod tests {
         assert!(!is_formatted(&a));
         format(&a);
         assert!(is_formatted(&a));
-        assert_eq!(a.pread_u64(SB_CUR_EPOCH), 1);
-        assert_eq!(a.pread_u64(SB_BUMP), CARVE_START);
+        for s in 0..MAX_SHARDS {
+            assert_eq!(a.pread_u64(domain_cur_epoch_off(s)), 1);
+            assert_eq!(a.pread_u64(domain_exec_epoch_off(s)), 1);
+        }
+        assert_eq!(a.bump(), CARVE_START);
     }
 
     #[test]
     fn failed_epoch_set_roundtrip() {
         let a = arena();
         format(&a);
-        assert!(failed_epochs(&a).is_empty());
-        record_failed_epoch(&a, 10).unwrap();
-        record_failed_epoch(&a, 12).unwrap();
-        record_failed_epoch(&a, 10).unwrap(); // idempotent
-        assert_eq!(failed_epochs(&a), vec![10, 12]);
-        assert!(is_failed_epoch(&a, 12));
-        assert!(!is_failed_epoch(&a, 11));
+        assert!(failed_epochs_for(&a, 0).is_empty());
+        record_failed_epoch_for(&a, 0, 10).unwrap();
+        record_failed_epoch_for(&a, 0, 12).unwrap();
+        record_failed_epoch_for(&a, 0, 10).unwrap(); // idempotent
+        assert_eq!(failed_epochs_for(&a, 0), vec![10, 12]);
     }
 
     #[test]
@@ -740,31 +604,29 @@ mod tests {
     }
 
     #[test]
-    fn failed_epoch_set_fills_up() {
+    fn every_shard_fills_at_the_one_capacity_and_prune_unblocks_it() {
         let a = arena();
         format(&a);
-        for e in 0..MAX_FAILED_EPOCHS as u64 {
-            record_failed_epoch(&a, e + 100).unwrap();
+        for s in 0..MAX_SHARDS {
+            for e in 0..MAX_FAILED_EPOCHS as u64 {
+                record_failed_epoch_for(&a, s, e + 100).unwrap();
+            }
+            assert!(matches!(
+                record_failed_epoch_for(&a, s, 5),
+                Err(Error::FailedEpochSetFull)
+            ));
+            // Existing entries stay readable, an idempotent re-record is
+            // still fine, and the neighbours' cells are untouched.
+            record_failed_epoch_for(&a, s, 100).unwrap();
+            assert_eq!(failed_epochs_for(&a, s).len(), MAX_FAILED_EPOCHS);
+            if s + 1 < MAX_SHARDS {
+                assert!(failed_epochs_for(&a, s + 1).is_empty());
+                assert_eq!(a.pread_u64(domain_cur_epoch_off(s + 1)), 1);
+            }
+            prune_failed_epochs(&a, s, u64::MAX);
+            record_failed_epoch_for(&a, s, 999).unwrap();
+            assert_eq!(failed_epochs_for(&a, s), vec![999]);
         }
-        assert!(matches!(
-            record_failed_epoch(&a, 5),
-            Err(Error::FailedEpochSetFull)
-        ));
-        // Existing entries still readable and idempotent re-record still ok.
-        record_failed_epoch(&a, 100).unwrap();
-    }
-
-    #[test]
-    fn shard_failed_epoch_set_fills_at_shard_capacity() {
-        let a = arena();
-        format(&a);
-        for e in 0..MAX_FAILED_EPOCHS_SHARD as u64 {
-            record_failed_epoch_for(&a, 2, e + 100).unwrap();
-        }
-        assert!(matches!(
-            record_failed_epoch_for(&a, 2, 5),
-            Err(Error::FailedEpochSetFull)
-        ));
     }
 
     #[test]
@@ -772,28 +634,15 @@ mod tests {
         let a = arena();
         format(&a);
         for e in [4u64, 7, 9, 12] {
-            record_failed_epoch(&a, e).unwrap();
+            record_failed_epoch_for(&a, 0, e).unwrap();
         }
         prune_failed_epochs(&a, 0, 9);
-        assert_eq!(failed_epochs(&a), vec![9, 12]);
+        assert_eq!(failed_epochs_for(&a, 0), vec![9, 12]);
         // Pruning everything empties the set and re-recording works.
         prune_failed_epochs(&a, 0, u64::MAX);
-        assert!(failed_epochs(&a).is_empty());
-        record_failed_epoch(&a, 20).unwrap();
-        assert_eq!(failed_epochs(&a), vec![20]);
-    }
-
-    #[test]
-    fn prune_unblocks_a_full_set() {
-        let a = arena();
-        format(&a);
-        for e in 0..MAX_FAILED_EPOCHS_SHARD as u64 {
-            record_failed_epoch_for(&a, 1, e + 10).unwrap();
-        }
-        assert!(record_failed_epoch_for(&a, 1, 999).is_err());
-        prune_failed_epochs(&a, 1, u64::MAX);
-        record_failed_epoch_for(&a, 1, 999).unwrap();
-        assert_eq!(failed_epochs_for(&a, 1), vec![999]);
+        assert!(failed_epochs_for(&a, 0).is_empty());
+        record_failed_epoch_for(&a, 0, 20).unwrap();
+        assert_eq!(failed_epochs_for(&a, 0), vec![20]);
     }
 
     #[test]

@@ -28,6 +28,11 @@
 //! Responses are **self-describing** (each variant has its own status
 //! byte), so a decoded stream round-trips without knowing which request
 //! each frame answers — the property the codec tests lean on.
+//!
+//! Replies obey the frame cap too: a SCAN whose `ENTRIES` payload would
+//! exceed [`MAX_FRAME_BYTES`] is answered, in its request's slot, with an
+//! `ERROR` ("scan reply exceeds frame cap; lower limit") and the stream
+//! continues — the client retries with a smaller `limit`.
 
 use std::io::{self, Read, Write};
 
@@ -267,6 +272,25 @@ pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
     }
     end_frame(out, at);
 }
+
+/// Appends a `VALUE` response carrying `val` as one complete frame: the
+/// bytes [`encode_response`] produces for [`Response::Value`], without
+/// the caller having to own the value.
+pub fn encode_value(val: &[u8], out: &mut Vec<u8>) {
+    let at = begin_frame(out);
+    out.push(ST_VALUE);
+    out.extend_from_slice(val);
+    end_frame(out, at);
+}
+
+/// Payload bytes one `(key, value)` pair adds to an `ENTRIES` response.
+pub(crate) fn entry_wire_len(key: &[u8], val: &[u8]) -> usize {
+    2 + key.len() + 4 + val.len()
+}
+
+/// Payload bytes of an `ENTRIES` response before its first pair (status
+/// byte + count).
+pub(crate) const ENTRIES_HEADER_LEN: usize = 5;
 
 /// Reserves a frame header; returns the payload start for [`end_frame`].
 fn begin_frame(out: &mut Vec<u8>) -> usize {
@@ -519,6 +543,10 @@ mod tests {
         resp_roundtrip(Response::Error("bad".into()));
         resp_roundtrip(Response::Value(vec![9u8; 100]));
         resp_roundtrip(Response::Value(Vec::new()));
+        let (mut owned, mut borrowed) = (Vec::new(), Vec::new());
+        encode_response(&Response::Value(vec![9u8; 100]), &mut owned);
+        encode_value(&[9u8; 100], &mut borrowed);
+        assert_eq!(owned, borrowed);
         resp_roundtrip(Response::Committed(u64::MAX));
         resp_roundtrip(Response::Entries(vec![
             (b"a".to_vec(), b"1".to_vec()),

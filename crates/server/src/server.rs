@@ -42,7 +42,8 @@ use incll::{Error, Session, Store};
 
 use crate::group::{GroupCommitter, GroupConfig, GroupOp};
 use crate::protocol::{
-    decode_request, encode_response, read_frame, BatchOp, Request, Response, WireError,
+    decode_request, encode_response, encode_value, entry_wire_len, read_frame, BatchOp, Request,
+    Response, WireError, ENTRIES_HEADER_LEN, MAX_FRAME_BYTES,
 };
 
 /// How long blocked socket reads and writes wait before re-checking the
@@ -503,7 +504,7 @@ fn reader_loop(shared: &Arc<Shared>, mut sock: TcpStream, conn: &Arc<Conn>) {
                     seq,
                     Err(WireError::Oversized {
                         len: 0,
-                        max: crate::protocol::MAX_FRAME_BYTES,
+                        max: MAX_FRAME_BYTES,
                     }),
                 );
                 return;
@@ -659,10 +660,18 @@ fn handle_job(shared: &Arc<Shared>, sess: &Session, job: Job) {
     let resp = match req {
         Request::Get { key } => {
             c.gets.fetch_add(1, Ordering::Relaxed);
-            match store.get(sess, &key) {
-                Some(val) => Response::Value(val),
-                None => Response::NotFound,
-            }
+            // Encode straight from the borrow — one copy, into the frame —
+            // and release the shard's read pin before the hand-off.
+            let frame = match store.get_ref(sess, &key) {
+                Some(val) => {
+                    let mut frame = Vec::with_capacity(5 + val.len());
+                    encode_value(&val, &mut frame);
+                    frame
+                }
+                None => frame_of(&Response::NotFound),
+            };
+            job.conn.complete(job.seq, frame);
+            return;
         }
         Request::Put { key, val } => {
             c.puts.fetch_add(1, Ordering::Relaxed);
@@ -729,11 +738,21 @@ fn handle_job(shared: &Arc<Shared>, sess: &Session, job: Job) {
         }
         Request::Scan { start, limit } => {
             c.scans.fetch_add(1, Ordering::Relaxed);
+            // Stop collecting once the reply would pass the frame cap: an
+            // oversized frame would desync (or be refused by) the client.
             let mut entries = Vec::new();
+            let mut payload = ENTRIES_HEADER_LEN;
             store.scan(sess, &start, limit as usize, &mut |k, v| {
-                entries.push((k.to_vec(), v.to_vec()));
+                payload += entry_wire_len(k, v);
+                if payload <= MAX_FRAME_BYTES {
+                    entries.push((k.to_vec(), v.to_vec()));
+                }
             });
-            Response::Entries(entries)
+            if payload <= MAX_FRAME_BYTES {
+                Response::Entries(entries)
+            } else {
+                Response::Error("scan reply exceeds frame cap; lower limit".to_string())
+            }
         }
         Request::Stats => Response::Stats(stats_json(shared)),
     };

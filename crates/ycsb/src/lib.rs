@@ -46,10 +46,7 @@ pub mod zipf;
 pub use net::{
     net_load, run_closed_loop, run_open_loop, NetClient, NetRunConfig, NetRunResult, OpenLoopResult,
 };
-pub use runner::{
-    load, run, run_full, run_with_reads, run_with_writes, KvBench, ReadMode, RunConfig, RunResult,
-    WriteMode,
-};
+pub use runner::{load, run, run_with_writes, KvBench, RunConfig, RunResult, WriteMode};
 pub use shift::ShiftingHotspot;
 pub use workload::{storage_key, Dist, Mix, Op, OpStream};
 pub use zipf::{ScrambledZipfian, Zipfian};

@@ -39,30 +39,7 @@ pub trait KvBench: Send + Sync {
         self.bench_put(ctx, key, u64::from_le_bytes(word));
     }
 
-    /// Byte-slice lookup; the default mirrors [`KvBench::bench_put_bytes`]
-    /// by re-encoding the `u64` payload.
-    fn bench_get_bytes(&self, ctx: &Self::Ctx, key: &[u8]) -> Option<Vec<u8>> {
-        self.bench_get(ctx, key).map(|v| v.to_le_bytes().to_vec())
-    }
-
-    /// Buffer-reusing lookup: writes the value into `out` (cleared first)
-    /// and returns whether the key was present. The driver's read path
-    /// calls this with one buffer per worker, so stores with a native
-    /// `get_into` (the durable [`incll::Store`]) serve reads without a
-    /// per-operation allocation. The default re-encodes the `u64` payload
-    /// — also allocation-free.
-    fn bench_get_into(&self, ctx: &Self::Ctx, key: &[u8], out: &mut Vec<u8>) -> bool {
-        out.clear();
-        match self.bench_get(ctx, key) {
-            Some(v) => {
-                out.extend_from_slice(&v.to_le_bytes());
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Borrowed lookup: touch the value bytes in place without copying
+    /// The driver's read: touch the value bytes in place without copying
     /// them out, returning whether the key was present. Stores with a
     /// zero-copy read path (the durable [`incll::Store`]'s `get_ref`)
     /// override this; the default falls back to the plain lookup.
@@ -126,12 +103,6 @@ impl KvBench for incll::DurableMasstree {
         self.put_bytes(ctx, key, val)
             .expect("bench values fit the largest size class");
     }
-    fn bench_get_bytes(&self, ctx: &Self::Ctx, key: &[u8]) -> Option<Vec<u8>> {
-        self.get_bytes(ctx, key)
-    }
-    fn bench_get_into(&self, ctx: &Self::Ctx, key: &[u8], out: &mut Vec<u8>) -> bool {
-        self.get_bytes_into(ctx, key, out)
-    }
 }
 
 impl KvBench for incll::Store {
@@ -158,15 +129,8 @@ impl KvBench for incll::Store {
         self.put(ctx, key, val)
             .expect("bench values fit the largest size class");
     }
-    fn bench_get_bytes(&self, ctx: &Self::Ctx, key: &[u8]) -> Option<Vec<u8>> {
-        self.get(ctx, key)
-    }
-    fn bench_get_into(&self, ctx: &Self::Ctx, key: &[u8], out: &mut Vec<u8>) -> bool {
-        self.get_into(ctx, key, out)
-    }
     fn bench_get_ref(&self, ctx: &Self::Ctx, key: &[u8]) -> bool {
-        // Decode in place so the value bytes are actually touched (a fair
-        // comparison against the copying paths), with zero allocation.
+        // Decode in place so the value bytes are actually touched.
         self.get_ref(ctx, key).map(|v| v.as_u64()).is_some()
     }
     fn bench_batch(&self, ctx: &Self::Ctx, ops: &[([u8; 8], u64)]) {
@@ -234,35 +198,6 @@ pub fn load<K: KvBench>(store: &K, nkeys: u64, threads: usize) {
     });
 }
 
-/// How the driver serves `Op::Read`s — the read-path comparison axis of
-/// the `read_path` experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ReadMode {
-    /// Allocating lookup ([`KvBench::bench_get_bytes`]): one fresh `Vec`
-    /// per hit.
-    Alloc,
-    /// Buffer-reusing lookup ([`KvBench::bench_get_into`]): copies into
-    /// one per-worker buffer. The historical driver default.
-    Into,
-    /// Borrowed lookup ([`KvBench::bench_get_ref`]): zero-copy, reads the
-    /// value in place under an epoch read pin.
-    Ref,
-}
-
-impl ReadMode {
-    /// All modes, in cost order.
-    pub const ALL: [ReadMode; 3] = [ReadMode::Alloc, ReadMode::Into, ReadMode::Ref];
-
-    /// Display label (`get`, `get_into`, `get_ref`).
-    pub fn label(self) -> &'static str {
-        match self {
-            ReadMode::Alloc => "get",
-            ReadMode::Into => "get_into",
-            ReadMode::Ref => "get_ref",
-        }
-    }
-}
-
 /// How the driver serves `Op::Put`s — the write-path comparison axis of
 /// the `txn_batches` experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -289,30 +224,14 @@ impl WriteMode {
 }
 
 /// Runs the workload, returning aggregate throughput. Reads go through
-/// the buffer-reusing path ([`ReadMode::Into`]), writes are issued one
-/// put at a time; use [`run_with_reads`] / [`run_with_writes`] to pick
-/// a different path.
+/// [`KvBench::bench_get_ref`], writes are issued one put at a time; use
+/// [`run_with_writes`] to batch them.
 pub fn run<K: KvBench>(store: &K, cfg: &RunConfig) -> RunResult {
-    run_with_reads(store, cfg, ReadMode::Into)
+    run_with_writes(store, cfg, WriteMode::Single)
 }
 
 /// [`run`] with an explicit write path for `Op::Put`s.
-pub fn run_with_writes<K: KvBench>(store: &K, cfg: &RunConfig, mode: WriteMode) -> RunResult {
-    run_full(store, cfg, ReadMode::Into, mode)
-}
-
-/// [`run`] with an explicit read path for `Op::Read`s.
-pub fn run_with_reads<K: KvBench>(store: &K, cfg: &RunConfig, mode: ReadMode) -> RunResult {
-    run_full(store, cfg, mode, WriteMode::Single)
-}
-
-/// The full driver: explicit read and write paths.
-pub fn run_full<K: KvBench>(
-    store: &K,
-    cfg: &RunConfig,
-    mode: ReadMode,
-    writes: WriteMode,
-) -> RunResult {
+pub fn run_with_writes<K: KvBench>(store: &K, cfg: &RunConfig, writes: WriteMode) -> RunResult {
     let barrier = Barrier::new(cfg.threads + 1);
     let total_ops = AtomicU64::new(0);
     // Zipfian tables are O(nkeys) to build: construct one and share.
@@ -332,9 +251,7 @@ pub fn run_full<K: KvBench>(
                 let ctx = store.bench_ctx(tid);
                 let mut stream = OpStream::with_zipf(cfg2.mix, cfg2.nkeys, zipf);
                 let mut rng = StdRng::seed_from_u64(cfg2.seed ^ (tid as u64) << 32 | tid as u64);
-                // One value buffer per worker, reused across every read,
-                // and one pending-put buffer for the batched write path.
-                let mut readbuf = Vec::with_capacity(64);
+                // One pending-put buffer for the batched write path.
                 let batch_size = match writes {
                     WriteMode::Single => 0,
                     WriteMode::BatchedWrites { batch_size } => batch_size.max(1),
@@ -343,17 +260,9 @@ pub fn run_full<K: KvBench>(
                 barrier.wait();
                 for _ in 0..cfg2.ops_per_thread {
                     match stream.next_op(&mut rng) {
-                        Op::Read(i) => match mode {
-                            ReadMode::Alloc => {
-                                store.bench_get_bytes(&ctx, &storage_key(i));
-                            }
-                            ReadMode::Into => {
-                                store.bench_get_into(&ctx, &storage_key(i), &mut readbuf);
-                            }
-                            ReadMode::Ref => {
-                                store.bench_get_ref(&ctx, &storage_key(i));
-                            }
-                        },
+                        Op::Read(i) => {
+                            store.bench_get_ref(&ctx, &storage_key(i));
+                        }
                         Op::Put(i, v) => {
                             if batch_size == 0 {
                                 store.bench_put(&ctx, &storage_key(i), v);
@@ -481,36 +390,10 @@ mod tests {
             },
         );
         assert_eq!(res.ops, 1_000);
-        // Load went through the u64 path; spot-check via the facade.
+        // Load went through the u64 path; spot-check via the facade, and
+        // the driver's borrowed read really serves hits and misses.
         let sess = store.session().unwrap();
         assert!(store.get_u64(&sess, &storage_key(0)).is_some());
-    }
-
-    #[test]
-    fn every_read_mode_runs_on_the_store_facade() {
-        let arena = PArena::builder().capacity_bytes(64 << 20).build().unwrap();
-        let opts = incll::Options::new()
-            .threads(2)
-            .log_bytes_per_thread(1 << 20);
-        let (store, _) = incll::Store::open(&arena, opts).unwrap();
-        load(&store, 200, 2);
-        for mode in ReadMode::ALL {
-            let res = run_with_reads(
-                &store,
-                &RunConfig {
-                    threads: 2,
-                    ops_per_thread: 300,
-                    nkeys: 200,
-                    mix: Mix::B,
-                    dist: Dist::Uniform,
-                    seed: 3,
-                },
-                mode,
-            );
-            assert_eq!(res.ops, 600, "mode {mode:?}");
-        }
-        // The borrowed path really serves hits and misses.
-        let sess = store.bench_ctx(0);
         assert!(store.bench_get_ref(&sess, &storage_key(0)));
         assert!(!store.bench_get_ref(&sess, b"never-loaded"));
     }
@@ -578,10 +461,6 @@ mod tests {
             t.bench_get(&ctx, b"k"),
             Some(u64::from_le_bytes(*b"abcdefgh"))
         );
-        assert_eq!(
-            t.bench_get_bytes(&ctx, b"k").as_deref(),
-            Some(&b"abcdefgh"[..])
-        );
 
         // Durable store: full byte fidelity.
         let arena = PArena::builder().capacity_bytes(64 << 20).build().unwrap();
@@ -592,35 +471,8 @@ mod tests {
         let sess = store.bench_ctx(0);
         store.bench_put_bytes(&sess, b"k", b"a considerably longer byte value");
         assert_eq!(
-            store.bench_get_bytes(&sess, b"k").as_deref(),
+            store.get(&sess, b"k").as_deref(),
             Some(&b"a considerably longer byte value"[..])
         );
-    }
-
-    #[test]
-    fn get_into_reuses_the_buffer_on_every_impl() {
-        // Transient default: re-encoded u64 payload, no allocation.
-        let t = mt();
-        let ctx = t.bench_ctx(0);
-        t.bench_put(&ctx, b"k", 7);
-        let mut buf = Vec::new();
-        assert!(t.bench_get_into(&ctx, b"k", &mut buf));
-        assert_eq!(buf, 7u64.to_le_bytes());
-        assert!(!t.bench_get_into(&ctx, b"missing", &mut buf));
-        assert!(buf.is_empty());
-
-        // Durable store: native buffer-reusing read.
-        let arena = PArena::builder().capacity_bytes(64 << 20).build().unwrap();
-        let opts = incll::Options::new()
-            .threads(1)
-            .log_bytes_per_thread(1 << 20);
-        let (store, _) = incll::Store::open(&arena, opts).unwrap();
-        let sess = store.bench_ctx(0);
-        store.bench_put_bytes(&sess, b"k", b"reused-buffer value");
-        let mut buf = Vec::with_capacity(64);
-        let cap = buf.capacity();
-        assert!(store.bench_get_into(&sess, b"k", &mut buf));
-        assert_eq!(&buf, b"reused-buffer value");
-        assert_eq!(buf.capacity(), cap, "short values must reuse capacity");
     }
 }

@@ -451,99 +451,124 @@ fn byte_value_buffers_revert_with_contents_intact() {
 }
 
 #[test]
-fn full_shard_fails_cross_shard_batch_cleanly() {
-    // A cross-shard batch with a put on a shard whose extent pool is
-    // exhausted must fail as a whole *before* anything durable happens:
-    // no intent in any surviving shard's log, no batch id consumed, no
-    // commit record — and the other shard's contents are untouched both
-    // live and across a crash.
+fn full_pool_fails_a_batch_cleanly_and_the_store_keeps_serving() {
+    // A batch with a put on a shard whose extent pool is exhausted must
+    // fail as a whole *before* anything durable happens: no intent in any
+    // surviving shard's log, no batch id consumed, no commit record — and
+    // the other keys' contents are untouched both live and across a
+    // crash. On `shards(4)` the batch is cross-shard; on `shards(1)` the
+    // one shard claims from the same pool and fails the same way.
     use incll_pmem::superblock;
 
-    let arena = PArena::builder()
-        .capacity_bytes(16 << 20)
-        .tracked(true)
-        .build()
-        .unwrap();
-    let opts = || {
-        Options::new()
-            .threads(2)
-            .log_bytes_per_thread(1 << 20)
-            .shards(2)
-    };
-    let (store, _) = Store::open(&arena, opts()).unwrap();
-    let sess = store.session().unwrap();
-    let key_on = |shard: usize, tag: u64| -> Vec<u8> {
-        (0u64..)
-            .map(|i| format!("k{tag}-{i}").into_bytes())
-            .find(|k| store.shard_of(k) == shard)
-            .unwrap()
-    };
+    for shards in [1usize, 4] {
+        let arena = PArena::builder()
+            .capacity_bytes(16 << 20)
+            .tracked(true)
+            .build()
+            .unwrap();
+        let opts = || {
+            Options::new()
+                .threads(2)
+                .log_bytes_per_thread(1 << 20)
+                .shards(shards)
+        };
+        let (store, _) = Store::open(&arena, opts()).unwrap();
+        let sess = store.session().unwrap();
+        let key_on = |shard: usize, tag: u64| -> Vec<u8> {
+            (0u64..)
+                .map(|i| format!("k{tag}-{i}").into_bytes())
+                .find(|k| store.shard_of(k) == shard)
+                .unwrap()
+        };
+        // The shard that stays roomy (shard 0 itself on one shard).
+        let other = shards - 1;
 
-    // Baseline: one durable key per shard, plus a working set of shard-0
-    // keys to overwrite (updates only — no splits — so exhaustion always
-    // surfaces as a typed value-buffer error).
-    let k1a = key_on(1, 100);
-    store.put(&sess, &k1a, b"alpha").unwrap();
-    let hot: Vec<Vec<u8>> = (0..32).map(|t| key_on(0, t)).collect();
-    for k in &hot {
-        store.put(&sess, k, b"seed").unwrap();
-    }
-    store.checkpoint();
-
-    // Exhaust shard 0's pool: overwrites allocate fresh value buffers
-    // while the freed ones sit in pending until a boundary we never run.
-    let big = vec![0xabu8; 3000];
-    let mut i = 0usize;
-    let err = loop {
-        match store.put(&sess, &hot[i % hot.len()], &big) {
-            Ok(_) => i += 1,
-            Err(e) => break e,
+        // Baseline: one durable key on the other shard, plus a working set
+        // of shard-0 keys to overwrite (updates only — no splits — so
+        // exhaustion always surfaces as a typed value-buffer error).
+        let k1a = key_on(other, 100);
+        store.put(&sess, &k1a, b"alpha").unwrap();
+        let hot: Vec<Vec<u8>> = (0..32).map(|t| key_on(0, t)).collect();
+        for k in &hot {
+            store.put(&sess, k, b"seed").unwrap();
         }
-    };
-    assert!(
-        matches!(err, Error::Pmem(incll_pmem::Error::OutOfMemory { .. })),
-        "exhaustion must be typed, got {err:?}"
-    );
+        store.checkpoint();
 
-    // The cross-shard batch: a fresh shard-1 key plus a put on the full
-    // shard. The whole batch must fail with the same typed error.
-    let k1b = key_on(1, 101);
-    let id_before = arena.pread_u64(superblock::SB_BATCH_NEXT_ID);
-    let mut batch = sess.batch();
-    batch.put(&k1b, b"beta").unwrap();
-    batch.put(&hot[0], &big).unwrap();
-    match batch.commit() {
-        Err(Error::Pmem(incll_pmem::Error::OutOfMemory { .. })) => {}
-        other => panic!("expected OutOfMemory, got {other:?}"),
-    }
-
-    // Nothing durable was touched: no id consumed, every slot empty, the
-    // shard-1 half of the batch invisible, prior contents intact.
-    assert_eq!(arena.pread_u64(superblock::SB_BATCH_NEXT_ID), id_before);
-    for s in 0..superblock::BATCH_SLOTS {
-        assert_eq!(superblock::batch_slot(&arena, s), (0, 0));
-    }
-    assert_eq!(store.get(&sess, &k1b), None, "failed batch must not apply");
-    assert_eq!(store.get(&sess, &k1a).as_deref(), Some(&b"alpha"[..]));
-
-    // And across a crash: no intent leaked into shard 1's log, so
-    // recovery redoes and drops nothing, and shard 1 is byte-stable.
-    drop(sess);
-    drop(store);
-    arena.crash_seeded(1009);
-    let (store, report) = Store::open(&arena, opts()).unwrap();
-    let sess = store.session().unwrap();
-    for sr in &report.per_shard {
-        assert_eq!(sr.batches_redone, 0, "no batch may be redone");
-        assert_eq!(sr.batches_dropped, 0, "no intent may have leaked");
-    }
-    assert_eq!(store.get(&sess, &k1b), None);
-    assert_eq!(store.get(&sess, &k1a).as_deref(), Some(&b"alpha"[..]));
-    for k in &hot {
-        assert_eq!(
-            store.get(&sess, k).as_deref(),
-            Some(&b"seed"[..]),
-            "shard-0 baseline must revert to its checkpoint"
+        // Exhaust shard 0's pool: overwrites allocate fresh value buffers
+        // while the freed ones sit in pending until a boundary we never
+        // run.
+        let big = vec![0xabu8; 3000];
+        let exhaust = |store: &Store, sess: &Session| {
+            let mut i = 0usize;
+            loop {
+                match store.put(sess, &hot[i % hot.len()], &big) {
+                    Ok(_) => i += 1,
+                    Err(e) => break e,
+                }
+            }
+        };
+        let err = exhaust(&store, &sess);
+        assert!(
+            matches!(err, Error::Pmem(incll_pmem::Error::OutOfMemory { .. })),
+            "shards={shards}: exhaustion must be typed, got {err:?}"
         );
+
+        // The batch: a fresh key on the other shard plus a put on the full
+        // one. The whole batch must fail with the same typed error.
+        let k1b = key_on(other, 101);
+        let id_before = arena.pread_u64(superblock::SB_BATCH_NEXT_ID);
+        let mut batch = sess.batch();
+        batch.put(&k1b, b"beta").unwrap();
+        batch.put(&hot[0], &big).unwrap();
+        match batch.commit() {
+            Err(Error::Pmem(incll_pmem::Error::OutOfMemory { .. })) => {}
+            other => panic!("shards={shards}: expected OutOfMemory, got {other:?}"),
+        }
+
+        // Nothing durable was touched: no id consumed, every slot empty,
+        // the other half of the batch invisible, prior contents intact.
+        assert_eq!(arena.pread_u64(superblock::SB_BATCH_NEXT_ID), id_before);
+        for s in 0..superblock::BATCH_SLOTS {
+            assert_eq!(superblock::batch_slot(&arena, s), (0, 0));
+        }
+        assert_eq!(store.get(&sess, &k1b), None, "failed batch must not apply");
+        assert_eq!(store.get(&sess, &k1a).as_deref(), Some(&b"alpha"[..]));
+
+        // And across a crash: no intent leaked into any log, so recovery
+        // redoes and drops nothing.
+        drop(sess);
+        drop(store);
+        arena.crash_seeded(1009);
+        let (store, report) = Store::open(&arena, opts()).unwrap();
+        let sess = store.session().unwrap();
+        for sr in &report.per_shard {
+            assert_eq!(sr.batches_redone, 0, "no batch may be redone");
+            assert_eq!(sr.batches_dropped, 0, "no intent may have leaked");
+        }
+        assert_eq!(store.get(&sess, &k1b), None);
+        assert_eq!(store.get(&sess, &k1a).as_deref(), Some(&b"alpha"[..]));
+        for k in &hot {
+            assert_eq!(
+                store.get(&sess, k).as_deref(),
+                Some(&b"seed"[..]),
+                "shards={shards}: shard-0 baseline must revert to its checkpoint"
+            );
+        }
+
+        // Exhaustion is not fatal. Refill the pool (every extent claimed in
+        // the doomed epoch came back as a reserve), hit the typed error
+        // again, and the store still reads, removes, and — once a boundary
+        // recycles the displaced buffers — takes the put it just refused.
+        let err = exhaust(&store, &sess);
+        assert!(matches!(
+            err,
+            Error::Pmem(incll_pmem::Error::OutOfMemory { .. })
+        ));
+        assert_eq!(store.get(&sess, &k1a).as_deref(), Some(&b"alpha"[..]));
+        assert!(store.remove(&sess, &hot[0]));
+        assert_eq!(store.get(&sess, &hot[0]), None);
+        store.checkpoint();
+        store.put(&sess, &hot[0], &big).unwrap();
+        assert_eq!(store.get(&sess, &hot[0]).as_deref(), Some(&big[..]));
     }
 }

@@ -34,7 +34,7 @@ enum CrashPoint {
     Replay,
     /// The doomed epoch allocates values in size classes never touched
     /// before, forcing fresh slab carves on every shard's own frontier;
-    /// the crash must un-carve them (v4 watermark rollback).
+    /// the crash must un-carve them (per-shard watermark rollback).
     Carve,
     /// A first crash leaves failed-epoch debris; a completed checkpoint
     /// then runs the compaction sweep (eager lazy-recovery + list
@@ -784,7 +784,8 @@ fn run_claim_cell(shards: usize, final_workers: usize) -> ClaimCell {
 
 #[test]
 fn crash_mid_extent_claim_resolves_identically_at_every_worker_count() {
-    for &shards in &[2usize, 4] {
+    // shards(1) included: its one shard claims from the same pool.
+    for &shards in &[1usize, 2, 4] {
         let mut baseline: Option<ClaimCell> = None;
         for &workers in WORKER_SWEEP {
             let out = run_claim_cell(shards, workers);
@@ -823,66 +824,68 @@ fn crash_mid_extent_claim_resolves_identically_at_every_worker_count() {
 fn recovered_reserve_extent_is_reused_before_any_fresh_claim() {
     // After a mid-claim crash, the orphaned extent re-queues as reserve:
     // renewed pressure on the same shard must consume it without touching
-    // the owner table.
-    let shards = 2usize;
-    let arena = tracked();
-    let hot: Vec<Vec<u8>>;
-    {
-        let (store, _) = Store::open(&arena, options(shards, 1)).unwrap();
+    // the owner table — on one shard exactly as on several.
+    for shards in [1usize, 4] {
+        let arena = tracked();
+        let hot: Vec<Vec<u8>>;
+        {
+            let (store, _) = Store::open(&arena, options(shards, 1)).unwrap();
+            let sess = store.session().unwrap();
+            hot = (0..16u64)
+                .map(|t| {
+                    (0u64..)
+                        .map(|i| format!("reuse{t}-{i}").into_bytes())
+                        .find(|k| store.shard_of(k) == 0)
+                        .unwrap()
+                })
+                .collect();
+            for k in &hot {
+                store.put(&sess, k, b"seed").unwrap();
+            }
+            store.checkpoint();
+            let before = store.extent_stats().unwrap().owned_per_shard[0];
+            let big = carve_val(2);
+            let mut i = 0usize;
+            while store.extent_stats().unwrap().owned_per_shard[0] == before {
+                store.put(&sess, &hot[i % hot.len()], &big).unwrap();
+                i += 1;
+                assert!(i < 10_000, "shard 0 never claimed a second extent");
+            }
+        }
+        arena.crash_seeded(0xEC1B);
+
+        let (store, _) = Store::open(&arena, options(shards, 2)).unwrap();
+        let stats = store.extent_stats().unwrap();
+        let owners = |arena: &PArena| -> Vec<u8> {
+            (0..stats.extent_count)
+                .map(|e| incll_pmem::superblock::extent_owner(arena, e))
+                .collect()
+        };
+        let before = owners(&arena);
         let sess = store.session().unwrap();
-        hot = (0..16u64)
-            .map(|t| {
-                (0u64..)
-                    .map(|i| format!("reuse{t}-{i}").into_bytes())
-                    .find(|k| store.shard_of(k) == 0)
-                    .unwrap()
-            })
-            .collect();
-        for k in &hot {
-            store.put(&sess, k, b"seed").unwrap();
+        // Burn through the reverted frontier and well into the reserve
+        // extent, all inside one epoch so every overwrite carves fresh (the
+        // displaced buffers stay deferred): one extent holds ~250 of these
+        // 4 KiB-class values, so 320 puts must spill into the reserve while
+        // staying far from needing a third extent.
+        let big = carve_val(2);
+        for _round in 0..20usize {
+            for k in &hot {
+                store.put(&sess, k, &big).unwrap();
+            }
         }
         store.checkpoint();
-        let before = store.extent_stats().unwrap().owned_per_shard[0];
-        let big = carve_val(2);
-        let mut i = 0usize;
-        while store.extent_stats().unwrap().owned_per_shard[0] == before {
-            store.put(&sess, &hot[i % hot.len()], &big).unwrap();
-            i += 1;
-            assert!(i < 10_000, "shard 0 never claimed a second extent");
-        }
+        assert_eq!(
+            before,
+            owners(&arena),
+            "shards={shards}: the reserve extent must absorb renewed pressure \
+             before any fresh claim touches the owner table"
+        );
+        assert_eq!(store.get(&sess, &hot[0]), Some(big));
     }
-    arena.crash_seeded(0xEC1B);
-
-    let (store, _) = Store::open(&arena, options(shards, 2)).unwrap();
-    let stats = store.extent_stats().unwrap();
-    let owners: Vec<u8> = (0..stats.extent_count)
-        .map(|e| incll_pmem::superblock::extent_owner(&arena, e))
-        .collect();
-    let sess = store.session().unwrap();
-    // Burn through the reverted frontier and well into the reserve
-    // extent, all inside one epoch so every overwrite carves fresh (the
-    // displaced buffers stay deferred): one extent holds ~250 of these
-    // 4 KiB-class values, so 320 puts must spill into the reserve while
-    // staying far from needing a third extent.
-    let big = carve_val(2);
-    for round in 0..20usize {
-        for k in &hot {
-            store.put(&sess, k, &big).unwrap();
-        }
-        let _ = round;
-    }
-    store.checkpoint();
-    let after: Vec<u8> = (0..stats.extent_count)
-        .map(|e| incll_pmem::superblock::extent_owner(&arena, e))
-        .collect();
-    assert_eq!(
-        owners, after,
-        "the reserve extent must absorb renewed pressure before any fresh \
-         claim touches the owner table"
-    );
-    assert_eq!(store.get(&sess, &hot[0]), Some(big));
 }
-/// matrix crash point, re-run with `persistence_granularity` ∈ {0, 256,
+
+/// Every matrix crash point, re-run with `persistence_granularity` ∈ {0, 256,
 /// 4096} and recovery workers ∈ {1, 4}, must land on the identical
 /// per-shard model, the identical per-shard report, and the identical
 /// arena bytes as the eager (granularity 0, sequential) baseline. The
@@ -944,22 +947,25 @@ fn granularity_sweep_preserves_batch_resolution() {
     }
 }
 
-/// The layout-v7 point: a current-version medium crashed mid-epoch must
-/// **replay its external log** — the version bump exists because a log
-/// whose entry checksums the opener cannot verify replays nothing and
-/// silently skips undo. The doomed epoch splits nodes and overwrites
+/// A current-version medium crashed mid-epoch must **replay its external
+/// log** — a log whose entry checksums the opener cannot verify replays
+/// nothing and silently skips undo, which is why the layout version
+/// screens the checksum too. The doomed epoch splits nodes and overwrites
 /// committed values, so rolling it back needs externally logged
 /// pre-images; every worker count must apply them (`replayed_entries >
 /// 0`), land on the committed model, and agree on every arena byte.
 #[test]
-fn v7_medium_crashed_mid_epoch_replays_its_log_at_every_worker_count() {
+fn medium_crashed_mid_epoch_replays_its_log_at_every_worker_count() {
     for &shards in &[1usize, 4] {
         let mut baseline: Option<(u64, u64)> = None;
         for &workers in WORKER_SWEEP {
             let arena = tracked();
             {
                 let (store, _) = Store::open(&arena, options(shards, 1)).unwrap();
-                assert_eq!(incll_pmem::superblock::raw_version(&arena), 7);
+                assert_eq!(
+                    incll_pmem::superblock::raw_version(&arena),
+                    incll_pmem::superblock::VERSION
+                );
                 let sess = store.session().unwrap();
                 for i in 0..300u64 {
                     store.put(&sess, &i.to_be_bytes(), &bval(i)).unwrap();

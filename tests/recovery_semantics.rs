@@ -211,13 +211,12 @@ fn key_routing_is_pinned_to_fnv1a64() {
 #[test]
 fn older_layouts_fail_typed_and_unwritten() {
     use incll_pmem::superblock;
-    assert_eq!(superblock::VERSION, 7);
+    assert_eq!(superblock::VERSION, 8);
     // Every older generation, on a real store rewound to that version
-    // word. v1–v5 differ from this build in superblock shape; v6 has the
-    // same cells but seals its log entries with another checksum, so
-    // reading it would fail every entry and silently skip undo. The
-    // opener must return UnsupportedLayout and write not one byte —
-    // never "helpfully" reformat over user data.
+    // word: each differs from this build in superblock shape or log-entry
+    // checksum, so its cells would be misread. The opener must return
+    // UnsupportedLayout and write not one byte — never "helpfully"
+    // reformat over user data.
     for stale_version in 1..superblock::VERSION {
         let arena = tracked();
         let (store, _) = Store::open(&arena, options()).unwrap();
@@ -234,7 +233,7 @@ fn older_layouts_fail_typed_and_unwritten() {
         match Store::open(&arena, options()) {
             Err(Error::UnsupportedLayout { found, expected }) => {
                 assert_eq!(found, stale_version);
-                assert_eq!(expected, 7);
+                assert_eq!(expected, 8);
             }
             other => panic!("v{stale_version}: expected UnsupportedLayout, got {other:?}"),
         }
@@ -254,17 +253,16 @@ fn older_layouts_fail_typed_and_unwritten() {
 #[test]
 fn truncated_or_garbage_shard_table_still_fails_typed() {
     use incll_pmem::superblock;
-    // v2 media whose shard table region is garbage (a torn migration, a
-    // truncated copy): version screening must reject it before any code
-    // path interprets the table.
+    // Foreign-version media whose shard cells are garbage (a torn
+    // migration, a truncated copy): version screening must reject it
+    // before any code path interprets the cells.
     let arena = tracked();
     arena.pwrite_u64(superblock::SB_MAGIC, superblock::MAGIC);
     arena.pwrite_u64(superblock::SB_VERSION, 2);
     arena.pwrite_u64(superblock::SB_TREE_META, 1);
     arena.pwrite_u64(superblock::SB_SHARD_COUNT, 999); // absurd count
     for i in 0..32u64 {
-        // Garbage holder cells across the v2 shard-table region.
-        arena.pwrite_u64(superblock::SB_SHARD_TABLE + i * 8, 0xDEAD_BEEF ^ i);
+        arena.pwrite_u64(superblock::SB_SHARD_CELLS + i * 8, 0xDEAD_BEEF ^ i);
     }
     match Store::open(&arena, options()) {
         Err(Error::UnsupportedLayout { found, .. }) => assert_eq!(found, 2),
@@ -273,7 +271,7 @@ fn truncated_or_garbage_shard_table_still_fails_typed() {
     // The garbage is untouched (no repair attempts on foreign layouts).
     for i in 0..32u64 {
         assert_eq!(
-            arena.pread_u64(superblock::SB_SHARD_TABLE + i * 8),
+            arena.pread_u64(superblock::SB_SHARD_CELLS + i * 8),
             0xDEAD_BEEF ^ i
         );
     }
@@ -311,7 +309,7 @@ fn failed_epoch_set_compacts_at_checkpoints() {
         store.put_u64(&sess, &(round % 40).to_be_bytes(), 9999);
         store.checkpoint();
         assert!(
-            superblock::failed_epochs(&arena).is_empty(),
+            superblock::failed_epochs_for(&arena, 0).is_empty(),
             "round {round}: the completed checkpoint must prune the set"
         );
         store.put_u64(&sess, b"doomed-tail", round); // dies with the crash
@@ -349,10 +347,10 @@ fn sharded_failed_sets_compact_independently() {
         store.checkpoint();
     }
     drop(store);
-    // Stay inside shard 1's capacity: a shard that *never* completes a
-    // checkpoint is still bounded by its set size — compaction needs a
+    // Stay well inside shard 1's capacity: a shard that *never* completes
+    // a checkpoint is still bounded by its set size — compaction needs a
     // completed boundary to anchor to.
-    let rounds = superblock::MAX_FAILED_EPOCHS_SHARD as u64 - 2;
+    let rounds = 11u64;
     for round in 0..rounds {
         arena.crash_seeded(round + 900);
         let (store, _) = Store::open(&arena, opts.clone()).unwrap();

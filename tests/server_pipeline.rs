@@ -223,6 +223,62 @@ fn batch_scan_del_and_stats_cover_the_request_surface() {
     );
 }
 
+/// A SCAN whose reply would exceed the 1 MiB frame cap must not be sent:
+/// the client would refuse the frame (dead connection) or, with debug
+/// assertions on, the worker would die encoding it (hung client). It is
+/// answered in order with a typed error and the stream continues.
+#[test]
+fn a_scan_reply_over_the_frame_cap_gets_a_typed_error_and_the_stream_continues() {
+    let arena = arena();
+    let options = Options::new().threads(5).log_bytes_per_thread(4 << 20);
+    let (store, _) = Store::open(&arena, options).unwrap();
+    {
+        let sess = store.session().unwrap();
+        for i in 0..400u64 {
+            store.put(&sess, &key(i), &vec![i as u8; 4000]).unwrap();
+        }
+    }
+    let server = serve(&store, CommitMode::Async, 2);
+    let addr = server.local_addr();
+    // The client runs on its own thread so a wedged connection fails the
+    // test instead of hanging it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut client = NetClient::connect(addr).unwrap();
+        let scan = |limit| Request::Scan {
+            start: key(0),
+            limit,
+        };
+        // All three pipelined behind one flush: the error must keep its slot.
+        client.send(&scan(400)).unwrap(); // ~1.6 MB of entries
+        client.send(&scan(100)).unwrap(); // ~0.4 MB: fits
+        client.send(&Request::Get { key: key(7) }).unwrap();
+        client.flush().unwrap();
+        let replies: Vec<_> = (0..3).map(|_| client.recv()).collect();
+        let _ = tx.send(replies);
+    });
+    let Ok(replies) = rx.recv_timeout(Duration::from_secs(30)) else {
+        std::mem::forget(server); // its drop would join the wedged connection
+        panic!("connection wedged by an oversized SCAN reply");
+    };
+    let mut replies = replies.into_iter();
+    match replies.next().unwrap() {
+        Ok(Response::Error(msg)) => assert!(msg.contains("frame cap"), "got {msg}"),
+        other => panic!("oversized scan must get a typed error, got {other:?}"),
+    }
+    match replies.next().unwrap() {
+        Ok(Response::Entries(entries)) => {
+            assert_eq!(entries.len(), 100);
+            assert_eq!(entries[99], (key(99), vec![99u8; 4000]));
+        }
+        other => panic!("a scan under the cap must succeed, got {other:?}"),
+    }
+    assert_eq!(
+        replies.next().unwrap().unwrap(),
+        Response::Value(vec![7u8; 4000])
+    );
+}
+
 /// The REVIEW-9 high-severity regression: pipelined writes to one key
 /// from one connection used to race across workers (and into the
 /// committer) and could commit out of order, letting an *earlier* PUT
