@@ -6,8 +6,8 @@
 //!
 //! experiments:
 //!   fig2 fig3 fig4 fig5 fig6 fig7 fig8 flushcost recovery ablation
-//!   shard_scaling epoch_domains recovery_latency read_path txn_batches
-//!   extent_growth adaptive_cadence server_scaling all
+//!   shard_scaling epoch_domains recovery_latency read_path
+//!   extent_growth adaptive_cadence all
 //!
 //! options:
 //!   --paper            paper-scale parameters (20M keys, 8x1M ops)
@@ -86,8 +86,8 @@ fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
         "usage: figures <fig2|fig3|fig4|fig5|fig6|fig7|fig8|flushcost|recovery|ablation\
-         |shard_scaling|epoch_domains|recovery_latency|read_path|txn_batches\
-         |extent_growth|adaptive_cadence|server_scaling|all> \
+         |shard_scaling|epoch_domains|recovery_latency|read_path\
+         |extent_growth|adaptive_cadence|all> \
          [--paper] [--scale F] [--keys N] [--ops N] [--threads N] [--out DIR]\n\
          \x20      figures --plot [RESULTS.json] [--out DIR]"
     );
@@ -244,19 +244,8 @@ fn main() {
             "epoch_domains" => ("epoch_domains", vec![experiments::epoch_domains(p)]),
             "recovery_latency" => ("recovery_latency", vec![experiments::recovery_latency(p)]),
             "read_path" => ("read_path", vec![experiments::read_path(p)]),
-            "txn_batches" => ("txn_batches", vec![experiments::txn_batches(p)]),
             "extent_growth" => ("extent_growth", vec![experiments::extent_growth(p)]),
-            "server_scaling" => {
-                let (t1, t2) = experiments::server_scaling(p);
-                ("server_scaling", vec![t1, t2])
-            }
-            "adaptive_cadence" => (
-                "adaptive_cadence",
-                vec![
-                    experiments::adaptive_cadence(p),
-                    experiments::persistence_granularity(p),
-                ],
-            ),
+            "adaptive_cadence" => ("adaptive_cadence", vec![experiments::adaptive_cadence(p)]),
             other => usage(&format!("unknown experiment {other}")),
         };
         save(&args.out, file, &tables);
@@ -278,10 +267,8 @@ fn main() {
             "epoch_domains",
             "recovery_latency",
             "read_path",
-            "txn_batches",
             "extent_growth",
             "adaptive_cadence",
-            "server_scaling",
         ] {
             println!("---- {name} ----");
             results.push(run_one(name));

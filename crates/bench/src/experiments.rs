@@ -1065,117 +1065,6 @@ pub fn read_path(p: &ExpParams) -> Table {
 }
 
 // =====================================================================
-// Write batches — atomic cross-shard groups vs per-key vs barrier
-// =====================================================================
-
-/// Keys per atomic group in the txn-batches experiment.
-pub const TXN_BATCH_GROUP: usize = 8;
-/// Shards the txn-batches experiment runs on.
-pub const TXN_BATCH_SHARDS: usize = 8;
-
-/// Write batches: committing groups of [`TXN_BATCH_GROUP`] cross-shard
-/// puts under three disciplines on the same 8-shard store:
-///
-/// * `batched` — one [`incll::WriteBatch`] commit per group: intents +
-///   one durable batch-table record make the group crash-atomic across
-///   shards, with no epoch barrier on the write path;
-/// * `per_key` — plain individual puts: fastest, but a crash can tear
-///   the group (the baseline the batch pays its atomicity tax against);
-/// * `checkpoint_barrier` — individual puts followed by a full
-///   [`incll::Store::checkpoint`]: the only pre-batch way to make a
-///   cross-shard group crash-atomic, paying an all-domains quiesce +
-///   flush per group.
-///
-/// Reports write throughput and the p50/p99/max per-group commit
-/// latency. The batched mode's tail latency includes batch-table slot
-/// evictions (a full table forces boundaries on the victim's shards) —
-/// the cost of unbounded in-flight batches between checkpoints.
-pub fn txn_batches(p: &ExpParams) -> Table {
-    let mut t = Table::new(
-        "Write batches: cross-shard groups — batched vs per-key vs checkpoint barrier",
-        &[
-            "mode",
-            "groups",
-            "put_kops",
-            "vs batched",
-            "commit_p50_us",
-            "commit_p99_us",
-            "commit_max_us",
-        ],
-    );
-    let k = TXN_BATCH_GROUP;
-    let groups = ((p.ops_per_thread as usize) / k).clamp(50, 1_500);
-
-    let mut base = 0.0f64;
-    for mode in ["batched", "per_key", "checkpoint_barrier"] {
-        // The barrier mode pays a full store checkpoint per group: cap its
-        // group count so the experiment stays runnable at every scale (the
-        // per-group latency columns are unaffected).
-        let groups = if mode == "checkpoint_barrier" {
-            groups.min(200)
-        } else {
-            groups
-        };
-        let mut cfg = p.sys_config();
-        cfg.threads = 2;
-        cfg.shards = TXN_BATCH_SHARDS;
-        cfg.keys = ((groups * k) as u64 * 2).max(p.keys); // arena sizing
-        let sys = build_incll(&cfg);
-        let store = &sys.store;
-        let sess = store.session().expect("driver session");
-
-        let mut lat_us: Vec<u64> = Vec::with_capacity(groups);
-        let t0 = Instant::now();
-        for g in 0..groups {
-            let val = (g as u64).to_le_bytes();
-            let g0 = Instant::now();
-            match mode {
-                "batched" => {
-                    let mut b = sess.batch();
-                    for j in 0..k {
-                        let key = incll_ycsb::storage_key((g * k + j) as u64);
-                        b.put(&key, &val).expect("within batch caps");
-                    }
-                    b.commit().expect("batch commits");
-                }
-                "per_key" => {
-                    for j in 0..k {
-                        let key = incll_ycsb::storage_key((g * k + j) as u64);
-                        store.put(&sess, &key, &val).expect("fits size class");
-                    }
-                }
-                _ => {
-                    for j in 0..k {
-                        let key = incll_ycsb::storage_key((g * k + j) as u64);
-                        store.put(&sess, &key, &val).expect("fits size class");
-                    }
-                    store.checkpoint(); // atomicity via the global barrier
-                }
-            }
-            lat_us.push(g0.elapsed().as_micros() as u64);
-        }
-        let secs = t0.elapsed().as_secs_f64();
-        let kops = (groups * k) as f64 / secs / 1e3;
-        if mode == "batched" {
-            base = kops;
-        }
-        lat_us.sort_unstable();
-        let pick = |q: usize| lat_us[(lat_us.len() - 1) * q / 100];
-        t.push(vec![
-            mode.into(),
-            groups.to_string(),
-            f2(kops),
-            pct(base, kops),
-            pick(50).to_string(),
-            pick(99).to_string(),
-            lat_us.last().copied().unwrap_or(0).to_string(),
-        ]);
-    }
-    t.print();
-    t
-}
-
-// =====================================================================
 // §6.1 — InCLL-for-interior-nodes ablation
 // =====================================================================
 
@@ -1222,7 +1111,7 @@ pub fn ablation_internal(p: &ExpParams) -> Table {
 }
 
 // =====================================================================
-// Adaptive per-shard cadence + batched log-buffer appends
+// Adaptive per-shard cadence
 // =====================================================================
 
 /// Shards the adaptive-cadence experiment runs on.
@@ -1235,10 +1124,6 @@ pub const CADENCE_STATIC_MS: &[u64] = &[2, 10, 40];
 /// mode gets lucky with a crash right after (or right before) a
 /// boundary.
 pub const CADENCE_SEGMENTS: usize = 16;
-/// Persistence granularities (bytes) the buffered-append table sweeps.
-pub const GRANULARITY_SWEEP: &[usize] = &[0, 256, 4096];
-/// Puts per atomic batch in the granularity table.
-pub const GRANULARITY_BATCH: usize = 8;
 
 /// Adaptive vs static checkpoint cadences on a **skew-shifting**
 /// workload: a migrating tenant sweeps one shard's whole bucket
@@ -1341,7 +1226,6 @@ pub fn adaptive_cadence(p: &ExpParams) -> Table {
                 .log_bytes_per_thread(cfg.log_bytes_per_thread)
                 .incll(cfg.incll)
                 .shards(cfg.shards)
-                .persistence_granularity(cfg.persistence_granularity)
                 .cadence(cadence)
         };
         let store = sys.store.clone();
@@ -1449,109 +1333,6 @@ pub fn adaptive_cadence(p: &ExpParams) -> Table {
             (tail_kb / CADENCE_SEGMENTS as u64).to_string(),
             ((rec_secs * 1e3) as u64).to_string(),
             f2(total as f64 / (run_secs + rec_secs) / 1e6),
-        ]);
-    }
-    t.print();
-    t
-}
-
-/// Buffered vs eager external-log persistence on small-value batched
-/// puts: groups of [`GRANULARITY_BATCH`] 64-byte-value updates commit
-/// atomically, so every group stages one intent entry per op, swept
-/// over [`GRANULARITY_SWEEP`]. Granularity 0 is the legacy path — one
-/// `clwb`+`sfence` per intent; a nonzero granularity stages the group's
-/// intents and the commit's pre-record drain pays one
-/// `clwb_range`+`sfence` per shard for all of them. Undo pre-images are
-/// *not* part of the batching: they seal before the modification they
-/// guard at every granularity (the write-ahead invariant), so both
-/// modes pay identical fences on that path. With a realistic
-/// post-`sfence` NVM stall, cutting the per-intent fences is a direct
-/// throughput win.
-///
-/// Like [`adaptive_cadence`], runs the external-LOGGING mode so the
-/// append path under test is the one doing the undo logging.
-pub fn persistence_granularity(p: &ExpParams) -> Table {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-    use incll_epoch::Cadence;
-    use incll_ycsb::storage_key;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    let mut t = Table::new(
-        "Buffered log appends: persistence granularity vs small-value batched put throughput",
-        &["granularity", "put_mops", "fences_per_kop"],
-    );
-    let threads = p.threads.max(2);
-    let run_for = Duration::from_millis(400);
-    let keys = p.keys.clamp(4_000, 200_000);
-
-    for &gran in GRANULARITY_SWEEP {
-        let mut cfg = p.sys_config();
-        cfg.threads = threads;
-        cfg.keys = keys;
-        cfg.epoch_interval = None;
-        // A fixed lazy cadence so every mode pays the same once-per-epoch
-        // relogging; only the append path's flush discipline varies.
-        cfg.cadence = Some(Cadence::lazy(Duration::from_millis(10)));
-        cfg.incll = false;
-        cfg.sfence_ns = 600;
-        cfg.scoped_flush_ns = Some(10_000);
-        // Cross-shard batches are the batchable path: a single-shard
-        // store commits on the intent-free fast path, where a nonzero
-        // granularity has (by design) nothing left to coalesce.
-        cfg.shards = 4;
-        cfg.persistence_granularity = gran;
-        let sys = build_incll(&cfg);
-        let store = sys.store.clone();
-        {
-            let sess = store.session().expect("preload session");
-            let val = [7u8; 64];
-            for i in 0..keys {
-                store.put(&sess, &storage_key(i), &val).expect("preload");
-            }
-        }
-        store.checkpoint();
-
-        let before = sys.arena.stats().snapshot();
-        let stop = AtomicBool::new(false);
-        let puts = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for tid in 0..threads {
-                let store = store.clone();
-                let stop = &stop;
-                let puts = &puts;
-                let seed = p.seed;
-                s.spawn(move || {
-                    let sess = store.session().expect("writer session");
-                    let mut rng = StdRng::seed_from_u64(seed ^ ((tid as u64) << 23));
-                    let val = [11u8; 64];
-                    let mut n = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        let mut b = sess.batch();
-                        for _ in 0..GRANULARITY_BATCH {
-                            let idx = rng.gen_range(0..keys);
-                            b.put(&storage_key(idx), &val).expect("within batch caps");
-                        }
-                        b.commit().expect("batch commits");
-                        n += GRANULARITY_BATCH as u64;
-                    }
-                    puts.fetch_add(n, Ordering::Relaxed);
-                });
-            }
-            std::thread::sleep(run_for);
-            stop.store(true, Ordering::Relaxed);
-        });
-        let d = sys.arena.stats().snapshot().delta(&before);
-        let total = puts.load(Ordering::Relaxed).max(1);
-        t.push(vec![
-            if gran == 0 {
-                "0 (eager)".into()
-            } else {
-                gran.to_string()
-            },
-            f2(total as f64 / run_for.as_secs_f64() / 1e6),
-            f2(d.sfence as f64 / (total as f64 / 1e3)),
         ]);
     }
     t.print();
@@ -1677,179 +1458,4 @@ pub fn extent_growth(p: &ExpParams) -> Table {
     }
     t.print();
     t
-}
-
-// =====================================================================
-// Server scaling — the TCP front-end under pipelined network load
-// =====================================================================
-
-/// One server-under-test: a fresh durable store behind `incll-server`
-/// on a loopback socket.
-struct NetSystem {
-    server: incll_server::Server,
-    /// Kept alive for stats (`server` holds its own Store clone).
-    sys: crate::systems::DurableSystem,
-}
-
-fn start_net_system(keys: u64, workers: usize, commit: incll_server::CommitMode) -> NetSystem {
-    use std::net::TcpListener;
-    let mut cfg = SystemConfig::new(keys, workers + 2); // workers + committer + spare
-    cfg.epoch_interval = None; // checkpointless: commit records carry durability
-    let sys = build_incll(&cfg);
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let server = incll_server::Server::start(
-        sys.store.clone(),
-        listener,
-        incll_server::ServerConfig {
-            workers,
-            commit,
-            session_timeout: Duration::from_secs(10),
-            ..incll_server::ServerConfig::default()
-        },
-    )
-    .expect("session pool sized for the worker count");
-    NetSystem { server, sys }
-}
-
-/// Server scaling: closed-loop throughput of the TCP front-end across
-/// commit modes, worker counts and connection counts — plus the fence
-/// amortisation that is the group committer's whole point. The headline:
-/// on a small-value put-heavy mix, `group` must beat `per_request` on
-/// throughput *and* on fences per kop.
-pub fn server_scaling(p: &ExpParams) -> (Table, Table) {
-    use incll_server::{CommitMode, GroupConfig};
-    use incll_ycsb::{net_load, run_closed_loop, run_open_loop, NetRunConfig};
-
-    let keys = (p.keys / 50).clamp(5_000, 100_000);
-    let ops_per_conn = ((p.ops_per_thread as usize) / 10).clamp(1_000, 50_000);
-
-    let mut t = Table::new(
-        "Server scaling: closed-loop YCSB-A over TCP, pipelined, per commit mode",
-        &[
-            "commit",
-            "window_us",
-            "workers",
-            "conns",
-            "kops",
-            "vs per_request",
-            "fences_per_kop",
-            "groups",
-            "ops_grouped",
-        ],
-    );
-
-    let modes: &[(&str, u64, CommitMode)] = &[
-        ("per_request", 0, CommitMode::PerRequest),
-        (
-            "group",
-            50,
-            CommitMode::Group(GroupConfig {
-                window: Duration::from_micros(50),
-                ..GroupConfig::default()
-            }),
-        ),
-        (
-            "group",
-            200,
-            CommitMode::Group(GroupConfig {
-                window: Duration::from_micros(200),
-                ..GroupConfig::default()
-            }),
-        ),
-        ("async", 0, CommitMode::Async),
-    ];
-    let topologies: &[(usize, usize)] = &[(2, 4), (4, 8)];
-
-    // Baseline (per_request kops) per topology, for the "vs" column.
-    let mut base: std::collections::HashMap<(usize, usize), f64> = std::collections::HashMap::new();
-    for &(label, window_us, ref commit) in modes {
-        for &(workers, conns) in topologies {
-            let ns = start_net_system(keys, workers, commit.clone());
-            let addr = ns.server.local_addr();
-            net_load(addr, keys, 8, 512).expect("preload over the wire");
-            let cfg = NetRunConfig {
-                connections: conns,
-                pipeline: 8,
-                ops_per_conn,
-                nkeys: keys,
-                mix: Mix::A,
-                dist: Dist::Uniform,
-                value_len: 8,
-                seed: p.seed,
-            };
-            let before = ns.sys.arena.stats().snapshot();
-            let res = run_closed_loop(addr, &cfg).expect("closed-loop run");
-            let d = ns.sys.arena.stats().snapshot().delta(&before);
-            assert_eq!(res.errors, 0, "server returned error responses");
-            let (groups, grouped_ops) = ns.server.group_stats();
-            let kops = res.kops();
-            let b = *base.entry((workers, conns)).or_insert(kops);
-            t.push(vec![
-                label.into(),
-                if window_us == 0 {
-                    "-".into()
-                } else {
-                    window_us.to_string()
-                },
-                workers.to_string(),
-                conns.to_string(),
-                f2(kops),
-                pct(b, kops),
-                f2(d.sfence as f64 / (res.ops as f64 / 1e3)),
-                groups.to_string(),
-                grouped_ops.to_string(),
-            ]);
-        }
-    }
-    t.print();
-
-    // Open loop: fixed-rate schedules, latency from *intended* send
-    // times (coordinated-omission-safe percentiles).
-    let mut t2 = Table::new(
-        "Server open-loop latency: YCSB-A at a fixed target rate, per commit mode",
-        &[
-            "commit",
-            "window_us",
-            "target_qps",
-            "achieved_qps",
-            "p50_us",
-            "p95_us",
-            "p99_us",
-        ],
-    );
-    let target_qps = 10_000.0f64;
-    let ol_conns = 4usize;
-    let ol_ops = ((target_qps / ol_conns as f64) * 1.0) as usize; // ~1 s of schedule
-    for &(label, window_us, ref commit) in modes {
-        let ns = start_net_system(keys, 4, commit.clone());
-        let addr = ns.server.local_addr();
-        net_load(addr, keys, 8, 512).expect("preload over the wire");
-        let cfg = NetRunConfig {
-            connections: ol_conns,
-            pipeline: 1,
-            ops_per_conn: ol_ops,
-            nkeys: keys,
-            mix: Mix::A,
-            dist: Dist::Uniform,
-            value_len: 8,
-            seed: p.seed,
-        };
-        let res = run_open_loop(addr, &cfg, target_qps).expect("open-loop run");
-        assert_eq!(res.errors, 0, "server returned error responses");
-        t2.push(vec![
-            label.into(),
-            if window_us == 0 {
-                "-".into()
-            } else {
-                window_us.to_string()
-            },
-            f2(res.target_qps),
-            f2(res.achieved_qps()),
-            f2(res.p50_us),
-            f2(res.p95_us),
-            f2(res.p99_us),
-        ]);
-    }
-    t2.print();
-    (t, t2)
 }

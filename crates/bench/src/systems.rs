@@ -49,9 +49,6 @@ pub struct SystemConfig {
     /// (every shard gets a copy). When set, it takes precedence over
     /// `epoch_interval` and the store spawns (and owns) the driver.
     pub cadence: Option<Cadence>,
-    /// External-log staging threshold in bytes (0 = eager per-entry
-    /// flushes, the legacy path).
-    pub persistence_granularity: usize,
     /// Emulated NVM streaming-read cost replay pays per KB of valid log
     /// prefix at recovery (0 = free).
     pub replay_read_ns_per_kb: u64,
@@ -71,7 +68,6 @@ impl SystemConfig {
             shards: 1,
             scoped_flush_ns: None,
             cadence: None,
-            persistence_granularity: 0,
             replay_read_ns_per_kb: 0,
         }
     }
@@ -180,8 +176,7 @@ pub fn build_incll(cfg: &SystemConfig) -> DurableSystem {
         .threads(cfg.threads)
         .log_bytes_per_thread(cfg.log_bytes_per_thread)
         .incll(cfg.incll)
-        .shards(cfg.shards)
-        .persistence_granularity(cfg.persistence_granularity);
+        .shards(cfg.shards);
     if let Some(c) = cfg.cadence {
         options = options.cadence(c);
     }

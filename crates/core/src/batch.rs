@@ -15,6 +15,10 @@
 //!    entry kind beside the undo entries, checksummed the same way.
 //!    Intents are redo records: recovery replays them *forward*, never
 //!    into an object.
+//!    Intents only *stage* in the log; one
+//!    [`incll_extlog::ExtLog::drain`] per covered shard then makes them
+//!    durable — the single ordering constraint an intent needs is
+//!    *durable before the commit record*.
 //! 3. **Commit record** — one durable `(batch id, shard mask)` slot write
 //!    in the superblock batch table
 //!    ([`incll_pmem::superblock::set_batch_slot`]) marks the
@@ -41,12 +45,20 @@
 //! still live, commit evicts the slot covering the fewest shards by
 //! forcing those shards over a boundary first.
 //!
+//! **Log room.** Log space is only reclaimed at a boundary, so before
+//! any pin is taken commit sums, per covered shard, the batch's intent
+//! bytes plus [`UNDO_ALLOWANCE`] per op, and forces a boundary on every
+//! shard whose (thread, shard) buffer lacks that room. A batch that would
+//! not fit an *empty* buffer fails with [`Error::BatchExceedsLog`] before
+//! any id, intent or record is written.
+//!
 //! **Single-shard batches take none of this machinery**: when every
 //! staged key routes to one shard (always true with `shards(1)`), commit
 //! holds one mutating pin on that shard across the ordinary put / remove
 //! calls — same-epoch atomicity with no batch id, no intents, no commit
 //! record. `shards(1)` media and semantics are unchanged.
 
+use incll_extlog::ExtLog;
 use incll_pmem::{superblock, PArena};
 
 use crate::error::{Error, MAX_VALUE_BYTES};
@@ -58,6 +70,12 @@ use crate::tree::Inner;
 /// the cap bounds the log space a single commit can pin between
 /// checkpoints.
 pub const MAX_BATCH_OPS: usize = 1024;
+
+/// External-log bytes commit reserves per staged op for the undo entries
+/// its apply seals (two node images: the leaf, and a parent when the op
+/// splits it — a node is logged at most once per epoch, so a batch's
+/// applies stay under this on average by a wide margin).
+const UNDO_ALLOWANCE: u64 = 2 * ExtLog::entry_bytes(crate::layout::NODE_BYTES);
 
 /// Intent-payload op kinds (`[kind: u64][key_len: u64][key][val]`).
 const KIND_PUT: u64 = 0;
@@ -114,14 +132,46 @@ impl BatchSlots {
         let mask = self.slots[victim].1;
         for d in 0..64 {
             if mask & (1u64 << d) != 0 {
-                // The boundary hook cannot take `Inner::batches` (we hold
-                // it), so mirror its clearing here ourselves.
-                inner.mgr.advance_domain(d);
-                self.clear_shard(&inner.arena, d);
+                self.force_boundary(inner, d);
             }
         }
         debug_assert_eq!(self.slots[victim].1, 0);
         victim
+    }
+
+    /// Forces shard `d` over an epoch boundary (resetting its log
+    /// buffers) on behalf of a commit that holds the table lock. The
+    /// boundary hook cannot take `Inner::batches` (we hold it), so mirror
+    /// its clearing here ourselves. The caller holds no pin on `d`.
+    fn force_boundary(&mut self, inner: &Inner, d: usize) {
+        inner.mgr.advance_domain(d);
+        self.clear_shard(&inner.arena, d);
+    }
+
+    /// The log-room rule (see the module docs): `need[d]` is the bytes
+    /// the commit may append to `(tid, d)`'s buffer (0 for an uncovered
+    /// shard); on return every covered buffer has that much room, after
+    /// a forced boundary where it lacked it.
+    fn reserve_log_room(
+        &mut self,
+        inner: &Inner,
+        tid: usize,
+        need: &[u64; superblock::MAX_SHARDS],
+    ) -> Result<(), Error> {
+        let capacity = inner.log.slot_capacity();
+        if let Some(shard) = need.iter().position(|&n| n > capacity) {
+            return Err(Error::BatchExceedsLog {
+                shard,
+                needed: need[shard],
+                capacity,
+            });
+        }
+        for (d, &n) in need.iter().enumerate() {
+            if n != 0 && inner.log.used_in(tid, d) + n > capacity {
+                self.force_boundary(inner, d);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -152,6 +202,14 @@ impl BatchOp {
     fn key(&self) -> &[u8] {
         match self {
             BatchOp::Put { key, .. } | BatchOp::Delete { key } => key,
+        }
+    }
+
+    /// Length of the payload [`BatchOp::encode_into`] writes.
+    fn encoded_len(&self) -> usize {
+        match self {
+            BatchOp::Put { key, val } => 16 + key.len() + val.len(),
+            BatchOp::Delete { key } => 16 + key.len(),
         }
     }
 
@@ -297,6 +355,11 @@ impl<'s> WriteBatch<'s> {
     /// the batch is then *logically* committed — the next recovery
     /// completes it from its intents — and such errors should be treated
     /// as fatal for the process.
+    ///
+    /// [`Error::BatchExceedsLog`] when one shard's share of the batch
+    /// (intents plus the undo allowance) cannot fit an empty per-thread
+    /// log buffer — equally clean: nothing was written. Split the batch
+    /// or raise [`crate::Options::log_bytes_per_thread`].
     pub fn commit(self) -> Result<u64, Error> {
         self.run(true, false)
     }
@@ -311,9 +374,8 @@ impl<'s> WriteBatch<'s> {
     /// path, where the ops stay rollback-exposed until that shard's next
     /// boundary. `commit_durable` forces the full protocol for every
     /// mask: intents into the owning shards' logs, one drain per shard
-    /// (so a nonzero [`crate::Options::persistence_granularity`] pays one
-    /// `clwb_range`+`sfence` per shard for the *whole* batch), then the
-    /// single durable commit record. This is the group-commit hook the
+    /// (one `clwb_range`+`sfence` per shard for the *whole* batch), then
+    /// the single durable commit record. This is the group-commit hook the
     /// network server amortizes small puts through: N requests coalesced
     /// into one `commit_durable` cost a handful of fences instead of N
     /// checkpoint barriers.
@@ -343,9 +405,14 @@ impl<'s> WriteBatch<'s> {
             return Ok(0);
         }
         let store = self.sess.store();
+        // Per shard: whether the batch covers it, and the log bytes its
+        // share may append (the log-room rule's input).
         let mut mask = 0u64;
+        let mut need = [0u64; superblock::MAX_SHARDS];
         for op in &self.ops {
-            mask |= 1u64 << store.shard_of(op.key());
+            let s = store.shard_of(op.key());
+            mask |= 1u64 << s;
+            need[s] += ExtLog::entry_bytes(op.encoded_len()) + UNDO_ALLOWANCE;
         }
 
         // A durable commit skips the fast path even on one shard: the
@@ -375,41 +442,37 @@ impl<'s> WriteBatch<'s> {
         // commit at a time (the slot protocol and the durable id bump
         // stay race-free; per-key throughput is unaffected).
         let mut table = inner.batches.lock();
+        let tid = self.sess.tid();
+        // Both may force epoch advances, so both run before any pin.
+        table.reserve_log_room(inner, tid, &need)?;
         let slot = table.acquire(inner);
         // Pin every touched shard (ascending, one consistent order) so
         // intents are stamped with — and the apply below lands in — one
         // epoch per shard.
         let guards = self.sess.ctx().pin_shards_mut(mask);
         let pinned: Vec<usize> = (0..64).filter(|d| mask & (1u64 << d) != 0).collect();
-        let tid = self.sess.tid();
+        let mut epoch = [0u64; superblock::MAX_SHARDS];
+        for (&d, g) in pinned.iter().zip(&guards) {
+            epoch[d] = g.epoch();
+        }
         // Reserve every value buffer before anything is staged or named
         // durably: a shard without room fails the whole batch *cleanly* —
         // no intent in any surviving shard's log, no id consumed, no
         // commit record — instead of erroring mid-apply after the commit
         // record made the batch logically committed.
-        let bufs = self.prepare_bufs(store, |s| {
-            guards[pinned.iter().position(|&d| d == s).expect("shard pinned")].epoch()
-        })?;
+        let bufs = self.prepare_bufs(store, |s| epoch[s])?;
         let id = superblock::next_batch_id(&inner.arena);
         let mut payload = Vec::new();
         for op in &self.ops {
             let s = store.shard_of(op.key());
-            let g = pinned
-                .iter()
-                .position(|&d| d == s)
-                .expect("op shard pinned");
             op.encode_into(&mut payload);
-            inner
-                .log
-                .log_intent_in(tid, s, guards[g].epoch(), id, &payload);
+            inner.log.log_intent_in(tid, s, epoch[s], id, &payload);
         }
-        // Under a nonzero persistence granularity the intents above are
-        // merely staged: drain each covered shard's run now, so every
-        // intent is durable — and reachable through replay's
-        // valid-prefix scan — before anything durable can name the
-        // batch id. This is the batched-append payoff: one
-        // `clwb_range`+`sfence` per shard covers the whole group
-        // instead of one fence per intent.
+        // The intents above are merely staged: drain each covered
+        // shard's run now, so every intent is durable — and reachable
+        // through replay's valid-prefix scan — before anything durable
+        // can name the batch id. One `clwb_range`+`sfence` per shard
+        // covers the whole group.
         for &d in &pinned {
             inner.log.drain(tid, d);
         }
@@ -521,6 +584,7 @@ mod tests {
         };
         let mut payload = Vec::new();
         put.encode_into(&mut payload);
+        assert_eq!(payload.len(), put.encoded_len());
         match decode_intent(&payload) {
             Some(RedoOp::Put { key, val }) => {
                 assert_eq!(key, b"k1");
@@ -533,7 +597,7 @@ mod tests {
         };
         // Reusing the buffer must leave nothing of the longer put behind.
         del.encode_into(&mut payload);
-        assert_eq!(payload.len(), 16 + 4);
+        assert_eq!((payload.len(), del.encoded_len()), (16 + 4, 16 + 4));
         match decode_intent(&payload) {
             Some(RedoOp::Delete { key }) => assert_eq!(key, b"gone"),
             _ => panic!("delete payload decoded wrong"),
@@ -674,10 +738,7 @@ mod tests {
             let opts = Options::new()
                 .threads(2)
                 .log_bytes_per_thread(1 << 20)
-                .shards(shards)
-                // The server's group-commit configuration: staged intent
-                // appends, drained once per shard at commit.
-                .persistence_granularity(4096);
+                .shards(shards);
             let (store, _) = Store::open(&arena, opts.clone()).expect("open");
             {
                 let sess = store.session().expect("session");

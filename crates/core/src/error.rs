@@ -80,6 +80,20 @@ pub enum Error {
         /// The largest supported batch ([`crate::MAX_BATCH_OPS`]).
         max: usize,
     },
+    /// One shard's share of a [`crate::WriteBatch`] — its intent entries
+    /// plus the undo allowance of its applies — exceeds the capacity of an
+    /// *empty* per-(thread, shard) external-log buffer, so no checkpoint
+    /// could make room for it. Nothing was written. Split the batch or
+    /// raise [`crate::Options::log_bytes_per_thread`].
+    BatchExceedsLog {
+        /// The shard whose buffer is too small.
+        shard: usize,
+        /// Log bytes the batch may append to that shard's buffer.
+        needed: u64,
+        /// The buffer's capacity
+        /// ([`crate::Options::log_bytes_per_thread`] / shards).
+        capacity: u64,
+    },
     /// An internal subsystem reported a condition with no dedicated
     /// variant (future-proofing against `#[non_exhaustive]` sources).
     Internal(String),
@@ -135,6 +149,17 @@ impl std::fmt::Display for Error {
                     f,
                     "write batch of {ops} operations exceeds the {max}-op \
                      maximum"
+                )
+            }
+            Error::BatchExceedsLog {
+                shard,
+                needed,
+                capacity,
+            } => {
+                write!(
+                    f,
+                    "write batch needs {needed} external-log bytes on shard \
+                     {shard}, but a per-thread buffer holds {capacity}"
                 )
             }
             Error::Internal(what) => write!(f, "internal error: {what}"),
@@ -204,6 +229,11 @@ mod tests {
             Error::SessionTimeout {
                 limit: 4,
                 waited: std::time::Duration::from_millis(50),
+            },
+            Error::BatchExceedsLog {
+                shard: 0,
+                needed: 5 << 20,
+                capacity: 4 << 20,
             },
         ];
         for e in errs {

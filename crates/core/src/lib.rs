@@ -150,14 +150,11 @@
 //! same extent pool as any other shard — the paper's *semantics*, not a
 //! layout of its own.
 //!
-//! # Cadence tuning and persistence granularity
+//! # Cadence tuning
 //!
-//! Two orthogonal knobs trade write-path cost against recovery cost:
-//! *when* each shard checkpoints ([`Options::cadence`]) and *how often*
-//! the external log pays an ordering fence ([`Options::persistence_granularity`]).
-//!
-//! **Checkpoint cadence.** [`Options::cadence`] picks the background
-//! driver's per-shard policy:
+//! *When* each shard checkpoints trades write-path cost against recovery
+//! cost. [`Options::cadence`] picks the background driver's per-shard
+//! policy:
 //!
 //! * `Cadence::lazy(interval)` — fixed interval, but a tick whose shard
 //!   logged no bytes since its last boundary is *skipped* (counted in
@@ -189,28 +186,6 @@
 //! [`Store::halt_cadence`] freezes the driver (no further advances)
 //! without consuming the store, for controlled-teardown experiments.
 //!
-//! **Persistence granularity.** With the default
-//! `persistence_granularity(0)`, every external-log append is flushed
-//! and fenced individually — the paper's write path. A
-//! non-zero granularity batches the appends that can tolerate it.
-//! Which ones can is dictated by the write-ahead invariant: an undo
-//! pre-image guards an in-place node modification performed the moment
-//! the append returns, and a crash may persist *any* dirty line — the
-//! modified node included — so the pre-image must be durable before the
-//! modification is issued. Undo entries therefore **always seal before
-//! return**, at every granularity (a non-zero granularity only changes
-//! the seal from a per-entry `clwb` to one `clwb` range + `sfence` over
-//! the slot's staged run). What a non-zero granularity defers is batch
-//! *intent* entries, which guard nothing until their batch's commit
-//! record lands: a [`Session::batch`] stages one intent per op and pays
-//! one `clwb` range + `sfence` per shard — issued before the commit
-//! record — instead of one fence per intent, which is where the fence
-//! cost of small-value batched puts actually concentrates. Crash
-//! semantics are unchanged: a staged intent lost in a crash belongs to
-//! a batch with no commit record, which recovery drops either way, and
-//! the epoch boundary drains every buffer while writers are quiesced,
-//! so a completed checkpoint never leaves staged bytes behind.
-//!
 //! # Batch atomicity and crash semantics
 //!
 //! [`Session::batch`] returns a [`WriteBatch`]: a staged set of puts and
@@ -223,8 +198,25 @@
 //!   own boundary. The atomicity point is one durable `(batch id, shard
 //!   mask)` record in the superblock batch table: commit
 //!   first stages a checksummed *intent* entry per op in the owning
-//!   shard's external log, then flushes the commit record, then applies
-//!   the ops under per-shard epoch pins.
+//!   shard's external log, drains each covered shard's staged run (one
+//!   `clwb` range + `sfence` per shard), then flushes the commit record,
+//!   then applies the ops under per-shard epoch pins.
+//! * **One ordering constraint per intent: durable before the commit
+//!   record.** Undo pre-images guard an in-place modification performed
+//!   the moment their append returns, so they always seal before return
+//!   (write-ahead). An intent guards nothing until its batch's commit
+//!   record lands, so it only stages, and the drain before the record is
+//!   the whole protocol. A staged intent lost in a crash belongs to a
+//!   batch with no commit record, which recovery drops either way; the
+//!   epoch boundary drains every buffer while writers are quiesced, so a
+//!   completed checkpoint never leaves staged bytes behind.
+//! * **Log room is checked up front.** Log space is reclaimed only at a
+//!   shard's boundary, so before it takes a pin commit sums each covered
+//!   shard's intent bytes plus an undo allowance per op, and forces a
+//!   boundary on any shard whose per-thread log buffer lacks that room.
+//!   A batch too large for an *empty* buffer fails with
+//!   [`Error::BatchExceedsLog`] before any id, intent or record is
+//!   written.
 //! * **Recovery resolves in-doubt batches deterministically.** Each
 //!   shard's replay surfaces its intents; a batch whose id is in the
 //!   durable table is *redone* through the ordinary put/remove paths
@@ -418,7 +410,6 @@ mod tests {
             incll_enabled: true,
             shards: 1,
             recovery_threads: 1,
-            persistence_granularity: 0,
         }
     }
 
@@ -442,7 +433,7 @@ mod tests {
     // ---------------- functional (no crash) ----------------
 
     #[test]
-    fn store_cadence_and_granularity_options_wire_through() {
+    fn store_cadence_option_wires_through() {
         use std::time::Duration;
         let arena = PArena::builder().capacity_bytes(32 << 20).build().unwrap();
         let cfg = incll_epoch::AdaptiveCadence {
@@ -455,8 +446,7 @@ mod tests {
             .threads(2)
             .log_bytes_per_thread(1 << 20)
             .shards(2)
-            .cadence(cfg)
-            .persistence_granularity(4096);
+            .cadence(cfg);
         let (store, _) = Store::open(&arena, opts).unwrap();
         let sess = store.session().unwrap();
         for i in 0..500u64 {
@@ -653,7 +643,6 @@ mod tests {
         // last sealed entry, the batch has no commit record, and the tree
         // recovers to its last completed boundary.
         let (arena, tree) = fresh(true);
-        tree.inner.log.set_persistence_granularity(1 << 20);
         let ctx = tree.thread_ctx(0).unwrap();
         let mut expect = BTreeMap::new();
         for i in 0..50u64 {
@@ -701,64 +690,60 @@ mod tests {
         // node while erasing its pre-image, and recovery could not roll
         // the node back to the boundary. Runs the LOGGING ablation (InCLL
         // off) so every node's first modification per epoch takes the
-        // external-log path, swept over eager and buffered granularities.
-        for gran in [0usize, 256, 4096] {
-            let arena = PArena::builder()
-                .capacity_bytes(32 << 20)
-                .tracked(true)
-                .build()
-                .unwrap();
-            superblock::format(&arena);
-            let mut cfg = small_config();
-            cfg.incll_enabled = false;
-            cfg.persistence_granularity = gran;
-            let tree = DurableMasstree::create(&arena, cfg.clone()).unwrap();
-            let ctx = tree.thread_ctx(0).unwrap();
-            let mut expect = BTreeMap::new();
-            for i in 0..80u64 {
-                tree.put(&ctx, &i.to_be_bytes(), i);
-                expect.insert(i.to_be_bytes().to_vec(), i);
-            }
-            tree.epoch_manager().advance(); // the boundary to recover to
-
-            // Doomed epoch: in-place updates and fresh inserts, every
-            // one externally logged (InCLL is off).
-            for i in 0..100u64 {
-                tree.put(&ctx, &i.to_be_bytes(), i + 1000);
-            }
-            drop(ctx);
-            drop(tree);
-
-            // The log region, straight from the superblock descriptor.
-            let lo = arena.pread_u64(superblock::SB_EXTLOG_OFF);
-            let threads = arena.pread_u64(superblock::SB_EXTLOG_THREADS);
-            let per_slot = arena.pread_u64(superblock::SB_EXTLOG_PER_THREAD);
-            let domains = arena.pread_u64(superblock::SB_EXTLOG_DOMAINS);
-            let hi = lo + per_slot * threads * domains;
-            assert!(lo != 0 && hi > lo, "log descriptor must be present");
-            // Sealed entries live in the durable base and are untouched
-            // by the chooser; only unsealed (staged) log bytes can be
-            // dropped — exactly the eviction pattern that breaks a
-            // protocol which defers undo durability past the mutation.
-            arena.crash_with(|line, n| {
-                let off = line * 64;
-                if off >= lo && off < hi {
-                    0
-                } else {
-                    n
-                }
-            });
-
-            let (tree2, _) = DurableMasstree::open(&arena, cfg).unwrap();
-            let ctx2 = tree2.thread_ctx(0).unwrap();
-            let got = collect(&tree2, &ctx2);
-            let want: Vec<_> = expect.into_iter().collect();
-            assert_eq!(
-                got, want,
-                "gran={gran}: adversarial eviction must still recover \
-                 exactly to the boundary"
-            );
+        // external-log path.
+        let arena = PArena::builder()
+            .capacity_bytes(32 << 20)
+            .tracked(true)
+            .build()
+            .unwrap();
+        superblock::format(&arena);
+        let mut cfg = small_config();
+        cfg.incll_enabled = false;
+        let tree = DurableMasstree::create(&arena, cfg.clone()).unwrap();
+        let ctx = tree.thread_ctx(0).unwrap();
+        let mut expect = BTreeMap::new();
+        for i in 0..80u64 {
+            tree.put(&ctx, &i.to_be_bytes(), i);
+            expect.insert(i.to_be_bytes().to_vec(), i);
         }
+        tree.epoch_manager().advance(); // the boundary to recover to
+
+        // Doomed epoch: in-place updates and fresh inserts, every
+        // one externally logged (InCLL is off).
+        for i in 0..100u64 {
+            tree.put(&ctx, &i.to_be_bytes(), i + 1000);
+        }
+        drop(ctx);
+        drop(tree);
+
+        // The log region, straight from the superblock descriptor.
+        let lo = arena.pread_u64(superblock::SB_EXTLOG_OFF);
+        let threads = arena.pread_u64(superblock::SB_EXTLOG_THREADS);
+        let per_slot = arena.pread_u64(superblock::SB_EXTLOG_PER_THREAD);
+        let domains = arena.pread_u64(superblock::SB_EXTLOG_DOMAINS);
+        let hi = lo + per_slot * threads * domains;
+        assert!(lo != 0 && hi > lo, "log descriptor must be present");
+        // Sealed entries live in the durable base and are untouched
+        // by the chooser; only unsealed (staged) log bytes can be
+        // dropped — exactly the eviction pattern that breaks a
+        // protocol which defers undo durability past the mutation.
+        arena.crash_with(|line, n| {
+            let off = line * 64;
+            if off >= lo && off < hi {
+                0
+            } else {
+                n
+            }
+        });
+
+        let (tree2, _) = DurableMasstree::open(&arena, cfg).unwrap();
+        let ctx2 = tree2.thread_ctx(0).unwrap();
+        let got = collect(&tree2, &ctx2);
+        let want: Vec<_> = expect.into_iter().collect();
+        assert_eq!(
+            got, want,
+            "adversarial eviction must still recover exactly to the boundary"
+        );
     }
 
     #[test]

@@ -223,9 +223,6 @@ impl DurableMasstree {
         let workers = config.recovery_threads.max(1).min(on_media);
 
         let log = ExtLog::open(arena);
-        // A runtime knob, not an on-media property: any granularity opens
-        // any media (replay reads the same entry format either way).
-        log.set_persistence_granularity(config.persistence_granularity as u64);
         let t0 = Instant::now();
 
         // Phase 1 (parallel over shards): record each shard's failed epoch

@@ -132,7 +132,7 @@ impl Options {
     /// lifetime (it stops when the last clone drops). Accepts a
     /// [`Cadence`], an [`incll_epoch::DomainCadence`] (static), or an
     /// [`incll_epoch::AdaptiveCadence`] (the measured controller) — see
-    /// the crate docs' "Cadence tuning and persistence granularity".
+    /// the crate docs' "Cadence tuning".
     ///
     /// Without this option no driver is spawned (today's behavior):
     /// checkpoints come from explicit [`Store::checkpoint`] /
@@ -141,21 +141,6 @@ impl Options {
     #[must_use]
     pub fn cadence(mut self, cadence: impl Into<Cadence>) -> Self {
         self.cadence = Some(cadence.into());
-        self
-    }
-
-    /// External-log batched-persistence threshold in bytes
-    /// ([`DurableConfig::persistence_granularity`]): 0 (the default)
-    /// keeps the paper's eager per-entry `clwb`+`sfence`; a nonzero
-    /// value coalesces a [`Session::batch`]'s *intent* entries into one
-    /// flush+fence per that many staged bytes — or fewer, at the commit
-    /// (before its record) and at every checkpoint boundary. Undo
-    /// pre-images always seal before the modification they guard
-    /// (write-ahead), so crash semantics are unchanged. Purely a
-    /// runtime knob: nothing on media depends on it.
-    #[must_use]
-    pub fn persistence_granularity(mut self, bytes: usize) -> Self {
-        self.config.persistence_granularity = bytes;
         self
     }
 

@@ -72,16 +72,6 @@ pub struct DurableConfig {
     /// set (so a whole test suite can be rerun under parallel recovery),
     /// else 1.
     pub recovery_threads: usize,
-    /// External-log batched-persistence threshold in bytes; 0 (the
-    /// default) keeps the paper's per-entry `clwb`+`sfence` protocol
-    /// byte-for-byte. With a nonzero value, batch *intent* entries stage
-    /// and one flush+fence covers each `persistence_granularity` bytes —
-    /// or less, at a batch commit (before its record) and at every
-    /// checkpoint boundary. Undo pre-images are **never** deferred: they
-    /// seal before the modification they guard, at every granularity, so
-    /// crash semantics are unchanged. A runtime knob only: no on-media
-    /// layout difference at any value.
-    pub persistence_granularity: usize,
 }
 
 /// The default for [`DurableConfig::recovery_threads`]: the
@@ -102,7 +92,6 @@ impl Default for DurableConfig {
             incll_enabled: true,
             shards: 1,
             recovery_threads: default_recovery_threads(),
-            persistence_granularity: 0,
         }
     }
 }
@@ -417,7 +406,6 @@ impl DurableMasstree {
             config.log_bytes_per_thread,
             config.shards,
         )?;
-        log.set_persistence_granularity(config.persistence_granularity as u64);
         let alloc = PAlloc::create_sharded(arena, config.threads, config.shards)?;
         let epoch = mgr.current_epoch();
         let exec_epochs = (0..config.shards).map(|s| mgr.exec_epoch_of(s)).collect();
@@ -717,8 +705,7 @@ impl DurableMasstree {
         }
         .expect("arena full");
         // No drain on exit: every undo entry the operation appended was
-        // sealed before its guarded modification (see `log_node`), at
-        // every persistence granularity.
+        // sealed before its guarded modification (see `log_node`).
         out
     }
 
@@ -930,13 +917,12 @@ impl DurableMasstree {
     /// buffer, tagged with the shard id, so the shard's recovery replays
     /// — and its boundary discards — exactly its own entries.
     ///
-    /// The entry is **sealed before return at every persistence
-    /// granularity**: callers publish `meta::LOGGED` and mutate the node
-    /// in place the moment this returns, and a crash may persist any
-    /// dirty line of that mutation, so the pre-image must already be
-    /// durable (write-ahead). Under a nonzero granularity the seal is
-    /// one `clwb_range`+`sfence` over the slot's whole staged run — any
-    /// batch intents staged ahead of this entry share its fence.
+    /// The entry is **sealed before return**: callers publish
+    /// `meta::LOGGED` and mutate the node in place the moment this
+    /// returns, and a crash may persist any dirty line of that mutation,
+    /// so the pre-image must already be durable (write-ahead). The seal
+    /// is one `clwb_range`+`sfence` over the slot's whole staged run —
+    /// any batch intents staged ahead of this entry share its fence.
     fn log_node(&self, tid: usize, epoch: u64, node: u64) {
         self.inner
             .log

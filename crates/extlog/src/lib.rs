@@ -1,4 +1,4 @@
-//! External object-granularity undo log (paper §4.2).
+//! External per-object undo log (paper §4.2).
 //!
 //! The external log is the conventional fallback the InCLL design leans on
 //! for infrequent, complex modifications: node splits, internal-node
@@ -26,33 +26,37 @@
 //! until the first post-recovery checkpoint (the paper: "if the system
 //! crashes before recovery is complete, it can be applied again").
 //!
-//! # Batched persistence
+//! # Durability discipline: two rules
 //!
-//! Step 2's per-entry `clwb`+`sfence` is the default, but the fence cost
-//! dominates small entries. [`ExtLog::set_persistence_granularity`]
-//! enables a **staged** protocol for the entries that can tolerate it.
-//! Which entries can is fixed by the write-ahead invariant above: an
-//! undo entry guards an in-place modification the caller performs the
-//! moment the append returns, and any dirty line may be evicted — i.e.
-//! persisted — at a crash, so the pre-image must be durable *before*
-//! the modification is even issued. Undo appends therefore always
-//! complete step 2 before returning, at every granularity. What a
-//! nonzero granularity changes is *how*: the append seals the slot's
-//! whole staged run (this entry plus anything staged before it) with
-//! one `clwb_range`+`sfence`, so entries that guard nothing yet can
-//! share the guarded entry's fence.
+//! One protocol, no option. The log holds two kinds of entry and each has
+//! exactly the ordering it needs:
 //!
-//! The entries that guard nothing yet are batch **intents**
-//! ([`ExtLog::log_intent_in`]): an intent describes an operation whose
-//! guarded store — the batch's commit record — has not happened when
-//! the intent is appended. Under a nonzero granularity intents
-//! accumulate in their (thread, domain) buffer and one
-//! `clwb_range`+`sfence` covers the run per `granularity` bytes — or
-//! earlier, at the explicit [`ExtLog::drain`] the batch layer issues
-//! before flushing the commit record, or the domain's boundary
-//! ([`ExtLog::drain_domain`]). Crash semantics are unchanged: an
-//! un-drained intent is indistinguishable from one never staged, and a
-//! batch with no durable commit record is dropped either way.
+//! 1. **Guarding appends seal the run.** An undo entry
+//!    ([`ExtLog::log_object`], [`ExtLog::log_object_in`]) guards an
+//!    in-place modification the caller performs the moment the append
+//!    returns, and any dirty line may be evicted — i.e. persisted — at a
+//!    crash, so the pre-image must be durable *before* the modification
+//!    is even issued (write-ahead). The append therefore persists the
+//!    slot's whole staged run — this entry plus anything staged before it
+//!    — with one `clwb_range`+`sfence` before it returns. With nothing
+//!    staged that is the paper's per-entry flush, byte for byte.
+//! 2. **Intents stage.** A batch intent ([`ExtLog::log_intent_in`])
+//!    describes an operation whose guarded store — the batch's commit
+//!    record — has not happened when the intent is appended, so the
+//!    append writes the entry and advances the cursor, nothing else.
+//!
+//! Who drains a staged run: the batch layer's [`ExtLog::drain`], issued
+//! once per covered shard *before* the commit record is flushed (the one
+//! ordering constraint an intent needs); the next guarding append on the
+//! slot (rule 1); and the domain's boundary ([`ExtLog::drain_domain`]).
+//! A run is bounded by one batch.
+//!
+//! A crash with a run still staged may persist any subset of its lines.
+//! That is harmless: an entry missing any line fails its checksum and
+//! ends the slot's valid prefix, so replay surfaces a (possibly empty)
+//! *prefix* of the staged intents and never one behind a torn entry —
+//! and every one of them belongs to a batch with no commit record, which
+//! recovery drops whether it sees the intent or not.
 //!
 //! # Epoch domains
 //!
@@ -140,27 +144,33 @@ fn pack_len(len: u64, tag: u16) -> u64 {
     len | (tag as u64) << 48
 }
 
-/// Per-thread append state, padded to avoid false sharing.
-#[repr(align(64))]
-struct Cursor(AtomicU64);
+/// Where an entry's payload comes from.
+#[derive(Clone, Copy)]
+enum Payload<'a> {
+    /// An undo pre-image: this many bytes at the entry's `target`.
+    Object(usize),
+    /// A batch intent: the caller's redo description.
+    Bytes(&'a [u8]),
+}
 
-/// Start of a slot's **staged** (appended but not yet persisted) byte
-/// range, which always ends at the slot's cursor. `staged == cursor`
-/// means the slot is fully drained. Only meaningful under a nonzero
-/// [`ExtLog::set_persistence_granularity`]; the eager path keeps it
-/// pinned to the cursor.
+/// Per-(thread, domain) append state, padded to avoid false sharing.
+/// Single-writer: only the owning thread appends (recovery and resets run
+/// quiesced), so the atomics carry visibility, not mutual exclusion.
 #[repr(align(64))]
-struct Staged(AtomicU64);
+#[derive(Default)]
+struct Slot {
+    /// Bytes appended so far.
+    cursor: AtomicU64,
+    /// Start of the **staged** (appended, not yet persisted) byte range,
+    /// which always ends at `cursor`; `staged == cursor` means drained.
+    staged: AtomicU64,
+}
 
-/// Per-tag replay totals (see [`ExtLog::log_object_tagged`]).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct TagCounts {
-    /// The caller-supplied entry tag.
-    pub tag: u16,
-    /// Entries replayed carrying this tag.
-    pub entries: u64,
-    /// Payload bytes replayed carrying this tag.
-    pub bytes: u64,
+impl Slot {
+    fn reset(&self) {
+        self.cursor.store(0, Ordering::Relaxed);
+        self.staged.store(0, Ordering::Relaxed);
+    }
 }
 
 /// A batch intent entry surfaced (not applied) by replay: the staged redo
@@ -193,33 +203,11 @@ pub struct ReplayReport {
     /// durable tree re-derives child parent pointers from restored
     /// interior images).
     pub applied: Vec<(u64, u64)>,
-    /// Replay totals grouped by entry tag, ascending by tag (tags that
-    /// never appeared are absent).
-    pub per_tag: Vec<TagCounts>,
     /// Batch intent entries found in the scanned valid prefixes, in slot
     /// order then append order (deterministic at any caller parallelism
     /// over distinct domains). Intents are validated and collected, never
     /// applied — resolution belongs to the batch-commit layer.
     pub intents: Vec<IntentEntry>,
-}
-
-impl ReplayReport {
-    fn count_tag(&mut self, tag: u16, bytes: u64) {
-        match self.per_tag.binary_search_by_key(&tag, |t| t.tag) {
-            Ok(i) => {
-                self.per_tag[i].entries += 1;
-                self.per_tag[i].bytes += bytes;
-            }
-            Err(i) => self.per_tag.insert(
-                i,
-                TagCounts {
-                    tag,
-                    entries: 1,
-                    bytes,
-                },
-            ),
-        }
-    }
 }
 
 /// The external undo log: per-thread durable append buffers.
@@ -257,13 +245,8 @@ pub struct ExtLog {
     threads: usize,
     /// Epoch domains.
     domains: usize,
-    /// One cursor per (thread, domain), thread-major.
-    cursors: Vec<Cursor>,
-    /// One staged-range start per (thread, domain), thread-major.
-    staged: Vec<Staged>,
-    /// Batched-persistence threshold in bytes; 0 = eager per-entry
-    /// `clwb`+`sfence` (the legacy protocol, byte-for-byte).
-    granularity: AtomicU64,
+    /// One append state per (thread, domain), thread-major.
+    slots: Vec<Slot>,
 }
 
 impl ExtLog {
@@ -352,69 +335,27 @@ impl ExtLog {
             per_slot,
             threads,
             domains,
-            cursors: (0..threads * domains)
-                .map(|_| Cursor(AtomicU64::new(0)))
-                .collect(),
-            staged: (0..threads * domains)
-                .map(|_| Staged(AtomicU64::new(0)))
-                .collect(),
-            granularity: AtomicU64::new(0),
+            slots: (0..threads * domains).map(|_| Slot::default()).collect(),
         }
     }
 
-    /// Sets the batched-persistence threshold: with `bytes == 0` (the
-    /// default) every append is made durable individually before it
-    /// returns — the paper's per-entry `clwb`+`sfence` protocol,
-    /// byte-for-byte. With `bytes > 0`, batch **intents**
-    /// ([`ExtLog::log_intent_in`]) **stage**: they accumulate in their
-    /// (thread, domain) buffer and one `clwb_range`+`sfence` covers the
-    /// whole staged run once it reaches `bytes` — or earlier, at the
-    /// explicit [`ExtLog::drain`] the batch layer issues before its
-    /// commit record, or the domain's epoch boundary
-    /// ([`ExtLog::drain_domain`]).
-    ///
-    /// Undo-object appends ([`ExtLog::log_object`] and friends) are
-    /// **never** staged past their return: they guard an in-place
-    /// modification the caller performs immediately, and a crash may
-    /// persist that modification's lines at any time, so the pre-image
-    /// must be durable first (the write-ahead invariant). At a nonzero
-    /// granularity an undo append still pays exactly one
-    /// `clwb_range`+`sfence`, but it covers the slot's whole staged run
-    /// — intents staged since the last drain ride along for free.
-    ///
-    /// Crash semantics are unchanged at every granularity: an un-drained
-    /// intent is indistinguishable from one never staged — replay's
-    /// valid-prefix scan stops at it — and its batch, necessarily
-    /// lacking a commit record, is dropped either way.
-    ///
-    /// Set once, before appends begin (the store wires it from its open
-    /// options); it is not meant to be toggled mid-stream.
-    pub fn set_persistence_granularity(&self, bytes: u64) {
-        self.granularity.store(bytes, Ordering::Relaxed);
-    }
-
-    /// The current batched-persistence threshold (0 = eager).
-    pub fn persistence_granularity(&self) -> u64 {
-        self.granularity.load(Ordering::Relaxed)
-    }
-
     /// Bytes appended to `(thread, domain)`'s buffer but not yet
-    /// persisted (staged behind the granularity threshold).
+    /// persisted: intents staged since the slot's last drain or guarding
+    /// append.
     pub fn staged_bytes(&self, thread: usize, domain: usize) -> u64 {
-        let slot = self.slot_index(thread, domain);
-        self.cursors[slot]
-            .0
+        let slot = &self.slots[self.slot_index(thread, domain)];
+        slot.cursor
             .load(Ordering::Relaxed)
-            .saturating_sub(self.staged[slot].0.load(Ordering::Relaxed))
+            .saturating_sub(slot.staged.load(Ordering::Relaxed))
     }
 
     /// Persists `(thread, domain)`'s staged run, if any: one
     /// `clwb_range` over it plus one `sfence`. The batch layer calls
     /// this after staging a batch's intents and before flushing the
     /// commit record, so an intent is always durable before the record
-    /// that makes it actionable. No-op when fully drained (in
-    /// particular, always, under eager granularity 0 — and always after
-    /// an undo-object append, which seals its own run).
+    /// that makes it actionable. No-op when nothing is staged — in
+    /// particular right after an undo-object append, which seals the run
+    /// itself.
     pub fn drain(&self, thread: usize, domain: usize) {
         let slot = self.slot_index(thread, domain);
         if self.drain_clwb(slot) {
@@ -439,15 +380,15 @@ impl ExtLog {
     /// drained; returns whether anything was staged. The caller owns the
     /// trailing `sfence`.
     fn drain_clwb(&self, slot: usize) -> bool {
-        let cur = self.cursors[slot].0.load(Ordering::Relaxed);
-        let start = self.staged[slot].0.load(Ordering::Relaxed);
+        let state = &self.slots[slot];
+        let cur = state.cursor.load(Ordering::Relaxed);
+        let start = state.staged.load(Ordering::Relaxed);
         if start >= cur {
             return false;
         }
-        let slot_base = self.region + (slot as u64) * self.per_slot;
         self.arena
-            .clwb_range(slot_base + start, (cur - start) as usize);
-        self.staged[slot].0.store(cur, Ordering::Relaxed);
+            .clwb_range(self.slot_base(slot) + start, (cur - start) as usize);
+        state.staged.store(cur, Ordering::Relaxed);
         true
     }
 
@@ -461,11 +402,29 @@ impl ExtLog {
         self.domains
     }
 
+    /// Capacity of one (thread, domain) buffer, in bytes.
+    pub fn slot_capacity(&self) -> u64 {
+        self.per_slot
+    }
+
+    /// Log bytes an entry with a `payload_len`-byte payload occupies
+    /// (header plus the payload padded to 8 bytes) — for callers that
+    /// must check a buffer's room before they start appending.
+    pub const fn entry_bytes(payload_len: usize) -> u64 {
+        HEADER + ((payload_len as u64 + 7) & !7)
+    }
+
     /// The raw buffer index of `(thread, domain)`.
     #[inline]
     fn slot_index(&self, thread: usize, domain: usize) -> usize {
         debug_assert!(thread < self.threads && domain < self.domains);
         thread * self.domains + domain
+    }
+
+    /// Arena offset of buffer `slot`'s first byte.
+    #[inline]
+    fn slot_base(&self, slot: usize) -> u64 {
+        self.region + (slot as u64) * self.per_slot
     }
 
     /// Bytes currently appended in thread `slot`'s domain-0 buffer.
@@ -475,22 +434,21 @@ impl ExtLog {
 
     /// Bytes currently appended in `(thread, domain)`'s buffer.
     pub fn used_in(&self, thread: usize, domain: usize) -> u64 {
-        self.cursors[self.slot_index(thread, domain)]
-            .0
+        self.slots[self.slot_index(thread, domain)]
+            .cursor
             .load(Ordering::Relaxed)
     }
 
     /// Logs the `len` bytes at arena offset `target` as an undo entry for
     /// `epoch` in thread `slot`'s **domain-0** buffer, making the entry
-    /// durable (`clwb` + `sfence`) before returning — at every
-    /// persistence granularity, since the caller may modify the object
-    /// as soon as this returns (the write-ahead invariant).
+    /// durable (`clwb` + `sfence`) before returning, since the caller may
+    /// modify the object as soon as this returns (the write-ahead
+    /// invariant).
     ///
     /// Each slot is single-writer: callers pass their own thread's slot.
     ///
     /// Entries carry tag 0; use [`ExtLog::log_object_in`] on a sharded log
-    /// (the durable tree tags each entry with its shard id), or
-    /// [`ExtLog::log_object_tagged`] for an arbitrary tag.
+    /// (the durable tree tags each entry with its shard id).
     ///
     /// # Panics
     ///
@@ -498,24 +456,27 @@ impl ExtLog {
     /// nodes-per-epoch; the paper measures 84 K nodes per 64 ms epoch on a
     /// 1 M-key tree, §6.3) or if `slot` is out of range.
     pub fn log_object(&self, slot: usize, epoch: u64, target: u64, len: usize) {
-        self.log_object_tagged(slot, epoch, target, len, 0);
+        self.log_object_in(slot, 0, epoch, target, len);
     }
 
     /// Logs an undo entry for `epoch` **of domain `domain`** in
     /// `(thread, domain)`'s buffer. The domain id is sealed into the
     /// checksummed entry tag, so replay can verify attribution.
     ///
+    /// Durable before return, together with anything staged before it in
+    /// the buffer: one `clwb_range` + `sfence` covers the slot's whole
+    /// staged run.
+    ///
     /// # Panics
     ///
     /// As for [`ExtLog::log_object`], plus out-of-range `domain`.
     pub fn log_object_in(&self, thread: usize, domain: usize, epoch: u64, target: u64, len: usize) {
-        self.append(
-            self.slot_index(thread, domain),
-            epoch,
-            target,
-            len,
-            domain as u16,
-        );
+        let slot = self.slot_index(thread, domain);
+        self.append(slot, epoch, target, Payload::Object(len), domain as u16);
+        // Seal before return: the caller modifies the logged object the
+        // moment we return, and a crash may persist any dirty line of
+        // that modification — the pre-image must already be durable.
+        self.drain(thread, domain);
     }
 
     /// Stages a batch **intent** for `epoch` of domain `domain` in
@@ -527,11 +488,10 @@ impl ExtLog {
     /// discarded with the rest of the buffer at the domain's next epoch
     /// boundary.
     ///
-    /// Durable before return under eager granularity 0; under a nonzero
-    /// granularity the intent may stay **staged** until the threshold,
-    /// an [`ExtLog::drain`], or the boundary — the caller must drain
-    /// before publishing anything (a commit record) that makes the
-    /// intent actionable.
+    /// **Not durable on return**: the intent stays staged until an
+    /// [`ExtLog::drain`], the slot's next guarding append, or the
+    /// boundary — the caller must drain before publishing anything (a
+    /// commit record) that makes the intent actionable.
     ///
     /// # Panics
     ///
@@ -544,138 +504,64 @@ impl ExtLog {
         batch_id: u64,
         payload: &[u8],
     ) {
-        self.append_slice(
+        self.append(
             self.slot_index(thread, domain),
             epoch,
             batch_id,
-            payload,
+            Payload::Bytes(payload),
             domain as u16 | INTENT_TAG_BIT,
         );
     }
 
-    /// [`ExtLog::log_object`] with an opaque 16-bit `tag` sealed into the
-    /// entry header; [`ExtLog::replay`] aggregates applied entries per tag
-    /// ([`ReplayReport::per_tag`]). Appends to thread `slot`'s domain-0
-    /// buffer.
-    pub fn log_object_tagged(&self, slot: usize, epoch: u64, target: u64, len: usize, tag: u16) {
-        self.append(self.slot_index(slot, 0), epoch, target, len, tag);
-    }
-
-    fn append(&self, slot: usize, epoch: u64, target: u64, len: usize, tag: u16) {
-        let need = HEADER + ((len as u64 + 7) & !7);
-        let cur = self.cursors[slot].0.load(Ordering::Relaxed);
+    /// The one entry writer: payload, then the four header words, then
+    /// the cursor. The entry is only valid once the stored checksum
+    /// matches, so a torn entry is detected and ignored by replay.
+    /// Writes nothing durable by itself — the entry joins the slot's
+    /// staged run.
+    fn append(&self, slot: usize, epoch: u64, target: u64, payload: Payload<'_>, tag: u16) {
+        let len = match payload {
+            Payload::Object(len) => len,
+            Payload::Bytes(bytes) => bytes.len(),
+        };
+        let need = Self::entry_bytes(len);
+        let cur = self.slots[slot].cursor.load(Ordering::Relaxed);
         assert!(
             cur + need <= self.per_slot,
             "external log slot {slot} overflow: {cur} + {need} > {}; \
              increase per-thread log capacity",
             self.per_slot
         );
-        let base = self.region + (slot as u64) * self.per_slot + cur;
+        let base = self.slot_base(slot) + cur;
 
-        // Payload first (chunked copy arena->arena), checksum streamed.
         let mut hash = checksum::Xxh64::new();
-        let mut copied = 0usize;
-        let mut chunk = [0u8; 512];
-        while copied < len {
-            let n = (len - copied).min(512);
-            self.arena
-                .pread_bytes(target + copied as u64, &mut chunk[..n]);
-            hash.update(&chunk[..n]);
-            self.arena
-                .pwrite_bytes(base + HEADER + copied as u64, &chunk[..n]);
-            copied += n;
+        match payload {
+            // A pre-image: chunked copy arena -> arena, checksum streamed.
+            Payload::Object(len) => {
+                let mut copied = 0usize;
+                let mut chunk = [0u8; 512];
+                while copied < len {
+                    let n = (len - copied).min(512);
+                    self.arena
+                        .pread_bytes(target + copied as u64, &mut chunk[..n]);
+                    hash.update(&chunk[..n]);
+                    self.arena
+                        .pwrite_bytes(base + HEADER + copied as u64, &chunk[..n]);
+                    copied += n;
+                }
+            }
+            Payload::Bytes(bytes) => {
+                hash.update(bytes);
+                self.arena.pwrite_bytes(base + HEADER, bytes);
+            }
         }
         let len_word = pack_len(len as u64, tag);
-        let sum = checksum::seal(hash, epoch, target, len_word);
-
-        // Header second; the entry is only valid once the checksum matches,
-        // so a torn entry is detected and ignored by replay.
         self.arena.pwrite_u64(base, epoch);
         self.arena.pwrite_u64(base + 8, target);
         self.arena.pwrite_u64(base + 16, len_word);
-        self.arena.pwrite_u64(base + 24, sum);
+        self.arena
+            .pwrite_u64(base + 24, checksum::seal(hash, epoch, target, len_word));
 
-        // Seal before return, at every granularity: the caller modifies
-        // the logged object the moment we return, and a crash may
-        // persist any dirty line of that modification — the pre-image
-        // must already be durable (write-ahead). See `seal_entry`.
-        self.seal_entry(slot, base, len, cur, need, true);
-        self.arena.stats().add_ext_logged(len as u64);
-    }
-
-    /// Completes an appended entry's durability protocol and publishes
-    /// the slot cursor.
-    ///
-    /// Eager (granularity 0): `clwb` the entry, `sfence`, exactly the
-    /// legacy per-entry protocol, for guarded and unguarded entries
-    /// alike. Buffered (granularity > 0):
-    ///
-    /// * `guarding == true` — the entry guards an in-place modification
-    ///   the caller performs as soon as the append returns (the
-    ///   undo-object path). The write-ahead invariant requires the entry
-    ///   durable *before* that modification, because a crash may persist
-    ///   any dirty line of the modified object while dropping unflushed
-    ///   log lines. The whole staged run — this entry plus any intents
-    ///   staged behind it — is sealed with one `clwb_range`+`sfence`.
-    /// * `guarding == false` — the entry's own guarded store (the batch
-    ///   commit record) has not happened yet, so it may stay staged: it
-    ///   joins the run, and the run drains once it reaches the
-    ///   threshold (or earlier, at the batch layer's explicit
-    ///   [`ExtLog::drain`] before the commit record, or the boundary).
-    ///   A crash while it is staged drops an entry whose batch has no
-    ///   commit record — indistinguishable from never staged.
-    fn seal_entry(&self, slot: usize, base: u64, len: usize, cur: u64, need: u64, guarding: bool) {
-        let gran = self.granularity.load(Ordering::Relaxed);
-        if gran == 0 {
-            self.arena.clwb_range(base, (HEADER as usize) + len);
-            self.arena.sfence();
-            self.cursors[slot].0.store(cur + need, Ordering::Relaxed);
-            // Keep the staged mark pinned to the cursor so a later switch
-            // of drain paths never re-flushes eager history.
-            self.staged[slot].0.store(cur + need, Ordering::Relaxed);
-            return;
-        }
-        self.cursors[slot].0.store(cur + need, Ordering::Relaxed);
-        let start = self.staged[slot].0.load(Ordering::Relaxed);
-        let staged = cur + need - start;
-        if guarding || staged >= gran {
-            let slot_base = self.region + (slot as u64) * self.per_slot;
-            self.arena.clwb_range(slot_base + start, staged as usize);
-            self.arena.sfence();
-            self.staged[slot].0.store(cur + need, Ordering::Relaxed);
-        }
-    }
-
-    /// [`ExtLog::append`] twinned for a DRAM-sourced payload: intents are
-    /// staged from the caller's batch description, not copied out of the
-    /// arena. Same entry format; durability is immediate under eager
-    /// granularity 0 and deferred to the threshold / explicit drain
-    /// otherwise (see [`ExtLog::set_persistence_granularity`]).
-    fn append_slice(&self, slot: usize, epoch: u64, target: u64, payload: &[u8], tag: u16) {
-        let len = payload.len();
-        let need = HEADER + ((len as u64 + 7) & !7);
-        let cur = self.cursors[slot].0.load(Ordering::Relaxed);
-        assert!(
-            cur + need <= self.per_slot,
-            "external log slot {slot} overflow: {cur} + {need} > {}; \
-             increase per-thread log capacity",
-            self.per_slot
-        );
-        let base = self.region + (slot as u64) * self.per_slot + cur;
-
-        self.arena.pwrite_bytes(base + HEADER, payload);
-        let len_word = pack_len(len as u64, tag);
-        let sum = checksum::entry_checksum(payload, epoch, target, len_word);
-
-        self.arena.pwrite_u64(base, epoch);
-        self.arena.pwrite_u64(base + 8, target);
-        self.arena.pwrite_u64(base + 16, len_word);
-        self.arena.pwrite_u64(base + 24, sum);
-
-        // Intents guard nothing until the batch's commit record lands,
-        // so they are the entries a nonzero granularity may stage: the
-        // batch layer drains the run before flushing the record.
-        self.seal_entry(slot, base, len, cur, need, false);
+        self.slots[slot].cursor.store(cur + need, Ordering::Relaxed);
         self.arena.stats().add_ext_logged(len as u64);
     }
 
@@ -683,10 +569,7 @@ impl ExtLog {
     /// single-domain store, after the checkpoint flush has made every
     /// pre-image obsolete).
     pub fn reset(&self) {
-        for (c, s) in self.cursors.iter().zip(&self.staged) {
-            c.0.store(0, Ordering::Relaxed);
-            s.0.store(0, Ordering::Relaxed);
-        }
+        self.slots.iter().for_each(Slot::reset);
     }
 
     /// Logically discards one domain's buffers (that domain's
@@ -694,9 +577,7 @@ impl ExtLog {
     /// while other domains' still-at-risk entries are untouched.
     pub fn reset_domain(&self, domain: usize) {
         for t in 0..self.threads {
-            let slot = self.slot_index(t, domain);
-            self.cursors[slot].0.store(0, Ordering::Relaxed);
-            self.staged[slot].0.store(0, Ordering::Relaxed);
+            self.slots[self.slot_index(t, domain)].reset();
         }
     }
 
@@ -759,7 +640,7 @@ impl ExtLog {
         require_tag: Option<u16>,
         report: &mut ReplayReport,
     ) {
-        let slot_base = self.region + (slot as u64) * self.per_slot;
+        let slot_base = self.slot_base(slot);
         // One payload buffer for the whole slot: each entry is read once,
         // verified in it and applied from it.
         let mut payload = Vec::new();
@@ -827,14 +708,13 @@ impl ExtLog {
                 report.entries_applied += 1;
                 report.bytes_applied += len;
                 report.applied.push((target, len));
-                report.count_tag(tag, len);
             }
             cur = next;
         }
-        self.cursors[slot].0.store(cur, Ordering::Relaxed);
         // The surviving prefix is durable by construction; nothing is
         // staged behind it.
-        self.staged[slot].0.store(cur, Ordering::Relaxed);
+        self.slots[slot].cursor.store(cur, Ordering::Relaxed);
+        self.slots[slot].staged.store(cur, Ordering::Relaxed);
         report.scan_stopped_at.push(cur);
         // Emulated NVM device time for streaming this buffer's valid
         // prefix (no-op unless the latency model configures a rate;
@@ -863,6 +743,18 @@ mod tests {
         let log = ExtLog::create(&arena, slots, 8 * 1024).unwrap();
         let obj = arena.carve(320, 64).unwrap();
         (arena, log, obj)
+    }
+
+    fn tracked_log(per_thread: usize) -> (PArena, ExtLog) {
+        let arena = PArena::builder()
+            .capacity_bytes(1 << 20)
+            .tracked(true)
+            .build()
+            .unwrap();
+        superblock::format(&arena);
+        arena.global_flush();
+        let log = ExtLog::create(&arena, 1, per_thread).unwrap();
+        (arena, log)
     }
 
     fn fill(arena: &PArena, obj: u64, pattern: u64) {
@@ -1007,14 +899,7 @@ mod tests {
     fn entry_is_durable_before_modification() {
         // Tracked arena: the log entry must survive a crash taken right
         // after log_object returns, even though nothing else was flushed.
-        let arena = PArena::builder()
-            .capacity_bytes(1 << 20)
-            .tracked(true)
-            .build()
-            .unwrap();
-        superblock::format(&arena);
-        arena.global_flush();
-        let log = ExtLog::create(&arena, 1, 4 * 1024).unwrap();
+        let (arena, log) = tracked_log(4 * 1024);
         let obj = arena.carve(64, 64).unwrap();
         arena.pwrite_u64(obj, 11);
         log.log_object(0, 1, obj, 64);
@@ -1039,50 +924,12 @@ mod tests {
     }
 
     #[test]
-    fn tagged_entries_replay_and_aggregate_per_tag() {
-        let (arena, log, obj) = setup(1);
-        let obj2 = arena.carve(64, 64).unwrap();
-        fill(&arena, obj, 100);
-        log.log_object_tagged(0, 1, obj, 320, 3);
-        arena.pwrite_u64(obj2, 9);
-        log.log_object_tagged(0, 1, obj2, 64, 1);
-        log.log_object_tagged(0, 1, obj2, 64, 3);
-        fill(&arena, obj, 999);
-        arena.pwrite_u64(obj2, 0);
-        let r = log.replay(1, 1);
-        assert_eq!(r.entries_applied, 3);
-        assert!(check(&arena, obj, 100));
-        assert_eq!(arena.pread_u64(obj2), 9);
-        assert_eq!(
-            r.per_tag,
-            vec![
-                TagCounts {
-                    tag: 1,
-                    entries: 1,
-                    bytes: 64
-                },
-                TagCounts {
-                    tag: 3,
-                    entries: 2,
-                    bytes: 384
-                },
-            ]
-        );
-        // Untagged entries land on tag 0.
-        log.reset();
-        log.log_object(0, 2, obj, 320);
-        let r = log.replay(2, 2);
-        assert_eq!(r.per_tag.len(), 1);
-        assert_eq!(r.per_tag[0].tag, 0);
-    }
-
-    #[test]
     fn tag_is_covered_by_the_checksum() {
         // Flipping the tag bits of a sealed entry must invalidate it: a
         // torn header cannot silently reattribute (or resize) an entry.
         let (arena, log, obj) = setup(1);
         fill(&arena, obj, 100);
-        log.log_object_tagged(0, 1, obj, 320, 7);
+        log.log_object_in(0, 0, 1, obj, 320);
         fill(&arena, obj, 500);
         let base = arena.pread_u64(superblock::SB_EXTLOG_OFF);
         let w = arena.pread_u64(base + 16);
@@ -1119,8 +966,6 @@ mod tests {
         assert_eq!(r.entries_applied, 1);
         assert_eq!(arena.pread_u64(obj1), 200);
         assert_eq!(arena.pread_u64(obj0), 999, "domain 0 must be untouched");
-        assert_eq!(r.per_tag.len(), 1);
-        assert_eq!(r.per_tag[0].tag, 1);
     }
 
     #[test]
@@ -1207,8 +1052,6 @@ mod tests {
                     r.entries_applied, OBJS_PER_DOMAIN as u64,
                     "round {round}: domain {d} must replay exactly its own entries"
                 );
-                assert_eq!(r.per_tag.len(), 1);
-                assert_eq!(r.per_tag[0].tag, d as u16);
                 for &(obj, val) in &objs[d] {
                     assert_eq!(arena.pread_u64(obj), val, "round {round} domain {d}");
                 }
@@ -1261,10 +1104,6 @@ mod tests {
         assert_eq!(arena.pread_u64(objs[0]), 40);
         assert_eq!(arena.pread_u64(objs[2]), 42);
         assert_eq!(arena.pread_u64(objs[1]), 0, "poisoned entry not applied");
-        // The healthy workers' per-tag attributions carry only their own
-        // tags — nothing leaked across reports.
-        assert_eq!(reports[0].per_tag[0].tag, 0);
-        assert_eq!(reports[2].per_tag[0].tag, 2);
     }
 
     #[test]
@@ -1343,87 +1182,90 @@ mod tests {
     }
 
     #[test]
-    fn intent_is_durable_before_return() {
-        let arena = PArena::builder()
-            .capacity_bytes(1 << 20)
-            .tracked(true)
-            .build()
-            .unwrap();
-        superblock::format(&arena);
-        arena.global_flush();
-        let log = ExtLog::create(&arena, 1, 4 * 1024).unwrap();
-        log.log_intent_in(0, 0, 1, 8, b"durable-intent");
-        arena.crash_seeded(11);
-        let log2 = ExtLog::open(&arena);
-        let r = log2.replay_domain(0, 1, 1);
-        assert_eq!(r.intents.len(), 1, "sealed intent must survive a crash");
-        assert_eq!(r.intents[0].payload, b"durable-intent");
+    fn intent_is_durable_after_drain_and_vanishes_undrained() {
+        for drain in [true, false] {
+            let (arena, log) = tracked_log(32 * 1024);
+            let a = arena.carve(64, 64).unwrap();
+            arena.pwrite_u64(a, 11);
+            log.log_object(0, 1, a, 64); // durable before return
+            arena.pwrite_u64(a, 12);
+            log.log_intent_in(0, 0, 1, 77, b"staged-op");
+            assert!(log.staged_bytes(0, 0) > 0);
+            if drain {
+                log.drain(0, 0);
+                assert_eq!(log.staged_bytes(0, 0), 0);
+            }
+            // A power failure persisting nothing still in flight: an
+            // un-drained intent vanishes with the rest of the cache —
+            // indistinguishable from one never staged, and its batch,
+            // necessarily lacking a commit record, is dropped either way.
+            arena.crash_with(|_, _| 0);
+            let log2 = ExtLog::open(&arena);
+            let r = log2.replay(1, 1);
+            assert_eq!(r.entries_applied, 1, "the sealed undo entry survives");
+            assert_eq!(arena.pread_u64(a), 11, "pre-image restored");
+            if drain {
+                assert_eq!(r.intents.len(), 1, "a drained intent survives");
+                assert_eq!(r.intents[0].payload, b"staged-op");
+            } else {
+                assert!(r.intents.is_empty(), "the staged intent vanishes");
+            }
+        }
     }
 
     #[test]
-    fn buffered_appends_coalesce_intent_fences() {
-        // Same sequence — 15 intents, then one undo entry whose object
-        // is modified right after the append — eager vs a large
-        // granularity. Buffered: the intents stage, and the guarded
-        // append's single seal covers the whole run; eager pays one
-        // fence per entry. In BOTH modes the undo entry is durable
+    fn one_guarded_append_seals_the_staged_intents_with_one_fence() {
+        // 15 intents, then one undo entry whose object is modified right
+        // after the append: the intents stage, and the guarded append's
+        // single seal covers the whole run. The undo entry is durable
         // before the modification (write-ahead), which the replay check
         // proves by restoring the pre-image.
-        let count_fences = |gran: u64| {
-            let arena = PArena::builder().capacity_bytes(1 << 20).build().unwrap();
-            superblock::format(&arena);
-            let log = ExtLog::create_sharded(&arena, 1, 32 * 1024, 2).unwrap();
-            log.set_persistence_granularity(gran);
-            let obj = arena.carve(64, 64).unwrap();
-            arena.pwrite_u64(obj, 7);
-            let before = arena.stats().snapshot().sfence;
-            for i in 0..15 {
-                log.log_intent_in(0, 1, 1, 40 + i, b"redo-op");
-            }
-            log.log_object_in(0, 1, 1, obj, 64);
-            let fences = arena.stats().snapshot().sfence - before;
-            arena.pwrite_u64(obj, 0xDEAD); // the guarded modification
-            assert_eq!(
-                log.staged_bytes(0, 1),
-                0,
-                "a guarded append seals the whole staged run"
-            );
-            let r = log.replay_domain(1, 1, 1);
-            assert_eq!(r.entries_applied, 1, "the undo entry replays");
-            assert_eq!(r.intents.len(), 15, "every intent is surfaced");
-            assert_eq!(
-                arena.pread_u64(obj),
-                7,
-                "pre-image was durable before the mutation"
-            );
-            fences
-        };
-        let eager = count_fences(0);
-        let buffered = count_fences(1 << 16);
-        assert_eq!(eager, 16, "eager mode fences per entry");
-        assert_eq!(
-            buffered, 1,
-            "buffered mode: one seal covers intents + the guarded entry"
-        );
+        let arena = PArena::builder().capacity_bytes(1 << 20).build().unwrap();
+        superblock::format(&arena);
+        let log = ExtLog::create_sharded(&arena, 1, 32 * 1024, 2).unwrap();
+        let obj = arena.carve(64, 64).unwrap();
+        arena.pwrite_u64(obj, 7);
+        let before = arena.stats().snapshot().sfence;
+        for i in 0..15 {
+            log.log_intent_in(0, 1, 1, 40 + i, b"redo-op");
+        }
+        log.log_object_in(0, 1, 1, obj, 64);
+        let fences = arena.stats().snapshot().sfence - before;
+        arena.pwrite_u64(obj, 0xDEAD); // the guarded modification
+        assert_eq!(fences, 1, "one seal covers intents + the guarded entry");
+        assert_eq!(log.staged_bytes(0, 1), 0);
+        let r = log.replay_domain(1, 1, 1);
+        assert_eq!(r.entries_applied, 1, "the undo entry replays");
+        assert_eq!(r.intents.len(), 15, "every intent is surfaced");
+        assert_eq!(arena.pread_u64(obj), 7, "pre-image restored");
     }
 
     #[test]
-    fn staged_intents_flush_at_the_granularity_threshold() {
+    fn intents_stay_staged_until_drain_or_a_guarded_append() {
         let arena = PArena::builder().capacity_bytes(1 << 20).build().unwrap();
         superblock::format(&arena);
         let log = ExtLog::create(&arena, 1, 32 * 1024).unwrap();
-        log.set_persistence_granularity(256);
         let obj = arena.carve(64, 64).unwrap();
-        arena.pwrite_u64(obj, 1);
-        // One 64-byte-payload intent occupies HEADER + 64 = 96 bytes:
-        // two stage, the third crosses 256 and flushes the whole run.
+        let before = arena.stats().snapshot();
+        // One 64-byte-payload intent occupies HEADER + 64 = 96 bytes; no
+        // byte count ever flushes the run by itself.
         let p = [5u8; 64];
-        log.log_intent_in(0, 0, 1, 9, &p);
-        assert_eq!(log.staged_bytes(0, 0), 96);
-        log.log_intent_in(0, 0, 1, 9, &p);
-        assert_eq!(log.staged_bytes(0, 0), 192);
-        log.log_intent_in(0, 0, 1, 9, &p);
-        assert_eq!(log.staged_bytes(0, 0), 0, "threshold crossing drains");
+        for n in 1..=100u64 {
+            log.log_intent_in(0, 0, 1, 9, &p);
+            assert_eq!(log.staged_bytes(0, 0), 96 * n);
+        }
+        let staged = arena.stats().snapshot();
+        assert_eq!(staged.sfence, before.sfence, "staging never fences");
+        assert_eq!(staged.clwb, before.clwb, "staging never writes back");
+        log.drain(0, 0);
+        assert_eq!(log.staged_bytes(0, 0), 0, "drain persists the run");
+        assert_eq!(arena.stats().snapshot().sfence, before.sfence + 1);
+        log.drain(0, 0);
+        assert_eq!(
+            arena.stats().snapshot().sfence,
+            before.sfence + 1,
+            "nothing staged, nothing fenced"
+        );
         // Undo-object appends never leave the run staged: each guards an
         // imminent in-place modification, so its seal drains everything.
         log.log_intent_in(0, 0, 1, 9, &p);
@@ -1433,58 +1275,59 @@ mod tests {
     }
 
     #[test]
-    fn undrained_intent_is_indistinguishable_from_never_staged() {
-        // Crash with a non-empty staging buffer: the durable prefix
-        // replays, the staged intent tail does not — its batch,
-        // necessarily lacking a commit record, is dropped either way.
-        let arena = PArena::builder()
-            .capacity_bytes(1 << 20)
-            .tracked(true)
-            .build()
-            .unwrap();
-        superblock::format(&arena);
-        arena.global_flush();
-        let log = ExtLog::create(&arena, 1, 32 * 1024).unwrap();
-        log.set_persistence_granularity(1 << 20);
-        let a = arena.carve(64, 64).unwrap();
-        arena.pwrite_u64(a, 11);
-        log.log_object(0, 1, a, 64); // durable before return
-        arena.pwrite_u64(a, 12);
-        log.log_intent_in(0, 0, 1, 77, b"staged-op"); // staged only
-        assert!(log.staged_bytes(0, 0) > 0);
-        // A power failure persisting nothing still in flight: the staged
-        // intent vanishes with the rest of the cache.
-        arena.crash_with(|_, _| 0);
-        let log2 = ExtLog::open(&arena);
-        let r = log2.replay(1, 1);
-        assert_eq!(r.entries_applied, 1, "the sealed undo entry survives");
-        assert!(r.intents.is_empty(), "the staged intent vanishes");
-        assert_eq!(arena.pread_u64(a), 11, "pre-image restored");
-    }
-
-    #[test]
-    fn granularity_zero_matches_legacy_flush_traffic() {
-        // `persistence_granularity(0)` must reproduce today's per-entry
-        // protocol byte-for-byte: identical clwb/sfence counts and
-        // identical durable bytes versus a log never touched by the knob.
-        let run = |set_zero: bool| {
-            let arena = PArena::builder().capacity_bytes(1 << 20).build().unwrap();
-            superblock::format(&arena);
-            let log = ExtLog::create(&arena, 1, 32 * 1024).unwrap();
-            if set_zero {
-                log.set_persistence_granularity(0);
+    fn every_subset_of_staged_lines_surfaces_a_prefix_of_the_intents() {
+        // Three staged intents over six cache lines (payload lengths are
+        // multiples of 8 with no zero byte, so every line of an entry
+        // holds checksummed content). A crash may persist any subset of
+        // those lines: replay must surface exactly the intents in front
+        // of the first entry that lost a line — a prefix, never an intent
+        // behind a torn one. After `drain`, no choice loses anything.
+        let payloads: [Vec<u8>; 3] = [vec![0xA1; 72], vec![0xB2; 104], vec![0xC3; 56]];
+        let mut spans = Vec::new(); // each intent's [first, last] line, slot-relative
+        let mut off = 0u64;
+        for p in &payloads {
+            let end = off + ExtLog::entry_bytes(p.len());
+            spans.push((off / 64, (end - 1) / 64));
+            off = end;
+        }
+        let lines = spans[2].1 + 1;
+        assert!(lines >= 4, "the run must span several lines");
+        for drained in [false, true] {
+            for kept in 0u32..1 << lines {
+                let (arena, log) = tracked_log(4 * 1024);
+                for (i, p) in payloads.iter().enumerate() {
+                    log.log_intent_in(0, 0, 1, 10 + i as u64, p);
+                }
+                if drained {
+                    log.drain(0, 0);
+                }
+                let first_line = log.slot_base(0) / 64;
+                arena.crash_with(|line, n| {
+                    let rel = line.wrapping_sub(first_line);
+                    if rel < lines && kept & (1 << rel) == 0 {
+                        0
+                    } else {
+                        n
+                    }
+                });
+                let r = ExtLog::open(&arena).replay_domain(0, 1, 1);
+                let intact = |&(lo, hi): &(u64, u64)| (lo..=hi).all(|l| kept & (1 << l) != 0);
+                let want = if drained {
+                    3
+                } else {
+                    spans.iter().take_while(|s| intact(s)).count()
+                };
+                assert_eq!(
+                    r.intents.len(),
+                    want,
+                    "drained={drained} kept={kept:#b}: valid prefix only"
+                );
+                for (i, e) in r.intents.iter().enumerate() {
+                    assert_eq!(e.batch_id, 10 + i as u64);
+                    assert_eq!(e.payload, payloads[i]);
+                }
             }
-            let obj = arena.carve(320, 64).unwrap();
-            fill(&arena, obj, 100);
-            for _ in 0..8 {
-                log.log_object(0, 1, obj, 320);
-            }
-            log.log_intent_in(0, 0, 1, 3, b"op");
-            log.drain(0, 0); // must be a no-op when eager
-            let s = arena.stats().snapshot();
-            (s.clwb, s.sfence, log.used(0))
-        };
-        assert_eq!(run(false), run(true));
+        }
     }
 
     #[test]

@@ -738,25 +738,34 @@ fn handle_job(shared: &Arc<Shared>, sess: &Session, job: Job) {
         }
         Request::Scan { start, limit } => {
             c.scans.fetch_add(1, Ordering::Relaxed);
-            // Stop collecting once the reply would pass the frame cap: an
-            // oversized frame would desync (or be refused by) the client.
-            let mut entries = Vec::new();
-            let mut payload = ENTRIES_HEADER_LEN;
-            store.scan(sess, &start, limit as usize, &mut |k, v| {
-                payload += entry_wire_len(k, v);
-                if payload <= MAX_FRAME_BYTES {
-                    entries.push((k.to_vec(), v.to_vec()));
-                }
-            });
-            if payload <= MAX_FRAME_BYTES {
-                Response::Entries(entries)
-            } else {
-                Response::Error("scan reply exceeds frame cap; lower limit".to_string())
+            let found = store.range(sess, &start[..]..).take(limit as usize);
+            match collect_scan(found, MAX_FRAME_BYTES) {
+                Some(entries) => Response::Entries(entries),
+                None => Response::Error("scan reply exceeds frame cap; lower limit".to_string()),
             }
         }
         Request::Stats => Response::Stats(stats_json(shared)),
     };
     job.conn.complete(job.seq, frame_of(&resp));
+}
+
+/// Collects a SCAN reply's entries, or `None` as soon as the reply would
+/// pass `cap` payload bytes: an oversized frame would desync (or be
+/// refused by) the client, and the rest of the walk would be wasted.
+fn collect_scan(
+    found: impl Iterator<Item = (Vec<u8>, Vec<u8>)>,
+    cap: usize,
+) -> Option<Vec<(Vec<u8>, Vec<u8>)>> {
+    let mut entries = Vec::new();
+    let mut payload = ENTRIES_HEADER_LEN;
+    for (k, v) in found {
+        payload += entry_wire_len(&k, &v);
+        if payload > cap {
+            return None;
+        }
+        entries.push((k, v));
+    }
+    Some(entries)
 }
 
 /// Routes a write through the group committer; the completion runs on
@@ -809,4 +818,32 @@ fn stats_json(shared: &Shared) -> String {
         pm.clwb,
         shared.store.shard_count(),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_capped_scan_stops_pulling_once_the_cap_is_passed() {
+        // 100-byte values: entry n + 1 is the first past a cap sized for
+        // n of them, and nothing behind it may be pulled.
+        let per_entry = entry_wire_len(&[0u8; 8], &[0u8; 100]);
+        let n = 7;
+        let cap = ENTRIES_HEADER_LEN + n * per_entry + per_entry / 2;
+        let mut pulled = 0usize;
+        let endless = std::iter::repeat_with(|| {
+            pulled += 1;
+            (vec![0u8; 8], vec![0u8; 100])
+        });
+        assert_eq!(collect_scan(endless, cap), None);
+        assert_eq!(pulled, n + 1);
+
+        let entries = collect_scan(
+            std::iter::repeat_with(|| (vec![1u8; 8], vec![2u8; 100])).take(n),
+            cap,
+        )
+        .expect("n entries fit");
+        assert_eq!(entries.len(), n);
+    }
 }

@@ -198,8 +198,7 @@ pub fn load<K: KvBench>(store: &K, nkeys: u64, threads: usize) {
     });
 }
 
-/// How the driver serves `Op::Put`s — the write-path comparison axis of
-/// the `txn_batches` experiment.
+/// How the driver serves `Op::Put`s — the write-path comparison axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WriteMode {
     /// One put per operation. The historical driver default.
@@ -345,10 +344,7 @@ mod tests {
             incll::DurableConfig {
                 threads: 2,
                 log_bytes_per_thread: 1 << 20,
-                incll_enabled: true,
-                shards: 1,
-                recovery_threads: 1,
-                persistence_granularity: 0,
+                ..Default::default()
             },
         )
         .unwrap();

@@ -572,3 +572,70 @@ fn full_pool_fails_a_batch_cleanly_and_the_store_keeps_serving() {
         assert_eq!(store.get(&sess, &hot[0]).as_deref(), Some(&big[..]));
     }
 }
+
+#[test]
+fn durable_batches_never_overflow_the_log_without_a_cadence() {
+    // Log space is only reclaimed at a boundary, and without a cadence
+    // nothing schedules one: back-to-back durable batches on one shard
+    // must make their own room (a forced boundary) instead of running the
+    // (thread, shard) buffer into its overflow assert.
+    use incll_pmem::superblock;
+
+    let arena = tracked_arena();
+    // 1 MiB per thread over 4 shards: 256 KiB per (thread, shard) buffer.
+    let opts = options().shards(4);
+    let (store, _) = Store::open(&arena, opts.clone()).unwrap();
+    let sess = store.session().unwrap();
+    let mut shard0_keys = (0u64..)
+        .map(|i| format!("room-{i:06}").into_bytes())
+        .filter(|k| store.shard_of(k) == 0);
+    let val = vec![0x5Au8; 600];
+
+    // ~66 KB of intents per batch: the fourth would overflow 256 KiB.
+    let mut committed = Vec::new();
+    for round in 0..8 {
+        let mut batch = sess.batch();
+        let keys: Vec<Vec<u8>> = shard0_keys.by_ref().take(100).collect();
+        for k in &keys {
+            batch.put(k, &val).unwrap();
+        }
+        let id = batch
+            .commit_durable()
+            .unwrap_or_else(|e| panic!("round {round}: {e}"));
+        assert!(id >= 1);
+        committed.extend(keys);
+    }
+
+    // A batch that cannot fit even an empty buffer fails typed, before
+    // anything durable names it.
+    let id_before = arena.pread_u64(superblock::SB_BATCH_NEXT_ID);
+    let mut batch = sess.batch();
+    let too_many: Vec<Vec<u8>> = shard0_keys.by_ref().take(400).collect();
+    for k in &too_many {
+        batch.put(k, &val).unwrap();
+    }
+    match batch.commit_durable() {
+        Err(Error::BatchExceedsLog {
+            shard: 0,
+            needed,
+            capacity,
+        }) => assert!(needed > capacity),
+        other => panic!("expected BatchExceedsLog, got {other:?}"),
+    }
+    assert_eq!(arena.pread_u64(superblock::SB_BATCH_NEXT_ID), id_before);
+    assert_eq!(store.get(&sess, &too_many[0]), None);
+
+    // Every committed key reads back, live and across a crash.
+    for k in &committed {
+        assert_eq!(store.get(&sess, k).as_deref(), Some(&val[..]));
+    }
+    drop(sess);
+    drop(store);
+    arena.crash_seeded(4242);
+    let (store, _) = Store::open(&arena, opts).unwrap();
+    let sess = store.session().unwrap();
+    for k in &committed {
+        assert_eq!(store.get(&sess, k).as_deref(), Some(&val[..]));
+    }
+    assert_eq!(store.get(&sess, &too_many[0]), None);
+}

@@ -57,16 +57,11 @@ fn tracked() -> PArena {
 }
 
 fn options(shards: usize, workers: usize) -> Options {
-    options_g(shards, workers, 0)
-}
-
-fn options_g(shards: usize, workers: usize, gran: usize) -> Options {
     Options::new()
         .threads(1)
         .log_bytes_per_thread(1 << 20)
         .shards(shards)
         .recovery_threads(workers)
-        .persistence_granularity(gran)
 }
 
 /// Deterministic variable-length value: spans the small/medium classes.
@@ -145,7 +140,6 @@ fn run_cell(
     point: CrashPoint,
     mid_workers: usize,
     final_workers: usize,
-    gran: usize,
 ) -> CellOutcome {
     let arena = tracked();
     // Per-shard epoch mirror: create seals the mkfs epoch and leaves
@@ -155,7 +149,7 @@ fn run_cell(
     let mut working: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
     let mut expect: BTreeMap<Vec<u8>, Vec<u8>>;
 
-    let (store, r) = Store::open(&arena, options_g(shards, mid_workers, gran)).unwrap();
+    let (store, r) = Store::open(&arena, options(shards, mid_workers)).unwrap();
     assert!(r.created);
     {
         let sess = store.session().unwrap();
@@ -221,7 +215,7 @@ fn run_cell(
             drop(sess);
             drop(store);
             arena.crash_seeded(0xA11CE ^ shards as u64);
-            let (store2, r2) = Store::open(&arena, options_g(shards, mid_workers, gran)).unwrap();
+            let (store2, r2) = Store::open(&arena, options(shards, mid_workers)).unwrap();
             assert!(!r2.created);
             for e in &mut epochs {
                 *e += 1;
@@ -235,7 +229,7 @@ fn run_cell(
             // phase and the final crash.
             drop(store);
             arena.crash_seeded(0xD00D ^ shards as u64);
-            let (store2, r2) = Store::open(&arena, options_g(shards, mid_workers, gran)).unwrap();
+            let (store2, r2) = Store::open(&arena, options(shards, mid_workers)).unwrap();
             assert!(!r2.created);
             for e in &mut epochs {
                 *e += 1;
@@ -266,7 +260,7 @@ fn run_cell(
     }
 
     // The measured recovery: the cell's worker count.
-    let (store, report) = Store::open(&arena, options_g(shards, final_workers, gran)).unwrap();
+    let (store, report) = Store::open(&arena, options(shards, final_workers)).unwrap();
     assert!(!report.created);
     assert_eq!(
         report.parallel_workers,
@@ -334,7 +328,7 @@ fn run_matrix(point: CrashPoint) {
         // claim at the model level (the byte-level twin is below).
         let mut baseline: Option<CellOutcome> = None;
         for &workers in WORKER_SWEEP {
-            let out = run_cell(shards, point, 1, workers, 0);
+            let out = run_cell(shards, point, 1, workers);
             if let Some(base) = &baseline {
                 assert_eq!(
                     base.expect, out.expect,
@@ -387,14 +381,10 @@ struct BatchCell {
 /// `final_workers` and reports contents, batch-resolution counters, and
 /// the full-arena digest.
 fn run_batch_cell(shards: usize, commit: bool, final_workers: usize) -> BatchCell {
-    run_batch_cell_g(shards, commit, final_workers, 0)
-}
-
-fn run_batch_cell_g(shards: usize, commit: bool, final_workers: usize, gran: usize) -> BatchCell {
     let arena = tracked();
     let mut expect: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
 
-    let (store, r) = Store::open(&arena, options_g(shards, 1, gran)).unwrap();
+    let (store, r) = Store::open(&arena, options(shards, 1)).unwrap();
     assert!(r.created);
     {
         let sess = store.session().unwrap();
@@ -444,7 +434,7 @@ fn run_batch_cell_g(shards: usize, commit: bool, final_workers: usize, gran: usi
     drop(store);
     arena.crash_seeded(0xBA7C4 ^ shards as u64 ^ u64::from(commit));
 
-    let (store, report) = Store::open(&arena, options_g(shards, final_workers, gran)).unwrap();
+    let (store, report) = Store::open(&arena, options(shards, final_workers)).unwrap();
     assert!(!report.created);
     let redone: u64 = report.per_shard.iter().map(|s| s.batches_redone).sum();
     let dropped: u64 = report.per_shard.iter().map(|s| s.batches_dropped).sum();
@@ -642,38 +632,36 @@ fn recovered_store_stays_writable_and_durable_at_every_cell_shape() {
 #[test]
 fn puts_after_a_crash_with_no_prior_checkpoint_stay_sound() {
     for &shards in &[1usize, 4] {
-        for &gran in &[0usize, 4096] {
-            let arena = tracked();
-            {
-                let (store, _) = Store::open(&arena, options_g(shards, 2, gran)).unwrap();
-                let sess = store.session().unwrap();
-                for i in 0..40u64 {
-                    store.put(&sess, &i.to_be_bytes(), &bval(i)).unwrap();
-                }
-                // No checkpoint: every put above dies with the epoch.
-            }
-            arena.crash_seeded(21 ^ shards as u64);
-            let (store, _) = Store::open(&arena, options_g(shards, 2, gran)).unwrap();
+        let arena = tracked();
+        {
+            let (store, _) = Store::open(&arena, options(shards, 2)).unwrap();
             let sess = store.session().unwrap();
             for i in 0..40u64 {
-                assert_eq!(
-                    store.get(&sess, &i.to_be_bytes()),
-                    None,
-                    "shards={shards} gran={gran}: uncheckpointed put survived"
-                );
-            }
-            // New work must land in fresh memory, not the rolled-back
-            // tree's nodes.
-            for i in 100..140u64 {
                 store.put(&sess, &i.to_be_bytes(), &bval(i)).unwrap();
             }
-            for i in 100..140u64 {
-                assert_eq!(
-                    store.get(&sess, &i.to_be_bytes()),
-                    Some(bval(i)),
-                    "shards={shards} gran={gran}: post-recovery put lost"
-                );
-            }
+            // No checkpoint: every put above dies with the epoch.
+        }
+        arena.crash_seeded(21 ^ shards as u64);
+        let (store, _) = Store::open(&arena, options(shards, 2)).unwrap();
+        let sess = store.session().unwrap();
+        for i in 0..40u64 {
+            assert_eq!(
+                store.get(&sess, &i.to_be_bytes()),
+                None,
+                "shards={shards}: uncheckpointed put survived"
+            );
+        }
+        // New work must land in fresh memory, not the rolled-back
+        // tree's nodes.
+        for i in 100..140u64 {
+            store.put(&sess, &i.to_be_bytes(), &bval(i)).unwrap();
+        }
+        for i in 100..140u64 {
+            assert_eq!(
+                store.get(&sess, &i.to_be_bytes()),
+                Some(bval(i)),
+                "shards={shards}: post-recovery put lost"
+            );
         }
     }
 }
@@ -882,68 +870,6 @@ fn recovered_reserve_extent_is_reused_before_any_fresh_claim() {
              before any fresh claim touches the owner table"
         );
         assert_eq!(store.get(&sess, &hot[0]), Some(big));
-    }
-}
-
-/// Every matrix crash point, re-run with `persistence_granularity` ∈ {0, 256,
-/// 4096} and recovery workers ∈ {1, 4}, must land on the identical
-/// per-shard model, the identical per-shard report, and the identical
-/// arena bytes as the eager (granularity 0, sequential) baseline. The
-/// histories crash only at quiescent points, where every staging buffer
-/// has drained — exactly the guarantee the buffered path makes.
-#[test]
-fn granularity_sweep_recovers_byte_identical() {
-    const GRAN_SWEEP: &[usize] = &[0, 256, 4096];
-    for &point in CRASH_POINTS {
-        let baseline = run_cell(4, point, 1, 1, 0);
-        for &gran in GRAN_SWEEP {
-            for &workers in &[1usize, 4] {
-                if gran == 0 && workers == 1 {
-                    continue; // the baseline itself
-                }
-                let out = run_cell(4, point, 1, workers, gran);
-                assert_eq!(
-                    baseline.expect, out.expect,
-                    "{point:?} gran={gran} workers={workers}: model must not \
-                     depend on the persistence granularity"
-                );
-                assert_eq!(
-                    baseline.per_shard, out.per_shard,
-                    "{point:?} gran={gran} workers={workers}: per-shard \
-                     epochs/replay must not depend on the granularity"
-                );
-                assert_eq!(
-                    baseline.digest, out.digest,
-                    "{point:?} gran={gran} workers={workers}: buffered \
-                     appends must leave byte-identical recovered media"
-                );
-            }
-        }
-    }
-}
-
-/// The in-doubt-batch shapes under the same sweep: staged and committed
-/// cross-shard batches must resolve identically at every granularity.
-#[test]
-fn granularity_sweep_preserves_batch_resolution() {
-    for commit in [false, true] {
-        let baseline = run_batch_cell_g(4, commit, 1, 0);
-        for &gran in &[256usize, 4096] {
-            for &workers in &[1usize, 4] {
-                let out = run_batch_cell_g(4, commit, workers, gran);
-                assert_eq!(baseline.got, out.got, "commit={commit} gran={gran}");
-                assert_eq!(
-                    (baseline.redone, baseline.dropped),
-                    (out.redone, out.dropped),
-                    "commit={commit} gran={gran} workers={workers}"
-                );
-                assert_eq!(
-                    baseline.digest, out.digest,
-                    "commit={commit} gran={gran} workers={workers}: batch \
-                     resolution must be byte-identical at every granularity"
-                );
-            }
-        }
     }
 }
 

@@ -162,23 +162,13 @@ fn open_store(arena: &PArena, shards: usize) -> Store {
 }
 
 fn open_store_with(arena: &PArena, shards: usize, workers: usize) -> (Store, RecoveryReport) {
-    open_store_with_g(arena, shards, workers, 0)
-}
-
-fn open_store_with_g(
-    arena: &PArena,
-    shards: usize,
-    workers: usize,
-    gran: usize,
-) -> (Store, RecoveryReport) {
     Store::open(
         arena,
         Options::new()
             .threads(1)
             .log_bytes_per_thread(1 << 20)
             .shards(shards)
-            .recovery_threads(workers)
-            .persistence_granularity(gran),
+            .recovery_threads(workers),
     )
     .unwrap()
 }
@@ -194,14 +184,6 @@ fn shard_strategy() -> impl Strategy<Value = usize> {
 /// model-checked under both sequential (1) and parallel recovery.
 fn worker_strategy() -> impl Strategy<Value = usize> {
     prop_oneof![Just(1usize), Just(2), Just(4)]
-}
-
-/// Persistence granularities the crash properties sweep: 0 is the eager
-/// legacy path (one fence per entry), 256 forces frequent threshold
-/// drains, 4096 leaves most drains to op boundaries. Crash semantics
-/// must not depend on the choice.
-fn granularity_strategy() -> impl Strategy<Value = usize> {
-    prop_oneof![Just(0usize), Just(256), Just(4096)]
 }
 
 /// Applies `op` to both the store and the model.
@@ -300,14 +282,13 @@ proptest! {
         crash_seed in any::<u64>(),
         shards in shard_strategy(),
         workers in worker_strategy(),
-        gran in granularity_strategy(),
     ) {
         let arena = PArena::builder()
             .capacity_bytes(32 << 20)
             .tracked(true)
             .build()
             .unwrap();
-        let store = open_store_with_g(&arena, shards, 1, gran).0;
+        let store = open_store_with(&arena, shards, 1).0;
         let mut model: BTreeMap<u8, Vec<u8>> = BTreeMap::new();
         {
             let sess = store.session().unwrap();
@@ -327,7 +308,7 @@ proptest! {
         }
         drop(store);
         arena.crash_seeded(crash_seed);
-        let (store, report) = open_store_with_g(&arena, shards, workers, gran);
+        let (store, report) = open_store_with(&arena, shards, workers);
         prop_assert_eq!(report.parallel_workers, workers.min(shards));
         let sess = store.session().unwrap();
         let scanned: Vec<(u8, Vec<u8>)> = store.iter(&sess).map(|(k, v)| (k[0], v)).collect();
@@ -377,14 +358,13 @@ proptest! {
         crash_seed in any::<u64>(),
         shards in shard_strategy(),
         workers in worker_strategy(),
-        gran in granularity_strategy(),
     ) {
         let arena = PArena::builder()
             .capacity_bytes(32 << 20)
             .tracked(true)
             .build()
             .unwrap();
-        let store = open_store_with_g(&arena, shards, 1, gran).0;
+        let store = open_store_with(&arena, shards, 1).0;
         let mut working: BTreeMap<u8, Vec<u8>> = BTreeMap::new();
         let mut advances_done = vec![0u64; shards];
         let expect = {
@@ -414,7 +394,7 @@ proptest! {
         drop(store);
         arena.crash_seeded(crash_seed);
 
-        let (store, report) = open_store_with_g(&arena, shards, workers, gran);
+        let (store, report) = open_store_with(&arena, shards, workers);
         // Each shard's failed epoch is exactly its own advance history:
         // Epoch 2 at create (the mkfs epoch is sealed), +1 for the common
         // barrier, +1 per checkpoint_shard. True at every recovery worker
@@ -508,7 +488,6 @@ proptest! {
         crash_seed in any::<u64>(),
         shards in shard_strategy(),
         workers in prop_oneof![Just(1usize), Just(4)],
-        gran in granularity_strategy(),
     ) {
         use std::collections::BTreeSet;
 
@@ -517,7 +496,7 @@ proptest! {
             .tracked(true)
             .build()
             .unwrap();
-        let store = open_store_with_g(&arena, shards, 1, gran).0;
+        let store = open_store_with(&arena, shards, 1).0;
         let mut base_model: BTreeMap<u8, Vec<u8>> = BTreeMap::new();
         let mut done: Vec<BatchDone> = Vec::new();
         {
@@ -572,7 +551,7 @@ proptest! {
         drop(store);
         arena.crash_seeded(crash_seed);
 
-        let (store, report) = open_store_with_g(&arena, shards, workers, gran);
+        let (store, report) = open_store_with(&arena, shards, workers);
         prop_assert_eq!(report.parallel_workers, workers.min(shards));
 
         // The model: a batch's ops survive iff it committed AND either it

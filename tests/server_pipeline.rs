@@ -500,3 +500,67 @@ fn session_pool_exhaustion_fails_server_start_with_a_typed_timeout() {
         "expected SessionTimeout, got {err:?}"
     );
 }
+
+/// Log space is only reclaimed at a boundary, and the default server
+/// store runs without a cadence: a run of large legal `BATCH` frames on
+/// one shard must not run the committer's log buffer into its overflow
+/// assert — that kills the committer thread and wedges every writer.
+#[test]
+fn large_batch_frames_on_one_shard_do_not_kill_the_committer() {
+    let arena = arena();
+    // 1 MiB per thread over 4 shards: 256 KiB per (thread, shard) buffer.
+    let options = Options::new()
+        .threads(6)
+        .log_bytes_per_thread(1 << 20)
+        .shards(4);
+    let (store, _) = Store::open(&arena, options).unwrap();
+    let mut server = serve(&store, group_mode(), 2);
+    let addr = server.local_addr();
+
+    // Five frames of ~66 KB of intents each, every key on shard 0 (the
+    // fourth would overflow the buffer), then an unrelated connection's
+    // PUT, then shutdown — on a helper thread, so a dead committer fails
+    // the test by timeout instead of hanging it.
+    let shard0: Vec<Vec<u8>> = (0u64..)
+        .map(key)
+        .filter(|k| store.shard_of(k) == 0)
+        .take(500)
+        .collect();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let driver = std::thread::spawn(move || {
+        let mut client = NetClient::connect(addr).unwrap();
+        for frame in shard0.chunks(100) {
+            let ops = frame
+                .iter()
+                .map(|key| BatchOp::Put {
+                    key: key.clone(),
+                    val: vec![0x5A; 600],
+                })
+                .collect();
+            tx.send(client.call(&Request::Batch { ops }).unwrap())
+                .unwrap();
+        }
+        let mut other = NetClient::connect(addr).unwrap();
+        let put = Request::Put {
+            key: key(u64::MAX),
+            val: val(1),
+        };
+        tx.send(other.call(&put).unwrap()).unwrap();
+        server.shutdown();
+    });
+    let next = || {
+        rx.recv_timeout(Duration::from_secs(30))
+            .expect("every frame and the PUT behind them must be answered")
+    };
+    for frame in 0..5 {
+        assert!(matches!(next(), Response::Committed(_)), "frame {frame}");
+    }
+    assert_eq!(next(), Response::Ok);
+    // The channel closes when the driver is past `shutdown`.
+    assert!(
+        rx.recv_timeout(Duration::from_secs(30))
+            .is_err_and(|e| e == std::sync::mpsc::RecvTimeoutError::Disconnected),
+        "shutdown must return"
+    );
+    driver.join().unwrap();
+}
