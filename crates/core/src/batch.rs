@@ -43,7 +43,10 @@
 //! ([`incll_pmem::superblock::clear_batch_shard`]). A slot whose mask
 //! drains to zero is reusable; when all [`superblock::BATCH_SLOTS`] are
 //! still live, commit evicts the slot covering the fewest shards by
-//! forcing those shards over a boundary first.
+//! forcing those shards over a boundary first. On a store with no
+//! checkpoint cadence that eviction is what ends an epoch: one forced
+//! flush per covered shard every [`superblock::BATCH_SLOTS`] commits
+//! (counted in [`crate::ShardStats::advances_forced`]).
 //!
 //! **Log room.** Log space is only reclaimed at a boundary, so before
 //! any pin is taken commit sums, per covered shard, the batch's intent
@@ -52,11 +55,21 @@
 //! not fit an *empty* buffer fails with [`Error::BatchExceedsLog`] before
 //! any id, intent or record is written.
 //!
+//! **No pin across a commit.** Both forced boundaries wait for every
+//! pin on the shard to drop — the committing session's own included. So
+//! a commit that takes the table lock first checks that its session
+//! holds no pin on any shard (a live [`crate::ValueRef`], a
+//! [`Session::pin_shard`] guard) and otherwise fails with
+//! [`Error::SessionPinned`], again before any id, intent or record —
+//! on every such commit, not only the one that would have evicted.
+//!
 //! **Single-shard batches take none of this machinery**: when every
 //! staged key routes to one shard (always true with `shards(1)`), commit
 //! holds one mutating pin on that shard across the ordinary put / remove
 //! calls — same-epoch atomicity with no batch id, no intents, no commit
 //! record. `shards(1)` media and semantics are unchanged.
+
+use std::sync::atomic::Ordering;
 
 use incll_extlog::ExtLog;
 use incll_pmem::{superblock, PArena};
@@ -101,6 +114,21 @@ impl BatchSlots {
         BatchSlots { slots }
     }
 
+    /// The ids with a commit record, ascending: what recovery matches a
+    /// shard's surfaced intents against. Exact ids, never a watermark —
+    /// an id below a committed one may belong to a batch that staged its
+    /// intents and never committed.
+    pub(crate) fn committed_ids(&self) -> Vec<u64> {
+        let mut ids: Vec<u64> = self
+            .slots
+            .iter()
+            .map(|s| s.0)
+            .filter(|&id| id != 0)
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
     /// Retires shard `d` from every slot, durable word and mirror both.
     /// Called at shard `d`'s epoch boundary (its intents just became
     /// non-replayable) and during eviction (after forcing that boundary).
@@ -142,9 +170,11 @@ impl BatchSlots {
     /// Forces shard `d` over an epoch boundary (resetting its log
     /// buffers) on behalf of a commit that holds the table lock. The
     /// boundary hook cannot take `Inner::batches` (we hold it), so mirror
-    /// its clearing here ourselves. The caller holds no pin on `d`.
+    /// its clearing here ourselves. The committing session holds no pin
+    /// (`WriteBatch::run` checked before taking the lock).
     fn force_boundary(&mut self, inner: &Inner, d: usize) {
         inner.mgr.advance_domain(d);
+        inner.forced_boundaries[d].fetch_add(1, Ordering::Relaxed);
         self.clear_shard(&inner.arena, d);
     }
 
@@ -360,6 +390,11 @@ impl<'s> WriteBatch<'s> {
     /// (intents plus the undo allowance) cannot fit an empty per-thread
     /// log buffer — equally clean: nothing was written. Split the batch
     /// or raise [`crate::Options::log_bytes_per_thread`].
+    ///
+    /// [`Error::SessionPinned`] when the batch spans shards while this
+    /// session holds an epoch pin (a live [`crate::ValueRef`] or
+    /// [`Session::pin_shard`] guard) — nothing was written; drop the pin
+    /// and commit again.
     pub fn commit(self) -> Result<u64, Error> {
         self.run(true, false)
     }
@@ -385,7 +420,9 @@ impl<'s> WriteBatch<'s> {
     ///
     /// # Errors
     ///
-    /// Same as [`WriteBatch::commit`].
+    /// Same as [`WriteBatch::commit`], except that
+    /// [`Error::SessionPinned`] applies to every durable commit (none
+    /// takes the pin-nesting fast path).
     pub fn commit_durable(self) -> Result<u64, Error> {
         self.run(true, true)
     }
@@ -437,6 +474,11 @@ impl<'s> WriteBatch<'s> {
             return Ok(0);
         }
 
+        // Anything below may force a boundary on a shard, which waits
+        // for every pin on it — this session's own would never drop.
+        if let Some(shard) = self.sess.ctx().first_pinned() {
+            return Err(Error::SessionPinned { shard });
+        }
         let inner = &store.shard_tree(0).inner;
         // The table lock is the global commit lock: one cross-shard
         // commit at a time (the slot protocol and the durable id bump
@@ -681,14 +723,16 @@ mod tests {
         // More cross-shard commits than table slots, with no checkpoint
         // in between: acquire() must evict (forcing boundaries) rather
         // than panic or corrupt earlier records.
-        for round in 0..(2 * superblock::BATCH_SLOTS as u32) {
+        let rounds = 2 * superblock::BATCH_SLOTS;
+        for round in 0..rounds {
             let mut b = sess.batch();
             b.put(&k0, format!("a{round}").as_bytes()).unwrap();
             b.put(&k1, format!("b{round}").as_bytes()).unwrap();
             b.commit().expect("commit");
         }
-        assert_eq!(store.get(&sess, &k0).as_deref(), Some(&b"a15"[..]));
-        assert_eq!(store.get(&sess, &k1).as_deref(), Some(&b"b15"[..]));
+        let last = rounds - 1;
+        assert_eq!(store.get(&sess, &k0), Some(format!("a{last}").into_bytes()));
+        assert_eq!(store.get(&sess, &k1), Some(format!("b{last}").into_bytes()));
     }
 
     #[test]

@@ -94,6 +94,16 @@ pub enum Error {
         /// ([`crate::Options::log_bytes_per_thread`] / shards).
         capacity: u64,
     },
+    /// A [`crate::WriteBatch`] commit that may force a checkpoint (every
+    /// `commit_durable`, every cross-shard `commit`) was issued while its
+    /// own session holds an epoch pin — a live [`crate::ValueRef`], a
+    /// [`crate::Session::pin_shard`] guard. The forced checkpoint would
+    /// wait for that pin forever, so the commit is refused up front.
+    /// Nothing was written. Drop the pin and commit again.
+    SessionPinned {
+        /// The lowest shard the session holds a pin on.
+        shard: usize,
+    },
     /// An internal subsystem reported a condition with no dedicated
     /// variant (future-proofing against `#[non_exhaustive]` sources).
     Internal(String),
@@ -160,6 +170,13 @@ impl std::fmt::Display for Error {
                     f,
                     "write batch needs {needed} external-log bytes on shard \
                      {shard}, but a per-thread buffer holds {capacity}"
+                )
+            }
+            Error::SessionPinned { shard } => {
+                write!(
+                    f,
+                    "write batch committed while its session holds an epoch \
+                     pin on shard {shard}; drop the borrow or guard first"
                 )
             }
             Error::Internal(what) => write!(f, "internal error: {what}"),
@@ -235,6 +252,7 @@ mod tests {
                 needed: 5 << 20,
                 capacity: 4 << 20,
             },
+            Error::SessionPinned { shard: 2 },
         ];
         for e in errs {
             let s = e.to_string();

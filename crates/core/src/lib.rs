@@ -217,6 +217,14 @@
 //!   A batch too large for an *empty* buffer fails with
 //!   [`Error::BatchExceedsLog`] before any id, intent or record is
 //!   written.
+//! * **No pin across a commit that may checkpoint.** That forced
+//!   boundary — and the one that frees a batch-table slot, below — waits
+//!   for every pin on the shard to drop, the committing session's own
+//!   included. A cross-shard `commit` or any `commit_durable` issued
+//!   while its session holds a [`ValueRef`] or a [`Session::pin_shard`]
+//!   guard therefore fails with [`Error::SessionPinned`], likewise
+//!   before any id, intent or record. [`Store::checkpoint`] has the same
+//!   precondition, unchecked.
 //! * **Recovery resolves in-doubt batches deterministically.** Each
 //!   shard's replay surfaces its intents; a batch whose id is in the
 //!   durable table is *redone* through the ordinary put/remove paths
@@ -233,7 +241,13 @@
 //!   the batch *crash-atomic* immediately, not durable: each shard's
 //!   half persists when that shard next checkpoints (until then a crash
 //!   redoes it from the intents). The boundary also retires the shard's
-//!   bit from the batch table, draining slots for reuse.
+//!   bit from the batch table, draining slots for reuse. The table has
+//!   [`incll_pmem::superblock::BATCH_SLOTS`] slots — the most batches
+//!   that can be in doubt at once; when every slot is still live, commit
+//!   frees one by forcing the shards it covers over a boundary. On a
+//!   store with no cadence (the network server's) that is what ends an
+//!   epoch: one forced flush per covered shard every `BATCH_SLOTS`
+//!   commits, counted in [`ShardStats::advances_forced`].
 //! * **Scans stay torn-free.** A batch committing between two
 //!   [`Store::range`] refills is observed all-or-nothing by every
 //!   subsequent refill (see [`RangeScan`]).
@@ -351,10 +365,10 @@
 //!   [`WriteBatch::commit_durable`]: durable when the `OK` arrives, at
 //!   the price of one fence pair per request.
 //! * **Group** *(default)* — small writes from *all* connections are
-//!   coalesced: the first write opens a window (default 200 µs,
-//!   closed early by an op or byte budget), and the whole group
-//!   commits as one durable batch — one commit record, one fence
-//!   pair, shared by every write in the group. Acks are withheld
+//!   coalesced: whatever queued while the previous group was
+//!   committing is the next group (no timer, nothing to tune), and the
+//!   whole group commits as one durable batch — one commit record, one
+//!   fence pair, shared by every write in the group. Acks are withheld
 //!   until the group's commit record is durable, so `OK` still means
 //!   exactly what it means per-request; the reorder buffer keeps
 //!   later reads from overtaking the withheld ack.
@@ -375,7 +389,7 @@
 //!
 //! # Media compatibility
 //!
-//! On-media layouts are version-screened: v8 (this build) refuses v1–v7
+//! On-media layouts are version-screened: v9 (this build) refuses v1–v8
 //! media with a typed [`Error::UnsupportedLayout`] — never a reformat.
 //!
 //! [`DurableMasstree`] remains public as the mid-level API, but it speaks

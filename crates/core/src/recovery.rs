@@ -63,6 +63,7 @@
 //! compacts it; see `incll-pmem`'s `prune_failed_epochs`).
 
 use std::collections::BTreeMap;
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -321,6 +322,12 @@ impl DurableMasstree {
         let (mut per_shard, intents): (Vec<ShardReplay>, Vec<Vec<IntentEntry>>) =
             replayed.into_iter().unzip();
 
+        // The batch table as the crash left it: the mirror commits start
+        // from, and the commit records phase 3 resolves intents against
+        // (redo and boundaries only ever clear mask words, never ids).
+        let batches = crate::batch::BatchSlots::load(arena);
+        let committed = batches.committed_ids();
+
         let tree = DurableMasstree::from_inner(Arc::new(Inner {
             arena: arena.clone(),
             mgr,
@@ -333,7 +340,8 @@ impl DurableMasstree {
                 .collect(),
             incll_enabled: config.incll_enabled,
             shard_count: on_media,
-            batches: Mutex::new(crate::batch::BatchSlots::load(arena)),
+            batches: Mutex::new(batches),
+            forced_boundaries: (0..on_media).map(|_| AtomicU64::new(0)).collect(),
         }));
         tree.attach_hooks();
 
@@ -345,7 +353,7 @@ impl DurableMasstree {
         // two workers redoing different shards never share state, and
         // the recovered bytes stay identical at every worker count.
         let resolved = run_per_shard(workers, on_media, |d| {
-            resolve_in_doubt_batches(&tree, arena, d, &intents[d])
+            resolve_in_doubt_batches(&tree, &committed, d, &intents[d])
         });
         for (d, (redone, dropped)) in resolved.into_iter().enumerate() {
             per_shard[d].batches_redone = redone;
@@ -369,7 +377,9 @@ impl DurableMasstree {
 
 /// Resolves one shard's in-doubt batches (phase 3): groups the shard's
 /// surfaced intents by batch id (ascending — a deterministic order), then
-/// redoes every batch with a durable commit record and drops the rest.
+/// redoes every batch whose id is in `committed` (the ascending ids of
+/// the durable commit records — an exact-id match, see
+/// `BatchSlots::committed_ids`) and drops the rest.
 /// Returns `(batches_redone, batches_dropped)`.
 ///
 /// Redo runs through the ordinary put/remove paths on thread slot 0 —
@@ -379,7 +389,7 @@ impl DurableMasstree {
 /// own pre-images).
 fn resolve_in_doubt_batches(
     tree: &DurableMasstree,
-    arena: &PArena,
+    committed: &[u64],
     d: usize,
     intents: &[IntentEntry],
 ) -> (u64, u64) {
@@ -394,7 +404,7 @@ fn resolve_in_doubt_batches(
     let ctx = shard.thread_ctx(0).expect("thread slot 0 always exists");
     let (mut redone, mut dropped) = (0u64, 0u64);
     for (id, entries) in &by_batch {
-        if !superblock::batch_is_committed(arena, *id) {
+        if committed.binary_search(id).is_err() {
             dropped += 1;
             continue;
         }

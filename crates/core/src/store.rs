@@ -45,6 +45,7 @@
 
 use std::collections::VecDeque;
 use std::ops::{Bound, RangeBounds};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -628,6 +629,12 @@ impl Store {
     /// [`incll_epoch::AdvanceDriver`] — per-domain cadences via
     /// [`incll_epoch::AdvanceDriver::spawn_per_domain`] — on
     /// [`Store::epoch_manager`].)
+    ///
+    /// # Deadlocks
+    ///
+    /// Must not be called while the calling thread's [`Session`] holds a
+    /// pin on any shard (a live [`ValueRef`], a [`Session::pin_shard`]
+    /// guard): the checkpoint waits for every pin on the shard to drop.
     pub fn checkpoint(&self) -> u64 {
         self.shards[0].epoch_manager().advance()
     }
@@ -637,6 +644,11 @@ impl Store {
     /// currently operating in that shard are (briefly) stalled. Other
     /// shards' epochs, logs and in-flight work are untouched. Returns the
     /// shard's new epoch.
+    ///
+    /// # Deadlocks
+    ///
+    /// Must not be called while the calling thread's [`Session`] holds a
+    /// pin on `shard` (see [`Store::checkpoint`]).
     ///
     /// # Panics
     ///
@@ -704,6 +716,7 @@ impl Store {
             bytes_logged: c.bytes_logged,
             bytes_since_boundary: c.bytes_since_boundary,
             advances_fired: c.advances_fired,
+            advances_forced: self.shards[0].inner.forced_boundaries[i].load(Ordering::Relaxed),
             advances_skipped: c.advances_skipped,
             current_interval: self.driver.as_ref().and_then(|d| d.current_interval(i)),
         }
@@ -758,6 +771,11 @@ pub struct ShardStats {
     /// Checkpoints completed on this shard (driver ticks plus explicit
     /// [`Store::checkpoint`]/[`Store::checkpoint_shard`] calls).
     pub advances_fired: u64,
+    /// The subset of [`ShardStats::advances_fired`] that a write-batch
+    /// commit forced — to reuse a batch-table slot or to make log room
+    /// (see `crate::batch`). On a store with no cadence these are the
+    /// only checkpoints the commit path pays.
+    pub advances_forced: u64,
     /// Driver ticks skipped because the shard was clean (the dirty-work
     /// heuristic of lazy and adaptive cadences).
     pub advances_skipped: u64,

@@ -145,6 +145,12 @@ impl DCtx {
     pub(crate) fn pin_shards_mut(&self, mask: u64) -> Vec<Guard<'_>> {
         self.handle.pin_domains_mut(mask)
     }
+
+    /// The lowest shard this thread holds a pin on, if any (batch
+    /// commit's no-pin precondition).
+    pub(crate) fn first_pinned(&self) -> Option<usize> {
+        self.handle.first_pinned()
+    }
 }
 
 impl std::fmt::Debug for DCtx {
@@ -325,6 +331,9 @@ pub(crate) struct Inner {
     /// superblock batch table's `(id, shard-mask)` slots (see
     /// `crate::batch`). Loaded from media at create/open.
     pub(crate) batches: Mutex<crate::batch::BatchSlots>,
+    /// Per shard: epoch boundaries the batch-commit path forced (slot
+    /// eviction, log room). A statistic; publishes nothing.
+    pub(crate) forced_boundaries: Vec<AtomicU64>,
 }
 
 /// A durable, crash-recoverable Masstree in persistent memory.
@@ -421,6 +430,7 @@ impl DurableMasstree {
             incll_enabled: config.incll_enabled,
             shard_count: config.shards,
             batches: Mutex::new(crate::batch::BatchSlots::load(arena)),
+            forced_boundaries: (0..config.shards).map(|_| AtomicU64::new(0)).collect(),
         });
         let tree = Self::shard_handle(&inner, 0);
         // One empty root leaf per shard, each behind its own holder cell.

@@ -557,6 +557,14 @@ impl ThreadHandle {
         }
     }
 
+    /// The lowest domain this thread currently holds a [`Guard`] on, if
+    /// any — the precondition [`EpochManager::advance_domain`] states,
+    /// made checkable: a thread must not advance a domain it has pinned,
+    /// it would wait for its own pin.
+    pub fn first_pinned(&self) -> Option<usize> {
+        self.depth.iter().position(|d| d.get() > 0)
+    }
+
     /// The owning manager.
     pub fn manager(&self) -> &EpochManager {
         &self.mgr
@@ -1037,13 +1045,17 @@ mod tests {
     fn per_domain_guards_nest_independently() {
         let mgr = durable_mgr_domains(2);
         let h = mgr.register();
-        let g0 = h.pin_domain(0);
+        assert_eq!(h.first_pinned(), None);
         let g1 = h.pin_domain(1);
+        assert_eq!(h.first_pinned(), Some(1));
+        let g0 = h.pin_domain(0);
+        assert_eq!(h.first_pinned(), Some(0));
         assert_eq!(g0.domain(), 0);
         assert_eq!(g1.domain(), 1);
         drop(g1);
         mgr.advance_domain(1); // domain 0 still pinned; must not matter
         drop(g0);
+        assert_eq!(h.first_pinned(), None);
         mgr.advance_domain(0);
         assert_eq!(mgr.current_epoch_of(0), 2);
         assert_eq!(mgr.current_epoch_of(1), 2);

@@ -20,9 +20,9 @@
 //! | 192    | 3       | allocator descriptor (head-cell region, threads, classes, domains) |
 //! | 256    | 4       | extent-pool descriptor (pool base, extent bytes, extent count) |
 //! | 320    | 5       | batch next-id word (monotonic durable batch-id allocator) |
-//! | 384    | 6–7     | batch-commit table: 8 × 16 B (batch id, shard mask) slots |
+//! | 384    | 6–7     | spare |
 //! | 512    | 8–9     | extent-owner table: one owner byte per extent (up to 128) |
-//! | 640    | 10–63   | spare |
+//! | 640    | 10–63   | batch-commit table: 216 × 16 B (batch id, shard mask) slots |
 //! | 4096   | 64–1151 | shard cells: [`MAX_SHARDS`] × [`SHARD_CELL_BYTES`] |
 //! | 73728  | —       | start of carvable space |
 //!
@@ -50,7 +50,7 @@ pub const MAGIC: u64 = 0x19C1_1C05_A5B1_2019;
 /// On-media format version. Every other version — older media included —
 /// must be rejected by openers, never reinterpreted or reformatted: the
 /// cells of one version read as garbage under another.
-pub const VERSION: u64 = 8;
+pub const VERSION: u64 = 9;
 
 /// Offset of the magic word.
 pub const SB_MAGIC: u64 = 64;
@@ -165,12 +165,23 @@ pub const SB_BATCH_NEXT_ID: u64 = 320;
 /// exactly. Both words of a slot share one cache line, so the commit
 /// protocol (mask first, id second, same line) rides the InCLL
 /// same-line-ordering argument: a torn commit leaves the old id, never a
-/// new id with a stale mask.
-pub const SB_BATCH_TABLE: u64 = 384;
-/// Number of batch-commit slots. Bounds the batches that can be in-doubt
-/// at once; committers reuse slots once every shard in a slot's mask has
-/// advanced past the batch's intents (see `incll`'s eviction protocol).
-pub const BATCH_SLOTS: usize = 8;
+/// new id with a stale mask. Four slots fill a line; none straddles one.
+pub const SB_BATCH_TABLE: u64 = 640;
+/// Number of batch-commit slots: lines 10–63, 54 lines × 4 slots.
+///
+/// Bounds the batches that can be in doubt at once (recovery redoes at
+/// most this many per shard); committers reuse a slot once every shard
+/// in its mask has advanced past the batch's intents, and when none is
+/// reusable they *force* that advance (see `incll`'s eviction protocol).
+/// On a store with no checkpoint cadence that forced advance is the
+/// only boundary short of log room, so this constant is also the
+/// cadence-less epoch length, in durable commits. A few hundred is the
+/// useful range: the forced flush is amortised over that many commits,
+/// while an epoch stays short enough for InCLL — one logged change per
+/// line per epoch — to absorb most writes; measured on the `net_put`
+/// workload, 1024 slots traded the remaining flush wait for more
+/// external-log traffic and completed fewer operations than 216.
+pub const BATCH_SLOTS: usize = 216;
 
 /// The offset of batch-commit slot `i` (its shard-mask word lives at
 /// `+8`).
@@ -227,7 +238,8 @@ pub fn clear_batch_shard(arena: &PArena, i: usize, shard: usize) {
 /// Returns `true` if `batch_id` has a durable commit record: some slot's
 /// id word matches it exactly. Exact match is the whole protocol —
 /// reused slots hold *different* ids, so an in-doubt batch can never
-/// alias a committed one.
+/// alias a committed one. Reads the whole table: for one-off checks
+/// (tests, diagnostics); recovery snapshots the table once instead.
 pub fn batch_is_committed(arena: &PArena, batch_id: u64) -> bool {
     batch_id != 0 && (0..BATCH_SLOTS).any(|i| arena.pread_u64(batch_slot_off(i)) == batch_id)
 }

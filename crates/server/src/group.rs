@@ -4,53 +4,30 @@
 //! and its fences — *per put*. For small values that protocol dominates
 //! the work. The [`GroupCommitter`] instead lets worker threads enqueue
 //! writes and return immediately; a dedicated committer thread drains
-//! the queue into one [`WriteBatch::commit_durable`] per group, bounded
-//! by a time window and ops/bytes budgets, then runs every enqueued
-//! completion. Requests from *different connections* coalesce into the
-//! same group, so the fence cost amortises across the whole server, not
-//! just one pipeline. The queue is also the server's write-ordering
-//! spine: ops drain — and commit — in submission order, and a
-//! [`GroupOp::Batch`] is an ordered flush point that commits alone,
-//! which is why grouped mode can route `BATCH` requests through here
-//! and keep one connection's writes in request order.
+//! the queue into one [`WriteBatch::commit_durable`] per group, then
+//! runs every enqueued completion. There is no timer and nothing to
+//! tune: the committer takes whatever is queued the moment it is free,
+//! and whatever arrives while it commits is the next group — so a group
+//! is as large as the load makes it, and a lone write waits for nothing.
+//! (A commit's fences cost a few hundred nanoseconds; idling the
+//! committer to share them costs more than it saves.) Requests from
+//! *different connections* coalesce into the same group, so the fence
+//! cost amortises across the whole server, not just one pipeline. The
+//! queue is also the server's write-ordering spine: ops drain — and
+//! commit — in submission order, and a [`GroupOp::Batch`] is an ordered
+//! flush point that commits alone, which is why grouped mode can route
+//! `BATCH` requests through here and keep one connection's writes in
+//! request order.
 //!
 //! [`WriteBatch::commit_durable`]: incll::WriteBatch::commit_durable
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use incll::{Session, Store, MAX_BATCH_OPS};
 
 use crate::protocol::BatchOp;
-
-/// When the committer closes a group and fences it.
-///
-/// A group commits as soon as **any** bound is hit: the window elapses
-/// (latency bound), or the pending ops/bytes reach their budgets
-/// (throughput bound — no point waiting once a batch is full).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GroupConfig {
-    /// Longest a queued write waits before its group commits, measured
-    /// from the moment the group's *first* write arrived.
-    pub window: Duration,
-    /// Commit immediately once this many writes are pending.
-    pub max_ops: usize,
-    /// Commit immediately once the pending writes' key+value bytes
-    /// reach this budget.
-    pub max_bytes: usize,
-}
-
-impl Default for GroupConfig {
-    fn default() -> Self {
-        GroupConfig {
-            window: Duration::from_micros(200),
-            max_ops: MAX_BATCH_OPS,
-            max_bytes: 1 << 20,
-        }
-    }
-}
 
 /// One write awaiting its group.
 pub enum GroupOp {
@@ -80,22 +57,6 @@ pub enum GroupOp {
     },
 }
 
-impl GroupOp {
-    fn bytes(&self) -> usize {
-        match self {
-            GroupOp::Put { key, val } => key.len() + val.len(),
-            GroupOp::Del { key } => key.len(),
-            GroupOp::Batch { ops } => ops
-                .iter()
-                .map(|op| match op {
-                    BatchOp::Put { key, val } => key.len() + val.len(),
-                    BatchOp::Del { key } => key.len(),
-                })
-                .sum(),
-        }
-    }
-}
-
 /// Called exactly once when the write's group commits (or fails):
 /// `Ok(batch_id)` after the group's commit record is durable.
 pub type Completion = Box<dyn FnOnce(Result<u64, String>) + Send>;
@@ -107,16 +68,12 @@ struct PendingWrite {
 
 struct State {
     pending: Vec<PendingWrite>,
-    pending_bytes: usize,
-    /// When the oldest pending write arrived; the window counts from here.
-    first_at: Option<Instant>,
     stop: bool,
 }
 
 struct Inner {
     state: Mutex<State>,
     cv: Condvar,
-    cfg: GroupConfig,
     /// Groups durably committed (fence-bearing commits).
     groups: AtomicU64,
     /// Writes that rode in those groups.
@@ -141,16 +98,13 @@ impl GroupCommitter {
     ///
     /// The spawn failure, verbatim, when the OS refuses the committer
     /// thread — the caller decides whether to degrade or abort.
-    pub fn start(store: Store, sess: Session, cfg: GroupConfig) -> std::io::Result<Self> {
+    pub fn start(store: Store, sess: Session) -> std::io::Result<Self> {
         let inner = Arc::new(Inner {
             state: Mutex::new(State {
                 pending: Vec::new(),
-                pending_bytes: 0,
-                first_at: None,
                 stop: false,
             }),
             cv: Condvar::new(),
-            cfg,
             groups: AtomicU64::new(0),
             ops: AtomicU64::new(0),
         });
@@ -174,13 +128,7 @@ impl GroupCommitter {
             done(Err("server shutting down".into()));
             return;
         }
-        st.pending_bytes += op.bytes();
-        if st.first_at.is_none() {
-            st.first_at = Some(Instant::now());
-        }
         st.pending.push(PendingWrite { op, done });
-        // The committer re-derives deadlines itself; one wake suffices
-        // whether this write opened a group or filled one.
         self.inner.cv.notify_one();
     }
 
@@ -216,51 +164,23 @@ impl Drop for GroupCommitter {
 
 fn committer_loop(inner: &Inner, store: &Store, sess: &Session) {
     loop {
-        // Phase 1: wait until a group is ready to close.
+        // Take everything queued; sleep only while there is nothing.
         let (writes, stopping) = {
             let mut st = inner.state.lock().unwrap();
-            loop {
-                if st.stop {
-                    break;
-                }
-                if st.pending.is_empty() {
-                    st = inner.cv.wait(st).unwrap();
-                    continue;
-                }
-                let elapsed = st.first_at.expect("first_at set with pending").elapsed();
-                if elapsed >= inner.cfg.window
-                    || st.pending.len() >= inner.cfg.max_ops
-                    || st.pending_bytes >= inner.cfg.max_bytes
-                {
-                    break;
-                }
-                // Group still open: sleep out the rest of the window (a
-                // budget-filling submit wakes us early).
-                let (g, _) = inner
-                    .cv
-                    .wait_timeout(st, inner.cfg.window - elapsed)
-                    .unwrap();
-                st = g;
+            while st.pending.is_empty() && !st.stop {
+                st = inner.cv.wait(st).unwrap();
             }
-            let writes = std::mem::take(&mut st.pending);
-            st.pending_bytes = 0;
-            st.first_at = None;
-            (writes, st.stop)
+            (std::mem::take(&mut st.pending), st.stop)
         };
 
-        // Phase 2: commit outside the lock — submits keep flowing into
-        // the *next* group while this one fences.
+        // Commit outside the lock — submits keep flowing into the *next*
+        // group while this one fences.
         if !writes.is_empty() {
             commit_group(inner, sess, writes);
         }
         if stopping {
             // One more sweep: submits may have raced the stop flag.
-            let leftovers = {
-                let mut st = inner.state.lock().unwrap();
-                st.pending_bytes = 0;
-                st.first_at = None;
-                std::mem::take(&mut st.pending)
-            };
+            let leftovers = std::mem::take(&mut inner.state.lock().unwrap().pending);
             if !leftovers.is_empty() {
                 commit_group(inner, sess, leftovers);
             }
@@ -270,7 +190,7 @@ fn committer_loop(inner: &Inner, store: &Store, sess: &Session) {
     }
 }
 
-/// Commits one closed group, chunking to the batch-size cap, and runs
+/// Commits one group, chunking to the batch-size cap, and runs
 /// every completion with its chunk's outcome. [`GroupOp::Batch`]
 /// entries act as ordered flush points: the open chunk commits first,
 /// then the batch commits alone (atomic, its own id), then chunking
@@ -377,6 +297,7 @@ mod tests {
     use incll::Options;
     use incll_pmem::PArena;
     use std::sync::mpsc;
+    use std::time::Duration;
 
     fn store() -> (&'static PArena, Store) {
         let arena = Box::leak(Box::new(
@@ -387,77 +308,61 @@ mod tests {
         (arena, store)
     }
 
-    #[test]
-    fn a_full_window_commits_every_enqueued_write_once() {
-        let (_, store) = store();
-        let sess = store.session().unwrap();
-        let committer = GroupCommitter::start(
-            store.clone(),
-            store.session().unwrap(),
-            GroupConfig {
-                window: Duration::from_millis(2),
-                ..GroupConfig::default()
+    /// Parks the committer thread: submits one put of `key` whose
+    /// completion (completions run on the committer) blocks until the
+    /// returned sender is dropped, and returns once the committer is
+    /// inside it. Everything submitted meanwhile queues, and is the next
+    /// group.
+    fn block_committer(committer: &GroupCommitter, key: &[u8]) -> mpsc::Sender<()> {
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        committer.submit(
+            GroupOp::Put {
+                key: key.to_vec(),
+                val: b"b".to_vec(),
             },
-        )
-        .unwrap();
-        let (tx, rx) = mpsc::channel();
-        for i in 0..100u64 {
-            let tx = tx.clone();
-            committer.submit(
-                GroupOp::Put {
-                    key: i.to_be_bytes().to_vec(),
-                    val: vec![i as u8; 64],
-                },
-                Box::new(move |r| tx.send((i, r)).unwrap()),
-            );
-        }
-        let mut acked = 0;
-        for _ in 0..100 {
-            let (_, r) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-            r.unwrap();
-            acked += 1;
-        }
-        assert_eq!(acked, 100);
-        for i in 0..100u64 {
-            assert_eq!(store.get(&sess, &i.to_be_bytes()), Some(vec![i as u8; 64]));
-        }
-        let (groups, ops) = committer.stats();
-        assert_eq!(ops, 100);
-        assert!(groups >= 1, "at least one group must have committed");
-        assert!(
-            groups < 100,
-            "grouping must coalesce: {groups} groups for 100 ops"
+            Box::new(move |r| {
+                parked_tx.send(r).unwrap();
+                let _ = release_rx.recv();
+            }),
         );
+        parked_rx
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap()
+            .unwrap();
+        release_tx
     }
 
     #[test]
-    fn max_ops_closes_a_group_before_the_window() {
-        let (_, store) = store();
-        let committer = GroupCommitter::start(
-            store.clone(),
-            store.session().unwrap(),
-            GroupConfig {
-                // A window long enough that only the ops budget can
-                // plausibly close the group.
-                window: Duration::from_secs(30),
-                max_ops: 8,
-                max_bytes: 1 << 20,
-            },
-        )
-        .unwrap();
-        let (tx, rx) = mpsc::channel();
-        for i in 0..8u64 {
-            let tx = tx.clone();
-            committer.submit(
-                GroupOp::Put {
-                    key: i.to_be_bytes().to_vec(),
-                    val: b"v".to_vec(),
-                },
-                Box::new(move |r| tx.send(r).unwrap()),
-            );
-        }
-        for _ in 0..8 {
-            rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
+    fn what_queues_while_the_committer_is_busy_is_the_next_group() {
+        // 100 writes: one group. 1100: one group over the batch cap, so
+        // two chunks (each its own durable commit).
+        for n in [100u64, 1100] {
+            let chunks = n.div_ceil(MAX_BATCH_OPS as u64);
+            let (_, store) = store();
+            let sess = store.session().unwrap();
+            let committer = GroupCommitter::start(store.clone(), store.session().unwrap()).unwrap();
+            let release = block_committer(&committer, b"blocker");
+            let (tx, rx) = mpsc::channel();
+            for i in 0..n {
+                let tx = tx.clone();
+                committer.submit(
+                    GroupOp::Put {
+                        key: i.to_be_bytes().to_vec(),
+                        val: vec![i as u8; 64],
+                    },
+                    Box::new(move |r| tx.send(r).unwrap()),
+                );
+            }
+            assert_eq!(committer.stats(), (1, 1), "only the blocker committed");
+            drop(release);
+            for _ in 0..n {
+                rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
+            }
+            assert_eq!(committer.stats(), (1 + chunks, 1 + n));
+            for i in 0..n {
+                assert_eq!(store.get(&sess, &i.to_be_bytes()), Some(vec![i as u8; 64]));
+            }
         }
     }
 
@@ -465,15 +370,8 @@ mod tests {
     fn shutdown_flushes_pending_writes_instead_of_dropping_them() {
         let (_, store) = store();
         let sess = store.session().unwrap();
-        let committer = GroupCommitter::start(
-            store.clone(),
-            store.session().unwrap(),
-            GroupConfig {
-                window: Duration::from_secs(30), // would never fire on its own
-                ..GroupConfig::default()
-            },
-        )
-        .unwrap();
+        let committer = GroupCommitter::start(store.clone(), store.session().unwrap()).unwrap();
+        let release = block_committer(&committer, b"blocker");
         let (tx, rx) = mpsc::channel();
         for i in 0..5u64 {
             let tx = tx.clone();
@@ -485,7 +383,15 @@ mod tests {
                 Box::new(move |r| tx.send(r).unwrap()),
             );
         }
-        committer.shutdown();
+        // The five are queued behind the parked committer; let it go
+        // only once shutdown has raised the stop flag.
+        std::thread::scope(|s| {
+            s.spawn(|| committer.shutdown());
+            while !committer.inner.state.lock().unwrap().stop {
+                std::thread::yield_now();
+            }
+            drop(release);
+        });
         for _ in 0..5 {
             rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
         }
@@ -501,20 +407,12 @@ mod tests {
     fn queue_order_is_durability_order_across_puts_dels_and_batches() {
         let (_, store) = store();
         let sess = store.session().unwrap();
-        let committer = GroupCommitter::start(
-            store.clone(),
-            store.session().unwrap(),
-            GroupConfig {
-                window: Duration::from_micros(50),
-                ..GroupConfig::default()
-            },
-        )
-        .unwrap();
+        let committer = GroupCommitter::start(store.clone(), store.session().unwrap()).unwrap();
         let (tx, rx) = mpsc::channel();
         let k = b"contended".to_vec();
         // put v1, BATCH{put v2}, del, put v3 — all on one key, enqueued
-        // back to back. Whatever group boundaries the window draws, the
-        // final state must be the *last* submitted op's.
+        // back to back. Wherever the group boundaries fall, the final
+        // state must be the *last* submitted op's.
         let seqs: Vec<GroupOp> = vec![
             GroupOp::Put {
                 key: k.clone(),
@@ -550,15 +448,7 @@ mod tests {
     fn an_oversized_value_fails_alone_without_poisoning_the_group() {
         let (_, store) = store();
         let sess = store.session().unwrap();
-        let committer = GroupCommitter::start(
-            store.clone(),
-            store.session().unwrap(),
-            GroupConfig {
-                window: Duration::from_millis(2),
-                ..GroupConfig::default()
-            },
-        )
-        .unwrap();
+        let committer = GroupCommitter::start(store.clone(), store.session().unwrap()).unwrap();
         let (tx, rx) = mpsc::channel();
         let t1 = tx.clone();
         committer.submit(
@@ -597,7 +487,7 @@ mod tests {
 
     #[test]
     fn a_full_shard_error_acks_only_the_affected_writes() {
-        // A store-level OutOfMemory inside the group window (one shard's
+        // A store-level OutOfMemory inside a group (one shard's
         // extent pool exhausted) must not poison the whole group or kill
         // the committer: riders on healthy shards still commit and ack
         // `Ok`, only the writes that truly cannot commit ack `Err`, and
@@ -631,17 +521,10 @@ mod tests {
             i += 1;
         }
 
-        let committer = GroupCommitter::start(
-            store.clone(),
-            store.session().unwrap(),
-            GroupConfig {
-                window: Duration::from_millis(2),
-                ..GroupConfig::default()
-            },
-        )
-        .unwrap();
-        // One group window: a healthy-shard put, a doomed full-shard
-        // put, and a delete on the full shard (no allocation — fine).
+        let committer = GroupCommitter::start(store.clone(), store.session().unwrap()).unwrap();
+        // One group: a healthy-shard put, a doomed full-shard put, and a
+        // delete on the full shard (no allocation — fine).
+        let release = block_committer(&committer, &key_on(1, 899));
         let healthy = key_on(1, 900);
         let (tx, rx) = mpsc::channel();
         let t1 = tx.clone();
@@ -666,6 +549,7 @@ mod tests {
             },
             Box::new(move |r| tx.send(("del", r)).unwrap()),
         );
+        drop(release);
         let mut outcomes = std::collections::BTreeMap::new();
         for _ in 0..3 {
             let (who, r) = rx.recv_timeout(Duration::from_secs(5)).unwrap();

@@ -7,8 +7,9 @@
 //!   way a frame can be wrong.
 //! * [`group`] — the group-commit stage: puts and dels from *all*
 //!   connections coalesce into one durable [`WriteBatch`] commit per
-//!   window/budget, so the commit protocol's fences amortise across the
-//!   whole server instead of being paid per request.
+//!   group — whatever queued while the previous group was committing —
+//!   so the commit protocol's fences amortise across the whole server
+//!   instead of being paid per request.
 //! * [`server`] — the M-connections-on-N-sessions server: per-connection
 //!   reader threads stamp requests with sequence numbers, N workers
 //!   (each owning a pooled [`Session`]) execute them — every connection
@@ -29,7 +30,7 @@ pub mod group;
 pub mod protocol;
 pub mod server;
 
-pub use group::{GroupCommitter, GroupConfig, GroupOp};
+pub use group::{GroupCommitter, GroupOp};
 pub use protocol::{
     decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
     BatchOp, Request, Response, WireError, MAX_FRAME_BYTES,

@@ -3,9 +3,11 @@
 //! ```text
 //! incll-server [--addr HOST:PORT] [--mem MIB] [--shards N] [--threads N]
 //!              [--workers N] [--commit per-request|group|async]
-//!              [--window-us U] [--group-max-ops N] [--group-max-bytes B]
 //!              [--pipeline-depth N]
 //! ```
+//!
+//! `group` (the default) has nothing to tune: the committer commits
+//! whatever queued while the previous group was committing.
 //!
 //! The store lives in an in-memory persistent-arena emulation; the
 //! binary exists to put the full network stack (framing, pipelining,
@@ -17,7 +19,7 @@ use std::time::Duration;
 
 use incll::{Options, Store};
 use incll_pmem::PArena;
-use incll_server::{CommitMode, GroupConfig, Server, ServerConfig};
+use incll_server::{CommitMode, Server, ServerConfig};
 
 struct Args {
     addr: String,
@@ -36,11 +38,9 @@ fn parse_args() -> Result<Args, String> {
         shards: 4,
         threads: 8,
         workers: 4,
-        commit: CommitMode::Group(GroupConfig::default()),
+        commit: CommitMode::Group,
         pipeline_depth: ServerConfig::default().pipeline_depth,
     };
-    let mut group = GroupConfig::default();
-    let mut commit_kind = "group".to_string();
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut val = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
@@ -50,30 +50,25 @@ fn parse_args() -> Result<Args, String> {
             "--shards" => args.shards = num(&val("--shards")?)?,
             "--threads" => args.threads = num(&val("--threads")?)?,
             "--workers" => args.workers = num(&val("--workers")?)?,
-            "--commit" => commit_kind = val("--commit")?,
-            "--window-us" => {
-                group.window = Duration::from_micros(num(&val("--window-us")?)? as u64)
+            "--commit" => {
+                args.commit = match val("--commit")?.as_str() {
+                    "per-request" => CommitMode::PerRequest,
+                    "group" => CommitMode::Group,
+                    "async" => CommitMode::Async,
+                    other => return Err(format!("unknown commit mode {other}")),
+                }
             }
-            "--group-max-ops" => group.max_ops = num(&val("--group-max-ops")?)?,
-            "--group-max-bytes" => group.max_bytes = num(&val("--group-max-bytes")?)?,
             "--pipeline-depth" => args.pipeline_depth = num(&val("--pipeline-depth")?)?,
             "--help" | "-h" => {
                 return Err("usage: incll-server [--addr HOST:PORT] [--mem MIB] \
                             [--shards N] [--threads N] [--workers N] \
-                            [--commit per-request|group|async] [--window-us U] \
-                            [--group-max-ops N] [--group-max-bytes B] \
+                            [--commit per-request|group|async] \
                             [--pipeline-depth N]"
                     .into())
             }
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    args.commit = match commit_kind.as_str() {
-        "per-request" => CommitMode::PerRequest,
-        "group" => CommitMode::Group(group),
-        "async" => CommitMode::Async,
-        other => return Err(format!("unknown commit mode {other}")),
-    };
     Ok(args)
 }
 

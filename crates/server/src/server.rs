@@ -40,7 +40,7 @@ use std::time::Duration;
 
 use incll::{Error, Session, Store};
 
-use crate::group::{GroupCommitter, GroupConfig, GroupOp};
+use crate::group::{GroupCommitter, GroupOp};
 use crate::protocol::{
     decode_request, encode_response, encode_value, entry_wire_len, read_frame, BatchOp, Request,
     Response, WireError, ENTRIES_HEADER_LEN, MAX_FRAME_BYTES,
@@ -63,9 +63,11 @@ pub enum CommitMode {
     PerRequest,
     /// Writes coalesce across connections into fence-shared groups;
     /// the response is sent only after the write's group is durable.
-    /// `BATCH` requests ride the same committer queue (as their own
-    /// atomic commit), keeping each connection's writes in order.
-    Group(GroupConfig),
+    /// A group is whatever queued while the last group was committing:
+    /// no timer, no option. `BATCH` requests ride the same committer
+    /// queue (as their own atomic commit), keeping each connection's
+    /// writes in order.
+    Group,
     /// Writes apply in place and are acknowledged immediately; they
     /// become durable only at the next epoch boundary. Acked writes
     /// **can vanish** in a crash — the fast, weak mode.
@@ -92,7 +94,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             workers: 2,
-            commit: CommitMode::Group(GroupConfig::default()),
+            commit: CommitMode::Group,
             session_timeout: Duration::from_secs(5),
             pipeline_depth: 256,
         }
@@ -226,10 +228,10 @@ impl Server {
             sessions.push(store.session_blocking(cfg.session_timeout)?);
         }
         let group = match &cfg.commit {
-            CommitMode::Group(gc) => {
+            CommitMode::Group => {
                 let sess = store.session_blocking(cfg.session_timeout)?;
                 Some(
-                    GroupCommitter::start(store.clone(), sess, gc.clone())
+                    GroupCommitter::start(store.clone(), sess)
                         .map_err(|e| Error::Internal(format!("spawn group-commit thread: {e}")))?,
                 )
             }
@@ -690,7 +692,7 @@ fn handle_job(shared: &Arc<Shared>, sess: &Session, job: Job) {
                         Err(e) => Response::Error(e.to_string()),
                     }
                 }
-                CommitMode::Group(_) => {
+                CommitMode::Group => {
                     submit_grouped(shared, job.conn, job.seq, GroupOp::Put { key, val });
                     return; // the committer completes this seq
                 }
@@ -710,7 +712,7 @@ fn handle_job(shared: &Arc<Shared>, sess: &Session, job: Job) {
                         Err(e) => Response::Error(e.to_string()),
                     }
                 }
-                CommitMode::Group(_) => {
+                CommitMode::Group => {
                     submit_grouped(shared, job.conn, job.seq, GroupOp::Del { key });
                     return;
                 }
@@ -718,7 +720,7 @@ fn handle_job(shared: &Arc<Shared>, sess: &Session, job: Job) {
         }
         Request::Batch { ops } => {
             c.batches.fetch_add(1, Ordering::Relaxed);
-            if matches!(&shared.commit, CommitMode::Group(_)) {
+            if matches!(&shared.commit, CommitMode::Group) {
                 // Ride the committer queue so this connection's writes
                 // stay in request order relative to its grouped
                 // puts/dels; the batch still commits as its own atomic
@@ -791,9 +793,12 @@ fn stats_json(shared: &Shared) -> String {
     let c = &shared.counters;
     let (groups, grouped_ops) = shared.group.as_ref().map_or((0, 0), |g| g.stats());
     let pm = shared.store.arena().stats().snapshot();
+    let forced: u64 = (0..shared.store.shard_count())
+        .map(|i| shared.store.shard_stats(i).advances_forced)
+        .sum();
     let mode = match &shared.commit {
         CommitMode::PerRequest => "per_request",
-        CommitMode::Group(_) => "group",
+        CommitMode::Group => "group",
         CommitMode::Async => "async",
     };
     format!(
@@ -801,7 +806,7 @@ fn stats_json(shared: &Shared) -> String {
             "{{\"commit_mode\":\"{}\",\"connections\":{},\"requests\":{},",
             "\"gets\":{},\"puts\":{},\"dels\":{},\"batches\":{},\"scans\":{},",
             "\"wire_errors\":{},\"groups_committed\":{},\"ops_grouped\":{},",
-            "\"sfences\":{},\"clwbs\":{},\"shards\":{}}}"
+            "\"forced_boundaries\":{},\"sfences\":{},\"clwbs\":{},\"shards\":{}}}"
         ),
         mode,
         c.conns.load(Ordering::Relaxed),
@@ -814,6 +819,7 @@ fn stats_json(shared: &Shared) -> String {
         c.wire_errors.load(Ordering::Relaxed),
         groups,
         grouped_ops,
+        forced,
         pm.sfence,
         pm.clwb,
         shared.store.shard_count(),

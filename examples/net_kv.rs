@@ -9,7 +9,7 @@
 use std::net::TcpListener;
 
 use incll_repro::prelude::*;
-use incll_server::{CommitMode, GroupConfig, Request, Response, Server, ServerConfig};
+use incll_server::{CommitMode, Request, Response, Server, ServerConfig};
 use incll_ycsb::{net_load, run_closed_loop, run_open_loop, Dist, Mix, NetClient, NetRunConfig};
 
 const KEYS: u64 = 20_000;
@@ -24,15 +24,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .shards(2);
     let (store, _) = Store::open(&arena, options)?;
 
-    // Group commit: every small write from every connection joins the
-    // open 200 µs window and the whole group pays one fence pair.
+    // Group commit: every small write that arrives while the committer
+    // is busy joins the next group, and the whole group pays one fence
+    // pair.
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let server = Server::start(
         store.clone(),
         listener,
         ServerConfig {
             workers: WORKERS,
-            commit: CommitMode::Group(GroupConfig::default()),
+            commit: CommitMode::Group,
             ..ServerConfig::default()
         },
     )?;

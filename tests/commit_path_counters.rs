@@ -1,13 +1,14 @@
 //! The durable commit path, judged by deterministic persistence counters
 //! (`PArena::stats()` deltas) instead of wall-clock throughput: what a
-//! group saves over singles is fences, and what a batch saves over the
-//! checkpoint barrier is flushes — both countable exactly.
+//! group saves over singles is fences, what a batch saves over the
+//! checkpoint barrier is flushes, and what the batch table's size buys is
+//! forced flushes per commit — all countable exactly.
 
 use std::sync::mpsc;
-use std::time::Duration;
 
+use incll_pmem::superblock::BATCH_SLOTS;
 use incll_repro::prelude::*;
-use incll_server::{GroupCommitter, GroupConfig, GroupOp};
+use incll_server::{GroupCommitter, GroupOp};
 
 const SHARDS: usize = 4;
 
@@ -73,15 +74,22 @@ fn one_durable_group_saves_two_fences_per_rider_over_singles() {
 fn a_group_window_costs_fewer_fences_than_single_durable_commits() {
     const N: u64 = 100;
     let (arena, store) = prepared();
-    let committer = GroupCommitter::start(
-        store.clone(),
-        store.session().unwrap(),
-        GroupConfig {
-            window: Duration::from_millis(2),
-            ..GroupConfig::default()
+    let committer = GroupCommitter::start(store.clone(), store.session().unwrap()).unwrap();
+    // Park the committer inside a completion (they run on its thread):
+    // the N writes submitted meanwhile are exactly one group.
+    let (parked_tx, parked_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    committer.submit(
+        GroupOp::Put {
+            key: key(N),
+            val: vec![0; 64],
         },
-    )
-    .unwrap();
+        Box::new(move |r| {
+            parked_tx.send(r).unwrap();
+            let _ = release_rx.recv();
+        }),
+    );
+    parked_rx.recv().unwrap().unwrap();
     let before = arena.stats().snapshot();
     let (tx, rx) = mpsc::channel();
     for i in 0..N {
@@ -94,19 +102,51 @@ fn a_group_window_costs_fewer_fences_than_single_durable_commits() {
             Box::new(move |r| tx.send(r).unwrap()),
         );
     }
+    drop(release_tx);
     for _ in 0..N {
-        rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
+        rx.recv().unwrap().unwrap();
     }
     let grouped = arena.stats().snapshot().delta(&before).sfence;
-    let (groups, ops) = committer.stats();
-    assert_eq!(ops, N);
-    assert!(groups < N, "grouping must coalesce: {groups} groups");
+    assert_eq!(committer.stats(), (2, N + 1), "the blocker, then one group");
 
     let singles = single_commit_fences(N);
     assert!(
         grouped < singles,
-        "{groups} groups cost {grouped} fences, {N} singles cost {singles}"
+        "one {N}-op group cost {grouped} fences, {N} singles cost {singles}"
     );
+}
+
+#[test]
+fn a_cadence_less_store_pays_one_forced_flush_per_shard_per_table_of_commits() {
+    const COMMITS: u64 = 500;
+    let (arena, store) = prepared();
+    let sess = store.session().unwrap();
+    let forced = |store: &Store| -> u64 {
+        (0..SHARDS)
+            .map(|s| store.shard_stats(s).advances_forced)
+            .sum()
+    };
+    assert_eq!(forced(&store), 0);
+    let before = arena.stats().snapshot();
+    for round in 0..COMMITS {
+        let mut b = sess.batch();
+        let mut mask = 0u64;
+        for i in 0..16u64 {
+            mask |= 1 << store.shard_of(&key(i));
+            b.put(&key(i), &[round as u8; 64]).unwrap();
+        }
+        assert_eq!(mask.count_ones() as usize, SHARDS);
+        assert!(b.commit_durable().unwrap() >= 1);
+    }
+    let d = arena.stats().snapshot().delta(&before);
+    // Every commit covers every shard and nothing else checkpoints, so a
+    // slot frees only by eviction: commit k evicts iff the table is full
+    // of live records, i.e. at k = BATCH_SLOTS, 2·BATCH_SLOTS, … — and
+    // each eviction advances all the victim's shards.
+    let evictions = (COMMITS - 1) / BATCH_SLOTS as u64;
+    assert_eq!(d.scoped_flush, SHARDS as u64 * evictions);
+    assert_eq!(d.global_flush, 0);
+    assert_eq!(forced(&store), d.scoped_flush);
 }
 
 #[test]

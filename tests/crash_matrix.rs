@@ -572,6 +572,84 @@ fn committed_batch_survives_a_second_crash_before_any_boundary() {
     assert_eq!(got, want, "double-crash redo must be idempotent");
 }
 
+/// The in-doubt window is as wide as the batch table. `n` committed
+/// durable batches, each covering every shard, with no boundary but the
+/// ones eviction forces: only the batches since the last eviction are in
+/// doubt at the crash, each shard redoes exactly those, in commit order
+/// (later batches overwrite and delete what earlier ones put), and the
+/// result is byte-identical at 1 and 4 recovery workers.
+#[test]
+fn every_in_doubt_batch_of_a_full_table_is_redone_in_commit_order() {
+    use incll_pmem::superblock::BATCH_SLOTS;
+    const SHARDS: usize = 4;
+    const KEYS: u64 = 24;
+    let key = |i: u64| format!("wide/{i:02}").into_bytes();
+    // 150: far past the eight slots of layout v8, well inside the table.
+    // BATCH_SLOTS + 4: the crash lands three commits after an eviction's
+    // forced advances checkpointed the first BATCH_SLOTS batches.
+    for n in [150, BATCH_SLOTS as u64 + 4] {
+        let evictions = (n - 1) / BATCH_SLOTS as u64;
+        let in_doubt = n - evictions * BATCH_SLOTS as u64;
+        for seed in 0..8u64 {
+            let mut digests = Vec::new();
+            for workers in [1usize, 4] {
+                let arena = tracked();
+                let mut expect: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+                let (store, _) = Store::open(&arena, options(SHARDS, 1)).unwrap();
+                {
+                    let sess = store.session().unwrap();
+                    for i in 0..KEYS {
+                        store.put(&sess, &key(i), &bval(i)).unwrap();
+                        expect.insert(key(i), bval(i));
+                    }
+                    store.checkpoint();
+                    for b in 0..n {
+                        let mut batch = sess.batch();
+                        let mut mask = 0u64;
+                        for i in 0..KEYS {
+                            if i == b % KEYS {
+                                batch.delete(&key(i)).unwrap();
+                                expect.remove(&key(i));
+                            } else if (b + i) % 3 != 0 {
+                                batch.put(&key(i), &bval(b * KEYS + i)).unwrap();
+                                expect.insert(key(i), bval(b * KEYS + i));
+                            } else {
+                                continue;
+                            }
+                            mask |= 1 << store.shard_of(&key(i));
+                        }
+                        assert_eq!(mask.count_ones() as usize, SHARDS, "batch {b}");
+                        assert!(batch.commit_durable().unwrap() > 0);
+                    }
+                    for s in 0..SHARDS {
+                        assert_eq!(store.shard_stats(s).advances_forced, evictions);
+                    }
+                }
+                drop(store);
+                arena.crash_seeded(0x1DB7 + seed);
+
+                let (store, report) = Store::open(&arena, options(SHARDS, workers)).unwrap();
+                for s in &report.per_shard {
+                    assert_eq!(
+                        (s.batches_redone, s.batches_dropped),
+                        (in_doubt, 0),
+                        "n={n} seed={seed} workers={workers} shard {}",
+                        s.shard
+                    );
+                }
+                let sess = store.session().unwrap();
+                let got: Vec<(Vec<u8>, Vec<u8>)> = store.iter(&sess).collect();
+                let want: Vec<(Vec<u8>, Vec<u8>)> = expect.into_iter().collect();
+                assert_eq!(got, want, "n={n} seed={seed} workers={workers}");
+                drop(sess);
+                drop(store);
+                digests.push(arena_digest(&arena));
+            }
+            assert_eq!(digests[0], digests[1], "n={n} seed={seed}");
+        }
+    }
+}
+
 #[test]
 fn recovered_store_stays_writable_and_durable_at_every_cell_shape() {
     // Liveness after the worst cell shapes: a recovered store must accept

@@ -506,17 +506,13 @@ proptest! {
                 base_model.insert(*k, vval(*v));
             }
             store.checkpoint(); // the barrier every shard starts from
-            let mut committed_cross = 0usize;
             for ev in &events {
                 match ev {
                     BatchEvent::Batch { ops, commit } => {
                         let touched: BTreeSet<usize> =
                             ops.iter().map(|o| store.shard_of(&[o.key()])).collect();
                         let cross = touched.len() > 1;
-                        // The 8-slot batch table evicts by forcing
-                        // boundaries the model doesn't track: cap the
-                        // committed cross-shard batches in flight.
-                        let commit = *commit && !(cross && committed_cross >= 8);
+                        let commit = *commit;
                         let mut b = sess.batch();
                         for op in ops {
                             match op {
@@ -531,9 +527,6 @@ proptest! {
                         };
                         prop_assert_eq!(id > 0, cross,
                             "only cross-shard batches take the slow path");
-                        if commit && cross {
-                            committed_cross += 1;
-                        }
                         done.push(BatchDone::Batch {
                             ops: ops.clone(),
                             committed: commit,

@@ -146,6 +146,58 @@ fn guard_survives_checkpoints_of_other_shards() {
     store.checkpoint_shard(pinned); // and the pinned one, once released
 }
 
+/// A commit that may force a checkpoint (every `commit_durable`, every
+/// cross-shard `commit`) refuses to run while its own session holds a
+/// guard — the forced checkpoint would wait for that guard forever. Runs
+/// on a helper thread so a regression is a timeout, not a hung suite.
+#[test]
+fn a_commit_that_may_checkpoint_fails_typed_under_its_own_sessions_guard() {
+    use incll_pmem::superblock::SB_BATCH_NEXT_ID;
+    let (tx, rx) = std::sync::mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        let store = fresh(4);
+        let sess = store.session().unwrap();
+        for i in 0..16u64 {
+            store.put_u64(&sess, &storage_key(i), i);
+        }
+        let stage = |tag: u8| {
+            let mut b = sess.batch();
+            for i in 0..16u64 {
+                b.put(&storage_key(i), &[tag; 8]).unwrap();
+            }
+            b
+        };
+        let next_id = || store.arena().pread_u64(SB_BATCH_NEXT_ID);
+
+        let v = store.get_ref(&sess, &storage_key(0)).expect("present");
+        let refused = Err(Error::SessionPinned { shard: v.shard() });
+        let id_before = next_id();
+        // Every such commit, not only the one that would have evicted.
+        for tag in 1..=3 {
+            assert_eq!(stage(tag).commit_durable(), refused);
+            assert_eq!(stage(tag).commit(), refused);
+        }
+        assert_eq!(next_id(), id_before, "a refused commit consumes no id");
+        assert_eq!(v.as_u64(), 0, "and writes nothing");
+        // The single-shard fast path nests under the guard as before.
+        let mut b = sess.batch();
+        b.put(&storage_key(0), &[9; 8]).unwrap();
+        assert_eq!(b.commit(), Ok(0));
+
+        drop(v);
+        assert!(stage(4).commit_durable().unwrap() >= id_before);
+        for i in 0..16u64 {
+            assert_eq!(store.get(&sess, &storage_key(i)), Some(vec![4; 8]));
+        }
+        tx.send(()).unwrap();
+    });
+    let outcome = rx.recv_timeout(Duration::from_secs(5));
+    if outcome != Err(std::sync::mpsc::RecvTimeoutError::Timeout) {
+        helper.join().unwrap(); // surface the helper's own panic, if any
+    }
+    outcome.expect("the commit waited for its own session's pin");
+}
+
 /// Writer flips a key between two tagged generations while readers deref
 /// borrowed views under a fast checkpoint cadence: every observed value
 /// is wholly one generation.

@@ -14,10 +14,9 @@
 //! exactly the guarantee real hardware gives.
 
 use std::net::TcpListener;
-use std::time::Duration;
 
 use incll_repro::prelude::*;
-use incll_server::{CommitMode, GroupConfig, Request, Response, Server, ServerConfig};
+use incll_server::{CommitMode, Request, Response, Server, ServerConfig};
 use incll_ycsb::NetClient;
 
 const KEYS: u64 = 60;
@@ -93,11 +92,7 @@ fn ack_then_crash(arena: &PArena, commit: CommitMode, seed: u64) -> (Store, Sess
 #[test]
 fn group_committed_acks_survive_a_kill_with_no_checkpoint() {
     let arena = tracked();
-    let commit = CommitMode::Group(GroupConfig {
-        window: Duration::from_micros(100),
-        ..GroupConfig::default()
-    });
-    let (store, sess) = ack_then_crash(&arena, commit, 0x5EED);
+    let (store, sess) = ack_then_crash(&arena, CommitMode::Group, 0x5EED);
     for i in 0..KEYS {
         assert_eq!(
             store.get(&sess, &key(i)),

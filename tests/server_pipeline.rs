@@ -16,7 +16,7 @@ use std::net::TcpListener;
 use std::time::Duration;
 
 use incll_repro::prelude::*;
-use incll_server::{BatchOp, CommitMode, GroupConfig, Request, Response, Server, ServerConfig};
+use incll_server::{BatchOp, CommitMode, Request, Response, Server, ServerConfig};
 use incll_ycsb::NetClient;
 
 fn arena() -> PArena {
@@ -37,13 +37,6 @@ fn serve(store: &Store, commit: CommitMode, workers: usize) -> Server {
     .unwrap()
 }
 
-fn group_mode() -> CommitMode {
-    CommitMode::Group(GroupConfig {
-        window: Duration::from_micros(100),
-        ..GroupConfig::default()
-    })
-}
-
 fn key(tag: u64) -> Vec<u8> {
     tag.to_be_bytes().to_vec()
 }
@@ -62,7 +55,7 @@ fn concurrent_pipelined_clients_see_responses_in_request_order() {
         .log_bytes_per_thread(4 << 20)
         .shards(2);
     let (store, _) = Store::open(&arena, options).unwrap();
-    let server = serve(&store, group_mode(), 3);
+    let server = serve(&store, CommitMode::Group, 3);
     let addr = server.local_addr();
 
     // Preload 100 keys through a durable BATCH.
@@ -118,7 +111,7 @@ fn a_malformed_frame_gets_a_typed_error_in_order_and_the_stream_continues() {
     let arena = arena();
     let options = Options::new().threads(5).log_bytes_per_thread(4 << 20);
     let (store, _) = Store::open(&arena, options).unwrap();
-    let server = serve(&store, group_mode(), 2);
+    let server = serve(&store, CommitMode::Group, 2);
     let mut client = NetClient::connect(server.local_addr()).unwrap();
 
     client
@@ -288,7 +281,7 @@ fn a_scan_reply_over_the_frame_cap_gets_a_typed_error_and_the_stream_continues()
 /// — so the last issued write must win, in every commit mode.
 #[test]
 fn pipelined_same_key_writes_resolve_to_the_last_one_in_every_mode() {
-    for commit in [group_mode(), CommitMode::PerRequest, CommitMode::Async] {
+    for commit in [CommitMode::Group, CommitMode::PerRequest, CommitMode::Async] {
         let arena = arena();
         let options = Options::new()
             .threads(8)
@@ -363,7 +356,7 @@ fn a_connection_that_stops_reading_does_not_stall_grouped_commits_for_others() {
         .log_bytes_per_thread(4 << 20)
         .shards(2);
     let (store, _) = Store::open(&arena, options).unwrap();
-    let server = serve(&store, group_mode(), 2);
+    let server = serve(&store, CommitMode::Group, 2);
     let addr = server.local_addr();
 
     // Preload 200 keys with ~4 KB values: one SCAN response is ~800 KB,
@@ -438,7 +431,7 @@ fn the_pipeline_depth_bound_pauses_and_resumes_without_losing_order() {
         listener,
         ServerConfig {
             workers: 2,
-            commit: group_mode(),
+            commit: CommitMode::Group,
             pipeline_depth: 2,
             ..ServerConfig::default()
         },
@@ -488,7 +481,7 @@ fn session_pool_exhaustion_fails_server_start_with_a_typed_timeout() {
         listener,
         ServerConfig {
             workers: 2,
-            commit: group_mode(),
+            commit: CommitMode::Group,
             session_timeout: Duration::from_millis(50),
             ..ServerConfig::default()
         },
@@ -514,7 +507,7 @@ fn large_batch_frames_on_one_shard_do_not_kill_the_committer() {
         .log_bytes_per_thread(1 << 20)
         .shards(4);
     let (store, _) = Store::open(&arena, options).unwrap();
-    let mut server = serve(&store, group_mode(), 2);
+    let mut server = serve(&store, CommitMode::Group, 2);
     let addr = server.local_addr();
 
     // Five frames of ~66 KB of intents each, every key on shard 0 (the
