@@ -332,30 +332,30 @@
 //!
 //! **Pipelining.** A client may write any number of requests before
 //! reading responses; the server answers every connection strictly in
-//! request order even though execution is concurrent (each connection
-//! is pinned to one of N worker threads, and grouped commits complete
-//! on a separate committer thread). A per-connection reorder buffer
-//! holds completed responses until their in-order prefix is ready, and
-//! a per-connection writer thread drains that prefix to the socket —
-//! workers and the committer never block on a slow client. A
-//! malformed-but-framed request gets a typed `ERROR` in its slot and
-//! the stream continues; only an unframeable stream (oversized length
-//! prefix) hangs up, after answering with the error.
+//! request order. Each connection is one thread that runs its requests
+//! to completion: it reads whatever has arrived, executes every whole
+//! frame in request order on one of N pooled sessions (a slot it shares
+//! with other connections and holds only while executing, never across
+//! socket I/O), and writes all the replies back at once — so there is
+//! nothing to reorder, and a client that stops reading blocks only its
+//! own thread. A malformed-but-framed request gets a typed `ERROR` in
+//! its slot and the stream continues; only an unframeable stream
+//! (oversized length prefix) hangs up, after answering with an error
+//! that names the length.
 //!
 //! **Write ordering.** Writes issued on one connection are applied —
-//! and become durable — in request order in every commit mode: the
-//! pinned worker executes the connection's requests serially, and in
-//! group mode its `PUT`s/`DEL`s *and* `BATCH`es all enter the single
-//! committer's queue in that order (a `BATCH` rides the queue as its
-//! own atomic commit). Pipelined same-key writes therefore resolve to
-//! the last one issued. No order is defined between writes on
-//! *different* connections that race.
+//! and become durable — in request order in every commit mode: one
+//! thread executes the connection's requests serially, and in group
+//! mode its `PUT`s/`DEL`s *and* `BATCH`es commit at their positions in
+//! that order (a `BATCH` as its own atomic commit). Pipelined same-key
+//! writes therefore resolve to the last one issued. No order is defined
+//! between writes on *different* connections that race.
 //!
-//! **Backpressure.** The server reads at most a configured pipeline
-//! depth (default 256 requests) ahead of the responses it has written
-//! back on each connection; past the bound the connection's reader
-//! pauses until responses drain. With the 1 MiB frame cap this bounds
-//! the memory any one connection can pin, however fast it pipelines.
+//! **Backpressure.** It is counted in bytes: the server stops taking a
+//! connection's requests once it owes 64 KiB of replies, writes them,
+//! and only then goes on; it buffers at most 64 KiB of requests plus one
+//! frame. With the 1 MiB frame cap this bounds the memory any one
+//! connection can pin, however fast it pipelines.
 //!
 //! **Group commit.** The server's write durability is a configuration,
 //! not a wire flag — the same client bytes get three different
@@ -364,28 +364,29 @@
 //! * **Per-request** — each `PUT`/`DEL` becomes a one-op
 //!   [`WriteBatch::commit_durable`]: durable when the `OK` arrives, at
 //!   the price of one fence pair per request.
-//! * **Group** *(default)* — small writes from *all* connections are
-//!   coalesced: whatever queued while the previous group was
-//!   committing is the next group (no timer, nothing to tune), and the
-//!   whole group commits as one durable batch — one commit record, one
-//!   fence pair, shared by every write in the group. Acks are withheld
-//!   until the group's commit record is durable, so `OK` still means
-//!   exactly what it means per-request; the reorder buffer keeps
-//!   later reads from overtaking the withheld ack.
+//! * **Group** *(default)* — the small writes a connection has sent by
+//!   the time its thread reads the socket are coalesced: whatever
+//!   arrived while the previous group was committing is the next group
+//!   (no timer, nothing to tune), and the whole group commits as one
+//!   durable batch — one commit record, one fence pair, shared by every
+//!   write in the group. Acks are withheld until the group's commit
+//!   record is durable, so `OK` still means exactly what it means
+//!   per-request, and they leave in request order with the replies to
+//!   the reads around them.
 //! * **Async** — plain [`Store::put`]/[`Store::remove`]: `OK` means
 //!   *applied*, durable only at the shard's next checkpoint. A crash
 //!   before one erases acknowledged writes.
 //!
 //! `BATCH` is always durable-on-ack regardless of mode (it is a
-//! [`WriteBatch::commit_durable`] verbatim; under group commit it is
-//! sequenced through the committer's queue — still its own atomic
-//! commit — so it cannot overtake the connection's earlier grouped
-//! writes). Reads (`GET`/`SCAN`)
+//! [`WriteBatch::commit_durable`] verbatim; under group commit the
+//! connection's earlier grouped writes commit first, so it cannot
+//! overtake them). Reads (`GET`/`SCAN`)
 //! observe every *applied* write, durable or not — but under group
 //! commit a write is applied when its group commits, so a read
 //! pipelined behind a not-yet-acknowledged write may execute first
 //! and miss it. The ack is the visibility point: read-your-writes
-//! holds once the write's `OK` has arrived.
+//! holds once the write's `OK` has arrived. A read never observes a
+//! write that follows it on its connection.
 //!
 //! # Media compatibility
 //!

@@ -3,11 +3,11 @@
 //! ```text
 //! incll-server [--addr HOST:PORT] [--mem MIB] [--shards N] [--threads N]
 //!              [--workers N] [--commit per-request|group|async]
-//!              [--pipeline-depth N]
 //! ```
 //!
-//! `group` (the default) has nothing to tune: the committer commits
-//! whatever queued while the previous group was committing.
+//! `--workers` is the number of session slots the connections share.
+//! `group` (the default) has nothing to tune: a connection's thread
+//! commits together whatever writes had arrived when it read its socket.
 //!
 //! The store lives in an in-memory persistent-arena emulation; the
 //! binary exists to put the full network stack (framing, pipelining,
@@ -28,7 +28,6 @@ struct Args {
     threads: usize,
     workers: usize,
     commit: CommitMode,
-    pipeline_depth: usize,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -39,7 +38,6 @@ fn parse_args() -> Result<Args, String> {
         threads: 8,
         workers: 4,
         commit: CommitMode::Group,
-        pipeline_depth: ServerConfig::default().pipeline_depth,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -58,12 +56,10 @@ fn parse_args() -> Result<Args, String> {
                     other => return Err(format!("unknown commit mode {other}")),
                 }
             }
-            "--pipeline-depth" => args.pipeline_depth = num(&val("--pipeline-depth")?)?,
             "--help" | "-h" => {
                 return Err("usage: incll-server [--addr HOST:PORT] [--mem MIB] \
                             [--shards N] [--threads N] [--workers N] \
-                            [--commit per-request|group|async] \
-                            [--pipeline-depth N]"
+                            [--commit per-request|group|async]"
                     .into())
             }
             other => return Err(format!("unknown flag {other}")),
@@ -91,8 +87,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Workers + group committer + the main thread all hold sessions.
-    let threads = args.threads.max(args.workers + 2);
+    // The session slots, and one to spare for whoever embeds the store.
+    let threads = args.threads.max(args.workers + 1);
     let options = Options::new().threads(threads).shards(args.shards);
     let (store, report) = match Store::open(arena, options) {
         Ok(s) => s,
@@ -115,7 +111,6 @@ fn main() -> ExitCode {
         workers: args.workers,
         commit: args.commit,
         session_timeout: Duration::from_secs(5),
-        pipeline_depth: args.pipeline_depth,
     };
     let server = match Server::start(store, listener, cfg) {
         Ok(s) => s,

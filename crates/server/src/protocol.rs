@@ -145,6 +145,65 @@ pub enum BatchOp {
     },
 }
 
+/// [`Request`] borrowed from the frame it was decoded from: what the
+/// server executes, so a key or value is copied once, into the store.
+#[derive(Debug, PartialEq, Eq)]
+pub enum RequestRef<'a> {
+    /// [`Request::Get`] of the key.
+    Get(&'a [u8]),
+    /// [`Request::Put`] or [`Request::Del`].
+    Write(BatchOpRef<'a>),
+    /// [`Request::Batch`] of the operations.
+    Batch(Vec<BatchOpRef<'a>>),
+    /// [`Request::Scan`] from the start key, with the limit.
+    Scan(&'a [u8], u32),
+    /// [`Request::Stats`].
+    Stats,
+}
+
+/// [`BatchOp`] borrowed from its frame.
+#[derive(Debug, PartialEq, Eq)]
+pub enum BatchOpRef<'a> {
+    /// Insert or update the key with the value.
+    Put(&'a [u8], &'a [u8]),
+    /// Remove the key.
+    Del(&'a [u8]),
+}
+
+impl BatchOpRef<'_> {
+    /// The owned operation.
+    pub fn to_owned(&self) -> BatchOp {
+        match *self {
+            BatchOpRef::Put(key, val) => BatchOp::Put {
+                key: key.to_vec(),
+                val: val.to_vec(),
+            },
+            BatchOpRef::Del(key) => BatchOp::Del { key: key.to_vec() },
+        }
+    }
+}
+
+impl RequestRef<'_> {
+    /// The owned request.
+    pub fn to_owned(&self) -> Request {
+        match self {
+            RequestRef::Get(key) => Request::Get { key: key.to_vec() },
+            RequestRef::Write(op) => match op.to_owned() {
+                BatchOp::Put { key, val } => Request::Put { key, val },
+                BatchOp::Del { key } => Request::Del { key },
+            },
+            RequestRef::Batch(ops) => Request::Batch {
+                ops: ops.iter().map(BatchOpRef::to_owned).collect(),
+            },
+            &RequestRef::Scan(start, limit) => Request::Scan {
+                start: start.to_vec(),
+                limit,
+            },
+            RequestRef::Stats => Request::Stats,
+        }
+    }
+}
+
 /// One server response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
@@ -283,6 +342,9 @@ pub fn encode_value(val: &[u8], out: &mut Vec<u8>) {
     end_frame(out, at);
 }
 
+/// The `OK` response as one complete frame.
+pub(crate) const OK_FRAME: [u8; 5] = [1, 0, 0, 0, ST_OK];
+
 /// Payload bytes one `(key, value)` pair adds to an `ENTRIES` response.
 pub(crate) fn entry_wire_len(key: &[u8], val: &[u8]) -> usize {
     2 + key.len() + 4 + val.len()
@@ -342,14 +404,14 @@ impl<'a> Cur<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn key(&mut self) -> Result<Vec<u8>, WireError> {
+    fn key(&mut self) -> Result<&'a [u8], WireError> {
         let n = self.u16()? as usize;
-        Ok(self.take(n)?.to_vec())
+        self.take(n)
     }
 
-    fn val(&mut self) -> Result<Vec<u8>, WireError> {
+    fn val(&mut self) -> Result<&'a [u8], WireError> {
         let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
+        self.take(n)
     }
 
     fn rest(&mut self) -> &'a [u8] {
@@ -373,6 +435,11 @@ fn utf8(bytes: &[u8]) -> Result<String, WireError> {
 
 /// Decodes one request from a frame payload (header already stripped).
 pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
+    decode_request_ref(payload).map(|req| req.to_owned())
+}
+
+/// [`decode_request`] without the copies: keys and values borrow `payload`.
+pub fn decode_request_ref(payload: &[u8]) -> Result<RequestRef<'_>, WireError> {
     let mut c = Cur {
         buf: payload,
         at: 0,
@@ -381,32 +448,23 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
         return Err(WireError::Malformed("empty payload"));
     }
     let req = match c.u8()? {
-        OP_GET => Request::Get { key: c.key()? },
-        OP_PUT => Request::Put {
-            key: c.key()?,
-            val: c.val()?,
-        },
-        OP_DEL => Request::Del { key: c.key()? },
+        OP_GET => RequestRef::Get(c.key()?),
+        OP_PUT => RequestRef::Write(BatchOpRef::Put(c.key()?, c.val()?)),
+        OP_DEL => RequestRef::Write(BatchOpRef::Del(c.key()?)),
         OP_BATCH => {
             let count = c.u16()? as usize;
             let mut ops = Vec::with_capacity(count.min(256));
             for _ in 0..count {
                 ops.push(match c.u8()? {
-                    0 => BatchOp::Put {
-                        key: c.key()?,
-                        val: c.val()?,
-                    },
-                    1 => BatchOp::Del { key: c.key()? },
+                    0 => BatchOpRef::Put(c.key()?, c.val()?),
+                    1 => BatchOpRef::Del(c.key()?),
                     _ => return Err(WireError::Malformed("unknown batch-op kind")),
                 });
             }
-            Request::Batch { ops }
+            RequestRef::Batch(ops)
         }
-        OP_SCAN => Request::Scan {
-            start: c.key()?,
-            limit: c.u32()?,
-        },
-        OP_STATS => Request::Stats,
+        OP_SCAN => RequestRef::Scan(c.key()?, c.u32()?),
+        OP_STATS => RequestRef::Stats,
         op => return Err(WireError::UnknownOpcode(op)),
     };
     c.finish()?;
@@ -432,8 +490,8 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
             let count = c.u32()? as usize;
             let mut entries = Vec::with_capacity(count.min(1024));
             for _ in 0..count {
-                let k = c.key()?;
-                let v = c.val()?;
+                let k = c.key()?.to_vec();
+                let v = c.val()?.to_vec();
                 entries.push((k, v));
             }
             Response::Entries(entries)
@@ -448,6 +506,26 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
 // ====================================================================
 // Framing over a stream
 // ====================================================================
+
+/// The payload length a frame header announces, checked against the cap.
+fn payload_len(hdr: [u8; 4]) -> Result<usize, WireError> {
+    let len = u32::from_le_bytes(hdr) as usize;
+    if len > MAX_FRAME_BYTES {
+        return Err(WireError::Oversized {
+            len,
+            max: MAX_FRAME_BYTES,
+        });
+    }
+    Ok(len)
+}
+
+/// Bytes of the frame (header included) that `buf` starts with, or `None`
+/// until its whole header has arrived.
+pub(crate) fn frame_len(buf: &[u8]) -> Result<Option<usize>, WireError> {
+    buf.first_chunk()
+        .map(|hdr| payload_len(*hdr).map(|len| 4 + len))
+        .transpose()
+}
 
 /// Reads one frame payload from `r`. Returns `Ok(None)` on a clean EOF
 /// **between** frames; EOF mid-frame is an [`io::ErrorKind::UnexpectedEof`]
@@ -468,16 +546,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             n => at += n,
         }
     }
-    let len = u32::from_le_bytes(hdr) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            WireError::Oversized {
-                len,
-                max: MAX_FRAME_BYTES,
-            },
-        ));
-    }
+    let len = payload_len(hdr).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
     Ok(Some(payload))
@@ -539,6 +608,9 @@ mod tests {
     #[test]
     fn every_response_shape_roundtrips() {
         resp_roundtrip(Response::Ok);
+        let mut ok = Vec::new();
+        encode_response(&Response::Ok, &mut ok);
+        assert_eq!(ok, OK_FRAME);
         resp_roundtrip(Response::NotFound);
         resp_roundtrip(Response::Error("bad".into()));
         resp_roundtrip(Response::Value(vec![9u8; 100]));

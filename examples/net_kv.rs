@@ -17,16 +17,16 @@ const WORKERS: usize = 2;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let arena = PArena::builder().capacity_bytes(256 << 20).build()?;
-    // Workers + committer + a spare for ad-hoc sessions below.
+    // The server's session slots + a spare for ad-hoc sessions.
     let options = Options::new()
-        .threads(WORKERS + 2)
+        .threads(WORKERS + 1)
         .log_bytes_per_thread(16 << 20)
         .shards(2);
     let (store, _) = Store::open(&arena, options)?;
 
-    // Group commit: every small write that arrives while the committer
-    // is busy joins the next group, and the whole group pays one fence
-    // pair.
+    // Group commit: every small write a connection sent while its thread
+    // was committing the previous group is read together and joins the
+    // next, and the whole group pays one fence pair.
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let server = Server::start(
         store.clone(),
@@ -38,16 +38,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     )?;
     let addr = server.local_addr();
-    println!("serving on {addr} (group commit, {WORKERS} workers)");
+    println!("serving on {addr} (group commit, {WORKERS} session slots)");
 
     // Bulk load over the wire: chunked durable BATCH frames.
     net_load(addr, KEYS, 24, 512)?;
     println!("loaded {KEYS} keys over the socket");
 
     // Read-your-write under group commit: a write is applied when its
-    // *group* commits, so a read pipelined behind an unacknowledged
-    // write may execute first. The `OK` ack is the visibility point —
-    // wait for it before reading the key back.
+    // *group* commits — at the end of the drain it arrived in — so a
+    // read pipelined behind an unacknowledged write may execute first.
+    // The `OK` ack is the visibility point — wait for it before reading
+    // the key back.
     let mut client = NetClient::connect(addr)?;
     assert_eq!(
         client.call(&Request::Put {

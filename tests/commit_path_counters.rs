@@ -4,11 +4,9 @@
 //! checkpoint barrier is flushes, and what the batch table's size buys is
 //! forced flushes per commit — all countable exactly.
 
-use std::sync::mpsc;
-
 use incll_pmem::superblock::BATCH_SLOTS;
 use incll_repro::prelude::*;
-use incll_server::{GroupCommitter, GroupOp};
+use incll_server::{encode_request, encode_response, Request, Response, ServerConfig, Service};
 
 const SHARDS: usize = 4;
 
@@ -74,40 +72,24 @@ fn one_durable_group_saves_two_fences_per_rider_over_singles() {
 fn a_group_window_costs_fewer_fences_than_single_durable_commits() {
     const N: u64 = 100;
     let (arena, store) = prepared();
-    let committer = GroupCommitter::start(store.clone(), store.session().unwrap()).unwrap();
-    // Park the committer inside a completion (they run on its thread):
-    // the N writes submitted meanwhile are exactly one group.
-    let (parked_tx, parked_rx) = mpsc::channel();
-    let (release_tx, release_rx) = mpsc::channel::<()>();
-    committer.submit(
-        GroupOp::Put {
-            key: key(N),
-            val: vec![0; 64],
-        },
-        Box::new(move |r| {
-            parked_tx.send(r).unwrap();
-            let _ = release_rx.recv();
-        }),
-    );
-    parked_rx.recv().unwrap().unwrap();
-    let before = arena.stats().snapshot();
-    let (tx, rx) = mpsc::channel();
+    let svc = Service::new(store.clone(), &ServerConfig::default()).unwrap();
+    // N PUT frames that arrived together are exactly one drain's group.
+    let mut input = Vec::new();
     for i in 0..N {
-        let tx = tx.clone();
-        committer.submit(
-            GroupOp::Put {
-                key: key(i),
-                val: vec![i as u8; 64],
-            },
-            Box::new(move |r| tx.send(r).unwrap()),
-        );
+        let put = Request::Put {
+            key: key(i),
+            val: vec![i as u8; 64],
+        };
+        encode_request(&put, &mut input);
     }
-    drop(release_tx);
-    for _ in 0..N {
-        rx.recv().unwrap().unwrap();
-    }
+    let before = arena.stats().snapshot();
+    let mut replies = Vec::new();
+    assert_eq!(svc.serve_buffered(0, &input, &mut replies), input.len());
     let grouped = arena.stats().snapshot().delta(&before).sfence;
-    assert_eq!(committer.stats(), (2, N + 1), "the blocker, then one group");
+    assert_eq!(svc.group_stats(), (1, N), "one group");
+    let mut ok = Vec::new();
+    encode_response(&Response::Ok, &mut ok);
+    assert_eq!(replies, ok.repeat(N as usize), "every write acked");
 
     let singles = single_commit_fences(N);
     assert!(

@@ -3,14 +3,13 @@
 //! surface over real sockets.
 //!
 //! The ordering tests are the load-bearing ones, and they check two
-//! distinct promises. *Response* order: grouped writes complete on the
-//! committer thread while reads complete on the connection's worker,
-//! so only the per-connection reorder buffer stands between that
-//! concurrency and a client seeing response N+1 before response N.
-//! *Write* order: a connection is pinned to one worker and its grouped
-//! writes drain through the committer queue FIFO, so pipelined writes
-//! to one key must resolve to the last one issued — in every commit
-//! mode.
+//! distinct promises. *Response* order: a drain's grouped writes are
+//! acked only when its group commits, after the reads around them have
+//! executed, yet a client must never see response N+1 before response
+//! N. *Write* order: one thread executes a connection's requests
+//! serially, whatever the drain, chunk and `BATCH` boundaries, so
+//! pipelined writes to one key must resolve to the last one issued — in
+//! every commit mode.
 
 use std::net::TcpListener;
 use std::time::Duration;
@@ -218,7 +217,7 @@ fn batch_scan_del_and_stats_cover_the_request_surface() {
 
 /// A SCAN whose reply would exceed the 1 MiB frame cap must not be sent:
 /// the client would refuse the frame (dead connection) or, with debug
-/// assertions on, the worker would die encoding it (hung client). It is
+/// assertions on, the connection's thread would die encoding it. It is
 /// answered in order with a typed error and the stream continues.
 #[test]
 fn a_scan_reply_over_the_frame_cap_gets_a_typed_error_and_the_stream_continues() {
@@ -273,12 +272,12 @@ fn a_scan_reply_over_the_frame_cap_gets_a_typed_error_and_the_stream_continues()
 }
 
 /// The REVIEW-9 high-severity regression: pipelined writes to one key
-/// from one connection used to race across workers (and into the
-/// committer) and could commit out of order, letting an *earlier* PUT
-/// become the final durable value. Now a connection's requests execute
-/// on its pinned worker in sequence order, and in group mode every
-/// write class (PUT/DEL/BATCH) drains through the committer queue FIFO
-/// — so the last issued write must win, in every commit mode.
+/// from one connection once raced across threads and could commit out
+/// of order, letting an *earlier* PUT become the final durable value.
+/// A connection's requests execute on its one thread in request order,
+/// and in group mode every write class (PUT/DEL/BATCH) commits at its
+/// position in the drain — so the last issued write must win, in every
+/// commit mode.
 #[test]
 fn pipelined_same_key_writes_resolve_to_the_last_one_in_every_mode() {
     for commit in [CommitMode::Group, CommitMode::PerRequest, CommitMode::Async] {
@@ -344,10 +343,9 @@ fn pipelined_same_key_writes_resolve_to_the_last_one_in_every_mode() {
 }
 
 /// A client that stops reading must stall only its own connection: its
-/// responses pile up in the reorder buffer (bounded by the pipeline
-/// depth) behind a blocked per-connection writer thread, while grouped
-/// commits — which complete on the committer thread — keep acking
-/// other connections.
+/// thread blocks in `write` owing at most one drain's replies and
+/// holding no session slot, while grouped commits keep acking other
+/// connections.
 #[test]
 fn a_connection_that_stops_reading_does_not_stall_grouped_commits_for_others() {
     let arena = arena();
@@ -361,7 +359,7 @@ fn a_connection_that_stops_reading_does_not_stall_grouped_commits_for_others() {
 
     // Preload 200 keys with ~4 KB values: one SCAN response is ~800 KB,
     // so a few dozen unread SCANs overflow any kernel socket buffer and
-    // wedge the slow connection's writer thread for real.
+    // wedge the slow connection's thread in `write` for real.
     let big = vec![0xABu8; 4000];
     let mut setup = NetClient::connect(addr).unwrap();
     let ops = (0..200u64)
@@ -413,10 +411,12 @@ fn a_connection_that_stops_reading_does_not_stall_grouped_commits_for_others() {
     }
 }
 
-/// With a tiny pipeline depth the reader repeatedly pauses (bounding
-/// what the connection can pin server-side) and resumes as the writer
-/// drains — the stream must still complete, in order, without
-/// deadlocking between the backpressure wait and the writer.
+/// The bound exercised is the reply budget: 2000 × 4 KB replies are far
+/// more than one drain may owe (64 KiB), so the connection's thread
+/// repeatedly stops taking frames, writes what it owes and resumes with
+/// what is still buffered — while the client, which reads nothing until
+/// it has sent everything, fills every kernel buffer in between. The
+/// stream must still complete, in order.
 #[test]
 fn the_pipeline_depth_bound_pauses_and_resumes_without_losing_order() {
     let arena = arena();
@@ -432,7 +432,6 @@ fn the_pipeline_depth_bound_pauses_and_resumes_without_losing_order() {
         ServerConfig {
             workers: 2,
             commit: CommitMode::Group,
-            pipeline_depth: 2,
             ..ServerConfig::default()
         },
     )
@@ -451,7 +450,7 @@ fn the_pipeline_depth_bound_pauses_and_resumes_without_losing_order() {
         Response::Ok
     );
 
-    // Pipeline far more 4 KB GETs than two in-flight slots (or the
+    // Pipeline far more 4 KB GETs than one drain's budget (or the
     // kernel buffers) can hold before reading anything back.
     let n = 2000usize;
     for _ in 0..n {
@@ -471,7 +470,7 @@ fn the_pipeline_depth_bound_pauses_and_resumes_without_losing_order() {
 fn session_pool_exhaustion_fails_server_start_with_a_typed_timeout() {
     let arena = arena();
     // Pool of 2 sessions; one goes to the test, leaving 1 for a server
-    // that needs workers + committer = 3.
+    // that needs two slots.
     let options = Options::new().threads(2).log_bytes_per_thread(1 << 20);
     let (store, _) = Store::open(&arena, options).unwrap();
     let _held = store.session().unwrap();
@@ -483,7 +482,6 @@ fn session_pool_exhaustion_fails_server_start_with_a_typed_timeout() {
             workers: 2,
             commit: CommitMode::Group,
             session_timeout: Duration::from_millis(50),
-            ..ServerConfig::default()
         },
     )
     .err()
@@ -496,8 +494,9 @@ fn session_pool_exhaustion_fails_server_start_with_a_typed_timeout() {
 
 /// Log space is only reclaimed at a boundary, and the default server
 /// store runs without a cadence: a run of large legal `BATCH` frames on
-/// one shard must not run the committer's log buffer into its overflow
-/// assert — that kills the committer thread and wedges every writer.
+/// one shard must not run the committing session's log buffer into its
+/// overflow assert — that kills the connection's thread and poisons its
+/// session slot for every connection sharing it.
 #[test]
 fn large_batch_frames_on_one_shard_do_not_kill_the_committer() {
     let arena = arena();
@@ -512,7 +511,7 @@ fn large_batch_frames_on_one_shard_do_not_kill_the_committer() {
 
     // Five frames of ~66 KB of intents each, every key on shard 0 (the
     // fourth would overflow the buffer), then an unrelated connection's
-    // PUT, then shutdown — on a helper thread, so a dead committer fails
+    // PUT, then shutdown — on a helper thread, so a dead connection fails
     // the test by timeout instead of hanging it.
     let shard0: Vec<Vec<u8>> = (0u64..)
         .map(key)
