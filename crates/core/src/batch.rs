@@ -228,13 +228,14 @@ enum BatchOp {
     Delete { key: Vec<u8> },
 }
 
-impl BatchOp {
-    fn key(&self) -> &[u8] {
-        match self {
-            BatchOp::Put { key, .. } | BatchOp::Delete { key } => key,
-        }
-    }
+/// A staged operation with the shard its key routes to, hashed once at
+/// staging: commit consults the shard in every one of its passes.
+struct Staged {
+    shard: usize,
+    op: BatchOp,
+}
 
+impl BatchOp {
     /// Length of the payload [`BatchOp::encode_into`] writes.
     fn encoded_len(&self) -> usize {
         match self {
@@ -297,7 +298,7 @@ pub(crate) fn decode_intent(payload: &[u8]) -> Option<RedoOp<'_>> {
 /// See the module docs for the commit protocol and crash semantics.
 pub struct WriteBatch<'s> {
     sess: &'s Session,
-    ops: Vec<BatchOp>,
+    ops: Vec<Staged>,
 }
 
 impl<'s> WriteBatch<'s> {
@@ -324,9 +325,12 @@ impl<'s> WriteBatch<'s> {
             });
         }
         self.check_capacity()?;
-        self.ops.push(BatchOp::Put {
-            key: key.to_vec(),
-            val: value.to_vec(),
+        self.ops.push(Staged {
+            shard: self.sess.store().shard_of(key),
+            op: BatchOp::Put {
+                key: key.to_vec(),
+                val: value.to_vec(),
+            },
         });
         Ok(())
     }
@@ -338,7 +342,10 @@ impl<'s> WriteBatch<'s> {
     /// [`Error::BatchTooLarge`] beyond [`MAX_BATCH_OPS`] staged ops.
     pub fn delete(&mut self, key: &[u8]) -> Result<(), Error> {
         self.check_capacity()?;
-        self.ops.push(BatchOp::Delete { key: key.to_vec() });
+        self.ops.push(Staged {
+            shard: self.sess.store().shard_of(key),
+            op: BatchOp::Delete { key: key.to_vec() },
+        });
         Ok(())
     }
 
@@ -446,10 +453,9 @@ impl<'s> WriteBatch<'s> {
         // share may append (the log-room rule's input).
         let mut mask = 0u64;
         let mut need = [0u64; superblock::MAX_SHARDS];
-        for op in &self.ops {
-            let s = store.shard_of(op.key());
-            mask |= 1u64 << s;
-            need[s] += ExtLog::entry_bytes(op.encoded_len()) + UNDO_ALLOWANCE;
+        for &Staged { shard, ref op } in &self.ops {
+            mask |= 1u64 << shard;
+            need[shard] += ExtLog::entry_bytes(op.encoded_len()) + UNDO_ALLOWANCE;
         }
 
         // A durable commit skips the fast path even on one shard: the
@@ -492,10 +498,9 @@ impl<'s> WriteBatch<'s> {
         // intents are stamped with — and the apply below lands in — one
         // epoch per shard.
         let guards = self.sess.ctx().pin_shards_mut(mask);
-        let pinned: Vec<usize> = (0..64).filter(|d| mask & (1u64 << d) != 0).collect();
         let mut epoch = [0u64; superblock::MAX_SHARDS];
-        for (&d, g) in pinned.iter().zip(&guards) {
-            epoch[d] = g.epoch();
+        for g in &guards {
+            epoch[g.domain()] = g.epoch();
         }
         // Reserve every value buffer before anything is staged or named
         // durably: a shard without room fails the whole batch *cleanly* —
@@ -505,18 +510,19 @@ impl<'s> WriteBatch<'s> {
         let bufs = self.prepare_bufs(store, |s| epoch[s])?;
         let id = superblock::next_batch_id(&inner.arena);
         let mut payload = Vec::new();
-        for op in &self.ops {
-            let s = store.shard_of(op.key());
+        for &Staged { shard, ref op } in &self.ops {
             op.encode_into(&mut payload);
-            inner.log.log_intent_in(tid, s, epoch[s], id, &payload);
+            inner
+                .log
+                .log_intent_in(tid, shard, epoch[shard], id, &payload);
         }
         // The intents above are merely staged: drain each covered
         // shard's run now, so every intent is durable — and reachable
         // through replay's valid-prefix scan — before anything durable
         // can name the batch id. One `clwb_range`+`sfence` per shard
         // covers the whole group.
-        for &d in &pinned {
-            inner.log.drain(tid, d);
+        for g in &guards {
+            inner.log.drain(tid, g.domain());
         }
         if !commit {
             // Intents durable, commit record absent: the in-doubt state
@@ -546,19 +552,20 @@ impl<'s> WriteBatch<'s> {
     ) -> Result<Vec<Option<u64>>, Error> {
         let ctx = self.sess.ctx();
         let mut bufs: Vec<Option<u64>> = Vec::with_capacity(self.ops.len());
-        for op in &self.ops {
+        for &Staged { shard, ref op } in &self.ops {
             let buf = match op {
-                BatchOp::Put { key, val } => {
-                    let s = store.shard_of(key);
-                    match store.shard_tree(s).prepare_value_buf(ctx, epoch_of(s), val) {
+                BatchOp::Put { val, .. } => {
+                    let tree = store.shard_tree(shard);
+                    match tree.prepare_value_buf(ctx, epoch_of(shard), val) {
                         Ok(b) => Some(b),
                         Err(e) => {
                             for (prev, b) in self.ops.iter().zip(&bufs) {
-                                if let (BatchOp::Put { key, .. }, Some(b)) = (prev, b) {
-                                    let ps = store.shard_of(key);
-                                    store
-                                        .shard_tree(ps)
-                                        .release_value_buf(ctx, epoch_of(ps), *b);
+                                if let Some(b) = b {
+                                    store.shard_tree(prev.shard).release_value_buf(
+                                        ctx,
+                                        epoch_of(prev.shard),
+                                        *b,
+                                    );
                                 }
                             }
                             return Err(e);
@@ -577,13 +584,13 @@ impl<'s> WriteBatch<'s> {
     /// already-pinned shard share its epoch), consuming the value buffers
     /// [`WriteBatch::prepare_bufs`] reserved.
     fn apply(&self, store: &Store, bufs: Vec<Option<u64>>) -> Result<(), Error> {
-        for (op, buf) in self.ops.iter().zip(bufs) {
+        let ctx = self.sess.ctx();
+        for (&Staged { shard, ref op }, buf) in self.ops.iter().zip(bufs) {
+            let tree = store.shard_tree(shard);
             match op {
-                BatchOp::Put { key, val } => {
-                    store.put_with_buf(self.sess, key, val, buf)?;
-                }
+                BatchOp::Put { key, val } => tree.put_bytes_with_buf(ctx, key, val, buf)?,
                 BatchOp::Delete { key } => {
-                    store.remove(self.sess, key);
+                    tree.remove(ctx, key);
                 }
             }
         }

@@ -454,19 +454,6 @@ impl Store {
         self.route(key).put_bytes(&sess.ctx, key, value)
     }
 
-    /// [`Store::put`] consuming a value buffer reserved earlier on the
-    /// key's shard (the batch commit path's pre-reservation hook).
-    pub(crate) fn put_with_buf(
-        &self,
-        sess: &Session,
-        key: &[u8],
-        value: &[u8],
-        buf: Option<u64>,
-    ) -> Result<Option<Vec<u8>>, Error> {
-        self.route(key)
-            .put_bytes_with_buf(&sess.ctx, key, value, buf)
-    }
-
     /// Looks up `key`, returning a **borrowed, zero-copy** view of its
     /// value bytes in place in the durable buffer.
     ///

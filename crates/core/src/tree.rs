@@ -734,32 +734,45 @@ impl DurableMasstree {
     /// brand-new key — structural node allocation still treats exhaustion
     /// as fatal.
     pub fn put_bytes(&self, ctx: &DCtx, key: &[u8], val: &[u8]) -> Result<Option<Vec<u8>>, Error> {
-        self.put_bytes_with_buf(ctx, key, val, None)
+        self.put_value(ctx, key, val, None, read_value_bytes)
     }
 
     /// [`DurableMasstree::put_bytes`] consuming a value buffer the caller
     /// already reserved with [`DurableMasstree::prepare_value_buf`] (the
     /// batch commit path reserves every buffer up front so a full shard
     /// fails the batch before anything durable names it). `None` falls
-    /// back to allocating inline.
+    /// back to allocating inline. The batch has no use for the previous
+    /// value, so none is read or copied.
     pub(crate) fn put_bytes_with_buf(
         &self,
         ctx: &DCtx,
         key: &[u8],
         val: &[u8],
         prealloc: Option<u64>,
-    ) -> Result<Option<Vec<u8>>, Error> {
+    ) -> Result<(), Error> {
+        self.put_value(ctx, key, val, prealloc, |_, _| ()).map(drop)
+    }
+
+    /// The byte-slice put both forms above share; `read_old` decides what,
+    /// if anything, is made of the buffer the put replaces.
+    fn put_value<R>(
+        &self,
+        ctx: &DCtx,
+        key: &[u8],
+        val: &[u8],
+        mut prealloc: Option<u64>,
+        read_old: impl Fn(&PArena, u64) -> R,
+    ) -> Result<Option<R>, Error> {
         if val.len() > MAX_VALUE_BYTES {
             return Err(Error::ValueTooLarge {
                 size: val.len(),
                 max: MAX_VALUE_BYTES,
             });
         }
-        let mut prealloc = prealloc;
         let (g, _s) = self.enter_mut(ctx);
         let epoch = g.epoch();
         // SAFETY: as for `get`.
-        let out = unsafe { self.put_inner(ctx, epoch, key, val, &mut prealloc, read_value_bytes) };
+        let out = unsafe { self.put_inner(ctx, epoch, key, val, &mut prealloc, read_old) };
         // No drain on exit — as for `put`: undo entries seal themselves.
         out
     }

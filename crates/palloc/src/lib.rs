@@ -250,7 +250,7 @@ impl PAlloc {
         assert!(ndomains > 0, "allocator needs at least one epoch domain");
         let region = (nthreads * ndomains * TOTAL_CLASSES) as u64 * cell::CELL_BYTES;
         let root = arena.carve(region as usize, 64)?;
-        // Head cells start zeroed (alloc_zeroed arena).
+        // Head cells start zeroed (the arena's mapping is kernel-zeroed).
         arena.pwrite_u64(superblock::SB_PALLOC_HEADS, root);
         arena.pwrite_u64(superblock::SB_PALLOC_HEADS + 8, nthreads as u64);
         arena.pwrite_u64(superblock::SB_PALLOC_HEADS + 16, TOTAL_CLASSES as u64);
@@ -275,7 +275,9 @@ impl PAlloc {
                 capacity: arena.capacity(),
             }));
         }
-        let split = arena.carve((extent_bytes * count as u64) as usize, 64)?;
+        // Reserved, not carved: an extent is populated when it is claimed,
+        // so resident memory follows the store's size, not the arena's.
+        let split = arena.reserve((extent_bytes * count as u64) as usize, 64)?;
         arena.pwrite_u64(superblock::SB_ARENA_SPLIT, split);
         arena.pwrite_u64(superblock::SB_ARENA_REGION_BYTES, extent_bytes);
         arena.pwrite_u64(superblock::SB_EXTENT_COUNT, count as u64);
@@ -294,6 +296,7 @@ impl PAlloc {
             let claimed = superblock::claim_extent(arena, d, d);
             debug_assert!(claimed, "fresh pool extent must be claimable");
             let start = pool.start(d);
+            arena.populate(start, extent_bytes as usize);
             frontier.push(AtomicU64::new(start));
             limit.push(AtomicU64::new(pool.end(d)));
             arena.pwrite_u64(superblock::shard_bump_off(d), start);
@@ -817,14 +820,17 @@ impl PAlloc {
     }
 
     /// Claims the lowest-index free extent for `domain`, durably (the
-    /// claim CAS flushes itself). Losing a race to another shard just
-    /// moves on to the next free index.
+    /// claim CAS flushes itself), and populates it: the page faults of
+    /// fresh arena land here, on the path that already pays a fence, and
+    /// never on an allocation. Losing a race to another shard just moves
+    /// on to the next free index.
     fn claim_free_extent(&self, domain: usize, stride: u64) -> Result<usize, Error> {
         let pool = &self.inner.pool;
         let arena = &self.inner.arena;
         for i in 0..pool.count {
             if superblock::extent_owner(arena, i) == 0 && superblock::claim_extent(arena, i, domain)
             {
+                arena.populate(pool.start(i), pool.extent_bytes as usize);
                 return Ok(i);
             }
         }

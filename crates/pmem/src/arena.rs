@@ -1,4 +1,4 @@
-use std::alloc::{alloc_zeroed, dealloc, Layout};
+use std::ffi::{c_int, c_void};
 use std::ptr::NonNull;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -64,6 +64,120 @@ pub const MIN_ALIGN: usize = 16;
 /// An arena must at least hold the superblock.
 const MIN_CAPACITY: usize = superblock::CARVE_START as usize;
 
+/// The page size the mapping is aligned to and advised for: x86-64's and
+/// aarch64's PMD-level huge page, and what a DAX mapping of real NVM uses.
+const HUGE_PAGE: usize = 2 << 20;
+
+/// Step of [`PArena::populate`]: the smallest page any supported host
+/// uses, so one touch per step reaches every page whatever its size.
+const SMALL_PAGE: u64 = 4096;
+
+#[cfg(not(all(unix, target_pointer_width = "64")))]
+compile_error!("incll-pmem maps its arena with mmap(2): a 64-bit unix host is required");
+
+// No `libc` crate is vendored; std already links the C library these three
+// come from. `off_t` is 64 bits on every 64-bit unix.
+extern "C" {
+    fn mmap(
+        addr: *mut c_void,
+        len: usize,
+        prot: c_int,
+        flags: c_int,
+        fd: c_int,
+        offset: i64,
+    ) -> *mut c_void;
+    fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    #[cfg(target_os = "linux")]
+    fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+}
+
+const PROT_READ: c_int = 1;
+const PROT_WRITE: c_int = 2;
+const MAP_PRIVATE: c_int = 2;
+#[cfg(target_os = "linux")]
+const MAP_ANONYMOUS: c_int = 0x20;
+#[cfg(not(target_os = "linux"))]
+const MAP_ANONYMOUS: c_int = 0x1000;
+#[cfg(target_os = "linux")]
+const MADV_HUGEPAGE: c_int = 14;
+
+/// The arena's backing store: one anonymous private mapping of whole
+/// [`HUGE_PAGE`]s at a [`HUGE_PAGE`]-aligned address, kernel-zeroed and
+/// lazily populated, unmapped on drop.
+struct Mapping {
+    base: NonNull<u8>,
+    /// Mapped bytes: the capacity rounded up to whole huge pages.
+    len: usize,
+    /// Whether the kernel accepted `MADV_HUGEPAGE` over the mapping.
+    huge_pages: bool,
+}
+
+impl Mapping {
+    /// Maps room for `capacity` bytes; `None` when the host refuses.
+    fn new(capacity: usize) -> Option<Mapping> {
+        let len = capacity.checked_next_multiple_of(HUGE_PAGE)?;
+        // One huge page of slack: wherever the kernel places the span, it
+        // contains an aligned `len`-byte run; the rest goes straight back.
+        let span = len.checked_add(HUGE_PAGE)?;
+        // SAFETY: a fresh anonymous mapping at a kernel-chosen address
+        // aliases nothing this process owns.
+        let raw = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                span,
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        // MAP_FAILED is `(void *) -1`.
+        if raw as isize == -1 {
+            return None;
+        }
+        let head = (raw as usize).next_multiple_of(HUGE_PAGE) - raw as usize;
+        // SAFETY: `head < HUGE_PAGE`, so `base` and the two trimmed runs
+        // `[raw, base)` and `[base + len, raw + span)` lie inside the span
+        // just mapped, which nothing else references yet; every boundary
+        // is page-aligned (`raw` by mmap, the others by HUGE_PAGE). A
+        // failed trim only leaves address space reserved.
+        let base = unsafe {
+            let base = raw.cast::<u8>().add(head);
+            if head > 0 {
+                munmap(raw, head);
+            }
+            munmap(base.add(len).cast(), HUGE_PAGE - head);
+            base
+        };
+        // SAFETY: advice over exactly the mapping owned here; it changes
+        // how the kernel backs the pages, never their content.
+        #[cfg(target_os = "linux")]
+        let huge_pages = unsafe { madvise(base.cast(), len, MADV_HUGEPAGE) } == 0;
+        #[cfg(not(target_os = "linux"))]
+        let huge_pages = false;
+        Some(Mapping {
+            base: NonNull::new(base).expect("mmap without MAP_FIXED never maps page 0"),
+            len,
+            huge_pages,
+        })
+    }
+}
+
+impl Drop for Mapping {
+    fn drop(&mut self) {
+        // SAFETY: `[base, base + len)` is exactly what `new` kept mapped,
+        // and the last handle to it is going away.
+        unsafe { munmap(self.base.as_ptr().cast(), self.len) };
+    }
+}
+
+// SAFETY: the mapping is plain process memory owned by this value; the
+// pointer carries no thread affinity and `len`/`huge_pages` are immutable.
+unsafe impl Send for Mapping {}
+// SAFETY: as above; shared access to the *content* goes through `PArena`'s
+// accessors, whose callers uphold aliasing rules.
+unsafe impl Sync for Mapping {}
+
 /// A simulated persistent-memory arena.
 ///
 /// The arena stands in for an NVM device mapped into the address space.
@@ -75,6 +189,27 @@ const MIN_CAPACITY: usize = superblock::CARVE_START as usize;
 /// `PArena` is a cheap handle (`Arc` internally) and is `Send + Sync`;
 /// synchronisation of the *content* is the data structures' job, exactly as
 /// with real memory.
+///
+/// # Backing
+///
+/// One anonymous private `mmap`, **2 MiB-aligned** and advised
+/// `MADV_HUGEPAGE`, unmapped when the last handle drops — the shape of a
+/// DAX mapping of real NVM, which uses 2 MiB pages. Why 2 MiB: a tree
+/// descent touches a handful of nodes scattered over the whole arena, and
+/// on 4 KiB pages a store larger than the second-level TLB's reach (8 MiB
+/// on current x86) pays a page walk — under a hypervisor a *nested* one —
+/// for nearly every node and value buffer it touches; on 2 MiB pages the
+/// same TLB reaches 3 GiB. Where the kernel refuses the advice
+/// ([`PArena::huge_pages_advised`]) or has transparent huge pages switched
+/// off, the arena works unchanged on small pages, only slower.
+///
+/// The mapping is **kernel-zeroed and lazily populated**: `build` touches
+/// only the superblock, and resident memory follows what is claimed, not
+/// the capacity. So that no store operation ever meets a zero-fill fault
+/// (~150 µs for a huge page), the two places that extend into untouched
+/// arena populate what they take: [`PArena::carve`] (create time: log
+/// buffers, allocator head cells) and the allocator's extent claim (rare,
+/// already fenced). Reading never-populated space is legal and reads zero.
 ///
 /// # Modes
 ///
@@ -108,28 +243,13 @@ pub struct PArena {
 }
 
 struct Inner {
-    base: NonNull<u8>,
+    map: Mapping,
     capacity: usize,
-    layout: Layout,
     bump: AtomicU64,
     tracked: bool,
     journal: Journal,
     stats: Stats,
     latency: LatencyModel,
-}
-
-// SAFETY: the arena hands out raw access to its memory through unsafe
-// accessors whose callers uphold aliasing rules; the handle itself carries
-// no thread affinity. All interior mutability is via atomics or mutexes.
-unsafe impl Send for Inner {}
-// SAFETY: as above.
-unsafe impl Sync for Inner {}
-
-impl Drop for Inner {
-    fn drop(&mut self) {
-        // SAFETY: `base` was allocated with exactly this layout in `build`.
-        unsafe { dealloc(self.base.as_ptr(), self.layout) };
-    }
 }
 
 /// Builder for [`PArena`] (see [`PArena::builder`]).
@@ -153,7 +273,8 @@ impl Default for PArenaBuilder {
 }
 
 impl PArenaBuilder {
-    /// Sets the arena capacity in bytes (rounded up to 4 KiB).
+    /// Sets the arena capacity in bytes (rounded up to 4 KiB; the mapping
+    /// behind it covers whole 2 MiB pages).
     #[must_use]
     pub fn capacity_bytes(mut self, bytes: usize) -> Self {
         self.capacity = bytes;
@@ -181,7 +302,7 @@ impl PArenaBuilder {
         self
     }
 
-    /// Allocates the arena.
+    /// Maps the arena (see [`PArena`]'s *Backing* section).
     ///
     /// # Errors
     ///
@@ -195,28 +316,28 @@ impl PArenaBuilder {
                 minimum: MIN_CAPACITY,
             });
         }
-        let capacity = (self.capacity + 4095) & !4095;
-        let layout = Layout::from_size_align(capacity, 4096).expect("valid layout");
-        // SAFETY: layout has nonzero size (>= MIN_CAPACITY).
-        let raw = unsafe { alloc_zeroed(layout) };
-        let base = NonNull::new(raw).ok_or(Error::HostAllocationFailed {
-            requested: capacity,
+        let map = Mapping::new(self.capacity).ok_or(Error::HostAllocationFailed {
+            requested: self.capacity,
         })?;
+        // Cannot overflow: at most `map.len`.
+        let capacity = self.capacity.next_multiple_of(SMALL_PAGE as usize);
         let latency = LatencyModel::new();
         latency.set_sfence_ns(self.sfence_ns);
         latency.set_wbinvd_ns(self.wbinvd_ns);
-        Ok(PArena {
+        let arena = PArena {
             inner: Arc::new(Inner {
-                base,
+                map,
                 capacity,
-                layout,
                 bump: AtomicU64::new(superblock::CARVE_START),
                 tracked: self.tracked,
                 journal: Journal::new(),
                 stats: Stats::new(),
                 latency,
             }),
-        })
+        };
+        // The superblock is not carved, so nothing else would populate it.
+        arena.populate(0, MIN_CAPACITY);
+        Ok(arena)
     }
 }
 
@@ -251,7 +372,9 @@ impl PArena {
     // `incll-palloc` crate's job).
     // ------------------------------------------------------------------
 
-    /// Carves `size` bytes at `align` alignment from never-used space.
+    /// Carves `size` bytes at `align` alignment from never-used space and
+    /// [populates](PArena::populate) them, so the caller's first stores
+    /// meet no page fault.
     ///
     /// The returned offset is stable across simulated crashes. The durable
     /// allocator persists its own watermark and re-synchronises the bump
@@ -262,6 +385,20 @@ impl PArena {
     /// [`Error::BadAlignment`] if `align` is not a power of two, and
     /// [`Error::OutOfMemory`] when the arena is exhausted.
     pub fn carve(&self, size: usize, align: usize) -> Result<u64> {
+        let offset = self.reserve(size, align)?;
+        self.populate(offset, size);
+        Ok(offset)
+    }
+
+    /// [`PArena::carve`] without the populate: takes the space and leaves
+    /// it unbacked. For a region whose owner hands it out piecemeal and
+    /// populates each piece as it does — the allocator's extent pool, which
+    /// takes the whole rest of the arena at create.
+    ///
+    /// # Errors
+    ///
+    /// As [`PArena::carve`].
+    pub fn reserve(&self, size: usize, align: usize) -> Result<u64> {
         if align == 0 || !align.is_power_of_two() {
             return Err(Error::BadAlignment { align });
         }
@@ -288,6 +425,49 @@ impl PArena {
                 Err(actual) => cur = actual,
             }
         }
+    }
+
+    /// Backs `[offset, offset + len)` with zeroed host memory now, so no
+    /// later access to it page-faults: one value-preserving atomic write
+    /// per page, inside the range. A huge page's zero-fill costs ~150 µs;
+    /// the two places that extend into untouched arena ([`PArena::carve`]
+    /// and the allocator's extent claim) pay it here, where the work is
+    /// already rare and slow, and no store operation ever does.
+    ///
+    /// The caller owns the range (freshly carved or claimed); content is
+    /// unchanged, so tracked-mode journaling is not involved.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range does not lie inside the arena.
+    pub fn populate(&self, offset: u64, len: usize) {
+        let end = offset
+            .checked_add(len as u64)
+            .filter(|&end| end <= self.inner.capacity as u64)
+            .expect("populate range outside the arena");
+        let mut at = offset.next_multiple_of(8);
+        while at + 8 <= end {
+            let word = self.atom(at);
+            let cur = word.load(Ordering::Relaxed);
+            // A compare-exchange of a value with itself: a real write (the
+            // page must become private and writable, not the shared zero
+            // page a load would map) that cannot lose a racing store. An
+            // idempotent `fetch_or(0)` would not do — LLVM lowers it to a
+            // fence without touching the address.
+            let _ = word.compare_exchange(cur, cur, Ordering::Relaxed, Ordering::Relaxed);
+            at = (at & !(SMALL_PAGE - 1)) + SMALL_PAGE;
+        }
+    }
+
+    /// Whether the kernel accepted the huge-page advice for this arena's
+    /// mapping. `false` (a kernel without transparent huge pages, or a
+    /// non-Linux host) is not an error: the arena then works on small
+    /// pages, and every access into a working set larger than the TLB's
+    /// reach pays the page walk. `true` is necessary, not sufficient: a
+    /// host whose `/sys/kernel/mm/transparent_hugepage/enabled` reads
+    /// `never` accepts the advice and ignores it.
+    pub fn huge_pages_advised(&self) -> bool {
+        self.inner.map.huge_pages
     }
 
     /// Current bump watermark (first never-carved offset).
@@ -319,7 +499,7 @@ impl PArena {
                 "offset {offset:#x} outside arena of {} bytes",
                 self.inner.capacity
             );
-            self.inner.base.as_ptr().add(offset as usize)
+            self.inner.map.base.as_ptr().add(offset as usize)
         }
     }
 
@@ -795,6 +975,73 @@ mod tests {
     fn build_rejects_tiny_capacity() {
         let err = PArena::builder().capacity_bytes(1024).build().unwrap_err();
         assert!(matches!(err, Error::CapacityTooSmall { .. }));
+    }
+
+    #[test]
+    fn build_refuses_what_the_host_cannot_map() {
+        for capacity in [1usize << 46, usize::MAX] {
+            let err = PArena::builder()
+                .capacity_bytes(capacity)
+                .build()
+                .unwrap_err();
+            assert_eq!(
+                err,
+                Error::HostAllocationFailed {
+                    requested: capacity
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn mapping_is_whole_aligned_huge_pages() {
+        for capacity in [1 << 20, (5 << 20) + 4096, 6 << 20] {
+            let a = PArena::builder().capacity_bytes(capacity).build().unwrap();
+            let map = &a.inner.map;
+            assert_eq!(map.base.as_ptr() as usize % HUGE_PAGE, 0);
+            assert_eq!(map.len, capacity.next_multiple_of(HUGE_PAGE));
+            assert_eq!(a.capacity(), capacity);
+            // Kernel-zeroed to the last word, whatever page it sits on.
+            assert_eq!(a.pread_u64(capacity as u64 - 8), 0);
+        }
+    }
+
+    #[test]
+    fn populate_touches_without_changing_content() {
+        let a = arena(true);
+        let off = a.carve(3 * SMALL_PAGE as usize, 64).unwrap();
+        a.pwrite_u64(off + SMALL_PAGE, 5);
+        a.populate(off + 3, 2 * SMALL_PAGE as usize); // unaligned start
+        a.populate(off, 0);
+        a.populate(a.capacity() as u64 - 4, 4); // no whole word: nothing to do
+        assert_eq!(a.pread_u64(off), 0);
+        assert_eq!(a.pread_u64(off + SMALL_PAGE), 5);
+        // The journal saw one store; populate added none.
+        a.crash_with(|_, n| {
+            assert_eq!(n, 1);
+            0
+        });
+        assert_eq!(a.pread_u64(off + SMALL_PAGE), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the arena")]
+    fn populate_rejects_out_of_range() {
+        let a = arena(false);
+        a.populate(a.capacity() as u64 - 8, 16);
+    }
+
+    #[test]
+    fn reserve_is_carve_without_the_populate() {
+        let a = arena(false);
+        let x = a.reserve(100, 64).unwrap();
+        assert_eq!(x % 64, 0);
+        assert_eq!(a.bump(), x + 100);
+        assert!(matches!(
+            a.reserve(2 << 20, 16),
+            Err(Error::OutOfMemory { .. })
+        ));
+        assert!(matches!(a.reserve(8, 3), Err(Error::BadAlignment { .. })));
     }
 
     #[test]

@@ -6,10 +6,13 @@
 //! `wbinvd` instruction for whole-cache flushes. This crate substitutes a
 //! software model with the same *observable* semantics:
 //!
-//! * [`PArena`] — a large, cache-line-aligned memory arena standing in for
-//!   the NVM device. Durable references are 16-byte-aligned **offsets**
-//!   ([`PPtr`]) so the 44-bit pointer packing the paper relies on works
-//!   identically.
+//! * [`PArena`] — a large memory arena standing in for the NVM device,
+//!   mapped the way a DAX device is: one anonymous `mmap`, 2 MiB-aligned
+//!   and huge-page-advised, kernel-zeroed and populated as the store
+//!   claims it (the *Backing* section of [`PArena`] says why, and what
+//!   happens on a host without transparent huge pages). Durable
+//!   references are 16-byte-aligned **offsets** ([`PPtr`]) so the 44-bit
+//!   pointer packing the paper relies on works identically.
 //! * Persistence primitives — [`PArena::clwb`], [`PArena::sfence`],
 //!   [`PArena::global_flush`] — count invocations, optionally inject
 //!   emulated NVM latency (the paper's Figs. 3 and 8 methodology), and, in

@@ -87,6 +87,17 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // Store speed differs by a quarter with and without huge pages under
+    // the arena; say which this host gave.
+    println!(
+        "arena: {} MiB, huge pages {}",
+        arena.capacity() >> 20,
+        if arena.huge_pages_advised() {
+            "advised"
+        } else {
+            "refused"
+        }
+    );
     // The session slots, and one to spare for whoever embeds the store.
     let threads = args.threads.max(args.workers + 1);
     let options = Options::new().threads(threads).shards(args.shards);
