@@ -15,10 +15,10 @@ fn bench(c: &mut Criterion) {
     let mtp = build_mtplus(&cfg);
     let inc = build_incll(&cfg);
     let mctx = mtp.tree.thread_ctx(0);
-    let ictx = inc.tree.thread_ctx(0).expect("slot 0 exists");
+    let sess = inc.store.session().expect("slot 0 exists");
     for i in 0..keys {
         mtp.tree.put(&mctx, &storage_key(i), i);
-        inc.tree.put(&ictx, &storage_key(i), i);
+        inc.store.put_u64(&sess, &storage_key(i), i);
     }
 
     let mut g = c.benchmark_group("micro");
@@ -32,7 +32,7 @@ fn bench(c: &mut Criterion) {
     g.bench_function("get_incll", |b| {
         b.iter(|| {
             i += 1;
-            inc.tree.get(&ictx, &storage_key(i % keys))
+            inc.store.get_u64(&sess, &storage_key(i % keys))
         })
     });
     g.bench_function("update_mtplus", |b| {
@@ -44,7 +44,7 @@ fn bench(c: &mut Criterion) {
     g.bench_function("update_incll", |b| {
         b.iter(|| {
             i += 1;
-            inc.tree.put(&ictx, &storage_key(i % keys), i)
+            inc.store.put_u64(&sess, &storage_key(i % keys), i)
         })
     });
     g.bench_function("scan10_mtplus", |b| {
@@ -57,8 +57,8 @@ fn bench(c: &mut Criterion) {
     g.bench_function("scan10_incll", |b| {
         b.iter(|| {
             i += 1;
-            inc.tree
-                .scan(&ictx, &storage_key(i % keys), 10, &mut |_, _| {})
+            inc.store
+                .scan(&sess, &storage_key(i % keys), 10, &mut |_, _| {})
         })
     });
     // Insert/remove cycle exercising InCLLp + the remove-insert fallback.
@@ -66,16 +66,11 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             i += 1;
             let k = (keys + i % 1000).to_be_bytes();
-            inc.tree.put(&ictx, &k, i);
-            inc.tree.remove(&ictx, &k)
+            inc.store.put_u64(&sess, &k, i);
+            inc.store.remove(&sess, &k)
         })
     });
-    // The byte-value facade path: 100-byte values through `Store`. The
-    // session pool and `thread_ctx` hand out the same per-thread slots
-    // without coordinating, so the raw ctx must be gone before a session
-    // (with 1 configured thread, both would be slot 0).
-    drop(ictx);
-    let sess = inc.store.session().expect("session pool is untouched");
+    // Byte values: 100 bytes, a larger size class than the 8-byte form.
     let payload = [7u8; 100];
     g.bench_function("put100b_store_incll", |b| {
         b.iter(|| {

@@ -1,13 +1,15 @@
-//! Regenerates every figure and in-text table of the paper's evaluation.
+//! Regenerates the figures and in-text tables of the paper's evaluation
+//! (Fig. 2–8, §6.1's ablation, §6.2's flush cost) plus the adaptive-cadence
+//! table, all through the `Store` facade. Recovery, scans, sharding, churn
+//! and the network path are the repo benchmark's (`benchmark/`).
 //!
 //! ```text
 //! cargo run --release -p incll-bench --bin figures -- <experiment> [options]
 //! cargo run --release -p incll-bench --bin figures -- --plot [results/BENCH_results.json] [--out DIR]
 //!
 //! experiments:
-//!   fig2 fig3 fig4 fig5 fig6 fig7 fig8 flushcost recovery ablation
-//!   shard_scaling epoch_domains recovery_latency read_path
-//!   extent_growth adaptive_cadence all
+//!   fig2 fig3 fig4 fig5 fig6 fig7 fig8 flushcost ablation
+//!   adaptive_cadence all
 //!
 //! options:
 //!   --paper            paper-scale parameters (20M keys, 8x1M ops)
@@ -27,7 +29,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use incll_bench::experiments::{self, json_string, ExpParams, Table};
+use incll_bench::experiments::{self, ExpParams, Table};
 use incll_bench::json::{self, Json};
 
 struct Args {
@@ -85,9 +87,8 @@ fn parse_args() -> Args {
 fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
-        "usage: figures <fig2|fig3|fig4|fig5|fig6|fig7|fig8|flushcost|recovery|ablation\
-         |shard_scaling|epoch_domains|recovery_latency|read_path\
-         |extent_growth|adaptive_cadence|all> \
+        "usage: figures <fig2|fig3|fig4|fig5|fig6|fig7|fig8|flushcost|ablation\
+         |adaptive_cadence|all> \
          [--paper] [--scale F] [--keys N] [--ops N] [--threads N] [--out DIR]\n\
          \x20      figures --plot [RESULTS.json] [--out DIR]"
     );
@@ -153,7 +154,7 @@ fn thread_sweep(p: &ExpParams) -> Vec<usize> {
     v
 }
 
-fn save(out: &PathBuf, name: &str, tables: &[Table]) {
+fn save(out: &Path, name: &str, tables: &[Table]) {
     let _ = fs::create_dir_all(out);
     let body: String = tables.iter().map(|t| t.render() + "\n").collect();
     let path = out.join(format!("{name}.txt"));
@@ -171,48 +172,44 @@ fn save(out: &PathBuf, name: &str, tables: &[Table]) {
 /// Experiments already recorded in the file but *not* re-run this
 /// invocation are carried forward, so a targeted `figures <one-exp>` run
 /// refreshes one entry instead of silently discarding the rest.
-fn save_json(out: &PathBuf, params: &ExpParams, results: &[(String, Vec<Table>)]) {
+fn save_json(out: &Path, params: &ExpParams, results: &[(String, Vec<Table>)]) {
     let _ = fs::create_dir_all(out);
+    let path = out.join("BENCH_results.json");
     let stamp = SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
-    let fresh: std::collections::HashSet<&str> = results.iter().map(|(n, _)| n.as_str()).collect();
-    let carried: Vec<String> = fs::read_to_string(out.join("BENCH_results.json"))
+    let mut experiments = fs::read_to_string(&path)
         .ok()
         .and_then(|text| json::parse_json(&text).ok())
         .and_then(|doc| match doc {
             Json::Obj(mut m) => m.remove("experiments"),
             _ => None,
         })
-        .map(|exps| match exps {
-            Json::Obj(m) => m
-                .into_iter()
-                .filter(|(name, _)| !fresh.contains(name.as_str()))
-                .map(|(name, tables)| format!("{}:{}", json_string(&name), tables.render()))
-                .collect(),
-            _ => Vec::new(),
+        .and_then(|exps| match exps {
+            Json::Obj(m) => Some(m),
+            _ => None,
         })
         .unwrap_or_default();
-    let experiments: Vec<String> = carried
-        .into_iter()
-        .chain(results.iter().map(|(name, tables)| {
-            let tjson: Vec<String> = tables.iter().map(|t| t.to_json()).collect();
-            format!("{}:[{}]", json_string(name), tjson.join(","))
-        }))
-        .collect();
-    let body = format!(
-        "{{\"generated_unix\":{stamp},\
-         \"params\":{{\"keys\":{},\"ops_per_thread\":{},\"threads\":{},\"seed\":{}}},\
-         \"experiments\":{{{}}}}}\n",
-        params.keys,
-        params.ops_per_thread,
-        params.threads,
-        params.seed,
-        experiments.join(",")
-    );
-    let path = out.join("BENCH_results.json");
-    if let Err(e) = fs::write(&path, body) {
+    for (name, tables) in results {
+        let tables = tables.iter().map(Table::to_json).collect();
+        experiments.insert(name.clone(), Json::Arr(tables));
+    }
+    let num = |n: u64| Json::Num(n as f64);
+    let doc = Json::obj([
+        ("generated_unix", num(stamp)),
+        (
+            "params",
+            Json::obj([
+                ("keys", num(params.keys)),
+                ("ops_per_thread", num(params.ops_per_thread)),
+                ("threads", num(params.threads as u64)),
+                ("seed", num(params.seed)),
+            ]),
+        ),
+        ("experiments", Json::Obj(experiments)),
+    ]);
+    if let Err(e) = fs::write(&path, doc.render() + "\n") {
         eprintln!("warning: could not write {}: {e}", path.display());
     } else {
         println!("(results recorded in {})", path.display());
@@ -238,13 +235,7 @@ fn main() {
             "fig7" => ("fig7", vec![experiments::fig7(p, &size_sweep(p))]),
             "fig8" => ("fig8", vec![experiments::fig8(p)]),
             "flushcost" => ("flushcost", vec![experiments::flush_cost(p)]),
-            "recovery" => ("recovery", vec![experiments::recovery_time(p)]),
             "ablation" => ("ablation", vec![experiments::ablation_internal(p)]),
-            "shard_scaling" => ("shard_scaling", vec![experiments::shard_scaling(p)]),
-            "epoch_domains" => ("epoch_domains", vec![experiments::epoch_domains(p)]),
-            "recovery_latency" => ("recovery_latency", vec![experiments::recovery_latency(p)]),
-            "read_path" => ("read_path", vec![experiments::read_path(p)]),
-            "extent_growth" => ("extent_growth", vec![experiments::extent_growth(p)]),
             "adaptive_cadence" => ("adaptive_cadence", vec![experiments::adaptive_cadence(p)]),
             other => usage(&format!("unknown experiment {other}")),
         };
@@ -261,13 +252,7 @@ fn main() {
             "fig7",
             "fig8",
             "flushcost",
-            "recovery",
             "ablation",
-            "shard_scaling",
-            "epoch_domains",
-            "recovery_latency",
-            "read_path",
-            "extent_growth",
             "adaptive_cadence",
         ] {
             println!("---- {name} ----");

@@ -1,10 +1,11 @@
-//! A minimal JSON reader for `BENCH_results.json` files.
+//! A minimal JSON value, writer and reader for `BENCH_results.json` files.
 //!
-//! `figures` merges freshly run experiments into an existing results file
-//! and `figures --plot` renders a recorded one, so both need to read what
-//! [`crate::experiments::Table::to_json`]'s envelope wrote. The workspace
-//! builds without crates.io, so there is no serde: the parser below is
-//! hand-rolled and accepts exactly (a superset of) what the writer emits.
+//! `figures` merges freshly run experiments
+//! ([`crate::experiments::Table::to_json`]) into an existing results file
+//! and `figures --plot` renders a recorded one, so the file is written
+//! and read through the one [`Json`] type here. The workspace builds
+//! without crates.io, so there is no serde: both halves are hand-rolled
+//! and the parser accepts exactly (a superset of) what the writer emits.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -28,6 +29,11 @@ pub enum Json {
 }
 
 impl Json {
+    /// An object from `(key, value)` pairs.
+    pub fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+    }
+
     /// Serialises back to JSON text (object keys in `BTreeMap` order).
     /// Round-trips everything [`parse_json`] accepts, so callers can
     /// merge result files without a second writer.
@@ -52,7 +58,7 @@ impl Json {
                     let _ = write!(out, "{n}");
                 }
             }
-            Json::Str(s) => out.push_str(&crate::experiments::json_string(s)),
+            Json::Str(s) => push_json_string(out, s),
             Json::Arr(a) => {
                 out.push('[');
                 for (i, v) in a.iter().enumerate() {
@@ -69,7 +75,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(&crate::experiments::json_string(k));
+                    push_json_string(out, k);
                     out.push(':');
                     v.render_into(out);
                 }
@@ -77,6 +83,25 @@ impl Json {
             }
         }
     }
+}
+
+/// Appends `s` to `out` as a JSON string literal.
+fn push_json_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Parses a JSON document.

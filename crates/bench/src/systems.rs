@@ -3,13 +3,13 @@
 //! * **MT** — unmodified transient Masstree: global allocator.
 //! * **MT+** — optimized transient Masstree: pool allocation + the
 //!   per-epoch global barrier (the two enhancements named in §6).
-//! * **INCLL** — the durable Masstree (this paper's system), with the
-//!   epoch driver flushing every 64 ms and an emulated `wbinvd` cost of
-//!   1.38 ms (§6.2) unless overridden.
+//! * **INCLL** — the durable store (this paper's system) behind its
+//!   [`Store`] facade, checkpointing every 64 ms at an emulated `wbinvd`
+//!   cost of 1.38 ms (§6.2) unless overridden.
 
 use std::time::Duration;
 
-use incll::{DurableMasstree, Options, Store};
+use incll::{Options, Store};
 use incll_epoch::{AdvanceDriver, Cadence, EpochManager, EpochOptions, DEFAULT_EPOCH_INTERVAL};
 use incll_masstree::{AllocMode, Masstree, TransientAlloc};
 use incll_pmem::PArena;
@@ -33,8 +33,9 @@ pub struct SystemConfig {
     pub incll: bool,
     /// External-log capacity per thread.
     pub log_bytes_per_thread: usize,
-    /// Epoch length for the background driver; `None` = no driver (tests
-    /// advance manually).
+    /// Epoch length for the background driver (the durable system's is
+    /// the store's own, one eager cadence per shard); `None` = no driver
+    /// (tests advance manually).
     pub epoch_interval: Option<Duration>,
     /// Keyspace shards for the durable system (power of two; 1 = the
     /// paper's single-tree configuration). Each shard is its own epoch
@@ -45,9 +46,9 @@ pub struct SystemConfig {
     /// write-back walk over one shard's working set: `wbinvd_ns /
     /// shards`.
     pub scoped_flush_ns: Option<u64>,
-    /// Per-shard checkpoint cadence for the durable system's own driver
+    /// Per-shard checkpoint cadence for the durable system's driver
     /// (every shard gets a copy). When set, it takes precedence over
-    /// `epoch_interval` and the store spawns (and owns) the driver.
+    /// `epoch_interval`.
     pub cadence: Option<Cadence>,
     /// Emulated NVM streaming-read cost replay pays per KB of valid log
     /// prefix at recovery (0 = free).
@@ -110,25 +111,13 @@ impl TransientSystem {
     }
 }
 
-/// A built durable system: store facade, mid-level tree, arena, driver.
+/// A built durable system: the store under test (it owns its cadence
+/// driver; [`Store::halt_cadence`] stops it) and its arena.
 pub struct DurableSystem {
-    driver: Option<AdvanceDriver>,
-    /// The public facade (sessions, byte values, shard routing).
+    /// The store under test.
     pub store: Store,
-    /// The tree under test (mid-level API; the store's shard-0 tree —
-    /// shard-aware experiments drive `store` instead).
-    pub tree: DurableMasstree,
     /// The arena (latency knobs, stats).
     pub arena: PArena,
-}
-
-impl DurableSystem {
-    /// Stops the epoch driver.
-    pub fn stop_driver(&mut self) {
-        if let Some(d) = self.driver.take() {
-            d.stop();
-        }
-    }
 }
 
 /// Builds the MT baseline (global allocator).
@@ -177,25 +166,11 @@ pub fn build_incll(cfg: &SystemConfig) -> DurableSystem {
         .log_bytes_per_thread(cfg.log_bytes_per_thread)
         .incll(cfg.incll)
         .shards(cfg.shards);
-    if let Some(c) = cfg.cadence {
+    if let Some(c) = cfg.cadence.or(cfg.epoch_interval.map(Cadence::eager)) {
         options = options.cadence(c);
     }
     let (store, _report) = Store::open(&arena, options).expect("arena sized for the key count");
-    let tree = store.masstree().clone();
-    // When the store owns a per-shard cadence driver, don't also spawn
-    // the legacy global one.
-    let driver = match cfg.cadence {
-        Some(_) => None,
-        None => cfg
-            .epoch_interval
-            .map(|iv| AdvanceDriver::spawn(store.epoch_manager().clone(), iv)),
-    };
-    DurableSystem {
-        driver,
-        store,
-        tree,
-        arena,
-    }
+    DurableSystem { store, arena }
 }
 
 #[cfg(test)]
@@ -231,8 +206,8 @@ mod tests {
         assert_eq!(run(&mtp.tree, &rc).ops, 4_000);
 
         let inc = build_incll(&cfg);
-        load(&inc.tree, cfg.keys, cfg.threads);
-        assert_eq!(run(&inc.tree, &rc).ops, 4_000);
+        load(&inc.store, cfg.keys, cfg.threads);
+        assert_eq!(run(&inc.store, &rc).ops, 4_000);
     }
 
     #[test]
@@ -271,10 +246,10 @@ mod tests {
         for (i, incll) in [true, false].into_iter().enumerate() {
             cfg.incll = incll;
             let sys = build_incll(&cfg);
-            load(&sys.tree, cfg.keys, 1);
-            sys.tree.epoch_manager().advance();
+            load(&sys.store, cfg.keys, 1);
+            sys.store.checkpoint();
             let before = sys.arena.stats().snapshot();
-            run(&sys.tree, &rc);
+            run(&sys.store, &rc);
             counts[i] = sys.arena.stats().snapshot().delta(&before).ext_nodes_logged;
         }
         assert!(

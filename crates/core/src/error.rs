@@ -10,8 +10,7 @@ use incll_palloc::{CLASS_SIZES, NUM_CLASSES};
 /// class minus the 8-byte length prefix every value buffer carries).
 pub const MAX_VALUE_BYTES: usize = CLASS_SIZES[NUM_CLASSES - 1] - 8;
 
-/// Errors surfaced by the public API ([`crate::Store`],
-/// [`crate::DurableMasstree`]).
+/// Errors surfaced by the public API ([`crate::Store`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Error {

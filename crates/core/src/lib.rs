@@ -310,9 +310,8 @@
 //! # Serving traffic
 //!
 //! The `incll-server` crate puts this store behind a TCP front-end
-//! (`incll-server` binary, `incll_server` library), and
-//! `incll_ycsb::net` drives it: a load helper plus closed-loop and
-//! open-loop (fixed-QPS, coordinated-omission-safe) benchmark clients.
+//! (`incll-server` binary, `incll_server` library);
+//! `incll_server::Client` is the pipelining client that frames it.
 //! The wire format is length-prefixed binary — every frame is a 4-byte
 //! little-endian payload length (capped at 1 MiB) followed by the
 //! payload, whose first byte is an opcode (requests) or status
@@ -393,8 +392,23 @@
 //! On-media layouts are version-screened: v9 (this build) refuses v1–v8
 //! media with a typed [`Error::UnsupportedLayout`] — never a reformat.
 //!
-//! [`DurableMasstree`] remains public as the mid-level API, but it speaks
-//! to **one shard's** tree ([`DurableMasstree::shard`] reaches the rest).
+//! # One door
+//!
+//! [`Store`], [`Session`] and [`Options`] are the only way to the durable
+//! tree; the per-shard tree, its thread context and its configuration
+//! are crate-private:
+//!
+//! ```compile_fail
+//! use incll::DurableMasstree;
+//! ```
+//!
+//! ```compile_fail
+//! use incll::DCtx;
+//! ```
+//!
+//! ```compile_fail
+//! use incll::DurableConfig;
+//! ```
 
 mod batch;
 mod error;
@@ -408,11 +422,12 @@ pub use batch::{WriteBatch, MAX_BATCH_OPS};
 pub use error::{Error, MAX_VALUE_BYTES};
 pub use recovery::{RecoveryReport, ShardReplay};
 pub use store::{ExtentStats, Options, RangeScan, Session, ShardStats, Store};
-pub use tree::{DCtx, DurableConfig, DurableMasstree, ReadGuard, ValueRef, VALUE_BUF_BYTES};
+pub use tree::{ReadGuard, ValueRef, VALUE_BUF_BYTES};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::{DCtx, DurableConfig, DurableMasstree};
     use incll_pmem::{superblock, PArena};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -439,10 +454,30 @@ mod tests {
         (arena, tree)
     }
 
-    fn collect(tree: &DurableMasstree, ctx: &DCtx) -> Vec<(Vec<u8>, u64)> {
+    // The reads the facade builds from `get_ref`/`scan_raw`, spelled out
+    // for one shard's tree so these tests keep driving it directly.
+
+    fn get(tree: &DurableMasstree, ctx: &DCtx, key: &[u8]) -> Option<u64> {
+        tree.get_ref(ctx, key).map(|v| v.as_u64())
+    }
+
+    fn get_bytes(tree: &DurableMasstree, ctx: &DCtx, key: &[u8]) -> Option<Vec<u8>> {
+        tree.get_ref(ctx, key).map(|v| v.to_vec())
+    }
+
+    fn collect_bytes(tree: &DurableMasstree, ctx: &DCtx) -> Vec<(Vec<u8>, Vec<u8>)> {
         let mut out = Vec::new();
-        tree.scan(ctx, b"", usize::MAX, &mut |k, v| out.push((k.to_vec(), v)));
+        tree.scan_raw(ctx, b"", usize::MAX, &mut |k, buf| {
+            out.push((k.to_vec(), tree::read_value_bytes(tree.arena(), buf)))
+        });
         out
+    }
+
+    fn collect(tree: &DurableMasstree, ctx: &DCtx) -> Vec<(Vec<u8>, u64)> {
+        collect_bytes(tree, ctx)
+            .into_iter()
+            .map(|(k, v)| (k, u64::from_le_bytes(v[..8].try_into().unwrap())))
+            .collect()
     }
 
     // ---------------- functional (no crash) ----------------
@@ -507,11 +542,11 @@ mod tests {
         let (_a, t) = fresh(false);
         let ctx = t.thread_ctx(0).unwrap();
         assert_eq!(t.put(&ctx, b"alpha", 1), None);
-        assert_eq!(t.get(&ctx, b"alpha"), Some(1));
+        assert_eq!(get(&t, &ctx, b"alpha"), Some(1));
         assert_eq!(t.put(&ctx, b"alpha", 2), Some(1));
-        assert_eq!(t.get(&ctx, b"alpha"), Some(2));
+        assert_eq!(get(&t, &ctx, b"alpha"), Some(2));
         assert!(t.remove(&ctx, b"alpha"));
-        assert_eq!(t.get(&ctx, b"alpha"), None);
+        assert_eq!(get(&t, &ctx, b"alpha"), None);
     }
 
     #[test]
@@ -529,7 +564,7 @@ mod tests {
         for i in 0..32u64 {
             t.put(&ctx, &(1000 + i).to_be_bytes(), i); // inserts, no splits
             t.put(&ctx, &i.to_be_bytes(), i + 1); // updates
-            t.get(&ctx, &i.to_be_bytes());
+            get(&t, &ctx, &i.to_be_bytes());
         }
         let d = a.stats().snapshot().delta(&before);
         // Splits may flush (external log); plain inserts/updates must not.
@@ -548,7 +583,7 @@ mod tests {
             t.put(&ctx, &i.to_be_bytes(), i * 3);
         }
         for i in 0..3000u64 {
-            assert_eq!(t.get(&ctx, &i.to_be_bytes()), Some(i * 3), "key {i}");
+            assert_eq!(get(&t, &ctx, &i.to_be_bytes()), Some(i * 3), "key {i}");
         }
         let all = collect(&t, &ctx);
         assert_eq!(all.len(), 3000);
@@ -563,13 +598,13 @@ mod tests {
         t.put(&ctx, b"abcdefgh-beyond-one-slice", 2);
         t.put(&ctx, b"abcdefgh-beyond", 3);
         t.put(&ctx, b"ab", 4);
-        assert_eq!(t.get(&ctx, b"abcdefgh"), Some(1));
-        assert_eq!(t.get(&ctx, b"abcdefgh-beyond-one-slice"), Some(2));
-        assert_eq!(t.get(&ctx, b"abcdefgh-beyond"), Some(3));
-        assert_eq!(t.get(&ctx, b"ab"), Some(4));
+        assert_eq!(get(&t, &ctx, b"abcdefgh"), Some(1));
+        assert_eq!(get(&t, &ctx, b"abcdefgh-beyond-one-slice"), Some(2));
+        assert_eq!(get(&t, &ctx, b"abcdefgh-beyond"), Some(3));
+        assert_eq!(get(&t, &ctx, b"ab"), Some(4));
         assert!(t.remove(&ctx, b"abcdefgh-beyond"));
-        assert_eq!(t.get(&ctx, b"abcdefgh-beyond"), None);
-        assert_eq!(t.get(&ctx, b"abcdefgh-beyond-one-slice"), Some(2));
+        assert_eq!(get(&t, &ctx, b"abcdefgh-beyond"), None);
+        assert_eq!(get(&t, &ctx, b"abcdefgh-beyond-one-slice"), Some(2));
     }
 
     #[test]
@@ -591,7 +626,7 @@ mod tests {
                     assert_eq!(t.remove(&ctx, &key), model.remove(&key).is_some(), "{step}");
                 }
                 _ => {
-                    assert_eq!(t.get(&ctx, &key), model.get(&key).copied(), "{step}");
+                    assert_eq!(get(&t, &ctx, &key), model.get(&key).copied(), "{step}");
                 }
             }
             if step % 2500 == 0 {
@@ -619,7 +654,7 @@ mod tests {
         let ctx = t.thread_ctx(0).unwrap();
         for tid in 0..2u64 {
             for i in 0..1500u64 {
-                assert_eq!(t.get(&ctx, &(i * 2 + tid).to_be_bytes()), Some(i));
+                assert_eq!(get(&t, &ctx, &(i * 2 + tid).to_be_bytes()), Some(i));
             }
         }
     }
@@ -895,7 +930,7 @@ mod tests {
         let (tree2, _) = DurableMasstree::open(&arena, small_config()).unwrap();
         let ctx2 = tree2.thread_ctx(0).unwrap();
         for i in 0..500u64 {
-            assert_eq!(tree2.get(&ctx2, &i.to_be_bytes()), Some(i), "key {i}");
+            assert_eq!(get(&tree2, &ctx2, &i.to_be_bytes()), Some(i), "key {i}");
         }
     }
 
@@ -922,7 +957,7 @@ mod tests {
                             model.remove(&key);
                         }
                         _ => {
-                            assert_eq!(tree.get(&ctx, &key), model.get(&key).copied());
+                            assert_eq!(get(&tree, &ctx, &key), model.get(&key).copied());
                         }
                     }
                 }
@@ -992,8 +1027,8 @@ mod tests {
         arena.crash_seeded(5);
         let (tree2, _) = DurableMasstree::open(&arena, small_config()).unwrap();
         let ctx2 = tree2.thread_ctx(0).unwrap();
-        assert_eq!(tree2.get(&ctx2, b"before"), Some(1));
-        assert_eq!(tree2.get(&ctx2, b"doomed"), None);
+        assert_eq!(get(&tree2, &ctx2, b"before"), Some(1));
+        assert_eq!(get(&tree2, &ctx2, b"doomed"), None);
         tree2.put(&ctx2, b"after", 3);
         tree2.epoch_manager().advance(); // checkpoint the new work
         drop(ctx2);
@@ -1001,8 +1036,8 @@ mod tests {
         arena.crash_seeded(6);
         let (tree3, _) = DurableMasstree::open(&arena, small_config()).unwrap();
         let ctx3 = tree3.thread_ctx(0).unwrap();
-        assert_eq!(tree3.get(&ctx3, b"before"), Some(1));
-        assert_eq!(tree3.get(&ctx3, b"after"), Some(3));
+        assert_eq!(get(&tree3, &ctx3, b"before"), Some(1));
+        assert_eq!(get(&tree3, &ctx3, b"after"), Some(3));
     }
 
     #[test]
@@ -1074,7 +1109,7 @@ mod tests {
             d.ext_nodes_logged >= 1,
             "window wrap must trigger the external-log fallback"
         );
-        assert_eq!(t.get(&ctx, b"wrapkey"), Some(2));
+        assert_eq!(get(&t, &ctx, b"wrapkey"), Some(2));
         // Subsequent same-epoch updates are free again.
         let before = a.stats().snapshot();
         t.put(&ctx, b"wrapkey", 3);
@@ -1135,13 +1170,11 @@ mod tests {
         // caller's job at this level.
         t0.put(&ctx, b"k", 10);
         t2.put(&ctx, b"k", 20);
-        assert_eq!(t0.get(&ctx, b"k"), Some(10));
-        assert_eq!(t2.get(&ctx, b"k"), Some(20));
+        assert_eq!(get(&t0, &ctx, b"k"), Some(10));
+        assert_eq!(get(&t2, &ctx, b"k"), Some(20));
         assert!(t0.remove(&ctx, b"k"));
-        assert_eq!(t0.get(&ctx, b"k"), None);
-        assert_eq!(t2.get(&ctx, b"k"), Some(20), "shard 2 must be untouched");
-        assert_eq!(t2.shard_id(), 2);
-        assert_eq!(t0.shard_id(), 0);
+        assert_eq!(get(&t0, &ctx, b"k"), None);
+        assert_eq!(get(&t2, &ctx, b"k"), Some(20), "shard 2 must be untouched");
     }
 
     #[test]
@@ -1185,26 +1218,25 @@ mod tests {
         let ctx = tree2.thread_ctx(0).unwrap();
         let t1 = tree2.shard(1);
         for i in 0..50u64 {
-            assert_eq!(tree2.get(&ctx, &i.to_be_bytes()), Some(i));
-            assert_eq!(t1.get(&ctx, &i.to_be_bytes()), Some(i + 1000));
-            assert_eq!(t1.get(&ctx, &(i + 50).to_be_bytes()), None);
+            assert_eq!(get(&tree2, &ctx, &i.to_be_bytes()), Some(i));
+            assert_eq!(get(&t1, &ctx, &i.to_be_bytes()), Some(i + 1000));
+            assert_eq!(get(&t1, &ctx, &(i + 50).to_be_bytes()), None);
         }
     }
 
     #[test]
     fn shard_routing_is_stable_and_in_range() {
         let arena = PArena::builder().capacity_bytes(32 << 20).build().unwrap();
-        superblock::format(&arena);
-        let cfg = DurableConfig {
-            shards: 8,
-            ..small_config()
-        };
-        let tree = DurableMasstree::create(&arena, cfg).unwrap();
+        let opts = Options::new()
+            .threads(2)
+            .log_bytes_per_thread(256 << 10)
+            .shards(8);
+        let (store, _) = Store::open(&arena, opts).unwrap();
         let mut hit = [false; 8];
         for i in 0..512u64 {
-            let s = tree.shard_for(&i.to_be_bytes());
+            let s = store.shard_of(&i.to_be_bytes());
             assert!(s < 8);
-            assert_eq!(s, tree.shard_for(&i.to_be_bytes()), "stable");
+            assert_eq!(s, store.shard_of(&i.to_be_bytes()), "stable");
             hit[s] = true;
         }
         assert!(hit.iter().all(|&h| h), "512 keys must touch all 8 shards");
@@ -1255,36 +1287,28 @@ mod tests {
         (0..len).map(|j| (i as u8).wrapping_add(j as u8)).collect()
     }
 
-    fn collect_bytes(tree: &DurableMasstree, ctx: &DCtx) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut out = Vec::new();
-        tree.scan_bytes(ctx, b"", usize::MAX, &mut |k, v| {
-            out.push((k.to_vec(), v.to_vec()))
-        });
-        out
-    }
-
     #[test]
     fn byte_put_get_update_remove() {
         let (_a, t) = fresh(false);
         let ctx = t.thread_ctx(0).unwrap();
         assert_eq!(t.put_bytes(&ctx, b"alpha", b"one").unwrap(), None);
-        assert_eq!(t.get_bytes(&ctx, b"alpha").as_deref(), Some(&b"one"[..]));
+        assert_eq!(get_bytes(&t, &ctx, b"alpha").as_deref(), Some(&b"one"[..]));
         assert_eq!(
             t.put_bytes(&ctx, b"alpha", &[7u8; 300]).unwrap().as_deref(),
             Some(&b"one"[..]),
             "class-crossing update returns the old value"
         );
         assert_eq!(
-            t.get_bytes(&ctx, b"alpha").as_deref(),
+            get_bytes(&t, &ctx, b"alpha").as_deref(),
             Some(&[7u8; 300][..])
         );
         assert_eq!(
             t.put_bytes(&ctx, b"alpha", b"").unwrap().as_deref(),
             Some(&[7u8; 300][..])
         );
-        assert_eq!(t.get_bytes(&ctx, b"alpha").as_deref(), Some(&b""[..]));
+        assert_eq!(get_bytes(&t, &ctx, b"alpha").as_deref(), Some(&b""[..]));
         assert!(t.remove(&ctx, b"alpha"));
-        assert_eq!(t.get_bytes(&ctx, b"alpha"), None);
+        assert_eq!(get_bytes(&t, &ctx, b"alpha"), None);
     }
 
     #[test]
@@ -1293,12 +1317,12 @@ mod tests {
         let ctx = t.thread_ctx(0).unwrap();
         t.put(&ctx, b"k", 0xAB54_A98C_EB1F_0AD2);
         assert_eq!(
-            t.get_bytes(&ctx, b"k").as_deref(),
+            get_bytes(&t, &ctx, b"k").as_deref(),
             Some(&0xAB54_A98C_EB1F_0AD2u64.to_le_bytes()[..]),
             "u64 payloads are little-endian 8-byte values"
         );
         t.put_bytes(&ctx, b"k", &7u64.to_le_bytes()).unwrap();
-        assert_eq!(t.get(&ctx, b"k"), Some(7));
+        assert_eq!(get(&t, &ctx, b"k"), Some(7));
     }
 
     #[test]
@@ -1311,11 +1335,11 @@ mod tests {
             t.put_bytes(&ctx, b"k", &big),
             Err(Error::ValueTooLarge { .. })
         ));
-        assert_eq!(t.get_bytes(&ctx, b"k").as_deref(), Some(&b"keep"[..]));
+        assert_eq!(get_bytes(&t, &ctx, b"k").as_deref(), Some(&b"keep"[..]));
         // The boundary itself is accepted.
         t.put_bytes(&ctx, b"k", &big[..MAX_VALUE_BYTES]).unwrap();
         assert_eq!(
-            t.get_bytes(&ctx, b"k").map(|v| v.len()),
+            get_bytes(&t, &ctx, b"k").map(|v| v.len()),
             Some(MAX_VALUE_BYTES)
         );
     }
@@ -1357,7 +1381,7 @@ mod tests {
             t.put_bytes(&ctx, &i.to_be_bytes(), &[2u8; 20]).unwrap(); // updates, same class
             t.put_bytes(&ctx, &(500 + i).to_be_bytes(), &[3u8; 90])
                 .unwrap();
-            t.get_bytes(&ctx, &i.to_be_bytes());
+            get_bytes(&t, &ctx, &i.to_be_bytes());
         }
         let d = a.stats().snapshot().delta(&before);
         assert_eq!(
@@ -1530,7 +1554,7 @@ mod tests {
         let ctx2 = tree2.thread_ctx(0).unwrap();
         for i in 0..150u64 {
             assert_eq!(
-                tree2.get_bytes(&ctx2, &i.to_be_bytes()),
+                get_bytes(&tree2, &ctx2, &i.to_be_bytes()),
                 Some(bval(i)),
                 "key {i}"
             );

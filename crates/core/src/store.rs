@@ -58,8 +58,8 @@ use crate::tree::{DCtx, DurableConfig, DurableMasstree, ValueRef};
 
 /// Builder-style construction options for [`Store::open`].
 ///
-/// The defaults match [`DurableConfig::default`]: 8 thread slots, 16 MiB
-/// of external log per thread, InCLL enabled, 1 shard.
+/// The defaults: 8 thread slots, 16 MiB of external log per thread, InCLL
+/// enabled, 1 shard.
 #[derive(Debug, Clone)]
 pub struct Options {
     config: DurableConfig,
@@ -145,9 +145,7 @@ impl Options {
         self
     }
 
-    /// The low-level configuration these options describe (crate-internal:
-    /// the mid-level [`DurableConfig`] is not part of the facade's stable
-    /// surface).
+    /// The per-tree configuration these options describe.
     pub(crate) fn to_config(&self) -> DurableConfig {
         self.config.clone()
     }
@@ -249,10 +247,8 @@ impl Session {
         &self.store
     }
 
-    /// The mid-level per-thread context (experiments and tests; not part
-    /// of the facade).
-    #[doc(hidden)]
-    pub fn ctx(&self) -> &DCtx {
+    /// The per-thread context (batch commit's pins and log slot).
+    pub(crate) fn ctx(&self) -> &DCtx {
         &self.ctx
     }
 }
@@ -732,13 +728,6 @@ impl Store {
     /// resolution reach per-shard state through it).
     pub(crate) fn shard_tree(&self, i: usize) -> &DurableMasstree {
         &self.shards[i]
-    }
-
-    /// The mid-level tree behind shard 0 (experiments and tests; not part
-    /// of the facade).
-    #[doc(hidden)]
-    pub fn masstree(&self) -> &DurableMasstree {
-        &self.shards[0]
     }
 }
 

@@ -48,9 +48,10 @@ const HOLDER_BYTES: usize = 16;
 /// Recovery-lock array size (transient; hashed by node offset, §4.3).
 pub(crate) const REC_LOCKS: usize = 1024;
 
-/// Construction options for [`DurableMasstree`].
+/// Construction options for [`DurableMasstree`] (what
+/// [`crate::Options`] builds).
 #[derive(Debug, Clone)]
-pub struct DurableConfig {
+pub(crate) struct DurableConfig {
     /// Worker-thread slots (allocator lists + log buffers are per-thread).
     pub threads: usize,
     /// External-log capacity per thread, in bytes. Size for the worst-case
@@ -107,22 +108,14 @@ pub(crate) fn validate_shard_count(shards: usize) -> Result<(), Error> {
     Ok(())
 }
 
-/// Per-thread operation context.
-pub struct DCtx {
+/// Per-thread operation context (the inside of a [`crate::Session`]).
+pub(crate) struct DCtx {
     handle: ThreadHandle,
     tid: usize,
 }
 
 impl DCtx {
-    /// The thread id (allocator/log slot).
-    pub fn tid(&self) -> usize {
-        self.tid
-    }
-
-    /// Pins shard 0's epoch domain (exposed for multi-op transactions in
-    /// examples/benchmarks). On a sharded store each shard advances
-    /// independently; pin the shard you operate in with
-    /// [`DCtx::pin_shard`].
+    /// Pins shard 0's epoch domain ([`crate::Session::pin`]).
     pub fn pin(&self) -> Guard<'_> {
         self.handle.pin()
     }
@@ -196,7 +189,7 @@ impl std::fmt::Debug for ReadGuard<'_> {
 }
 
 /// A borrowed, zero-copy view of one value's durable bytes, returned by
-/// [`DurableMasstree::get_ref`] / [`crate::Store::get_ref`].
+/// [`crate::Store::get_ref`].
 ///
 /// Dereferences to the payload byte slice **in place** — no allocation,
 /// no copy; the backing [`ReadGuard`] keeps the shard's epoch open so the
@@ -238,8 +231,8 @@ impl<'s> ValueRef<'s> {
     }
 
     /// Decodes the payload as the `u64` convenience encoding
-    /// (little-endian, as written by [`DurableMasstree::put`] /
-    /// [`crate::Store::put_u64`]). Meaningful only for 8-byte values.
+    /// (little-endian, as written by [`crate::Store::put_u64`]).
+    /// Meaningful only for 8-byte values.
     pub fn as_u64(&self) -> u64 {
         u64::from_le(self.arena.pread_u64(self.buf + 8))
     }
@@ -336,10 +329,8 @@ pub(crate) struct Inner {
     pub(crate) forced_boundaries: Vec<AtomicU64>,
 }
 
-/// A durable, crash-recoverable Masstree in persistent memory.
-///
-/// See the crate docs for a usage walk-through; constructors live on this
-/// type ([`DurableMasstree::create`], [`DurableMasstree::open`]).
+/// A durable, crash-recoverable Masstree in persistent memory: one shard
+/// of a [`crate::Store`].
 ///
 /// # Sharding
 ///
@@ -353,7 +344,7 @@ pub(crate) struct Inner {
 /// others. Key routing lives a level up, in [`crate::Store`]; at this
 /// level the caller owns placement.
 #[derive(Clone)]
-pub struct DurableMasstree {
+pub(crate) struct DurableMasstree {
     pub(crate) inner: Arc<Inner>,
     /// Superblock offset of this handle's root-holder cell.
     root_holder: u64,
@@ -383,11 +374,8 @@ impl DurableMasstree {
     // ==================================================================
 
     /// Creates a fresh durable tree in a formatted arena, flushing the
-    /// initial state so it survives an immediate crash.
-    ///
-    /// Most callers want the [`crate::Store`] facade instead, whose
-    /// [`crate::Store::open`] formats and creates (or recovers) in one
-    /// call.
+    /// initial state so it survives an immediate crash
+    /// ([`crate::Store::open`]'s create branch).
     ///
     /// # Errors
     ///
@@ -461,11 +449,6 @@ impl DurableMasstree {
         self.inner.shard_count
     }
 
-    /// The shard this handle is rooted in.
-    pub fn shard_id(&self) -> usize {
-        self.shard_id
-    }
-
     /// A handle rooted in shard `i`, sharing all state (allocator, log,
     /// epoch manager, sessions) with this one.
     ///
@@ -479,13 +462,6 @@ impl DurableMasstree {
             self.inner.shard_count
         );
         Self::shard_handle(&self.inner, i)
-    }
-
-    /// The shard `key` routes to under the store-level hash partitioning
-    /// (FNV-1a over the key bytes, masked by the power-of-two count).
-    /// Stable across restarts — it is part of the on-media contract.
-    pub fn shard_for(&self, key: &[u8]) -> usize {
-        shard_of(key, self.inner.shard_count)
     }
 
     /// Wraps recovered shared state into the shard-0 handle (recovery's
@@ -514,8 +490,8 @@ impl DurableMasstree {
                         // its checkpoint completes. Normally a no-op —
                         // undo entries seal themselves and the batch layer
                         // drains its staged intents before its commit
-                        // record — but mid-level callers staging raw
-                        // intents are still covered here (writers are
+                        // record — but an intent staged outside a batch
+                        // commit is still covered here (writers are
                         // quiesced, so the sweep is race-free).
                         inner.log.drain_domain(d);
                         if !superblock::failed_epochs_for(&inner.arena, d).is_empty() {
@@ -627,21 +603,6 @@ impl DurableMasstree {
             ctx.handle.pin_domain_mut(self.shard_id),
             FlushDomainScope::enter(self.shard_id as u16),
         )
-    }
-
-    /// Looks up `key`, returning its `u64` payload
-    /// (the [`DurableMasstree::put`] convenience encoding).
-    pub fn get(&self, ctx: &DCtx, key: &[u8]) -> Option<u64> {
-        let _g = self.enter(ctx);
-        // SAFETY: guard pinned; offsets reachable from the root are nodes.
-        unsafe { self.get_inner(key, read_value_u64) }
-    }
-
-    /// Looks up `key`, returning a copy of its byte-slice value.
-    pub fn get_bytes(&self, ctx: &DCtx, key: &[u8]) -> Option<Vec<u8>> {
-        let _g = self.enter(ctx);
-        // SAFETY: as for `get`.
-        unsafe { self.get_inner(key, read_value_bytes) }
     }
 
     /// Looks up `key`, returning a **borrowed, zero-copy** view of its
@@ -809,36 +770,6 @@ impl DurableMasstree {
         let out = unsafe { self.remove_inner(ctx, epoch, key) };
         // No drain on exit — as for `put`: undo entries seal themselves.
         out
-    }
-
-    /// Scans at most `limit` keys ≥ `start` in order, passing each `u64`
-    /// payload to `f`.
-    pub fn scan(
-        &self,
-        ctx: &DCtx,
-        start: &[u8],
-        limit: usize,
-        f: &mut dyn FnMut(&[u8], u64),
-    ) -> usize {
-        let a = &self.inner.arena;
-        self.scan_raw(ctx, start, limit, &mut |k, buf| {
-            f(k, read_value_u64(a, buf))
-        })
-    }
-
-    /// Scans at most `limit` keys ≥ `start` in order, passing each
-    /// byte-slice value to `f`.
-    pub fn scan_bytes(
-        &self,
-        ctx: &DCtx,
-        start: &[u8],
-        limit: usize,
-        f: &mut dyn FnMut(&[u8], &[u8]),
-    ) -> usize {
-        let a = &self.inner.arena;
-        self.scan_raw(ctx, start, limit, &mut |k, buf| {
-            f(k, &read_value_bytes(a, buf))
-        })
     }
 
     /// Callback scan over (key, value-buffer offset) pairs.

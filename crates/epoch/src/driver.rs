@@ -34,9 +34,8 @@ use crate::EpochManager;
 pub struct AdvanceDriver {
     stop: Arc<AtomicBool>,
     thread: Option<JoinHandle<()>>,
-    /// Per-domain current interval in nanoseconds (empty for the global
-    /// [`AdvanceDriver::spawn`] form) — the adaptive controller's
-    /// observable state.
+    /// Per-domain current interval in nanoseconds — the adaptive
+    /// controller's observable state.
     intervals: Arc<Vec<AtomicU64>>,
 }
 
@@ -217,34 +216,8 @@ impl AdvanceDriver {
     /// every `interval` — the single global cadence. For independent
     /// per-domain cadences see [`AdvanceDriver::spawn_per_domain`].
     pub fn spawn(mgr: EpochManager, interval: Duration) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let thread = std::thread::Builder::new()
-            .name("incll-epoch-driver".into())
-            .spawn(move || {
-                while !stop2.load(Ordering::Acquire) {
-                    // Interruptible wait: `stop` unparks us, and spurious
-                    // wakeups just re-check the deadline.
-                    let deadline = Instant::now() + interval;
-                    loop {
-                        if stop2.load(Ordering::Acquire) {
-                            return;
-                        }
-                        let now = Instant::now();
-                        if now >= deadline {
-                            break;
-                        }
-                        std::thread::park_timeout(deadline - now);
-                    }
-                    mgr.advance();
-                }
-            })
-            .expect("spawn epoch driver");
-        AdvanceDriver {
-            stop,
-            thread: Some(thread),
-            intervals: Arc::new(Vec::new()),
-        }
+        let cadences = vec![DomainCadence::eager(interval); mgr.domains()];
+        Self::spawn_per_domain(mgr, cadences)
     }
 
     /// Spawns a driver scheduling each domain on its **own** policy: a
@@ -445,8 +418,7 @@ impl AdvanceDriver {
 
     /// Domain `d`'s current checkpoint interval — for static cadences the
     /// configured one, for adaptive domains wherever the controller has
-    /// moved it. `None` for the global [`AdvanceDriver::spawn`] form or
-    /// an out-of-range `d`.
+    /// moved it. `None` for an out-of-range `d`.
     pub fn current_interval(&self, d: usize) -> Option<Duration> {
         self.intervals
             .get(d)

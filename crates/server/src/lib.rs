@@ -4,7 +4,8 @@
 //!
 //! * [`protocol`] — the length-prefixed request/response wire format
 //!   (GET/PUT/DEL/BATCH/SCAN/STATS) with a typed [`WireError`] for every
-//!   way a frame can be wrong.
+//!   way a frame can be wrong, and the pipelining [`Client`] that frames
+//!   it.
 //! * [`server`] — run-to-completion connections on N session slots: each
 //!   connection is one thread that reads what has arrived, executes
 //!   every whole frame in request order on its slot's pooled
@@ -17,7 +18,8 @@
 //!   the socket: bytes in, bytes out.
 //!
 //! The `incll-server` binary (`src/main.rs`) serves an in-memory arena
-//! over TCP; see `incll_ycsb`'s network driver for load generation.
+//! over TCP; the repo benchmark's `net_put`/`net_open` workloads are the
+//! load generators.
 //!
 //! [`WireError`]: protocol::WireError
 //! [`WriteBatch`]: incll::WriteBatch
@@ -28,6 +30,6 @@ pub mod server;
 
 pub use protocol::{
     decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
-    BatchOp, Request, Response, WireError, MAX_FRAME_BYTES,
+    BatchOp, Client, Request, Response, WireError, MAX_FRAME_BYTES,
 };
 pub use server::{CommitMode, Server, ServerConfig, Service};

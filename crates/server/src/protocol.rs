@@ -34,7 +34,8 @@
 //! `ERROR` ("scan reply exceeds frame cap; lower limit") and the stream
 //! continues — the client retries with a smaller `limit`.
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 
 /// Hard cap on a frame's payload length. Oversized frames are rejected
 /// before any allocation, bounding what one connection can pin.
@@ -557,6 +558,57 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     debug_assert!(payload.len() <= MAX_FRAME_BYTES);
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
     w.write_all(payload)
+}
+
+/// A pipelining client over one TCP connection.
+///
+/// [`Client::send`] queues a request (buffered; flushed on demand) and
+/// [`Client::recv`] blocks for the next in-order response — the caller
+/// decides how many to keep in flight.
+pub struct Client {
+    reader: BufReader<TcpStream>,
+    writer: BufWriter<TcpStream>,
+    buf: Vec<u8>,
+}
+
+impl Client {
+    /// Connects to the server.
+    pub fn connect(addr: SocketAddr) -> io::Result<Client> {
+        let sock = TcpStream::connect(addr)?;
+        sock.set_nodelay(true)?;
+        let reader = BufReader::new(sock.try_clone()?);
+        Ok(Client {
+            reader,
+            writer: BufWriter::new(sock),
+            buf: Vec::with_capacity(256),
+        })
+    }
+
+    /// Queues one request into the write buffer.
+    pub fn send(&mut self, req: &Request) -> io::Result<()> {
+        self.buf.clear();
+        encode_request(req, &mut self.buf);
+        self.writer.write_all(&self.buf)
+    }
+
+    /// Pushes buffered requests onto the wire.
+    pub fn flush(&mut self) -> io::Result<()> {
+        self.writer.flush()
+    }
+
+    /// Blocks for the next response.
+    pub fn recv(&mut self) -> io::Result<Response> {
+        let payload = read_frame(&mut self.reader)?
+            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"))?;
+        decode_response(&payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    }
+
+    /// Convenience: send, flush, receive — one synchronous round trip.
+    pub fn call(&mut self, req: &Request) -> io::Result<Response> {
+        self.send(req)?;
+        self.flush()?;
+        self.recv()
+    }
 }
 
 #[cfg(test)]

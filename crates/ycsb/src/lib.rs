@@ -10,10 +10,7 @@
 //! * [`shift`] — a skew-shifting variant whose Zipfian hotspot rotates
 //!   across shards (for adaptive-cadence experiments);
 //! * [`runner`] — a multi-threaded load/run driver generic over the
-//!   three systems under test via [`runner::KvBench`];
-//! * [`net`] — the same mixes driven over TCP against `incll-server`,
-//!   closed-loop (max throughput) or open-loop (fixed-rate schedules
-//!   with coordinated-omission-safe latency percentiles).
+//!   three systems under test via [`runner::KvBench`].
 //!
 //! # Example
 //!
@@ -37,15 +34,11 @@
 //! # }
 //! ```
 
-pub mod net;
 pub mod runner;
 pub mod shift;
 pub mod workload;
 pub mod zipf;
 
-pub use net::{
-    net_load, run_closed_loop, run_open_loop, NetClient, NetRunConfig, NetRunResult, OpenLoopResult,
-};
 pub use runner::{load, run, run_with_writes, KvBench, RunConfig, RunResult, WriteMode};
 pub use shift::ShiftingHotspot;
 pub use workload::{storage_key, Dist, Mix, Op, OpStream};

@@ -1,19 +1,24 @@
 //! The store behind a socket: an in-process TCP front-end with group
-//! commit, driven by the `incll_ycsb::net` clients — a durable bulk
-//! load over BATCH frames, pipelined GET/PUT/SCAN round trips, a
-//! closed-loop throughput burst, an open-loop latency probe at a fixed
-//! QPS target, and the server's own STATS counters to close the books.
+//! commit, driven through `incll_server::Client` — a durable bulk load
+//! over BATCH frames, an acked PUT followed by pipelined GET/SCAN round
+//! trips, a pipelined PUT burst the server commits in groups, and the
+//! server's own STATS counters to close the books. (Load generation with
+//! latency percentiles is the repo benchmark's `net_put` / `net_open`.)
 //!
 //! Run with: `cargo run --release --example net_kv`
 
 use std::net::TcpListener;
+use std::time::Instant;
 
 use incll_repro::prelude::*;
-use incll_server::{CommitMode, Request, Response, Server, ServerConfig};
-use incll_ycsb::{net_load, run_closed_loop, run_open_loop, Dist, Mix, NetClient, NetRunConfig};
+use incll_server::{BatchOp, Client, CommitMode, Request, Response, Server, ServerConfig};
 
 const KEYS: u64 = 20_000;
 const WORKERS: usize = 2;
+/// Puts per durable BATCH frame of the bulk load.
+const LOAD_CHUNK: usize = 512;
+/// Requests the burst keeps in flight.
+const PIPELINE: usize = 64;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let arena = PArena::builder().capacity_bytes(256 << 20).build()?;
@@ -39,9 +44,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     let addr = server.local_addr();
     println!("serving on {addr} (group commit, {WORKERS} session slots)");
+    let mut client = Client::connect(addr)?;
 
-    // Bulk load over the wire: chunked durable BATCH frames.
-    net_load(addr, KEYS, 24, 512)?;
+    // Bulk load over the wire: chunked BATCH frames, each durable (and
+    // atomic across both shards) when its COMMITTED ack arrives.
+    let keys: Vec<u64> = (0..KEYS).collect();
+    for chunk in keys.chunks(LOAD_CHUNK) {
+        let ops = chunk
+            .iter()
+            .map(|&i| BatchOp::Put {
+                key: storage_key(i).to_vec(),
+                val: i.to_le_bytes().to_vec(),
+            })
+            .collect();
+        let resp = client.call(&Request::Batch { ops })?;
+        assert!(matches!(resp, Response::Committed(_)), "{resp:?}");
+    }
     println!("loaded {KEYS} keys over the socket");
 
     // Read-your-write under group commit: a write is applied when its
@@ -49,7 +67,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // read pipelined behind an unacknowledged write may execute first.
     // The `OK` ack is the visibility point — wait for it before reading
     // the key back.
-    let mut client = NetClient::connect(addr)?;
     assert_eq!(
         client.call(&Request::Put {
             key: b"net/answer".to_vec(),
@@ -74,53 +91,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(entries[0].0, b"net/answer");
     println!("acked put, then pipelined get/scan answered in request order");
 
-    // Closed loop: every connection keeps a full pipeline in flight.
-    let closed = run_closed_loop(
-        addr,
-        &NetRunConfig {
-            connections: 4,
-            pipeline: 8,
-            ops_per_conn: 5_000,
-            nkeys: KEYS,
-            mix: Mix::A,
-            dist: Dist::Uniform,
-            value_len: 24,
-            seed: 7,
-        },
-    )?;
-    assert_eq!(closed.errors, 0);
+    // A pipelined PUT burst: PIPELINE requests go out before the first ack
+    // is read, so whatever piled up in the socket while the server was
+    // committing one group becomes the next.
+    let started = Instant::now();
+    for window in keys.chunks(PIPELINE) {
+        for &i in window {
+            client.send(&Request::Put {
+                key: storage_key(i).to_vec(),
+                val: (i + 1).to_le_bytes().to_vec(),
+            })?;
+        }
+        client.flush()?;
+        for _ in window {
+            assert_eq!(client.recv()?, Response::Ok);
+        }
+    }
+    let secs = started.elapsed().as_secs_f64();
     println!(
-        "closed loop: {} ops in {:.2} s = {:.0} kops/s",
-        closed.ops,
-        closed.secs,
-        closed.kops()
+        "burst: {KEYS} durable puts, {PIPELINE} in flight, in {secs:.2} s = {:.0} kops/s",
+        KEYS as f64 / secs / 1e3
     );
-
-    // Open loop: a fixed arrival schedule, latency measured from the
-    // *intended* send time, so queueing delay is charged to the server
-    // (no coordinated omission).
-    let open = run_open_loop(
-        addr,
-        &NetRunConfig {
-            connections: 2,
-            pipeline: 1,
-            ops_per_conn: 1_250, // ~0.5 s of schedule at the target rate
-            nkeys: KEYS,
-            mix: Mix::A,
-            dist: Dist::Uniform,
-            value_len: 24,
-            seed: 11,
-        },
-        5_000.0,
-    )?;
-    assert_eq!(open.errors, 0);
-    println!(
-        "open loop @ {} QPS target: achieved {:.0}, p50 {:.0} µs, p95 {:.0} µs, p99 {:.0} µs",
-        open.target_qps,
-        open.achieved_qps(),
-        open.p50_us,
-        open.p95_us,
-        open.p99_us
+    assert_eq!(
+        client.call(&Request::Get {
+            key: storage_key(7).to_vec(),
+        })?,
+        Response::Value(8u64.to_le_bytes().to_vec())
     );
 
     // The server keeps its own books: request counters, group-commit

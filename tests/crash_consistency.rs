@@ -294,20 +294,18 @@ fn crash_rolls_every_shard_back_to_the_same_checkpoint() {
         );
         let sess = store.session().unwrap();
         assert_eq!(collect(&store, &sess), model_vec(&model), "seed {seed}");
-        // Per-shard view: each shard tree holds exactly the checkpointed
-        // keys that route to it.
-        for s in 0..4 {
-            let shard = store.masstree().shard(s);
-            let mut keys = Vec::new();
-            shard.scan_bytes(sess.ctx(), b"", usize::MAX, &mut |k, _| {
-                keys.push(k.to_vec())
-            });
-            let expect: Vec<Vec<u8>> = model
-                .keys()
-                .filter(|k| store.shard_of(k) == s)
-                .cloned()
-                .collect();
-            assert_eq!(keys, expect, "seed {seed}, shard {s}");
+        // Per-shard residency: `iter` merges every shard's tree whatever
+        // it holds, `get` looks only in the shard the key routes to — so a
+        // key recovered into the wrong shard would be yielded and not
+        // found. The shards partition exactly the checkpointed keys.
+        let mut resident = vec![Vec::new(); 4];
+        for (k, v) in store.iter(&sess) {
+            assert_eq!(store.get(&sess, &k), Some(v), "seed {seed}: routed get");
+            resident[store.shard_of(&k)].push(k);
+        }
+        for (s, keys) in resident.iter().enumerate() {
+            let expect: Vec<&Vec<u8>> = model.keys().filter(|k| store.shard_of(k) == s).collect();
+            assert!(keys.iter().eq(expect), "seed {seed}, shard {s}");
         }
     }
 }

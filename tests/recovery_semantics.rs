@@ -590,6 +590,49 @@ fn allocator_and_tree_agree_after_recovery() {
 }
 
 #[test]
+fn a_hot_shard_grows_past_its_static_share_and_uniform_pressure_claims_evenly() {
+    // The extent pool is shared: a fill routed to ONE of 8 shards must
+    // complete by claiming extents a static one-region-per-shard split
+    // could never have handed it (it would be out of memory at 1/8th of
+    // the arena with 7/8ths free), and balanced pressure must spread its
+    // claims evenly. 3000-byte values land in the 4 KiB size class, so
+    // 3000 puts write ~12 MiB into a 64 MiB arena.
+    for skewed in [true, false] {
+        let arena = PArena::builder().capacity_bytes(64 << 20).build().unwrap();
+        let (store, _) = Store::open(&arena, Options::new().threads(2).shards(8)).unwrap();
+        let sess = store.session().unwrap();
+        let hot = 0usize;
+        let val = vec![0x6bu8; 3000];
+        let keys = (0u64..)
+            .map(|i| format!("eg{i}").into_bytes())
+            .filter(|key| !skewed || store.shard_of(key) == hot);
+        for (n, key) in keys.take(3000).enumerate() {
+            store
+                .put(&sess, &key, &val)
+                .unwrap_or_else(|e| panic!("skewed={skewed}: put {n} failed: {e}"));
+            if (n + 1).is_multiple_of(512) {
+                store.checkpoint(); // bound the undo-log tail
+            }
+        }
+        let stats = store
+            .extent_stats()
+            .expect("every store carves from the pool");
+        let owned = &stats.owned_per_shard;
+        if skewed {
+            assert!(
+                owned[hot] > stats.extent_count / 8,
+                "hot shard owns {} of {} extents: no more than a static split's share",
+                owned[hot],
+                stats.extent_count
+            );
+        } else {
+            let (min, max) = (owned.iter().min().unwrap(), owned.iter().max().unwrap());
+            assert!(max - min <= 2, "uniform fill claimed unevenly: {owned:?}");
+        }
+    }
+}
+
+#[test]
 fn clean_restart_cycles_preserve_data() {
     let arena = tracked();
     let mut expected = Vec::new();

@@ -16,8 +16,7 @@
 use std::net::TcpListener;
 
 use incll_repro::prelude::*;
-use incll_server::{CommitMode, Request, Response, Server, ServerConfig};
-use incll_ycsb::NetClient;
+use incll_server::{Client, CommitMode, Request, Response, Server, ServerConfig};
 
 const KEYS: u64 = 60;
 
@@ -60,7 +59,7 @@ fn ack_then_crash(arena: &PArena, commit: CommitMode, seed: u64) -> (Store, Sess
             },
         )
         .unwrap();
-        let mut client = NetClient::connect(server.local_addr()).unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
         // Pipeline all the puts, then require an Ok ack for every one.
         for i in 0..KEYS {
             client

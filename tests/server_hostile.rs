@@ -11,10 +11,9 @@ use std::time::{Duration, Instant};
 
 use incll_repro::prelude::*;
 use incll_server::{
-    decode_response, encode_request, read_frame, BatchOp, CommitMode, Request, Response, Server,
-    ServerConfig, MAX_FRAME_BYTES,
+    decode_response, encode_request, read_frame, BatchOp, Client, CommitMode, Request, Response,
+    Server, ServerConfig, MAX_FRAME_BYTES,
 };
-use incll_ycsb::NetClient;
 
 fn serve(arena: &PArena, workers: usize) -> Server {
     let options = Options::new()
@@ -63,8 +62,8 @@ fn next_reply(from: &mut BufReader<TcpStream>) -> Option<Response> {
 
 /// A connection with `scans` × ~800 KB replies requested and none read:
 /// enough to fill every kernel buffer and block its thread in `write`.
-fn never_reading_scanner(server: &Server, scans: usize) -> NetClient {
-    let mut setup = NetClient::connect(server.local_addr()).unwrap();
+fn never_reading_scanner(server: &Server, scans: usize) -> Client {
+    let mut setup = Client::connect(server.local_addr()).unwrap();
     let ops = (0..200u64)
         .map(|i| BatchOp::Put {
             key: key(i),
@@ -75,7 +74,7 @@ fn never_reading_scanner(server: &Server, scans: usize) -> NetClient {
         setup.call(&Request::Batch { ops }).unwrap(),
         Response::Committed(_)
     ));
-    let mut slow = NetClient::connect(server.local_addr()).unwrap();
+    let mut slow = Client::connect(server.local_addr()).unwrap();
     for _ in 0..scans {
         slow.send(&Request::Scan {
             start: key(0),
@@ -108,7 +107,7 @@ fn three_frames_and_half_a_fourth_then_a_half_close_get_three_replies_and_a_clea
     assert_eq!(next_reply(&mut from), Some(Response::Ok));
     assert_eq!(next_reply(&mut from), Some(Response::NotFound));
     assert_eq!(next_reply(&mut from), None, "half a frame gets no reply");
-    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
     assert_eq!(
         client.call(&Request::Get { key: key(4) }).unwrap(),
         Response::NotFound,
@@ -146,7 +145,7 @@ fn a_never_reading_client_does_not_hold_the_session_slot_it_shares() {
     let slow = never_reading_scanner(&server, 48);
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
-        let mut live = NetClient::connect(addr).unwrap();
+        let mut live = Client::connect(addr).unwrap();
         let acks: Vec<_> = (0..50).map(|i| live.call(&put(10_000 + i))).collect();
         let _ = tx.send(acks);
     });
@@ -171,7 +170,7 @@ fn connect_and_drop_cycles_leave_no_connection_live() {
             sock.write_all(&frames(&[put(i)])[..6]).unwrap();
         }
     }
-    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let Response::Stats(json) = client.call(&Request::Stats).unwrap() else {

@@ -15,8 +15,7 @@ use std::net::TcpListener;
 use std::time::Duration;
 
 use incll_repro::prelude::*;
-use incll_server::{BatchOp, CommitMode, Request, Response, Server, ServerConfig};
-use incll_ycsb::NetClient;
+use incll_server::{BatchOp, Client, CommitMode, Request, Response, Server, ServerConfig};
 
 fn arena() -> PArena {
     PArena::builder().capacity_bytes(64 << 20).build().unwrap()
@@ -58,7 +57,7 @@ fn concurrent_pipelined_clients_see_responses_in_request_order() {
     let addr = server.local_addr();
 
     // Preload 100 keys through a durable BATCH.
-    let mut setup = NetClient::connect(addr).unwrap();
+    let mut setup = Client::connect(addr).unwrap();
     let ops = (0..100u64)
         .map(|i| BatchOp::Put {
             key: key(i),
@@ -75,7 +74,7 @@ fn concurrent_pipelined_clients_see_responses_in_request_order() {
     std::thread::scope(|s| {
         for c in 0u64..4 {
             s.spawn(move || {
-                let mut client = NetClient::connect(addr).unwrap();
+                let mut client = Client::connect(addr).unwrap();
                 let n = 300u64;
                 let mut expected = Vec::with_capacity(n as usize);
                 for i in 0..n {
@@ -111,7 +110,7 @@ fn a_malformed_frame_gets_a_typed_error_in_order_and_the_stream_continues() {
     let options = Options::new().threads(5).log_bytes_per_thread(4 << 20);
     let (store, _) = Store::open(&arena, options).unwrap();
     let server = serve(&store, CommitMode::Group, 2);
-    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
 
     client
         .call(&Request::Put {
@@ -121,7 +120,7 @@ fn a_malformed_frame_gets_a_typed_error_in_order_and_the_stream_continues() {
         .unwrap();
     // Hand-craft a frame whose payload is an unknown opcode: framing is
     // intact, so the server can answer it and keep the stream alive.
-    // NetClient has no raw hook, so drive a plain TcpStream.
+    // Client has no raw hook, so drive a plain TcpStream.
     {
         use std::io::Write as _;
         let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
@@ -151,7 +150,7 @@ fn batch_scan_del_and_stats_cover_the_request_surface() {
     let options = Options::new().threads(5).log_bytes_per_thread(4 << 20);
     let (store, _) = Store::open(&arena, options).unwrap();
     let server = serve(&store, CommitMode::PerRequest, 2);
-    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
 
     // BATCH commits atomically and reports the batch id.
     let ops = (10..20u64)
@@ -236,7 +235,7 @@ fn a_scan_reply_over_the_frame_cap_gets_a_typed_error_and_the_stream_continues()
     // test instead of hanging it.
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
-        let mut client = NetClient::connect(addr).unwrap();
+        let mut client = Client::connect(addr).unwrap();
         let scan = |limit| Request::Scan {
             start: key(0),
             limit,
@@ -295,7 +294,7 @@ fn pipelined_same_key_writes_resolve_to_the_last_one_in_every_mode() {
         std::thread::scope(|s| {
             for c in 0u64..4 {
                 s.spawn(move || {
-                    let mut client = NetClient::connect(addr).unwrap();
+                    let mut client = Client::connect(addr).unwrap();
                     let k = key(5_000 + c);
                     let n = 120u64;
                     for i in 0..n {
@@ -361,7 +360,7 @@ fn a_connection_that_stops_reading_does_not_stall_grouped_commits_for_others() {
     // so a few dozen unread SCANs overflow any kernel socket buffer and
     // wedge the slow connection's thread in `write` for real.
     let big = vec![0xABu8; 4000];
-    let mut setup = NetClient::connect(addr).unwrap();
+    let mut setup = Client::connect(addr).unwrap();
     let ops = (0..200u64)
         .map(|i| BatchOp::Put {
             key: key(i),
@@ -374,7 +373,7 @@ fn a_connection_that_stops_reading_does_not_stall_grouped_commits_for_others() {
     ));
 
     let scans = 48usize;
-    let mut slow = NetClient::connect(addr).unwrap();
+    let mut slow = Client::connect(addr).unwrap();
     for _ in 0..scans {
         slow.send(&Request::Scan {
             start: key(0),
@@ -387,7 +386,7 @@ fn a_connection_that_stops_reading_does_not_stall_grouped_commits_for_others() {
     std::thread::sleep(Duration::from_millis(200));
 
     // Meanwhile every grouped write from a healthy connection must ack.
-    let mut live = NetClient::connect(addr).unwrap();
+    let mut live = Client::connect(addr).unwrap();
     for i in 0..50u64 {
         assert_eq!(
             live.call(&Request::Put {
@@ -439,7 +438,7 @@ fn the_pipeline_depth_bound_pauses_and_resumes_without_losing_order() {
     let addr = server.local_addr();
 
     let big = vec![0x5Au8; 4000];
-    let mut client = NetClient::connect(addr).unwrap();
+    let mut client = Client::connect(addr).unwrap();
     assert_eq!(
         client
             .call(&Request::Put {
@@ -520,7 +519,7 @@ fn large_batch_frames_on_one_shard_do_not_kill_the_committer() {
         .collect();
     let (tx, rx) = std::sync::mpsc::channel();
     let driver = std::thread::spawn(move || {
-        let mut client = NetClient::connect(addr).unwrap();
+        let mut client = Client::connect(addr).unwrap();
         for frame in shard0.chunks(100) {
             let ops = frame
                 .iter()
@@ -532,7 +531,7 @@ fn large_batch_frames_on_one_shard_do_not_kill_the_committer() {
             tx.send(client.call(&Request::Batch { ops }).unwrap())
                 .unwrap();
         }
-        let mut other = NetClient::connect(addr).unwrap();
+        let mut other = Client::connect(addr).unwrap();
         let put = Request::Put {
             key: key(u64::MAX),
             val: val(1),
