@@ -8,45 +8,65 @@
 //!
 //! 1. **Stage** — [`Session::batch`] collects puts/deletes in DRAM; no
 //!    tree or media byte is touched until commit.
-//! 2. **Intent entries** — commit assigns a monotonic durable batch id
-//!    ([`incll_pmem::superblock::next_batch_id`]) and appends one
-//!    *intent* entry per operation into the owning shard's external-log
-//!    buffer ([`incll_extlog::ExtLog::log_intent_in`]) — a new tagged
-//!    entry kind beside the undo entries, checksummed the same way.
-//!    Intents are redo records: recovery replays them *forward*, never
-//!    into an object.
+//! 2. **Intent entries** — commit takes the next batch id (monotonic;
+//!    ids are reserved from the superblock in durable blocks,
+//!    [`incll_pmem::superblock::reserve_batch_ids`], so taking one costs
+//!    a fence only once per block, and that fence precedes every intent
+//!    of the block) and appends one *intent* entry per operation into the
+//!    owning shard's external-log buffer
+//!    ([`incll_extlog::ExtLog::log_intent_in`]) — a tagged entry kind
+//!    beside the undo entries, checksummed the same way. Intents are redo
+//!    records: recovery replays them *forward*, never into an object.
 //!    Intents only *stage* in the log; one
-//!    [`incll_extlog::ExtLog::drain`] per covered shard then makes them
-//!    durable — the single ordering constraint an intent needs is
-//!    *durable before the commit record*.
-//! 3. **Commit record** — one durable `(batch id, shard mask)` slot write
-//!    in the superblock batch table
-//!    ([`incll_pmem::superblock::set_batch_slot`]) marks the
-//!    batch committed. This is the atomicity point: a batch id present in
-//!    the table is committed everywhere, an absent id nowhere.
+//!    [`incll_extlog::ExtLog::drain_thread`] then makes all of them
+//!    durable behind a single `sfence`, whatever shards they are on —
+//!    the first of a commit's two ordering points: *intents durable
+//!    before the commit record*.
+//! 3. **Commit record** — one durable cache line in the superblock batch
+//!    table marks the batch committed, the second ordering point (*record
+//!    durable before the ack*). A table slot is a **commit run**
+//!    `(lo, hi, shard mask)`: the ids `lo..=hi` are committed. A commit
+//!    whose id directly follows this execution's open run *extends* it
+//!    (mask widened first, `hi` second —
+//!    [`incll_pmem::superblock::write_batch_run_extend`]); after any id
+//!    gap — a batch that staged and never committed, a reopen — it
+//!    *opens* the next run (mask, `lo`, `hi`). Either way: same line, one
+//!    `clwb`, one `sfence`. This is the atomicity point: an id inside a
+//!    run is committed everywhere, any other id nowhere. A run is still a
+//!    set of exact ids — it only ever grows by the very next id, so no
+//!    uncommitted id can lie inside one — never a watermark.
 //! 4. **Apply** — the staged operations run through the ordinary put /
 //!    remove paths while every touched shard is pinned
 //!    (`ThreadHandle::pin_domains_mut`, ascending shard order), so each
 //!    shard's half lands in a single epoch of that shard.
 //!
+//! So a durable commit costs exactly two fences of its own, at any shard
+//! count; whatever else it fences is the ordinary write path's (an undo
+//! entry for a node the in-cache-line logs cannot cover).
+//!
 //! Per-shard recovery resolves in-doubt batches deterministically: the
 //! replay scan surfaces each shard's intents, and intents whose batch id
-//! has a durable commit record are **redone** through the normal put /
-//! remove paths (idempotent — a second crash replays them again), while
-//! intents with no commit record are **dropped**. Resolution is per-shard
-//! work on shard-owned state, so it is byte-identical at every
+//! lies inside a durable commit run are **redone** through the normal
+//! put / remove paths (idempotent — a second crash replays them again),
+//! while all others are **dropped**. Resolution is per-shard work on
+//! shard-owned state, so it is byte-identical at every
 //! `recovery_threads` count.
 //!
 //! A shard's epoch boundary makes its applied half durable and
 //! simultaneously discards its log buffers — so the boundary hook also
-//! retires the shard's bit from every batch-table slot
-//! ([`incll_pmem::superblock::clear_batch_shard`]). A slot whose mask
-//! drains to zero is reusable; when all [`superblock::BATCH_SLOTS`] are
-//! still live, commit evicts the slot covering the fewest shards by
-//! forcing those shards over a boundary first. On a store with no
-//! checkpoint cadence that eviction is what ends an epoch: one forced
-//! flush per covered shard every [`superblock::BATCH_SLOTS`] commits
-//! (counted in [`crate::ShardStats::advances_forced`]).
+//! retires the shard's bit from every run's mask
+//! ([`incll_pmem::superblock::clear_batch_shard`]); a later commit that
+//! extends the run names the shard again. A run whose mask drained to
+//! zero is a reusable slot (its stale range can match nothing: every
+//! intent its ids wrote is gone). Slots are consumed per id gap, not per
+//! commit, so the table fills only when gaps keep coming with no boundary
+//! in between; commit then evicts the run covering the fewest shards by
+//! forcing those shards over a boundary first. **Nothing here ends an
+//! epoch on a store without a cadence except the log-room rule below**:
+//! how much a crash may leave to redo is bounded by the log buffers'
+//! size ([`crate::Store::in_doubt_bound_bytes`], live in
+//! [`crate::ShardStats::in_doubt_log_bytes`]), and every forced boundary
+//! is counted in [`crate::ShardStats::advances_forced`].
 //!
 //! **Log room.** Log space is only reclaimed at a boundary, so before
 //! any pin is taken commit sums, per covered shard, the batch's intent
@@ -55,7 +75,7 @@
 //! not fit an *empty* buffer fails with [`Error::BatchExceedsLog`] before
 //! any id, intent or record is written.
 //!
-//! **No pin across a commit.** Both forced boundaries wait for every
+//! **No pin across a commit.** Both kinds of forced boundary wait for every
 //! pin on the shard to drop — the committing session's own included. So
 //! a commit that takes the table lock first checks that its session
 //! holds no pin on any shard (a live [`crate::ValueRef`], a
@@ -94,77 +114,152 @@ const UNDO_ALLOWANCE: u64 = 2 * ExtLog::entry_bytes(crate::layout::NODE_BYTES);
 const KIND_PUT: u64 = 0;
 const KIND_DELETE: u64 = 1;
 
-/// In-memory mirror of the superblock batch table: one `(batch id,
-/// shard mask)` pair per slot, `id == 0` meaning empty. Guarded by
-/// `Inner::batches`, which doubles as the global commit lock (commits
-/// are rare and cross-shard by definition; serializing them keeps the
-/// slot protocol trivial).
+/// One commit run of the in-memory mirror: the ids `lo..=hi` are
+/// committed, and `mask` names the shards whose logs may still hold their
+/// intents. `lo == 0` is an empty slot.
+#[derive(Clone, Copy, Default)]
+struct Run {
+    lo: u64,
+    hi: u64,
+    mask: u64,
+}
+
+/// In-memory mirror of the superblock batch table plus the batch-id
+/// allocator. Guarded by `Inner::batches`, which doubles as the global
+/// commit lock (one intent-protocol commit at a time; serializing them
+/// keeps the run protocol and the id sequence trivial).
 pub(crate) struct BatchSlots {
-    pub(crate) slots: [(u64, u64); superblock::BATCH_SLOTS],
+    runs: [Run; superblock::BATCH_RUNS],
+    /// The slot of the run **this execution** last committed into. A
+    /// commit whose id directly follows that run's `hi` extends it in
+    /// place; anything else opens a new run. Runs loaded from media are
+    /// never extended (a reopen skips to the id ceiling anyway).
+    open: Option<usize>,
+    /// The id the next commit takes.
+    next_id: u64,
+    /// The durable ceiling: ids below it are reserved, so taking one
+    /// costs no media write.
+    id_ceiling: u64,
 }
 
 impl BatchSlots {
     /// Snapshots the durable table (create loads all-zero slots; open
-    /// loads whatever survived the crash).
+    /// loads whatever survived the crash). Ids resume at the durable
+    /// ceiling, so the first commit reserves a fresh block.
     pub(crate) fn load(arena: &PArena) -> Self {
-        let mut slots = [(0u64, 0u64); superblock::BATCH_SLOTS];
-        for (i, s) in slots.iter_mut().enumerate() {
-            *s = superblock::batch_slot(arena, i);
+        let mut runs = [Run::default(); superblock::BATCH_RUNS];
+        for (i, r) in runs.iter_mut().enumerate() {
+            let (lo, hi, mask) = superblock::batch_run(arena, i);
+            *r = Run { lo, hi, mask };
         }
-        BatchSlots { slots }
+        let ceiling = arena.pread_u64(superblock::SB_BATCH_NEXT_ID).max(1);
+        BatchSlots {
+            runs,
+            open: None,
+            next_id: ceiling,
+            id_ceiling: ceiling,
+        }
     }
 
-    /// The ids with a commit record, ascending: what recovery matches a
-    /// shard's surfaced intents against. Exact ids, never a watermark —
-    /// an id below a committed one may belong to a batch that staged its
-    /// intents and never committed.
-    pub(crate) fn committed_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self
-            .slots
+    /// The committed id ranges, ascending and disjoint: what recovery
+    /// matches a shard's surfaced intents against. Every id inside a run
+    /// was committed (a run grows only by the very next id), so this is
+    /// an exact id set, never a watermark — an id between two runs may
+    /// belong to a batch that staged its intents and never committed.
+    pub(crate) fn committed_runs(&self) -> Vec<(u64, u64)> {
+        let mut runs: Vec<(u64, u64)> = self
+            .runs
             .iter()
-            .map(|s| s.0)
-            .filter(|&id| id != 0)
+            .filter(|r| r.lo != 0 && r.lo <= r.hi)
+            .map(|r| (r.lo, r.hi))
             .collect();
-        ids.sort_unstable();
-        ids
+        runs.sort_unstable();
+        runs
     }
 
-    /// Retires shard `d` from every slot, durable word and mirror both.
+    /// Slots whose run still names a shard: the runs a crash right now
+    /// would match intents against.
+    pub(crate) fn live_runs(&self) -> usize {
+        self.runs.iter().filter(|r| r.mask != 0).count()
+    }
+
+    /// Retires shard `d` from every run, durable word and mirror both.
     /// Called at shard `d`'s epoch boundary (its intents just became
-    /// non-replayable) and during eviction (after forcing that boundary).
+    /// non-replayable) and after a boundary this layer forced.
     fn clear_shard(&mut self, arena: &PArena, d: usize) {
-        for (i, s) in self.slots.iter_mut().enumerate() {
-            if s.0 != 0 && s.1 & (1u64 << d) != 0 {
+        for (i, r) in self.runs.iter_mut().enumerate() {
+            if r.mask & (1u64 << d) != 0 {
                 superblock::clear_batch_shard(arena, i, d);
-                s.1 &= !(1u64 << d);
+                r.mask &= !(1u64 << d);
             }
         }
     }
 
-    /// Picks the slot the next commit record will use: any drained slot,
-    /// else evict the live slot covering the fewest shards by forcing
-    /// each covered shard over an epoch boundary (that makes the victim's
-    /// intents non-replayable, so its commit record is moot). Returns
-    /// with the chosen slot's mirror mask at zero.
+    /// Whether the next commit's record extends this execution's open
+    /// run (its id is the one directly after the run's `hi`).
+    fn extends(&self) -> Option<usize> {
+        self.open.filter(|&i| self.runs[i].hi + 1 == self.next_id)
+    }
+
+    /// Picks the slot the next commit record will use: the open run when
+    /// the record extends it, else any drained slot, else — the
+    /// full-table fallback, reachable only by burning a run per commit —
+    /// evict the live run covering the fewest shards by forcing each
+    /// covered shard over an epoch boundary (that makes the victim's
+    /// intents non-replayable, so its record is moot).
     fn acquire(&mut self, inner: &Inner) -> usize {
-        if let Some(i) = self
-            .slots
-            .iter()
-            .position(|&(id, mask)| id == 0 || mask == 0)
-        {
+        if let Some(i) = self.extends() {
             return i;
         }
-        let victim = (0..self.slots.len())
-            .min_by_key(|&i| self.slots[i].1.count_ones())
+        if let Some(i) = self.runs.iter().position(|r| r.mask == 0) {
+            return i;
+        }
+        let victim = (0..self.runs.len())
+            .min_by_key(|&i| self.runs[i].mask.count_ones())
             .expect("table has slots");
-        let mask = self.slots[victim].1;
+        let mask = self.runs[victim].mask;
         for d in 0..64 {
             if mask & (1u64 << d) != 0 {
                 self.force_boundary(inner, d);
             }
         }
-        debug_assert_eq!(self.slots[victim].1, 0);
+        debug_assert_eq!(self.runs[victim].mask, 0);
         victim
+    }
+
+    /// Takes the next batch id, reserving a durable block first when the
+    /// last one is used up — fenced before the caller writes any intent
+    /// carrying the id, so an id on media is never reissued.
+    fn take_id(&mut self, arena: &PArena) -> u64 {
+        if self.next_id == self.id_ceiling {
+            let block = superblock::reserve_batch_ids(arena);
+            debug_assert_eq!(block.start, self.next_id);
+            self.id_ceiling = block.end;
+        }
+        let id = self.next_id;
+        self.next_id += 1;
+        id
+    }
+
+    /// The atomicity point: durably records `id` in `slot` (chosen by
+    /// [`BatchSlots::acquire`] before `id` was taken) — one line, one
+    /// `clwb`, one `sfence`, whether the record extends or opens a run.
+    fn record(&mut self, arena: &PArena, slot: usize, id: u64, mask: u64) {
+        let run = &mut self.runs[slot];
+        if self.open == Some(slot) && run.hi + 1 == id {
+            run.mask |= mask;
+            run.hi = id;
+            superblock::write_batch_run_extend(arena, slot, id, run.mask);
+        } else {
+            *run = Run {
+                lo: id,
+                hi: id,
+                mask,
+            };
+            self.open = Some(slot);
+            superblock::write_batch_run_open(arena, slot, id, mask);
+        }
+        superblock::persist_batch_run(arena, slot);
     }
 
     /// Forces shard `d` over an epoch boundary (resetting its log
@@ -206,16 +301,18 @@ impl BatchSlots {
 }
 
 impl Inner {
-    /// Boundary-hook half of the slot lifecycle: shard `d` just completed
-    /// a checkpoint (discarding its log, intents included), so no commit
-    /// record needs to name it any more.
+    /// Boundary-hook half of the run lifecycle: shard `d` just completed
+    /// a checkpoint (discarding its log, intents included), so a crash
+    /// would redo nothing there and no commit record needs to name it
+    /// any more.
     ///
     /// `try_lock`: a commit in flight holds the table lock — possibly
-    /// while *forcing* this very advance during eviction. Skipping is
-    /// safe because a stale mask bit is conservative: it only delays slot
-    /// reuse (commit matching is by id, never by mask), and the next
-    /// boundary clears it.
+    /// while *forcing* this very advance. Skipping is safe because a
+    /// stale mask bit is conservative: it only delays slot reuse (commit
+    /// matching is by id, never by mask), and the next boundary clears
+    /// it.
     pub(crate) fn retire_batch_shard(&self, d: usize) {
+        self.in_doubt_bytes[d].store(0, Ordering::Relaxed);
         if let Some(mut table) = self.batches.try_lock() {
             table.clear_shard(&self.arena, d);
         }
@@ -415,12 +512,11 @@ impl<'s> WriteBatch<'s> {
     /// state), but routes single-shard batches over the intent-free fast
     /// path, where the ops stay rollback-exposed until that shard's next
     /// boundary. `commit_durable` forces the full protocol for every
-    /// mask: intents into the owning shards' logs, one drain per shard
-    /// (one `clwb_range`+`sfence` per shard for the *whole* batch), then
-    /// the single durable commit record. This is the group-commit hook the
-    /// network server amortizes small puts through: N requests coalesced
-    /// into one `commit_durable` cost a handful of fences instead of N
-    /// checkpoint barriers.
+    /// mask: intents into the owning shards' logs, one drain (every
+    /// covered shard's `clwb_range` behind one `sfence`), then the single
+    /// durable commit record. This is the group-commit hook the network
+    /// server amortizes small puts through: N requests coalesced into one
+    /// `commit_durable` cost two fences instead of N checkpoint barriers.
     ///
     /// Always returns a real batch id (≥ 1) except for the empty-batch
     /// no-op (`0`).
@@ -449,13 +545,16 @@ impl<'s> WriteBatch<'s> {
             return Ok(0);
         }
         let store = self.sess.store();
-        // Per shard: whether the batch covers it, and the log bytes its
-        // share may append (the log-room rule's input).
+        // Per shard: whether the batch covers it, its intent bytes, and
+        // the log bytes its share may append (the log-room rule's input).
         let mut mask = 0u64;
+        let mut intent = [0u64; superblock::MAX_SHARDS];
         let mut need = [0u64; superblock::MAX_SHARDS];
         for &Staged { shard, ref op } in &self.ops {
             mask |= 1u64 << shard;
-            need[shard] += ExtLog::entry_bytes(op.encoded_len()) + UNDO_ALLOWANCE;
+            let entry = ExtLog::entry_bytes(op.encoded_len());
+            intent[shard] += entry;
+            need[shard] += entry + UNDO_ALLOWANCE;
         }
 
         // A durable commit skips the fast path even on one shard: the
@@ -486,9 +585,9 @@ impl<'s> WriteBatch<'s> {
             return Err(Error::SessionPinned { shard });
         }
         let inner = &store.shard_tree(0).inner;
-        // The table lock is the global commit lock: one cross-shard
-        // commit at a time (the slot protocol and the durable id bump
-        // stay race-free; per-key throughput is unaffected).
+        // The table lock is the global commit lock: one intent-protocol
+        // commit at a time (the run protocol and the id sequence stay
+        // race-free; per-key throughput is unaffected).
         let mut table = inner.batches.lock();
         let tid = self.sess.tid();
         // Both may force epoch advances, so both run before any pin.
@@ -508,7 +607,7 @@ impl<'s> WriteBatch<'s> {
         // commit record — instead of erroring mid-apply after the commit
         // record made the batch logically committed.
         let bufs = self.prepare_bufs(store, |s| epoch[s])?;
-        let id = superblock::next_batch_id(&inner.arena);
+        let id = table.take_id(&inner.arena);
         let mut payload = Vec::new();
         for &Staged { shard, ref op } in &self.ops {
             op.encode_into(&mut payload);
@@ -516,23 +615,24 @@ impl<'s> WriteBatch<'s> {
                 .log
                 .log_intent_in(tid, shard, epoch[shard], id, &payload);
         }
-        // The intents above are merely staged: drain each covered
-        // shard's run now, so every intent is durable — and reachable
-        // through replay's valid-prefix scan — before anything durable
-        // can name the batch id. One `clwb_range`+`sfence` per shard
-        // covers the whole group.
-        for g in &guards {
-            inner.log.drain(tid, g.domain());
-        }
+        // First ordering point — intents before record: the intents above
+        // are merely staged, so drain this thread's runs on every covered
+        // shard behind one fence. Every intent is then durable — and
+        // reachable through replay's valid-prefix scan — before anything
+        // durable can name the batch id.
+        inner.log.drain_thread(tid);
         if !commit {
             // Intents durable, commit record absent: the in-doubt state
             // the crash matrix probes. The id was consumed (monotonicity
-            // is unconditional) but no slot names it.
+            // is unconditional), so the next commit opens a new run.
             return Ok(id);
         }
-        // The atomicity point: one durable slot write.
-        superblock::set_batch_slot(&inner.arena, slot, id, mask);
-        table.slots[slot] = (id, mask);
+        // Second ordering point — record before ack: one durable line.
+        table.record(&inner.arena, slot, id, mask);
+        for g in &guards {
+            let d = g.domain();
+            inner.in_doubt_bytes[d].fetch_add(intent[d], Ordering::Relaxed);
+        }
         // The applies seal their own undo entries before each
         // modification (write-ahead), so nothing is left staged when the
         // pins release the shards for advances.
@@ -670,29 +770,37 @@ mod tests {
         assert_eq!(b.commit().expect("commit"), 0, "fast path assigns no id");
         assert_eq!(store.get(&sess, b"a"), None);
         assert_eq!(store.get(&sess, b"b").as_deref(), Some(&b"2"[..]));
-        // No commit record, no id consumed: the batch table is untouched
-        // and the next cross-shard id is still the first.
-        for i in 0..superblock::BATCH_SLOTS {
-            assert_eq!(superblock::batch_slot(&arena, i), (0, 0));
+        // No commit record, no id block reserved: the batch table is
+        // untouched and the next cross-shard id is still the first.
+        for i in 0..superblock::BATCH_RUNS {
+            assert_eq!(superblock::batch_run(&arena, i), (0, 0, 0));
         }
         assert_eq!(arena.pread_u64(superblock::SB_BATCH_NEXT_ID), 1);
+    }
+
+    /// Two keys on distinct shards.
+    fn two_shard_keys(store: &Store) -> (Vec<u8>, Vec<u8>) {
+        let k0 = b"key-000".to_vec();
+        let k1 = (0..1000u32)
+            .map(|i| format!("key-{i:03}").into_bytes())
+            .find(|k| store.shard_of(k) != store.shard_of(&k0))
+            .expect("found a second shard");
+        (k0, k1)
+    }
+
+    /// The non-empty slots of the durable table, in slot order.
+    fn runs_on_media(arena: &PArena) -> Vec<(u64, u64, u64)> {
+        (0..superblock::BATCH_RUNS)
+            .map(|i| superblock::batch_run(arena, i))
+            .filter(|r| r.0 != 0)
+            .collect()
     }
 
     #[test]
     fn cross_shard_commit_writes_one_slot_then_boundaries_drain_it() {
         let (arena, store) = open(4);
         let sess = store.session().expect("session");
-        // Find keys on two distinct shards.
-        let k0 = b"key-000".to_vec();
-        let mut k1 = Vec::new();
-        for i in 0..1000u32 {
-            let k = format!("key-{i:03}").into_bytes();
-            if store.shard_of(&k) != store.shard_of(&k0) {
-                k1 = k;
-                break;
-            }
-        }
-        assert!(!k1.is_empty(), "found a second shard");
+        let (k0, k1) = two_shard_keys(&store);
         let mut b = sess.batch();
         b.put(&k0, b"v0").unwrap();
         b.put(&k1, b"v1").unwrap();
@@ -701,37 +809,113 @@ mod tests {
         assert!(superblock::batch_is_committed(&arena, id));
         assert_eq!(store.get(&sess, &k0).as_deref(), Some(&b"v0"[..]));
         assert_eq!(store.get(&sess, &k1).as_deref(), Some(&b"v1"[..]));
+        let mask = 1u64 << store.shard_of(&k0) | 1u64 << store.shard_of(&k1);
+        assert_eq!(runs_on_media(&arena), [(id, id, mask)]);
+        assert_eq!(store.commit_runs_live(), 1);
         // Both shards' boundaries retire their mask bits; the slot drains.
         store.checkpoint();
-        let drained =
-            (0..superblock::BATCH_SLOTS).all(|i| superblock::batch_slot(&arena, i).1 == 0);
-        assert!(drained, "checkpoint barrier must drain every mask");
-        // Ids stay monotonic across commits.
+        assert_eq!(runs_on_media(&arena), [(id, id, 0)]);
+        assert_eq!(store.commit_runs_live(), 0);
+        // The next id directly follows, so the commit extends the drained
+        // run in place and names its shards again.
         let mut b = sess.batch();
         b.put(&k0, b"v2").unwrap();
         b.put(&k1, b"v3").unwrap();
         let id2 = b.commit().expect("commit");
-        assert!(id2 > id);
+        assert_eq!(id2, id + 1);
+        assert_eq!(runs_on_media(&arena), [(id, id2, mask)]);
+    }
+
+    #[test]
+    fn consecutive_commits_coalesce_and_an_id_gap_opens_the_next_run() {
+        let (arena, store) = open(4);
+        let sess = store.session().expect("session");
+        let (k0, k1) = two_shard_keys(&store);
+        let both = 1u64 << store.shard_of(&k0) | 1u64 << store.shard_of(&k1);
+        let batch = |durable_on: Option<&[u8]>| {
+            let mut b = sess.batch();
+            match durable_on {
+                Some(k) => b.put(k, b"one shard").unwrap(),
+                None => {
+                    b.put(&k0, b"v").unwrap();
+                    b.put(&k1, b"v").unwrap();
+                }
+            }
+            b
+        };
+        // Three commits, one run; its mask is the union of what they
+        // covered, widened only when a commit adds a shard.
+        assert_eq!(batch(Some(&k0)).commit_durable().unwrap(), 1);
+        let only0 = 1u64 << store.shard_of(&k0);
+        assert_eq!(runs_on_media(&arena), [(1, 1, only0)]);
+        assert_eq!(batch(None).commit().unwrap(), 2);
+        assert_eq!(batch(Some(&k1)).commit_durable().unwrap(), 3);
+        assert_eq!(runs_on_media(&arena), [(1, 3, both)]);
+        // A batch that stages and never commits consumes id 4: the gap
+        // ends the run, so no range on media ever contains it.
+        assert_eq!(batch(None).stage_without_commit().unwrap(), 4);
+        assert_eq!(batch(None).commit().unwrap(), 5);
+        assert_eq!(batch(None).commit().unwrap(), 6);
+        assert_eq!(runs_on_media(&arena), [(1, 3, both), (5, 6, both)]);
+        assert!(!superblock::batch_is_committed(&arena, 4));
+        assert_eq!(store.commit_runs_live(), 2);
+        // One id block covered all of it.
+        assert_eq!(
+            arena.pread_u64(superblock::SB_BATCH_NEXT_ID),
+            1 + superblock::BATCH_ID_BLOCK
+        );
+    }
+
+    #[test]
+    fn ids_cross_block_edges_without_a_gap_and_a_reopen_skips_to_the_ceiling() {
+        let (arena, store) = open(2);
+        let sess = store.session().expect("session");
+        let (k0, k1) = two_shard_keys(&store);
+        let n = superblock::BATCH_ID_BLOCK + 3;
+        for want in 1..=n {
+            let mut b = sess.batch();
+            b.put(&k0, &want.to_le_bytes()).unwrap();
+            b.put(&k1, &want.to_le_bytes()).unwrap();
+            assert_eq!(b.commit().unwrap(), want);
+        }
+        assert_eq!(runs_on_media(&arena), [(1, n, 0b11)]);
+        let ceiling = 1 + 2 * superblock::BATCH_ID_BLOCK;
+        assert_eq!(arena.pread_u64(superblock::SB_BATCH_NEXT_ID), ceiling);
+        drop(sess);
+        drop(store);
+        let opts = Options::new()
+            .threads(2)
+            .log_bytes_per_thread(1 << 20)
+            .shards(2);
+        let (store, _) = Store::open(&arena, opts).expect("reopen");
+        let sess = store.session().expect("session");
+        let mut b = sess.batch();
+        b.put(&k0, b"after").unwrap();
+        b.put(&k1, b"after").unwrap();
+        assert_eq!(
+            b.commit().unwrap(),
+            ceiling,
+            "never an id below the ceiling"
+        );
+        assert_eq!(runs_on_media(&arena)[1], (ceiling, ceiling, 0b11));
     }
 
     #[test]
     fn slot_eviction_forces_boundaries_instead_of_overflowing() {
-        let (_arena, store) = open(4);
+        let (arena, store) = open(4);
         let sess = store.session().expect("session");
-        let k0 = b"key-000".to_vec();
-        let mut k1 = Vec::new();
-        for i in 0..1000u32 {
-            let k = format!("key-{i:03}").into_bytes();
-            if store.shard_of(&k) != store.shard_of(&k0) {
-                k1 = k;
-                break;
-            }
-        }
-        // More cross-shard commits than table slots, with no checkpoint
-        // in between: acquire() must evict (forcing boundaries) rather
-        // than panic or corrupt earlier records.
-        let rounds = 2 * superblock::BATCH_SLOTS;
+        let (k0, k1) = two_shard_keys(&store);
+        // A run costs a slot only when an id gap precedes it, so burn one
+        // per commit through the seam: more runs than the table has
+        // slots, with no checkpoint in between. acquire() must evict
+        // (forcing boundaries) rather than panic or corrupt earlier
+        // records.
+        let rounds = 2 * superblock::BATCH_RUNS;
         for round in 0..rounds {
+            let mut gap = sess.batch();
+            gap.put(&k0, b"never").unwrap();
+            gap.put(&k1, b"never").unwrap();
+            gap.stage_without_commit().expect("stage");
             let mut b = sess.batch();
             b.put(&k0, format!("a{round}").as_bytes()).unwrap();
             b.put(&k1, format!("b{round}").as_bytes()).unwrap();
@@ -740,6 +924,15 @@ mod tests {
         let last = rounds - 1;
         assert_eq!(store.get(&sess, &k0), Some(format!("a{last}").into_bytes()));
         assert_eq!(store.get(&sess, &k1), Some(format!("b{last}").into_bytes()));
+        // Commit k finds the table full of live runs at k = BATCH_RUNS
+        // (0-based) and forces both covered shards, which drains every
+        // run at once; the second table's worth fits again.
+        for s in 0..4 {
+            let covered = s == store.shard_of(&k0) || s == store.shard_of(&k1);
+            assert_eq!(store.shard_stats(s).advances_forced, covered as u64);
+        }
+        assert_eq!(runs_on_media(&arena).len(), superblock::BATCH_RUNS);
+        assert_eq!(store.commit_runs_live(), superblock::BATCH_RUNS);
     }
 
     #[test]
@@ -773,9 +966,7 @@ mod tests {
         assert_eq!(store.get(&sess, b"k1").as_deref(), Some(&b"v1"[..]));
         // The shard's boundary retires the record like any cross-shard one.
         store.checkpoint();
-        let drained =
-            (0..superblock::BATCH_SLOTS).all(|i| superblock::batch_slot(&arena, i).1 == 0);
-        assert!(drained);
+        assert_eq!(runs_on_media(&arena), [(id, id, 0)]);
     }
 
     #[test]

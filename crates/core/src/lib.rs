@@ -195,12 +195,16 @@
 //! * **All or nothing, across cadences.** After any crash, recovery
 //!   surfaces either every operation of a committed batch or none of an
 //!   uncommitted one — even though each touched shard rolls back to its
-//!   own boundary. The atomicity point is one durable `(batch id, shard
-//!   mask)` record in the superblock batch table: commit
-//!   first stages a checksummed *intent* entry per op in the owning
-//!   shard's external log, drains each covered shard's staged run (one
-//!   `clwb` range + `sfence` per shard), then flushes the commit record,
-//!   then applies the ops under per-shard epoch pins.
+//!   own boundary. The atomicity point is one durable cache line in the
+//!   superblock batch table — a *commit run* `(lo, hi, shard mask)` that
+//!   the commit either opens or extends by its id: commit first stages a
+//!   checksummed *intent* entry per op in the owning shard's external
+//!   log, drains the staged runs of every covered shard behind **one**
+//!   `sfence`, then flushes the commit record (one `clwb` + `sfence`),
+//!   then applies the ops under per-shard epoch pins. Those two fences —
+//!   intents before record, record before ack — are all a commit pays
+//!   for atomicity, at any shard count; ids come from a durable ceiling
+//!   bumped once per [`incll_pmem::superblock::BATCH_ID_BLOCK`] commits.
 //! * **One ordering constraint per intent: durable before the commit
 //!   record.** Undo pre-images guard an in-place modification performed
 //!   the moment their append returns, so they always seal before return
@@ -218,7 +222,7 @@
 //!   [`Error::BatchExceedsLog`] before any id, intent or record is
 //!   written.
 //! * **No pin across a commit that may checkpoint.** That forced
-//!   boundary — and the one that frees a batch-table slot, below — waits
+//!   boundary — and the one that frees a commit-run slot, below — waits
 //!   for every pin on the shard to drop, the committing session's own
 //!   included. A cross-shard `commit` or any `commit_durable` issued
 //!   while its session holds a [`ValueRef`] or a [`Session::pin_shard`]
@@ -226,8 +230,8 @@
 //!   before any id, intent or record. [`Store::checkpoint`] has the same
 //!   precondition, unchecked.
 //! * **Recovery resolves in-doubt batches deterministically.** Each
-//!   shard's replay surfaces its intents; a batch whose id is in the
-//!   durable table is *redone* through the ordinary put/remove paths
+//!   shard's replay surfaces its intents; a batch whose id lies inside a
+//!   durable commit run is *redone* through the ordinary put/remove paths
 //!   (idempotently — a re-crash replays the same intents again), any
 //!   other batch is *dropped*. Resolution is shard-owned work, so the
 //!   recovered bytes are identical at every [`Options::recovery_threads`]
@@ -241,13 +245,18 @@
 //!   the batch *crash-atomic* immediately, not durable: each shard's
 //!   half persists when that shard next checkpoints (until then a crash
 //!   redoes it from the intents). The boundary also retires the shard's
-//!   bit from the batch table, draining slots for reuse. The table has
-//!   [`incll_pmem::superblock::BATCH_SLOTS`] slots — the most batches
-//!   that can be in doubt at once; when every slot is still live, commit
-//!   frees one by forcing the shards it covers over a boundary. On a
-//!   store with no cadence (the network server's) that is what ends an
-//!   epoch: one forced flush per covered shard every `BATCH_SLOTS`
-//!   commits, counted in [`ShardStats::advances_forced`].
+//!   bit from every commit run; a run whose mask drained is a reusable
+//!   slot. Consecutive ids share a run, so a slot is consumed only by an
+//!   id gap — a reopen, a batch that staged and never committed — and
+//!   the table ([`incll_pmem::superblock::BATCH_RUNS`] slots) fills only
+//!   if that happens over and over with no boundary between; commit then
+//!   frees a slot by forcing the shards it covers over a boundary. On a
+//!   store with no cadence (the network server's) **log room is the only
+//!   thing that ends an epoch nobody asked for**: the batches in doubt
+//!   at a crash are bounded by [`Options::log_bytes_per_thread`]
+//!   ([`Store::in_doubt_bound_bytes`]; the live figure is
+//!   [`ShardStats::in_doubt_log_bytes`]), not by a count, and the forced
+//!   flushes are counted in [`ShardStats::advances_forced`].
 //! * **Scans stay torn-free.** A batch committing between two
 //!   [`Store::range`] refills is observed all-or-nothing by every
 //!   subsequent refill (see [`RangeScan`]).
@@ -389,7 +398,7 @@
 //!
 //! # Media compatibility
 //!
-//! On-media layouts are version-screened: v9 (this build) refuses v1–v8
+//! On-media layouts are version-screened: v10 (this build) refuses v1–v9
 //! media with a typed [`Error::UnsupportedLayout`] — never a reformat.
 //!
 //! # One door

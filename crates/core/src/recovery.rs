@@ -63,7 +63,7 @@
 //! compacts it; see `incll-pmem`'s `prune_failed_epochs`).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -323,10 +323,10 @@ impl DurableMasstree {
             replayed.into_iter().unzip();
 
         // The batch table as the crash left it: the mirror commits start
-        // from, and the commit records phase 3 resolves intents against
+        // from, and the commit runs phase 3 resolves intents against
         // (redo and boundaries only ever clear mask words, never ids).
         let batches = crate::batch::BatchSlots::load(arena);
-        let committed = batches.committed_ids();
+        let committed = batches.committed_runs();
 
         let tree = DurableMasstree::from_inner(Arc::new(Inner {
             arena: arena.clone(),
@@ -342,6 +342,7 @@ impl DurableMasstree {
             shard_count: on_media,
             batches: Mutex::new(batches),
             forced_boundaries: (0..on_media).map(|_| AtomicU64::new(0)).collect(),
+            in_doubt_bytes: (0..on_media).map(|_| AtomicU64::new(0)).collect(),
         }));
         tree.attach_hooks();
 
@@ -377,9 +378,11 @@ impl DurableMasstree {
 
 /// Resolves one shard's in-doubt batches (phase 3): groups the shard's
 /// surfaced intents by batch id (ascending — a deterministic order), then
-/// redoes every batch whose id is in `committed` (the ascending ids of
-/// the durable commit records — an exact-id match, see
-/// `BatchSlots::committed_ids`) and drops the rest.
+/// redoes every batch whose id lies inside one of `committed` (the
+/// durable commit runs, ascending and disjoint — an exact-id match, see
+/// `BatchSlots::committed_runs`) and drops the rest. The redone intents
+/// stay in the shard's log until its next boundary, so their bytes seed
+/// the shard's in-doubt counter.
 /// Returns `(batches_redone, batches_dropped)`.
 ///
 /// Redo runs through the ordinary put/remove paths on thread slot 0 —
@@ -389,7 +392,7 @@ impl DurableMasstree {
 /// own pre-images).
 fn resolve_in_doubt_batches(
     tree: &DurableMasstree,
-    committed: &[u64],
+    committed: &[(u64, u64)],
     d: usize,
     intents: &[IntentEntry],
 ) -> (u64, u64) {
@@ -403,12 +406,17 @@ fn resolve_in_doubt_batches(
     let shard = tree.shard(d);
     let ctx = shard.thread_ctx(0).expect("thread slot 0 always exists");
     let (mut redone, mut dropped) = (0u64, 0u64);
-    for (id, entries) in &by_batch {
-        if committed.binary_search(id).is_err() {
+    let mut in_doubt = 0u64;
+    for (&id, entries) in &by_batch {
+        // The run starting at or below `id`, if any, is the only one that
+        // can hold it.
+        let below = committed.partition_point(|&(lo, _)| lo <= id);
+        if below == 0 || committed[below - 1].1 < id {
             dropped += 1;
             continue;
         }
         for e in entries {
+            in_doubt += ExtLog::entry_bytes(e.payload.len());
             match crate::batch::decode_intent(&e.payload) {
                 Some(RedoOp::Put { key, val }) => {
                     shard
@@ -425,5 +433,6 @@ fn resolve_in_doubt_batches(
         }
         redone += 1;
     }
+    tree.inner.in_doubt_bytes[d].store(in_doubt, Ordering::Relaxed);
     (redone, dropped)
 }

@@ -607,6 +607,14 @@ impl Store {
     /// any later crash. Advances each shard's epoch domain in shard
     /// order; returns shard 0's new epoch.
     ///
+    /// It also empties every shard's log, so it retires every commit
+    /// run's mask and resets [`ShardStats::in_doubt_log_bytes`]: a
+    /// recovery right after it has no batch to redo. On a store opened
+    /// without [`Options::cadence`] nothing else ends an epoch but a
+    /// commit that finds its log buffer short (see `crate::batch`), so
+    /// an embedder that wants short recoveries calls this — or sets a
+    /// cadence.
+    ///
     /// For a scoped checkpoint that stalls only one shard's sessions, use
     /// [`Store::checkpoint_shard`]. (Background cadence:
     /// [`incll_epoch::AdvanceDriver`] — per-domain cadences via
@@ -694,15 +702,34 @@ impl Store {
         assert!(i < self.shards.len(), "shard out of range");
         let mgr = self.epoch_manager();
         let c = mgr.domain_counters(i);
+        let inner = &self.shards[0].inner;
         ShardStats {
             epoch: mgr.current_epoch_of(i),
             bytes_logged: c.bytes_logged,
             bytes_since_boundary: c.bytes_since_boundary,
+            in_doubt_log_bytes: inner.in_doubt_bytes[i].load(Ordering::Relaxed),
             advances_fired: c.advances_fired,
-            advances_forced: self.shards[0].inner.forced_boundaries[i].load(Ordering::Relaxed),
+            advances_forced: inner.forced_boundaries[i].load(Ordering::Relaxed),
             advances_skipped: c.advances_skipped,
             current_interval: self.driver.as_ref().and_then(|d| d.current_interval(i)),
         }
+    }
+
+    /// The most [`ShardStats::in_doubt_log_bytes`] can read on any shard:
+    /// every session slot's log buffer for that shard, full of intents.
+    /// With no cadence this — a function of [`Options::threads`],
+    /// [`Options::shards`] and [`Options::log_bytes_per_thread`] — is
+    /// what bounds the work a recovery may have to redo per shard.
+    pub fn in_doubt_bound_bytes(&self) -> u64 {
+        self.threads() as u64 * self.shards[0].inner.log.slot_capacity()
+    }
+
+    /// Commit runs still naming a shard: the batch-table slots a crash
+    /// right now would match surfaced intents against. A store that
+    /// never reopened and never abandoned a staged batch keeps every
+    /// durable commit in one run. Briefly takes the commit lock.
+    pub fn commit_runs_live(&self) -> usize {
+        self.shards[0].inner.batches.lock().live_runs()
     }
 
     /// Extent-pool observability: the pool descriptor
@@ -747,10 +774,15 @@ pub struct ShardStats {
     /// Checkpoints completed on this shard (driver ticks plus explicit
     /// [`Store::checkpoint`]/[`Store::checkpoint_shard`] calls).
     pub advances_fired: u64,
+    /// Log bytes of committed batch intents staged on this shard since
+    /// its last completed checkpoint: what a crash right now would redo
+    /// here. Bounded by the shard's share of
+    /// [`Options::log_bytes_per_thread`] per session slot.
+    pub in_doubt_log_bytes: u64,
     /// The subset of [`ShardStats::advances_fired`] that a write-batch
-    /// commit forced — to reuse a batch-table slot or to make log room
-    /// (see `crate::batch`). On a store with no cadence these are the
-    /// only checkpoints the commit path pays.
+    /// commit forced — to make log room, or (the full-table fallback) to
+    /// reuse a commit-run slot (see `crate::batch`). On a store with no
+    /// cadence these are the only checkpoints the commit path pays.
     pub advances_forced: u64,
     /// Driver ticks skipped because the shard was clean (the dirty-work
     /// heuristic of lazy and adaptive cadences).

@@ -320,13 +320,17 @@ pub(crate) struct Inner {
     /// Keyspace shards sharing this state (allocator, log; one epoch
     /// domain and one tree root per shard).
     pub(crate) shard_count: usize,
-    /// Cross-shard batch-commit state: serializes commits and mirrors the
-    /// superblock batch table's `(id, shard-mask)` slots (see
-    /// `crate::batch`). Loaded from media at create/open.
+    /// Batch-commit state: serializes intent-protocol commits, mirrors
+    /// the superblock batch table's commit runs and hands out batch ids
+    /// (see `crate::batch`). Loaded from media at create/open.
     pub(crate) batches: Mutex<crate::batch::BatchSlots>,
-    /// Per shard: epoch boundaries the batch-commit path forced (slot
-    /// eviction, log room). A statistic; publishes nothing.
+    /// Per shard: epoch boundaries the batch-commit path forced (log
+    /// room, the full-table fallback). A statistic; publishes nothing.
     pub(crate) forced_boundaries: Vec<AtomicU64>,
+    /// Per shard: log bytes of committed intents staged since the
+    /// shard's last boundary — what a crash right now would redo there.
+    /// A statistic; publishes nothing.
+    pub(crate) in_doubt_bytes: Vec<AtomicU64>,
 }
 
 /// A durable, crash-recoverable Masstree in persistent memory: one shard
@@ -419,6 +423,7 @@ impl DurableMasstree {
             shard_count: config.shards,
             batches: Mutex::new(crate::batch::BatchSlots::load(arena)),
             forced_boundaries: (0..config.shards).map(|_| AtomicU64::new(0)).collect(),
+            in_doubt_bytes: (0..config.shards).map(|_| AtomicU64::new(0)).collect(),
         });
         let tree = Self::shard_handle(&inner, 0);
         // One empty root leaf per shard, each behind its own holder cell.
@@ -518,7 +523,7 @@ impl DurableMasstree {
                         // The log reset just discarded this shard's batch
                         // intents too, so no commit record needs to name
                         // this shard any more: retire its bit from every
-                        // batch-table slot (see `crate::batch`).
+                        // commit run (see `crate::batch`).
                         inner.retire_batch_shard(d);
                     }
                 }),

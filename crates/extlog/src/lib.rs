@@ -45,9 +45,10 @@
 //!    record — has not happened when the intent is appended, so the
 //!    append writes the entry and advances the cursor, nothing else.
 //!
-//! Who drains a staged run: the batch layer's [`ExtLog::drain`], issued
-//! once per covered shard *before* the commit record is flushed (the one
-//! ordering constraint an intent needs); the next guarding append on the
+//! Who drains a staged run: the batch layer's [`ExtLog::drain_thread`],
+//! issued once per commit *before* the commit record is flushed (the one
+//! ordering constraint an intent needs — one fence for every shard the
+//! commit covers); the next guarding append on the
 //! slot (rule 1); and the domain's boundary ([`ExtLog::drain_domain`]).
 //! A run is bounded by one batch.
 //!
@@ -350,13 +351,10 @@ impl ExtLog {
     }
 
     /// Persists `(thread, domain)`'s staged run, if any: one
-    /// `clwb_range` over it plus one `sfence`. The batch layer calls
-    /// this after staging a batch's intents and before flushing the
-    /// commit record, so an intent is always durable before the record
-    /// that makes it actionable. No-op when nothing is staged — in
-    /// particular right after an undo-object append, which seals the run
-    /// itself.
-    pub fn drain(&self, thread: usize, domain: usize) {
+    /// `clwb_range` over it plus one `sfence` — how a guarding append
+    /// seals itself and whatever was staged before it. No-op when
+    /// nothing is staged.
+    fn drain(&self, thread: usize, domain: usize) {
         let slot = self.slot_index(thread, domain);
         if self.drain_clwb(slot) {
             self.arena.sfence();
@@ -370,6 +368,21 @@ impl ExtLog {
         let mut any = false;
         for t in 0..self.threads {
             any |= self.drain_clwb(self.slot_index(t, domain));
+        }
+        if any {
+            self.arena.sfence();
+        }
+    }
+
+    /// Persists every staged run of `thread`, whichever domains they are
+    /// in — the batch layer's drain: one commit's intents, staged across
+    /// all the shards it covers, become durable behind a single trailing
+    /// `sfence` (the per-thread mirror of [`ExtLog::drain_domain`]). Only
+    /// the owning thread may call it.
+    pub fn drain_thread(&self, thread: usize) {
+        let mut any = false;
+        for d in 0..self.domains {
+            any |= self.drain_clwb(self.slot_index(thread, d));
         }
         if any {
             self.arena.sfence();
@@ -489,7 +502,7 @@ impl ExtLog {
     /// boundary.
     ///
     /// **Not durable on return**: the intent stays staged until an
-    /// [`ExtLog::drain`], the slot's next guarding append, or the
+    /// [`ExtLog::drain_thread`], the slot's next guarding append, or the
     /// boundary — the caller must drain before publishing anything (a
     /// commit record) that makes the intent actionable.
     ///
@@ -1165,6 +1178,44 @@ mod tests {
         let r = log.replay_domain(1, 5, 5);
         assert!(r.intents.is_empty());
         assert_eq!(r.scan_stopped_at, vec![0]);
+    }
+
+    #[test]
+    fn one_thread_drain_covers_every_domain_with_one_fence() {
+        let arena = PArena::builder()
+            .capacity_bytes(1 << 20)
+            .tracked(true)
+            .build()
+            .unwrap();
+        superblock::format(&arena);
+        arena.global_flush();
+        let log = ExtLog::create_sharded(&arena, 2, 16 * 1024, 4).unwrap();
+        for d in [0, 2, 3] {
+            log.log_intent_in(0, d, 1, 40 + d as u64, b"mine");
+        }
+        log.log_intent_in(1, 1, 1, 99, b"another thread's");
+        let before = arena.stats().snapshot();
+        log.drain_thread(0);
+        assert_eq!(arena.stats().snapshot().delta(&before).sfence, 1);
+        assert_ne!(log.staged_bytes(1, 1), 0, "only the caller's runs drain");
+        log.drain_thread(0);
+        assert_eq!(
+            arena.stats().snapshot().delta(&before).sfence,
+            1,
+            "nothing staged, nothing fenced"
+        );
+        arena.crash_with(|_, _| 0);
+        let log = ExtLog::open(&arena);
+        for d in 0..4 {
+            let ids: Vec<u64> = log
+                .replay_domain(d, 1, 1)
+                .intents
+                .iter()
+                .map(|e| e.batch_id)
+                .collect();
+            let want = if d == 1 { vec![] } else { vec![40 + d as u64] };
+            assert_eq!(ids, want, "domain {d}");
+        }
     }
 
     #[test]

@@ -19,10 +19,10 @@
 //! | 128    | 2       | external-log descriptor (region, threads, per-slot bytes, domains) |
 //! | 192    | 3       | allocator descriptor (head-cell region, threads, classes, domains) |
 //! | 256    | 4       | extent-pool descriptor (pool base, extent bytes, extent count) |
-//! | 320    | 5       | batch next-id word (monotonic durable batch-id allocator) |
+//! | 320    | 5       | batch-id ceiling word (durable batch-id allocator, bumped a block at a time) |
 //! | 384    | 6–7     | spare |
 //! | 512    | 8–9     | extent-owner table: one owner byte per extent (up to 128) |
-//! | 640    | 10–63   | batch-commit table: 216 × 16 B (batch id, shard mask) slots |
+//! | 640    | 10–63   | batch-commit table: 108 × 32 B commit-run slots (lo, hi, shard mask) |
 //! | 4096   | 64–1151 | shard cells: [`MAX_SHARDS`] × [`SHARD_CELL_BYTES`] |
 //! | 73728  | —       | start of carvable space |
 //!
@@ -50,7 +50,7 @@ pub const MAGIC: u64 = 0x19C1_1C05_A5B1_2019;
 /// On-media format version. Every other version — older media included —
 /// must be rejected by openers, never reinterpreted or reformatted: the
 /// cells of one version read as garbage under another.
-pub const VERSION: u64 = 9;
+pub const VERSION: u64 = 10;
 
 /// Offset of the magic word.
 pub const SB_MAGIC: u64 = 64;
@@ -149,99 +149,141 @@ pub fn claim_extent(arena: &PArena, i: usize, shard: usize) -> bool {
 // Batch-commit table
 // ---------------------------------------------------------------------
 
-/// Offset of the durable next-batch-id word. Monotonic: every
-/// cross-shard write batch takes the current value and durably bumps it
-/// **before** writing any intent entry, so a batch id on media is never
-/// reissued. Format initialises it to 1 (0 means "no batch" in the
-/// commit table below).
+/// Offset of the durable batch-id **ceiling**: no id at or above it has
+/// ever been issued. Ids are handed out from DRAM, a block of
+/// [`BATCH_ID_BLOCK`] at a time ([`reserve_batch_ids`] bumps and fences
+/// the ceiling once per block, **before** any intent carrying an id of
+/// the new block is written), and a reopened store starts at the ceiling
+/// — so an id on media is never reissued, and a crash wastes at most the
+/// rest of one block. Format initialises it to 1 (0 means "no batch" in
+/// the commit table below).
 pub const SB_BATCH_NEXT_ID: u64 = 320;
+/// Ids one durable ceiling bump reserves: the allocator's fence is paid
+/// once per this many batches.
+pub const BATCH_ID_BLOCK: u64 = 256;
 
-/// Offset of the batch-commit table: [`BATCH_SLOTS`] slots of 16 bytes
-/// each — word 0 the batch id (0 = empty slot), word 1 the mask of
-/// shards the batch touched (bit `s` = shard `s`; [`MAX_SHARDS`] is 64,
-/// so one word suffices).
+/// Offset of the batch-commit table: [`BATCH_RUNS`] **commit-run** slots
+/// of 32 bytes each — word 0 `lo`, word 1 `hi`, word 2 the mask of shards
+/// some batch of the run touched since that shard's last boundary (bit
+/// `s` = shard `s`; [`MAX_SHARDS`] is 64, so one word suffices), word 3
+/// unused. Two slots fill a line; none straddles one.
 ///
-/// A batch is **committed** iff some slot's id word equals its batch id
-/// exactly. Both words of a slot share one cache line, so the commit
-/// protocol (mask first, id second, same line) rides the InCLL
-/// same-line-ordering argument: a torn commit leaves the old id, never a
-/// new id with a stale mask. Four slots fill a line; none straddles one.
+/// A batch is **committed** iff some slot has `lo != 0` and
+/// `lo <= id <= hi`. A run only ever grows by the id directly after its
+/// `hi`, within one execution, so every id inside a run was committed by
+/// construction — a run is a set of exact ids written compactly, never a
+/// watermark: an id that staged intents and did not commit (a crash, the
+/// test seam) or was never issued (the tail of an id block after a
+/// reopen) ends the run, and the next commit opens another.
+///
+/// All three words share one cache line, so the record rides the InCLL
+/// same-line-ordering argument: stores to one line persist as a prefix.
+/// *Opening* a run stores mask, then `lo`, then `hi`
+/// ([`write_batch_run_open`]); the prefixes are the slot's previous
+/// `(lo, hi)` under a wider mask, then `(new lo, old hi)` — an **empty**
+/// range, ids being monotonic — then the committed run. *Extending* one
+/// stores the widened mask, then `hi` ([`write_batch_run_extend`]): the
+/// old run under a wider mask, then the new one. A torn record therefore
+/// reads as "all batches up to the old `hi`" or "up to the new", and the
+/// mask is never narrower than the run it describes.
+///
+/// A reused slot's stale `(lo, hi)` is harmless for the same reason a
+/// drained mask is: the slot was only reusable once every shard its run
+/// touched had crossed a boundary, which discarded every intent those ids
+/// ever wrote — the range still names only committed ids, and nothing on
+/// media can match it any more.
 pub const SB_BATCH_TABLE: u64 = 640;
-/// Number of batch-commit slots: lines 10–63, 54 lines × 4 slots.
+/// Number of commit-run slots: lines 10–63, 54 lines × 2 slots.
 ///
-/// Bounds the batches that can be in doubt at once (recovery redoes at
-/// most this many per shard); committers reuse a slot once every shard
-/// in its mask has advanced past the batch's intents, and when none is
-/// reusable they *force* that advance (see `incll`'s eviction protocol).
-/// On a store with no checkpoint cadence that forced advance is the
-/// only boundary short of log room, so this constant is also the
-/// cadence-less epoch length, in durable commits. A few hundred is the
-/// useful range: the forced flush is amortised over that many commits,
-/// while an epoch stays short enough for InCLL — one logged change per
-/// line per epoch — to absorb most writes; measured on the `net_put`
-/// workload, 1024 slots traded the remaining flush wait for more
-/// external-log traffic and completed fewer operations than 216.
-pub const BATCH_SLOTS: usize = 216;
+/// A slot is consumed per *run*, not per batch: only an id gap (a reopen,
+/// a batch that staged and never committed) opens one, and a slot is
+/// reusable once every shard in its mask has crossed a boundary. When
+/// none is, committers *force* that boundary (see `incll`'s eviction
+/// fallback). How many batches can be in doubt at once is bounded by the
+/// external-log capacity that holds their intents, not by this table.
+pub const BATCH_RUNS: usize = 108;
 
-/// The offset of batch-commit slot `i` (its shard-mask word lives at
-/// `+8`).
+/// The offset of commit-run slot `i` (`lo`; `hi` lives at `+8`, the
+/// shard mask at `+16`).
 ///
 /// # Panics
 ///
-/// Panics if `i >= BATCH_SLOTS`.
+/// Panics if `i >= BATCH_RUNS`.
 #[inline]
-pub const fn batch_slot_off(i: usize) -> u64 {
-    assert!(i < BATCH_SLOTS, "batch slot out of range");
-    SB_BATCH_TABLE + (i as u64) * 16
+pub const fn batch_run_off(i: usize) -> u64 {
+    assert!(i < BATCH_RUNS, "commit-run slot out of range");
+    SB_BATCH_TABLE + (i as u64) * 32
 }
 
-/// Durably allocates the next batch id: reads the counter, bumps and
-/// flushes it, and returns the pre-bump value. A crash between the bump
-/// and the batch's first intent merely wastes an id.
-pub fn next_batch_id(arena: &PArena) -> u64 {
-    let id = arena.pread_u64(SB_BATCH_NEXT_ID).max(1);
-    arena.pwrite_u64(SB_BATCH_NEXT_ID, id + 1);
+/// Durably reserves the next block of batch ids: bumps the ceiling word
+/// by [`BATCH_ID_BLOCK`], flushes it, and returns the reserved range
+/// (starting at the old ceiling). A crash merely wastes the unissued
+/// rest of the block.
+pub fn reserve_batch_ids(arena: &PArena) -> std::ops::Range<u64> {
+    let first = arena.pread_u64(SB_BATCH_NEXT_ID).max(1);
+    let ceiling = first + BATCH_ID_BLOCK;
+    arena.pwrite_u64(SB_BATCH_NEXT_ID, ceiling);
     arena.clwb(SB_BATCH_NEXT_ID);
     arena.sfence();
-    id
+    first..ceiling
 }
 
-/// Reads batch-commit slot `i` as `(batch_id, shard_mask)`; id 0 means
-/// the slot is empty.
-pub fn batch_slot(arena: &PArena, i: usize) -> (u64, u64) {
-    let off = batch_slot_off(i);
-    (arena.pread_u64(off), arena.pread_u64(off + 8))
+/// Reads commit-run slot `i` as `(lo, hi, shard_mask)`; `lo == 0` or
+/// `lo > hi` means the slot names no batch.
+pub fn batch_run(arena: &PArena, i: usize) -> (u64, u64, u64) {
+    let off = batch_run_off(i);
+    (
+        arena.pread_u64(off),
+        arena.pread_u64(off + 8),
+        arena.pread_u64(off + 16),
+    )
 }
 
-/// Durably writes the commit record for `batch_id` into slot `i`: mask
-/// first, id second — both on one line, one flush. After the fence the
-/// batch is committed; before it, the slot still names its previous
-/// occupant (or 0) and the batch is in doubt (recovery drops it).
-pub fn set_batch_slot(arena: &PArena, i: usize, batch_id: u64, shard_mask: u64) {
-    let off = batch_slot_off(i);
-    arena.pwrite_u64(off + 8, shard_mask);
-    arena.pwrite_u64(off, batch_id);
-    arena.clwb(off);
+/// The stores that open the run `[id, id]` in slot `i`: mask, `lo`,
+/// `hi`, in that order (see [`SB_BATCH_TABLE`] for the prefix argument).
+/// Nothing is durable before [`persist_batch_run`].
+pub fn write_batch_run_open(arena: &PArena, i: usize, id: u64, shard_mask: u64) {
+    let off = batch_run_off(i);
+    arena.pwrite_u64(off + 16, shard_mask);
+    arena.pwrite_u64(off, id);
+    arena.pwrite_u64(off + 8, id);
+}
+
+/// The stores that extend slot `i`'s run to end at `hi` (the id directly
+/// after its current `hi`): the widened mask first, `hi` second. Nothing
+/// is durable before [`persist_batch_run`].
+pub fn write_batch_run_extend(arena: &PArena, i: usize, hi: u64, shard_mask: u64) {
+    let off = batch_run_off(i);
+    arena.pwrite_u64(off + 16, shard_mask);
+    arena.pwrite_u64(off + 8, hi);
+}
+
+/// Makes slot `i`'s line durable: one `clwb`, one `sfence`. After the
+/// fence the batch whose record was just stored is committed; before it,
+/// the line holds some prefix of those stores and the batch is in doubt.
+pub fn persist_batch_run(arena: &PArena, i: usize) {
+    arena.clwb(batch_run_off(i));
     arena.sfence();
 }
 
 /// Clears shard `shard`'s bit in slot `i`'s durable mask (plain store, no
 /// flush — callers run this after the durable epoch bump that already
-/// made the batch's intents on that shard non-replayable, so losing the
+/// made the run's intents on that shard non-replayable, so losing the
 /// clear is merely conservative).
 pub fn clear_batch_shard(arena: &PArena, i: usize, shard: usize) {
-    let off = batch_slot_off(i);
-    let mask = arena.pread_u64(off + 8);
-    arena.pwrite_u64(off + 8, mask & !(1u64 << shard));
+    let off = batch_run_off(i) + 16;
+    let mask = arena.pread_u64(off);
+    arena.pwrite_u64(off, mask & !(1u64 << shard));
 }
 
-/// Returns `true` if `batch_id` has a durable commit record: some slot's
-/// id word matches it exactly. Exact match is the whole protocol —
-/// reused slots hold *different* ids, so an in-doubt batch can never
-/// alias a committed one. Reads the whole table: for one-off checks
+/// Returns `true` if `batch_id` has a durable commit record: it lies
+/// inside some slot's run. Reads the whole table: for one-off checks
 /// (tests, diagnostics); recovery snapshots the table once instead.
 pub fn batch_is_committed(arena: &PArena, batch_id: u64) -> bool {
-    batch_id != 0 && (0..BATCH_SLOTS).any(|i| arena.pread_u64(batch_slot_off(i)) == batch_id)
+    (0..BATCH_RUNS).any(|i| {
+        let (lo, hi, _) = batch_run(arena, i);
+        lo != 0 && (lo..=hi).contains(&batch_id)
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -469,7 +511,7 @@ mod tests {
         (SB_PALLOC_HEADS, 32),
         (SB_ARENA_SPLIT, 24),
         (SB_BATCH_NEXT_ID, 8),
-        (SB_BATCH_TABLE, BATCH_SLOTS as u64 * 16),
+        (SB_BATCH_TABLE, BATCH_RUNS as u64 * 32),
         (SB_EXTENT_OWNERS, MAX_EXTENTS as u64),
         (SB_SHARD_CELLS, MAX_SHARDS as u64 * SHARD_CELL_BYTES),
     ];
@@ -487,9 +529,11 @@ mod tests {
         assert_eq!(SB_MAGIC / 64, SB_SHARD_COUNT / 64);
         assert_eq!(SB_EXTLOG_OFF / 64, SB_EXTLOG_DOMAINS / 64);
         assert_eq!(SB_ARENA_SPLIT / 64, SB_EXTENT_COUNT / 64);
-        for i in 0..BATCH_SLOTS {
-            assert_eq!(batch_slot_off(i) / 64, (batch_slot_off(i) + 8) / 64);
+        for i in 0..BATCH_RUNS {
+            assert_eq!(batch_run_off(i) / 64, (batch_run_off(i) + 16) / 64);
         }
+        // The table ends exactly where the shard cells begin.
+        assert_eq!(batch_run_off(BATCH_RUNS - 1) + 32, SB_SHARD_CELLS);
         // The owner table is on dedicated lines.
         assert_eq!(SB_EXTENT_OWNERS % 64, 0);
         assert_eq!(MAX_EXTENTS % 64, 0);
@@ -661,26 +705,86 @@ mod tests {
     fn batch_ids_are_monotonic_and_commit_matches_exactly() {
         let a = arena();
         format(&a);
-        let b1 = next_batch_id(&a);
-        let b2 = next_batch_id(&a);
-        assert_eq!(b1, 1);
-        assert_eq!(b2, 2);
-        assert!(!batch_is_committed(&a, b1));
+        // Blocks are disjoint, ascending, and start at the old ceiling.
+        let b1 = reserve_batch_ids(&a);
+        let b2 = reserve_batch_ids(&a);
+        assert_eq!(b1, 1..1 + BATCH_ID_BLOCK);
+        assert_eq!(b2, b1.end..b1.end + BATCH_ID_BLOCK);
+        assert_eq!(a.pread_u64(SB_BATCH_NEXT_ID), b2.end);
+
+        assert!(!batch_is_committed(&a, 1));
         assert!(!batch_is_committed(&a, 0)); // 0 is "no batch", never committed
-        set_batch_slot(&a, 0, b1, 0b101);
-        assert!(batch_is_committed(&a, b1));
-        assert!(!batch_is_committed(&a, b2));
-        assert_eq!(batch_slot(&a, 0), (b1, 0b101));
-        // Clearing shard bits narrows the mask without touching the id.
+        write_batch_run_open(&a, 0, 1, 0b101);
+        persist_batch_run(&a, 0);
+        assert!(batch_is_committed(&a, 1));
+        assert!(!batch_is_committed(&a, 2));
+        assert_eq!(batch_run(&a, 0), (1, 1, 0b101));
+        // Extending commits exactly the next id and widens the mask.
+        write_batch_run_extend(&a, 0, 2, 0b111);
+        persist_batch_run(&a, 0);
+        assert!(batch_is_committed(&a, 2));
+        assert!(!batch_is_committed(&a, 3));
+        assert_eq!(batch_run(&a, 0), (1, 2, 0b111));
+        // Clearing shard bits narrows the mask without touching the run.
         clear_batch_shard(&a, 0, 2);
-        assert_eq!(batch_slot(&a, 0), (b1, 0b001));
+        clear_batch_shard(&a, 0, 1);
+        assert_eq!(batch_run(&a, 0), (1, 2, 0b001));
         clear_batch_shard(&a, 0, 0);
-        assert_eq!(batch_slot(&a, 0), (b1, 0));
-        assert!(batch_is_committed(&a, b1)); // commit survives mask drain
-                                             // Slot reuse: the old id disappears, the new one commits.
-        set_batch_slot(&a, 0, b2, 0b11);
-        assert!(!batch_is_committed(&a, b1));
-        assert!(batch_is_committed(&a, b2));
+        assert_eq!(batch_run(&a, 0), (1, 2, 0));
+        assert!(batch_is_committed(&a, 1)); // commit survives mask drain
+                                            // Slot reuse: the old run disappears, the new one commits.
+        write_batch_run_open(&a, 0, 5, 0b11);
+        persist_batch_run(&a, 0);
+        assert!(!batch_is_committed(&a, 1) && !batch_is_committed(&a, 2));
+        assert!(!batch_is_committed(&a, 4));
+        assert!(batch_is_committed(&a, 5));
+    }
+
+    #[test]
+    fn every_persisted_prefix_of_a_run_record_names_the_old_run_or_the_new() {
+        let a = PArena::builder()
+            .capacity_bytes(1 << 20)
+            .tracked(true)
+            .build()
+            .unwrap();
+        let line = batch_run_off(0) / 64;
+        // (the record's stores, how many, the new id, whether the slot's
+        // earlier run [3, 4] is still live — else it is a reused slot's
+        // stale range, which may or may not read as committed).
+        type Record = (fn(&PArena), usize, u64, bool);
+        let records: [Record; 3] = [
+            (|a| write_batch_run_extend(a, 0, 5, 0b111), 2, 5, true),
+            (|a| write_batch_run_open(a, 0, 9, 0b1), 3, 9, false),
+            // Slot 1 is empty: on the same line as slot 0, which must not move.
+            (|a| write_batch_run_open(a, 1, 7, 0b11), 3, 7, true),
+        ];
+        for (stores, n, new, earlier_is_live) in records {
+            for cut in 0..=n {
+                format(&a);
+                write_batch_run_open(&a, 0, 3, 0b1);
+                write_batch_run_extend(&a, 0, 4, 0b1);
+                persist_batch_run(&a, 0);
+                a.global_flush();
+                stores(&a);
+                a.crash_with(|l, stores| {
+                    assert_eq!((l, stores), (line, n));
+                    cut
+                });
+                let slots = (batch_run(&a, 0), batch_run(&a, 1));
+                for id in 1..12 {
+                    let want = match id {
+                        3 | 4 if earlier_is_live => true,
+                        3 | 4 => continue,
+                        _ => id == new && cut == n,
+                    };
+                    assert_eq!(
+                        batch_is_committed(&a, id),
+                        want,
+                        "record of {new} cut {cut}/{n}, id {id}: line reads {slots:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -111,6 +111,13 @@ fn main() -> ExitCode {
     if !report.created {
         eprintln!("recovered: {report:?}");
     }
+    // No cadence runs here: a shard's epoch ends when a commit finds its
+    // log buffer short, so this is what a crash can leave to redo.
+    println!(
+        "commit log: at most {} KiB in doubt per shard ({} shards)",
+        store.in_doubt_bound_bytes() >> 10,
+        store.shard_count()
+    );
     let listener = match TcpListener::bind(&args.addr) {
         Ok(l) => l,
         Err(e) => {

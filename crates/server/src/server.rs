@@ -489,17 +489,18 @@ fn conn_loop(svc: &Service, mut sock: TcpStream, slot: usize) {
     let (mut start, mut end) = (0, 0);
     let mut out = Vec::new();
     loop {
-        let served = svc.serve_buffered(slot, &buf[start..end], &mut out);
-        start += served;
-        if write_poll(&mut sock, &out, &svc.stop).is_err() {
-            return;
-        }
-        out.clear();
-        if served > 0 {
+        let head = frame_len(&buf[start..end]);
+        if matches!(head, Ok(Some(n)) if n <= end - start) {
+            // A whole frame is buffered: a drain serves at least that one.
+            start += svc.serve_buffered(slot, &buf[start..end], &mut out);
+            if write_poll(&mut sock, &out, &svc.stop).is_err() {
+                return;
+            }
+            out.clear();
             continue; // a drain that met its reply budget leaves whole frames
         }
         // The frame at the head is incomplete: make room for all of it.
-        let need = match frame_len(&buf[start..end]) {
+        let need = match head {
             Ok(frame) => frame.unwrap_or(0),
             Err(e) => {
                 // The stream cannot be resynchronised past a length the
@@ -579,13 +580,19 @@ fn collect_scan(
 /// Hand-rolled flat JSON object — the protocol's one schemaless reply.
 /// `connections` is cumulative; `live_connections` is accepted minus
 /// exited, so the server is running `1 + live_connections` threads.
+/// `in_doubt_log_bytes` is the largest shard's share of committed intents
+/// no boundary has retired yet — what a crash right now would redo there
+/// — under `commit_runs_live` commit records; `forced_boundaries` counts
+/// the checkpoints commits had to force (log room, a full run table).
 fn stats_json(svc: &Service) -> String {
     let c = &svc.counters;
     let (groups, grouped_ops) = svc.group_stats();
     let pm = svc.store.arena().stats().snapshot();
-    let forced: u64 = (0..svc.store.shard_count())
-        .map(|i| svc.store.shard_stats(i).advances_forced)
-        .sum();
+    let shards: Vec<_> = (0..svc.store.shard_count())
+        .map(|i| svc.store.shard_stats(i))
+        .collect();
+    let forced: u64 = shards.iter().map(|s| s.advances_forced).sum();
+    let in_doubt = shards.iter().map(|s| s.in_doubt_log_bytes).max();
     let mode = match &svc.commit {
         CommitMode::PerRequest => "per_request",
         CommitMode::Group => "group",
@@ -596,7 +603,8 @@ fn stats_json(svc: &Service) -> String {
             "{{\"commit_mode\":\"{}\",\"connections\":{},\"live_connections\":{},",
             "\"requests\":{},\"gets\":{},\"puts\":{},\"dels\":{},\"batches\":{},",
             "\"scans\":{},\"wire_errors\":{},\"groups_committed\":{},\"ops_grouped\":{},",
-            "\"forced_boundaries\":{},\"sfences\":{},\"clwbs\":{},\"shards\":{}}}"
+            "\"forced_boundaries\":{},\"commit_runs_live\":{},\"in_doubt_log_bytes\":{},",
+            "\"sfences\":{},\"clwbs\":{},\"shards\":{}}}"
         ),
         mode,
         c.conns.load(Ordering::Relaxed),
@@ -611,9 +619,11 @@ fn stats_json(svc: &Service) -> String {
         groups,
         grouped_ops,
         forced,
+        svc.store.commit_runs_live(),
+        in_doubt.unwrap_or(0),
         pm.sfence,
         pm.clwb,
-        svc.store.shard_count(),
+        shards.len(),
     )
 }
 

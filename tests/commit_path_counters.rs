@@ -1,10 +1,10 @@
 //! The durable commit path, judged by deterministic persistence counters
 //! (`PArena::stats()` deltas) instead of wall-clock throughput: what a
 //! group saves over singles is fences, what a batch saves over the
-//! checkpoint barrier is flushes, and what the batch table's size buys is
-//! forced flushes per commit — all countable exactly.
+//! checkpoint barrier is flushes, and what ends an epoch nobody asked for
+//! is log room and nothing else — all countable exactly.
 
-use incll_pmem::superblock::BATCH_SLOTS;
+use incll_pmem::superblock::BATCH_ID_BLOCK;
 use incll_repro::prelude::*;
 use incll_server::{encode_request, encode_response, Request, Response, ServerConfig, Service};
 
@@ -45,6 +45,50 @@ fn single_commit_fences(n: u64) -> u64 {
     arena.stats().snapshot().delta(&before).sfence
 }
 
+/// The fences the ordinary write path pays for the same `n` updates with
+/// no commit protocol around them: the apply-side share of a commit
+/// (undo entries for nodes InCLL cannot cover, allocator refills).
+fn apply_fences(n: u64) -> u64 {
+    let (arena, store) = prepared();
+    let sess = store.session().unwrap();
+    let before = arena.stats().snapshot();
+    for i in 0..n {
+        store.put(&sess, &key(i), &[i as u8; 64]).unwrap();
+    }
+    arena.stats().snapshot().delta(&before).sfence
+}
+
+#[test]
+fn a_durable_commit_costs_two_fences_at_any_shard_count() {
+    let (arena, store) = prepared();
+    let sess = store.session().unwrap();
+    // One key per shard; each is its leaf's first update of the epoch,
+    // which the in-cache-line log absorbs without an external entry.
+    let per_shard: Vec<Vec<u8>> = (0..SHARDS)
+        .map(|s| (0..256).map(key).find(|k| store.shard_of(k) == s).unwrap())
+        .collect();
+    // Reserve the id block and warm the allocator, then start the epoch
+    // over so the counted commits meet untouched leaves.
+    let mut b = sess.batch();
+    for k in &per_shard {
+        b.put(k, &[1; 64]).unwrap();
+    }
+    b.commit_durable().unwrap();
+    for covered in [1, SHARDS, 2] {
+        store.checkpoint();
+        let before = arena.stats().snapshot();
+        let mut b = sess.batch();
+        for k in &per_shard[..covered] {
+            b.put(k, &[covered as u8; 64]).unwrap();
+        }
+        assert!(b.commit_durable().unwrap() >= 1);
+        let d = arena.stats().snapshot().delta(&before);
+        // Intents before record, record before ack — and nothing else.
+        assert_eq!(d.sfence, 2, "a commit covering {covered} shards");
+        assert_eq!((d.scoped_flush, d.global_flush), (0, 0));
+    }
+}
+
 #[test]
 fn one_durable_group_saves_two_fences_per_rider_over_singles() {
     const N: u64 = 64;
@@ -58,14 +102,14 @@ fn one_durable_group_saves_two_fences_per_rider_over_singles() {
     assert!(b.commit_durable().unwrap() >= 1);
     let grouped = arena.stats().snapshot().delta(&before).sfence;
 
-    // Each single pays its own id bump, drain and commit record; the
-    // group pays one id bump, one drain per shard and one record. The
-    // apply-side undo and allocator fences are common to both.
-    let singles = single_commit_fences(N);
-    assert!(
-        singles >= grouped + 2 * (N - 1),
-        "one {N}-op group cost {grouped} fences, {N} singles cost {singles}"
-    );
+    // A commit pays one fence for its intents (every covered shard's
+    // behind the same one) and one for its record, whatever it carries;
+    // the id allocator pays one per block of ids. The apply-side fences
+    // are the ordinary write path's and common to both.
+    let apply = apply_fences(N);
+    let id_blocks = |commits: u64| commits.div_ceil(BATCH_ID_BLOCK);
+    assert_eq!(grouped, 2 + id_blocks(1) + apply);
+    assert_eq!(single_commit_fences(N), 2 * N + id_blocks(N) + apply);
 }
 
 #[test]
@@ -98,17 +142,21 @@ fn a_group_window_costs_fewer_fences_than_single_durable_commits() {
     );
 }
 
+fn forced(store: &Store) -> Vec<u64> {
+    (0..SHARDS)
+        .map(|s| store.shard_stats(s).advances_forced)
+        .collect()
+}
+
 #[test]
 fn a_cadence_less_store_pays_one_forced_flush_per_shard_per_table_of_commits() {
+    // What the name remembers: up to layout v9 every commit took a table
+    // slot, and the 217th found the table full and flushed every shard.
+    // Commits coalesce into one run now, so a table of commits — and
+    // another, and half of a third — costs no flush at all.
     const COMMITS: u64 = 500;
     let (arena, store) = prepared();
     let sess = store.session().unwrap();
-    let forced = |store: &Store| -> u64 {
-        (0..SHARDS)
-            .map(|s| store.shard_stats(s).advances_forced)
-            .sum()
-    };
-    assert_eq!(forced(&store), 0);
     let before = arena.stats().snapshot();
     for round in 0..COMMITS {
         let mut b = sess.batch();
@@ -118,17 +166,56 @@ fn a_cadence_less_store_pays_one_forced_flush_per_shard_per_table_of_commits() {
             b.put(&key(i), &[round as u8; 64]).unwrap();
         }
         assert_eq!(mask.count_ones() as usize, SHARDS);
-        assert!(b.commit_durable().unwrap() >= 1);
+        assert_eq!(b.commit_durable().unwrap(), round + 1);
     }
     let d = arena.stats().snapshot().delta(&before);
-    // Every commit covers every shard and nothing else checkpoints, so a
-    // slot frees only by eviction: commit k evicts iff the table is full
-    // of live records, i.e. at k = BATCH_SLOTS, 2·BATCH_SLOTS, … — and
-    // each eviction advances all the victim's shards.
-    let evictions = (COMMITS - 1) / BATCH_SLOTS as u64;
-    assert_eq!(d.scoped_flush, SHARDS as u64 * evictions);
-    assert_eq!(d.global_flush, 0);
-    assert_eq!(forced(&store), d.scoped_flush);
+    assert_eq!((d.scoped_flush, d.global_flush), (0, 0));
+    assert_eq!(forced(&store), [0; SHARDS]);
+    assert_eq!(store.commit_runs_live(), 1);
+    // What a crash would redo is what bounds the epoch instead: every
+    // shard still holds all 500 commits' intents.
+    for s in 0..SHARDS {
+        let st = store.shard_stats(s);
+        assert_eq!(st.advances_fired, 1, "prepared()'s checkpoint, no other");
+        assert!(st.in_doubt_log_bytes >= COMMITS * 64);
+    }
+}
+
+#[test]
+fn a_full_log_buffer_forces_one_flush_on_exactly_its_shard() {
+    let (arena, store) = prepared();
+    let sess = store.session().unwrap();
+    // 4 MiB per thread over 4 shards: 1 MiB per (thread, shard) buffer.
+    // Each commit puts 64 × 1 KiB values on shard 2 only.
+    let keys: Vec<Vec<u8>> = (0..256)
+        .map(key)
+        .filter(|k| store.shard_of(k) == 2)
+        .take(16)
+        .collect();
+    let before = arena.stats().snapshot();
+    let mut commits = 0u64;
+    let mut in_doubt_peak = 0;
+    while forced(&store) == [0; SHARDS] {
+        in_doubt_peak = store.shard_stats(2).in_doubt_log_bytes;
+        let mut b = sess.batch();
+        for k in keys.iter().cycle().take(64) {
+            b.put(k, &[commits as u8; 1024]).unwrap();
+        }
+        b.commit_durable().unwrap();
+        commits += 1;
+        assert!(commits < 100, "the log-room rule never fired");
+    }
+    let d = arena.stats().snapshot().delta(&before);
+    assert_eq!(forced(&store), [0, 0, 1, 0]);
+    assert_eq!((d.scoped_flush, d.global_flush), (1, 0));
+    // The buffer held more than one commit's worth before it ran short,
+    // the boundary emptied it, and the commit that forced the boundary
+    // is the only one in doubt now.
+    let one_commit = 64 * (32 + 16 + 8 + 1024);
+    assert!(commits > 2 && in_doubt_peak >= (commits - 1) * one_commit);
+    assert!(in_doubt_peak <= 1 << 20, "bounded by the buffer");
+    assert_eq!(store.shard_stats(2).in_doubt_log_bytes, one_commit);
+    assert_eq!(store.commit_runs_live(), 1, "still one run");
 }
 
 #[test]

@@ -523,11 +523,12 @@ fn full_pool_fails_a_batch_cleanly_and_the_store_keeps_serving() {
             other => panic!("shards={shards}: expected OutOfMemory, got {other:?}"),
         }
 
-        // Nothing durable was touched: no id consumed, every slot empty,
-        // the other half of the batch invisible, prior contents intact.
+        // Nothing durable was touched: no id block reserved (the first
+        // id a store takes reserves one), every run slot empty, the other
+        // half of the batch invisible, prior contents intact.
         assert_eq!(arena.pread_u64(superblock::SB_BATCH_NEXT_ID), id_before);
-        for s in 0..superblock::BATCH_SLOTS {
-            assert_eq!(superblock::batch_slot(&arena, s), (0, 0));
+        for s in 0..superblock::BATCH_RUNS {
+            assert_eq!(superblock::batch_run(&arena, s), (0, 0, 0));
         }
         assert_eq!(store.get(&sess, &k1b), None, "failed batch must not apply");
         assert_eq!(store.get(&sess, &k1a).as_deref(), Some(&b"alpha"[..]));
@@ -591,6 +592,7 @@ fn durable_batches_never_overflow_the_log_without_a_cadence() {
 
     // ~66 KB of intents per batch: the fourth would overflow 256 KiB.
     let mut committed = Vec::new();
+    let mut last_id = 0;
     for round in 0..8 {
         let mut batch = sess.batch();
         let keys: Vec<Vec<u8>> = shard0_keys.by_ref().take(100).collect();
@@ -600,13 +602,23 @@ fn durable_batches_never_overflow_the_log_without_a_cadence() {
         let id = batch
             .commit_durable()
             .unwrap_or_else(|e| panic!("round {round}: {e}"));
-        assert!(id >= 1);
+        assert_eq!(id, last_id + 1);
+        last_id = id;
         committed.extend(keys);
     }
+    // The log-room rule, not a table of records, is what ended epochs:
+    // the forced boundaries landed on the one shard that ran short, and
+    // all eight commits still share one run.
+    assert!(store.shard_stats(0).advances_forced >= 2);
+    assert!((1..4).all(|s| store.shard_stats(s).advances_forced == 0));
+    assert_eq!(
+        superblock::batch_run(&arena, 0),
+        (1, last_id, 1),
+        "one run; shard 0 is named again after its last boundary"
+    );
 
     // A batch that cannot fit even an empty buffer fails typed, before
     // anything durable names it.
-    let id_before = arena.pread_u64(superblock::SB_BATCH_NEXT_ID);
     let mut batch = sess.batch();
     let too_many: Vec<Vec<u8>> = shard0_keys.by_ref().take(400).collect();
     for k in &too_many {
@@ -620,8 +632,13 @@ fn durable_batches_never_overflow_the_log_without_a_cadence() {
         }) => assert!(needed > capacity),
         other => panic!("expected BatchExceedsLog, got {other:?}"),
     }
-    assert_eq!(arena.pread_u64(superblock::SB_BATCH_NEXT_ID), id_before);
     assert_eq!(store.get(&sess, &too_many[0]), None);
+    // It consumed no id: the next commit takes the one after the last.
+    let mut batch = sess.batch();
+    let k = shard0_keys.next().unwrap();
+    batch.put(&k, &val).unwrap();
+    assert_eq!(batch.commit_durable().unwrap(), last_id + 1);
+    committed.push(k);
 
     // Every committed key reads back, live and across a crash.
     for k in &committed {

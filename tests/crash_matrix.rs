@@ -572,82 +572,343 @@ fn committed_batch_survives_a_second_crash_before_any_boundary() {
     assert_eq!(got, want, "double-crash redo must be idempotent");
 }
 
-/// The in-doubt window is as wide as the batch table. `n` committed
-/// durable batches, each covering every shard, with no boundary but the
-/// ones eviction forces: only the batches since the last eviction are in
-/// doubt at the crash, each shard redoes exactly those, in commit order
-/// (later batches overwrite and delete what earlier ones put), and the
-/// result is byte-identical at 1 and 4 recovery workers.
+const WIDE_SHARDS: usize = 4;
+const WIDE_KEYS: u64 = 24;
+
+fn wide_key(i: u64) -> Vec<u8> {
+    format!("wide/{i:02}").into_bytes()
+}
+
+/// A fresh 4-shard store with the `wide/` keys preloaded and
+/// checkpointed, and the model of what is durable.
+fn wide_store(arena: &PArena) -> (Store, BTreeMap<Vec<u8>, Vec<u8>>) {
+    let (store, _) = Store::open(arena, options(WIDE_SHARDS, 1)).unwrap();
+    let sess = store.session().unwrap();
+    let mut expect = BTreeMap::new();
+    for i in 0..WIDE_KEYS {
+        store.put(&sess, &wide_key(i), &bval(i)).unwrap();
+        expect.insert(wide_key(i), bval(i));
+    }
+    store.checkpoint();
+    drop(sess);
+    (store, expect)
+}
+
+/// Stages batch `b` of a deterministic history over the `wide/` keys:
+/// one delete, puts on two thirds of the rest, every shard covered —
+/// later batches overwrite and delete what earlier ones put, so redo
+/// order is visible. `model`, when given, takes the batch's effect.
+fn wide_batch<'s>(
+    store: &Store,
+    sess: &'s Session,
+    b: u64,
+    mut model: Option<&mut BTreeMap<Vec<u8>, Vec<u8>>>,
+) -> WriteBatch<'s> {
+    let mut batch = sess.batch();
+    let mut mask = 0u64;
+    for i in 0..WIDE_KEYS {
+        let k = wide_key(i);
+        if i == b % WIDE_KEYS {
+            batch.delete(&k).unwrap();
+            model.as_deref_mut().map(|m| m.remove(&k));
+        } else if !(b + i).is_multiple_of(3) {
+            batch.put(&k, &bval(b * WIDE_KEYS + i)).unwrap();
+            model
+                .as_deref_mut()
+                .map(|m| m.insert(k.clone(), bval(b * WIDE_KEYS + i)));
+        } else {
+            continue;
+        }
+        mask |= 1 << store.shard_of(&k);
+    }
+    assert_eq!(mask.count_ones() as usize, WIDE_SHARDS, "batch {b}");
+    batch
+}
+
+/// The non-empty commit runs on media, in slot order.
+fn runs_on_media(arena: &PArena) -> Vec<(u64, u64, u64)> {
+    use incll_pmem::superblock::{batch_run, BATCH_RUNS};
+    (0..BATCH_RUNS)
+        .map(|i| batch_run(arena, i))
+        .filter(|r| r.0 != 0)
+        .collect()
+}
+
+/// Recovers `arena` with `workers`, checks every shard's redo/drop
+/// counts and the surviving contents, and returns the arena digest.
+fn recover_wide(
+    arena: &PArena,
+    workers: usize,
+    want: &BTreeMap<Vec<u8>, Vec<u8>>,
+    redone_dropped: (u64, u64),
+    what: &str,
+) -> u64 {
+    let (store, report) = Store::open(arena, options(WIDE_SHARDS, workers)).unwrap();
+    for s in &report.per_shard {
+        assert_eq!(
+            (s.batches_redone, s.batches_dropped),
+            redone_dropped,
+            "{what} workers={workers} shard {}",
+            s.shard
+        );
+    }
+    let sess = store.session().unwrap();
+    let got: Vec<(Vec<u8>, Vec<u8>)> = store.iter(&sess).collect();
+    let want: Vec<(Vec<u8>, Vec<u8>)> = want.clone().into_iter().collect();
+    assert_eq!(got, want, "{what} workers={workers}");
+    drop(sess);
+    drop(store);
+    arena_digest(arena)
+}
+
+/// The in-doubt window is as wide as the log, not the batch table. `n`
+/// committed durable batches, each covering every shard, with no boundary
+/// anywhere: without id gaps they share one run and **all** of them are
+/// in doubt at the crash; with a gap before each (a batch that staged and
+/// never committed) every commit burns a run slot, the table fills, and
+/// only the batches since the eviction's forced boundaries are in doubt.
+/// Each shard redoes exactly those, in commit order, drops every gap
+/// batch, and the result is byte-identical at 1 and 4 recovery workers.
 #[test]
 fn every_in_doubt_batch_of_a_full_table_is_redone_in_commit_order() {
-    use incll_pmem::superblock::BATCH_SLOTS;
-    const SHARDS: usize = 4;
-    const KEYS: u64 = 24;
-    let key = |i: u64| format!("wide/{i:02}").into_bytes();
-    // 150: far past the eight slots of layout v8, well inside the table.
-    // BATCH_SLOTS + 4: the crash lands three commits after an eviction's
-    // forced advances checkpointed the first BATCH_SLOTS batches.
-    for n in [150, BATCH_SLOTS as u64 + 4] {
-        let evictions = (n - 1) / BATCH_SLOTS as u64;
-        let in_doubt = n - evictions * BATCH_SLOTS as u64;
+    use incll_pmem::superblock::BATCH_RUNS;
+    // 150 without gaps: one run, far more batches than the table has
+    // slots. BATCH_RUNS + 4 with gaps: the crash lands three commits
+    // after an eviction's forced advances checkpointed the first
+    // BATCH_RUNS batches.
+    for (n, gaps) in [(150u64, false), (BATCH_RUNS as u64 + 4, true)] {
+        let evictions = if gaps { (n - 1) / BATCH_RUNS as u64 } else { 0 };
+        let in_doubt = n - evictions * BATCH_RUNS as u64;
+        // The evicting commit's own gap batch was staged before the
+        // boundaries it forced, so those discarded it too.
+        let dropped = match (gaps, evictions) {
+            (false, _) => 0,
+            (true, 0) => n,
+            (true, _) => in_doubt - 1,
+        };
         for seed in 0..8u64 {
             let mut digests = Vec::new();
             for workers in [1usize, 4] {
                 let arena = tracked();
-                let mut expect: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-                let (store, _) = Store::open(&arena, options(SHARDS, 1)).unwrap();
+                let (store, mut expect) = wide_store(&arena);
                 {
                     let sess = store.session().unwrap();
-                    for i in 0..KEYS {
-                        store.put(&sess, &key(i), &bval(i)).unwrap();
-                        expect.insert(key(i), bval(i));
-                    }
-                    store.checkpoint();
                     for b in 0..n {
-                        let mut batch = sess.batch();
-                        let mut mask = 0u64;
-                        for i in 0..KEYS {
-                            if i == b % KEYS {
-                                batch.delete(&key(i)).unwrap();
-                                expect.remove(&key(i));
-                            } else if (b + i) % 3 != 0 {
-                                batch.put(&key(i), &bval(b * KEYS + i)).unwrap();
-                                expect.insert(key(i), bval(b * KEYS + i));
-                            } else {
-                                continue;
-                            }
-                            mask |= 1 << store.shard_of(&key(i));
+                        if gaps {
+                            let gap = wide_batch(&store, &sess, 5000 + b, None);
+                            assert!(gap.stage_without_commit().unwrap() > 0);
                         }
-                        assert_eq!(mask.count_ones() as usize, SHARDS, "batch {b}");
+                        let batch = wide_batch(&store, &sess, b, Some(&mut expect));
                         assert!(batch.commit_durable().unwrap() > 0);
                     }
-                    for s in 0..SHARDS {
+                    for s in 0..WIDE_SHARDS {
                         assert_eq!(store.shard_stats(s).advances_forced, evictions);
                     }
                 }
                 drop(store);
-                arena.crash_seeded(0x1DB7 + seed);
-
-                let (store, report) = Store::open(&arena, options(SHARDS, workers)).unwrap();
-                for s in &report.per_shard {
-                    assert_eq!(
-                        (s.batches_redone, s.batches_dropped),
-                        (in_doubt, 0),
-                        "n={n} seed={seed} workers={workers} shard {}",
-                        s.shard
-                    );
+                let runs = runs_on_media(&arena);
+                if gaps {
+                    assert_eq!(runs.len(), BATCH_RUNS, "the table filled");
+                    assert!(runs.iter().all(|r| r.0 == r.1), "one batch per run");
+                } else {
+                    assert_eq!(runs, [(1, n, 0b1111)], "one run holds them all");
                 }
-                let sess = store.session().unwrap();
-                let got: Vec<(Vec<u8>, Vec<u8>)> = store.iter(&sess).collect();
-                let want: Vec<(Vec<u8>, Vec<u8>)> = expect.into_iter().collect();
-                assert_eq!(got, want, "n={n} seed={seed} workers={workers}");
-                drop(sess);
-                drop(store);
-                digests.push(arena_digest(&arena));
+                arena.crash_seeded(0x1DB7 + seed);
+                digests.push(recover_wide(
+                    &arena,
+                    workers,
+                    &expect,
+                    (in_doubt, dropped),
+                    &format!("n={n} gaps={gaps} seed={seed}"),
+                ));
             }
-            assert_eq!(digests[0], digests[1], "n={n} seed={seed}");
+            assert_eq!(digests[0], digests[1], "n={n} gaps={gaps} seed={seed}");
         }
     }
+}
+
+/// A commit record is stores to one cache line, and a crash persists a
+/// prefix of them. For an *extend* (mask, `hi`) and for an *open* over a
+/// reused slot's stale range (mask, `lo`, `hi`), every prefix must
+/// recover to "all batches up to the old `hi`" or "up to the new" —
+/// never part of a batch, never an uncommitted id — at both worker
+/// counts, byte-identically.
+#[test]
+fn every_persisted_prefix_of_a_commit_record_recovers_whole_batches() {
+    use incll_pmem::superblock::{batch_run_off, write_batch_run_extend, write_batch_run_open};
+    for open in [false, true] {
+        let stores = if open { 3 } else { 2 };
+        for cut in 0..=stores {
+            let mut digests = Vec::new();
+            for workers in [1usize, 4] {
+                let arena = tracked();
+                let (store, mut expect) = wide_store(&arena);
+                let sess = store.session().unwrap();
+                let commit = |b: u64, expect: &mut BTreeMap<_, _>| {
+                    wide_batch(&store, &sess, b, Some(expect))
+                        .commit_durable()
+                        .unwrap()
+                };
+                let stage = |b: u64| {
+                    wide_batch(&store, &sess, b, None)
+                        .stage_without_commit()
+                        .unwrap()
+                };
+                // Two runs, drained by a checkpoint: slot 1 holds the
+                // stale range [3, 3] an open will overwrite.
+                assert_eq!(commit(0, &mut expect), 1);
+                assert_eq!(stage(900), 2);
+                assert_eq!(commit(1, &mut expect), 3);
+                store.checkpoint();
+                // This execution's live run: [4, 6] in slot 0 (the first
+                // drained slot), every shard named.
+                assert_eq!(stage(901), 4);
+                for b in 2..5 {
+                    commit(b, &mut expect);
+                }
+                assert_eq!(runs_on_media(&arena), [(5, 7, 0b1111), (3, 3, 0)]);
+                // The record under test: batch 5's intents are durable
+                // (the seam), its record reaches the line but no
+                // write-back does.
+                let slot = if open {
+                    assert_eq!(stage(902), 8, "a gap: the next record opens a run");
+                    1
+                } else {
+                    0
+                };
+                let mut landed = expect.clone();
+                let id = wide_batch(&store, &sess, 5, Some(&mut landed))
+                    .stage_without_commit()
+                    .unwrap();
+                if open {
+                    write_batch_run_open(&arena, slot, id, 0b1111);
+                } else {
+                    write_batch_run_extend(&arena, slot, id, 0b1111);
+                }
+                drop(sess);
+                drop(store);
+                let line = batch_run_off(slot) / 64;
+                let mut rng = 0x9E37_79B9u64 ^ cut as u64;
+                arena.crash_with(|l, n| {
+                    if l == line {
+                        assert_eq!(n, stores, "only the record's stores are unpersisted");
+                        return cut;
+                    }
+                    // Everything else (applied tree lines, cleared mask
+                    // words): an arbitrary but repeatable prefix.
+                    rng = rng.wrapping_mul(6364136223846793005).wrapping_add(l);
+                    (rng >> 33) as usize % (n + 1)
+                });
+                // In doubt on every shard: batches 2, 3, 4 (+ 5 if its
+                // record landed); dropped: ids 4, (8,) and 5's if torn.
+                let whole = cut == stores;
+                let want = if whole { &landed } else { &expect };
+                let redone = 3 + u64::from(whole);
+                let dropped = 1 + u64::from(open) + u64::from(!whole);
+                digests.push(recover_wide(
+                    &arena,
+                    workers,
+                    want,
+                    (redone, dropped),
+                    &format!("open={open} cut={cut}"),
+                ));
+            }
+            assert_eq!(digests[0], digests[1], "open={open} cut={cut}");
+        }
+    }
+}
+
+/// `commit, stage_without_commit, commit`, crash: the uncommitted id
+/// sits between two committed ones, so a watermark would resurrect it.
+/// Two runs on media; the first and third batches are redone on every
+/// shard, the second dropped on every shard.
+#[test]
+fn an_uncommitted_id_between_two_commits_splits_the_run_and_is_dropped() {
+    for seed in 0..4u64 {
+        let mut digests = Vec::new();
+        for workers in [1usize, 4] {
+            let arena = tracked();
+            let (store, mut expect) = wide_store(&arena);
+            {
+                let sess = store.session().unwrap();
+                let first = wide_batch(&store, &sess, 0, Some(&mut expect));
+                assert_eq!(first.commit_durable().unwrap(), 1);
+                let second = wide_batch(&store, &sess, 1, None);
+                assert_eq!(second.stage_without_commit().unwrap(), 2);
+                let third = wide_batch(&store, &sess, 2, Some(&mut expect));
+                assert_eq!(third.commit_durable().unwrap(), 3);
+            }
+            drop(store);
+            assert_eq!(runs_on_media(&arena), [(1, 1, 0b1111), (3, 3, 0b1111)]);
+            arena.crash_seeded(0x5EA3 + seed);
+            digests.push(recover_wide(
+                &arena,
+                workers,
+                &expect,
+                (2, 1),
+                &format!("seed={seed}"),
+            ));
+        }
+        assert_eq!(digests[0], digests[1], "seed={seed}");
+    }
+}
+
+/// `k` commits, crash, reopen, `k` more commits, crash with a further
+/// batch's intents staged — and no boundary anywhere. Both executions'
+/// runs are redone in id order (the second execution's batches overwrite
+/// the first's), the in-flight id is dropped, and a third crash straight
+/// after that recovery converges to the same contents — the same bytes
+/// at 1 and 4 workers.
+#[test]
+fn runs_of_two_executions_are_both_redone_in_id_order() {
+    use incll_pmem::superblock::BATCH_ID_BLOCK;
+    const K: u64 = 5;
+    let mut digests = Vec::new();
+    for workers in [1usize, 4] {
+        let arena = tracked();
+        let (store, mut expect) = wide_store(&arena);
+        {
+            let sess = store.session().unwrap();
+            for b in 0..K {
+                wide_batch(&store, &sess, b, Some(&mut expect))
+                    .commit_durable()
+                    .unwrap();
+            }
+        }
+        drop(store);
+        arena.crash_seeded(0xE8EC);
+        let (store, r) = Store::open(&arena, options(WIDE_SHARDS, workers)).unwrap();
+        assert!(r.per_shard.iter().all(|s| s.batches_redone == K));
+        // A reopen starts at the id ceiling: a gap, hence a second run.
+        let ceiling = 1 + BATCH_ID_BLOCK;
+        {
+            let sess = store.session().unwrap();
+            for b in K..2 * K {
+                let id = wide_batch(&store, &sess, b, Some(&mut expect))
+                    .commit_durable()
+                    .unwrap();
+                assert_eq!(id, ceiling + b - K);
+            }
+            let in_flight = wide_batch(&store, &sess, 2 * K, None);
+            assert_eq!(in_flight.stage_without_commit().unwrap(), ceiling + K);
+            assert!((0..WIDE_SHARDS).all(|s| store.shard_stats(s).advances_fired == 0));
+        }
+        drop(store);
+        assert_eq!(
+            runs_on_media(&arena),
+            [(1, K, 0b1111), (ceiling, ceiling + K - 1, 0b1111)]
+        );
+        arena.crash_seeded(0xE8ED);
+        recover_wide(&arena, workers, &expect, (2 * K, 1), "second crash");
+        // Nothing checkpointed, so the third recovery finds the same
+        // intents under the same runs and must rebuild the same contents
+        // (its epochs and failed-epoch sets have moved on, its keys and
+        // values have not).
+        arena.crash_seeded(0xE8EE);
+        let what = "third crash";
+        digests.push(recover_wide(&arena, workers, &expect, (2 * K, 1), what));
+    }
+    assert_eq!(digests[0], digests[1]);
 }
 
 #[test]

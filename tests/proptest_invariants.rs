@@ -589,6 +589,116 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// Durable commits across executions vs the committed-prefix model
+// ---------------------------------------------------------------------
+
+#[derive(Debug, Clone)]
+enum RunEvent {
+    /// `commit_durable` (true) or `stage_without_commit` (false) of 1–6
+    /// mixed puts/deletes.
+    Batch { ops: Vec<BatchOpT>, commit: bool },
+    /// `checkpoint_shard`: retires the shard's bit from every commit run.
+    AdvanceShard(u8),
+    /// Seeded crash and reopen; the tape continues on the recovered
+    /// store, whose next id skips to the ceiling (a new run).
+    Crash(u64),
+}
+
+fn run_event_strategy() -> impl Strategy<Value = RunEvent> {
+    let op = prop_oneof![
+        3 => (any::<u8>(), any::<u8>()).prop_map(|(k, v)| BatchOpT::Put(k, v)),
+        1 => any::<u8>().prop_map(BatchOpT::Delete),
+    ];
+    prop_oneof![
+        6 => (proptest::collection::vec(op, 1..7), prop_oneof![3 => Just(true), 1 => Just(false)])
+            .prop_map(|(ops, commit)| RunEvent::Batch { ops, commit }),
+        2 => any::<u8>().prop_map(RunEvent::AdvanceShard),
+        1 => any::<u64>().prop_map(RunEvent::Crash),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    /// Commit runs under every way a run can end: random tapes of durable
+    /// commits, batches that stage and never commit, per-shard
+    /// checkpoints and crashes with reopens, then a final crash. A
+    /// `commit_durable` is durable on return, so after every recovery the
+    /// contents must equal the model of exactly the committed batches, in
+    /// commit order — and no id that only staged may ever lie inside a
+    /// run on media, however runs were extended, opened and reused.
+    #[test]
+    fn durable_commit_tapes_recover_to_the_committed_prefix(
+        events in proptest::collection::vec(run_event_strategy(), 1..24),
+        final_seed in any::<u64>(),
+        shards in shard_strategy(),
+        workers in prop_oneof![Just(1usize), Just(4)],
+    ) {
+        use incll_pmem::superblock::batch_is_committed;
+
+        let arena = PArena::builder()
+            .capacity_bytes(32 << 20)
+            .tracked(true)
+            .build()
+            .unwrap();
+        let mut store = open_store_with(&arena, shards, 1).0;
+        let mut model: BTreeMap<u8, Vec<u8>> = BTreeMap::new();
+        let mut staged_only: Vec<u64> = Vec::new();
+        let mut last_id = 0u64;
+        let crashes = events.iter().cloned().chain([RunEvent::Crash(final_seed)]);
+        for ev in crashes {
+            match ev {
+                RunEvent::Batch { ops, commit } => {
+                    let sess = store.session().unwrap();
+                    let mut b = sess.batch();
+                    for op in &ops {
+                        match op {
+                            BatchOpT::Put(k, v) => b.put(&[*k], &vval(*v)).unwrap(),
+                            BatchOpT::Delete(k) => b.delete(&[*k]).unwrap(),
+                        }
+                    }
+                    if !commit {
+                        // One-shard batches stage nothing and take no id.
+                        let id = b.stage_without_commit().unwrap();
+                        if id != 0 {
+                            prop_assert!(id > last_id);
+                            last_id = id;
+                            staged_only.push(id);
+                        }
+                        continue;
+                    }
+                    let id = b.commit_durable().unwrap();
+                    prop_assert!(id > last_id, "ids are monotonic across executions");
+                    last_id = id;
+                    prop_assert!(batch_is_committed(&arena, id));
+                    for op in &ops {
+                        match op {
+                            BatchOpT::Put(k, v) => model.insert(*k, vval(*v)),
+                            BatchOpT::Delete(k) => model.remove(k),
+                        };
+                    }
+                }
+                RunEvent::AdvanceShard(s) => {
+                    store.checkpoint_shard(s as usize % shards);
+                }
+                RunEvent::Crash(seed) => {
+                    drop(store);
+                    arena.crash_seeded(seed);
+                    store = open_store_with(&arena, shards, workers).0;
+                    let sess = store.session().unwrap();
+                    let got: Vec<(u8, Vec<u8>)> =
+                        store.iter(&sess).map(|(k, v)| (k[0], v)).collect();
+                    let want: Vec<(u8, Vec<u8>)> = model.clone().into_iter().collect();
+                    prop_assert_eq!(got, want);
+                }
+            }
+            for id in &staged_only {
+                prop_assert!(!batch_is_committed(&arena, *id), "staged-only id {} in a run", id);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Per-shard allocator arenas: carve frontiers never overlap
 // ---------------------------------------------------------------------
 

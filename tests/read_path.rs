@@ -177,7 +177,7 @@ fn a_commit_that_may_checkpoint_fails_typed_under_its_own_sessions_guard() {
             assert_eq!(stage(tag).commit_durable(), refused);
             assert_eq!(stage(tag).commit(), refused);
         }
-        assert_eq!(next_id(), id_before, "a refused commit consumes no id");
+        assert_eq!(next_id(), id_before, "a refused commit reserves no ids");
         assert_eq!(v.as_u64(), 0, "and writes nothing");
         // The single-shard fast path nests under the guard as before.
         let mut b = sess.batch();
@@ -185,7 +185,11 @@ fn a_commit_that_may_checkpoint_fails_typed_under_its_own_sessions_guard() {
         assert_eq!(b.commit(), Ok(0));
 
         drop(v);
-        assert!(stage(4).commit_durable().unwrap() >= id_before);
+        assert_eq!(
+            stage(4).commit_durable().unwrap(),
+            id_before,
+            "a refused commit consumes no id"
+        );
         for i in 0..16u64 {
             assert_eq!(store.get(&sess, &storage_key(i)), Some(vec![4; 8]));
         }
