@@ -95,6 +95,7 @@ use incll_extlog::ExtLog;
 use incll_pmem::{superblock, PArena};
 
 use crate::error::{Error, MAX_VALUE_BYTES};
+use crate::layout::{LEAF_REGIONS, NODE_BYTES};
 use crate::store::{Session, Store};
 use crate::tree::Inner;
 
@@ -105,10 +106,20 @@ use crate::tree::Inner;
 pub const MAX_BATCH_OPS: usize = 1024;
 
 /// External-log bytes commit reserves per staged op for the undo entries
-/// its apply seals (two node images: the leaf, and a parent when the op
-/// splits it — a node is logged at most once per epoch, so a batch's
-/// applies stay under this on average by a wide margin).
-const UNDO_ALLOWANCE: u64 = 2 * ExtLog::entry_bytes(crate::layout::NODE_BYTES);
+/// its apply seals: every region of the leaf, one entry each — a leaf may
+/// be captured region by region within an epoch — and a parent node image
+/// when the op splits the leaf. Each byte range is logged at most once per
+/// epoch, so a batch's applies stay under this on average by a wide
+/// margin.
+const UNDO_ALLOWANCE: u64 = {
+    let mut leaf = 0;
+    let mut r = 0;
+    while r < LEAF_REGIONS.len() {
+        leaf += ExtLog::entry_bytes(LEAF_REGIONS[r].1);
+        r += 1;
+    }
+    leaf + ExtLog::entry_bytes(NODE_BYTES)
+};
 
 /// Intent-payload op kinds (`[kind: u64][key_len: u64][key][val]`).
 const KIND_PUT: u64 = 0;

@@ -17,6 +17,21 @@
 //! with `vals[7..14]` — so every log write is ordered before its mutation
 //! by PCSO's same-line rule alone (§4.1).
 //!
+//! When the in-line logs cannot cover a change, the leaf falls back to the
+//! external undo log one **region** at a time ([`LEAF_REGIONS`]):
+//!
+//! ```text
+//! head   (lines 0–2,   0..192): meta, permutation + InCLLp, ikeys, klenx
+//! line 3 (           192..256): ValInCLL1 | vals[0..7]     meta::VAL1_LOGGED
+//! line 4 (           256..320): vals[7..14] | ValInCLL2    meta::VAL2_LOGGED
+//! ```
+//!
+//! A second hot value in one line captures just that line and sets its
+//! `meta` bit; a permutation or structural change the in-line logs cannot
+//! absorb captures whatever regions the epoch has not captured yet and
+//! sets `meta::LOGGED`. Each region is captured at most once per epoch, so
+//! no byte is logged twice and replay needs no order.
+//!
 //! The durable leaf holds **14** entries — one fewer than transient
 //! Masstree — paying for the embedded logs exactly as the paper does
 //! (§4.1, footnote 4).
@@ -83,14 +98,30 @@ pub fn off_ikey(idx: usize) -> u64 {
     OFF_IKEYS + (idx as u64) * 8
 }
 
-/// The ValInCLL covering `vals[idx]`: `(incll_offset, line_index)` where
-/// line 0 = `ValInCLL1`, 1 = `ValInCLL2`.
+/// Offset of the ValInCLL covering `vals[idx]` (`ValInCLL1` for line 3,
+/// `ValInCLL2` for line 4).
 #[inline]
 pub fn incll_for(idx: usize) -> u64 {
     if idx < 7 {
         OFF_INCLL1
     } else {
         OFF_INCLL2
+    }
+}
+
+/// A leaf's external-undo regions, `(offset, bytes)`: the head (lines
+/// 0–2), value line 3, value line 4. Disjoint, in address order, covering
+/// the node; [`meta::REGION_LOGGED`] holds each one's capture bit.
+pub const LEAF_REGIONS: [(u64, usize); 3] = [(0, 192), (OFF_INCLL1, 64), (256, 64)];
+
+/// The region (index into [`LEAF_REGIONS`]) holding `vals[idx]` and the
+/// ValInCLL that covers it.
+#[inline]
+pub fn val_region(idx: usize) -> usize {
+    if idx < 7 {
+        1
+    } else {
+        2
     }
 }
 
@@ -129,18 +160,32 @@ pub fn off_int_child(i: usize) -> u64 {
 ///
 /// ```text
 /// bits  0..56: nodeEpoch
+/// bit  58:     val1Logged (transient semantics)
+/// bit  59:     val2Logged (transient semantics)
 /// bit  60:     insAllowed (transient semantics)
 /// bit  61:     logged     (transient semantics)
 /// bit  62:     is_leaf    (immutable after init)
 /// bit  63:     is_root    (changes only under external logging)
 /// ```
+///
+/// The three capture bits mean something only while `nodeEpoch` is the
+/// current epoch: every epoch stamp and every lazy recovery clears them.
 pub mod meta {
     /// Mask of the epoch field.
     pub const EPOCH_MASK: u64 = (1 << 56) - 1;
+    /// Leaf value line 3 already captured in the external log this epoch.
+    pub const VAL1_LOGGED: u64 = 1 << 58;
+    /// Leaf value line 4 already captured in the external log this epoch.
+    pub const VAL2_LOGGED: u64 = 1 << 59;
     /// Insertions may use InCLLp (no remove happened this epoch).
     pub const INS_ALLOWED: u64 = 1 << 60;
-    /// Node already captured in the external log this epoch.
+    /// Node already captured in the external log this epoch — for a leaf,
+    /// every one of its regions.
     pub const LOGGED: u64 = 1 << 61;
+    /// The bit that marks each of [`super::LEAF_REGIONS`] captured: the
+    /// head is only ever captured as the last region standing, so its bit
+    /// is `LOGGED`.
+    pub const REGION_LOGGED: [u64; 3] = [LOGGED, VAL1_LOGGED, VAL2_LOGGED];
     /// Border node.
     pub const IS_LEAF: u64 = 1 << 62;
     /// Root of its trie layer.
@@ -249,6 +294,34 @@ mod tests {
     // outside runtime tests).
     const _: () = assert!(OFF_IKEYS >= 64);
     const _: () = assert!(OFF_KLENX + 14 <= OFF_INCLL1);
+
+    #[test]
+    fn leaf_regions_tile_the_node_and_hold_their_fields() {
+        let mut end = 0;
+        for &(off, len) in &LEAF_REGIONS {
+            assert_eq!(off, end, "regions are contiguous and disjoint");
+            end = off + len as u64;
+        }
+        assert_eq!(end, NODE_BYTES as u64);
+        let within = |r: usize, off: u64| {
+            let (start, len) = LEAF_REGIONS[r];
+            (start..start + len as u64).contains(&off)
+        };
+        for f in [OFF_META, OFF_PERM_INCLL, OFF_PERM, OFF_KLENX + 8] {
+            assert!(within(0, f), "head field at {f}");
+        }
+        for i in 0..LEAF_WIDTH {
+            assert!(within(0, off_ikey(i)), "ikey {i}");
+            assert!(within(val_region(i), off_val(i)), "val {i}");
+            assert!(within(val_region(i), incll_for(i)), "ValInCLL of val {i}");
+        }
+        let bits = meta::REGION_LOGGED;
+        assert_eq!(bits.iter().fold(0, |m, b| m | b).count_ones(), 3);
+        for b in bits {
+            assert_eq!(b & (meta::EPOCH_MASK | meta::INS_ALLOWED), 0);
+            assert_eq!(b & (meta::IS_LEAF | meta::IS_ROOT), 0);
+        }
+    }
 
     #[test]
     fn field_regions_do_not_overlap() {

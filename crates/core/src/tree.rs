@@ -10,8 +10,12 @@
 //! * splits, layer conversions, root swings and every interior-node
 //!   modification go through the external undo log (§4.2): entry → `clwb`
 //!   → `sfence` → mutate;
-//! * a leaf captured in the external log needs no further logging for the
-//!   rest of the epoch (`logged` bit).
+//! * a leaf goes to the external log one region at a time (head, value
+//!   line 3, value line 4; see [`crate::layout`]): a second hot value in
+//!   one line captures that 64-byte line, a change the in-line logs cannot
+//!   absorb captures the regions still missing, and a captured region
+//!   needs no further logging for the rest of the epoch (the `logged`
+//!   bits).
 //!
 //! With `incll_enabled == false` the tree runs in the paper's **LOGGING**
 //! configuration (Figs. 7–8): the in-line logs are bypassed and every
@@ -30,9 +34,9 @@ use incll_pmem::{superblock, FlushDomainScope, PArena};
 
 use crate::error::{Error, MAX_VALUE_BYTES};
 use crate::layout::{
-    incll_for, meta, off_ikey, off_int_child, off_int_key, off_val, val_incll, DPerm, INT_WIDTH,
-    LEAF_WIDTH, NODE_BYTES, OFF_INCLL1, OFF_INCLL2, OFF_INT_NKEYS, OFF_KLENX, OFF_META, OFF_NEXT,
-    OFF_PARENT, OFF_PERM, OFF_PERM_INCLL,
+    incll_for, meta, off_ikey, off_int_child, off_int_key, off_val, val_incll, val_region, DPerm,
+    INT_WIDTH, LEAF_REGIONS, LEAF_WIDTH, NODE_BYTES, OFF_INCLL1, OFF_INCLL2, OFF_INT_NKEYS,
+    OFF_KLENX, OFF_META, OFF_NEXT, OFF_PARENT, OFF_PERM, OFF_PERM_INCLL,
 };
 use crate::pversion as pv;
 
@@ -872,23 +876,51 @@ impl DurableMasstree {
     // The InCLL engine (Listing 3)
     // ==================================================================
 
-    /// Logs the node image externally into this shard's (thread, domain)
-    /// buffer, tagged with the shard id, so the shard's recovery replays
-    /// — and its boundary discards — exactly its own entries.
+    /// Seals undo entries for `ranges` of a node into this shard's
+    /// (thread, domain) buffer, tagged with the shard id, so the shard's
+    /// recovery replays — and its boundary discards — exactly its own
+    /// entries. `first`: this is the node's first capture of the epoch,
+    /// which counts it as one logged node however many entries its
+    /// regions take.
     ///
-    /// The entry is **sealed before return**: callers publish
-    /// `meta::LOGGED` and mutate the node in place the moment this
-    /// returns, and a crash may persist any dirty line of that mutation,
-    /// so the pre-image must already be durable (write-ahead). The seal
-    /// is one `clwb_range`+`sfence` over the slot's whole staged run —
-    /// any batch intents staged ahead of this entry share its fence.
-    fn log_node(&self, tid: usize, epoch: u64, node: u64) {
+    /// The entries are **sealed before return**: callers publish a
+    /// capture bit and mutate the node in place the moment this returns,
+    /// and a crash may persist any dirty line of that mutation, so the
+    /// pre-images must already be durable (write-ahead). The seal is one
+    /// `clwb_range`+`sfence` over the slot's whole staged run — any batch
+    /// intents staged ahead of these entries share its fence.
+    fn log_ranges(&self, tid: usize, epoch: u64, ranges: &[(u64, usize)], first: bool) {
         self.inner
             .log
-            .log_object_in(tid, self.shard_id, epoch, node, NODE_BYTES);
-        self.inner
-            .mgr
-            .note_logged_bytes(self.shard_id, NODE_BYTES as u64);
+            .log_ranges_in(tid, self.shard_id, epoch, ranges, u64::from(first));
+        let bytes = ranges.iter().map(|&(_, len)| len as u64).sum();
+        self.inner.mgr.note_logged_bytes(self.shard_id, bytes);
+    }
+
+    /// Captures every region of leaf `lf` (meta word `m`) this epoch has
+    /// not captured yet — the whole leaf when `m` is from an older epoch —
+    /// so that any part of it may change next; adjacent regions share one
+    /// entry. The caller publishes `meta::LOGGED`.
+    fn log_leaf(&self, tid: usize, epoch: u64, lf: u64, m: u64) {
+        let captured = if meta::epoch(m) == epoch { m } else { 0 };
+        // The callers checked `LOGGED`, so the head is always here: at most
+        // the head (with line 3) and line 4 apart.
+        let mut ranges = [(0u64, 0usize); 2];
+        let mut n = 0;
+        for (&(off, len), bit) in LEAF_REGIONS.iter().zip(meta::REGION_LOGGED) {
+            if captured & bit != 0 {
+                continue;
+            }
+            match ranges[..n].last_mut() {
+                Some((start, l)) if *start + *l as u64 == lf + off => *l += len,
+                _ => {
+                    ranges[n] = (lf + off, len);
+                    n += 1;
+                }
+            }
+        }
+        let first = captured & (meta::VAL1_LOGGED | meta::VAL2_LOGGED) == 0;
+        self.log_ranges(tid, epoch, &ranges[..n], first);
     }
 
     /// `InCLL()` for permutation-only mutations (insert/remove).
@@ -900,7 +932,7 @@ impl DurableMasstree {
         if meta::epoch(m) != epoch {
             self.incll_new_epoch(tid, epoch, lf, m, None);
         } else if m & meta::LOGGED == 0 && !allowed {
-            self.log_node(tid, epoch, lf);
+            self.log_leaf(tid, epoch, lf, m);
             a.pwrite_u64_release(lf + OFF_META, m | meta::LOGGED);
         }
     }
@@ -914,7 +946,9 @@ impl DurableMasstree {
             self.incll_new_epoch(tid, epoch, lf, m, Some((idx, oldval)));
             return;
         }
-        if m & meta::LOGGED != 0 {
+        let region = val_region(idx);
+        let line_logged = meta::REGION_LOGGED[region];
+        if m & (meta::LOGGED | line_logged) != 0 {
             return;
         }
         let incll_off = lf + incll_for(idx);
@@ -927,22 +961,26 @@ impl DurableMasstree {
             a.pwrite_u64_release(incll_off, val_incll::pack(oldval, idx, epoch as u16));
             a.stats().add_incll_val();
         } else {
-            // Two hot values in one cache line: fall back (§4.2).
-            self.log_node(tid, epoch, lf);
-            a.pwrite_u64_release(lf + OFF_META, m | meta::LOGGED);
+            // Two hot values in one cache line: fall back (§4.2) — to the
+            // line alone. Its ValInCLL is inside the captured image, so
+            // replay plus lazy recovery still restore the first value.
+            let (off, len) = LEAF_REGIONS[region];
+            let first = m & (meta::VAL1_LOGGED | meta::VAL2_LOGGED) == 0;
+            self.log_ranges(tid, epoch, &[(lf + off, len)], first);
+            a.pwrite_u64_release(lf + OFF_META, m | line_logged);
         }
     }
 
     /// First modification of the node in `epoch`: stamp all three in-line
-    /// logs (or external-log on the 16-bit epoch-window wrap, §4.1.3), then
-    /// advance `nodeEpoch`. Store order per line: log words first, epoch
-    /// word second, caller's mutation third.
+    /// logs (or external-log the whole leaf on the 16-bit epoch-window
+    /// wrap, §4.1.3), then advance `nodeEpoch`. Store order per line: log
+    /// words first, epoch word second, caller's mutation third.
     fn incll_new_epoch(&self, tid: usize, epoch: u64, lf: u64, m: u64, vlog: Option<(usize, u64)>) {
         let a = &self.inner.arena;
         let node_epoch = meta::epoch(m);
         let mut logged = false;
         if !self.inner.incll_enabled || meta::high_window(epoch) != meta::high_window(node_epoch) {
-            self.log_node(tid, epoch, lf);
+            self.log_leaf(tid, epoch, lf, m);
             logged = true;
         }
         if !logged {
@@ -975,7 +1013,7 @@ impl DurableMasstree {
         if meta::epoch(m) == epoch && m & meta::LOGGED != 0 {
             return;
         }
-        self.log_node(tid, epoch, lf);
+        self.log_leaf(tid, epoch, lf, m);
         let kind = m & (meta::IS_LEAF | meta::IS_ROOT);
         a.pwrite_u64_release(
             lf + OFF_META,
@@ -990,12 +1028,7 @@ impl DurableMasstree {
     fn log_holder(&self, tid: usize, epoch: u64, holder: u64) {
         let a = &self.inner.arena;
         if a.pread_u64(holder + 8) != epoch {
-            self.inner
-                .log
-                .log_object_in(tid, self.shard_id, epoch, holder, HOLDER_BYTES);
-            self.inner
-                .mgr
-                .note_logged_bytes(self.shard_id, HOLDER_BYTES as u64);
+            self.log_ranges(tid, epoch, &[(holder, HOLDER_BYTES)], true);
             a.pwrite_u64_release(holder + 8, epoch);
         }
     }
@@ -1010,7 +1043,10 @@ impl DurableMasstree {
             return;
         }
         a.stats().add_ext_interior();
-        self.ensure_leaf_logged(tid, epoch, node); // identical mechanics
+        // Identical mechanics: an interior never sets a line bit, so its
+        // regions coalesce into one whole-node entry — the 320-byte image
+        // recovery re-derives child parent pointers from.
+        self.ensure_leaf_logged(tid, epoch, node);
     }
 
     // ==================================================================

@@ -13,9 +13,12 @@
 //! 2. `clwb` the entry's cache lines and `sfence` — the entry is durable,
 //! 3. only then may the caller modify the object.
 //!
-//! A node is logged at most once per epoch (the caller tracks this with the
-//! node's `logged` bit), so entries are mutually independent and recovery
-//! can replay them in any order or in parallel (§4.2).
+//! Each byte range is logged at most once per epoch (the caller tracks
+//! this: the durable tree with a `logged` bit per node, and per region of
+//! a leaf), so an epoch's entries are disjoint, mutually independent, and
+//! recovery can replay them in any order or in parallel (§4.2). One entry
+//! covers one range — a whole node, or one cache-line region of a leaf
+//! ([`ExtLog::log_ranges_in`]).
 //!
 //! The log is *logically* discarded at every epoch boundary — after the
 //! checkpoint flush, all logged pre-images are obsolete — by resetting the
@@ -32,7 +35,8 @@
 //! exactly the ordering it needs:
 //!
 //! 1. **Guarding appends seal the run.** An undo entry
-//!    ([`ExtLog::log_object`], [`ExtLog::log_object_in`]) guards an
+//!    ([`ExtLog::log_object`], [`ExtLog::log_object_in`],
+//!    [`ExtLog::log_ranges_in`]) guards an
 //!    in-place modification the caller performs the moment the append
 //!    returns, and any dirty line may be evicted — i.e. persisted — at a
 //!    crash, so the pre-image must be durable *before* the modification
@@ -484,11 +488,40 @@ impl ExtLog {
     ///
     /// As for [`ExtLog::log_object`], plus out-of-range `domain`.
     pub fn log_object_in(&self, thread: usize, domain: usize, epoch: u64, target: u64, len: usize) {
+        self.log_ranges_in(thread, domain, epoch, &[(target, len)], 1);
+    }
+
+    /// Logs each `(target, len)` of `ranges` as one undo entry for `epoch`
+    /// of domain `domain`, back to back in `(thread, domain)`'s buffer,
+    /// and seals them all — with anything staged before them — under one
+    /// `clwb_range` + `sfence` before returning.
+    ///
+    /// The ranges must not overlap each other or any other undo entry of
+    /// the epoch, or replay would depend on order. Every payload byte is
+    /// counted ([`incll_pmem::Stats::ext_bytes_logged`]), the ranges as
+    /// `objects` logged objects ([`incll_pmem::Stats::ext_nodes_logged`]):
+    /// a caller capturing one object range by range across calls counts
+    /// it at its first call only.
+    ///
+    /// # Panics
+    ///
+    /// As for [`ExtLog::log_object_in`].
+    pub fn log_ranges_in(
+        &self,
+        thread: usize,
+        domain: usize,
+        epoch: u64,
+        ranges: &[(u64, usize)],
+        objects: u64,
+    ) {
         let slot = self.slot_index(thread, domain);
-        self.append(slot, epoch, target, Payload::Object(len), domain as u16);
-        // Seal before return: the caller modifies the logged object the
+        for &(target, len) in ranges {
+            self.append(slot, epoch, target, Payload::Object(len), domain as u16);
+        }
+        self.arena.stats().add_ext_nodes(objects);
+        // Seal before return: the caller modifies the logged ranges the
         // moment we return, and a crash may persist any dirty line of
-        // that modification — the pre-image must already be durable.
+        // that modification — the pre-images must already be durable.
         self.drain(thread, domain);
     }
 
@@ -524,6 +557,7 @@ impl ExtLog {
             Payload::Bytes(payload),
             domain as u16 | INTENT_TAG_BIT,
         );
+        self.arena.stats().add_ext_nodes(1);
     }
 
     /// The one entry writer: payload, then the four header words, then
@@ -575,7 +609,7 @@ impl ExtLog {
             .pwrite_u64(base + 24, checksum::seal(hash, epoch, target, len_word));
 
         self.slots[slot].cursor.store(cur + need, Ordering::Relaxed);
-        self.arena.stats().add_ext_logged(len as u64);
+        self.arena.stats().add_ext_bytes(len as u64);
     }
 
     /// Logically discards the whole log (epoch-boundary hook on a
@@ -1388,5 +1422,31 @@ mod tests {
         log.log_object(0, 1, obj, 320);
         assert_eq!(arena.stats().ext_nodes_logged(), 2);
         assert_eq!(arena.stats().ext_bytes_logged(), 640);
+    }
+
+    #[test]
+    fn disjoint_ranges_seal_under_one_fence_and_replay_in_any_order() {
+        // Two epoch-5 captures of one object's disjoint ranges, the second
+        // appended after the first range was already modified: each entry
+        // restores only its own bytes, so replay order cannot matter.
+        let (arena, log) = tracked_log(8 * 1024);
+        let obj = arena.carve(320, 64).unwrap();
+        fill(&arena, obj, 100);
+        let before = arena.stats().snapshot();
+        log.log_ranges_in(0, 0, 5, &[(obj + 192, 64)], 1);
+        arena.pwrite_u64(obj + 192, 0xDEAD);
+        log.log_ranges_in(0, 0, 5, &[(obj, 192), (obj + 256, 64)], 0);
+        let d = arena.stats().snapshot().delta(&before);
+        assert_eq!(
+            (d.sfence, d.ext_bytes_logged, d.ext_nodes_logged),
+            (2, 320, 1)
+        );
+        assert_eq!(log.used(0), 3 * HEADER + 320);
+        fill(&arena, obj, 900); // the guarded modifications, unflushed
+        arena.crash_seeded(5);
+        let r = ExtLog::open(&arena).replay(5, 5);
+        assert_eq!(r.entries_applied, 3);
+        assert_eq!(r.bytes_applied, 320);
+        assert!(check(&arena, obj, 100));
     }
 }

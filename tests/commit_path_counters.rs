@@ -1,8 +1,9 @@
 //! The durable commit path, judged by deterministic persistence counters
 //! (`PArena::stats()` deltas) instead of wall-clock throughput: what a
 //! group saves over singles is fences, what a batch saves over the
-//! checkpoint barrier is flushes, and what ends an epoch nobody asked for
-//! is log room and nothing else — all countable exactly.
+//! checkpoint barrier is flushes, what ends an epoch nobody asked for is
+//! log room and nothing else, and what a leaf's undo costs is the cache
+//! lines it dirtied — all countable exactly.
 
 use incll_pmem::superblock::BATCH_ID_BLOCK;
 use incll_repro::prelude::*;
@@ -243,4 +244,157 @@ fn a_cross_shard_commit_flushes_nothing_where_the_barrier_flushes_every_shard() 
     store.checkpoint();
     let d = arena.stats().snapshot().delta(&before);
     assert_eq!(d.scoped_flush + d.global_flush, SHARDS as u64);
+}
+
+/// A store with one leaf per shard, filled in key order, checkpointed:
+/// `keys[s][i]` sits in slot `i` of shard `s`'s root leaf (slots 0–6 are
+/// value line 3, 7–13 value line 4). The next `extra` keys of each shard
+/// are returned unwritten.
+fn slotted(
+    shards: usize,
+    log_bytes: usize,
+    written: usize,
+    extra: usize,
+) -> (PArena, Store, Vec<Vec<Vec<u8>>>) {
+    let arena = PArena::builder().capacity_bytes(32 << 20).build().unwrap();
+    let options = Options::new()
+        .threads(1)
+        .log_bytes_per_thread(log_bytes)
+        .shards(shards);
+    let (store, _) = Store::open(&arena, options).unwrap();
+    let keys: Vec<Vec<Vec<u8>>> = (0..shards)
+        .map(|s| {
+            (0..)
+                .map(key)
+                .filter(|k| store.shard_of(k) == s)
+                .take(written + extra)
+                .collect()
+        })
+        .collect();
+    let sess = store.session().unwrap();
+    for shard_keys in &keys {
+        for k in &shard_keys[..written] {
+            store.put(&sess, k, &[7; 64]).unwrap();
+        }
+    }
+    drop(sess);
+    store.checkpoint();
+    (arena, store, keys)
+}
+
+/// A leaf pays for the lines it dirties: three updates in one value line
+/// cost one sealed 64-byte line image, three in the other line one more,
+/// and the change that needs the whole leaf then logs only its head —
+/// whatever replay later reads is exactly those regions.
+#[test]
+fn a_leaf_logs_each_region_once_per_epoch_and_replay_reads_only_those() {
+    for split in [false, true] {
+        let (arena, store, keys) = slotted(1, 1 << 20, 14, 1);
+        let keys = &keys[0];
+        let sess = store.session().unwrap();
+        let checkpoint: Vec<(Vec<u8>, Vec<u8>)> = store.iter(&sess).collect();
+        assert_eq!(checkpoint.len(), 14);
+        let counted = |slots: &[usize]| {
+            let before = arena.stats().snapshot();
+            for &i in slots {
+                store.put(&sess, &keys[i], &[i as u8; 64]).unwrap();
+            }
+            let d = arena.stats().snapshot().delta(&before);
+            (d.ext_bytes_logged, d.sfence, d.ext_nodes_logged)
+        };
+        // Slot 0 takes line 3's ValInCLL, slot 1 captures the line (the
+        // leaf's first capture: one logged node), slot 2 is free.
+        assert_eq!(counted(&[0, 1, 2]), (64, 1, 1), "split={split}");
+        // Line 4 likewise — the same leaf in the same epoch, no new node.
+        assert_eq!(counted(&[7, 8, 9]), (64, 1, 0), "split={split}");
+        let before = arena.stats().snapshot();
+        if split {
+            // A 15th key splits the full leaf: its head is all that is
+            // left to capture. The leaf is its layer's root, so the split
+            // also seals the 16-byte root holder it swings.
+            store.put(&sess, &keys[14], b"split").unwrap();
+        } else {
+            // An insert after a remove cannot use InCLLp: head only.
+            assert!(store.remove(&sess, &keys[13]));
+            store.put(&sess, &keys[14], b"reinsert").unwrap();
+        }
+        let d = arena.stats().snapshot().delta(&before);
+        let holder = if split { 16 } else { 0 };
+        assert_eq!(
+            (d.ext_bytes_logged, d.sfence, d.ext_nodes_logged),
+            (192 + holder, 1 + u64::from(split), u64::from(split)),
+            "split={split}"
+        );
+        drop(sess);
+        drop(store);
+        // Reopening without a checkpoint fails the epoch: replay reads the
+        // leaf's three regions — 64 + 64 + 192 = 320 bytes, one leaf's
+        // worth — and the holder when the split swung it.
+        let (store, report) = Store::open(&arena, Options::new().threads(1)).unwrap();
+        assert_eq!(
+            (report.replayed_entries, report.replayed_bytes),
+            (3 + u64::from(split), 320 + holder),
+            "split={split}"
+        );
+        let sess = store.session().unwrap();
+        let got: Vec<(Vec<u8>, Vec<u8>)> = store.iter(&sess).collect();
+        assert_eq!(got, checkpoint, "split={split}: the checkpoint, exactly");
+    }
+}
+
+/// The log-room allowance prices a leaf captured region by region. A
+/// cross-shard batch whose ops capture every region of two leaves —
+/// line 3, line 4, and the head by a remove and an insert — is committed
+/// against a (thread, shard) buffer filled to levels on both sides of the
+/// batch's need: it commits where the buffer has room and forces a
+/// boundary on that shard first where it has not, and never overruns it.
+#[test]
+fn a_batch_capturing_every_region_of_two_leaves_fits_or_forces_a_boundary() {
+    const LOG_BYTES: usize = 64 << 10; // 32 KiB per (thread, shard)
+    let mut outcomes = std::collections::BTreeSet::new();
+    for fillers in 20..=29u64 {
+        let (arena, store, keys) = slotted(2, LOG_BYTES, 10, 1);
+        let sess = store.session().unwrap();
+        // Fill shard 0's buffer with durable one-op commits on slot 0's
+        // key: intents only (its line's ValInCLL absorbs every update).
+        for i in 0..fillers {
+            let mut b = sess.batch();
+            b.put(&keys[0][0], &[i as u8; 1000]).unwrap();
+            b.commit_durable().unwrap();
+        }
+        assert_eq!(store.shard_stats(0).advances_forced, 0, "fillers={fillers}");
+        let mut b = sess.batch();
+        let mut intent_bytes = 0;
+        for shard_keys in &keys {
+            for i in [1, 2, 7, 8] {
+                b.put(&shard_keys[i], b"line").unwrap();
+                intent_bytes += 16 + 8 + 4;
+            }
+            b.delete(&shard_keys[9]).unwrap();
+            b.put(&shard_keys[10], b"head").unwrap();
+            intent_bytes += (16 + 8) + (16 + 8 + 4);
+        }
+        let before = arena.stats().snapshot();
+        assert!(b.commit().unwrap() >= 1, "fillers={fillers}");
+        let d = arena.stats().snapshot().delta(&before);
+        // 64 + 64 + 192 bytes of undo per leaf, whichever way it went.
+        assert_eq!(
+            d.ext_bytes_logged - intent_bytes,
+            2 * 320,
+            "fillers={fillers}"
+        );
+        let forced = store.shard_stats(0).advances_forced;
+        assert!(forced <= 1 && store.shard_stats(1).advances_forced == 0);
+        outcomes.insert(forced);
+        for shard_keys in &keys {
+            assert_eq!(store.get(&sess, &shard_keys[1]).unwrap(), b"line");
+            assert_eq!(store.get(&sess, &shard_keys[9]), None);
+            assert_eq!(store.get(&sess, &shard_keys[10]).unwrap(), b"head");
+        }
+    }
+    assert_eq!(
+        outcomes.into_iter().collect::<Vec<_>>(),
+        [0, 1],
+        "the sweep must cover both a batch that fits and one that forces a boundary"
+    );
 }
