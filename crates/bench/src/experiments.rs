@@ -503,25 +503,27 @@ pub fn ablation_internal(p: &ExpParams) -> Table {
 }
 
 // =====================================================================
-// Adaptive per-shard cadence
+// Per-shard checkpoint cadence: a time bound against a byte bound
 // =====================================================================
 
-/// Shards the adaptive-cadence experiment runs on.
+/// Shards the cadence experiment runs on.
 pub const CADENCE_SHARDS: usize = 4;
-/// Static per-shard cadences (ms) the adaptive controller competes
-/// against; its `[min, max]` clamp spans the same range.
+/// Static per-shard cadences (ms), each a row of its own.
 pub const CADENCE_STATIC_MS: &[u64] = &[2, 10, 40];
+/// The log-room row's byte budget per (slot, shard) buffer, under the
+/// laziest static cadence.
+pub const CADENCE_LOG_ROOM_BYTES: usize = 512 << 10;
 /// Run→crash→recover cycles per cadence mode. Several cycles, each
 /// crashing at an uncorrelated point of the checkpoint window, so no
 /// mode gets lucky with a crash right after (or right before) a
 /// boundary.
 pub const CADENCE_SEGMENTS: usize = 16;
 
-/// Adaptive vs static checkpoint cadences on a **skew-shifting**
-/// workload: a migrating tenant sweeps one shard's whole bucket
-/// uniformly (its undo footprint grows with the checkpoint window) and
-/// rotates across the 4 shards, while small Zipfian resident sets keep
-/// every shard mildly dirty.
+/// A checkpoint byte budget against static checkpoint intervals on a
+/// **skew-shifting** workload: a migrating tenant sweeps one shard's whole
+/// bucket uniformly (its undo footprint grows with the checkpoint window)
+/// and rotates across the 4 shards, while small Zipfian resident sets
+/// keep every shard mildly dirty.
 ///
 /// Each mode runs [`CADENCE_SEGMENTS`] cycles of *run → fail → recover*:
 /// writers run for a fixed slice, the store is torn down mid-flight, and
@@ -533,23 +535,27 @@ pub const CADENCE_SEGMENTS: usize = 16;
 /// and once-per-epoch relogging, too rarely leaves long undo tails to
 /// replay. A static interval is wrong for some shard in every phase
 /// (the per-shard optimum tracks the shard's write rate, which the
-/// rotating hotspot keeps moving); the adaptive controller re-tunes
-/// each shard toward its own `target_dirty_bytes` equilibrium.
+/// rotating hotspot keeps moving). The `log_room_40ms` row keeps the
+/// laziest interval and sizes the log at [`CADENCE_LOG_ROOM_BYTES`] per
+/// (slot, shard): the log-room rule then checkpoints a shard exactly when
+/// its undo fills that budget, so a hot shard checkpoints by bytes and a
+/// cold one by the clock. `crash_tail_kb` is the log a crash leaves per
+/// segment, entry headers included.
 ///
 /// Runs the paper's external-LOGGING mode: with InCLL on, the in-line
 /// logs absorb nearly all undo traffic (the paper's point) and cadence
 /// barely moves the undo tail; the cadence trade-off is legible in the
 /// mode whose undo bytes are explicit.
-pub fn adaptive_cadence(p: &ExpParams) -> Table {
+pub fn cadence(p: &ExpParams) -> Table {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-    use incll_epoch::{AdaptiveCadence, Cadence};
+    use incll_epoch::Cadence;
     use incll_ycsb::{storage_key, ShiftingHotspot};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     let mut t = Table::new(
-        "Adaptive vs static per-shard cadence on a skew-shifting workload (score includes recovery after each of the 16 mid-flight failures)",
+        "Log-room byte budget vs static per-shard cadence on a skew-shifting workload (score includes recovery after each of the 16 mid-flight failures)",
         &[
             "cadence",
             "put_mops",
@@ -571,36 +577,36 @@ pub fn adaptive_cadence(p: &ExpParams) -> Table {
     // than a razor-edge race between the segment end and a boundary.
     let seg = Duration::from_millis(415);
     let keys = p.keys.clamp(4_000, 1_000_000);
-    let min = Duration::from_millis(CADENCE_STATIC_MS[0]);
-    let max = Duration::from_millis(*CADENCE_STATIC_MS.last().unwrap());
+    let laziest = *CADENCE_STATIC_MS.last().unwrap();
 
-    let mut modes: Vec<(String, Cadence)> = CADENCE_STATIC_MS
+    // (row, cadence, log bytes per (slot, shard); `None` = the default).
+    let mut modes: Vec<(String, Cadence, Option<usize>)> = CADENCE_STATIC_MS
         .iter()
         .map(|&ms| {
             (
                 format!("static_{ms}ms"),
                 Cadence::lazy(Duration::from_millis(ms)),
+                None,
             )
         })
         .collect();
     modes.push((
-        "adaptive".into(),
-        Cadence::adaptive(AdaptiveCadence {
-            min,
-            max,
-            target_dirty_bytes: 224 << 10,
-            hysteresis: 2,
-        }),
+        format!("log_room_{laziest}ms"),
+        Cadence::lazy(Duration::from_millis(laziest)),
+        Some(CADENCE_LOG_ROOM_BYTES),
     ));
 
-    for (name, cadence) in modes {
+    for (name, cadence, log_room) in modes {
         let mut cfg = p.sys_config();
         cfg.threads = threads;
         cfg.shards = CADENCE_SHARDS;
         cfg.keys = keys;
+        if let Some(bytes) = log_room {
+            cfg.log_bytes_per_thread = bytes * CADENCE_SHARDS;
+        }
         cfg.epoch_interval = None;
         // Preload on a driverless store: no cadence ticks pollute the
-        // counters (or make preload duration mode-dependent); the mode's
+        // counters; the log-room rule alone ends its epochs. The mode's
         // cadence arrives with the reopen below.
         cfg.cadence = None;
         cfg.incll = false;
@@ -627,11 +633,6 @@ pub fn adaptive_cadence(p: &ExpParams) -> Table {
             let val = [7u8; 64];
             for i in 0..keys {
                 store.put(&sess, &storage_key(i), &val).expect("preload");
-                // No driver is advancing epochs yet: bound the undo tail
-                // (and the per-slot log cursors) by hand.
-                if i % 20_000 == 19_999 {
-                    store.checkpoint();
-                }
             }
         }
         store.checkpoint();
@@ -696,8 +697,8 @@ pub fn adaptive_cadence(p: &ExpParams) -> Table {
             run_secs += t0.elapsed().as_secs_f64();
             total += puts.load(Ordering::Relaxed);
 
-            // Controller observations at this failure point (counters
-            // reset with the store, so sample before tearing it down).
+            // Counters at this failure point (they reset with the store,
+            // so sample before tearing it down).
             for d in 0..CADENCE_SHARDS {
                 let st = store.shard_stats(d);
                 fired += st.advances_fired;

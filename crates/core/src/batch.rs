@@ -62,32 +62,36 @@
 //! commit, so the table fills only when gaps keep coming with no boundary
 //! in between; commit then evicts the run covering the fewest shards by
 //! forcing those shards over a boundary first. **Nothing here ends an
-//! epoch on a store without a cadence except the log-room rule below**:
-//! how much a crash may leave to redo is bounded by the log buffers'
-//! size ([`crate::Store::in_doubt_bound_bytes`], live in
-//! [`crate::ShardStats::in_doubt_log_bytes`]), and every forced boundary
-//! is counted in [`crate::ShardStats::advances_forced`].
+//! epoch on a store without a cadence except the log-room rule below**,
+//! which every write obeys: how much a crash may leave to redo is bounded
+//! by the log buffers' size ([`crate::Store::in_doubt_bound_bytes`], live
+//! in [`crate::ShardStats::in_doubt_log_bytes`]), and every forced
+//! boundary is counted in [`crate::ShardStats::advances_forced`].
 //!
 //! **Log room.** Log space is only reclaimed at a boundary, so before
-//! any pin is taken commit sums, per covered shard, the batch's intent
-//! bytes plus [`UNDO_ALLOWANCE`] per op, and forces a boundary on every
-//! shard whose (thread, shard) buffer lacks that room. A batch that would
-//! not fit an *empty* buffer fails with [`Error::BatchExceedsLog`] before
-//! any id, intent or record is written.
+//! any pin is taken commit reserves, per covered shard, the batch's
+//! intent bytes plus an undo allowance per op and one split chain, and
+//! forces a boundary on every shard whose (thread, shard) buffer lacks
+//! that room — the same rule, in the same function, that every
+//! [`crate::Store::put`] obeys with one op's worst case. A batch that
+//! would not fit an *empty* buffer fails with [`Error::BatchExceedsLog`]
+//! before any id, intent or record is written.
 //!
-//! **No pin across a commit.** Both kinds of forced boundary wait for every
-//! pin on the shard to drop — the committing session's own included. So
-//! a commit that takes the table lock first checks that its session
-//! holds no pin on any shard (a live [`crate::ValueRef`], a
-//! [`Session::pin_shard`] guard) and otherwise fails with
-//! [`Error::SessionPinned`], again before any id, intent or record —
-//! on every such commit, not only the one that would have evicted.
+//! **No pin across a commit that may checkpoint.** A forced boundary waits
+//! for every pin on the shard to drop — the committing session's own
+//! included. So a commit whose buffer is short while its session holds a
+//! pin on any shard (a live [`crate::ValueRef`], a
+//! [`Session::pin_shard`] guard) fails with [`Error::SessionPinned`]
+//! before any id, intent or record. The intent protocol may also force
+//! boundaries to free a run slot, so a commit that takes the table lock
+//! checks for a pin first — on every such commit, not only the one that
+//! would have evicted.
 //!
-//! **Single-shard batches take none of this machinery**: when every
-//! staged key routes to one shard (always true with `shards(1)`), commit
-//! holds one mutating pin on that shard across the ordinary put / remove
-//! calls — same-epoch atomicity with no batch id, no intents, no commit
-//! record. `shards(1)` media and semantics are unchanged.
+//! **Single-shard batches take none of the intent machinery**: when
+//! every staged key routes to one shard (always true with `shards(1)`),
+//! commit holds one mutating pin on that shard across the ordinary put /
+//! remove calls — same-epoch atomicity with no batch id, no intents, no
+//! commit record. `shards(1)` media and semantics are unchanged.
 
 use std::sync::atomic::Ordering;
 
@@ -95,31 +99,14 @@ use incll_extlog::ExtLog;
 use incll_pmem::{superblock, PArena};
 
 use crate::error::{Error, MAX_VALUE_BYTES};
-use crate::layout::{LEAF_REGIONS, NODE_BYTES};
 use crate::store::{Session, Store};
-use crate::tree::Inner;
+use crate::tree::{Inner, SPLIT_CHAIN, UNDO_ALLOWANCE};
 
 /// Most operations one [`WriteBatch`] can stage. Every staged op becomes
 /// an intent entry in the committing thread's external-log buffers, so
 /// the cap bounds the log space a single commit can pin between
 /// checkpoints.
 pub const MAX_BATCH_OPS: usize = 1024;
-
-/// External-log bytes commit reserves per staged op for the undo entries
-/// its apply seals: every region of the leaf, one entry each — a leaf may
-/// be captured region by region within an epoch — and a parent node image
-/// when the op splits the leaf. Each byte range is logged at most once per
-/// epoch, so a batch's applies stay under this on average by a wide
-/// margin.
-const UNDO_ALLOWANCE: u64 = {
-    let mut leaf = 0;
-    let mut r = 0;
-    while r < LEAF_REGIONS.len() {
-        leaf += ExtLog::entry_bytes(LEAF_REGIONS[r].1);
-        r += 1;
-    }
-    leaf + ExtLog::entry_bytes(NODE_BYTES)
-};
 
 /// Intent-payload op kinds (`[kind: u64][key_len: u64][key][val]`).
 const KIND_PUT: u64 = 0;
@@ -273,41 +260,15 @@ impl BatchSlots {
         superblock::persist_batch_run(arena, slot);
     }
 
-    /// Forces shard `d` over an epoch boundary (resetting its log
-    /// buffers) on behalf of a commit that holds the table lock. The
-    /// boundary hook cannot take `Inner::batches` (we hold it), so mirror
-    /// its clearing here ourselves. The committing session holds no pin
+    /// Forces shard `d` over an epoch boundary on behalf of
+    /// [`BatchSlots::acquire`], which holds the table lock. The boundary
+    /// hook cannot take `Inner::batches` (we hold it), so mirror its
+    /// clearing here ourselves. The committing session holds no pin
     /// (`WriteBatch::run` checked before taking the lock).
     fn force_boundary(&mut self, inner: &Inner, d: usize) {
         inner.mgr.advance_domain(d);
         inner.forced_boundaries[d].fetch_add(1, Ordering::Relaxed);
         self.clear_shard(&inner.arena, d);
-    }
-
-    /// The log-room rule (see the module docs): `need[d]` is the bytes
-    /// the commit may append to `(tid, d)`'s buffer (0 for an uncovered
-    /// shard); on return every covered buffer has that much room, after
-    /// a forced boundary where it lacked it.
-    fn reserve_log_room(
-        &mut self,
-        inner: &Inner,
-        tid: usize,
-        need: &[u64; superblock::MAX_SHARDS],
-    ) -> Result<(), Error> {
-        let capacity = inner.log.slot_capacity();
-        if let Some(shard) = need.iter().position(|&n| n > capacity) {
-            return Err(Error::BatchExceedsLog {
-                shard,
-                needed: need[shard],
-                capacity,
-            });
-        }
-        for (d, &n) in need.iter().enumerate() {
-            if n != 0 && inner.log.used_in(tid, d) + n > capacity {
-                self.force_boundary(inner, d);
-            }
-        }
-        Ok(())
     }
 }
 
@@ -506,10 +467,10 @@ impl<'s> WriteBatch<'s> {
     /// log buffer — equally clean: nothing was written. Split the batch
     /// or raise [`crate::Options::log_bytes_per_thread`].
     ///
-    /// [`Error::SessionPinned`] when the batch spans shards while this
-    /// session holds an epoch pin (a live [`crate::ValueRef`] or
-    /// [`Session::pin_shard`] guard) — nothing was written; drop the pin
-    /// and commit again.
+    /// [`Error::SessionPinned`] while this session holds an epoch pin (a
+    /// live [`crate::ValueRef`] or [`Session::pin_shard`] guard), when
+    /// the batch spans shards or its shard's log buffer is short —
+    /// nothing was written; drop the pin and commit again.
     pub fn commit(self) -> Result<u64, Error> {
         self.run(true, false)
     }
@@ -556,16 +517,16 @@ impl<'s> WriteBatch<'s> {
             return Ok(0);
         }
         let store = self.sess.store();
+        let ctx = self.sess.ctx();
         // Per shard: whether the batch covers it, its intent bytes, and
-        // the log bytes its share may append (the log-room rule's input).
+        // the undo its applies may seal (the log-room rule's input).
         let mut mask = 0u64;
         let mut intent = [0u64; superblock::MAX_SHARDS];
-        let mut need = [0u64; superblock::MAX_SHARDS];
+        let mut undo = [SPLIT_CHAIN; superblock::MAX_SHARDS];
         for &Staged { shard, ref op } in &self.ops {
             mask |= 1u64 << shard;
-            let entry = ExtLog::entry_bytes(op.encoded_len());
-            intent[shard] += entry;
-            need[shard] += entry + UNDO_ALLOWANCE;
+            intent[shard] += ExtLog::entry_bytes(op.encoded_len());
+            undo[shard] += UNDO_ALLOWANCE;
         }
 
         // A durable commit skips the fast path even on one shard: the
@@ -578,8 +539,10 @@ impl<'s> WriteBatch<'s> {
             // Fast path: one mutating pin holds the shard's epoch open
             // across every op, so the whole batch lands in a single epoch
             // of its single shard — crash-atomic with no media additions.
+            // The pin also holds off any boundary, so the room comes first.
             let shard = mask.trailing_zeros() as usize;
-            let pin = self.sess.ctx().pin_shard_mut(shard);
+            store.shard_tree(shard).reserve_log_room(ctx, undo[shard])?;
+            let pin = ctx.pin_shard_mut(shard);
             // Reserve every value buffer first: a full shard fails the
             // whole batch here, before any tree state moves.
             let bufs = self.prepare_bufs(store, |_| pin.epoch())?;
@@ -592,8 +555,13 @@ impl<'s> WriteBatch<'s> {
 
         // Anything below may force a boundary on a shard, which waits
         // for every pin on it — this session's own would never drop.
-        if let Some(shard) = self.sess.ctx().first_pinned() {
+        if let Some(shard) = ctx.first_pinned() {
             return Err(Error::SessionPinned { shard });
+        }
+        for d in (0..superblock::MAX_SHARDS).filter(|&d| mask & (1u64 << d) != 0) {
+            store
+                .shard_tree(d)
+                .reserve_log_room(ctx, intent[d] + undo[d])?;
         }
         let inner = &store.shard_tree(0).inner;
         // The table lock is the global commit lock: one intent-protocol
@@ -601,13 +569,12 @@ impl<'s> WriteBatch<'s> {
         // race-free; per-key throughput is unaffected).
         let mut table = inner.batches.lock();
         let tid = self.sess.tid();
-        // Both may force epoch advances, so both run before any pin.
-        table.reserve_log_room(inner, tid, &need)?;
+        // Eviction may force epoch advances, so it runs before any pin.
         let slot = table.acquire(inner);
         // Pin every touched shard (ascending, one consistent order) so
         // intents are stamped with — and the apply below lands in — one
         // epoch per shard.
-        let guards = self.sess.ctx().pin_shards_mut(mask);
+        let guards = ctx.pin_shards_mut(mask);
         let mut epoch = [0u64; superblock::MAX_SHARDS];
         for g in &guards {
             epoch[g.domain()] = g.epoch();

@@ -79,26 +79,28 @@ pub enum Error {
         /// The largest supported batch ([`crate::MAX_BATCH_OPS`]).
         max: usize,
     },
-    /// One shard's share of a [`crate::WriteBatch`] — its intent entries
-    /// plus the undo allowance of its applies — exceeds the capacity of an
-    /// *empty* per-(thread, shard) external-log buffer, so no checkpoint
-    /// could make room for it. Nothing was written. Split the batch or
-    /// raise [`crate::Options::log_bytes_per_thread`].
+    /// What a write reserves in one shard's log — a
+    /// [`crate::WriteBatch`]'s intent entries plus the undo allowance of
+    /// its applies, or one put's worst-case undo — exceeds the capacity of
+    /// an *empty* per-(thread, shard) external-log buffer, so no
+    /// checkpoint could make room for it. Nothing was written. Split the
+    /// batch or raise [`crate::Options::log_bytes_per_thread`].
     BatchExceedsLog {
         /// The shard whose buffer is too small.
         shard: usize,
-        /// Log bytes the batch may append to that shard's buffer.
+        /// Log bytes the write may append to that shard's buffer.
         needed: u64,
         /// The buffer's capacity
         /// ([`crate::Options::log_bytes_per_thread`] / shards).
         capacity: u64,
     },
-    /// A [`crate::WriteBatch`] commit that may force a checkpoint (every
-    /// `commit_durable`, every cross-shard `commit`) was issued while its
+    /// A write that may have to force a checkpoint was issued while its
     /// own session holds an epoch pin — a live [`crate::ValueRef`], a
-    /// [`crate::Session::pin_shard`] guard. The forced checkpoint would
-    /// wait for that pin forever, so the commit is refused up front.
-    /// Nothing was written. Drop the pin and commit again.
+    /// [`crate::Session::pin_shard`] guard: a put or single-shard `commit`
+    /// whose log buffer is short, every `commit_durable`, every
+    /// cross-shard `commit`. The forced checkpoint would wait for that pin
+    /// forever, so the write is refused up front. Nothing was written.
+    /// Drop the pin and write again.
     SessionPinned {
         /// The lowest shard the session holds a pin on.
         shard: usize,
@@ -167,14 +169,14 @@ impl std::fmt::Display for Error {
             } => {
                 write!(
                     f,
-                    "write batch needs {needed} external-log bytes on shard \
+                    "write needs {needed} external-log bytes on shard \
                      {shard}, but a per-thread buffer holds {capacity}"
                 )
             }
             Error::SessionPinned { shard } => {
                 write!(
                     f,
-                    "write batch committed while its session holds an epoch \
+                    "write may checkpoint while its session holds an epoch \
                      pin on shard {shard}; drop the borrow or guard first"
                 )
             }

@@ -153,41 +153,40 @@
 //! same extent pool as any other shard — the paper's *semantics*, not a
 //! layout of its own.
 //!
-//! # Cadence tuning
+//! # When a shard checkpoints
 //!
-//! *When* each shard checkpoints trades write-path cost against recovery
-//! cost. [`Options::cadence`] picks the background driver's per-shard
-//! policy:
+//! Two bounds end a shard's epoch, one in time and one in bytes:
 //!
-//! * `Cadence::lazy(interval)` — fixed interval, but a tick whose shard
-//!   logged no bytes since its last boundary is *skipped* (counted in
-//!   [`ShardStats::advances_skipped`], not paid for). Good default for
-//!   read-mostly shards.
-//! * `Cadence::eager(interval)` — fixed interval, always advances.
-//!   Reproduces the paper's unconditional epoch clock.
-//! * `Cadence::adaptive(AdaptiveCadence { min, max, target_dirty_bytes,
-//!   hysteresis })` — each shard picks its own interval inside
-//!   `[min, max]`, aiming to accumulate about `target_dirty_bytes` of
-//!   logged bytes per checkpoint window. The controller starts every
-//!   shard at the geometric midpoint of the clamp, samples the shard's
-//!   write-rate counters every `min` (the observation tick is decoupled
-//!   from the advances themselves), and predicts the bytes the *current*
-//!   interval would accumulate. Predictions inside the dead band
-//!   `[target/2, target]` leave the interval alone; a prediction outside
-//!   it only moves the interval after `hysteresis` consecutive
-//!   same-direction observations, and the move re-targets directly to
-//!   `target_dirty_bytes / observed rate` (clamped to move only in the
-//!   agreed direction, and always inside `[min, max]`). Tightening also
-//!   pulls the shard's next advance deadline forward so a burst is
-//!   bounded promptly. Adaptive shards always skip clean ticks, and a
-//!   dirty shard never waits longer than `max` — the starvation bound.
+//! * **A cadence bounds the time between checkpoints.**
+//!   [`Options::cadence`] gives the store a background driver that
+//!   checkpoints every shard on its own timer:
+//!   `Cadence::lazy(interval)` skips a tick whose shard saw no write since
+//!   its last boundary (counted in [`ShardStats::advances_skipped`], not
+//!   paid for), `Cadence::eager(interval)` always advances — the paper's
+//!   unconditional epoch clock. [`Store::halt_cadence`] freezes the
+//!   driver without consuming the store, for controlled-teardown
+//!   experiments.
+//! * **`log_bytes_per_thread / shards` bounds the bytes per (slot,
+//!   shard), checked synchronously on every write.** Each session slot
+//!   owns one external-log buffer per shard, and log space comes back
+//!   only at that shard's boundary. So before a put, remove or batch
+//!   commit takes its pin, it checks its own buffer for the bytes it may
+//!   append — one op's worst-case undo for a put or remove; intents, an
+//!   undo allowance per op and one split chain for a commit — and when the
+//!   buffer is short it forces that shard over a boundary first
+//!   ([`ShardStats::advances_forced`]). The check is one load of the
+//!   slot's own cursor and one compare. This holds with or without a
+//!   cadence, and it is the only thing that ends an epoch on a store
+//!   without one.
 //!
-//! The static policies are degenerate adaptive configs (`min == max`
-//! pins the interval), so one code path serves all three. Live per-shard
-//! telemetry — current interval, bytes since boundary, advances fired
-//! and skipped — is one [`Store::shard_stats`] call away, and
-//! [`Store::halt_cadence`] freezes the driver (no further advances)
-//! without consuming the store, for controlled-teardown experiments.
+//! A shard written from `T` slots may hold up to `T` such buffers, so
+//! what a crash may leave to replay on a shard is at most
+//! `T × log_bytes_per_thread / shards` bytes
+//! ([`ShardStats::bytes_since_boundary`] is the live figure). A write
+//! whose session already holds a pin (a live [`ValueRef`], a
+//! [`Session::pin_shard`] guard) cannot force that boundary — it would
+//! wait for its own pin — so on a short buffer it fails with
+//! [`Error::SessionPinned`] instead, before writing anything.
 //!
 //! # Batch atomicity and crash semantics
 //!
@@ -217,21 +216,20 @@
 //!   batch with no commit record, which recovery drops either way; the
 //!   epoch boundary drains every buffer while writers are quiesced, so a
 //!   completed checkpoint never leaves staged bytes behind.
-//! * **Log room is checked up front.** Log space is reclaimed only at a
-//!   shard's boundary, so before it takes a pin commit sums each covered
-//!   shard's intent bytes plus an undo allowance per op, and forces a
-//!   boundary on any shard whose per-thread log buffer lacks that room.
-//!   A batch too large for an *empty* buffer fails with
-//!   [`Error::BatchExceedsLog`] before any id, intent or record is
-//!   written.
-//! * **No pin across a commit that may checkpoint.** That forced
-//!   boundary — and the one that frees a commit-run slot, below — waits
-//!   for every pin on the shard to drop, the committing session's own
-//!   included. A cross-shard `commit` or any `commit_durable` issued
-//!   while its session holds a [`ValueRef`] or a [`Session::pin_shard`]
-//!   guard therefore fails with [`Error::SessionPinned`], likewise
-//!   before any id, intent or record. [`Store::checkpoint`] has the same
-//!   precondition, unchecked.
+//! * **Log room is checked up front**, by the rule every write obeys
+//!   (see "When a shard checkpoints"): each covered shard's intent bytes
+//!   plus an undo allowance per op and one split chain. A batch too large
+//!   for an *empty* buffer fails with [`Error::BatchExceedsLog`] before
+//!   any id, intent or record is written.
+//! * **No pin across a commit that may checkpoint.** A forced boundary —
+//!   for log room, or to free a commit-run slot, below — waits for every
+//!   pin on the shard to drop, the committing session's own included. A
+//!   cross-shard `commit` or any `commit_durable` issued while its
+//!   session holds a [`ValueRef`] or a [`Session::pin_shard`] guard
+//!   therefore fails with [`Error::SessionPinned`], likewise before any
+//!   id, intent or record; so does a single-shard `commit` whose buffer
+//!   is short. [`Store::checkpoint`] has the same precondition,
+//!   unchecked.
 //! * **Recovery resolves in-doubt batches deterministically.** Each
 //!   shard's replay surfaces its intents; a batch whose id lies inside a
 //!   durable commit run is *redone* through the ordinary put/remove paths
@@ -498,17 +496,11 @@ mod tests {
     fn store_cadence_option_wires_through() {
         use std::time::Duration;
         let arena = PArena::builder().capacity_bytes(32 << 20).build().unwrap();
-        let cfg = incll_epoch::AdaptiveCadence {
-            min: Duration::from_millis(2),
-            max: Duration::from_millis(200),
-            target_dirty_bytes: 64 << 10,
-            hysteresis: 2,
-        };
         let opts = Options::new()
             .threads(2)
             .log_bytes_per_thread(1 << 20)
             .shards(2)
-            .cadence(cfg);
+            .cadence(incll_epoch::Cadence::lazy(Duration::from_millis(2)));
         let (store, _) = Store::open(&arena, opts).unwrap();
         let sess = store.session().unwrap();
         for i in 0..500u64 {
@@ -521,16 +513,13 @@ mod tests {
         }
         for i in 0..store.shard_count() {
             let s = store.shard_stats(i);
-            assert!(s.bytes_logged > 0, "shard {i} saw logged bytes");
-            assert_eq!(s.bytes_since_boundary, 0, "checkpoint snapshots bytes");
+            assert_eq!(s.bytes_since_boundary, 0, "a checkpoint empties the log");
             assert!(s.advances_fired >= 1);
-            let iv = s.current_interval.expect("cadence option spawns a driver");
-            assert!(iv >= cfg.min && iv <= cfg.max);
             assert!(s.epoch >= 2);
         }
         assert!(
             store.shard_stats(0).advances_skipped > 0,
-            "idle shards must be skipped by the adaptive driver"
+            "idle shards must be skipped by the lazy driver"
         );
         // Dropping every clone stops the driver with it.
         let epoch_at_drop = store.shard_stats(0).epoch;
@@ -545,8 +534,14 @@ mod tests {
                 .shards(2),
         )
         .unwrap();
-        assert!(store2.shard_stats(0).current_interval.is_none());
-        assert!(store2.shard_stats(0).epoch >= epoch_at_drop);
+        let settled = store2.shard_stats(0);
+        assert!(settled.epoch >= epoch_at_drop);
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(
+            store2.shard_stats(0),
+            settled,
+            "no driver without a cadence"
+        );
     }
 
     #[test]

@@ -54,7 +54,7 @@ use incll_pmem::{superblock, PArena};
 
 use crate::error::Error;
 use crate::recovery::RecoveryReport;
-use crate::tree::{DCtx, DurableConfig, DurableMasstree, ValueRef};
+use crate::tree::{DCtx, DurableConfig, DurableMasstree, ValueRef, OP_UNDO_BOUND};
 
 /// Builder-style construction options for [`Store::open`].
 ///
@@ -82,7 +82,15 @@ impl Options {
         self
     }
 
-    /// External-log capacity per thread, in bytes.
+    /// External-log capacity per thread, in bytes, split evenly over the
+    /// shards: each (session slot, shard) pair owns a buffer of
+    /// `bytes / shards`. Log space is reclaimed only at a shard's
+    /// checkpoint, so this is the byte half of *when a shard
+    /// checkpoints*: every write checks its buffer for room before it
+    /// starts and forces its shard over a boundary when the buffer is
+    /// short (see the crate docs' "When a shard checkpoints"). A shard
+    /// written from `T` slots may therefore hold up to `T` such buffers'
+    /// worth of undo and intents — what a crash replays there.
     #[must_use]
     pub fn log_bytes_per_thread(mut self, bytes: usize) -> Self {
         self.config.log_bytes_per_thread = bytes;
@@ -128,20 +136,21 @@ impl Options {
     }
 
     /// Background checkpoint cadence: [`Store::open`] spawns an
-    /// [`incll_epoch::AdvanceDriver`] applying this policy to **every**
-    /// shard's epoch domain, and the store owns the driver for its
-    /// lifetime (it stops when the last clone drops). Accepts a
-    /// [`Cadence`], an [`incll_epoch::DomainCadence`] (static), or an
-    /// [`incll_epoch::AdaptiveCadence`] (the measured controller) — see
-    /// the crate docs' "Cadence tuning".
+    /// [`incll_epoch::AdvanceDriver`] applying this [`Cadence`] to
+    /// **every** shard's epoch domain, and the store owns the driver for
+    /// its lifetime (it stops when the last clone drops). The cadence
+    /// bounds the *time* between a shard's checkpoints;
+    /// [`Options::log_bytes_per_thread`] bounds the *bytes*, on every
+    /// write, with or without a cadence — see the crate docs' "When a
+    /// shard checkpoints".
     ///
-    /// Without this option no driver is spawned (today's behavior):
-    /// checkpoints come from explicit [`Store::checkpoint`] /
-    /// [`Store::checkpoint_shard`] calls or a driver the caller manages
-    /// on [`Store::epoch_manager`].
+    /// Without this option no driver is spawned: checkpoints come from
+    /// explicit [`Store::checkpoint`] / [`Store::checkpoint_shard`]
+    /// calls, a driver the caller manages on [`Store::epoch_manager`],
+    /// and the log-room rule.
     #[must_use]
-    pub fn cadence(mut self, cadence: impl Into<Cadence>) -> Self {
-        self.cadence = Some(cadence.into());
+    pub fn cadence(mut self, cadence: Cadence) -> Self {
+        self.cadence = Some(cadence);
         self
     }
 
@@ -441,13 +450,24 @@ impl Store {
     ///
     /// The value lands in a fresh length-prefixed durable buffer from the
     /// size class fitting it; like every operation here, no cache-line
-    /// flush or fence runs on this path.
+    /// flush or fence runs on this path. Before it starts, the put checks
+    /// its session's log buffer for the key's shard for one op's
+    /// worst-case undo and, when the buffer is short, checkpoints that
+    /// shard first (counted in [`ShardStats::advances_forced`]).
     ///
     /// # Errors
     ///
-    /// [`Error::ValueTooLarge`] above [`crate::MAX_VALUE_BYTES`].
+    /// [`Error::ValueTooLarge`] above [`crate::MAX_VALUE_BYTES`];
+    /// [`Error::Pmem`] when the arena cannot fit the value buffer;
+    /// [`Error::SessionPinned`] when the buffer is short while this
+    /// session holds a pin on any shard (a live [`ValueRef`], a
+    /// [`Session::pin_shard`] guard), since the checkpoint would wait for
+    /// that pin; [`Error::BatchExceedsLog`] when even an empty buffer
+    /// cannot hold one op's worst case. None of these writes anything.
     pub fn put(&self, sess: &Session, key: &[u8], value: &[u8]) -> Result<Option<Vec<u8>>, Error> {
-        self.route(key).put_bytes(&sess.ctx, key, value)
+        let tree = self.route(key);
+        tree.reserve_log_room(&sess.ctx, OP_UNDO_BOUND)?;
+        tree.put_bytes(&sess.ctx, key, value)
     }
 
     /// Looks up `key`, returning a **borrowed, zero-copy** view of its
@@ -491,9 +511,24 @@ impl Store {
         self.get_ref(sess, key).map(|v| v.to_vec())
     }
 
-    /// Removes `key`, returning whether it was present.
+    /// Removes `key`, returning whether it was present. Obeys the same
+    /// log-room rule as [`Store::put`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if this session holds a pin on any shard while its log
+    /// buffer for the key's shard is short, and the remove then overruns
+    /// the buffer ([`Store::put`] reports that case as
+    /// [`Error::SessionPinned`]; a remove has no error to return). The
+    /// same holds on a store whose per-(slot, shard) buffer is too small
+    /// for one op's worst case, where [`Store::put`] fails with
+    /// [`Error::BatchExceedsLog`].
     pub fn remove(&self, sess: &Session, key: &[u8]) -> bool {
-        self.route(key).remove(&sess.ctx, key)
+        let tree = self.route(key);
+        // Err only in the cases the Panics section names: the write goes
+        // ahead without a checkpoint, and usually fits anyway.
+        let _ = tree.reserve_log_room(&sess.ctx, OP_UNDO_BOUND);
+        tree.remove(&sess.ctx, key)
     }
 
     /// [`Store::put`] for the paper's 8-byte payloads (stored
@@ -502,8 +537,16 @@ impl Store {
     /// The returned previous payload is meaningful only when the previous
     /// value was itself 8 bytes; for mixed-width keys use [`Store::put`],
     /// which returns the full previous value.
+    ///
+    /// # Panics
+    ///
+    /// As [`Store::remove`], for a session that holds a pin while its log
+    /// buffer is short; and when the arena cannot fit the value buffer.
     pub fn put_u64(&self, sess: &Session, key: &[u8], value: u64) -> Option<u64> {
-        self.route(key).put(&sess.ctx, key, value)
+        let tree = self.route(key);
+        // As in `remove`.
+        let _ = tree.reserve_log_room(&sess.ctx, OP_UNDO_BOUND);
+        tree.put(&sess.ctx, key, value)
     }
 
     /// [`Store::get`] for the paper's 8-byte payloads.
@@ -608,12 +651,14 @@ impl Store {
     /// order; returns shard 0's new epoch.
     ///
     /// It also empties every shard's log, so it retires every commit
-    /// run's mask and resets [`ShardStats::in_doubt_log_bytes`]: a
-    /// recovery right after it has no batch to redo. On a store opened
-    /// without [`Options::cadence`] nothing else ends an epoch but a
-    /// commit that finds its log buffer short (see `crate::batch`), so
-    /// an embedder that wants short recoveries calls this — or sets a
-    /// cadence.
+    /// run's mask and resets [`ShardStats::in_doubt_log_bytes`] and
+    /// [`ShardStats::bytes_since_boundary`]: a recovery right after it
+    /// has nothing to replay or redo. On a store opened without
+    /// [`Options::cadence`] nothing else ends an epoch but a write that
+    /// finds its log buffer short (the log-room rule), so recovery may
+    /// replay up to [`Options::log_bytes_per_thread`] per slot; an
+    /// embedder that wants shorter recoveries calls this, sets a cadence,
+    /// or sizes the log smaller.
     ///
     /// For a scoped checkpoint that stalls only one shard's sessions, use
     /// [`Store::checkpoint_shard`]. (Background cadence:
@@ -689,11 +734,9 @@ impl Store {
         crate::tree::shard_of(key, self.shards.len())
     }
 
-    /// Checkpoint observability for shard `i`: the write-rate counters an
-    /// adaptive cadence controller steers by ([`ShardStats::bytes_logged`]
-    /// and friends), plus the shard's current epoch and — when
-    /// [`Options::cadence`] spawned the store's driver — the interval the
-    /// controller is currently running the shard at.
+    /// Checkpoint observability for shard `i`: its epoch, the log bytes
+    /// a crash now would replay there, and how many checkpoints the
+    /// cadence, the log-room rule and explicit calls took.
     ///
     /// # Panics
     ///
@@ -705,13 +748,11 @@ impl Store {
         let inner = &self.shards[0].inner;
         ShardStats {
             epoch: mgr.current_epoch_of(i),
-            bytes_logged: c.bytes_logged,
-            bytes_since_boundary: c.bytes_since_boundary,
+            bytes_since_boundary: (0..self.threads()).map(|t| inner.log.used_in(t, i)).sum(),
             in_doubt_log_bytes: inner.in_doubt_bytes[i].load(Ordering::Relaxed),
             advances_fired: c.advances_fired,
             advances_forced: inner.forced_boundaries[i].load(Ordering::Relaxed),
             advances_skipped: c.advances_skipped,
-            current_interval: self.driver.as_ref().and_then(|d| d.current_interval(i)),
         }
     }
 
@@ -760,16 +801,16 @@ impl Store {
 
 /// One shard's checkpoint observability snapshot ([`Store::shard_stats`]).
 ///
-/// The counter fields come from the shard's epoch domain
-/// ([`incll_epoch::EpochManager::domain_counters`]); they are what an
-/// [`incll_epoch::AdaptiveCadence`] controller observes per window.
+/// The advance counters come from the shard's epoch domain
+/// ([`incll_epoch::EpochManager::domain_counters`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardStats {
     /// The shard's current epoch.
     pub epoch: u64,
-    /// Lifetime bytes externally logged under this shard's domain.
-    pub bytes_logged: u64,
-    /// Bytes logged since the shard's last completed checkpoint.
+    /// External-log bytes in the shard's buffers, summed over every
+    /// session slot: entries with their headers, undo and intents alike,
+    /// written since the shard's last completed checkpoint — exactly what
+    /// a crash right now would have recovery scan there.
     pub bytes_since_boundary: u64,
     /// Checkpoints completed on this shard (driver ticks plus explicit
     /// [`Store::checkpoint`]/[`Store::checkpoint_shard`] calls).
@@ -779,17 +820,15 @@ pub struct ShardStats {
     /// here. Bounded by the shard's share of
     /// [`Options::log_bytes_per_thread`] per session slot.
     pub in_doubt_log_bytes: u64,
-    /// The subset of [`ShardStats::advances_fired`] that a write-batch
-    /// commit forced — to make log room, or (the full-table fallback) to
-    /// reuse a commit-run slot (see `crate::batch`). On a store with no
-    /// cadence these are the only checkpoints the commit path pays.
+    /// The subset of [`ShardStats::advances_fired`] that a write forced:
+    /// the log-room rule, when a put, remove or commit found its
+    /// (slot, shard) log buffer short, or — the full-table fallback — a
+    /// commit reusing a commit-run slot (see `crate::batch`). On a store
+    /// with no cadence these are the only checkpoints nobody asked for.
     pub advances_forced: u64,
     /// Driver ticks skipped because the shard was clean (the dirty-work
-    /// heuristic of lazy and adaptive cadences).
+    /// heuristic of a lazy cadence).
     pub advances_skipped: u64,
-    /// The interval the store's cadence driver currently runs this shard
-    /// at; `None` when the store was opened without [`Options::cadence`].
-    pub current_interval: Option<Duration>,
 }
 
 /// Extent-pool snapshot ([`Store::extent_stats`]): the superblock's pool

@@ -21,7 +21,7 @@
 //! configuration (Figs. 7–8): the in-line logs are bypassed and every
 //! node's first modification per epoch external-logs it.
 
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -51,6 +51,58 @@ pub const VALUE_BUF_BYTES: usize = 32;
 const HOLDER_BYTES: usize = 16;
 /// Recovery-lock array size (transient; hashed by node offset, §4.3).
 pub(crate) const REC_LOCKS: usize = 1024;
+
+/// Interior levels one tree layer can reach, as far as the log-room rule
+/// is concerned — a stated bound, not a limit the tree enforces. Nodes are
+/// never freed and interiors never merge, and an interior split leaves
+/// both halves at least seven children ([`INT_WIDTH`] = 14 keys split
+/// 7 | 6), so a layer with `h` interior levels holds at least `2·7^(h-1)`
+/// leaves: twelve levels take `2·7^11` ≈ 4·10⁹ leaves, 1.2 TiB of
+/// 320-byte nodes in one layer of one shard.
+const MAX_INTERIOR_LEVELS: u64 = 12;
+
+/// One interior node's undo entry: its whole 320-byte image.
+const INTERIOR_UNDO: u64 = ExtLog::entry_bytes(NODE_BYTES);
+
+/// The undo an op seals when its split, if any, stops at the parent:
+/// every region of its leaf as an entry of its own — a leaf may be
+/// captured region by region within an epoch — plus the parent's image.
+/// A commit reserves this per staged op.
+pub(crate) const UNDO_ALLOWANCE: u64 = {
+    let mut leaf = 0;
+    let mut r = 0;
+    while r < LEAF_REGIONS.len() {
+        leaf += ExtLog::entry_bytes(LEAF_REGIONS[r].1);
+        r += 1;
+    }
+    leaf + INTERIOR_UNDO
+};
+
+/// The rest of a split chain above the parent: one image per further
+/// interior level, and the holder cell a layer-root split swings. A
+/// commit reserves this once per covered shard.
+pub(crate) const SPLIT_CHAIN: u64 =
+    (MAX_INTERIOR_LEVELS - 1) * INTERIOR_UNDO + ExtLog::entry_bytes(HOLDER_BYTES);
+
+/// One op's worst-case undo, what a facade write reserves: 4 688 bytes.
+///
+/// An op changes one leaf of one layer; a layer conversion or a new
+/// sub-layer builds fresh nodes, and a fresh node needs no pre-image. The
+/// leaf is captured at most once per region per epoch, three entries at
+/// worst. A split then captures the parent, a parent split the
+/// grandparent, and so on up the layer — each interior node at most once
+/// per epoch, so one image per level, at most [`MAX_INTERIOR_LEVELS`] —
+/// and a split of the layer's root seals its 16-byte holder cell.
+/// Nothing else on the write path appends undo.
+///
+/// A multi-op commit reserves [`UNDO_ALLOWANCE`] per op and one
+/// [`SPLIT_CHAIN`] per shard instead: exact for one op, and for more it
+/// covers one split cascading past its parent per shard (which needs a
+/// full parent). Further cascades in the same commit borrow the room the
+/// other ops leave — most capture no interior node, and nothing captured
+/// this epoch is captured again. That part is a reservation, not a proof;
+/// `ExtLog::append`'s overflow assert stays the invariant behind it.
+pub(crate) const OP_UNDO_BOUND: u64 = UNDO_ALLOWANCE + SPLIT_CHAIN;
 
 /// Construction options for [`DurableMasstree`] (what
 /// [`crate::Options`] builds).
@@ -328,8 +380,8 @@ pub(crate) struct Inner {
     /// the superblock batch table's commit runs and hands out batch ids
     /// (see `crate::batch`). Loaded from media at create/open.
     pub(crate) batches: Mutex<crate::batch::BatchSlots>,
-    /// Per shard: epoch boundaries the batch-commit path forced (log
-    /// room, the full-table fallback). A statistic; publishes nothing.
+    /// Per shard: epoch boundaries forced by the log-room rule or by the
+    /// batch table's full-table fallback. A statistic; publishes nothing.
     pub(crate) forced_boundaries: Vec<AtomicU64>,
     /// Per shard: log bytes of committed intents staged since the
     /// shard's last boundary — what a crash right now would redo there.
@@ -614,6 +666,50 @@ impl DurableMasstree {
         )
     }
 
+    /// The log-room rule, the one byte-driven epoch trigger: before a
+    /// write takes its pin on this shard, `ctx`'s log buffer for the shard
+    /// must have `need` bytes of room, and when it has not, the shard is
+    /// forced over an epoch boundary (which empties every one of its
+    /// buffers). Log space is reclaimed nowhere else, so a write that
+    /// passes this cannot overrun the buffer within its reservation. The
+    /// fast path is one relaxed load of the slot's own cursor and one
+    /// compare. Each (slot, shard) buffer has a single writer and a
+    /// concurrent boundary only adds room, so nothing here is locked.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::BatchExceedsLog`] when `need` exceeds an empty buffer;
+    /// [`Error::SessionPinned`] when the buffer is short while `ctx` holds
+    /// a pin on any shard — the boundary would wait for that pin forever,
+    /// and two writers each pinned on the other's shard would deadlock.
+    /// Either way nothing was written.
+    #[inline]
+    pub(crate) fn reserve_log_room(&self, ctx: &DCtx, need: u64) -> Result<(), Error> {
+        let log = &self.inner.log;
+        if log.used_in(ctx.tid, self.shard_id) + need <= log.slot_capacity() {
+            return Ok(());
+        }
+        self.force_log_room(ctx, need)
+    }
+
+    #[cold]
+    fn force_log_room(&self, ctx: &DCtx, need: u64) -> Result<(), Error> {
+        let capacity = self.inner.log.slot_capacity();
+        if need > capacity {
+            return Err(Error::BatchExceedsLog {
+                shard: self.shard_id,
+                needed: need,
+                capacity,
+            });
+        }
+        if let Some(shard) = ctx.first_pinned() {
+            return Err(Error::SessionPinned { shard });
+        }
+        self.inner.mgr.advance_domain(self.shard_id);
+        self.inner.forced_boundaries[self.shard_id].fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
     /// Looks up `key`, returning a **borrowed, zero-copy** view of its
     /// value bytes in the durable buffer — the `(ptr, len, class)`-shaped
     /// lookup. No byte is copied; the returned [`ValueRef`] dereferences
@@ -893,8 +989,6 @@ impl DurableMasstree {
         self.inner
             .log
             .log_ranges_in(tid, self.shard_id, epoch, ranges, u64::from(first));
-        let bytes = ranges.iter().map(|&(_, len)| len as u64).sum();
-        self.inner.mgr.note_logged_bytes(self.shard_id, bytes);
     }
 
     /// Captures every region of leaf `lf` (meta word `m`) this epoch has

@@ -32,11 +32,12 @@
 //!   heuristic ([`EpochManager::domain_dirty`]).
 //! * [`AdvanceDriver`] — a background thread advancing on a timer, like
 //!   the paper's 64 ms cadence; [`AdvanceDriver::spawn_per_domain`] gives
-//!   every domain an independent policy ([`Cadence`]): a fixed
-//!   [`DomainCadence`] (optionally skipping domains with no dirty work)
-//!   or an [`AdaptiveCadence`] controller that follows each domain's
-//!   measured write rate ([`EpochManager::domain_counters`]) between
-//!   `min` and `max`, with hysteresis damping.
+//!   every domain an independent [`Cadence`]: a fixed interval,
+//!   optionally skipping domains with no dirty work. The timer bounds the
+//!   *time* between a domain's checkpoints; what bounds the *bytes* is
+//!   the caller's to enforce (the durable store forces a domain over a
+//!   boundary when a writer's log buffer for it runs short), so no
+//!   controller here estimates a write rate.
 //!
 //! # Example
 //!
@@ -62,7 +63,7 @@
 mod driver;
 mod manager;
 
-pub use driver::{AdaptiveCadence, AdvanceDriver, Cadence, DomainCadence};
+pub use driver::{AdvanceDriver, Cadence};
 pub use manager::{AdvanceHook, DomainCounters, EpochManager, EpochOptions, Guard, ThreadHandle};
 
 /// The paper's epoch length: 64 ms (Masstree's reclamation interval, §4).

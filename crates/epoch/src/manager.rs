@@ -76,28 +76,16 @@ struct DomainState {
     hooks: Mutex<Vec<AdvanceHook>>,
     /// Completed advances of this domain (the dirty-work clock).
     seq: AtomicU64,
-    /// Lifetime bytes externally logged under this domain
-    /// ([`EpochManager::note_logged_bytes`]) — the write-rate signal an
-    /// adaptive cadence controller diffs per observation window.
-    bytes_logged: AtomicU64,
-    /// `bytes_logged` snapshot at this domain's last completed advance.
-    boundary_bytes: AtomicU64,
     /// Advances completed / ticks skipped as clean (driver-reported).
     advances_fired: AtomicU64,
     advances_skipped: AtomicU64,
 }
 
-/// A snapshot of one domain's write-rate counters
-/// ([`EpochManager::domain_counters`]): the observations an adaptive
-/// checkpoint-cadence controller steers by, and what
-/// `Store::shard_stats` surfaces per shard.
+/// A snapshot of one domain's advance counters
+/// ([`EpochManager::domain_counters`]), what `Store::shard_stats`
+/// surfaces per shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DomainCounters {
-    /// Lifetime bytes externally logged under this domain.
-    pub bytes_logged: u64,
-    /// Bytes logged since the domain's last completed advance — the
-    /// domain's *current* dirty-work estimate.
-    pub bytes_since_boundary: u64,
     /// Advances this domain completed.
     pub advances_fired: u64,
     /// Driver ticks skipped because the domain was clean.
@@ -171,8 +159,6 @@ impl EpochManager {
                     pre_flush_hooks: Mutex::new(Vec::new()),
                     hooks: Mutex::new(Vec::new()),
                     seq: AtomicU64::new(0),
-                    bytes_logged: AtomicU64::new(0),
-                    boundary_bytes: AtomicU64::new(0),
                     advances_fired: AtomicU64::new(0),
                     advances_skipped: AtomicU64::new(0),
                 }
@@ -374,8 +360,6 @@ impl EpochManager {
             hook(new_epoch);
         }
         dom.advances_fired.fetch_add(1, Ordering::Relaxed);
-        dom.boundary_bytes
-            .store(dom.bytes_logged.load(Ordering::Relaxed), Ordering::Relaxed);
         dom.seq.fetch_add(1, Ordering::Release);
 
         // Resume this domain's world.
@@ -400,16 +384,6 @@ impl EpochManager {
             .any(|s| s.wrote[d].load(Ordering::Relaxed) == seq)
     }
 
-    /// Credits `n` externally-logged bytes to domain `d` — the cheap
-    /// write-rate signal (one relaxed add) the logging path feeds and an
-    /// adaptive cadence controller ([`crate::AdaptiveCadence`]) consumes.
-    #[inline]
-    pub fn note_logged_bytes(&self, d: usize, n: u64) {
-        self.shared.domains[d]
-            .bytes_logged
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Records that a driver tick skipped advancing domain `d` because it
     /// was clean (pairs with the fired count bumped by
     /// [`EpochManager::advance_domain`]).
@@ -420,13 +394,10 @@ impl EpochManager {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A snapshot of domain `d`'s write-rate counters.
+    /// A snapshot of domain `d`'s advance counters.
     pub fn domain_counters(&self, d: usize) -> DomainCounters {
         let dom = &self.shared.domains[d];
-        let bytes = dom.bytes_logged.load(Ordering::Relaxed);
         DomainCounters {
-            bytes_logged: bytes,
-            bytes_since_boundary: bytes.saturating_sub(dom.boundary_bytes.load(Ordering::Relaxed)),
             advances_fired: dom.advances_fired.load(Ordering::Relaxed),
             advances_skipped: dom.advances_skipped.load(Ordering::Relaxed),
         }
@@ -483,7 +454,7 @@ impl ThreadHandle {
     /// one store to this thread's transient slot word plus one atomic
     /// epoch load — and it never stamps the domain dirty, so a pure-read
     /// workload (point `get`s, long scans) leaves a lazily cadenced
-    /// driver ([`crate::DomainCadence::lazy`]) completely idle. Guard
+    /// driver ([`crate::Cadence::lazy`]) completely idle. Guard
     /// semantics are identical to [`ThreadHandle::pin_domain`]: while the
     /// guard lives the domain cannot advance, so epoch-based reclamation
     /// cannot recycle anything the reader can still observe.
@@ -494,7 +465,7 @@ impl ThreadHandle {
 
     /// [`ThreadHandle::pin_domain`] for a mutating operation: additionally
     /// stamps the domain dirty, so a lazily cadenced driver
-    /// ([`crate::DomainCadence::lazy`]) knows the next advance has work.
+    /// ([`crate::Cadence::lazy`]) knows the next advance has work.
     #[inline]
     pub fn pin_domain_mut(&self, d: usize) -> Guard<'_> {
         self.pin_inner(d, true)
@@ -963,23 +934,13 @@ mod tests {
     }
 
     #[test]
-    fn domain_counters_track_bytes_and_advances_per_domain() {
+    fn domain_counters_track_advances_per_domain() {
         let mgr = durable_mgr_domains(2);
         assert_eq!(mgr.domain_counters(0), DomainCounters::default());
-        mgr.note_logged_bytes(0, 100);
-        mgr.note_logged_bytes(0, 28);
-        mgr.note_logged_bytes(1, 7);
-        let c0 = mgr.domain_counters(0);
-        assert_eq!(c0.bytes_logged, 128);
-        assert_eq!(c0.bytes_since_boundary, 128);
-        assert_eq!(c0.advances_fired, 0);
         mgr.advance_domain(0);
-        let c0 = mgr.domain_counters(0);
-        assert_eq!(c0.bytes_logged, 128, "lifetime count survives advances");
-        assert_eq!(c0.bytes_since_boundary, 0, "the boundary resets the window");
-        assert_eq!(c0.advances_fired, 1);
+        assert_eq!(mgr.domain_counters(0).advances_fired, 1);
         // Domain 1 is untouched by domain 0's advance.
-        assert_eq!(mgr.domain_counters(1).bytes_since_boundary, 7);
+        assert_eq!(mgr.domain_counters(1), DomainCounters::default());
         mgr.note_advance_skipped(1);
         assert_eq!(mgr.domain_counters(1).advances_skipped, 1);
         assert_eq!(mgr.domain_counters(0).advances_skipped, 0);

@@ -111,7 +111,7 @@ fn main() -> ExitCode {
     if !report.created {
         eprintln!("recovered: {report:?}");
     }
-    // No cadence runs here: a shard's epoch ends when a commit finds its
+    // No cadence runs here: a shard's epoch ends when a write finds its
     // log buffer short, so this is what a crash can leave to redo.
     println!(
         "commit log: at most {} KiB in doubt per shard ({} shards)",

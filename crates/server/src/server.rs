@@ -583,7 +583,9 @@ fn collect_scan(
 /// `in_doubt_log_bytes` is the largest shard's share of committed intents
 /// no boundary has retired yet — what a crash right now would redo there
 /// — under `commit_runs_live` commit records; `forced_boundaries` counts
-/// the checkpoints commits had to force (log room, a full run table).
+/// the checkpoints writes had to force: the log-room rule, which every
+/// put, remove and commit obeys whatever the commit mode, and a full run
+/// table.
 fn stats_json(svc: &Service) -> String {
     let c = &svc.counters;
     let (groups, grouped_ops) = svc.group_stats();

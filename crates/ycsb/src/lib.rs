@@ -8,7 +8,7 @@
 //! * [`zipf`] — Zipfian (θ = 0.99) and scrambled-Zipfian generators;
 //! * [`workload`] — the operation mixes and key mapping;
 //! * [`shift`] — a skew-shifting variant whose Zipfian hotspot rotates
-//!   across shards (for adaptive-cadence experiments);
+//!   across shards (for checkpoint-cadence experiments);
 //! * [`runner`] — a multi-threaded load/run driver generic over the
 //!   three systems under test via [`runner::KvBench`].
 //!

@@ -5,8 +5,8 @@
 //! checkpoint cadence tuned once stays right forever. Real workloads
 //! migrate: the hot tenant moves, the working set drifts, and a shard
 //! that was write-hot goes cold (and vice versa). [`ShiftingHotspot`]
-//! reproduces that pattern deterministically so adaptive-cadence
-//! experiments have something to adapt *to*:
+//! reproduces that pattern deterministically so checkpoint-cadence
+//! experiments face a write rate that keeps moving:
 //!
 //! * key indices are bucketed per shard with the **caller's** routing
 //!   function (pass the store's own `shard_of`, so the generator and the

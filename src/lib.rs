@@ -16,8 +16,7 @@ pub mod prelude {
         ShardStats, Store, ValueRef, WriteBatch, MAX_BATCH_OPS, MAX_VALUE_BYTES,
     };
     pub use incll_epoch::{
-        AdaptiveCadence, AdvanceDriver, Cadence, DomainCadence, DomainCounters, EpochManager,
-        EpochOptions, DEFAULT_EPOCH_INTERVAL,
+        AdvanceDriver, Cadence, DomainCounters, EpochManager, EpochOptions, DEFAULT_EPOCH_INTERVAL,
     };
     pub use incll_masstree::{AllocMode, Masstree, TransientAlloc, TreeCtx};
     pub use incll_pmem::{PArena, PPtr, StatsSnapshot};

@@ -7,7 +7,9 @@
 
 use incll_pmem::superblock::BATCH_ID_BLOCK;
 use incll_repro::prelude::*;
-use incll_server::{encode_request, encode_response, Request, Response, ServerConfig, Service};
+use incll_server::{
+    encode_request, encode_response, CommitMode, Request, Response, ServerConfig, Service,
+};
 
 const SHARDS: usize = 4;
 
@@ -352,7 +354,7 @@ fn a_leaf_logs_each_region_once_per_epoch_and_replay_reads_only_those() {
 fn a_batch_capturing_every_region_of_two_leaves_fits_or_forces_a_boundary() {
     const LOG_BYTES: usize = 64 << 10; // 32 KiB per (thread, shard)
     let mut outcomes = std::collections::BTreeSet::new();
-    for fillers in 20..=29u64 {
+    for fillers in 18..=26u64 {
         let (arena, store, keys) = slotted(2, LOG_BYTES, 10, 1);
         let sess = store.session().unwrap();
         // Fill shard 0's buffer with durable one-op commits on slot 0's
@@ -397,4 +399,187 @@ fn a_batch_capturing_every_region_of_two_leaves_fits_or_forces_a_boundary() {
         [0, 1],
         "the sweep must cover both a batch that fits and one that forces a boundary"
     );
+}
+
+/// One op's worst-case undo, what every plain put reserves: three leaf
+/// regions as separate entries, twelve interior-node images and the
+/// layer's holder cell (`crates/core/src/tree.rs`, `OP_UNDO_BOUND`).
+const OP_UNDO_BOUND: u64 = 224 + 96 + 96 + 12 * 352 + 48;
+
+/// Grows shard `shard` of a [`prepared`] store by `n` fresh keys, in
+/// scattered order, and checkpoints: the shard then has thousands of
+/// leaves from before the running epoch, and an update scattered over
+/// them captures value lines into its log (a leaf created in the running
+/// epoch needs no pre-image, so inserts alone log little).
+fn grown(store: &Store, shard: usize, n: usize) -> Vec<Vec<u8>> {
+    let sess = store.session().unwrap();
+    let keys: Vec<Vec<u8>> = (0u64..)
+        .map(|i| key(256 + i.wrapping_mul(0x9E37_79B9) % (1 << 30)))
+        .filter(|k| store.shard_of(k) == shard)
+        .take(n)
+        .collect();
+    for k in &keys {
+        store.put(&sess, k, &[1; 8]).unwrap();
+    }
+    store.checkpoint();
+    keys
+}
+
+/// Plain puts obey the same rule as commits: the put that finds its
+/// (thread, shard) buffer within one op's worst case of full checkpoints
+/// that shard, and no other, before it starts.
+#[test]
+fn a_full_log_buffer_forces_one_flush_on_exactly_its_shard_for_plain_puts() {
+    let (arena, store) = prepared();
+    let keys = grown(&store, 2, 100_000);
+    let sess = store.session().unwrap();
+    let before = arena.stats().snapshot();
+    let mut keys = keys.iter();
+    let mut peak = 0;
+    while forced(&store) == [0; SHARDS] {
+        peak = store.shard_stats(2).bytes_since_boundary;
+        let k = keys.next().expect("the log-room rule never fired");
+        store.put(&sess, k, &[2; 8]).unwrap();
+    }
+    let d = arena.stats().snapshot().delta(&before);
+    assert_eq!(forced(&store), [0, 0, 1, 0]);
+    assert_eq!((d.scoped_flush, d.global_flush), (1, 0));
+    // The rule fired within one op's worst case of the 1 MiB buffer's
+    // end, before the buffer could overrun; the put that forced it is all
+    // the shard has logged since.
+    assert!(
+        peak + OP_UNDO_BOUND > 1 << 20 && peak <= 1 << 20,
+        "peak {peak}"
+    );
+    assert!(store.shard_stats(2).bytes_since_boundary <= OP_UNDO_BOUND);
+    for s in [0, 1, 3] {
+        assert_eq!(store.shard_stats(s).bytes_since_boundary, 0, "shard {s}");
+    }
+}
+
+/// A put that would have to checkpoint while its own session holds a pin
+/// cannot wait for that pin: it fails typed, having written nothing, and
+/// goes through once the pin is gone.
+#[test]
+fn a_put_on_a_short_buffer_under_its_own_sessions_pin_fails_typed_and_writes_nothing() {
+    let (arena, store) = prepared();
+    let keys = grown(&store, 2, 100_000);
+    let sess = store.session().unwrap();
+    // Fill shard 2's buffer until the next put must checkpoint first.
+    let mut next = keys.iter();
+    while store.shard_stats(2).bytes_since_boundary + OP_UNDO_BOUND <= 1 << 20 {
+        store.put(&sess, next.next().unwrap(), &[2; 8]).unwrap();
+    }
+    assert_eq!(forced(&store), [0; SHARDS]);
+    let target = next.next().unwrap();
+    let held = store.get_ref(&sess, &key(0)).unwrap();
+    let (stats, before) = (store.shard_stats(2), arena.stats().snapshot());
+    match store.put(&sess, target, b"pinned") {
+        Err(Error::SessionPinned { shard }) => assert_eq!(shard, held.shard()),
+        other => panic!("expected SessionPinned, got {other:?}"),
+    }
+    let d = arena.stats().snapshot().delta(&before);
+    assert_eq!((d.ext_bytes_logged, d.clwb, d.sfence), (0, 0, 0));
+    assert_eq!((d.scoped_flush, d.global_flush), (0, 0));
+    assert_eq!(store.shard_stats(2), stats);
+    assert_eq!(store.get(&sess, target).unwrap(), [1; 8]);
+    drop(held);
+    store.put(&sess, target, b"pinned").unwrap();
+    assert_eq!(forced(&store), [0, 0, 1, 0]);
+    assert_eq!(store.get(&sess, target).unwrap(), b"pinned");
+}
+
+/// Keys of the log-room probe.
+const PROBE_KEYS: u64 = 200_000;
+
+/// The log-room probe: one session slot, a 256 KiB log and no cadence,
+/// `PROBE_KEYS` keys inserted and checkpointed. Nothing but the log-room
+/// rule ends an epoch on this store.
+fn probe_store() -> (PArena, Store) {
+    let arena = PArena::builder().capacity_bytes(256 << 20).build().unwrap();
+    let options = Options::new().threads(1).log_bytes_per_thread(256 << 10);
+    let (store, _) = Store::open(&arena, options).unwrap();
+    let sess = store.session().unwrap();
+    for i in 0..PROBE_KEYS {
+        store.put(&sess, &key(i), &[1; 8]).unwrap();
+    }
+    drop(sess);
+    store.checkpoint();
+    (arena, store)
+}
+
+/// `PROBE_KEYS` updates scattered over the probe's keys: nearly every
+/// leaf takes several within an epoch, so each value line overflows its
+/// in-cache-line log and is captured — far more undo than the buffer
+/// holds.
+fn scattered() -> impl Iterator<Item = Vec<u8>> {
+    (0..PROBE_KEYS).map(|i| key(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % PROBE_KEYS))
+}
+
+/// Checks the probe survived on forced boundaries and lost no write.
+fn probe_holds(store: &Store) {
+    let st = store.shard_stats(0);
+    assert!(st.advances_forced > 0, "{st:?}");
+    assert!(st.bytes_since_boundary <= 256 << 10, "{st:?}");
+    let sess = store.session().unwrap();
+    assert_eq!(store.iter(&sess).count() as u64, PROBE_KEYS);
+    for k in scattered().take(1000) {
+        assert_eq!(store.get(&sess, &k).unwrap(), [2; 8]);
+    }
+}
+
+#[test]
+fn the_log_room_probe_passes_through_plain_puts() {
+    let (_arena, store) = probe_store();
+    let sess = store.session().unwrap();
+    for k in scattered() {
+        store.put(&sess, &k, &[2; 8]).unwrap();
+    }
+    drop(sess);
+    probe_holds(&store);
+}
+
+#[test]
+fn the_log_room_probe_passes_through_single_shard_commits() {
+    let (_arena, store) = probe_store();
+    let sess = store.session().unwrap();
+    let keys: Vec<Vec<u8>> = scattered().collect();
+    for chunk in keys.chunks(64) {
+        let mut b = sess.batch();
+        for k in chunk {
+            b.put(k, &[2; 8]).unwrap();
+        }
+        assert_eq!(b.commit().unwrap(), 0, "the single-shard fast path");
+    }
+    drop(sess);
+    probe_holds(&store);
+}
+
+#[test]
+fn the_log_room_probe_passes_through_an_async_server() {
+    let (_arena, store) = probe_store();
+    let cfg = ServerConfig {
+        workers: 1,
+        commit: CommitMode::Async,
+        ..ServerConfig::default()
+    };
+    let svc = Service::new(store.clone(), &cfg).unwrap();
+    let mut ok = Vec::new();
+    encode_response(&Response::Ok, &mut ok);
+    let keys: Vec<Vec<u8>> = scattered().collect();
+    for chunk in keys.chunks(256) {
+        let mut input = Vec::new();
+        for k in chunk {
+            let put = Request::Put {
+                key: k.clone(),
+                val: vec![2; 8],
+            };
+            encode_request(&put, &mut input);
+        }
+        let mut replies = Vec::new();
+        assert_eq!(svc.serve_buffered(0, &input, &mut replies), input.len());
+        assert_eq!(replies, ok.repeat(chunk.len()), "every write acked");
+    }
+    drop(svc);
+    probe_holds(&store);
 }

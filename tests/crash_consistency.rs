@@ -654,3 +654,101 @@ fn durable_batches_never_overflow_the_log_without_a_cadence() {
     }
     assert_eq!(store.get(&sess, &too_many[0]), None);
 }
+
+/// FNV-1a over every byte of the arena: two arenas with equal digests
+/// hold identical contents.
+fn arena_digest(arena: &PArena) -> u64 {
+    let mut buf = vec![0u8; arena.capacity()];
+    arena.pread_bytes(0, &mut buf);
+    buf.chunks(8).fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        let mut word = [0u8; 8];
+        word[..w.len()].copy_from_slice(w);
+        (h ^ u64::from_le_bytes(word)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+#[test]
+fn a_crash_right_after_a_forced_boundary_recovers_exactly_that_boundary() {
+    // No cadence: after the checkpoint only the log-room rule ends an
+    // epoch. Scattered writes on shard 0 fill its 256 KiB (slot, shard)
+    // buffer until a put finds it short and checkpoints the shard before
+    // it starts; the crash strikes right after that put. Shard 0 must come
+    // back as the forced boundary left it — that put rolled back, every
+    // earlier one kept — and shard 1, which no boundary reached since the
+    // checkpoint, as the checkpoint left it; byte-identically at every
+    // recovery worker count.
+    let run = |workers: usize| {
+        let arena = tracked_arena();
+        let opts = options().shards(4).recovery_threads(workers);
+        let (store, _) = Store::open(&arena, opts.clone()).unwrap();
+        let sess = store.session().unwrap();
+        let keys_on = |shard: usize, n: usize| -> Vec<Vec<u8>> {
+            (0u64..)
+                .map(|i| i.wrapping_mul(0x9E37_79B9).to_be_bytes().to_vec())
+                .filter(|k| store.shard_of(k) == shard)
+                .take(n)
+                .collect()
+        };
+        let (keys0, keys1) = (keys_on(0, 20_000), keys_on(1, 200));
+        let mut model = BTreeMap::new();
+        for k in keys0.iter().chain(&keys1) {
+            store.put_u64(&sess, k, 0);
+            model.insert(k.clone(), 0u64.to_le_bytes().to_vec());
+        }
+        store.checkpoint();
+        let checkpoint = model.clone();
+
+        let mut rng = StdRng::seed_from_u64(28);
+        for k in &keys1 {
+            store.put(&sess, k, b"doomed").unwrap();
+        }
+        let boundary = loop {
+            let k = &keys0[rng.gen_range(0..keys0.len())];
+            let forced = store.shard_stats(0).advances_forced;
+            let old = if rng.gen_range(0..8) == 0 {
+                store.remove(&sess, k);
+                model.remove(k)
+            } else {
+                let v: Vec<u8> = (0..rng.gen_range(0..40)).map(|_| rng.gen()).collect();
+                store.put(&sess, k, &v).unwrap();
+                model.insert(k.clone(), v)
+            };
+            if store.shard_stats(0).advances_forced > forced {
+                // The boundary came first: the model without this write.
+                let mut at_boundary = model.clone();
+                match old {
+                    Some(v) => at_boundary.insert(k.clone(), v),
+                    None => at_boundary.remove(k),
+                };
+                break at_boundary;
+            }
+        };
+        assert_eq!(store.shard_stats(0).advances_forced, 1);
+        assert_eq!(store.shard_stats(1).advances_forced, 0);
+        drop(sess);
+        drop(store);
+        arena.crash_seeded(2800);
+
+        let (store, report) = Store::open(&arena, opts).unwrap();
+        assert!(!report.created);
+        let sess = store.session().unwrap();
+        let mut expect: BTreeMap<Vec<u8>, Vec<u8>> = boundary
+            .into_iter()
+            .filter(|(k, _)| store.shard_of(k) == 0)
+            .collect();
+        expect.extend(
+            checkpoint
+                .into_iter()
+                .filter(|(k, _)| store.shard_of(k) != 0),
+        );
+        assert_eq!(
+            collect(&store, &sess),
+            model_vec(&expect),
+            "workers={workers}"
+        );
+        drop(sess);
+        drop(store);
+        arena_digest(&arena)
+    };
+    assert_eq!(run(1), run(4));
+}

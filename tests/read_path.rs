@@ -319,7 +319,7 @@ fn pure_reads_leave_lazy_cadence_idle() {
     let before: Vec<u64> = (0..shards).map(|d| mgr.current_epoch_of(d)).collect();
     let driver = AdvanceDriver::spawn_per_domain(
         mgr.clone(),
-        vec![DomainCadence::lazy(Duration::from_millis(1)); shards],
+        vec![Cadence::lazy(Duration::from_millis(1)); shards],
     );
     let t0 = std::time::Instant::now();
     while t0.elapsed() < Duration::from_millis(30) {
