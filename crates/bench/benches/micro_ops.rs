@@ -18,7 +18,7 @@ fn bench(c: &mut Criterion) {
     let sess = inc.store.session().expect("slot 0 exists");
     for i in 0..keys {
         mtp.tree.put(&mctx, &storage_key(i), i);
-        inc.store.put_u64(&sess, &storage_key(i), i);
+        inc.store.put_u64(&sess, &storage_key(i), i).unwrap();
     }
 
     let mut g = c.benchmark_group("micro");
@@ -44,7 +44,7 @@ fn bench(c: &mut Criterion) {
     g.bench_function("update_incll", |b| {
         b.iter(|| {
             i += 1;
-            inc.store.put_u64(&sess, &storage_key(i % keys), i)
+            inc.store.put_u64(&sess, &storage_key(i % keys), i).unwrap()
         })
     });
     g.bench_function("scan10_mtplus", |b| {
@@ -66,7 +66,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             i += 1;
             let k = (keys + i % 1000).to_be_bytes();
-            inc.store.put_u64(&sess, &k, i);
+            inc.store.put_u64(&sess, &k, i).unwrap();
             inc.store.remove(&sess, &k)
         })
     });

@@ -44,16 +44,6 @@ impl ExpParams {
         }
     }
 
-    /// Tiny parameters for `cargo bench` smoke runs.
-    pub fn quick() -> Self {
-        ExpParams {
-            keys: 20_000,
-            ops_per_thread: 10_000,
-            threads: 2,
-            seed: 42,
-        }
-    }
-
     /// Uniformly scales keys and ops by `f`.
     #[must_use]
     pub fn scaled(mut self, f: f64) -> Self {
@@ -425,7 +415,9 @@ pub fn flush_cost(p: &ExpParams) -> Table {
                 let sess = store.session().expect("one slot per mutator");
                 let mut i = tid as u64;
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    store.put_u64(&sess, &incll_ycsb::storage_key(i % keys), i);
+                    store
+                        .put_u64(&sess, &incll_ycsb::storage_key(i % keys), i)
+                        .expect("arena sized for the keys");
                     i += 1;
                 }
             });
@@ -604,11 +596,10 @@ pub fn cadence(p: &ExpParams) -> Table {
         if let Some(bytes) = log_room {
             cfg.log_bytes_per_thread = bytes * CADENCE_SHARDS;
         }
-        cfg.epoch_interval = None;
         // Preload on a driverless store: no cadence ticks pollute the
         // counters; the log-room rule alone ends its epochs. The mode's
         // cadence arrives with the reopen below.
-        cfg.cadence = None;
+        cfg.epoch_interval = None;
         cfg.incll = false;
         cfg.sfence_ns = 600;
         cfg.scoped_flush_ns = Some(1_000_000);

@@ -46,10 +46,6 @@ pub struct SystemConfig {
     /// write-back walk over one shard's working set: `wbinvd_ns /
     /// shards`.
     pub scoped_flush_ns: Option<u64>,
-    /// Per-shard checkpoint cadence for the durable system's driver
-    /// (every shard gets a copy). When set, it takes precedence over
-    /// `epoch_interval`.
-    pub cadence: Option<Cadence>,
     /// Emulated NVM streaming-read cost replay pays per KB of valid log
     /// prefix at recovery (0 = free).
     pub replay_read_ns_per_kb: u64,
@@ -68,7 +64,6 @@ impl SystemConfig {
             epoch_interval: Some(DEFAULT_EPOCH_INTERVAL),
             shards: 1,
             scoped_flush_ns: None,
-            cadence: None,
             replay_read_ns_per_kb: 0,
         }
     }
@@ -97,18 +92,10 @@ impl SystemConfig {
 ///
 /// Field order matters: the driver stops (joins) before the tree drops.
 pub struct TransientSystem {
-    driver: Option<AdvanceDriver>,
+    /// Held only to be stopped on drop.
+    _driver: Option<AdvanceDriver>,
     /// The tree under test.
     pub tree: Masstree,
-}
-
-impl TransientSystem {
-    /// Stops the epoch driver (e.g. before precise measurements).
-    pub fn stop_driver(&mut self) {
-        if let Some(d) = self.driver.take() {
-            d.stop();
-        }
-    }
 }
 
 /// A built durable system: the store under test (it owns its cadence
@@ -127,7 +114,10 @@ pub fn build_mt(cfg: &SystemConfig) -> TransientSystem {
     let alloc = TransientAlloc::new(AllocMode::Global, cfg.threads, None);
     let tree = Masstree::new(mgr.clone(), alloc);
     let driver = cfg.epoch_interval.map(|iv| AdvanceDriver::spawn(mgr, iv));
-    TransientSystem { driver, tree }
+    TransientSystem {
+        _driver: driver,
+        tree,
+    }
 }
 
 /// Builds the MT+ baseline (pool allocator + epoch barrier).
@@ -140,7 +130,10 @@ pub fn build_mtplus(cfg: &SystemConfig) -> TransientSystem {
     let alloc = TransientAlloc::new(AllocMode::Pool, cfg.threads, Some(pool));
     let tree = Masstree::new(mgr.clone(), alloc);
     let driver = cfg.epoch_interval.map(|iv| AdvanceDriver::spawn(mgr, iv));
-    TransientSystem { driver, tree }
+    TransientSystem {
+        _driver: driver,
+        tree,
+    }
 }
 
 /// Builds the durable INCLL system (or its LOGGING ablation) behind the
@@ -166,8 +159,8 @@ pub fn build_incll(cfg: &SystemConfig) -> DurableSystem {
         .log_bytes_per_thread(cfg.log_bytes_per_thread)
         .incll(cfg.incll)
         .shards(cfg.shards);
-    if let Some(c) = cfg.cadence.or(cfg.epoch_interval.map(Cadence::eager)) {
-        options = options.cadence(c);
+    if let Some(interval) = cfg.epoch_interval {
+        options = options.cadence(Cadence::eager(interval));
     }
     let (store, _report) = Store::open(&arena, options).expect("arena sized for the key count");
     DurableSystem { store, arena }

@@ -345,10 +345,23 @@ mod tests {
 
     #[test]
     fn val_incll_roundtrip() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
         let w = val_incll::pack(0x1234_5670, 6, 0xBEEF);
         assert_eq!(val_incll::ptr(w), 0x1234_5670);
         assert_eq!(val_incll::idx(w), 6);
         assert_eq!(val_incll::low16(w), 0xBEEF);
+        // Packing is lossless for every representable triple: any
+        // 16-aligned offset below 2^48, any slot, any low epoch half.
+        let mut rng = StdRng::seed_from_u64(0x001A_7C11);
+        for _ in 0..4096 {
+            let ptr = rng.gen_range(0u64..1 << 44) << 4;
+            let idx = rng.gen_range(0usize..15);
+            let ep: u16 = rng.gen();
+            let w = val_incll::pack(ptr, idx, ep);
+            assert_eq!(val_incll::ptr(w), ptr);
+            assert_eq!(val_incll::idx(w), idx);
+            assert_eq!(val_incll::low16(w), ep);
+        }
     }
 
     #[test]

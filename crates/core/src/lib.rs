@@ -12,14 +12,15 @@
 //!   the last boundary.
 //! * **In-cache-line logging (InCLL)** — each 14-entry leaf embeds three
 //!   undo-log words *inside* its own cache lines (`InCLLp` for the
-//!   permutation, `ValInCLL1/2` for values, [`layout`]); PCSO same-line
+//!   permutation, `ValInCLL1/2` for values; the paper's Figure 1 byte for
+//!   byte in the crate-private `layout` module); PCSO same-line
 //!   ordering makes the logs durable-before-mutation with **zero** flushes
 //!   or fences on the operation path.
 //! * **External logging** ([`incll_extlog`]) for the rare complex cases:
 //!   splits, interior nodes, layer conversions, InCLL overflow. A leaf is
 //!   logged at cache-line grain: a second hot value in one line (InCLL
 //!   overflow) logs that 64-byte line, a split or conversion the regions
-//!   of the leaf not yet logged in the epoch ([`layout`]).
+//!   of the leaf not yet logged in the epoch.
 //!
 //! The durable allocator ([`incll_palloc`]) applies the same recipe to its
 //! free lists, so a `put` (buffer allocation + tree update) runs without a
@@ -60,7 +61,7 @@
 //!     store.get(&sess, b"durable-key").as_deref(),
 //!     Some(&b"any bytes at all"[..]),
 //! );
-//! store.put_u64(&sess, b"counter", 7); // the paper's 8-byte payloads
+//! store.put_u64(&sess, b"counter", 7)?; // the paper's 8-byte payloads
 //!
 //! // Zero-copy reads: borrow the value bytes in place. The view holds a
 //! // read pin on the key's shard until dropped (see "Read semantics").
@@ -419,11 +420,17 @@
 //! ```compile_fail
 //! use incll::DurableConfig;
 //! ```
+//!
+//! Node offsets and version-word locking are the tree's own, too:
+//!
+//! ```compile_fail
+//! use incll::layout::val_incll;
+//! ```
 
 mod batch;
 mod error;
-pub mod layout;
-pub mod pversion;
+mod layout;
+mod pversion;
 mod recovery;
 mod store;
 mod tree;
@@ -432,7 +439,7 @@ pub use batch::{WriteBatch, MAX_BATCH_OPS};
 pub use error::{Error, MAX_VALUE_BYTES};
 pub use recovery::{RecoveryReport, ShardReplay};
 pub use store::{ExtentStats, Options, RangeScan, Session, ShardStats, Store};
-pub use tree::{ReadGuard, ValueRef, VALUE_BUF_BYTES};
+pub use tree::{ValueRef, VALUE_BUF_BYTES};
 
 #[cfg(test)]
 mod tests {
@@ -504,7 +511,7 @@ mod tests {
         let (store, _) = Store::open(&arena, opts).unwrap();
         let sess = store.session().unwrap();
         for i in 0..500u64 {
-            store.put_u64(&sess, &i.to_be_bytes(), i);
+            store.put_u64(&sess, &i.to_be_bytes(), i).unwrap();
         }
         store.checkpoint();
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -548,9 +555,9 @@ mod tests {
     fn put_get_update_remove() {
         let (_a, t) = fresh(false);
         let ctx = t.thread_ctx(0).unwrap();
-        assert_eq!(t.put(&ctx, b"alpha", 1), None);
+        assert_eq!(t.put(&ctx, b"alpha", 1).unwrap(), None);
         assert_eq!(get(&t, &ctx, b"alpha"), Some(1));
-        assert_eq!(t.put(&ctx, b"alpha", 2), Some(1));
+        assert_eq!(t.put(&ctx, b"alpha", 2).unwrap(), Some(1));
         assert_eq!(get(&t, &ctx, b"alpha"), Some(2));
         assert!(t.remove(&ctx, b"alpha"));
         assert_eq!(get(&t, &ctx, b"alpha"), None);
@@ -564,13 +571,13 @@ mod tests {
         // start a fresh epoch so first modifications take the InCLL path
         // (fresh nodes are born "logged" and need no logging at all).
         for i in 0..64u64 {
-            t.put(&ctx, &i.to_be_bytes(), i);
+            t.put(&ctx, &i.to_be_bytes(), i).unwrap();
         }
         t.epoch_manager().advance();
         let before = a.stats().snapshot();
         for i in 0..32u64 {
-            t.put(&ctx, &(1000 + i).to_be_bytes(), i); // inserts, no splits
-            t.put(&ctx, &i.to_be_bytes(), i + 1); // updates
+            t.put(&ctx, &(1000 + i).to_be_bytes(), i).unwrap(); // inserts, no splits
+            t.put(&ctx, &i.to_be_bytes(), i + 1).unwrap(); // updates
             get(&t, &ctx, &i.to_be_bytes());
         }
         let d = a.stats().snapshot().delta(&before);
@@ -587,7 +594,7 @@ mod tests {
         let (_a, t) = fresh(false);
         let ctx = t.thread_ctx(0).unwrap();
         for i in 0..3000u64 {
-            t.put(&ctx, &i.to_be_bytes(), i * 3);
+            t.put(&ctx, &i.to_be_bytes(), i * 3).unwrap();
         }
         for i in 0..3000u64 {
             assert_eq!(get(&t, &ctx, &i.to_be_bytes()), Some(i * 3), "key {i}");
@@ -601,10 +608,10 @@ mod tests {
     fn long_keys_and_layers() {
         let (_a, t) = fresh(false);
         let ctx = t.thread_ctx(0).unwrap();
-        t.put(&ctx, b"abcdefgh", 1);
-        t.put(&ctx, b"abcdefgh-beyond-one-slice", 2);
-        t.put(&ctx, b"abcdefgh-beyond", 3);
-        t.put(&ctx, b"ab", 4);
+        t.put(&ctx, b"abcdefgh", 1).unwrap();
+        t.put(&ctx, b"abcdefgh-beyond-one-slice", 2).unwrap();
+        t.put(&ctx, b"abcdefgh-beyond", 3).unwrap();
+        t.put(&ctx, b"ab", 4).unwrap();
         assert_eq!(get(&t, &ctx, b"abcdefgh"), Some(1));
         assert_eq!(get(&t, &ctx, b"abcdefgh-beyond-one-slice"), Some(2));
         assert_eq!(get(&t, &ctx, b"abcdefgh-beyond"), Some(3));
@@ -627,7 +634,11 @@ mod tests {
             match rng.gen_range(0..10) {
                 0..=5 => {
                     let v = rng.gen();
-                    assert_eq!(t.put(&ctx, &key, v), model.insert(key.clone(), v), "{step}");
+                    assert_eq!(
+                        t.put(&ctx, &key, v).unwrap(),
+                        model.insert(key.clone(), v),
+                        "{step}"
+                    );
                 }
                 6..=7 => {
                     assert_eq!(t.remove(&ctx, &key), model.remove(&key).is_some(), "{step}");
@@ -653,7 +664,7 @@ mod tests {
                 s.spawn(move || {
                     let ctx = t.thread_ctx(tid).unwrap();
                     for i in 0..1500u64 {
-                        t.put(&ctx, &(i * 2 + tid as u64).to_be_bytes(), i);
+                        t.put(&ctx, &(i * 2 + tid as u64).to_be_bytes(), i).unwrap();
                     }
                 });
             }
@@ -703,7 +714,7 @@ mod tests {
         let ctx = tree.thread_ctx(0).unwrap();
         let mut expect = BTreeMap::new();
         for i in 0..50u64 {
-            tree.put(&ctx, &i.to_be_bytes(), i);
+            tree.put(&ctx, &i.to_be_bytes(), i).unwrap();
             expect.insert(i.to_be_bytes().to_vec(), i);
         }
         tree.epoch_manager().advance(); // the boundary to recover to
@@ -711,7 +722,7 @@ mod tests {
         // Doomed-epoch work through the ordinary wrappers (each seals
         // its own undo entries before the guarded modification)...
         for i in 50..60u64 {
-            tree.put(&ctx, &i.to_be_bytes(), i);
+            tree.put(&ctx, &i.to_be_bytes(), i).unwrap();
         }
 
         // ...then raw intents staged mid-"commit": appended to the
@@ -760,7 +771,7 @@ mod tests {
         let ctx = tree.thread_ctx(0).unwrap();
         let mut expect = BTreeMap::new();
         for i in 0..80u64 {
-            tree.put(&ctx, &i.to_be_bytes(), i);
+            tree.put(&ctx, &i.to_be_bytes(), i).unwrap();
             expect.insert(i.to_be_bytes().to_vec(), i);
         }
         tree.epoch_manager().advance(); // the boundary to recover to
@@ -768,7 +779,7 @@ mod tests {
         // Doomed epoch: in-place updates and fresh inserts, every
         // one externally logged (InCLL is off).
         for i in 0..100u64 {
-            tree.put(&ctx, &i.to_be_bytes(), i + 1000);
+            tree.put(&ctx, &i.to_be_bytes(), i + 1000).unwrap();
         }
         drop(ctx);
         drop(tree);
@@ -811,14 +822,14 @@ mod tests {
                 |t, ctx| {
                     let mut m = BTreeMap::new();
                     for i in 0..20u64 {
-                        t.put(ctx, &i.to_be_bytes(), i);
+                        t.put(ctx, &i.to_be_bytes(), i).unwrap();
                         m.insert(i.to_be_bytes().to_vec(), i);
                     }
                     m
                 },
                 |t, ctx| {
                     for i in 20..40u64 {
-                        t.put(ctx, &i.to_be_bytes(), i);
+                        t.put(ctx, &i.to_be_bytes(), i).unwrap();
                     }
                 },
             );
@@ -833,14 +844,14 @@ mod tests {
                 |t, ctx| {
                     let mut m = BTreeMap::new();
                     for i in 0..20u64 {
-                        t.put(ctx, &i.to_be_bytes(), i);
+                        t.put(ctx, &i.to_be_bytes(), i).unwrap();
                         m.insert(i.to_be_bytes().to_vec(), i);
                     }
                     m
                 },
                 |t, ctx| {
                     for i in 0..20u64 {
-                        t.put(ctx, &i.to_be_bytes(), i + 1000);
+                        t.put(ctx, &i.to_be_bytes(), i + 1000).unwrap();
                     }
                 },
             );
@@ -855,7 +866,7 @@ mod tests {
                 |t, ctx| {
                     let mut m = BTreeMap::new();
                     for i in 0..20u64 {
-                        t.put(ctx, &i.to_be_bytes(), i);
+                        t.put(ctx, &i.to_be_bytes(), i).unwrap();
                         m.insert(i.to_be_bytes().to_vec(), i);
                     }
                     m
@@ -878,7 +889,7 @@ mod tests {
                 |t, ctx| {
                     let mut m = BTreeMap::new();
                     for i in 0..14u64 {
-                        t.put(ctx, &i.to_be_bytes(), i);
+                        t.put(ctx, &i.to_be_bytes(), i).unwrap();
                         m.insert(i.to_be_bytes().to_vec(), i);
                     }
                     m
@@ -888,7 +899,7 @@ mod tests {
                         t.remove(ctx, &i.to_be_bytes());
                     }
                     for i in 100..107u64 {
-                        t.put(ctx, &i.to_be_bytes(), i);
+                        t.put(ctx, &i.to_be_bytes(), i).unwrap();
                     }
                 },
             );
@@ -903,7 +914,7 @@ mod tests {
                 |t, ctx| {
                     let mut m = BTreeMap::new();
                     for i in 0..10u64 {
-                        t.put(ctx, &i.to_be_bytes(), i);
+                        t.put(ctx, &i.to_be_bytes(), i).unwrap();
                         m.insert(i.to_be_bytes().to_vec(), i);
                     }
                     m
@@ -911,7 +922,7 @@ mod tests {
                 |t, ctx| {
                     // Far beyond one leaf: leaf + interior splits.
                     for i in 10..400u64 {
-                        t.put(ctx, &i.to_be_bytes(), i);
+                        t.put(ctx, &i.to_be_bytes(), i).unwrap();
                     }
                 },
             );
@@ -923,12 +934,12 @@ mod tests {
         let (arena, tree) = fresh(true);
         let ctx = tree.thread_ctx(0).unwrap();
         for i in 0..500u64 {
-            tree.put(&ctx, &i.to_be_bytes(), i);
+            tree.put(&ctx, &i.to_be_bytes(), i).unwrap();
         }
         tree.epoch_manager().advance();
         // Mixed mutations in the doomed epoch.
         for i in 0..100u64 {
-            tree.put(&ctx, &i.to_be_bytes(), 9999);
+            tree.put(&ctx, &i.to_be_bytes(), 9999).unwrap();
             tree.remove(&ctx, &(i + 200).to_be_bytes());
         }
         drop(ctx);
@@ -956,7 +967,7 @@ mod tests {
                     match rng.gen_range(0..3) {
                         0 => {
                             let v = rng.gen();
-                            tree.put(&ctx, &key, v);
+                            tree.put(&ctx, &key, v).unwrap();
                             model.insert(key, v);
                         }
                         1 => {
@@ -975,7 +986,7 @@ mod tests {
             for _ in 0..rng.gen_range(10..200) {
                 let key = rng.gen_range(0..60u64).to_be_bytes().to_vec();
                 if rng.gen_bool(0.6) {
-                    tree.put(&ctx, &key, rng.gen());
+                    tree.put(&ctx, &key, rng.gen()).unwrap();
                 } else {
                     tree.remove(&ctx, &key);
                 }
@@ -996,12 +1007,12 @@ mod tests {
         let ctx = tree.thread_ctx(0).unwrap();
         let mut expect = BTreeMap::new();
         for i in 0..50u64 {
-            tree.put(&ctx, &i.to_be_bytes(), i);
+            tree.put(&ctx, &i.to_be_bytes(), i).unwrap();
             expect.insert(i.to_be_bytes().to_vec(), i);
         }
         tree.epoch_manager().advance();
         for i in 50..80u64 {
-            tree.put(&ctx, &i.to_be_bytes(), i);
+            tree.put(&ctx, &i.to_be_bytes(), i).unwrap();
         }
         drop(ctx);
         drop(tree);
@@ -1010,7 +1021,7 @@ mod tests {
         let (tree2, _) = DurableMasstree::open(&arena, small_config()).unwrap();
         let ctx2 = tree2.thread_ctx(0).unwrap();
         for i in 80..110u64 {
-            tree2.put(&ctx2, &i.to_be_bytes(), i);
+            tree2.put(&ctx2, &i.to_be_bytes(), i).unwrap();
         }
         drop(ctx2);
         drop(tree2);
@@ -1026,9 +1037,9 @@ mod tests {
     fn work_after_recovery_persists() {
         let (arena, tree) = fresh(true);
         let ctx = tree.thread_ctx(0).unwrap();
-        tree.put(&ctx, b"before", 1);
+        tree.put(&ctx, b"before", 1).unwrap();
         tree.epoch_manager().advance();
-        tree.put(&ctx, b"doomed", 2);
+        tree.put(&ctx, b"doomed", 2).unwrap();
         drop(ctx);
         drop(tree);
         arena.crash_seeded(5);
@@ -1036,7 +1047,7 @@ mod tests {
         let ctx2 = tree2.thread_ctx(0).unwrap();
         assert_eq!(get(&tree2, &ctx2, b"before"), Some(1));
         assert_eq!(get(&tree2, &ctx2, b"doomed"), None);
-        tree2.put(&ctx2, b"after", 3);
+        tree2.put(&ctx2, b"after", 3).unwrap();
         tree2.epoch_manager().advance(); // checkpoint the new work
         drop(ctx2);
         drop(tree2);
@@ -1064,12 +1075,12 @@ mod tests {
         let ctx = tree.thread_ctx(0).unwrap();
         let mut expect = BTreeMap::new();
         for i in 0..40u64 {
-            tree.put(&ctx, &i.to_be_bytes(), i);
+            tree.put(&ctx, &i.to_be_bytes(), i).unwrap();
             expect.insert(i.to_be_bytes().to_vec(), i);
         }
         tree.epoch_manager().advance();
         for i in 0..40u64 {
-            tree.put(&ctx, &i.to_be_bytes(), 7777);
+            tree.put(&ctx, &i.to_be_bytes(), 7777).unwrap();
         }
         assert!(arena.stats().ext_nodes_logged() > 0);
         drop(ctx);
@@ -1086,11 +1097,11 @@ mod tests {
         // Repeated updates of one key in an epoch need only one InCLL log.
         let (a, t) = fresh(false);
         let ctx = t.thread_ctx(0).unwrap();
-        t.put(&ctx, b"hot", 0);
+        t.put(&ctx, b"hot", 0).unwrap();
         t.epoch_manager().advance();
         let before = a.stats().snapshot();
         for i in 0..100u64 {
-            t.put(&ctx, b"hot", i);
+            t.put(&ctx, b"hot", i).unwrap();
         }
         let d = a.stats().snapshot().delta(&before);
         assert_eq!(d.incll_val_logs, 1, "same-slot updates reuse the log");
@@ -1104,13 +1115,13 @@ mod tests {
         // external-logged instead (§4.1.3).
         let (a, t) = fresh(false);
         let ctx = t.thread_ctx(0).unwrap();
-        t.put(&ctx, b"wrapkey", 1);
+        t.put(&ctx, b"wrapkey", 1).unwrap();
         t.epoch_manager().advance(); // nodeEpoch ∈ window 0
 
         // Jump the epoch across the 2^16 window boundary.
-        t.epoch_manager().restart_at(1 << 16);
+        t.epoch_manager().restart_domain_at(0, 1 << 16);
         let before = a.stats().snapshot();
-        t.put(&ctx, b"wrapkey", 2); // first touch in the new window
+        t.put(&ctx, b"wrapkey", 2).unwrap(); // first touch in the new window
         let d = a.stats().snapshot().delta(&before);
         assert!(
             d.ext_nodes_logged >= 1,
@@ -1119,7 +1130,7 @@ mod tests {
         assert_eq!(get(&t, &ctx, b"wrapkey"), Some(2));
         // Subsequent same-epoch updates are free again.
         let before = a.stats().snapshot();
-        t.put(&ctx, b"wrapkey", 3);
+        t.put(&ctx, b"wrapkey", 3).unwrap();
         let d = a.stats().snapshot().delta(&before);
         assert_eq!(d.ext_nodes_logged, 0);
     }
@@ -1139,16 +1150,16 @@ mod tests {
         {
             let ctx = tree.thread_ctx(0).unwrap();
             for i in 0..30u64 {
-                tree.put(&ctx, &i.to_be_bytes(), i);
+                tree.put(&ctx, &i.to_be_bytes(), i).unwrap();
                 expect.insert(i.to_be_bytes().to_vec(), i);
             }
             tree.epoch_manager().advance();
-            tree.epoch_manager().restart_at(1 << 16); // window jump
+            tree.epoch_manager().restart_domain_at(0, 1 << 16); // window jump
 
             // exec_epoch moved: lazy recovery will run; that's the uniform
             // open-equals-recover behavior.
             for i in 0..30u64 {
-                tree.put(&ctx, &i.to_be_bytes(), 9999); // doomed
+                tree.put(&ctx, &i.to_be_bytes(), 9999).unwrap(); // doomed
             }
         }
         drop(tree);
@@ -1175,8 +1186,8 @@ mod tests {
         let t2 = t0.shard(2);
         // The same key placed in two shards lives twice — placement is the
         // caller's job at this level.
-        t0.put(&ctx, b"k", 10);
-        t2.put(&ctx, b"k", 20);
+        t0.put(&ctx, b"k", 10).unwrap();
+        t2.put(&ctx, b"k", 20).unwrap();
         assert_eq!(get(&t0, &ctx, b"k"), Some(10));
         assert_eq!(get(&t2, &ctx, b"k"), Some(20));
         assert!(t0.remove(&ctx, b"k"));
@@ -1201,13 +1212,13 @@ mod tests {
             let ctx = tree.thread_ctx(0).unwrap();
             let t1 = tree.shard(1);
             for i in 0..50u64 {
-                tree.put(&ctx, &i.to_be_bytes(), i);
-                t1.put(&ctx, &i.to_be_bytes(), i + 1000);
+                tree.put(&ctx, &i.to_be_bytes(), i).unwrap();
+                t1.put(&ctx, &i.to_be_bytes(), i + 1000).unwrap();
             }
             tree.epoch_manager().advance(); // one boundary covers both
             for i in 0..50u64 {
-                tree.put(&ctx, &i.to_be_bytes(), 9999); // doomed, shard 0
-                t1.put(&ctx, &(i + 50).to_be_bytes(), 9999); // doomed, shard 1
+                tree.put(&ctx, &i.to_be_bytes(), 9999).unwrap(); // doomed, shard 0
+                t1.put(&ctx, &(i + 50).to_be_bytes(), 9999).unwrap(); // doomed, shard 1
             }
         }
         drop(tree);
@@ -1272,7 +1283,7 @@ mod tests {
         let ctx = tree.thread_ctx(0).unwrap();
         let mut expect = BTreeMap::new();
         for i in 0..300u64 {
-            tree.put(&ctx, &i.to_be_bytes(), i * 2);
+            tree.put(&ctx, &i.to_be_bytes(), i * 2).unwrap();
             expect.insert(i.to_be_bytes().to_vec(), i * 2);
         }
         tree.epoch_manager().advance(); // clean shutdown = checkpoint
@@ -1322,7 +1333,7 @@ mod tests {
     fn byte_and_u64_forms_interoperate() {
         let (_a, t) = fresh(false);
         let ctx = t.thread_ctx(0).unwrap();
-        t.put(&ctx, b"k", 0xAB54_A98C_EB1F_0AD2);
+        t.put(&ctx, b"k", 0xAB54_A98C_EB1F_0AD2).unwrap();
         assert_eq!(
             get_bytes(&t, &ctx, b"k").as_deref(),
             Some(&0xAB54_A98C_EB1F_0AD2u64.to_le_bytes()[..]),

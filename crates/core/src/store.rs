@@ -536,16 +536,20 @@ impl Store {
     ///
     /// The returned previous payload is meaningful only when the previous
     /// value was itself 8 bytes; for mixed-width keys use [`Store::put`],
-    /// which returns the full previous value.
+    /// which returns the full previous value. Obeys the same log-room rule
+    /// as [`Store::put`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// As [`Store::remove`], for a session that holds a pin while its log
-    /// buffer is short; and when the arena cannot fit the value buffer.
-    pub fn put_u64(&self, sess: &Session, key: &[u8], value: u64) -> Option<u64> {
+    /// As [`Store::put`] (an 8-byte value is never too large):
+    /// [`Error::Pmem`] when the arena cannot fit the value buffer, and the
+    /// key keeps its previous value; [`Error::SessionPinned`] when the
+    /// session's log buffer for the key's shard is short while the session
+    /// holds a pin; [`Error::BatchExceedsLog`] when even an empty buffer
+    /// cannot hold one op's worst case. None of these writes anything.
+    pub fn put_u64(&self, sess: &Session, key: &[u8], value: u64) -> Result<Option<u64>, Error> {
         let tree = self.route(key);
-        // As in `remove`.
-        let _ = tree.reserve_log_room(&sess.ctx, OP_UNDO_BOUND);
+        tree.reserve_log_room(&sess.ctx, OP_UNDO_BOUND)?;
         tree.put(&sess.ctx, key, value)
     }
 

@@ -179,7 +179,7 @@ impl DCtx {
     /// Pins shard `shard`'s epoch domain: that shard cannot checkpoint
     /// while the guard lives.
     pub fn pin_shard(&self, shard: usize) -> Guard<'_> {
-        self.handle.pin_domain(shard)
+        self.handle.pin_domain_read(shard)
     }
 
     /// Mutating pin on one shard (marks the domain dirty): the batch
@@ -208,48 +208,18 @@ impl std::fmt::Debug for DCtx {
     }
 }
 
-/// The epoch pin backing a borrowed read ([`ValueRef`]).
-///
-/// While a `ReadGuard` lives, its shard's epoch domain cannot advance, so
-/// epoch-based reclamation cannot recycle any buffer the reader still
-/// holds a [`ValueRef`] into. It is a *read* pin
-/// ([`ThreadHandle::pin_domain_read`]): it writes no log-buffer or arena
-/// byte and never marks the domain dirty, so holding one briefly is free
-/// — but holding one across long pauses delays that one shard's
-/// checkpoints, exactly like an open transaction. Drop it (by dropping
-/// the `ValueRef`) before blocking.
-pub struct ReadGuard<'s> {
-    guard: Guard<'s>,
-    shard: usize,
-}
-
-impl ReadGuard<'_> {
-    /// The epoch pinned by this guard.
-    pub fn epoch(&self) -> u64 {
-        self.guard.epoch()
-    }
-
-    /// The shard (epoch domain) this guard pins.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-}
-
-impl std::fmt::Debug for ReadGuard<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReadGuard")
-            .field("shard", &self.shard)
-            .field("epoch", &self.epoch())
-            .finish()
-    }
-}
-
 /// A borrowed, zero-copy view of one value's durable bytes, returned by
 /// [`crate::Store::get_ref`].
 ///
 /// Dereferences to the payload byte slice **in place** — no allocation,
-/// no copy; the backing [`ReadGuard`] keeps the shard's epoch open so the
-/// buffer cannot be recycled while the view lives.
+/// no copy; the view holds an epoch pin on its shard, so the buffer
+/// cannot be recycled while the view lives.
+///
+/// The pin is a *read* pin ([`incll_epoch::ThreadHandle::pin_domain_read`]):
+/// it writes no log-buffer or arena byte and never marks the domain dirty,
+/// so holding a view briefly is free — but holding one across long pauses
+/// delays that one shard's checkpoints, exactly like an open transaction.
+/// Drop the view before blocking.
 ///
 /// # What a `ValueRef` may observe
 ///
@@ -276,16 +246,10 @@ pub struct ValueRef<'s> {
     len: usize,
     /// Header-word snapshot taken at lookup, for [`ValueRef::is_stale`].
     hdr: (u64, u64),
-    pin: ReadGuard<'s>,
+    pin: Guard<'s>,
 }
 
 impl<'s> ValueRef<'s> {
-    /// Payload length in bytes.
-    #[allow(clippy::len_without_is_empty)] // is_empty comes via Deref<[u8]>
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
     /// Decodes the payload as the `u64` convenience encoding
     /// (little-endian, as written by [`crate::Store::put_u64`]).
     /// Meaningful only for 8-byte values.
@@ -313,19 +277,6 @@ impl<'s> ValueRef<'s> {
     pub fn epoch(&self) -> u64 {
         self.pin.epoch()
     }
-
-    /// The shard the value lives in.
-    pub fn shard(&self) -> usize {
-        self.pin.shard()
-    }
-
-    /// The allocator size class (index into
-    /// [`incll_palloc::CLASS_SIZES`]) serving this value's buffer —
-    /// derived from the validated length prefix, the same arithmetic the
-    /// free path uses.
-    pub fn size_class(&self) -> usize {
-        incll_palloc::class_for(value_buf_size(self.len)).expect("value_buf_size is never zero")
-    }
 }
 
 impl std::ops::Deref for ValueRef<'_> {
@@ -352,7 +303,6 @@ impl std::fmt::Debug for ValueRef<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ValueRef")
             .field("len", &self.len)
-            .field("shard", &self.pin.shard)
             .field("epoch", &self.epoch())
             .field("stale", &self.is_stale())
             .finish()
@@ -746,10 +696,7 @@ impl DurableMasstree {
             buf,
             len,
             hdr,
-            pin: ReadGuard {
-                guard,
-                shard: self.shard_id,
-            },
+            pin: guard,
         })
     }
 
@@ -761,28 +708,12 @@ impl DurableMasstree {
     /// itself 8 bytes wide; use [`DurableMasstree::put_bytes`] to observe
     /// the full previous value of mixed-width keys.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the arena is exhausted (use
-    /// [`DurableMasstree::put_bytes`] for the error-returning form).
-    pub fn put(&self, ctx: &DCtx, key: &[u8], val: u64) -> Option<u64> {
-        let (g, _s) = self.enter_mut(ctx);
-        let epoch = g.epoch();
-        // SAFETY: as for `get`.
-        let out = unsafe {
-            self.put_inner(
-                ctx,
-                epoch,
-                key,
-                &val.to_le_bytes(),
-                &mut None,
-                read_value_u64,
-            )
-        }
-        .expect("arena full");
-        // No drain on exit: every undo entry the operation appended was
-        // sealed before its guarded modification (see `log_node`).
-        out
+    /// As [`DurableMasstree::put_bytes`]: [`Error::Pmem`] when the arena
+    /// cannot fit the value buffer (the key's previous mapping survives).
+    pub fn put(&self, ctx: &DCtx, key: &[u8], val: u64) -> Result<Option<u64>, Error> {
+        self.put_value(ctx, key, &val.to_le_bytes(), None, read_value_u64)
     }
 
     /// Inserts or updates `key` with a byte-slice value (fresh size-classed
@@ -839,7 +770,8 @@ impl DurableMasstree {
         let epoch = g.epoch();
         // SAFETY: as for `get`.
         let out = unsafe { self.put_inner(ctx, epoch, key, val, &mut prealloc, read_old) };
-        // No drain on exit — as for `put`: undo entries seal themselves.
+        // No drain on exit: every undo entry the operation appended was
+        // sealed before its guarded modification (see `log_node`).
         out
     }
 

@@ -8,10 +8,10 @@ use crate::EpochManager;
 /// A background thread that advances the epoch on a fixed interval,
 /// mirroring the paper's 64 ms checkpoint cadence.
 ///
-/// The driver stops (and joins its thread) on [`AdvanceDriver::stop`] or
-/// drop. Stopping is prompt regardless of the interval: the thread waits
-/// in `park_timeout` slices and is unparked by `stop`, so a driver on a
-/// multi-second cadence still joins in microseconds.
+/// The driver stops (and joins its thread) on drop. Stopping is prompt
+/// regardless of the interval: the thread waits in `park_timeout` slices
+/// and is unparked by the drop, so a driver on a multi-second cadence
+/// still joins in microseconds.
 ///
 /// # Example
 ///
@@ -26,7 +26,7 @@ use crate::EpochManager;
 /// let mgr = EpochManager::new(arena, EpochOptions::durable());
 /// let driver = AdvanceDriver::spawn(mgr.clone(), Duration::from_millis(5));
 /// std::thread::sleep(Duration::from_millis(40));
-/// driver.stop();
+/// drop(driver); // stops and joins the thread
 /// assert!(mgr.current_epoch() > 1);
 /// # Ok(())
 /// # }
@@ -153,39 +153,30 @@ impl AdvanceDriver {
         }
     }
 
-    /// Stops the driver and joins its thread (promptly, even mid-interval).
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
     /// Permanently stops the driver **without joining** its thread: the
     /// stop flag is raised and the thread unparked, so no advance fires
     /// after the in-flight one (if any) completes. Callable through a
-    /// shared handle, unlike [`AdvanceDriver::stop`], which consumes the
-    /// driver. The use case is a controlled-teardown harness: freeze the
+    /// shared handle, unlike a drop, which needs the driver itself. The
+    /// use case is a controlled-teardown harness: freeze the
     /// cadence *before* quiescing writers, so a backlogged driver can't
     /// spend the sudden idle time on one last catch-up advance and erase
     /// the undo tail the harness is about to measure. The thread is
-    /// joined by `stop` or drop as usual.
+    /// joined by the drop as usual.
     pub fn halt(&self) {
         self.stop.store(true, Ordering::Release);
         if let Some(t) = &self.thread {
             t.thread().unpark();
         }
     }
+}
 
-    fn shutdown(&mut self) {
+impl Drop for AdvanceDriver {
+    fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
         if let Some(t) = self.thread.take() {
             t.thread().unpark();
             let _ = t.join();
         }
-    }
-}
-
-impl Drop for AdvanceDriver {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
@@ -213,7 +204,7 @@ mod tests {
         while mgr.current_epoch() < 4 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
         }
-        driver.stop();
+        drop(driver);
         assert!(mgr.current_epoch() >= 4);
     }
 
@@ -242,25 +233,13 @@ mod tests {
         let driver = AdvanceDriver::spawn(mgr.clone(), Duration::from_secs(60));
         std::thread::sleep(Duration::from_millis(20));
         let t0 = std::time::Instant::now();
-        driver.stop();
+        drop(driver);
         assert!(
             t0.elapsed() < Duration::from_secs(5),
-            "stop took {:?}, must not wait out the 60 s interval",
+            "drop took {:?}, must not wait out the 60 s interval",
             t0.elapsed()
         );
         assert_eq!(mgr.current_epoch(), 1, "no advance fired mid-interval");
-    }
-
-    #[test]
-    fn drop_is_prompt_even_with_a_long_interval() {
-        let arena = PArena::builder().capacity_bytes(1 << 20).build().unwrap();
-        superblock::format(&arena);
-        let mgr = EpochManager::new(arena, EpochOptions::transient());
-        let t0 = std::time::Instant::now();
-        {
-            let _driver = AdvanceDriver::spawn(mgr, Duration::from_secs(60));
-        }
-        assert!(t0.elapsed() < Duration::from_secs(5));
     }
 
     #[test]
@@ -281,7 +260,7 @@ mod tests {
         while mgr.current_epoch_of(0) < 4 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
         }
-        driver.stop();
+        drop(driver);
         assert!(mgr.current_epoch_of(0) >= 4, "hot domain must tick");
         assert_eq!(
             mgr.current_epoch_of(1),
@@ -308,17 +287,17 @@ mod tests {
         while mgr.current_epoch_of(1) < 2 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
         }
-        driver.stop();
+        drop(driver);
         assert!(mgr.current_epoch_of(1) >= 2, "dirty domain must advance");
         assert_eq!(mgr.current_epoch_of(0), 1);
     }
 
     #[test]
     fn lazy_cadence_ignores_read_pins() {
-        // Regression for the read-path contract: read-only pins (both the
-        // generic `pin_domain` and the explicit `pin_domain_read`) must
-        // not mark a domain dirty, so a pure-scan workload hammering a
-        // lazily cadenced domain leaves its checkpoint timer idle.
+        // Regression for the read-path contract: read pins
+        // (`pin_domain_read`) must not mark a domain dirty, so a pure-scan
+        // workload hammering a lazily cadenced domain leaves its
+        // checkpoint timer idle.
         let arena = PArena::builder().capacity_bytes(1 << 20).build().unwrap();
         superblock::format(&arena);
         let mgr = EpochManager::with_domains(arena, EpochOptions::durable(), 2);
@@ -332,11 +311,10 @@ mod tests {
         let h = mgr.register();
         let t0 = std::time::Instant::now();
         while t0.elapsed() < Duration::from_millis(20) {
-            drop(h.pin_domain(0));
             drop(h.pin_domain_read(0));
             drop(h.pin_domain_read(1));
         }
-        driver.stop();
+        drop(driver);
         assert_eq!(
             mgr.current_epoch_of(0),
             1,
@@ -366,7 +344,7 @@ mod tests {
                 });
             }
         });
-        driver.stop();
+        drop(driver);
         assert!(mgr.current_epoch() >= 1);
     }
 
@@ -391,7 +369,7 @@ mod tests {
             vec![Cadence::eager(Duration::from_millis(20))],
         );
         std::thread::sleep(Duration::from_millis(1_000));
-        driver.stop();
+        drop(driver);
         let advances = mgr.current_epoch_of(0) - 1;
         assert!(
             advances >= 32,

@@ -14,7 +14,7 @@
 //! epoch. With [`EpochManager::with_domains`], each keyspace shard gets
 //! its **own** counter, quiescence set, advance path and boundary hooks:
 //! advancing one domain quiesces only the threads pinned in it
-//! ([`ThreadHandle::pin_domain`]) and issues a *scoped* flush
+//! ([`ThreadHandle::pin_domain_read`]) and issues a *scoped* flush
 //! ([`incll_pmem::PArena::flush_domain`]) covering only that domain's
 //! dirty lines, so a hot shard can checkpoint on a tight cadence while
 //! cold shards idle — without ever stalling each other.

@@ -8,36 +8,29 @@ use incll_pmem::{superblock, FlushDomainScope, PArena};
 /// A callback run at every epoch boundary with the new epoch number.
 pub type AdvanceHook = Box<dyn Fn(u64) + Send + Sync>;
 
-/// What an [`EpochManager`] does at each epoch boundary.
+/// What an [`EpochManager`] does at each epoch boundary: checkpoint
+/// ([`EpochOptions::durable`]) or only quiesce
+/// ([`EpochOptions::transient`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EpochOptions {
-    /// Flush at each advance — the checkpoint step. A single-domain
-    /// manager flushes the whole cache ([`PArena::global_flush`]); a
-    /// multi-domain manager issues a scoped flush
-    /// ([`PArena::flush_domain`]) covering only the advancing domain's
-    /// dirty lines (plus shared lines). On for the durable system; off for
-    /// the MT+ baseline (which has the barrier but no persistence).
-    pub flush_on_advance: bool,
-    /// Persist the epoch counters in the superblock (`clwb` + `sfence`).
-    /// On for the durable system; off for transient baselines.
-    pub durable_epoch: bool,
+    /// Flush at each advance and persist the epoch counters in the
+    /// superblock (`clwb` + `sfence`). A single-domain manager flushes the
+    /// whole cache ([`PArena::global_flush`]); a multi-domain manager
+    /// issues a scoped flush ([`PArena::flush_domain`]) covering only the
+    /// advancing domain's dirty lines (plus shared lines).
+    durable: bool,
 }
 
 impl EpochOptions {
     /// Options for the durable (INCLL) system: flush + durable counter.
     pub fn durable() -> Self {
-        EpochOptions {
-            flush_on_advance: true,
-            durable_epoch: true,
-        }
+        EpochOptions { durable: true }
     }
 
-    /// Options for the transient MT+ baseline: barrier only.
+    /// Options for the transient MT+ baseline: barrier only, no
+    /// persistence.
     pub fn transient() -> Self {
-        EpochOptions {
-            flush_on_advance: false,
-            durable_epoch: false,
-        }
+        EpochOptions { durable: false }
     }
 }
 
@@ -141,7 +134,7 @@ impl EpochManager {
         );
         let states = (0..domains)
             .map(|d| {
-                let (start, exec) = if options.durable_epoch {
+                let (start, exec) = if options.durable {
                     (
                         arena.pread_u64(superblock::domain_cur_epoch_off(d)),
                         arena.pread_u64(superblock::domain_exec_epoch_off(d)),
@@ -172,11 +165,6 @@ impl EpochManager {
                 options,
             }),
         }
-    }
-
-    /// The arena this manager checkpoints.
-    pub fn arena(&self) -> &PArena {
-        &self.shared.arena
     }
 
     /// Number of epoch domains.
@@ -210,15 +198,6 @@ impl EpochManager {
         self.shared.domains[d].exec.load(Ordering::Acquire)
     }
 
-    /// Updates every domain's epoch state after recovery to the same
-    /// `epoch` (single-domain convenience; per-shard recovery uses
-    /// [`EpochManager::restart_domain_at`] with each shard's own boundary).
-    pub fn restart_at(&self, epoch: u64) {
-        for d in 0..self.domains() {
-            self.restart_domain_at(d, epoch);
-        }
-    }
-
     /// Updates domain `d`'s epoch state after recovery: its new execution
     /// starts at `epoch`, durably recorded.
     ///
@@ -230,7 +209,7 @@ impl EpochManager {
         let dom = &sh.domains[d];
         dom.epoch.store(epoch, Ordering::Release);
         dom.exec.store(epoch, Ordering::Release);
-        if sh.options.durable_epoch {
+        if sh.options.durable {
             sh.arena
                 .pwrite_u64(superblock::domain_cur_epoch_off(d), epoch);
             sh.arena
@@ -336,7 +315,7 @@ impl EpochManager {
         for hook in dom.pre_flush_hooks.lock().iter() {
             hook(cur);
         }
-        if sh.options.flush_on_advance {
+        if sh.options.durable {
             if sh.domains.len() == 1 {
                 // Single domain: the paper's whole-cache flush.
                 sh.arena.global_flush();
@@ -346,7 +325,7 @@ impl EpochManager {
             }
         }
         let new_epoch = cur + 1;
-        if sh.options.durable_epoch {
+        if sh.options.durable {
             // The epoch only "completes" once the successor number is
             // durable; a crash before this point rolls this domain back to
             // its previous boundary (conservative but consistent).
@@ -402,13 +381,6 @@ impl EpochManager {
             advances_skipped: dom.advances_skipped.load(Ordering::Relaxed),
         }
     }
-
-    /// Number of live registered threads (for diagnostics).
-    pub fn registered_threads(&self) -> usize {
-        let mut guard = self.shared.slots.lock();
-        guard.retain(|s| !s.dead.load(Ordering::Acquire));
-        guard.len()
-    }
 }
 
 impl std::fmt::Debug for EpochManager {
@@ -432,39 +404,33 @@ pub struct ThreadHandle {
 
 impl ThreadHandle {
     /// Pins domain 0's current epoch — the whole system's epoch on a
-    /// single-domain manager. See [`ThreadHandle::pin_domain`].
+    /// single-domain manager. See [`ThreadHandle::pin_domain_read`].
     #[inline]
     pub fn pin(&self) -> Guard<'_> {
-        self.pin_domain(0)
+        self.pin_domain_read(0)
     }
 
     /// Pins domain `d`'s current epoch, blocking briefly if that domain's
-    /// advance is in progress (the per-epoch barrier, now scoped: only
-    /// this domain's advances ever stall this pin). For operations that
+    /// advance is in progress (the per-epoch barrier, scoped: only this
+    /// domain's advances ever stall this pin). While the guard lives the
+    /// domain cannot advance, so epoch-based reclamation cannot recycle
+    /// anything the holder can still observe.
+    ///
+    /// This is the cheap pin for borrowed reads and snapshot scans: it
+    /// performs **no** arena or log-buffer write of any kind — one store
+    /// to this thread's transient slot word plus one atomic epoch load —
+    /// and it never stamps the domain dirty, so a pure-read workload
+    /// (point `get`s, long scans) leaves a lazily cadenced driver
+    /// ([`crate::Cadence::lazy`]) completely idle. For operations that
     /// will *mutate* the domain, use [`ThreadHandle::pin_domain_mut`] so
     /// the dirty-work heuristic sees the write.
-    #[inline]
-    pub fn pin_domain(&self, d: usize) -> Guard<'_> {
-        self.pin_inner(d, false)
-    }
-
-    /// [`ThreadHandle::pin_domain`] with the read-path contract spelled
-    /// out: the cheap pin for borrowed reads and snapshot scans. It
-    /// performs **no** arena or log-buffer write of any kind — the pin is
-    /// one store to this thread's transient slot word plus one atomic
-    /// epoch load — and it never stamps the domain dirty, so a pure-read
-    /// workload (point `get`s, long scans) leaves a lazily cadenced
-    /// driver ([`crate::Cadence::lazy`]) completely idle. Guard
-    /// semantics are identical to [`ThreadHandle::pin_domain`]: while the
-    /// guard lives the domain cannot advance, so epoch-based reclamation
-    /// cannot recycle anything the reader can still observe.
     #[inline]
     pub fn pin_domain_read(&self, d: usize) -> Guard<'_> {
         self.pin_inner(d, false)
     }
 
-    /// [`ThreadHandle::pin_domain`] for a mutating operation: additionally
-    /// stamps the domain dirty, so a lazily cadenced driver
+    /// [`ThreadHandle::pin_domain_read`] for a mutating operation:
+    /// additionally stamps the domain dirty, so a lazily cadenced driver
     /// ([`crate::Cadence::lazy`]) knows the next advance has work.
     #[inline]
     pub fn pin_domain_mut(&self, d: usize) -> Guard<'_> {
@@ -535,11 +501,6 @@ impl ThreadHandle {
     pub fn first_pinned(&self) -> Option<usize> {
         self.depth.iter().position(|d| d.get() > 0)
     }
-
-    /// The owning manager.
-    pub fn manager(&self) -> &EpochManager {
-        &self.mgr
-    }
 }
 
 impl Drop for ThreadHandle {
@@ -579,21 +540,6 @@ impl Guard<'_> {
     #[inline]
     pub fn domain(&self) -> usize {
         self.domain
-    }
-
-    /// Whether this is the thread's **outermost** live pin on its domain
-    /// (no enclosing guard). Pins are re-entrant; deferred per-pin work —
-    /// such as draining a staged log run before the domain may advance —
-    /// belongs to the outermost guard only, since inner guards release
-    /// while the domain is still held open.
-    #[inline]
-    pub fn is_outermost(&self) -> bool {
-        self.handle.depth[self.domain].get() == 1
-    }
-
-    /// The owning manager.
-    pub fn manager(&self) -> &EpochManager {
-        &self.handle.mgr
     }
 }
 
@@ -647,10 +593,12 @@ mod tests {
         assert_eq!(mgr.advance(), 2);
         assert_eq!(mgr.current_epoch(), 2);
         assert_eq!(
-            mgr.arena().pread_u64(superblock::domain_cur_epoch_off(0)),
+            mgr.shared
+                .arena
+                .pread_u64(superblock::domain_cur_epoch_off(0)),
             2
         );
-        assert_eq!(mgr.arena().stats().global_flush(), 1);
+        assert_eq!(mgr.shared.arena.stats().global_flush(), 1);
     }
 
     #[test]
@@ -658,7 +606,7 @@ mod tests {
         let arena = PArena::builder().capacity_bytes(1 << 20).build().unwrap();
         let mgr = EpochManager::new(arena, EpochOptions::transient());
         mgr.advance();
-        assert_eq!(mgr.arena().stats().global_flush(), 0);
+        assert_eq!(mgr.shared.arena.stats().global_flush(), 0);
         assert_eq!(mgr.current_epoch(), 2);
     }
 
@@ -767,7 +715,6 @@ mod tests {
         let mgr = durable_mgr();
         let h = mgr.register();
         drop(h);
-        assert_eq!(mgr.registered_threads(), 0);
         mgr.advance();
         assert_eq!(mgr.current_epoch(), 2);
     }
@@ -800,15 +747,14 @@ mod tests {
     }
 
     #[test]
-    fn restart_at_updates_both_epochs() {
+    fn restart_domain_at_updates_both_epochs() {
         let mgr = durable_mgr();
-        mgr.restart_at(7);
+        mgr.restart_domain_at(0, 7);
         assert_eq!(mgr.current_epoch(), 7);
         assert_eq!(mgr.exec_epoch(), 7);
-        assert_eq!(
-            mgr.arena().pread_u64(superblock::domain_exec_epoch_off(0)),
-            7
-        );
+        let arena = &mgr.shared.arena;
+        assert_eq!(arena.pread_u64(superblock::domain_cur_epoch_off(0)), 7);
+        assert_eq!(arena.pread_u64(superblock::domain_exec_epoch_off(0)), 7);
     }
 
     // ---------------- multi-domain ----------------
@@ -824,7 +770,7 @@ mod tests {
         assert_eq!(mgr.current_epoch_of(1), 3);
         assert_eq!(mgr.current_epoch_of(2), 2);
         // Each domain's durable counter tracks its own epoch.
-        let a = mgr.arena();
+        let a = &mgr.shared.arena;
         assert_eq!(a.pread_u64(superblock::domain_cur_epoch_off(0)), 1);
         assert_eq!(a.pread_u64(superblock::domain_cur_epoch_off(1)), 3);
         assert_eq!(a.pread_u64(superblock::domain_cur_epoch_off(2)), 2);
@@ -843,7 +789,7 @@ mod tests {
         for d in 0..8usize {
             assert_eq!(mgr.current_epoch_of(d), 10 + d as u64);
             assert_eq!(mgr.exec_epoch_of(d), 10 + d as u64);
-            let a = mgr.arena();
+            let a = &mgr.shared.arena;
             assert_eq!(
                 a.pread_u64(superblock::domain_cur_epoch_off(d)),
                 10 + d as u64
@@ -873,11 +819,11 @@ mod tests {
     fn multi_domain_advance_uses_scoped_flush() {
         let mgr = durable_mgr_domains(2);
         mgr.advance_domain(1);
-        assert_eq!(mgr.arena().stats().global_flush(), 0);
-        assert_eq!(mgr.arena().stats().scoped_flush(), 1);
+        assert_eq!(mgr.shared.arena.stats().global_flush(), 0);
+        assert_eq!(mgr.shared.arena.stats().scoped_flush(), 1);
         // The all-domains barrier issues one scoped flush per domain.
         mgr.advance();
-        assert_eq!(mgr.arena().stats().scoped_flush(), 3);
+        assert_eq!(mgr.shared.arena.stats().scoped_flush(), 3);
     }
 
     #[test]
@@ -893,7 +839,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(10));
         let h = mgr.register();
         let t0 = std::time::Instant::now();
-        let g = h.pin_domain(0); // must NOT park behind domain 1's advance
+        let g = h.pin_domain_read(0); // must NOT park behind domain 1's advance
         assert!(
             t0.elapsed() < Duration::from_millis(40),
             "domain-0 pin stalled behind domain-1 advance"
@@ -906,7 +852,7 @@ mod tests {
     fn advance_waits_only_for_its_own_domains_guards() {
         let mgr = durable_mgr_domains(2);
         let h = mgr.register();
-        let g0 = h.pin_domain(0); // held across domain 1's advance
+        let g0 = h.pin_domain_read(0); // held across domain 1's advance
         let mgr2 = mgr.clone();
         let t = std::thread::spawn(move || mgr2.advance_domain(1));
         t.join().unwrap(); // completes even though domain 0 is pinned
@@ -922,7 +868,7 @@ mod tests {
         assert!(!mgr.domain_dirty(1));
         // Read pins never dirty a domain: a scanner must not force
         // checkpoints on a cold shard.
-        drop(h.pin_domain(1));
+        drop(h.pin_domain_read(1));
         assert!(!mgr.domain_dirty(1));
         drop(h.pin_domain_mut(1));
         assert!(!mgr.domain_dirty(0));
@@ -950,7 +896,7 @@ mod tests {
     fn nested_write_pin_under_read_guard_marks_dirty() {
         let mgr = durable_mgr_domains(1);
         let h = mgr.register();
-        let outer = h.pin_domain(0);
+        let outer = h.pin_domain_read(0);
         let inner = h.pin_domain_mut(0);
         assert!(mgr.domain_dirty(0));
         drop(inner);
@@ -1007,9 +953,9 @@ mod tests {
         let mgr = durable_mgr_domains(2);
         let h = mgr.register();
         assert_eq!(h.first_pinned(), None);
-        let g1 = h.pin_domain(1);
+        let g1 = h.pin_domain_read(1);
         assert_eq!(h.first_pinned(), Some(1));
-        let g0 = h.pin_domain(0);
+        let g0 = h.pin_domain_read(0);
         assert_eq!(h.first_pinned(), Some(0));
         assert_eq!(g0.domain(), 0);
         assert_eq!(g1.domain(), 1);

@@ -23,7 +23,7 @@
 //! The log is *logically* discarded at every epoch boundary — after the
 //! checkpoint flush, all logged pre-images are obsolete — by resetting the
 //! per-slot append cursors. Entries are never erased; epoch tags plus the
-//! contiguous-failed-run rule (see [`ExtLog::replay`]) make stale entries
+//! contiguous-failed-run rule (see [`ExtLog::replay_domain`]) make stale entries
 //! inert. Crucially, cursors are **not** reset by recovery itself: replay
 //! writes are unflushed, so the pre-images they came from must survive
 //! until the first post-recovery checkpoint (the paper: "if the system
@@ -35,8 +35,7 @@
 //! exactly the ordering it needs:
 //!
 //! 1. **Guarding appends seal the run.** An undo entry
-//!    ([`ExtLog::log_object`], [`ExtLog::log_object_in`],
-//!    [`ExtLog::log_ranges_in`]) guards an
+//!    ([`ExtLog::log_object_in`], [`ExtLog::log_ranges_in`]) guards an
 //!    in-place modification the caller performs the moment the append
 //!    returns, and any dirty line may be evicted — i.e. persisted — at a
 //!    crash, so the pre-image must be durable *before* the modification
@@ -194,7 +193,7 @@ pub struct IntentEntry {
     pub payload: Vec<u8>,
 }
 
-/// Report returned by [`ExtLog::replay`].
+/// Report returned by [`ExtLog::replay_domain`].
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ReplayReport {
     /// Entries copied back into their objects.
@@ -231,11 +230,11 @@ pub struct ReplayReport {
 /// // A durable object we will clobber and then restore.
 /// let obj = arena.carve(64, 64)?;
 /// arena.pwrite_u64(obj, 0xAAAA);
-/// log.log_object(0, /*epoch*/ 1, obj, 64); // undo image
+/// log.log_object_in(/*thread*/ 0, /*domain*/ 0, /*epoch*/ 1, obj, 64); // undo image
 /// arena.pwrite_u64(obj, 0xBBBB); // the guarded modification
 ///
-/// // Crash in epoch 1: replay restores the pre-image.
-/// let report = log.replay(1, 1);
+/// // Crash in domain 0's epoch 1: replay restores the pre-image.
+/// let report = log.replay_domain(0, 1, 1);
 /// assert_eq!(report.entries_applied, 1);
 /// assert_eq!(arena.pread_u64(obj), 0xAAAA);
 /// # Ok(())
@@ -308,7 +307,7 @@ impl ExtLog {
 
     /// Opens the log recorded in the superblock of a recovered arena.
     ///
-    /// Cursors start at zero; [`ExtLog::replay`] repositions them past the
+    /// Cursors start at zero; [`ExtLog::replay_domain`] repositions them past the
     /// surviving valid prefix so new entries do not clobber pre-images that
     /// are still needed.
     ///
@@ -409,16 +408,6 @@ impl ExtLog {
         true
     }
 
-    /// Number of per-thread slots.
-    pub fn slots(&self) -> usize {
-        self.threads
-    }
-
-    /// Number of epoch domains the region is subdivided for.
-    pub fn domains(&self) -> usize {
-        self.domains
-    }
-
     /// Capacity of one (thread, domain) buffer, in bytes.
     pub fn slot_capacity(&self) -> u64 {
         self.per_slot
@@ -444,11 +433,6 @@ impl ExtLog {
         self.region + (slot as u64) * self.per_slot
     }
 
-    /// Bytes currently appended in thread `slot`'s domain-0 buffer.
-    pub fn used(&self, slot: usize) -> u64 {
-        self.used_in(slot, 0)
-    }
-
     /// Bytes currently appended in `(thread, domain)`'s buffer.
     pub fn used_in(&self, thread: usize, domain: usize) -> u64 {
         self.slots[self.slot_index(thread, domain)]
@@ -457,36 +441,21 @@ impl ExtLog {
     }
 
     /// Logs the `len` bytes at arena offset `target` as an undo entry for
-    /// `epoch` in thread `slot`'s **domain-0** buffer, making the entry
-    /// durable (`clwb` + `sfence`) before returning, since the caller may
-    /// modify the object as soon as this returns (the write-ahead
-    /// invariant).
-    ///
-    /// Each slot is single-writer: callers pass their own thread's slot.
-    ///
-    /// Entries carry tag 0; use [`ExtLog::log_object_in`] on a sharded log
-    /// (the durable tree tags each entry with its shard id).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot's buffer is full (size the log for the worst-case
-    /// nodes-per-epoch; the paper measures 84 K nodes per 64 ms epoch on a
-    /// 1 M-key tree, §6.3) or if `slot` is out of range.
-    pub fn log_object(&self, slot: usize, epoch: u64, target: u64, len: usize) {
-        self.log_object_in(slot, 0, epoch, target, len);
-    }
-
-    /// Logs an undo entry for `epoch` **of domain `domain`** in
-    /// `(thread, domain)`'s buffer. The domain id is sealed into the
-    /// checksummed entry tag, so replay can verify attribution.
+    /// `epoch` **of domain `domain`** in `(thread, domain)`'s buffer. The
+    /// domain id is sealed into the checksummed entry tag, so replay can
+    /// verify attribution (the durable tree's domains are its shards).
     ///
     /// Durable before return, together with anything staged before it in
     /// the buffer: one `clwb_range` + `sfence` covers the slot's whole
-    /// staged run.
+    /// staged run, since the caller may modify the object as soon as this
+    /// returns (the write-ahead invariant). Each buffer is single-writer:
+    /// callers pass their own thread's slot.
     ///
     /// # Panics
     ///
-    /// As for [`ExtLog::log_object`], plus out-of-range `domain`.
+    /// Panics if the buffer is full (size the log for the worst-case
+    /// nodes per epoch; the paper measures 84 K nodes per 64 ms epoch on a
+    /// 1 M-key tree, §6.3) or if `thread` or `domain` is out of range.
     pub fn log_object_in(&self, thread: usize, domain: usize, epoch: u64, target: u64, len: usize) {
         self.log_ranges_in(thread, domain, epoch, &[(target, len)], 1);
     }
@@ -628,34 +597,18 @@ impl ExtLog {
         }
     }
 
-    /// Replays every valid entry (in every domain's buffers) whose epoch
-    /// lies in `[min_epoch, max_epoch]` — the contiguous run of failed
-    /// epochs ending at the crashed epoch — copying pre-images back over
-    /// their objects. Scanning stops at the first entry that is torn or
+    /// Replays domain `domain`'s buffers, copying pre-images back over
+    /// their objects. An entry applies only if it lives in the domain's
+    /// buffer, carries the domain's sealed tag and has an epoch inside
+    /// `[min_epoch, max_epoch]` — the domain's contiguous run of failed
+    /// epochs ending at the crashed one. Each buffer's scan stops at the
+    /// first entry that is torn, mis-tagged (treated as corruption) or
     /// outside the range (stale debris from completed epochs); cursors are
     /// repositioned to the end of each valid prefix so subsequent appends
     /// preserve still-needed entries.
     ///
     /// Replay performs no flushes: if the system crashes again before the
     /// next checkpoint, the entries are simply replayed again (§4.3).
-    ///
-    /// Single-domain form; per-shard recovery uses
-    /// [`ExtLog::replay_domain`] with each shard's own failed run.
-    pub fn replay(&self, min_epoch: u64, max_epoch: u64) -> ReplayReport {
-        let mut report = ReplayReport::default();
-        for slot in 0..self.threads * self.domains {
-            self.replay_slot(slot, min_epoch, max_epoch, None, &mut report);
-        }
-        self.arena.stats().add_ext_replayed(report.entries_applied);
-        report
-    }
-
-    /// Replays domain `domain`'s buffers only, filtering by the **pair**
-    /// of shard tag and that shard's failed-epoch run `[min_epoch,
-    /// max_epoch]`: an entry must both live in the domain's buffer and
-    /// carry the domain's sealed tag to be applied (a mismatched tag is
-    /// treated as corruption and stops the slot's scan, exactly like a
-    /// torn checksum).
     ///
     /// # Concurrency
     ///
@@ -671,7 +624,7 @@ impl ExtLog {
                 self.slot_index(t, domain),
                 min_epoch,
                 max_epoch,
-                Some(domain as u16),
+                domain as u16,
                 &mut report,
             );
         }
@@ -684,7 +637,7 @@ impl ExtLog {
         slot: usize,
         min_epoch: u64,
         max_epoch: u64,
-        require_tag: Option<u16>,
+        domain: u16,
         report: &mut ReplayReport,
     ) {
         let slot_base = self.slot_base(slot);
@@ -704,15 +657,14 @@ impl ExtLog {
             let len = len_word & LEN_MASK;
             let tag = (len_word >> 48) as u16;
             let is_intent = tag & INTENT_TAG_BIT != 0;
-            // Three-way tag check under a required (domain) tag: the
-            // domain's own undo entries apply, its own intents are
-            // collected below, anything else is corruption and stops
-            // the slot scan like a torn checksum.
+            // Three-way tag check: the domain's own undo entries apply,
+            // its own intents are collected below, anything else is
+            // corruption and stops the slot scan like a torn checksum.
             if epoch < min_epoch
                 || epoch > max_epoch
                 || len == 0
                 || cur + HEADER + len > self.per_slot
-                || require_tag.is_some_and(|t| tag != t && tag != (t | INTENT_TAG_BIT))
+                || (tag != domain && tag != (domain | INTENT_TAG_BIT))
             {
                 break;
             }
@@ -818,9 +770,9 @@ mod tests {
     fn log_and_replay_restores_preimage() {
         let (arena, log, obj) = setup(1);
         fill(&arena, obj, 100);
-        log.log_object(0, 1, obj, 320);
+        log.log_object_in(0, 0, 1, obj, 320);
         fill(&arena, obj, 999);
-        let r = log.replay(1, 1);
+        let r = log.replay_domain(0, 1, 1);
         assert_eq!(r.entries_applied, 1);
         assert_eq!(r.bytes_applied, 320);
         assert!(check(&arena, obj, 100));
@@ -830,10 +782,10 @@ mod tests {
     fn replay_ignores_completed_epochs() {
         let (arena, log, obj) = setup(1);
         fill(&arena, obj, 100);
-        log.log_object(0, 1, obj, 320);
+        log.log_object_in(0, 0, 1, obj, 320);
         fill(&arena, obj, 200);
         // Epoch 1 completed; its entries are stale.
-        let r = log.replay(2, 2);
+        let r = log.replay_domain(0, 2, 2);
         assert_eq!(r.entries_applied, 0);
         assert!(check(&arena, obj, 200));
     }
@@ -842,14 +794,14 @@ mod tests {
     fn reset_discards_entries() {
         let (arena, log, obj) = setup(1);
         fill(&arena, obj, 100);
-        log.log_object(0, 1, obj, 320);
+        log.log_object_in(0, 0, 1, obj, 320);
         log.reset();
-        assert_eq!(log.used(0), 0);
+        assert_eq!(log.used_in(0, 0), 0);
         fill(&arena, obj, 200);
         // New entry from epoch 2 overwrites slot start.
-        log.log_object(0, 2, obj, 320);
+        log.log_object_in(0, 0, 2, obj, 320);
         fill(&arena, obj, 300);
-        let r = log.replay(2, 2);
+        let r = log.replay_domain(0, 2, 2);
         assert_eq!(r.entries_applied, 1);
         assert!(check(&arena, obj, 200));
     }
@@ -862,10 +814,10 @@ mod tests {
         let objs: Vec<u64> = (0..4).map(|_| arena.carve(64, 64).unwrap()).collect();
         for (slot, &obj) in objs.iter().enumerate() {
             arena.pwrite_u64(obj, slot as u64 + 10);
-            log.log_object(slot, 3, obj, 64);
+            log.log_object_in(slot, 0, 3, obj, 64);
             arena.pwrite_u64(obj, 0);
         }
-        let r = log.replay(3, 3);
+        let r = log.replay_domain(0, 3, 3);
         assert_eq!(r.entries_applied, 4);
         for (slot, &obj) in objs.iter().enumerate() {
             assert_eq!(arena.pread_u64(obj), slot as u64 + 10);
@@ -879,13 +831,13 @@ mod tests {
         let (arena, log, obj) = setup(1);
         let obj2 = arena.carve(64, 64).unwrap();
         fill(&arena, obj, 100);
-        log.log_object(0, 5, obj, 320);
+        log.log_object_in(0, 0, 5, obj, 320);
         fill(&arena, obj, 500);
         // recovery for 5 would replay here; then epoch 6 logs another obj
         arena.pwrite_u64(obj2, 42);
-        log.log_object(0, 6, obj2, 64);
+        log.log_object_in(0, 0, 6, obj2, 64);
         arena.pwrite_u64(obj2, 0);
-        let r = log.replay(5, 6);
+        let r = log.replay_domain(0, 5, 6);
         assert_eq!(r.entries_applied, 2);
         assert!(check(&arena, obj, 100));
         assert_eq!(arena.pread_u64(obj2), 42);
@@ -900,15 +852,15 @@ mod tests {
         let (arena, log, obj) = setup(1);
         let obj2 = arena.carve(64, 64).unwrap();
         fill(&arena, obj, 100);
-        log.log_object(0, 3, obj, 320); // epoch-3 debris
+        log.log_object_in(0, 0, 3, obj, 320); // epoch-3 debris
         log.reset(); // epochs 4..8 complete
         arena.pwrite_u64(obj2, 7);
-        log.log_object(0, 9, obj2, 64); // epoch-9 entry (small)
+        log.log_object_in(0, 0, 9, obj2, 64); // epoch-9 entry (small)
         arena.pwrite_u64(obj2, 8);
         fill(&arena, obj, 400); // committed post-3 state of obj
 
         // Replay range = contiguous failed run ending at 9 = [9, 9].
-        let r = log.replay(9, 9);
+        let r = log.replay_domain(0, 9, 9);
         assert_eq!(r.entries_applied, 1);
         assert_eq!(arena.pread_u64(obj2), 7);
         assert!(check(&arena, obj, 400), "epoch-3 debris must stay inert");
@@ -918,12 +870,12 @@ mod tests {
     fn torn_entry_is_ignored() {
         let (arena, log, obj) = setup(1);
         fill(&arena, obj, 100);
-        log.log_object(0, 1, obj, 320);
+        log.log_object_in(0, 0, 1, obj, 320);
         // Corrupt the payload to simulate a torn write.
         let base = arena.pread_u64(superblock::SB_EXTLOG_OFF);
         arena.pwrite_u64(base + HEADER + 8, 0xBAD);
         fill(&arena, obj, 500);
-        let r = log.replay(1, 1);
+        let r = log.replay_domain(0, 1, 1);
         assert_eq!(r.entries_applied, 0);
         assert!(check(&arena, obj, 500));
     }
@@ -932,28 +884,32 @@ mod tests {
     fn replay_repositions_cursor_for_safe_append() {
         let (arena, log, obj) = setup(1);
         fill(&arena, obj, 100);
-        log.log_object(0, 1, obj, 320);
-        let used = log.used(0);
+        log.log_object_in(0, 0, 1, obj, 320);
+        let used = log.used_in(0, 0);
         // Simulate restart: fresh handle, cursors at zero.
         let log2 = ExtLog::open(&arena);
-        assert_eq!(log2.used(0), 0);
-        let r = log2.replay(1, 1);
+        assert_eq!(log2.used_in(0, 0), 0);
+        let r = log2.replay_domain(0, 1, 1);
         assert_eq!(r.entries_applied, 1);
-        assert_eq!(log2.used(0), used, "cursor must skip surviving entries");
+        assert_eq!(
+            log2.used_in(0, 0),
+            used,
+            "cursor must skip surviving entries"
+        );
     }
 
     #[test]
     fn entry_is_durable_before_modification() {
         // Tracked arena: the log entry must survive a crash taken right
-        // after log_object returns, even though nothing else was flushed.
+        // after log_object_in returns, even though nothing else was flushed.
         let (arena, log) = tracked_log(4 * 1024);
         let obj = arena.carve(64, 64).unwrap();
         arena.pwrite_u64(obj, 11);
-        log.log_object(0, 1, obj, 64);
+        log.log_object_in(0, 0, 1, obj, 64);
         arena.pwrite_u64(obj, 22); // modification, unflushed
         arena.crash_seeded(3); // adversarial cut everywhere
         let log2 = ExtLog::open(&arena);
-        let r = log2.replay(1, 1);
+        let r = log2.replay_domain(0, 1, 1);
         assert_eq!(r.entries_applied, 1, "sealed entry must survive crash");
         assert_eq!(arena.pread_u64(obj), 11);
     }
@@ -966,7 +922,7 @@ mod tests {
         let log = ExtLog::create(&arena, 1, 1024).unwrap();
         let obj = arena.carve(320, 64).unwrap();
         for _ in 0..10 {
-            log.log_object(0, 1, obj, 320);
+            log.log_object_in(0, 0, 1, obj, 320);
         }
     }
 
@@ -974,15 +930,19 @@ mod tests {
     fn tag_is_covered_by_the_checksum() {
         // Flipping the tag bits of a sealed entry must invalidate it: a
         // torn header cannot silently reattribute (or resize) an entry.
+        // The flip turns the undo entry into one of its own domain's
+        // intents, which the tag check admits: only the checksum can
+        // reject it.
         let (arena, log, obj) = setup(1);
         fill(&arena, obj, 100);
         log.log_object_in(0, 0, 1, obj, 320);
         fill(&arena, obj, 500);
         let base = arena.pread_u64(superblock::SB_EXTLOG_OFF);
         let w = arena.pread_u64(base + 16);
-        arena.pwrite_u64(base + 16, (w & LEN_MASK) | (8u64 << 48));
-        let r = log.replay(1, 1);
+        arena.pwrite_u64(base + 16, (w & LEN_MASK) | u64::from(INTENT_TAG_BIT) << 48);
+        let r = log.replay_domain(0, 1, 1);
         assert_eq!(r.entries_applied, 0);
+        assert!(r.intents.is_empty());
         assert!(check(&arena, obj, 500));
     }
 
@@ -991,7 +951,6 @@ mod tests {
         let arena = PArena::builder().capacity_bytes(1 << 20).build().unwrap();
         superblock::format(&arena);
         let log = ExtLog::create_sharded(&arena, 1, 16 * 1024, 2).unwrap();
-        assert_eq!(log.domains(), 2);
         let obj0 = arena.carve(64, 64).unwrap();
         let obj1 = arena.carve(64, 64).unwrap();
 
@@ -1054,8 +1013,7 @@ mod tests {
             arena.pwrite_u64(obj, 6);
         }
         let log2 = ExtLog::open(&arena);
-        assert_eq!(log2.slots(), 2);
-        assert_eq!(log2.domains(), 4);
+        assert_eq!((log2.threads, log2.domains), (2, 4));
         let r = log2.replay_domain(3, 7, 7);
         assert_eq!(r.entries_applied, 1);
         assert_eq!(arena.pread_u64(obj), 5);
@@ -1253,26 +1211,12 @@ mod tests {
     }
 
     #[test]
-    fn untargeted_replay_also_surfaces_intents() {
-        let (arena, log, obj) = setup(1);
-        fill(&arena, obj, 100);
-        log.log_object(0, 1, obj, 320);
-        log.log_intent_in(0, 0, 1, 5, b"op");
-        fill(&arena, obj, 500);
-        let r = log.replay(1, 1);
-        assert_eq!(r.entries_applied, 1);
-        assert!(check(&arena, obj, 100));
-        assert_eq!(r.intents.len(), 1);
-        assert_eq!(r.intents[0].batch_id, 5);
-    }
-
-    #[test]
     fn intent_is_durable_after_drain_and_vanishes_undrained() {
         for drain in [true, false] {
             let (arena, log) = tracked_log(32 * 1024);
             let a = arena.carve(64, 64).unwrap();
             arena.pwrite_u64(a, 11);
-            log.log_object(0, 1, a, 64); // durable before return
+            log.log_object_in(0, 0, 1, a, 64); // durable before return
             arena.pwrite_u64(a, 12);
             log.log_intent_in(0, 0, 1, 77, b"staged-op");
             assert!(log.staged_bytes(0, 0) > 0);
@@ -1286,7 +1230,7 @@ mod tests {
             // necessarily lacking a commit record, is dropped either way.
             arena.crash_with(|_, _| 0);
             let log2 = ExtLog::open(&arena);
-            let r = log2.replay(1, 1);
+            let r = log2.replay_domain(0, 1, 1);
             assert_eq!(r.entries_applied, 1, "the sealed undo entry survives");
             assert_eq!(arena.pread_u64(a), 11, "pre-image restored");
             if drain {
@@ -1355,7 +1299,7 @@ mod tests {
         // imminent in-place modification, so its seal drains everything.
         log.log_intent_in(0, 0, 1, 9, &p);
         assert_eq!(log.staged_bytes(0, 0), 96);
-        log.log_object(0, 1, obj, 64);
+        log.log_object_in(0, 0, 1, obj, 64);
         assert_eq!(log.staged_bytes(0, 0), 0, "guarded append drains the run");
     }
 
@@ -1418,8 +1362,8 @@ mod tests {
     #[test]
     fn stats_count_logged_nodes() {
         let (arena, log, obj) = setup(1);
-        log.log_object(0, 1, obj, 320);
-        log.log_object(0, 1, obj, 320);
+        log.log_object_in(0, 0, 1, obj, 320);
+        log.log_object_in(0, 0, 1, obj, 320);
         assert_eq!(arena.stats().ext_nodes_logged(), 2);
         assert_eq!(arena.stats().ext_bytes_logged(), 640);
     }
@@ -1441,10 +1385,10 @@ mod tests {
             (d.sfence, d.ext_bytes_logged, d.ext_nodes_logged),
             (2, 320, 1)
         );
-        assert_eq!(log.used(0), 3 * HEADER + 320);
+        assert_eq!(log.used_in(0, 0), 3 * HEADER + 320);
         fill(&arena, obj, 900); // the guarded modifications, unflushed
         arena.crash_seeded(5);
-        let r = ExtLog::open(&arena).replay(5, 5);
+        let r = ExtLog::open(&arena).replay_domain(0, 5, 5);
         assert_eq!(r.entries_applied, 3);
         assert_eq!(r.bytes_applied, 320);
         assert!(check(&arena, obj, 100));

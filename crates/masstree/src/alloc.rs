@@ -111,11 +111,6 @@ impl TransientAlloc {
         }
     }
 
-    /// The configured mode.
-    pub fn mode(&self) -> AllocMode {
-        self.inner.mode
-    }
-
     /// Allocates `size` bytes (16-aligned), returning its address.
     ///
     /// # Panics

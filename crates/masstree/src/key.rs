@@ -51,11 +51,6 @@ impl<'a> KeyCursor<'a> {
         }
     }
 
-    /// The full key bytes.
-    pub fn full_key(&self) -> &'a [u8] {
-        self.full
-    }
-
     /// Remaining bytes at the current layer (including this slice).
     #[inline]
     pub fn remaining(&self) -> usize {
@@ -85,12 +80,6 @@ impl<'a> KeyCursor<'a> {
     /// Advances to the next layer (consumes 8 bytes).
     pub fn descend(&mut self) {
         self.offset += 8;
-    }
-
-    /// Bytes already consumed (the prefix of all keys in the current
-    /// layer).
-    pub fn prefix(&self) -> &'a [u8] {
-        &self.full[..self.offset.min(self.full.len())]
     }
 }
 
@@ -147,10 +136,10 @@ mod tests {
         let mut c = KeyCursor::new(b"0123456789abcdef_tail");
         assert_eq!(c.remaining(), 21);
         assert!(!c.is_terminal());
-        assert_eq!(c.prefix(), b"");
+        assert_eq!(c.ikey(), ikey_of(b"01234567"));
         c.descend();
         assert_eq!(c.ikey(), ikey_of(b"89abcdef"));
-        assert_eq!(c.prefix(), b"01234567");
+        assert_eq!(c.remaining(), 13);
         c.descend();
         assert!(c.is_terminal());
         assert_eq!(c.klen(), 5);

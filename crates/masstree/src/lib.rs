@@ -58,18 +58,15 @@ mod tree_tests {
     use std::collections::BTreeMap;
 
     fn mt() -> Masstree {
-        let arena = PArena::builder().capacity_bytes(1 << 20).build().unwrap();
-        let mgr = EpochManager::new(arena, EpochOptions::transient());
-        Masstree::new(mgr, TransientAlloc::new(AllocMode::Global, 8, None))
+        mt_with_epochs().0
     }
 
-    fn mtplus(pool_bytes: usize) -> Masstree {
-        let pool = PArena::builder()
-            .capacity_bytes(pool_bytes)
-            .build()
-            .unwrap();
-        let mgr = EpochManager::new(pool.clone(), EpochOptions::transient());
-        Masstree::new(mgr, TransientAlloc::new(AllocMode::Pool, 8, Some(pool)))
+    /// An MT tree and the epoch manager that drives its reclamation.
+    fn mt_with_epochs() -> (Masstree, EpochManager) {
+        let arena = PArena::builder().capacity_bytes(1 << 20).build().unwrap();
+        let mgr = EpochManager::new(arena, EpochOptions::transient());
+        let tree = Masstree::new(mgr.clone(), TransientAlloc::new(AllocMode::Global, 8, None));
+        (tree, mgr)
     }
 
     #[test]
@@ -265,7 +262,12 @@ mod tree_tests {
 
     #[test]
     fn mtplus_pool_flavor_behaves_identically() {
-        let t = mtplus(16 << 20);
+        let pool = PArena::builder().capacity_bytes(16 << 20).build().unwrap();
+        let mgr = EpochManager::new(pool.clone(), EpochOptions::transient());
+        let t = Masstree::new(
+            mgr.clone(),
+            TransientAlloc::new(AllocMode::Pool, 8, Some(pool)),
+        );
         let ctx = t.thread_ctx(0);
         for i in 0..3000u64 {
             t.put(&ctx, &i.to_be_bytes(), i + 1);
@@ -276,7 +278,7 @@ mod tree_tests {
         for i in 0..1500u64 {
             assert!(t.remove(&ctx, &i.to_be_bytes()));
         }
-        t.epoch_manager().advance(); // recycle buffers
+        mgr.advance(); // recycle buffers
         for i in 1500..3000u64 {
             assert_eq!(t.get(&ctx, &i.to_be_bytes()), Some(i + 1));
         }
@@ -354,11 +356,11 @@ mod tree_tests {
 
     #[test]
     fn values_survive_epoch_reclamation() {
-        let t = mt();
+        let (t, mgr) = mt_with_epochs();
         let ctx = t.thread_ctx(0);
         t.put(&ctx, b"k", 1);
         t.put(&ctx, b"k", 2); // old buffer deferred
-        t.epoch_manager().advance(); // old buffer freed
+        mgr.advance(); // old buffer freed
         assert_eq!(t.get(&ctx, b"k"), Some(2));
     }
 }

@@ -179,14 +179,8 @@ impl Interior {
 
     /// Number of separator keys.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.nkeys.load(Ordering::Acquire) as usize
-    }
-
-    /// Whether the node holds no keys.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Child index routing `ikey`: the number of separators ≤ `ikey`

@@ -156,23 +156,6 @@ impl<const W: usize> Permutation<W> {
         out.0 = (out.0 & !0xF) | keep as u64;
         out
     }
-
-    /// Checks the structural invariant: all `W` nibbles form a permutation
-    /// of `0..W`. Used by tests and debug assertions.
-    pub fn is_valid(self) -> bool {
-        if self.len() > W {
-            return false;
-        }
-        let mut seen = [false; 16];
-        for i in 0..W {
-            let s = self.slot_at(i);
-            if s >= W || seen[s] {
-                return false;
-            }
-            seen[s] = true;
-        }
-        true
-    }
 }
 
 impl<const W: usize> std::fmt::Debug for Permutation<W> {
@@ -195,17 +178,28 @@ mod tests {
     type P15 = Permutation<15>;
     type P14 = Permutation<14>;
 
+    /// The structural invariant: the count fits and all `W` nibbles form
+    /// a permutation of `0..W`.
+    fn is_valid<const W: usize>(p: Permutation<W>) -> bool {
+        let mut seen = [false; 16];
+        p.len() <= W
+            && (0..W).all(|i| {
+                let s = p.slot_at(i);
+                s < W && !std::mem::replace(&mut seen[s], true)
+            })
+    }
+
     #[test]
     fn empty_has_ascending_free_slots() {
         let p = P15::empty();
         assert_eq!(p.len(), 0);
-        assert!(p.is_valid());
+        assert!(is_valid(p));
         // First insertion takes slot 0, second slot 1, ...
         let mut q = p;
         assert_eq!(q.insert_at(0), 0);
         assert_eq!(q.insert_at(1), 1);
         assert_eq!(q.insert_at(0), 2);
-        assert!(q.is_valid());
+        assert!(is_valid(q));
     }
 
     #[test]
@@ -225,7 +219,7 @@ mod tests {
         let _b = p.insert_at(1);
         p.remove_at(0);
         assert_eq!(p.len(), 1);
-        assert!(p.is_valid());
+        assert!(is_valid(p));
         // The freed slot is immediately reusable.
         let c = p.insert_at(1);
         assert_eq!(c, a);
@@ -239,14 +233,14 @@ mod tests {
             slots.push(p.insert_at(i));
         }
         assert!(p.is_full());
-        assert!(p.is_valid());
+        assert!(is_valid(p));
         let unique: std::collections::HashSet<_> = slots.iter().collect();
         assert_eq!(unique.len(), 14);
         for _ in 0..14 {
             p.remove_at(0);
         }
         assert!(p.is_empty());
-        assert!(p.is_valid());
+        assert!(is_valid(p));
     }
 
     #[test]
@@ -302,7 +296,7 @@ mod tests {
                 let slot = p.insert_at(pos);
                 model.insert(pos, slot);
             }
-            assert!(p.is_valid());
+            assert!(is_valid(p));
             assert_eq!(p.occupied().collect::<Vec<_>>(), model);
         }
     }

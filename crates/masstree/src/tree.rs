@@ -34,18 +34,6 @@ pub struct TreeCtx {
     tid: usize,
 }
 
-impl TreeCtx {
-    /// The thread id used for allocator affinity.
-    pub fn tid(&self) -> usize {
-        self.tid
-    }
-
-    /// The underlying epoch handle.
-    pub fn handle(&self) -> &ThreadHandle {
-        &self.handle
-    }
-}
-
 impl std::fmt::Debug for TreeCtx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TreeCtx").field("tid", &self.tid).finish()
@@ -111,11 +99,6 @@ impl Masstree {
         let root = Box::new(RootCell::default());
         root.store(addr);
         Masstree { root, alloc, mgr }
-    }
-
-    /// The epoch manager driving reclamation (and, for MT+, the barrier).
-    pub fn epoch_manager(&self) -> &EpochManager {
-        &self.mgr
     }
 
     /// Registers the calling thread and returns its operation context.

@@ -78,15 +78,6 @@ pub fn stride(class: usize) -> usize {
     }
 }
 
-/// Total object footprint (header + payload) for a class.
-pub fn object_bytes(class: usize) -> usize {
-    if is_aligned64(class) {
-        HEADER_BYTES + ALIGNED64_CLASS_SIZES[class - NUM_CLASSES]
-    } else {
-        HEADER_BYTES + CLASS_SIZES[class]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,13 +108,6 @@ mod tests {
         // 32-byte value buffers and 320-byte durable leaves.
         assert_eq!(CLASS_SIZES[class_for(32).unwrap()], 32);
         assert_eq!(CLASS_SIZES[class_for(320).unwrap()], 320);
-    }
-
-    #[test]
-    fn object_bytes_include_header() {
-        let c = class_for(32).unwrap();
-        assert_eq!(object_bytes(c), 48);
-        assert_eq!(object_bytes(c) % 16, 0);
     }
 
     #[test]

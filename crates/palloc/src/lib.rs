@@ -86,7 +86,6 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use incll_epoch::EpochManager;
 use incll_pmem::{superblock, PArena};
 
 mod cell;
@@ -94,8 +93,8 @@ mod classes;
 pub mod header;
 
 pub use classes::{
-    class_for, class_for_aligned64, object_bytes, ALIGNED64_CLASS_SIZES, CLASS_SIZES, NUM_CLASSES,
-    SLAB_OBJECTS, TOTAL_CLASSES,
+    class_for, class_for_aligned64, ALIGNED64_CLASS_SIZES, CLASS_SIZES, NUM_CLASSES, SLAB_OBJECTS,
+    TOTAL_CLASSES,
 };
 pub use header::HEADER_BYTES;
 
@@ -324,44 +323,6 @@ impl PAlloc {
         })
     }
 
-    /// Reopens a one-domain allocator after a crash. See
-    /// [`PAlloc::open_sharded`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arena carries no allocator root, or if it was created
-    /// with more than one domain.
-    pub fn open(arena: &PArena, exec_epoch: u64) -> Self {
-        Self::open_sharded(arena, &[exec_epoch])
-    }
-
-    /// Reopens the allocator after a crash: re-synchronises each domain's
-    /// carve frontier, repairs every head cell whose epoch tag names a
-    /// failed epoch **of its own domain**, and splices surviving pending
-    /// lists (their objects were freed in completed epochs of their domain
-    /// and are safe to reuse).
-    ///
-    /// `exec_epochs[d]` is the first epoch of domain `d`'s new execution;
-    /// recovery writes to `d`'s state are tagged with it. Replays cleanly
-    /// if interrupted by another crash (no flushes are issued, matching
-    /// §4.3).
-    ///
-    /// This is the sequential convenience; parallel per-shard recovery
-    /// uses [`PAlloc::open_staged`] once and then calls
-    /// [`PAlloc::recover_domain`] from one worker per shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arena carries no allocator root or if
-    /// `exec_epochs.len()` differs from the domain count fixed at create.
-    pub fn open_sharded(arena: &PArena, exec_epochs: &[u64]) -> Self {
-        let this = Self::open_staged(arena, exec_epochs.len());
-        for (d, &exec) in exec_epochs.iter().enumerate() {
-            this.recover_domain(d, exec);
-        }
-        this
-    }
-
     /// Stage one of recovery: rebuilds the allocator handle from the
     /// superblock descriptor — domain count, regions, failed-epoch sets —
     /// **without repairing anything**. Every domain must then be repaired
@@ -527,11 +488,6 @@ impl PAlloc {
             .collect()
     }
 
-    /// The arena this allocator carves from.
-    pub fn arena(&self) -> &PArena {
-        &self.inner.arena
-    }
-
     /// Reads the two durable header words of the object whose payload
     /// starts at `payload` (an offset from [`PAlloc::alloc`] that is
     /// still live or epoch-protected). Two atomic word loads, no copying,
@@ -556,11 +512,6 @@ impl PAlloc {
     /// Number of per-thread slots.
     pub fn threads(&self) -> usize {
         self.inner.nthreads
-    }
-
-    /// Number of epoch domains the free lists are segregated for.
-    pub fn domains(&self) -> usize {
-        self.inner.ndomains
     }
 
     #[inline]
@@ -611,18 +562,9 @@ impl PAlloc {
         self.alloc_class(thread, domain, epoch, class)
     }
 
-    /// Like [`PAlloc::alloc`] but the returned payload offset is 64-byte
-    /// (cache-line) aligned — used for durable tree nodes, whose embedded
-    /// logs rely on exact line placement. Domain 0.
-    ///
-    /// # Errors
-    ///
-    /// As for [`PAlloc::alloc`].
-    pub fn alloc_aligned64(&self, thread: usize, epoch: u64, size: usize) -> Result<u64, Error> {
-        self.alloc_aligned64_in(thread, 0, epoch, size)
-    }
-
-    /// [`PAlloc::alloc_aligned64`] under domain `domain`.
+    /// Like [`PAlloc::alloc_in`] but the returned payload offset is
+    /// 64-byte (cache-line) aligned — used for durable tree nodes, whose
+    /// embedded logs rely on exact line placement. Nodes are never freed.
     ///
     /// # Errors
     ///
@@ -687,33 +629,6 @@ impl PAlloc {
     /// As for [`PAlloc::free`].
     pub fn free_in(&self, thread: usize, domain: usize, epoch: u64, payload: u64, size: usize) {
         let class = class_for(size).expect("free of unsupported size");
-        self.free_class(thread, domain, epoch, payload, class);
-    }
-
-    /// Returns a 64-aligned object from [`PAlloc::alloc_aligned64`]
-    /// (domain 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size` does not map to an aligned class.
-    pub fn free_aligned64(&self, thread: usize, epoch: u64, payload: u64, size: usize) {
-        self.free_aligned64_in(thread, 0, epoch, payload, size);
-    }
-
-    /// [`PAlloc::free_aligned64`] into domain `domain`'s pending list.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size` does not map to an aligned class.
-    pub fn free_aligned64_in(
-        &self,
-        thread: usize,
-        domain: usize,
-        epoch: u64,
-        payload: u64,
-        size: usize,
-    ) {
-        let class = class_for_aligned64(size).expect("free of unsupported aligned size");
         self.free_class(thread, domain, epoch, payload, class);
     }
 
@@ -924,19 +839,6 @@ impl PAlloc {
         }
     }
 
-    /// Registers the boundary hook for every domain on an epoch manager.
-    pub fn attach(&self, mgr: &EpochManager) {
-        for d in 0..self.inner.ndomains {
-            let this = self.clone();
-            mgr.add_advance_hook_on(
-                d,
-                Box::new(move |new_epoch| {
-                    this.on_domain_boundary(d, new_epoch);
-                }),
-            );
-        }
-    }
-
     /// Failed-epoch-set **compaction sweep** for `domain`, run inside the
     /// domain's advance (quiesced, pre-flush): rewrites the header of
     /// every object reachable from the domain's free and pending lists so
@@ -974,68 +876,6 @@ impl PAlloc {
             }
         }
     }
-
-    /// Walks the free list of `(thread, domain 0, class)`, returning the
-    /// object offsets (diagnostics / tests). Applies the same header
-    /// repair logic as `alloc`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the list contains a cycle.
-    pub fn free_list(&self, thread: usize, class: usize) -> Vec<u64> {
-        self.free_list_in(thread, 0, class)
-    }
-
-    /// Walks the free list of `(thread, domain, class)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the list contains a cycle.
-    pub fn free_list_in(&self, thread: usize, domain: usize, class: usize) -> Vec<u64> {
-        let arena = &self.inner.arena;
-        let mut out = Vec::new();
-        let mut cur = cell::free_head(arena, self.cell(thread, domain, class));
-        while cur != 0 {
-            out.push(cur);
-            let w0 = arena.pread_u64(cur);
-            let w1 = arena.pread_u64(cur + 8);
-            cur = header::decode(w0, w1, |e| self.is_failed_low32(domain, e)).next;
-            assert!(
-                out.len() <= 1_000_000,
-                "free list cycle detected for thread {thread} class {class}"
-            );
-        }
-        out
-    }
-
-    /// Walks the pending list of `(thread, domain 0, class)` (diagnostics
-    /// / tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the list contains a cycle.
-    pub fn pending_list(&self, thread: usize, class: usize) -> Vec<u64> {
-        self.pending_list_in(thread, 0, class)
-    }
-
-    /// Walks the pending list of `(thread, domain, class)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the list contains a cycle.
-    pub fn pending_list_in(&self, thread: usize, domain: usize, class: usize) -> Vec<u64> {
-        let arena = &self.inner.arena;
-        let mut out = Vec::new();
-        let mut cur = cell::pend_head(arena, self.cell(thread, domain, class));
-        while cur != 0 {
-            out.push(cur);
-            let w0 = arena.pread_u64(cur);
-            let w1 = arena.pread_u64(cur + 8);
-            cur = header::decode(w0, w1, |e| self.is_failed_low32(domain, e)).next;
-            assert!(out.len() <= 1_000_000, "pending list cycle detected");
-        }
-        out
-    }
 }
 
 impl std::fmt::Debug for PAlloc {
@@ -1057,6 +897,41 @@ mod tests {
         superblock::format(&arena);
         let alloc = PAlloc::create(&arena, nthreads).unwrap();
         (arena, alloc)
+    }
+
+    /// Recovery's two stages, as `Store::open` runs them: rebuild the
+    /// handle, then repair each domain under its new execution epoch.
+    fn reopen(arena: &PArena, exec_epochs: &[u64]) -> PAlloc {
+        let alloc = PAlloc::open_staged(arena, exec_epochs.len());
+        for (d, &exec) in exec_epochs.iter().enumerate() {
+            alloc.recover_domain(d, exec);
+        }
+        alloc
+    }
+
+    /// The objects on `(thread, domain, class)`'s free list, decoded the
+    /// way `alloc` decodes them.
+    fn free_list(alloc: &PAlloc, thread: usize, domain: usize, class: usize) -> Vec<u64> {
+        let head = cell::free_head(&alloc.inner.arena, alloc.cell(thread, domain, class));
+        walk(alloc, domain, head)
+    }
+
+    /// The objects on `(thread, domain, class)`'s pending list.
+    fn pending_list(alloc: &PAlloc, thread: usize, domain: usize, class: usize) -> Vec<u64> {
+        let head = cell::pend_head(&alloc.inner.arena, alloc.cell(thread, domain, class));
+        walk(alloc, domain, head)
+    }
+
+    fn walk(alloc: &PAlloc, domain: usize, mut cur: u64) -> Vec<u64> {
+        let arena = &alloc.inner.arena;
+        let mut out = Vec::new();
+        while cur != 0 {
+            out.push(cur);
+            let (w0, w1) = (arena.pread_u64(cur), arena.pread_u64(cur + 8));
+            cur = header::decode(w0, w1, |e| alloc.is_failed_low32(domain, e)).next;
+            assert!(out.len() <= 1_000_000, "list cycle detected");
+        }
+        out
     }
 
     fn tracked(nthreads: usize) -> (PArena, PAlloc) {
@@ -1098,7 +973,7 @@ mod tests {
         // Same epoch: x sits in pending, a new alloc must not return it.
         let y = alloc.alloc(0, 1, 32).unwrap();
         assert_ne!(x, y);
-        assert_eq!(alloc.pending_list(0, class_for(32).unwrap()).len(), 1);
+        assert_eq!(pending_list(&alloc, 0, 0, class_for(32).unwrap()).len(), 1);
     }
 
     #[test]
@@ -1107,7 +982,7 @@ mod tests {
         let x = alloc.alloc(0, 1, 32).unwrap();
         alloc.free(0, 1, x, 32);
         alloc.on_epoch_boundary(2);
-        assert!(alloc.pending_list(0, class_for(32).unwrap()).is_empty());
+        assert!(pending_list(&alloc, 0, 0, class_for(32).unwrap()).is_empty());
         // Spliced to the head: the next alloc returns it.
         let y = alloc.alloc(0, 2, 32).unwrap();
         assert_eq!(x, y);
@@ -1118,12 +993,12 @@ mod tests {
         let (_a, alloc) = fresh(1);
         let class = class_for(32).unwrap();
         let objs: Vec<u64> = (0..10).map(|_| alloc.alloc(0, 1, 32).unwrap()).collect();
-        let before_free = alloc.free_list(0, class).len();
+        let before_free = free_list(&alloc, 0, 0, class).len();
         for &o in &objs {
             alloc.free(0, 1, o, 32);
         }
         alloc.on_epoch_boundary(2);
-        let after = alloc.free_list(0, class).len();
+        let after = free_list(&alloc, 0, 0, class).len();
         assert_eq!(after, before_free + 10);
     }
 
@@ -1134,8 +1009,8 @@ mod tests {
         let y = alloc.alloc(0, 1, 320).unwrap();
         alloc.free(0, 1, x, 32);
         alloc.free(0, 1, y, 320);
-        assert_eq!(alloc.pending_list(0, class_for(32).unwrap()).len(), 1);
-        assert_eq!(alloc.pending_list(0, class_for(320).unwrap()).len(), 1);
+        assert_eq!(pending_list(&alloc, 0, 0, class_for(32).unwrap()).len(), 1);
+        assert_eq!(pending_list(&alloc, 0, 0, class_for(320).unwrap()).len(), 1);
     }
 
     #[test]
@@ -1144,8 +1019,8 @@ mod tests {
         let x = alloc.alloc(0, 1, 32).unwrap();
         // Cross-thread free: object migrates to thread 1's pending list.
         alloc.free(1, 1, x, 32);
-        assert_eq!(alloc.pending_list(1, class_for(32).unwrap()).len(), 1);
-        assert!(alloc.pending_list(0, class_for(32).unwrap()).is_empty());
+        assert_eq!(pending_list(&alloc, 1, 0, class_for(32).unwrap()).len(), 1);
+        assert!(pending_list(&alloc, 0, 0, class_for(32).unwrap()).is_empty());
     }
 
     #[test]
@@ -1188,7 +1063,7 @@ mod tests {
         arena.pwrite_u64(superblock::domain_cur_epoch_off(0), 2);
         arena.global_flush();
         alloc.on_epoch_boundary(2);
-        let free_before: Vec<u64> = alloc.free_list(0, class);
+        let free_before: Vec<u64> = free_list(&alloc, 0, 0, class);
 
         // Epoch 2: allocate a few objects, then crash.
         for _ in 0..3 {
@@ -1197,8 +1072,8 @@ mod tests {
         superblock::record_failed_epoch_for(&arena, 0, 2).unwrap();
         arena.crash_seeded(11);
 
-        let alloc2 = PAlloc::open(&arena, 3);
-        let free_after = alloc2.free_list(0, class);
+        let alloc2 = reopen(&arena, &[3]);
+        let free_after = free_list(&alloc2, 0, 0, class);
         assert_eq!(
             free_after, free_before,
             "free list must revert to the epoch-2 start state"
@@ -1213,19 +1088,19 @@ mod tests {
         arena.pwrite_u64(superblock::domain_cur_epoch_off(0), 2);
         arena.global_flush();
         alloc.on_epoch_boundary(2);
-        let free_before = alloc.free_list(0, class);
+        let free_before = free_list(&alloc, 0, 0, class);
 
         // Epoch 2: free x, crash before the boundary.
         alloc.free(0, 2, x, 32);
         superblock::record_failed_epoch_for(&arena, 0, 2).unwrap();
         arena.crash_seeded(5);
 
-        let alloc2 = PAlloc::open(&arena, 3);
+        let alloc2 = reopen(&arena, &[3]);
         // x reverts to "allocated": neither free nor pending.
         let obj = x - HEADER_BYTES as u64;
-        assert!(!alloc2.free_list(0, class).contains(&obj));
-        assert!(alloc2.pending_list(0, class).is_empty());
-        assert_eq!(alloc2.free_list(0, class), free_before);
+        assert!(!free_list(&alloc2, 0, 0, class).contains(&obj));
+        assert!(pending_list(&alloc2, 0, 0, class).is_empty());
+        assert_eq!(free_list(&alloc2, 0, 0, class), free_before);
     }
 
     #[test]
@@ -1242,12 +1117,12 @@ mod tests {
         superblock::record_failed_epoch_for(&arena, 0, 2).unwrap();
         arena.crash_seeded(6);
 
-        let alloc2 = PAlloc::open(&arena, 3);
+        let alloc2 = reopen(&arena, &[3]);
         // The splice happened in epoch 2 and was rolled back, so x sits in
         // pending after recovery... and open() re-splices it into free.
         let obj = x - HEADER_BYTES as u64;
         assert!(
-            alloc2.free_list(0, class).contains(&obj),
+            free_list(&alloc2, 0, 0, class).contains(&obj),
             "object freed in a completed epoch must be allocatable"
         );
         // And it is reusable.
@@ -1268,7 +1143,7 @@ mod tests {
         superblock::record_failed_epoch_for(&arena, 0, 2).unwrap();
         arena.crash_seeded(7);
 
-        let alloc2 = PAlloc::open(&arena, 3);
+        let alloc2 = reopen(&arena, &[3]);
         assert_eq!(
             arena.pread_u64(superblock::shard_bump_off(0)),
             wm_before,
@@ -1294,7 +1169,7 @@ mod tests {
             arena.pwrite_u64(superblock::domain_cur_epoch_off(0), 2);
             arena.global_flush();
             alloc.on_epoch_boundary(2);
-            let baseline = alloc.free_list(0, class);
+            let baseline = free_list(&alloc, 0, 0, class);
 
             // Epoch 2 churn: alloc 2, free b, alloc 1.
             let _c = alloc.alloc(0, 2, 32).unwrap();
@@ -1304,13 +1179,13 @@ mod tests {
 
             superblock::record_failed_epoch_for(&arena, 0, 2).unwrap();
             arena.crash_seeded(seed);
-            let alloc2 = PAlloc::open(&arena, 3);
+            let alloc2 = reopen(&arena, &[3]);
             assert_eq!(
-                alloc2.free_list(0, class),
+                free_list(&alloc2, 0, 0, class),
                 baseline,
                 "seed {seed}: free list must match epoch-2 start"
             );
-            assert!(alloc2.pending_list(0, class).is_empty());
+            assert!(pending_list(&alloc2, 0, 0, class).is_empty());
         }
     }
 
@@ -1323,44 +1198,34 @@ mod tests {
         arena.pwrite_u64(superblock::domain_cur_epoch_off(0), 2);
         arena.global_flush();
         alloc.on_epoch_boundary(2);
-        let baseline = alloc.free_list(0, class);
+        let baseline = free_list(&alloc, 0, 0, class);
 
         alloc.alloc(0, 2, 32).unwrap();
         superblock::record_failed_epoch_for(&arena, 0, 2).unwrap();
         arena.crash_seeded(1);
         // First recovery starts, then crashes again before any checkpoint.
-        let alloc2 = PAlloc::open(&arena, 3);
+        let alloc2 = reopen(&arena, &[3]);
         alloc2.alloc(0, 3, 32).unwrap();
         superblock::record_failed_epoch_for(&arena, 0, 3).unwrap();
         arena.crash_seeded(2);
-        let alloc3 = PAlloc::open(&arena, 4);
-        assert_eq!(alloc3.free_list(0, class), baseline);
+        let alloc3 = reopen(&arena, &[4]);
+        assert_eq!(free_list(&alloc3, 0, 0, class), baseline);
     }
 
     #[test]
     fn aligned64_allocations_are_cache_line_aligned() {
         let (_a, alloc) = fresh(1);
         for _ in 0..100 {
-            let p = alloc.alloc_aligned64(0, 1, 320).unwrap();
+            let p = alloc.alloc_aligned64_in(0, 0, 1, 320).unwrap();
             assert_eq!(p % 64, 0, "node payload must start a cache line");
         }
-    }
-
-    #[test]
-    fn aligned64_free_and_reuse_roundtrip() {
-        let (_a, alloc) = fresh(1);
-        let x = alloc.alloc_aligned64(0, 1, 320).unwrap();
-        alloc.free_aligned64(0, 1, x, 320);
-        alloc.on_epoch_boundary(2);
-        let y = alloc.alloc_aligned64(0, 2, 320).unwrap();
-        assert_eq!(x, y);
     }
 
     #[test]
     fn aligned64_and_normal_classes_never_collide() {
         let (_a, alloc) = fresh(1);
         let a = alloc.alloc(0, 1, 320).unwrap(); // normal 320 class
-        let b = alloc.alloc_aligned64(0, 1, 320).unwrap(); // aligned class
+        let b = alloc.alloc_aligned64_in(0, 0, 1, 320).unwrap(); // aligned class
         assert_ne!(a, b);
         // Objects from different classes never overlap.
         assert!(b + 320 <= a || a + 320 <= b);
@@ -1370,19 +1235,18 @@ mod tests {
     fn aligned64_crash_revert() {
         let (arena, alloc) = tracked(1);
         let class = class_for_aligned64(320).unwrap();
-        let warm = alloc.alloc_aligned64(0, 1, 320).unwrap();
-        alloc.free_aligned64(0, 1, warm, 320);
+        alloc.alloc_aligned64_in(0, 0, 1, 320).unwrap(); // carves the slab
         arena.pwrite_u64(superblock::domain_cur_epoch_off(0), 2);
         arena.global_flush();
         alloc.on_epoch_boundary(2);
-        let baseline = alloc.free_list(0, class);
+        let baseline = free_list(&alloc, 0, 0, class);
         for _ in 0..5 {
-            alloc.alloc_aligned64(0, 2, 320).unwrap();
+            alloc.alloc_aligned64_in(0, 0, 2, 320).unwrap();
         }
         superblock::record_failed_epoch_for(&arena, 0, 2).unwrap();
         arena.crash_seeded(9);
-        let alloc2 = PAlloc::open(&arena, 3);
-        assert_eq!(alloc2.free_list(0, class), baseline);
+        let alloc2 = reopen(&arena, &[3]);
+        assert_eq!(free_list(&alloc2, 0, 0, class), baseline);
     }
 
     #[test]
@@ -1428,7 +1292,7 @@ mod tests {
                 // full system produces on every reopen.
                 superblock::record_failed_epoch_for(&arena, 0, epoch).unwrap();
                 epoch += 1;
-                alloc = PAlloc::open(&arena, epoch);
+                alloc = reopen(&arena, &[epoch]);
 
                 // Doomed churn: allocs and frees that the crash must undo.
                 let mut doomed_live = live.clone();
@@ -1444,7 +1308,7 @@ mod tests {
                 arena.crash_seeded(seed * 100 + round);
 
                 epoch += 1;
-                alloc = PAlloc::open(&arena, epoch);
+                alloc = reopen(&arena, &[epoch]);
                 live = checkpoint.clone();
 
                 // Invariant: nothing the application still references may
@@ -1452,10 +1316,9 @@ mod tests {
                 let live_objs: HashSet<u64> =
                     live.iter().map(|p| p - HEADER_BYTES as u64).collect();
                 let mut seen = HashSet::new();
-                for obj in alloc
-                    .free_list(0, class)
+                for obj in free_list(&alloc, 0, 0, class)
                     .into_iter()
-                    .chain(alloc.pending_list(0, class))
+                    .chain(pending_list(&alloc, 0, 0, class))
                 {
                     assert!(
                         !live_objs.contains(&obj),
@@ -1504,20 +1367,17 @@ mod tests {
         let arena = PArena::builder().capacity_bytes(8 << 20).build().unwrap();
         superblock::format(&arena);
         let alloc = PAlloc::create_sharded(&arena, 1, 2).unwrap();
-        assert_eq!(alloc.domains(), 2);
         let x = alloc.alloc_in(0, 0, 1, 32).unwrap();
         let y = alloc.alloc_in(0, 1, 5, 32).unwrap();
         assert_ne!(x, y);
         alloc.free_in(0, 0, 1, x, 32);
         alloc.free_in(0, 1, 5, y, 32);
-        assert_eq!(alloc.pending_list_in(0, 0, class_for(32).unwrap()).len(), 1);
-        assert_eq!(alloc.pending_list_in(0, 1, class_for(32).unwrap()).len(), 1);
+        assert_eq!(pending_list(&alloc, 0, 0, class_for(32).unwrap()).len(), 1);
+        assert_eq!(pending_list(&alloc, 0, 1, class_for(32).unwrap()).len(), 1);
         // Only domain 1's boundary splices domain 1's pendings.
         alloc.on_domain_boundary(1, 6);
-        assert_eq!(alloc.pending_list_in(0, 0, class_for(32).unwrap()).len(), 1);
-        assert!(alloc
-            .pending_list_in(0, 1, class_for(32).unwrap())
-            .is_empty());
+        assert_eq!(pending_list(&alloc, 0, 0, class_for(32).unwrap()).len(), 1);
+        assert!(pending_list(&alloc, 0, 1, class_for(32).unwrap()).is_empty());
         assert_eq!(alloc.alloc_in(0, 1, 6, 32).unwrap(), y, "spliced -> reused");
     }
 
@@ -1539,12 +1399,12 @@ mod tests {
         arena.global_flush();
         alloc.on_domain_boundary(0, 2);
         alloc.on_domain_boundary(1, 6);
-        let d0_free = alloc.free_list_in(0, 0, class);
+        let d0_free = free_list(&alloc, 0, 0, class);
         // The boundary splices above ran *after* the flush (tags epoch
         // 2/6), mirroring the real advance; flush again so the spliced
         // state is the durable baseline.
         arena.global_flush();
-        let d1_free = alloc.free_list_in(0, 1, class);
+        let d1_free = free_list(&alloc, 0, 1, class);
 
         // Domain 1 churns in its (doomed) epoch 6, then crashes.
         alloc.alloc_in(0, 1, 6, 32).unwrap();
@@ -1552,21 +1412,21 @@ mod tests {
         superblock::record_failed_epoch_for(&arena, 1, 6).unwrap();
         arena.crash_seeded(21);
 
-        let alloc2 = PAlloc::open_sharded(&arena, &[3, 7]);
+        let alloc2 = reopen(&arena, &[3, 7]);
         assert_eq!(
-            alloc2.free_list_in(0, 0, class),
+            free_list(&alloc2, 0, 0, class),
             d0_free,
             "domain 0 must keep its completed state"
         );
         assert_eq!(
-            alloc2.free_list_in(0, 1, class),
+            free_list(&alloc2, 0, 1, class),
             d1_free,
             "domain 1 must revert to its own boundary"
         );
         // And the kept domain-0 object is still absent from every list.
         let keep_obj = keep - HEADER_BYTES as u64;
-        assert!(!alloc2.free_list_in(0, 0, class).contains(&keep_obj));
-        assert!(!alloc2.free_list_in(0, 1, class).contains(&keep_obj));
+        assert!(!free_list(&alloc2, 0, 0, class).contains(&keep_obj));
+        assert!(!free_list(&alloc2, 0, 1, class).contains(&keep_obj));
     }
 
     #[test]
@@ -1655,7 +1515,7 @@ mod tests {
 
         superblock::record_failed_epoch_for(&arena, 1, 6).unwrap();
         arena.crash_seeded(3);
-        let alloc2 = PAlloc::open_sharded(&arena, &[4, 7]);
+        let alloc2 = reopen(&arena, &[4, 7]);
         assert_eq!(
             arena.pread_u64(superblock::shard_bump_off(1)),
             wm1,
@@ -1741,7 +1601,7 @@ mod tests {
             superblock::record_failed_epoch_for(&arena, d, 6).unwrap();
             arena.crash_seeded(11);
 
-            let alloc2 = PAlloc::open_sharded(&arena, &vec![7; ndomains]);
+            let alloc2 = reopen(&arena, &vec![7; ndomains]);
             // Frontier reverted out of the claimed extent...
             assert_eq!(arena.pread_u64(superblock::shard_bump_off(d)), wm);
             // ...but the claim itself survived (flushed at claim time).
@@ -1766,18 +1626,16 @@ mod tests {
 
     #[test]
     fn normalize_lists_retags_reachable_headers() {
-        let (_arena, alloc) = tracked_sharded(1, 2);
+        let (arena, alloc) = tracked_sharded(1, 2);
         let class = class_for(32).unwrap();
         // Build a free list whose headers are tagged with epoch 1, plus a
         // pending object tagged epoch 2.
         let a = alloc.alloc_in(0, 1, 1, 32).unwrap();
         alloc.free_in(0, 1, 2, a, 32);
         alloc.normalize_lists(1, 9);
-        let arena = alloc.arena().clone();
-        for obj in alloc
-            .free_list_in(0, 1, class)
+        for obj in free_list(&alloc, 0, 1, class)
             .into_iter()
-            .chain(alloc.pending_list_in(0, 1, class))
+            .chain(pending_list(&alloc, 0, 1, class))
         {
             let w0 = arena.pread_u64(obj);
             let w1 = arena.pread_u64(obj + 8);
@@ -1788,7 +1646,7 @@ mod tests {
             );
         }
         // Lists are structurally unchanged by normalization.
-        assert_eq!(alloc.pending_list_in(0, 1, class).len(), 1);
+        assert_eq!(pending_list(&alloc, 0, 1, class).len(), 1);
     }
 
     #[test]

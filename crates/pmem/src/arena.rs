@@ -181,7 +181,7 @@ unsafe impl Sync for Mapping {}
 /// A simulated persistent-memory arena.
 ///
 /// The arena stands in for an NVM device mapped into the address space.
-/// Durable data lives at stable **offsets** ([`PPtr`](crate::PPtr)); all
+/// Durable data lives at stable `u64` **offsets** (0 is null); all
 /// durable stores go through the `pwrite_*` accessors so that *tracked*
 /// arenas can journal them per cache line and later simulate a power
 /// failure with [`PArena::crash_seeded`].
@@ -350,11 +350,6 @@ impl PArena {
     /// Total capacity in bytes.
     pub fn capacity(&self) -> usize {
         self.inner.capacity
-    }
-
-    /// Whether per-store journaling (crash injection) is enabled.
-    pub fn is_tracked(&self) -> bool {
-        self.inner.tracked
     }
 
     /// Persistence-event counters.
@@ -634,39 +629,6 @@ impl PArena {
         }
     }
 
-    /// Atomic 64-bit fetch-add on `offset`.
-    #[inline]
-    pub fn pfetch_add_u64(&self, offset: u64, delta: u64) -> u64 {
-        if self.inner.tracked {
-            let line = offset / CACHE_LINE as u64;
-            let within = (offset % CACHE_LINE as u64) as usize;
-            let mut prev = 0;
-            self.inner.journal.record_store(
-                line,
-                within,
-                // Placeholder; corrected below once the result is known.
-                &[0u8; 8],
-                current_domain(),
-                || self.read_line(line),
-                || {
-                    prev = self.atom(offset).fetch_add(delta, Ordering::AcqRel);
-                },
-            );
-            let new = prev.wrapping_add(delta);
-            self.inner.journal.record_store(
-                line,
-                within,
-                &new.to_le_bytes(),
-                current_domain(),
-                || self.read_line(line),
-                || {},
-            );
-            prev
-        } else {
-            self.atom(offset).fetch_add(delta, Ordering::AcqRel)
-        }
-    }
-
     /// Relaxed 8-bit load from `offset` (any alignment).
     #[inline]
     pub fn pread_u8(&self, offset: u64) -> u8 {
@@ -861,13 +823,6 @@ impl PArena {
         spin_ns(self.inner.latency.sfence_ns());
     }
 
-    /// Compiler-level release fence ordering same-cache-line stores — the
-    /// free primitive InCLL relies on (§2.1: "granularity" rule).
-    #[inline]
-    pub fn release_fence(&self) {
-        fence(Ordering::Release);
-    }
-
     /// Whole-cache flush (`wbinvd` analogue): *everything* stored so far is
     /// durable when this returns. Injects the configured flush latency
     /// (1.38 ms on the paper's hardware, §6.2).
@@ -906,13 +861,6 @@ impl PArena {
     /// [`PArena::global_flush`].
     pub fn unpersisted_lines(&self) -> usize {
         self.inner.journal.unpersisted_lines()
-    }
-
-    /// Number of cache lines holding unpersisted stores dirtied under
-    /// `domain` (shared lines count for every domain). Always 0 in fast
-    /// mode.
-    pub fn unpersisted_lines_in(&self, domain: u16) -> usize {
-        self.inner.journal.unpersisted_lines_in(domain)
     }
 
     /// Simulates a power failure with a seeded RNG choosing, per cache
@@ -1202,8 +1150,9 @@ mod tests {
             a.pwrite_u64(base + 64, 22);
         }
         a.pwrite_u64(base + 128, 33); // untagged -> shared
-        assert_eq!(a.unpersisted_lines_in(1), 2);
+        assert_eq!(a.unpersisted_lines(), 3);
         a.flush_domain(1);
+        assert_eq!(a.unpersisted_lines(), 1, "only domain 2's line is left");
         a.crash_with(|_, _| 0);
         assert_eq!(a.pread_u64(base), 11, "domain-1 line durable");
         assert_eq!(a.pread_u64(base + 64), 0, "domain-2 line reverted");
@@ -1244,17 +1193,6 @@ mod tests {
     fn crash_on_fast_arena_panics() {
         let a = arena(false);
         a.crash_with(|_, _| 0);
-    }
-
-    #[test]
-    fn fetch_add_tracked_journals_final_value() {
-        let a = arena(true);
-        let off = a.carve(64, 64).unwrap();
-        a.pwrite_u64(off, 10);
-        let prev = a.pfetch_add_u64(off, 5);
-        assert_eq!(prev, 10);
-        a.crash_with(|_, n| n);
-        assert_eq!(a.pread_u64(off), 15);
     }
 
     #[test]

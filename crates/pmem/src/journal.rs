@@ -180,20 +180,6 @@ impl Journal {
         self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
-    /// Number of cache lines holding unpersisted stores dirtied under
-    /// `domain` (shared lines are counted for every domain).
-    pub(crate) fn unpersisted_lines_in(&self, domain: u16) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .values()
-                    .filter(|st| st.domain == domain || st.domain == DOMAIN_SHARED)
-                    .count()
-            })
-            .sum()
-    }
-
     /// Simulates a power failure.
     ///
     /// For every journaled line, `choose(line, n)` picks how many of its `n`
@@ -237,6 +223,20 @@ mod tests {
 
     fn zero_line() -> [u8; CACHE_LINE] {
         [0; CACHE_LINE]
+    }
+
+    /// Cache lines holding unpersisted stores dirtied under `domain`
+    /// (shared lines count for every domain).
+    fn unpersisted_lines_in(j: &Journal, domain: u16) -> usize {
+        j.shards
+            .iter()
+            .map(|s| {
+                s.lock()
+                    .values()
+                    .filter(|st| st.domain == domain || st.domain == DOMAIN_SHARED)
+                    .count()
+            })
+            .sum()
     }
 
     #[test]
@@ -344,7 +344,7 @@ mod tests {
         j.record_store(1, 0, &[1], 3, zero_line, || {});
         j.record_store(2, 0, &[2], 5, zero_line, || {});
         j.record_store(3, 0, &[3], DOMAIN_SHARED, zero_line, || {});
-        assert_eq!(j.unpersisted_lines_in(3), 2); // own line + shared
+        assert_eq!(unpersisted_lines_in(&j, 3), 2); // own line + shared
         j.flush_domain(3);
         assert_eq!(j.unpersisted_lines(), 1);
         // Only domain 5's line still reverts on crash.

@@ -11,8 +11,8 @@
 //!   and huge-page-advised, kernel-zeroed and populated as the store
 //!   claims it (the *Backing* section of [`PArena`] says why, and what
 //!   happens on a host without transparent huge pages). Durable
-//!   references are 16-byte-aligned **offsets** ([`PPtr`]) so the 44-bit
-//!   pointer packing the paper relies on works identically.
+//!   references are 16-byte-aligned `u64` **offsets** (0 is null), so the
+//!   44-bit pointer packing the paper relies on works identically.
 //! * Persistence primitives — [`PArena::clwb`], [`PArena::sfence`],
 //!   [`PArena::global_flush`] — count invocations, optionally inject
 //!   emulated NVM latency (the paper's Figs. 3 and 8 methodology), and, in
@@ -44,14 +44,12 @@ mod arena;
 mod error;
 mod journal;
 mod latency;
-mod pptr;
 mod stats;
 pub mod superblock;
 
 pub use arena::{FlushDomainScope, PArena, PArenaBuilder, CACHE_LINE, DOMAIN_SHARED};
 pub use error::Error;
 pub use latency::{spin_ns, LatencyModel};
-pub use pptr::PPtr;
 pub use stats::{Stats, StatsSnapshot};
 
 /// Result alias for persistent-memory operations.

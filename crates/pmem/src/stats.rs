@@ -44,11 +44,6 @@ macro_rules! stats_fields {
                     $( $name: self.$name.load(Ordering::Relaxed), )+
                 }
             }
-
-            /// Resets every counter to zero.
-            pub fn reset(&self) {
-                $( self.$name.store(0, Ordering::Relaxed); )+
-            }
         }
 
         impl StatsSnapshot {
@@ -221,14 +216,5 @@ mod tests {
         assert_eq!(d.incll_perm_logs, 1);
         assert_eq!(d.incll_val_logs, 1);
         assert_eq!(d.clwb, 0);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let s = Stats::new();
-        s.add_palloc_alloc();
-        s.add_palloc_free();
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
     }
 }

@@ -14,7 +14,7 @@
 //!
 //! | Offset | Line(s) | Contents |
 //! |--------|---------|----------|
-//! | 0      | 0       | reserved (offset 0 is the null `PPtr`) |
+//! | 0      | 0       | reserved (offset 0 means null) |
 //! | 64     | 1       | magic, version, tree-created flag, shard count |
 //! | 128    | 2       | external-log descriptor (region, threads, per-slot bytes, domains) |
 //! | 192    | 3       | allocator descriptor (head-cell region, threads, classes, domains) |

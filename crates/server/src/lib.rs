@@ -29,7 +29,7 @@ pub mod protocol;
 pub mod server;
 
 pub use protocol::{
-    decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
-    BatchOp, Client, Request, Response, WireError, MAX_FRAME_BYTES,
+    decode_request, decode_response, encode_request, encode_response, read_frame, BatchOp, Client,
+    Request, Response, WireError, MAX_FRAME_BYTES,
 };
 pub use server::{CommitMode, Server, ServerConfig, Service};

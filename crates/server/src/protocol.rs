@@ -553,13 +553,6 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     Ok(Some(payload))
 }
 
-/// Writes `payload` to `w` as one frame.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    debug_assert!(payload.len() <= MAX_FRAME_BYTES);
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)
-}
-
 /// A pipelining client over one TCP connection.
 ///
 /// [`Client::send`] queues a request (buffered; flushed on demand) and

@@ -39,7 +39,7 @@ pub mod shift;
 pub mod workload;
 pub mod zipf;
 
-pub use runner::{load, run, run_with_writes, KvBench, RunConfig, RunResult, WriteMode};
+pub use runner::{load, run, KvBench, RunConfig, RunResult};
 pub use shift::ShiftingHotspot;
 pub use workload::{storage_key, Dist, Mix, Op, OpStream};
 pub use zipf::{ScrambledZipfian, Zipfian};

@@ -29,40 +29,12 @@ pub trait KvBench: Send + Sync {
     /// Scan `n` keys from `start`; returns keys visited.
     fn bench_scan(&self, ctx: &Self::Ctx, start: &[u8], n: usize) -> usize;
 
-    /// Byte-slice insert-or-update. Stores without native byte values
-    /// (the transient baselines) keep the default, which packs the first
-    /// eight bytes little-endian into the `u64` payload.
-    fn bench_put_bytes(&self, ctx: &Self::Ctx, key: &[u8], val: &[u8]) {
-        let mut word = [0u8; 8];
-        let n = val.len().min(8);
-        word[..n].copy_from_slice(&val[..n]);
-        self.bench_put(ctx, key, u64::from_le_bytes(word));
-    }
-
     /// The driver's read: touch the value bytes in place without copying
     /// them out, returning whether the key was present. Stores with a
     /// zero-copy read path (the durable [`incll::Store`]'s `get_ref`)
     /// override this; the default falls back to the plain lookup.
     fn bench_get_ref(&self, ctx: &Self::Ctx, key: &[u8]) -> bool {
         self.bench_get(ctx, key).is_some()
-    }
-
-    /// Atomic multi-put: applies every `(key, value)` pair as one write
-    /// batch. The default issues the puts one by one — correct for
-    /// stores without batch support, but not atomic. The durable
-    /// [`incll::Store`] overrides this with a real `WriteBatch` commit,
-    /// so the group is crash-atomic even when the keys span shards.
-    fn bench_batch(&self, ctx: &Self::Ctx, ops: &[([u8; 8], u64)]) {
-        for (k, v) in ops {
-            self.bench_put(ctx, k, *v);
-        }
-    }
-
-    /// Keyspace shards this store partitions over (1 for unsharded
-    /// systems). Experiments report it so shard-scaling runs are
-    /// self-describing.
-    fn bench_shards(&self) -> usize {
-        1
     }
 }
 
@@ -96,32 +68,17 @@ impl KvBench for incll::Store {
         self.get_u64(ctx, key)
     }
     fn bench_put(&self, ctx: &Self::Ctx, key: &[u8], val: u64) {
-        self.put_u64(ctx, key, val);
+        self.put_u64(ctx, key, val)
+            .expect("bench stores are sized for the workload");
     }
     fn bench_scan(&self, ctx: &Self::Ctx, start: &[u8], n: usize) -> usize {
         // The facade scan merges across shards, so E-mix scans measure the
         // shard-aware path (on one shard it is the tree's native scan).
         self.scan(ctx, start, n, &mut |_, _| {})
     }
-    fn bench_put_bytes(&self, ctx: &Self::Ctx, key: &[u8], val: &[u8]) {
-        self.put(ctx, key, val)
-            .expect("bench values fit the largest size class");
-    }
     fn bench_get_ref(&self, ctx: &Self::Ctx, key: &[u8]) -> bool {
         // Decode in place so the value bytes are actually touched.
         self.get_ref(ctx, key).map(|v| v.as_u64()).is_some()
-    }
-    fn bench_batch(&self, ctx: &Self::Ctx, ops: &[([u8; 8], u64)]) {
-        let mut batch = ctx.batch();
-        for (k, v) in ops {
-            batch
-                .put(k, &v.to_le_bytes())
-                .expect("bench batches stay within the op cap");
-        }
-        batch.commit().expect("bench batches commit");
-    }
-    fn bench_shards(&self) -> usize {
-        self.shard_count()
     }
 }
 
@@ -176,39 +133,9 @@ pub fn load<K: KvBench>(store: &K, nkeys: u64, threads: usize) {
     });
 }
 
-/// How the driver serves `Op::Put`s — the write-path comparison axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WriteMode {
-    /// One put per operation. The historical driver default.
-    Single,
-    /// Buffer `batch_size` puts per worker and commit each group as one
-    /// atomic [`KvBench::bench_batch`] (a tail shorter than
-    /// `batch_size` commits at the end of the run).
-    BatchedWrites {
-        /// Puts per committed batch (clamped to at least 1).
-        batch_size: usize,
-    },
-}
-
-impl WriteMode {
-    /// Display label (`single` / `batch<N>`).
-    pub fn label(self) -> String {
-        match self {
-            WriteMode::Single => "single".to_owned(),
-            WriteMode::BatchedWrites { batch_size } => format!("batch{batch_size}"),
-        }
-    }
-}
-
 /// Runs the workload, returning aggregate throughput. Reads go through
-/// [`KvBench::bench_get_ref`], writes are issued one put at a time; use
-/// [`run_with_writes`] to batch them.
+/// [`KvBench::bench_get_ref`], writes are issued one put at a time.
 pub fn run<K: KvBench>(store: &K, cfg: &RunConfig) -> RunResult {
-    run_with_writes(store, cfg, WriteMode::Single)
-}
-
-/// [`run`] with an explicit write path for `Op::Put`s.
-pub fn run_with_writes<K: KvBench>(store: &K, cfg: &RunConfig, writes: WriteMode) -> RunResult {
     let barrier = Barrier::new(cfg.threads + 1);
     let total_ops = AtomicU64::new(0);
     // Zipfian tables are O(nkeys) to build: construct one and share.
@@ -228,12 +155,6 @@ pub fn run_with_writes<K: KvBench>(store: &K, cfg: &RunConfig, writes: WriteMode
                 let ctx = store.bench_ctx(tid);
                 let mut stream = OpStream::with_zipf(cfg2.mix, cfg2.nkeys, zipf);
                 let mut rng = StdRng::seed_from_u64(cfg2.seed ^ (tid as u64) << 32 | tid as u64);
-                // One pending-put buffer for the batched write path.
-                let batch_size = match writes {
-                    WriteMode::Single => 0,
-                    WriteMode::BatchedWrites { batch_size } => batch_size.max(1),
-                };
-                let mut pending: Vec<([u8; 8], u64)> = Vec::with_capacity(batch_size);
                 barrier.wait();
                 for _ in 0..cfg2.ops_per_thread {
                     match stream.next_op(&mut rng) {
@@ -241,23 +162,12 @@ pub fn run_with_writes<K: KvBench>(store: &K, cfg: &RunConfig, writes: WriteMode
                             store.bench_get_ref(&ctx, &storage_key(i));
                         }
                         Op::Put(i, v) => {
-                            if batch_size == 0 {
-                                store.bench_put(&ctx, &storage_key(i), v);
-                            } else {
-                                pending.push((storage_key(i), v));
-                                if pending.len() >= batch_size {
-                                    store.bench_batch(&ctx, &pending);
-                                    pending.clear();
-                                }
-                            }
+                            store.bench_put(&ctx, &storage_key(i), v);
                         }
                         Op::Scan(i, n) => {
                             store.bench_scan(&ctx, &storage_key(i), n);
                         }
                     }
-                }
-                if !pending.is_empty() {
-                    store.bench_batch(&ctx, &pending); // the short tail
                 }
                 total_ops.fetch_add(cfg2.ops_per_thread, Ordering::Relaxed);
             });
@@ -346,83 +256,5 @@ mod tests {
         assert!(store.get_u64(&sess, &storage_key(0)).is_some());
         assert!(store.bench_get_ref(&sess, &storage_key(0)));
         assert!(!store.bench_get_ref(&sess, b"never-loaded"));
-    }
-
-    #[test]
-    fn batched_writes_run_on_the_sharded_store_facade() {
-        let arena = PArena::builder().capacity_bytes(64 << 20).build().unwrap();
-        let opts = incll::Options::new()
-            .threads(2)
-            .log_bytes_per_thread(1 << 20)
-            .shards(4);
-        let (store, _) = incll::Store::open(&arena, opts).unwrap();
-        load(&store, 200, 2);
-        for batch_size in [1usize, 8] {
-            let res = run_with_writes(
-                &store,
-                &RunConfig {
-                    threads: 2,
-                    ops_per_thread: 300,
-                    nkeys: 200,
-                    mix: Mix::A,
-                    dist: Dist::Uniform,
-                    seed: 5,
-                },
-                WriteMode::BatchedWrites { batch_size },
-            );
-            assert_eq!(res.ops, 600, "batch_size {batch_size}");
-        }
-        assert_eq!(WriteMode::Single.label(), "single");
-        assert_eq!(WriteMode::BatchedWrites { batch_size: 8 }.label(), "batch8");
-    }
-
-    #[test]
-    fn bench_batch_applies_every_pair_on_every_impl() {
-        // Transient default: a plain put loop.
-        let t = mt();
-        let ctx = t.bench_ctx(0);
-        let ops: Vec<([u8; 8], u64)> = (0..5u64).map(|i| (storage_key(i), 100 + i)).collect();
-        t.bench_batch(&ctx, &ops);
-        for i in 0..5u64 {
-            assert_eq!(t.bench_get(&ctx, &storage_key(i)), Some(100 + i));
-        }
-
-        // Durable store: a real cross-shard WriteBatch commit.
-        let arena = PArena::builder().capacity_bytes(64 << 20).build().unwrap();
-        let opts = incll::Options::new()
-            .threads(1)
-            .log_bytes_per_thread(1 << 20)
-            .shards(4);
-        let (store, _) = incll::Store::open(&arena, opts).unwrap();
-        let sess = store.bench_ctx(0);
-        store.bench_batch(&sess, &ops);
-        for i in 0..5u64 {
-            assert_eq!(store.bench_get(&sess, &storage_key(i)), Some(100 + i));
-        }
-    }
-
-    #[test]
-    fn byte_ops_roundtrip_on_every_impl() {
-        // Transient default: first 8 bytes, little-endian.
-        let t = mt();
-        let ctx = t.bench_ctx(0);
-        t.bench_put_bytes(&ctx, b"k", b"abcdefgh-tail-ignored");
-        assert_eq!(
-            t.bench_get(&ctx, b"k"),
-            Some(u64::from_le_bytes(*b"abcdefgh"))
-        );
-
-        // Durable store: full byte fidelity.
-        let arena = PArena::builder().capacity_bytes(64 << 20).build().unwrap();
-        let opts = incll::Options::new()
-            .threads(1)
-            .log_bytes_per_thread(1 << 20);
-        let (store, _) = incll::Store::open(&arena, opts).unwrap();
-        let sess = store.bench_ctx(0);
-        store.bench_put_bytes(&sess, b"k", b"a considerably longer byte value");
-        assert_eq!(
-            store.get(&sess, b"k").as_deref(),
-            Some(&b"a considerably longer byte value"[..])
-        );
     }
 }

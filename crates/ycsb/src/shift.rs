@@ -97,11 +97,6 @@ impl ShiftingHotspot {
         }
     }
 
-    /// Number of shards the hotspot cycles over.
-    pub fn shard_count(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// The shard that is hot for the phase containing draw `op_index`.
     pub fn hot_shard(&self, op_index: u64) -> usize {
         ((op_index / self.period) % self.buckets.len() as u64) as usize
@@ -152,7 +147,7 @@ mod tests {
     #[test]
     fn hotspot_rotates_round_robin_over_every_shard() {
         let h = ShiftingHotspot::new(1000, 4, |k| route(k, 4), 100, 0.9, 64);
-        assert_eq!(h.shard_count(), 4);
+        assert_eq!(h.buckets.len(), 4);
         for w in 0..8u64 {
             assert_eq!(h.hot_shard(w * 100), (w % 4) as usize);
             assert_eq!(h.hot_shard(w * 100 + 99), (w % 4) as usize);

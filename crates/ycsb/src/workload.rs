@@ -98,23 +98,9 @@ pub struct OpStream {
 }
 
 impl OpStream {
-    /// Creates a stream over `nkeys` keys.
-    ///
-    /// Zipfian construction is O(nkeys); build once per thread and reuse
-    /// (or clone a prototype).
-    pub fn new(mix: Mix, dist: Dist, nkeys: u64) -> Self {
-        OpStream {
-            mix,
-            nkeys,
-            zipf: match dist {
-                Dist::Uniform => None,
-                Dist::Zipfian => Some(ScrambledZipfian::new(nkeys)),
-            },
-            counter: 0,
-        }
-    }
-
-    /// Creates a stream sharing a prebuilt Zipfian table.
+    /// Creates a stream over `nkeys` keys: Zipfian over the given table,
+    /// uniform for `None`. A table is O(nkeys) to build, so build one and
+    /// clone it into every thread's stream.
     pub fn with_zipf(mix: Mix, nkeys: u64, zipf: Option<ScrambledZipfian>) -> Self {
         OpStream {
             mix,
@@ -167,7 +153,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn mix_fractions(mix: Mix) -> (f64, f64) {
-        let mut s = OpStream::new(mix, Dist::Uniform, 1000);
+        let mut s = OpStream::with_zipf(mix, 1000, None);
         let mut rng = StdRng::seed_from_u64(9);
         let (mut puts, mut scans) = (0u64, 0u64);
         let n = 20_000;
@@ -210,8 +196,8 @@ mod tests {
 
     #[test]
     fn indices_stay_in_range_both_dists() {
-        for dist in Dist::ALL {
-            let mut s = OpStream::new(Mix::A, dist, 500);
+        for zipf in [None, Some(ScrambledZipfian::new(500))] {
+            let mut s = OpStream::with_zipf(Mix::A, 500, zipf);
             let mut rng = StdRng::seed_from_u64(11);
             for _ in 0..5_000 {
                 let idx = match s.next_op(&mut rng) {

@@ -58,11 +58,6 @@ impl Zipfian {
         }
     }
 
-    /// Key-space size.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
     /// Draws the next rank (0 = most popular).
     pub fn next_rank(&self, rng: &mut impl Rng) -> u64 {
         let u: f64 = rng.gen();

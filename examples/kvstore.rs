@@ -59,7 +59,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     let key = storage_key(i % KEYS);
                     match i % 4 {
                         0 => {
-                            store.put_u64(&sess, &key, i);
+                            store
+                                .put_u64(&sess, &key, i)
+                                .expect("arena sized for the keys");
                         }
                         1 => {
                             value[..8].copy_from_slice(&i.to_le_bytes());

@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     store.put(&sess, b"tuesday", b"taco night")?;
     store.put(&sess, b"wednesday", b"leftovers, obviously")?;
     store.put(&sess, b"thursday", &vec![42u8; 300])?; // 320-byte class
-    store.put_u64(&sess, b"visits", 7);
+    store.put_u64(&sess, b"visits", 7)?;
 
     assert_eq!(
         store.get(&sess, b"wednesday").as_deref(),

@@ -12,15 +12,13 @@
 /// One-stop imports for examples and integration tests.
 pub mod prelude {
     pub use incll::{
-        Error, ExtentStats, Options, RangeScan, ReadGuard, RecoveryReport, Session, ShardReplay,
-        ShardStats, Store, ValueRef, WriteBatch, MAX_BATCH_OPS, MAX_VALUE_BYTES,
+        Error, ExtentStats, Options, RangeScan, RecoveryReport, Session, ShardReplay, ShardStats,
+        Store, ValueRef, WriteBatch, MAX_BATCH_OPS, MAX_VALUE_BYTES,
     };
     pub use incll_epoch::{
         AdvanceDriver, Cadence, DomainCounters, EpochManager, EpochOptions, DEFAULT_EPOCH_INTERVAL,
     };
     pub use incll_masstree::{AllocMode, Masstree, TransientAlloc, TreeCtx};
-    pub use incll_pmem::{PArena, PPtr, StatsSnapshot};
-    pub use incll_ycsb::{
-        load, run, run_with_writes, storage_key, Dist, KvBench, Mix, RunConfig, WriteMode,
-    };
+    pub use incll_pmem::{PArena, StatsSnapshot};
+    pub use incll_ycsb::{load, run, storage_key, Dist, KvBench, Mix, RunConfig};
 }

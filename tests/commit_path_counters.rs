@@ -475,8 +475,13 @@ fn a_put_on_a_short_buffer_under_its_own_sessions_pin_fails_typed_and_writes_not
     let held = store.get_ref(&sess, &key(0)).unwrap();
     let (stats, before) = (store.shard_stats(2), arena.stats().snapshot());
     match store.put(&sess, target, b"pinned") {
-        Err(Error::SessionPinned { shard }) => assert_eq!(shard, held.shard()),
+        Err(Error::SessionPinned { shard }) => assert_eq!(shard, store.shard_of(&key(0))),
         other => panic!("expected SessionPinned, got {other:?}"),
+    }
+    // The 8-byte form obeys the same rule with the same error.
+    match store.put_u64(&sess, target, 7) {
+        Err(Error::SessionPinned { shard }) => assert_eq!(shard, store.shard_of(&key(0))),
+        other => panic!("expected SessionPinned from put_u64, got {other:?}"),
     }
     let d = arena.stats().snapshot().delta(&before);
     assert_eq!((d.ext_bytes_logged, d.clwb, d.sfence), (0, 0, 0));

@@ -49,7 +49,9 @@ fn stress_durable(incll_enabled: bool, shards: usize) {
                         .to_be_bytes();
                     match rng.gen_range(0..10) {
                         0..=5 => {
-                            store.put_u64(&sess, &k, (tid as u64) << 56 | local);
+                            store
+                                .put_u64(&sess, &k, (tid as u64) << 56 | local)
+                                .unwrap();
                             local += 1;
                         }
                         6..=7 => {
@@ -72,7 +74,7 @@ fn stress_durable(incll_enabled: bool, shards: usize) {
         std::thread::sleep(Duration::from_millis(400));
         stop.store(true, Ordering::Relaxed);
     });
-    driver.stop();
+    drop(driver);
     assert!(ops_done.load(Ordering::Relaxed) > 1_000);
 
     // Full-store coherence: iteration is sorted, values belong to owners.
@@ -133,7 +135,9 @@ fn session_pool_cycles_under_contention() {
                     match store.session() {
                         Ok(sess) => {
                             assert!(sess.tid() < 2, "slot out of range");
-                            store.put_u64(&sess, &(w * 1000 + i).to_be_bytes(), i);
+                            store
+                                .put_u64(&sess, &(w * 1000 + i).to_be_bytes(), i)
+                                .unwrap();
                             successes.fetch_add(1, Ordering::Relaxed);
                         }
                         Err(Error::TooManyThreads { limit }) => {
@@ -192,7 +196,7 @@ fn transient_trees_concurrent_stress() {
             std::thread::sleep(Duration::from_millis(300));
             stop.store(true, Ordering::Relaxed);
         });
-        driver.stop();
+        drop(driver);
         let ctx = tree.bench_ctx(0);
         let mut count = 0u64;
         let mut prev: Option<Vec<u8>> = None;
@@ -229,7 +233,7 @@ fn concurrent_scans_with_writers_at(shards: usize) {
     {
         let sess = store.session().unwrap();
         for i in 0..KEYS {
-            store.put_u64(&sess, &i.to_be_bytes(), i);
+            store.put_u64(&sess, &i.to_be_bytes(), i).unwrap();
         }
     }
     let driver = AdvanceDriver::spawn(store.epoch_manager().clone(), Duration::from_millis(4));
@@ -245,7 +249,7 @@ fn concurrent_scans_with_writers_at(shards: usize) {
                 while !stop.load(Ordering::Relaxed) {
                     let k = rng.gen_range(0..KEYS).to_be_bytes();
                     if rng.gen_bool(0.5) {
-                        store.put_u64(&sess, &k, rng.gen());
+                        store.put_u64(&sess, &k, rng.gen()).unwrap();
                     } else {
                         let len = rng.gen_range(8..100usize);
                         store.put(&sess, &k, &vec![9u8; len]).unwrap();
@@ -276,5 +280,5 @@ fn concurrent_scans_with_writers_at(shards: usize) {
         std::thread::sleep(Duration::from_millis(300));
         stop.store(true, Ordering::Relaxed);
     });
-    driver.stop();
+    drop(driver);
 }

@@ -52,7 +52,7 @@ fn apply_random(
     match rng.gen_range(0..10) {
         0..=2 => {
             let v: u64 = rng.gen();
-            store.put_u64(sess, &key, v);
+            store.put_u64(sess, &key, v).unwrap();
             model.insert(key, v.to_le_bytes().to_vec());
         }
         3..=5 => {
@@ -202,7 +202,7 @@ fn crash_with_multithreaded_doomed_epoch() {
     {
         let sess = store.session().unwrap();
         for i in 0..400u64 {
-            store.put_u64(&sess, &i.to_be_bytes(), i);
+            store.put_u64(&sess, &i.to_be_bytes(), i).unwrap();
         }
     }
     store.checkpoint();
@@ -217,7 +217,7 @@ fn crash_with_multithreaded_doomed_epoch() {
                     let k = rng.gen_range(0..400u64).to_be_bytes();
                     match rng.gen_range(0..4) {
                         0 => {
-                            store.put_u64(&sess, &k, rng.gen());
+                            store.put_u64(&sess, &k, rng.gen()).unwrap();
                         }
                         1 => {
                             store
@@ -271,7 +271,7 @@ fn crash_rolls_every_shard_back_to_the_same_checkpoint() {
             while !touched.iter().all(|&t| t) || i < 200 {
                 let key = (seed * 100_000 + i).to_be_bytes();
                 touched[store.shard_of(&key)] = true;
-                store.put_u64(&sess, &key, i);
+                store.put_u64(&sess, &key, i).unwrap();
                 doomed.insert(key.to_vec(), i.to_le_bytes().to_vec());
                 i += 1;
             }
@@ -333,19 +333,19 @@ fn per_shard_checkpoints_give_independent_crash_boundaries() {
         {
             let sess = store.session().unwrap();
             for k in keys0.iter().chain(&keys1) {
-                store.put_u64(&sess, k, 1);
+                store.put_u64(&sess, k, 1).unwrap();
             }
             store.checkpoint(); // barrier: epoch boundary B for both
 
             // Phase 2: both shards write; ONLY shard 0 checkpoints.
             for k in keys0.iter().chain(&keys1) {
-                store.put_u64(&sess, k, 2);
+                store.put_u64(&sess, k, 2).unwrap();
             }
             store.checkpoint_shard(0);
 
             // Phase 3: both shards write again; nobody checkpoints.
             for k in keys0.iter().chain(&keys1) {
-                store.put_u64(&sess, k, 3);
+                store.put_u64(&sess, k, 3).unwrap();
             }
         }
         drop(store);
@@ -384,7 +384,7 @@ fn value_buffers_revert_with_contents_intact() {
     {
         let sess = store.session().unwrap();
         for i in 0..200u64 {
-            store.put_u64(&sess, &i.to_be_bytes(), i * 7);
+            store.put_u64(&sess, &i.to_be_bytes(), i * 7).unwrap();
         }
     }
     store.checkpoint();
@@ -393,7 +393,9 @@ fn value_buffers_revert_with_contents_intact() {
         // Update every key several times (buffer churn + reuse pressure).
         for round in 0..3u64 {
             for i in 0..200u64 {
-                store.put_u64(&sess, &i.to_be_bytes(), round * 1000 + i);
+                store
+                    .put_u64(&sess, &i.to_be_bytes(), round * 1000 + i)
+                    .unwrap();
             }
         }
     }
@@ -509,6 +511,21 @@ fn full_pool_fails_a_batch_cleanly_and_the_store_keeps_serving() {
         assert!(
             matches!(err, Error::Pmem(incll_pmem::Error::OutOfMemory { .. })),
             "shards={shards}: exhaustion must be typed, got {err:?}"
+        );
+        // The 8-byte put has the same contract: once its own size class
+        // runs dry too, it fails typed and its key keeps its value.
+        let err = (0u64..)
+            .find_map(|i| {
+                let k = &hot[i as usize % hot.len()];
+                let held = store.get(&sess, k);
+                let err = store.put_u64(&sess, k, i).err()?;
+                assert_eq!(store.get(&sess, k), held, "shards={shards}: key touched");
+                Some(err)
+            })
+            .unwrap();
+        assert!(
+            matches!(err, Error::Pmem(incll_pmem::Error::OutOfMemory { .. })),
+            "shards={shards}: put_u64 exhaustion must be typed, got {err:?}"
         );
 
         // The batch: a fresh key on the other shard plus a put on the full
@@ -692,7 +709,7 @@ fn a_crash_right_after_a_forced_boundary_recovers_exactly_that_boundary() {
         let (keys0, keys1) = (keys_on(0, 20_000), keys_on(1, 200));
         let mut model = BTreeMap::new();
         for k in keys0.iter().chain(&keys1) {
-            store.put_u64(&sess, k, 0);
+            store.put_u64(&sess, k, 0).unwrap();
             model.insert(k.clone(), 0u64.to_le_bytes().to_vec());
         }
         store.checkpoint();

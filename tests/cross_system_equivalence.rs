@@ -79,7 +79,7 @@ fn store_observe(store: &Store, tape: &[TapeOp], checkpoint_every: usize) -> Vec
                 store.checkpoint();
             }
             match op {
-                TapeOp::Put(k, v) => format!("{:?}", store.put_u64(&sess, k, *v)),
+                TapeOp::Put(k, v) => format!("{:?}", store.put_u64(&sess, k, *v).unwrap()),
                 TapeOp::Get(k) => format!("{:?}", store.get_u64(&sess, k)),
                 TapeOp::Remove(k) => format!("{:?}", store.remove(&sess, k)),
                 TapeOp::Scan(k, n) => {

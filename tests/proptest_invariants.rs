@@ -7,13 +7,23 @@ use std::collections::BTreeMap;
 use incll_repro::prelude::*;
 use proptest::prelude::*;
 
-use incll::layout::val_incll;
 use incll_masstree::key::{entry_cmp, ikey_of, KeyCursor, KLEN_LAYER};
 use incll_masstree::Permutation;
 
 // ---------------------------------------------------------------------
 // Permutation algebra
 // ---------------------------------------------------------------------
+
+/// The permutation word's structural invariant: the count fits and all
+/// `W` slot nibbles form a permutation of `0..W`.
+fn is_permutation<const W: usize>(p: Permutation<W>) -> bool {
+    let mut seen = [false; 16];
+    p.len() <= W
+        && (0..W).all(|i| {
+            let s = p.slot_at(i);
+            s < W && !std::mem::replace(&mut seen[s], true)
+        })
+}
 
 proptest! {
     /// Arbitrary insert/remove sequences keep the permutation a valid
@@ -32,7 +42,7 @@ proptest! {
                 let slot = p.insert_at(at);
                 model.insert(at, slot);
             }
-            prop_assert!(p.is_valid());
+            prop_assert!(is_permutation(p));
             prop_assert_eq!(p.occupied().collect::<Vec<_>>(), model.clone());
         }
     }
@@ -47,25 +57,9 @@ proptest! {
         }
         let keep = keep.min(fills);
         let t = p.truncated(keep);
-        prop_assert!(t.is_valid());
+        prop_assert!(is_permutation(t));
         prop_assert_eq!(t.len(), keep);
         prop_assert_eq!(t.occupied().collect::<Vec<_>>(), slots[..keep].to_vec());
-    }
-}
-
-// ---------------------------------------------------------------------
-// Packed-word round trips
-// ---------------------------------------------------------------------
-
-proptest! {
-    /// ValInCLL packing is lossless for every representable triple.
-    #[test]
-    fn val_incll_roundtrip(ptr in 0u64..(1 << 44), idx in 0usize..15, ep in any::<u16>()) {
-        let ptr = ptr << 4; // 16-aligned, < 2^48
-        let w = val_incll::pack(ptr, idx, ep);
-        prop_assert_eq!(val_incll::ptr(w), ptr);
-        prop_assert_eq!(val_incll::idx(w), idx);
-        prop_assert_eq!(val_incll::low16(w), ep);
     }
 }
 
@@ -190,7 +184,7 @@ fn worker_strategy() -> impl Strategy<Value = usize> {
 fn apply(store: &Store, sess: &Session, model: &mut BTreeMap<u8, Vec<u8>>, op: &Op) {
     match op {
         Op::Put(k, v) => {
-            store.put_u64(sess, &[*k], *v);
+            store.put_u64(sess, &[*k], *v).unwrap();
             model.insert(*k, v.to_le_bytes().to_vec());
         }
         Op::PutBytes(k, v) => {
@@ -228,7 +222,7 @@ proptest! {
             // Observed results must agree op-by-op...
             match op {
                 Op::Put(k, v) => {
-                    let old = store.put_u64(&sess, &[*k], *v);
+                    let old = store.put_u64(&sess, &[*k], *v).unwrap();
                     let model_old = model.insert(*k, v.to_le_bytes().to_vec());
                     match &model_old {
                         None => prop_assert_eq!(old, None),

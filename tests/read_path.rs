@@ -56,7 +56,7 @@ fn get_ref_matches_every_copying_read() {
             let val = tagged(b'a' + i as u8, len);
             store.put(&sess, &key, &val).unwrap();
         }
-        store.put_u64(&sess, b"u64-key", 0xDEAD_BEEF_u64);
+        store.put_u64(&sess, b"u64-key", 0xDEAD_BEEF_u64).unwrap();
 
         for (i, &len) in lengths.iter().enumerate() {
             let key = format!("key-{i:04}").into_bytes();
@@ -65,7 +65,6 @@ fn get_ref_matches_every_copying_read() {
             assert_eq!(&*v, &store.get(&sess, &key).unwrap()[..]);
             assert_eq!(v.to_vec(), tagged(b'a' + i as u8, len));
             assert!(!v.is_stale(), "live value must not read as stale");
-            assert!(v.shard() < shards);
         }
         // The u64 register decodes identically through both paths.
         let v = store.get_ref(&sess, b"u64-key").unwrap();
@@ -131,10 +130,10 @@ fn guard_survives_checkpoints_of_other_shards() {
     let store = fresh(shards);
     let sess = store.session().unwrap();
     for i in 0..64u64 {
-        store.put_u64(&sess, &storage_key(i), i);
+        store.put_u64(&sess, &storage_key(i), i).unwrap();
     }
     let v = store.get_ref(&sess, &storage_key(0)).expect("present");
-    let pinned = v.shard();
+    let pinned = store.shard_of(&storage_key(0));
     for s in 0..shards {
         if s != pinned {
             store.checkpoint_shard(s);
@@ -158,7 +157,7 @@ fn a_commit_that_may_checkpoint_fails_typed_under_its_own_sessions_guard() {
         let store = fresh(4);
         let sess = store.session().unwrap();
         for i in 0..16u64 {
-            store.put_u64(&sess, &storage_key(i), i);
+            store.put_u64(&sess, &storage_key(i), i).unwrap();
         }
         let stage = |tag: u8| {
             let mut b = sess.batch();
@@ -170,7 +169,9 @@ fn a_commit_that_may_checkpoint_fails_typed_under_its_own_sessions_guard() {
         let next_id = || store.arena().pread_u64(SB_BATCH_NEXT_ID);
 
         let v = store.get_ref(&sess, &storage_key(0)).expect("present");
-        let refused = Err(Error::SessionPinned { shard: v.shard() });
+        let refused = Err(Error::SessionPinned {
+            shard: store.shard_of(&storage_key(0)),
+        });
         let id_before = next_id();
         // Every such commit, not only the one that would have evicted.
         for tag in 1..=3 {
@@ -245,7 +246,7 @@ fn hammered_get_ref_is_never_torn() {
         std::thread::sleep(Duration::from_millis(100));
         stop.store(true, Ordering::Relaxed);
     });
-    driver.stop();
+    drop(driver);
 }
 
 // ---------------------------------------------------------------------
@@ -289,7 +290,7 @@ fn scan_callback_may_checkpoint_its_own_shard() {
     let store = fresh(1);
     let sess = store.session().unwrap();
     for i in 0..300u64 {
-        store.put_u64(&sess, &storage_key(i), i);
+        store.put_u64(&sess, &storage_key(i), i).unwrap();
     }
     let mut visited = 0usize;
     let n = store.scan(&sess, b"", usize::MAX, &mut |_, v| {
@@ -312,7 +313,7 @@ fn pure_reads_leave_lazy_cadence_idle() {
     let store = fresh(shards);
     let sess = store.session().unwrap();
     for i in 0..200u64 {
-        store.put_u64(&sess, &storage_key(i), i);
+        store.put_u64(&sess, &storage_key(i), i).unwrap();
     }
     store.checkpoint(); // flush the load, start from a clean boundary
     let mgr = store.epoch_manager().clone();
@@ -328,7 +329,7 @@ fn pure_reads_leave_lazy_cadence_idle() {
         }
         store.scan(&sess, b"", usize::MAX, &mut |_, _| {});
     }
-    driver.stop();
+    drop(driver);
     let after: Vec<u64> = (0..shards).map(|d| mgr.current_epoch_of(d)).collect();
     assert_eq!(before, after, "read-only traffic must not force advances");
 }

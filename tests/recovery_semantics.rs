@@ -88,13 +88,13 @@ fn recovery_report_counts_replayed_entries() {
     {
         let sess = store.session().unwrap();
         for i in 0..50u64 {
-            store.put_u64(&sess, &i.to_be_bytes(), i);
+            store.put_u64(&sess, &i.to_be_bytes(), i).unwrap();
         }
         store.checkpoint();
         // Force external logging: remove-then-insert in one epoch.
         for i in 0..20u64 {
             store.remove(&sess, &i.to_be_bytes());
-            store.put_u64(&sess, &(100 + i).to_be_bytes(), i);
+            store.put_u64(&sess, &(100 + i).to_be_bytes(), i).unwrap();
         }
     }
     let logged = store.arena().stats().ext_nodes_logged();
@@ -117,7 +117,7 @@ fn failed_epochs_accumulate_across_crashes() {
     let (store, _) = Store::open(&arena, options()).unwrap();
     {
         let sess = store.session().unwrap();
-        store.put_u64(&sess, b"x", 1);
+        store.put_u64(&sess, b"x", 1).unwrap();
         store.checkpoint();
     }
     drop(store);
@@ -128,7 +128,7 @@ fn failed_epochs_accumulate_across_crashes() {
         let sess = store.session().unwrap();
         assert_eq!(store.get_u64(&sess, b"x"), Some(1));
         // Doomed mutation each round (never checkpointed).
-        store.put_u64(&sess, b"doomed", round);
+        store.put_u64(&sess, b"doomed", round).unwrap();
     }
 }
 
@@ -142,7 +142,7 @@ fn shard_count_mismatch_is_a_typed_error() {
     let (store, _) = Store::open(&arena, options().shards(2)).unwrap();
     {
         let sess = store.session().unwrap();
-        store.put_u64(&sess, b"k", 7);
+        store.put_u64(&sess, b"k", 7).unwrap();
         store.checkpoint();
     }
     drop(store);
@@ -222,7 +222,7 @@ fn older_layouts_fail_typed_and_unwritten() {
         let (store, _) = Store::open(&arena, options()).unwrap();
         {
             let sess = store.session().unwrap();
-            store.put_u64(&sess, b"precious", 1);
+            store.put_u64(&sess, b"precious", 1).unwrap();
             store.checkpoint();
         }
         drop(store);
@@ -290,7 +290,7 @@ fn failed_epoch_set_compacts_at_checkpoints() {
         let (store, _) = Store::open(&arena, options()).unwrap();
         let sess = store.session().unwrap();
         for i in 0..40u64 {
-            store.put_u64(&sess, &i.to_be_bytes(), i);
+            store.put_u64(&sess, &i.to_be_bytes(), i).unwrap();
         }
         store.checkpoint();
     }
@@ -306,13 +306,15 @@ fn failed_epoch_set_compacts_at_checkpoints() {
         let sess = store.session().unwrap();
         // Doomed churn so every round has rollback work, then a committed
         // checkpoint whose advance compacts the set.
-        store.put_u64(&sess, &(round % 40).to_be_bytes(), 9999);
+        store
+            .put_u64(&sess, &(round % 40).to_be_bytes(), 9999)
+            .unwrap();
         store.checkpoint();
         assert!(
             superblock::failed_epochs_for(&arena, 0).is_empty(),
             "round {round}: the completed checkpoint must prune the set"
         );
-        store.put_u64(&sess, b"doomed-tail", round); // dies with the crash
+        store.put_u64(&sess, b"doomed-tail", round).unwrap(); // dies with the crash
     }
     // Data is still exactly the per-round committed state.
     let (store, _) = Store::open(&arena, options()).unwrap();
@@ -342,8 +344,8 @@ fn sharded_failed_sets_compact_independently() {
     let (k0, k1) = (key_for(0), key_for(1));
     {
         let sess = store.session().unwrap();
-        store.put_u64(&sess, &k0, 1);
-        store.put_u64(&sess, &k1, 1);
+        store.put_u64(&sess, &k0, 1).unwrap();
+        store.put_u64(&sess, &k1, 1).unwrap();
         store.checkpoint();
     }
     drop(store);
@@ -357,7 +359,7 @@ fn sharded_failed_sets_compact_independently() {
         let sess = store.session().unwrap();
         // Shard 0 commits work and checkpoints (compacting its set);
         // shard 1 only ever does doomed work, so its set keeps growing.
-        store.put_u64(&sess, &k0, round);
+        store.put_u64(&sess, &k0, round).unwrap();
         store.checkpoint_shard(0);
         assert!(superblock::failed_epochs_for(&arena, 0).is_empty());
         assert_eq!(
@@ -365,7 +367,7 @@ fn sharded_failed_sets_compact_independently() {
             round as usize + 1,
             "shard 1 has never checkpointed: its set must accumulate"
         );
-        store.put_u64(&sess, &k1, round); // doomed every round
+        store.put_u64(&sess, &k1, round).unwrap(); // doomed every round
     }
     // Shard 1 finally checkpoints: its set compacts too, unblocking
     // unlimited further crashes, and both shards carry their own
@@ -386,7 +388,7 @@ fn sharded_failed_sets_compact_independently() {
         arena.crash_seeded(round + 2000);
         let (store, _) = Store::open(&arena, opts.clone()).unwrap();
         let sess = store.session().unwrap();
-        store.put_u64(&sess, &k1, 100 + round);
+        store.put_u64(&sess, &k1, 100 + round).unwrap();
         store.checkpoint_shard(1);
         assert!(superblock::failed_epochs_for(&arena, 1).is_empty());
     }
@@ -400,14 +402,14 @@ fn recovery_report_aggregates_per_shard_counts() {
     {
         let sess = store.session().unwrap();
         for i in 0..80u64 {
-            store.put_u64(&sess, &i.to_be_bytes(), i);
+            store.put_u64(&sess, &i.to_be_bytes(), i).unwrap();
         }
         store.checkpoint();
         // Force external logging on every shard: remove-then-insert in
         // one epoch is the InCLLp hazard path.
         for i in 0..80u64 {
             store.remove(&sess, &i.to_be_bytes());
-            store.put_u64(&sess, &(1000 + i).to_be_bytes(), i);
+            store.put_u64(&sess, &(1000 + i).to_be_bytes(), i).unwrap();
         }
     }
     drop(store);
@@ -457,12 +459,12 @@ fn recovery_report_names_workers_and_per_shard_times() {
     {
         let sess = store.session().unwrap();
         for i in 0..60u64 {
-            store.put_u64(&sess, &i.to_be_bytes(), i);
+            store.put_u64(&sess, &i.to_be_bytes(), i).unwrap();
         }
         store.checkpoint();
         for i in 0..60u64 {
             store.remove(&sess, &i.to_be_bytes());
-            store.put_u64(&sess, &(500 + i).to_be_bytes(), i);
+            store.put_u64(&sess, &(500 + i).to_be_bytes(), i).unwrap();
         }
     }
     drop(store);
@@ -520,11 +522,11 @@ fn checkpoint_after_recovery_clears_failed_run() {
     {
         let sess = store.session().unwrap();
         for i in 0..30u64 {
-            store.put_u64(&sess, &i.to_be_bytes(), i);
+            store.put_u64(&sess, &i.to_be_bytes(), i).unwrap();
         }
         store.checkpoint();
         for i in 0..30u64 {
-            store.put_u64(&sess, &i.to_be_bytes(), 999);
+            store.put_u64(&sess, &i.to_be_bytes(), 999).unwrap();
         }
     }
     drop(store);
@@ -534,7 +536,7 @@ fn checkpoint_after_recovery_clears_failed_run() {
     {
         let sess = store.session().unwrap();
         for i in 0..30u64 {
-            store.put_u64(&sess, &i.to_be_bytes(), 7);
+            store.put_u64(&sess, &i.to_be_bytes(), 7).unwrap();
         }
         store.checkpoint(); // completes: resets the log
     }
@@ -640,7 +642,7 @@ fn clean_restart_cycles_preserve_data() {
         let (store, _) = Store::open(&arena, options()).unwrap();
         let sess = store.session().unwrap();
         for i in 0..100u64 {
-            store.put_u64(&sess, &i.to_be_bytes(), i);
+            store.put_u64(&sess, &i.to_be_bytes(), i).unwrap();
             expected.push((i.to_be_bytes().to_vec(), i.to_le_bytes().to_vec()));
         }
         store.checkpoint();
@@ -652,7 +654,7 @@ fn clean_restart_cycles_preserve_data() {
         assert_eq!(got, expected, "cycle {cycle}");
         // Add one key per cycle, checkpoint it.
         let k = (1000 + cycle).to_be_bytes();
-        store.put_u64(&sess, &k, cycle);
+        store.put_u64(&sess, &k, cycle).unwrap();
         expected.push((k.to_vec(), cycle.to_le_bytes().to_vec()));
         expected.sort();
         store.checkpoint();
@@ -666,11 +668,11 @@ fn stats_reflect_recovery_work() {
     {
         let sess = store.session().unwrap();
         for i in 0..100u64 {
-            store.put_u64(&sess, &i.to_be_bytes(), i);
+            store.put_u64(&sess, &i.to_be_bytes(), i).unwrap();
         }
         store.checkpoint();
         for i in 0..100u64 {
-            store.put_u64(&sess, &i.to_be_bytes(), i * 2);
+            store.put_u64(&sess, &i.to_be_bytes(), i * 2).unwrap();
         }
     }
     drop(store);

@@ -55,7 +55,7 @@ fn scan_limit_zero_is_a_noop() {
 fn scan_start_past_last_key() {
     let (_a, s, sess) = store();
     for i in 0..50u64 {
-        s.put_u64(&sess, &i.to_be_bytes(), i);
+        s.put_u64(&sess, &i.to_be_bytes(), i).unwrap();
     }
     let mut hits = 0;
     s.scan(&sess, &100u64.to_be_bytes(), 10, &mut |_, _| hits += 1);
@@ -66,7 +66,7 @@ fn scan_start_past_last_key() {
 fn scan_start_exactly_on_a_key_is_inclusive() {
     let (_a, s, sess) = store();
     for i in 0..20u64 {
-        s.put_u64(&sess, &i.to_be_bytes(), i);
+        s.put_u64(&sess, &i.to_be_bytes(), i).unwrap();
     }
     let mut got = Vec::new();
     s.scan(&sess, &7u64.to_be_bytes(), 3, &mut |_, v| {
@@ -79,7 +79,7 @@ fn scan_start_exactly_on_a_key_is_inclusive() {
 fn scan_start_between_keys_rounds_up() {
     let (_a, s, sess) = store();
     for i in (0..40u64).step_by(4) {
-        s.put_u64(&sess, &i.to_be_bytes(), i);
+        s.put_u64(&sess, &i.to_be_bytes(), i).unwrap();
     }
     let mut got = Vec::new();
     s.scan(&sess, &5u64.to_be_bytes(), 2, &mut |_, v| {
@@ -97,9 +97,10 @@ fn scan_descends_into_layers_at_the_start_key() {
             &sess,
             format!("prefix01{suffix}").as_bytes(),
             suffix.len() as u64,
-        );
+        )
+        .unwrap();
     }
-    s.put_u64(&sess, b"prefix02", 99);
+    s.put_u64(&sess, b"prefix02", 99).unwrap();
     // Start *inside* the layer: must pick up -b, -c, then the next slice.
     let mut got = Vec::new();
     s.scan(&sess, b"prefix01-b", 10, &mut |k, _| {
@@ -128,7 +129,7 @@ fn scan_emits_full_keys_across_layers() {
 fn scan_spanning_many_leaves_with_removals() {
     let (_a, s, sess) = store();
     for i in 0..600u64 {
-        s.put_u64(&sess, &i.to_be_bytes(), i);
+        s.put_u64(&sess, &i.to_be_bytes(), i).unwrap();
     }
     // Punch holes (including whole-leaf ranges).
     for i in 100..250u64 {
@@ -153,7 +154,7 @@ fn scan_spanning_many_leaves_with_removals() {
 fn range_bounds_cover_all_four_shapes() {
     let (_a, s, sess) = store();
     for i in 0..20u64 {
-        s.put_u64(&sess, &i.to_be_bytes(), i);
+        s.put_u64(&sess, &i.to_be_bytes(), i).unwrap();
     }
     let k = |i: u64| i.to_be_bytes();
     let vals = |it: RangeScan<'_>| -> Vec<u64> { it.map(|(_, v)| val_of(&v)).collect() };
@@ -184,7 +185,7 @@ fn range_spans_many_refill_batches() {
     // without gaps or duplicates.
     let (_a, s, sess) = store();
     for i in 0..1000u64 {
-        s.put_u64(&sess, &i.to_be_bytes(), i);
+        s.put_u64(&sess, &i.to_be_bytes(), i).unwrap();
     }
     let got: Vec<u64> = s
         .range(&sess, &100u64.to_be_bytes()[..]..&900u64.to_be_bytes()[..])
@@ -214,11 +215,11 @@ fn range_excluded_start_and_prefix_keys() {
 fn range_sees_checkpointed_state_after_crash() {
     let (arena, s, sess) = store();
     for i in 0..50u64 {
-        s.put_u64(&sess, &i.to_be_bytes(), i);
+        s.put_u64(&sess, &i.to_be_bytes(), i).unwrap();
     }
     s.checkpoint();
     for i in 50..80u64 {
-        s.put_u64(&sess, &i.to_be_bytes(), i); // doomed
+        s.put_u64(&sess, &i.to_be_bytes(), i).unwrap(); // doomed
     }
     drop(sess);
     drop(s);
@@ -236,11 +237,11 @@ fn range_sees_checkpointed_state_after_crash() {
 fn scan_immediately_after_recovery_forces_lazy_repairs() {
     let (arena, s, sess) = store();
     for i in 0..300u64 {
-        s.put_u64(&sess, &i.to_be_bytes(), i);
+        s.put_u64(&sess, &i.to_be_bytes(), i).unwrap();
     }
     s.checkpoint();
     for i in 0..300u64 {
-        s.put_u64(&sess, &i.to_be_bytes(), 0xDEAD);
+        s.put_u64(&sess, &i.to_be_bytes(), 0xDEAD).unwrap();
     }
     drop(sess);
     drop(s);
@@ -279,7 +280,7 @@ fn reverse_ordered_inserts_scan_globally_sorted_at_every_shard_count() {
         // Insert in strictly descending order so no shard receives its
         // keys pre-sorted relative to the others' interleaving.
         for i in (0..500u64).rev() {
-            s.put_u64(&sess, &i.to_be_bytes(), i);
+            s.put_u64(&sess, &i.to_be_bytes(), i).unwrap();
         }
         let got: Vec<u64> = s
             .iter(&sess)
@@ -351,7 +352,7 @@ fn bound_exclusive_edges_hold_at_every_shard_count() {
     for shards in SHARD_COUNTS {
         let (_a, s, sess) = store_with(shards);
         for i in 0..40u64 {
-            s.put_u64(&sess, &i.to_be_bytes(), i);
+            s.put_u64(&sess, &i.to_be_bytes(), i).unwrap();
         }
         let k = |i: u64| i.to_be_bytes();
         let vals = |it: RangeScan<'_>| -> Vec<u64> {
@@ -382,7 +383,7 @@ fn merged_range_spans_many_refill_batches_on_sharded_stores() {
     for shards in [2usize, 8] {
         let (_a, s, sess) = store_with(shards);
         for i in 0..1500u64 {
-            s.put_u64(&sess, &i.to_be_bytes(), i);
+            s.put_u64(&sess, &i.to_be_bytes(), i).unwrap();
         }
         let got: Vec<u64> = s
             .range(&sess, &100u64.to_be_bytes()[..]..&1400u64.to_be_bytes()[..])
@@ -398,11 +399,11 @@ fn sharded_scan_sees_checkpointed_state_after_crash() {
     for shards in SHARD_COUNTS {
         let (arena, s, sess) = store_with(shards);
         for i in 0..120u64 {
-            s.put_u64(&sess, &i.to_be_bytes(), i);
+            s.put_u64(&sess, &i.to_be_bytes(), i).unwrap();
         }
         s.checkpoint();
         for i in 120..200u64 {
-            s.put_u64(&sess, &i.to_be_bytes(), i); // doomed, lands on all shards
+            s.put_u64(&sess, &i.to_be_bytes(), i).unwrap(); // doomed, lands on all shards
         }
         drop(sess);
         drop(s);

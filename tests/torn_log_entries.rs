@@ -82,7 +82,7 @@ impl Fixture {
             arena.pwrite_bytes(obj_a, &pattern(seed, 64));
             arena.pwrite_bytes(obj_b, &pattern(seed + 1, NODE_BYTES));
             arena.pwrite_bytes(obj_c, &pattern(seed + 2, 64));
-            log.log_object(0, epoch, obj_a, 64);
+            log.log_object_in(0, 0, epoch, obj_a, 64);
             if epoch == 2 {
                 for line in b_lines.clone() {
                     let content = read(&arena, line * LINE, LINE as usize);
@@ -90,12 +90,12 @@ impl Fixture {
                 }
             }
             match kind {
-                Kind::Node => log.log_object(0, epoch, obj_b, NODE_BYTES),
+                Kind::Node => log.log_object_in(0, 0, epoch, obj_b, NODE_BYTES),
                 Kind::Intent => {
                     log.log_intent_in(0, 0, epoch, 40 + epoch, &pattern(seed + 3, INTENT_BYTES))
                 }
             }
-            log.log_object(0, epoch, obj_c, 64);
+            log.log_object_in(0, 0, epoch, obj_c, 64);
             if epoch == 1 {
                 log.reset(); // epoch 1 completed: its entries are debris
             }
@@ -144,7 +144,7 @@ impl Fixture {
         let b_before = read(&self.arena, self.obj_b, NODE_BYTES);
         let c_before = read(&self.arena, self.obj_c, 64);
         let log = ExtLog::open(&self.arena);
-        let report = log.replay(min_epoch, max_epoch);
+        let report = log.replay_domain(0, min_epoch, max_epoch);
         (report, log, b_before, c_before)
     }
 
@@ -173,7 +173,7 @@ impl Fixture {
             "{kind:?} {case}: replay ran past the torn entry"
         );
         assert_eq!(r.scan_stopped_at, vec![A_BYTES], "{kind:?} {case}");
-        assert_eq!(log.used(0), A_BYTES, "{kind:?} {case}: cursor");
+        assert_eq!(log.used_in(0, 0), A_BYTES, "{kind:?} {case}: cursor");
     }
 }
 
@@ -185,7 +185,7 @@ fn intact_entries_replay_in_full() {
         let f = Fixture::new(kind);
         let (r, log, _, _) = f.crash_and_replay(1, 2, 2);
         let padded = (f.b_bytes + 7) & !7;
-        assert_eq!(log.used(0), A_BYTES + padded + A_BYTES, "{kind:?}");
+        assert_eq!(log.used_in(0, 0), A_BYTES + padded + A_BYTES, "{kind:?}");
         assert_eq!(read(&f.arena, f.obj_a, 64), pattern(20, 64));
         assert_eq!(read(&f.arena, f.obj_c, 64), pattern(22, 64));
         match kind {
@@ -235,9 +235,11 @@ fn any_line_left_at_its_pre_append_content_stops_replay_there() {
 #[test]
 fn any_single_bit_flip_stops_replay_there() {
     // The replay range is everything, so a flipped epoch bit is not saved
-    // by the range check, and `replay` demands no tag, so a flipped tag
-    // bit is not saved by the tag check: the checksum alone must reject
-    // every flip of the payload and of each of the four header words.
+    // by the range check, and domain 0 admits both of its own tags, so a
+    // flipped intent bit — an undo entry turned intent, or back — is not
+    // saved by the tag check: the checksum must reject every flip of the
+    // payload and of each of the four header words that the tag check
+    // lets through.
     for kind in [Kind::Node, Kind::Intent] {
         let f = Fixture::new(kind);
         for bit in 0..f.b_bytes * 8 {
