@@ -154,15 +154,15 @@ pub fn off_int_child(i: usize) -> u64 {
 // meta word: nodeEpoch (56 bits) + flags
 // ---------------------------------------------------------------------
 
-/// The durable `meta` word (Listing 2's `nodeEpoch`, `logged`,
-/// `InsAllowed`, plus durable node-kind bits so recovery can rebuild the
-/// transient version word):
+/// The durable `meta` word (Listing 2's `nodeEpoch` and `logged`, plus
+/// durable node-kind bits so recovery can rebuild the transient version
+/// word):
 ///
 /// ```text
 /// bits  0..56: nodeEpoch
 /// bit  58:     val1Logged (transient semantics)
 /// bit  59:     val2Logged (transient semantics)
-/// bit  60:     insAllowed (transient semantics)
+/// bit  60:     unused (older media may carry it set; nothing reads it)
 /// bit  61:     logged     (transient semantics)
 /// bit  62:     is_leaf    (immutable after init)
 /// bit  63:     is_root    (changes only under external logging)
@@ -177,8 +177,6 @@ pub mod meta {
     pub const VAL1_LOGGED: u64 = 1 << 58;
     /// Leaf value line 4 already captured in the external log this epoch.
     pub const VAL2_LOGGED: u64 = 1 << 59;
-    /// Insertions may use InCLLp (no remove happened this epoch).
-    pub const INS_ALLOWED: u64 = 1 << 60;
     /// Node already captured in the external log this epoch — for a leaf,
     /// every one of its regions.
     pub const LOGGED: u64 = 1 << 61;
@@ -318,7 +316,7 @@ mod tests {
         let bits = meta::REGION_LOGGED;
         assert_eq!(bits.iter().fold(0, |m, b| m | b).count_ones(), 3);
         for b in bits {
-            assert_eq!(b & (meta::EPOCH_MASK | meta::INS_ALLOWED), 0);
+            assert_eq!(b & meta::EPOCH_MASK, 0);
             assert_eq!(b & (meta::IS_LEAF | meta::IS_ROOT), 0);
         }
     }
@@ -333,10 +331,10 @@ mod tests {
 
     #[test]
     fn meta_roundtrip() {
-        let m = meta::with_epoch(meta::IS_LEAF | meta::INS_ALLOWED, 0xABCD);
+        let m = meta::with_epoch(meta::IS_LEAF | meta::VAL2_LOGGED, 0xABCD);
         assert_eq!(meta::epoch(m), 0xABCD);
         assert!(m & meta::IS_LEAF != 0);
-        assert!(m & meta::INS_ALLOWED != 0);
+        assert!(m & meta::VAL2_LOGGED != 0);
         assert!(m & meta::LOGGED == 0);
         let m2 = meta::with_epoch(m, 7);
         assert_eq!(meta::epoch(m2), 7);

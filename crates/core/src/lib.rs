@@ -882,7 +882,9 @@ mod tests {
 
     #[test]
     fn crash_reverts_remove_then_insert_same_epoch() {
-        // The InCLLp hazard case: forces the external-log fallback.
+        // The InCLLp hazard case: the leaf is full at the checkpoint, so
+        // no slot was free at epoch start and the first insert after the
+        // removes forces the external-log fallback.
         for seed in 0..10 {
             crash_roundtrip(
                 seed,
@@ -1511,7 +1513,9 @@ mod tests {
 
     #[test]
     fn crash_reverts_remove_then_insert_same_epoch_bytes() {
-        // The InCLLp hazard case: forces the external-log fallback.
+        // The InCLLp hazard case: the leaf is full at the checkpoint, so
+        // no slot was free at epoch start and the first insert after the
+        // removes forces the external-log fallback.
         for seed in 0..10 {
             crash_roundtrip_bytes(
                 seed,

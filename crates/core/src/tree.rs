@@ -5,7 +5,10 @@
 //! paper's logging discipline:
 //!
 //! * permutation changes (insert/remove) are guarded by `InCLLp`
-//!   (Listing 3) — one same-cache-line log write, no flush;
+//!   (Listing 3) — one same-cache-line log write, no flush. Removes are
+//!   always covered; an insert is covered when its slot was free at
+//!   epoch start (the slot it takes is chosen so), and only an insert
+//!   whose every free slot held a key at epoch start falls back below;
 //! * value updates are guarded by `ValInCLL1/2` (§4.1.3) — ditto;
 //! * splits, layer conversions, root swings and every interior-node
 //!   modification go through the external undo log (§4.2): entry → `clwb`
@@ -29,7 +32,7 @@ use parking_lot::Mutex;
 use incll_epoch::{EpochManager, EpochOptions, Guard, ThreadHandle};
 use incll_extlog::ExtLog;
 use incll_masstree::key::{entry_cmp, ikey_bytes, search_klenx, KeyCursor, KLEN_LAYER};
-use incll_palloc::PAlloc;
+use incll_palloc::{PAlloc, HEADER_BYTES};
 use incll_pmem::{superblock, FlushDomainScope, PArena};
 
 use crate::error::{Error, MAX_VALUE_BYTES};
@@ -661,8 +664,7 @@ impl DurableMasstree {
     }
 
     /// Looks up `key`, returning a **borrowed, zero-copy** view of its
-    /// value bytes in the durable buffer — the `(ptr, len, class)`-shaped
-    /// lookup. No byte is copied; the returned [`ValueRef`] dereferences
+    /// value bytes in the durable buffer. No byte is copied; the returned [`ValueRef`] dereferences
     /// to the payload in place and holds a read pin on this shard's epoch
     /// domain, so the shard cannot checkpoint (and the allocator cannot
     /// recycle the buffer) until the view is dropped.
@@ -853,7 +855,7 @@ impl DurableMasstree {
             .alloc
             .alloc_aligned64_in(tid, self.shard_id, epoch, NODE_BYTES)?;
         let mut vflags = pv::IS_LEAF;
-        let mut mflags = meta::IS_LEAF | meta::INS_ALLOWED | meta::LOGGED;
+        let mut mflags = meta::IS_LEAF | meta::LOGGED;
         if is_root {
             vflags |= pv::IS_ROOT;
             mflags |= meta::IS_ROOT;
@@ -949,15 +951,32 @@ impl DurableMasstree {
         self.log_ranges(tid, epoch, &ranges[..n], first);
     }
 
-    /// `InCLL()` for permutation-only mutations (insert/remove).
-    /// `allowed`: whether InCLLp may absorb this mutation when the node was
-    /// already touched this epoch.
-    fn incll_perm(&self, tid: usize, epoch: u64, lf: u64, allowed: bool) {
+    /// `InCLL()` for a removal: InCLLp absorbs any number of them, since
+    /// a removal overwrites no slot.
+    fn incll_remove(&self, tid: usize, epoch: u64, lf: u64) {
+        let m = self.inner.arena.pread_u64(lf + OFF_META);
+        if meta::epoch(m) != epoch {
+            self.incll_new_epoch(tid, epoch, lf, m, None);
+        }
+    }
+
+    /// `InCLL()` for an insertion into `perm`, the leaf's current
+    /// permutation (not full). InCLLp absorbs an insert whose slot was
+    /// free at epoch start: restoring the epoch-start permutation never
+    /// names that slot, so the key, `klenx` and value written into it need
+    /// no undo. The first free slot always qualifies in a leaf with no
+    /// removal this epoch; after removals, `perm`'s free region is
+    /// reordered to put such a slot first. Only when every free slot held
+    /// a key at epoch start — the remove-then-insert hazard of §4.1.1 —
+    /// does the leaf fall back to the external log.
+    fn incll_insert(&self, tid: usize, epoch: u64, lf: u64, perm: &mut DPerm) {
         let a = &self.inner.arena;
         let m = a.pread_u64(lf + OFF_META);
         if meta::epoch(m) != epoch {
             self.incll_new_epoch(tid, epoch, lf, m, None);
-        } else if m & meta::LOGGED == 0 && !allowed {
+        } else if m & meta::LOGGED == 0
+            && !perm.front_free_outside(DPerm::from_raw(a.pread_u64(lf + OFF_PERM_INCLL)))
+        {
             self.log_leaf(tid, epoch, lf, m);
             a.pwrite_u64_release(lf + OFF_META, m | meta::LOGGED);
         }
@@ -1027,7 +1046,7 @@ impl DurableMasstree {
             }
         }
         let kind = m & (meta::IS_LEAF | meta::IS_ROOT);
-        let flags = kind | meta::INS_ALLOWED | if logged { meta::LOGGED } else { 0 };
+        let flags = kind | if logged { meta::LOGGED } else { 0 };
         a.pwrite_u64_release(lf + OFF_META, meta::with_epoch(flags, epoch));
     }
 
@@ -1041,10 +1060,7 @@ impl DurableMasstree {
         }
         self.log_leaf(tid, epoch, lf, m);
         let kind = m & (meta::IS_LEAF | meta::IS_ROOT);
-        a.pwrite_u64_release(
-            lf + OFF_META,
-            meta::with_epoch(kind | meta::INS_ALLOWED | meta::LOGGED, epoch),
-        );
+        a.pwrite_u64_release(lf + OFF_META, meta::with_epoch(kind | meta::LOGGED, epoch));
     }
 
     /// Externally logs a 16-byte root-holder cell at most once per epoch
@@ -1147,10 +1163,7 @@ impl DurableMasstree {
         // the refreshed InCLLp above makes this exactly equivalent to a
         // first-modification stamp in exec_epoch.
         let kind = m & (meta::IS_LEAF | meta::IS_ROOT);
-        a.pwrite_u64_release(
-            node + OFF_META,
-            meta::with_epoch(kind | meta::INS_ALLOWED, exec_epoch),
-        );
+        a.pwrite_u64_release(node + OFF_META, meta::with_epoch(kind, exec_epoch));
     }
 
     /// Eagerly lazy-recovers **every** leaf of this shard's tree (layer
@@ -1401,6 +1414,15 @@ impl DurableMasstree {
             .free_in(tid, self.shard_id, epoch, buf, value_buf_size(len));
     }
 
+    /// Starts loading the lines [`DurableMasstree::free_value_buf`] will
+    /// touch — the buffer's allocator header and its length prefix — so
+    /// the miss overlaps the write's own work instead of following it.
+    fn prefetch_value_buf(&self, buf: u64) {
+        self.inner
+            .arena
+            .prefetch(buf.wrapping_sub(HEADER_BYTES as u64), HEADER_BYTES + 8);
+    }
+
     unsafe fn put_inner<R>(
         &self,
         ctx: &DCtx,
@@ -1466,6 +1488,7 @@ impl DurableMasstree {
                                 continue 'layer;
                             }
                             // Update: InCLL-log the old pointer, then swap.
+                            self.prefetch_value_buf(old);
                             let nb = match prealloc.take() {
                                 Some(b) => b,
                                 None => {
@@ -1618,12 +1641,12 @@ impl DurableMasstree {
                                 cur.descend();
                                 continue 'layer;
                             }
-                            // InCLLp absorbs pure removals; afterwards,
-                            // insertions into this node must external-log
-                            // (remove-then-insert hazard, §4.1.1).
-                            self.incll_perm(tid, epoch, lf, true);
-                            let m = a.pread_u64(lf + OFF_META);
-                            a.pwrite_u64_release(lf + OFF_META, m & !meta::INS_ALLOWED);
+                            self.prefetch_value_buf(val);
+                            // InCLLp absorbs every removal. The freed slot
+                            // may hold an entry the epoch-start permutation
+                            // names, so an insert this epoch reuses it only
+                            // through the fallback (`incll_insert`).
+                            self.incll_remove(tid, epoch, lf);
                             pv::mark_dirty(a, lf, pv::DIRTY_INSERT);
                             let mut perm = self.perm_of(lf);
                             perm.remove_at(pos);
@@ -1672,8 +1695,7 @@ impl DurableMasstree {
             let tid = ctx.tid;
             let mut perm = self.perm_of(lf);
             if !perm.is_full() {
-                let allowed = a.pread_u64(lf + OFF_META) & meta::INS_ALLOWED != 0;
-                self.incll_perm(tid, epoch, lf, allowed);
+                self.incll_insert(tid, epoch, lf, &mut perm);
                 pv::mark_dirty(a, lf, pv::DIRTY_INSERT);
                 let slot = perm.insert_at(pos);
                 a.pwrite_u64(lf + off_ikey(slot), ikey);

@@ -549,7 +549,14 @@ impl Drop for Guard<'_> {
         let d = cell.get() - 1;
         cell.set(d);
         if d == 0 {
-            self.handle.row.states[self.domain].store(0, Ordering::SeqCst);
+            // Release suffices: the Dekker handshake needs SeqCst only on
+            // the pin side (store the state, then load `advancing`). The
+            // advancer's SeqCst load of this word acquires the release, so
+            // every write made under the pin happens-before the checkpoint
+            // that waited for it; a re-pin's SeqCst store follows this one
+            // in the word's modification order, so the handshake still
+            // orders it against the advancer's load.
+            self.handle.row.states[self.domain].store(0, Ordering::Release);
         }
     }
 }

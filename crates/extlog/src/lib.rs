@@ -4,7 +4,8 @@
 //! for infrequent, complex modifications: node splits, internal-node
 //! updates, layer conversions, and any case the in-cache-line logs cannot
 //! cover (two values in one cache line modified in one epoch, a remove
-//! followed by an insert into the same slot, epoch-tag wrap-around).
+//! followed by an insert into the same slot when no slot free at epoch
+//! start is left, epoch-tag wrap-around).
 //!
 //! Protocol (per logged object):
 //!

@@ -5,7 +5,10 @@
 //! sorted order. Inserting or removing a key is then a single atomic store
 //! of the new permutation, which is exactly the property the paper's
 //! `InCLLp` exploits: logging that one word suffices to undo any sequence
-//! of pure insertions or pure deletions in an epoch (§4.1.1).
+//! of deletions in an epoch, mixed with insertions into slots that were
+//! free when it was logged (§4.1.1 allows pure insertions or pure
+//! deletions; [`Permutation::front_free_outside`] steers an insert to
+//! such a slot).
 //!
 //! Layout (kpermuter-style): the low nibble is the occupied count; nibble
 //! `1 + i` holds the slot index at sorted position `i`. Nibbles past the
@@ -129,6 +132,27 @@ impl<const W: usize> Permutation<W> {
         // Recycle the slot at the front of the free region.
         self.set_slot_at(count - 1, slot);
         self.0 = (self.0 & !0xF) | (count as u64 - 1);
+    }
+
+    /// Moves the first free slot that `other` also lists as free to the
+    /// front of the free region, so the next [`Permutation::insert_at`]
+    /// takes it. Returns `false`, leaving `self` unchanged, when every
+    /// free slot is occupied in `other`.
+    ///
+    /// A durable leaf passes its epoch-start permutation: an insert into a
+    /// slot that was free then overwrites nothing that permutation names.
+    pub fn front_free_outside(&mut self, other: Self) -> bool {
+        let taken = other.occupied().fold(0u16, |m, s| m | 1 << s);
+        let count = self.len();
+        let Some(pos) = (count..W).find(|&i| taken & 1 << self.slot_at(i) == 0) else {
+            return false;
+        };
+        if pos != count {
+            let (front, pick) = (self.slot_at(count), self.slot_at(pos));
+            self.set_slot_at(count, pick);
+            self.set_slot_at(pos, front);
+        }
+        true
     }
 
     /// Iterator over occupied slot indices in sorted order.
@@ -267,6 +291,39 @@ mod tests {
         let _ = p.insert_at(0);
         let q = P15::from_raw(p.raw());
         assert_eq!(p, q);
+    }
+
+    #[test]
+    fn front_free_outside_prefers_slots_free_in_the_other() {
+        let mut start = P14::empty();
+        for i in 0..12 {
+            let _ = start.insert_at(i);
+        }
+        // Without removes the first free slot already qualifies.
+        let mut p = start;
+        assert!(p.front_free_outside(start));
+        assert_eq!(p, start);
+        // Two removes put slots 0 and 5 ahead of 12 and 13.
+        p.remove_at(5);
+        p.remove_at(0);
+        assert_eq!(p.slot_at(p.len()), 0);
+        assert!(p.front_free_outside(start));
+        assert!(is_valid(p));
+        assert_eq!(p.occupied().count(), 10);
+        let s = p.insert_at(3);
+        assert!(s >= 12, "took slot {s}, occupied at the start");
+        assert!(p.front_free_outside(start));
+        let t = p.insert_at(0);
+        assert_eq!(s + t, 25, "the other one of 12 and 13");
+        // Only slots the start permutation named are left.
+        let before = p;
+        assert!(!p.front_free_outside(start));
+        assert_eq!(p, before);
+        // A full permutation has nothing to offer.
+        let mut full = start;
+        let _ = full.insert_at(0);
+        let _ = full.insert_at(0);
+        assert!(!full.front_free_outside(P14::empty()));
     }
 
     #[test]

@@ -602,6 +602,14 @@ impl PAlloc {
         let w1 = arena.pread_u64(head + 8);
         let decoded = header::decode(w0, w1, |e| self.is_failed_low32(domain, e));
         cell::set_free_head(arena, cell, epoch, decoded.next);
+        // The next allocation of this class reads that object's header and
+        // its caller then fills the payload: start both loads now. A `next`
+        // a crash rolled back may point anywhere; the arena drops a hint
+        // outside it.
+        if decoded.next != 0 {
+            let object = classes::stride(class) - classes::header_off_in_stride(class);
+            arena.prefetch(decoded.next, object.min(512));
+        }
         arena.stats().add_palloc_alloc();
         Ok(head + HEADER_BYTES as u64)
     }

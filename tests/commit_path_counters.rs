@@ -316,7 +316,9 @@ fn a_leaf_logs_each_region_once_per_epoch_and_replay_reads_only_those() {
             // also seals the 16-byte root holder it swings.
             store.put(&sess, &keys[14], b"split").unwrap();
         } else {
-            // An insert after a remove cannot use InCLLp: head only.
+            // The leaf was full at the checkpoint, so the insert can only
+            // reuse the removed key's slot and InCLLp cannot cover it:
+            // head only.
             assert!(store.remove(&sess, &keys[13]));
             store.put(&sess, &keys[14], b"reinsert").unwrap();
         }
@@ -344,9 +346,121 @@ fn a_leaf_logs_each_region_once_per_epoch_and_replay_reads_only_those() {
     }
 }
 
+/// `(ext_bytes_logged, sfence, ext_nodes_logged)` that `ops` cost.
+fn undo_cost(arena: &PArena, ops: impl FnOnce()) -> (u64, u64, u64) {
+    let before = arena.stats().snapshot();
+    ops();
+    let d = arena.stats().snapshot().delta(&before);
+    (d.ext_bytes_logged, d.sfence, d.ext_nodes_logged)
+}
+
+/// A leaf of 7 keys has 7 slots that were free at the checkpoint. Three
+/// removes and three inserts into it stay in the cache line: each insert
+/// takes one of those slots, which the epoch-start permutation InCLLp
+/// restores never names — on every shard, no undo and no fence.
+#[test]
+fn three_removes_and_three_inserts_in_a_leaf_log_nothing() {
+    for shards in [1, 4] {
+        let (arena, store, keys) = slotted(shards, 1 << 20, 7, 3);
+        let sess = store.session().unwrap();
+        let cost = undo_cost(&arena, || {
+            for shard_keys in &keys {
+                for k in &shard_keys[..3] {
+                    assert!(store.remove(&sess, k));
+                }
+                for k in &shard_keys[7..] {
+                    store.put(&sess, k, b"inserted").unwrap();
+                }
+            }
+        });
+        assert_eq!(cost, (0, 0, 0), "shards={shards}");
+        for shard_keys in &keys {
+            assert_eq!(store.get(&sess, &shard_keys[0]), None);
+            assert_eq!(store.get(&sess, &shard_keys[9]).unwrap(), b"inserted");
+        }
+    }
+}
+
+/// Remove/insert cycles use up the slots that were free at the
+/// checkpoint one by one, for free. The insert that finds only slots the
+/// checkpoint's keys held is the hazard InCLLp cannot cover: it captures
+/// what the leaf has not captured yet under one fence — the whole leaf as
+/// its first capture, or exactly the 192-byte head once both value lines
+/// were captured by updates.
+#[test]
+fn inserts_take_slots_free_at_epoch_start_until_none_is_left_then_capture_the_head() {
+    for shards in [1, 4] {
+        for lines_first in [false, true] {
+            let case = format!("shards={shards} lines_first={lines_first}");
+            let (arena, store, keys) = slotted(shards, 1 << 20, 7, 8);
+            let sess = store.session().unwrap();
+            let put = |k: &[u8], v: &[u8]| store.put(&sess, k, v).unwrap();
+            let lines = |slots: [usize; 2]| {
+                undo_cost(&arena, || {
+                    for shard_keys in &keys {
+                        for i in slots {
+                            put(&shard_keys[i], b"update");
+                        }
+                    }
+                })
+            };
+            let n = shards as u64;
+            if lines_first {
+                // Slot 0 takes line 3's ValInCLL, slot 1 captures the line.
+                assert_eq!(lines([0, 1]), (64 * n, n, n), "{case}");
+            }
+            let cycles = undo_cost(&arena, || {
+                for shard_keys in &keys {
+                    for i in 0..7 {
+                        assert!(store.remove(&sess, &shard_keys[i]));
+                        put(&shard_keys[7 + i], b"cycled");
+                    }
+                }
+            });
+            assert_eq!(cycles, (0, 0, 0), "{case}");
+            if lines_first {
+                // The cycled-in keys sit in slots 7–13: line 4.
+                assert_eq!(lines([7, 8]), (64 * n, n, 0), "{case}");
+            }
+            let fallback = undo_cost(&arena, || {
+                for shard_keys in &keys {
+                    put(&shard_keys[14], b"fallback");
+                }
+            });
+            let (bytes, nodes) = if lines_first { (192, 0) } else { (320, 1) };
+            assert_eq!(fallback, (bytes * n, n, nodes * n), "{case}");
+            // Captured: the rest of the epoch is free.
+            let after = undo_cost(&arena, || {
+                for shard_keys in &keys {
+                    assert!(store.remove(&sess, &shard_keys[7]));
+                    put(&shard_keys[0], b"after");
+                }
+            });
+            assert_eq!(after, (0, 0, 0), "{case}");
+        }
+    }
+}
+
+/// A key removed and put back in the same epoch returns in a slot that
+/// was free at the checkpoint, not its old one: no undo, no fence.
+#[test]
+fn a_removed_key_reinserted_in_the_same_epoch_logs_nothing() {
+    let (arena, store, keys) = slotted(1, 1 << 20, 7, 0);
+    let k = &keys[0][3];
+    let sess = store.session().unwrap();
+    let cost = undo_cost(&arena, || {
+        assert!(store.remove(&sess, k));
+        store.put(&sess, k, b"again").unwrap();
+    });
+    assert_eq!(cost, (0, 0, 0));
+    assert_eq!(store.get(&sess, k).unwrap(), b"again");
+    assert_eq!(store.iter(&sess).count(), 7);
+}
+
 /// The log-room allowance prices a leaf captured region by region. A
 /// cross-shard batch whose ops capture every region of two leaves —
-/// line 3, line 4, and the head by a remove and an insert — is committed
+/// line 3, line 4, and the head by a remove and an insert into a leaf that
+/// was full at epoch start — is committed
 /// against a (thread, shard) buffer filled to levels on both sides of the
 /// batch's need: it commits where the buffer has room and forces a
 /// boundary on that shard first where it has not, and never overruns it.
@@ -355,7 +469,7 @@ fn a_batch_capturing_every_region_of_two_leaves_fits_or_forces_a_boundary() {
     const LOG_BYTES: usize = 64 << 10; // 32 KiB per (thread, shard)
     let mut outcomes = std::collections::BTreeSet::new();
     for fillers in 18..=26u64 {
-        let (arena, store, keys) = slotted(2, LOG_BYTES, 10, 1);
+        let (arena, store, keys) = slotted(2, LOG_BYTES, 14, 1);
         let sess = store.session().unwrap();
         // Fill shard 0's buffer with durable one-op commits on slot 0's
         // key: intents only (its line's ValInCLL absorbs every update).
@@ -372,8 +486,8 @@ fn a_batch_capturing_every_region_of_two_leaves_fits_or_forces_a_boundary() {
                 b.put(&shard_keys[i], b"line").unwrap();
                 intent_bytes += 16 + 8 + 4;
             }
-            b.delete(&shard_keys[9]).unwrap();
-            b.put(&shard_keys[10], b"head").unwrap();
+            b.delete(&shard_keys[13]).unwrap();
+            b.put(&shard_keys[14], b"head").unwrap();
             intent_bytes += (16 + 8) + (16 + 8 + 4);
         }
         let before = arena.stats().snapshot();
@@ -390,8 +504,8 @@ fn a_batch_capturing_every_region_of_two_leaves_fits_or_forces_a_boundary() {
         outcomes.insert(forced);
         for shard_keys in &keys {
             assert_eq!(store.get(&sess, &shard_keys[1]).unwrap(), b"line");
-            assert_eq!(store.get(&sess, &shard_keys[9]), None);
-            assert_eq!(store.get(&sess, &shard_keys[10]).unwrap(), b"head");
+            assert_eq!(store.get(&sess, &shard_keys[13]), None);
+            assert_eq!(store.get(&sess, &shard_keys[14]).unwrap(), b"head");
         }
     }
     assert_eq!(

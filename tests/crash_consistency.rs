@@ -769,3 +769,105 @@ fn a_crash_right_after_a_forced_boundary_recovers_exactly_that_boundary() {
     };
     assert_eq!(run(1), run(4));
 }
+
+/// Keys each shard's test leaf is given: a full leaf and one more.
+const LEAF_KEYS: usize = 15;
+
+/// Runs `doomed` on every shard's root leaf of a tracked store whose
+/// shards each hold `written` checkpointed keys (`keys[i]` in slot `i`,
+/// the shard's next keys unwritten after them), crashes at seeds 0..10
+/// and demands exactly the checkpoint back. Twice per seed: the second
+/// doomed round runs in the recovery epoch, on leaves whose epoch-start
+/// permutations lazy recovery rewrote.
+fn slot_reuse_recovers_the_checkpoint(
+    shards: usize,
+    written: usize,
+    doomed: impl Fn(&Store, &Session, &[Vec<u8>]),
+) {
+    for seed in 0..10u64 {
+        let arena = tracked_arena();
+        let opts = options().shards(shards);
+        let (store, _) = Store::open(&arena, opts.clone()).unwrap();
+        let keys: Vec<Vec<Vec<u8>>> = (0..shards)
+            .map(|s| {
+                (0u64..)
+                    .map(|i| i.to_be_bytes().to_vec())
+                    .filter(|k| store.shard_of(k) == s)
+                    .take(LEAF_KEYS)
+                    .collect()
+            })
+            .collect();
+        let sess = store.session().unwrap();
+        for shard_keys in &keys {
+            for (i, k) in shard_keys[..written].iter().enumerate() {
+                store.put(&sess, k, &[i as u8; 24]).unwrap();
+            }
+        }
+        store.checkpoint();
+        let checkpoint = collect(&store, &sess);
+        drop(sess);
+        drop(store);
+        for round in 0..2 {
+            let (store, _) = Store::open(&arena, opts.clone()).unwrap();
+            let sess = store.session().unwrap();
+            assert_eq!(collect(&store, &sess), checkpoint, "seed {seed}");
+            for shard_keys in &keys {
+                doomed(&store, &sess, shard_keys);
+            }
+            drop(sess);
+            drop(store);
+            arena.crash_seeded(seed * 2 + round);
+        }
+        let (store, _) = Store::open(&arena, opts).unwrap();
+        let sess = store.session().unwrap();
+        assert_eq!(
+            collect(&store, &sess),
+            checkpoint,
+            "shards {shards} seed {seed}"
+        );
+    }
+}
+
+#[test]
+fn crash_reverts_removes_and_inserts_into_slots_free_at_epoch_start() {
+    for shards in [1, 4] {
+        slot_reuse_recovers_the_checkpoint(shards, 7, |store, sess, keys| {
+            for k in &keys[..3] {
+                assert!(store.remove(sess, k));
+            }
+            for k in &keys[7..10] {
+                store.put(sess, k, b"inserted").unwrap();
+            }
+        });
+    }
+}
+
+#[test]
+fn crash_reverts_slot_reuse_through_the_head_fallback() {
+    for shards in [1, 4] {
+        slot_reuse_recovers_the_checkpoint(shards, 7, |store, sess, keys| {
+            for i in 0..7 {
+                assert!(store.remove(sess, &keys[i]));
+                store.put(sess, &keys[7 + i], b"cycled").unwrap();
+            }
+            // Only slots the checkpoint's keys held are left.
+            store.put(sess, &keys[14], b"fallback").unwrap();
+            assert!(store.remove(sess, &keys[7]));
+            store.put(sess, &keys[0], b"after").unwrap();
+            store.put(sess, &keys[8], b"updated").unwrap();
+        });
+    }
+}
+
+#[test]
+fn crash_reverts_a_key_removed_and_reinserted_in_one_epoch() {
+    for shards in [1, 4] {
+        slot_reuse_recovers_the_checkpoint(shards, 7, |store, sess, keys| {
+            assert!(store.remove(sess, &keys[3]));
+            store.put(sess, &keys[3], b"again").unwrap();
+            // Its new slot's value line now takes an update too.
+            store.put(sess, &keys[3], b"and again").unwrap();
+            store.put_u64(sess, &keys[4], 4).unwrap();
+        });
+    }
+}

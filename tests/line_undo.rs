@@ -1,8 +1,8 @@
 //! Cache-line-grain undo for leaves. A leaf reaches the external log one
 //! region at a time — value line 3, value line 4, the head — each at most
 //! once per epoch: a second hot value in a line captures that line, a
-//! change the in-line logs cannot absorb (an insert after a remove, a
-//! split) captures the regions still missing. No byte is logged twice in
+//! change the in-line logs cannot absorb (an insert whose only free slots
+//! held keys at epoch start, a split) captures the regions still missing. No byte is logged twice in
 //! an epoch, so replay needs no order; these batteries crash around every
 //! kind of capture, on a tracked arena at shards {1, 4} and recovery
 //! workers {1, 4}, and demand the last checkpoint's contents and
@@ -91,8 +91,8 @@ fn hot_keys(store: &Store) -> Vec<Vec<u8>> {
 
 /// `ops` seeded operations on the hot keys, mirrored into `model`:
 /// updates (two hot values in one line capture it), removes, and inserts
-/// of absent keys (after a remove in the same leaf they capture the head;
-/// into a full leaf they split it).
+/// of absent keys (once removes leave only slots that held keys at epoch
+/// start, they capture the head; into a full leaf they split it).
 fn tape(
     store: &Store,
     keys: &[Vec<u8>],

@@ -87,18 +87,20 @@ fn recovery_report_counts_replayed_entries() {
     let (store, _) = Store::open(&arena, options()).unwrap();
     {
         let sess = store.session().unwrap();
-        for i in 0..50u64 {
+        // One full leaf at the checkpoint: every slot a later insert can
+        // reuse held a key at epoch start, so remove-then-insert is the
+        // InCLLp hazard and the leaf falls back to the external log.
+        for i in 0..14u64 {
             store.put_u64(&sess, &i.to_be_bytes(), i).unwrap();
         }
         store.checkpoint();
-        // Force external logging: remove-then-insert in one epoch.
-        for i in 0..20u64 {
-            store.remove(&sess, &i.to_be_bytes());
+        for i in 0..5u64 {
+            assert!(store.remove(&sess, &i.to_be_bytes()));
             store.put_u64(&sess, &(100 + i).to_be_bytes(), i).unwrap();
         }
     }
     let logged = store.arena().stats().ext_nodes_logged();
-    assert!(logged > 0, "the hazard path must have logged nodes");
+    assert_eq!(logged, 1, "the hazard path logs its leaf, once");
     drop(store);
     arena.crash_seeded(8);
     let (_, report) = Store::open(&arena, options()).unwrap();
@@ -401,15 +403,27 @@ fn recovery_report_aggregates_per_shard_counts() {
     let (store, _) = Store::open(&arena, opts.clone()).unwrap();
     {
         let sess = store.session().unwrap();
-        for i in 0..80u64 {
-            store.put_u64(&sess, &i.to_be_bytes(), i).unwrap();
+        // Every shard's root leaf full at the checkpoint, so a
+        // remove-then-insert in one epoch is the InCLLp hazard path on
+        // every shard: no slot was free at epoch start.
+        let keys: Vec<Vec<Vec<u8>>> = (0..4)
+            .map(|s| {
+                (0u64..)
+                    .map(|i| i.to_be_bytes().to_vec())
+                    .filter(|k| store.shard_of(k) == s)
+                    .take(15)
+                    .collect()
+            })
+            .collect();
+        for shard_keys in &keys {
+            for k in &shard_keys[..14] {
+                store.put_u64(&sess, k, 1).unwrap();
+            }
         }
         store.checkpoint();
-        // Force external logging on every shard: remove-then-insert in
-        // one epoch is the InCLLp hazard path.
-        for i in 0..80u64 {
-            store.remove(&sess, &i.to_be_bytes());
-            store.put_u64(&sess, &(1000 + i).to_be_bytes(), i).unwrap();
+        for shard_keys in &keys {
+            assert!(store.remove(&sess, &shard_keys[0]));
+            store.put_u64(&sess, &shard_keys[14], 2).unwrap();
         }
     }
     drop(store);
@@ -435,14 +449,10 @@ fn recovery_report_aggregates_per_shard_counts() {
             .sum::<u64>(),
         report.replayed_bytes
     );
+    // One whole-leaf entry per shard.
     assert!(
-        report
-            .per_shard
-            .iter()
-            .filter(|s| s.replayed_entries > 0)
-            .count()
-            >= 2,
-        "the hazard churn must have logged on several shards: {:?}",
+        report.per_shard.iter().all(|s| s.replayed_entries == 1),
+        "the hazard must have logged once on every shard: {:?}",
         report.per_shard
     );
 }
