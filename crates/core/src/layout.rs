@@ -26,10 +26,13 @@
 //! line 4 (           256..320): vals[7..14] | ValInCLL2    meta::VAL2_LOGGED
 //! ```
 //!
-//! A second hot value in one line captures just that line and sets its
-//! `meta` bit; a permutation or structural change the in-line logs cannot
-//! absorb captures whatever regions the epoch has not captured yet and
-//! sets `meta::LOGGED`. Each region is captured at most once per epoch, so
+//! Most of what the in-line logs cannot cover never gets here: an insert,
+//! and a second hot value in one line, take a slot that was free at epoch
+//! start (the value's key moves), which restoring `InCLLp` never names.
+//! In a leaf with no such slot left, a second hot value in one line
+//! captures just that line and sets its `meta` bit; a permutation or
+//! structural change the in-line logs cannot absorb captures whatever
+//! regions the epoch has not captured yet and sets `meta::LOGGED`. Each region is captured at most once per epoch, so
 //! no byte is logged twice and replay needs no order.
 //!
 //! The durable leaf holds **14** entries — one fewer than transient

@@ -17,10 +17,12 @@
 //!   ordering makes the logs durable-before-mutation with **zero** flushes
 //!   or fences on the operation path.
 //! * **External logging** ([`incll_extlog`]) for the rare complex cases:
-//!   splits, interior nodes, layer conversions, InCLL overflow. A leaf is
-//!   logged at cache-line grain: a second hot value in one line (InCLL
-//!   overflow) logs that 64-byte line, a split or conversion the regions
-//!   of the leaf not yet logged in the epoch.
+//!   splits, interior nodes, layer conversions, InCLL overflow. A second
+//!   hot value in one line moves its key into a slot that was free at
+//!   epoch start, which `InCLLp` covers; only a leaf with no such slot
+//!   left overflows. A leaf is logged at cache-line grain: an overflow
+//!   logs that 64-byte line, a split or conversion the regions of the
+//!   leaf not yet logged in the epoch.
 //!
 //! The durable allocator ([`incll_palloc`]) applies the same recipe to its
 //! free lists, so a `put` (buffer allocation + tree update) runs without a

@@ -9,16 +9,19 @@
 //!   always covered; an insert is covered when its slot was free at
 //!   epoch start (the slot it takes is chosen so), and only an insert
 //!   whose every free slot held a key at epoch start falls back below;
-//! * value updates are guarded by `ValInCLL1/2` (§4.1.3) — ditto;
+//! * value updates are guarded by `ValInCLL1/2` (§4.1.3) — ditto. A slot
+//!   free at epoch start needs no undo at all; a second hot value in one
+//!   line moves its key into such a slot, a permutation change `InCLLp`
+//!   covers like an insert, and only a leaf with none left falls back;
 //! * splits, layer conversions, root swings and every interior-node
 //!   modification go through the external undo log (§4.2): entry → `clwb`
 //!   → `sfence` → mutate;
 //! * a leaf goes to the external log one region at a time (head, value
-//!   line 3, value line 4; see [`crate::layout`]): a second hot value in
-//!   one line captures that 64-byte line, a change the in-line logs cannot
-//!   absorb captures the regions still missing, and a captured region
-//!   needs no further logging for the rest of the epoch (the `logged`
-//!   bits).
+//!   line 3, value line 4; see [`crate::layout`]): a second hot value with
+//!   no slot to move to captures its 64-byte line, a change the in-line
+//!   logs cannot absorb captures the regions still missing, and a
+//!   captured region needs no further logging for the rest of the epoch
+//!   (the `logged` bits).
 //!
 //! With `incll_enabled == false` the tree runs in the paper's **LOGGING**
 //! configuration (Figs. 7–8): the in-line logs are bypassed and every
@@ -989,18 +992,34 @@ impl DurableMasstree {
     }
 
     /// `InCLL()` for a value update of slot `idx` whose current value is
-    /// `oldval`.
-    fn incll_val(&self, tid: usize, epoch: u64, lf: u64, idx: usize, oldval: u64) {
+    /// `oldval`. Returns the permutation to publish when the update must
+    /// not store into `idx` but move its key: the leaf's current one, with
+    /// a slot that was free at epoch start at the front of its free region.
+    ///
+    /// A slot free at epoch start (its key was inserted or moved this
+    /// epoch) needs no undo: restoring InCLLp never names it, so the
+    /// store goes in place and the line's ValInCLL stays free. Otherwise
+    /// the line's ValInCLL takes the old value. When it already holds
+    /// another slot — two hot values in one line — the key moves to a
+    /// slot free at epoch start, which InCLLp covers as it covers an
+    /// insert; the old slot keeps the epoch-start value InCLLp names.
+    /// Only a leaf with no such slot left captures the 64-byte line
+    /// (§4.2).
+    fn incll_val(&self, tid: usize, epoch: u64, lf: u64, idx: usize, oldval: u64) -> Option<DPerm> {
         let a = &self.inner.arena;
         let m = a.pread_u64(lf + OFF_META);
         if meta::epoch(m) != epoch {
             self.incll_new_epoch(tid, epoch, lf, m, Some((idx, oldval)));
-            return;
+            return None;
         }
         let region = val_region(idx);
         let line_logged = meta::REGION_LOGGED[region];
         if m & (meta::LOGGED | line_logged) != 0 {
-            return;
+            return None;
+        }
+        let start = DPerm::from_raw(a.pread_u64(lf + OFF_PERM_INCLL));
+        if !start.occupied().any(|s| s == idx) {
+            return None;
         }
         let incll_off = lf + incll_for(idx);
         let w = a.pread_u64(incll_off);
@@ -1012,14 +1031,19 @@ impl DurableMasstree {
             a.pwrite_u64_release(incll_off, val_incll::pack(oldval, idx, epoch as u16));
             a.stats().add_incll_val();
         } else {
-            // Two hot values in one cache line: fall back (§4.2) — to the
-            // line alone. Its ValInCLL is inside the captured image, so
-            // replay plus lazy recovery still restore the first value.
+            let mut perm = self.perm_of(lf);
+            if perm.front_free_outside(start) {
+                return Some(perm);
+            }
+            // No slot free at epoch start is left: fall back (§4.2) — to
+            // the line alone. Its ValInCLL is inside the captured image,
+            // so replay plus lazy recovery still restore the first value.
             let (off, len) = LEAF_REGIONS[region];
             let first = m & (meta::VAL1_LOGGED | meta::VAL2_LOGGED) == 0;
             self.log_ranges(tid, epoch, &[(lf + off, len)], first);
             a.pwrite_u64_release(lf + OFF_META, m | line_logged);
         }
+        None
     }
 
     /// First modification of the node in `epoch`: stamp all three in-line
@@ -1482,10 +1506,10 @@ impl DurableMasstree {
 
                     match self.search_leaf(lf, ikey, target) {
                         Search::Found {
+                            pos,
                             slot,
                             klenx,
                             val: old,
-                            ..
                         } => {
                             if klenx == KLEN_LAYER {
                                 pv::unlock(a, lf, false, false);
@@ -1501,9 +1525,20 @@ impl DurableMasstree {
                                     alloc_or_unlock!(a, lf, self.new_value_buf(tid, epoch, val))
                                 }
                             };
-                            self.incll_val(tid, epoch, lf, slot, old);
-                            a.pwrite_u64_release(lf + off_val(slot), nb);
-                            pv::unlock(a, lf, false, false);
+                            if let Some(mut perm) = self.incll_val(tid, epoch, lf, slot, old) {
+                                // Move the key to a slot free at epoch
+                                // start, published as an insert is.
+                                pv::mark_dirty(a, lf, pv::DIRTY_INSERT);
+                                let to = perm.replace_at(pos);
+                                a.pwrite_u64(lf + off_ikey(to), ikey);
+                                self.set_klenx(lf, to, klenx);
+                                a.pwrite_u64(lf + off_val(to), nb);
+                                a.pwrite_u64_release(lf + OFF_PERM, perm.raw());
+                                pv::unlock(a, lf, true, false);
+                            } else {
+                                a.pwrite_u64_release(lf + off_val(slot), nb);
+                                pv::unlock(a, lf, false, false);
+                            }
                             let old_payload = read_old(a, old);
                             self.free_value_buf(tid, epoch, old);
                             return Ok(Some(old_payload));

@@ -3,9 +3,11 @@
 //! The external log is the conventional fallback the InCLL design leans on
 //! for infrequent, complex modifications: node splits, internal-node
 //! updates, layer conversions, and any case the in-cache-line logs cannot
-//! cover (two values in one cache line modified in one epoch, a remove
-//! followed by an insert into the same slot when no slot free at epoch
-//! start is left, epoch-tag wrap-around).
+//! cover (epoch-tag wrap-around, and a leaf with no slot left that was
+//! free at epoch start: there a second value changed in one cache line
+//! within an epoch, or an insert into a slot a removed key held, has
+//! nowhere else to go; while such a slot is left, the key moves or
+//! lands in it and nothing is logged).
 //!
 //! Protocol (per logged object):
 //!

@@ -5,10 +5,13 @@
 //! sorted order. Inserting or removing a key is then a single atomic store
 //! of the new permutation, which is exactly the property the paper's
 //! `InCLLp` exploits: logging that one word suffices to undo any sequence
-//! of deletions in an epoch, mixed with insertions into slots that were
-//! free when it was logged (§4.1.1 allows pure insertions or pure
-//! deletions; [`Permutation::front_free_outside`] steers an insert to
-//! such a slot).
+//! of deletions in an epoch, mixed with writes into slots that were free
+//! when it was logged (§4.1.1 allows pure insertions or pure deletions;
+//! [`Permutation::front_free_outside`] steers a write to such a slot).
+//! Two kinds of write take one: an insertion, and an update that moves
+//! its key out of a slot whose value line has no in-line log left
+//! ([`Permutation::replace_at`]) — the old slot keeps its epoch-start
+//! value, which the logged word still names.
 //!
 //! Layout (kpermuter-style): the low nibble is the occupied count; nibble
 //! `1 + i` holds the slot index at sorted position `i`. Nibbles past the
@@ -132,6 +135,25 @@ impl<const W: usize> Permutation<W> {
         // Recycle the slot at the front of the free region.
         self.set_slot_at(count - 1, slot);
         self.0 = (self.0 & !0xF) | (count as u64 - 1);
+    }
+
+    /// Moves the entry at sorted position `pos` into the first free slot,
+    /// returning that slot; the entry's old slot becomes the front of the
+    /// free region. The count is unchanged. The caller copies the entry
+    /// into the returned slot *before* publishing the new permutation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the permutation is full or `pos >= len()`.
+    #[must_use = "the returned slot must be filled before publishing"]
+    pub fn replace_at(&mut self, pos: usize) -> usize {
+        let count = self.len();
+        assert!(count < W, "replace in full permutation");
+        assert!(pos < count, "replace position {pos} beyond count {count}");
+        let (old, free) = (self.slot_at(pos), self.slot_at(count));
+        self.set_slot_at(pos, free);
+        self.set_slot_at(count, old);
+        free
     }
 
     /// Moves the first free slot that `other` also lists as free to the
@@ -324,6 +346,47 @@ mod tests {
         let _ = full.insert_at(0);
         let _ = full.insert_at(0);
         assert!(!full.front_free_outside(P14::empty()));
+    }
+
+    #[test]
+    fn replace_at_moves_an_entry_to_a_slot_free_in_the_other() {
+        let mut start = P14::empty();
+        for i in 0..10 {
+            let _ = start.insert_at(i);
+        }
+        let mut p = start;
+        p.remove_at(2);
+        // Slot 2 fronts the free region, but `start` names it: steer past.
+        assert_eq!(p.slot_at(p.len()), 2);
+        assert!(p.front_free_outside(start));
+        let order: Vec<usize> = p.occupied().collect();
+        let new = p.replace_at(4);
+        assert_eq!(new, 10, "the first slot free in `start`");
+        assert!(is_valid(p));
+        assert_eq!(p.len(), 9, "a move keeps the count");
+        let mut want = order.clone();
+        want[4] = new;
+        assert_eq!(p.occupied().collect::<Vec<_>>(), want);
+        assert_eq!(
+            p.slot_at(p.len()),
+            order[4],
+            "the old slot fronts the free region"
+        );
+        // Moving again takes the next slot `start` left free; the moved
+        // entry's old slot is not one of them.
+        assert!(p.front_free_outside(start));
+        assert_eq!(p.replace_at(0), 11);
+        assert!(is_valid(p));
+    }
+
+    #[test]
+    #[should_panic(expected = "full")]
+    fn replace_in_full_panics() {
+        let mut p = P14::empty();
+        for i in 0..14 {
+            let _ = p.insert_at(i);
+        }
+        let _ = p.replace_at(0);
     }
 
     #[test]

@@ -284,7 +284,8 @@ fn slotted(
     (arena, store, keys)
 }
 
-/// A leaf pays for the lines it dirties: three updates in one value line
+/// A leaf pays for the lines it dirties. In a full leaf — no slot free at
+/// epoch start for a key to move to — three updates in one value line
 /// cost one sealed 64-byte line image, three in the other line one more,
 /// and the change that needs the whole leaf then logs only its head —
 /// whatever replay later reads is exactly those regions.
@@ -386,13 +387,15 @@ fn three_removes_and_three_inserts_in_a_leaf_log_nothing() {
 /// checkpoint's keys held is the hazard InCLLp cannot cover: it captures
 /// what the leaf has not captured yet under one fence — the whole leaf as
 /// its first capture, or exactly the 192-byte head once both value lines
-/// were captured by updates.
+/// were captured by updates. A leaf of 9 keys (slots 0–6 in value line 3,
+/// 7–8 in line 4) has 5 free slots; once the cycles have taken them, a
+/// second hot value in a line has no slot to move to and captures it.
 #[test]
 fn inserts_take_slots_free_at_epoch_start_until_none_is_left_then_capture_the_head() {
     for shards in [1, 4] {
         for lines_first in [false, true] {
             let case = format!("shards={shards} lines_first={lines_first}");
-            let (arena, store, keys) = slotted(shards, 1 << 20, 7, 8);
+            let (arena, store, keys) = slotted(shards, 1 << 20, 9, 6);
             let sess = store.session().unwrap();
             let put = |k: &[u8], v: &[u8]| store.put(&sess, k, v).unwrap();
             let lines = |slots: [usize; 2]| {
@@ -405,21 +408,20 @@ fn inserts_take_slots_free_at_epoch_start_until_none_is_left_then_capture_the_he
                 })
             };
             let n = shards as u64;
-            if lines_first {
-                // Slot 0 takes line 3's ValInCLL, slot 1 captures the line.
-                assert_eq!(lines([0, 1]), (64 * n, n, n), "{case}");
-            }
             let cycles = undo_cost(&arena, || {
                 for shard_keys in &keys {
-                    for i in 0..7 {
+                    for i in 0..5 {
                         assert!(store.remove(&sess, &shard_keys[i]));
-                        put(&shard_keys[7 + i], b"cycled");
+                        put(&shard_keys[9 + i], b"cycled");
                     }
                 }
             });
             assert_eq!(cycles, (0, 0, 0), "{case}");
             if lines_first {
-                // The cycled-in keys sit in slots 7–13: line 4.
+                // Slot 5 takes line 3's ValInCLL, slot 6 captures the
+                // line: the leaf's first capture, one logged node.
+                assert_eq!(lines([5, 6]), (64 * n, n, n), "{case}");
+                // Line 4 likewise — the same leaf, no new node.
                 assert_eq!(lines([7, 8]), (64 * n, n, 0), "{case}");
             }
             let fallback = undo_cost(&arena, || {
@@ -432,11 +434,85 @@ fn inserts_take_slots_free_at_epoch_start_until_none_is_left_then_capture_the_he
             // Captured: the rest of the epoch is free.
             let after = undo_cost(&arena, || {
                 for shard_keys in &keys {
-                    assert!(store.remove(&sess, &shard_keys[7]));
+                    assert!(store.remove(&sess, &shard_keys[9]));
                     put(&shard_keys[0], b"after");
+                    put(&shard_keys[5], b"after");
+                    put(&shard_keys[6], b"after");
                 }
             });
             assert_eq!(after, (0, 0, 0), "{case}");
+        }
+    }
+}
+
+/// A second hot value in a value line whose ValInCLL holds another slot
+/// moves its key into a slot that was free at the checkpoint: InCLLp
+/// covers the move as it covers an insert, and the old slot keeps the
+/// value InCLLp names. A moved key updated again stays where it is —
+/// its slot was free at epoch start — so none of it logs or fences.
+#[test]
+fn a_second_hot_value_moves_its_key_and_logs_nothing() {
+    for shards in [1, 4] {
+        let (arena, store, keys) = slotted(shards, 1 << 20, 7, 0);
+        let sess = store.session().unwrap();
+        let cost = undo_cost(&arena, || {
+            for shard_keys in &keys {
+                // Slot 0 takes line 3's ValInCLL; slots 1–6 move to 7–12.
+                for (i, k) in shard_keys.iter().enumerate() {
+                    store.put(&sess, k, &[i as u8; 64]).unwrap();
+                }
+            }
+        });
+        assert_eq!(cost, (0, 0, 0), "shards={shards}: the moves");
+        let again = undo_cost(&arena, || {
+            for shard_keys in &keys {
+                for k in shard_keys {
+                    store.put(&sess, k, b"again").unwrap();
+                    store.put(&sess, k, b"and again").unwrap();
+                }
+            }
+        });
+        assert_eq!(again, (0, 0, 0), "shards={shards}: the moved keys");
+        for shard_keys in &keys {
+            for k in shard_keys {
+                assert_eq!(store.get(&sess, k).unwrap(), b"and again");
+            }
+        }
+        assert_eq!(store.iter(&sess).count(), 7 * shards);
+    }
+}
+
+/// A key inserted this epoch sits in a slot that was free at the
+/// checkpoint, so its updates need no undo and leave its line's ValInCLL
+/// free: in a leaf the insert filled, the checkpoint's key in that line
+/// still takes the ValInCLL for free. With no free slot left, the next
+/// hot value in the line pays exactly one 64-byte line image and one
+/// fence.
+#[test]
+fn an_inserted_key_updates_for_free_and_a_full_leaf_pays_one_line() {
+    for shards in [1, 4] {
+        let (arena, store, keys) = slotted(shards, 1 << 20, 13, 1);
+        let sess = store.session().unwrap();
+        let n = shards as u64;
+        let fresh = undo_cost(&arena, || {
+            for shard_keys in &keys {
+                // Slot 13 (value line 4) was free at the checkpoint.
+                store.put(&sess, &shard_keys[13], b"inserted").unwrap();
+                store.put(&sess, &shard_keys[13], b"updated").unwrap();
+                // Line 4's ValInCLL is still free for slot 7.
+                store.put(&sess, &shard_keys[7], b"updated").unwrap();
+            }
+        });
+        assert_eq!(fresh, (0, 0, 0), "shards={shards}");
+        let full = undo_cost(&arena, || {
+            for shard_keys in &keys {
+                store.put(&sess, &shard_keys[8], b"updated").unwrap();
+            }
+        });
+        assert_eq!(full, (64 * n, n, n), "shards={shards}: the full leaf");
+        for shard_keys in &keys {
+            assert_eq!(store.get(&sess, &shard_keys[13]).unwrap(), b"updated");
+            assert_eq!(store.get(&sess, &shard_keys[8]).unwrap(), b"updated");
         }
     }
 }
@@ -612,15 +688,23 @@ fn a_put_on_a_short_buffer_under_its_own_sessions_pin_fails_typed_and_writes_not
 const PROBE_KEYS: u64 = 200_000;
 
 /// The log-room probe: one session slot, a 256 KiB log and no cadence,
-/// `PROBE_KEYS` keys inserted and checkpointed. Nothing but the log-room
-/// rule ends an epoch on this store.
+/// `PROBE_KEYS` keys inserted in a scattered order and checkpointed.
+/// Nothing but the log-room rule ends an epoch on this store.
+///
+/// The scattered load leaves leaves 7 to 14 keys full, as random inserts
+/// do. (Keys loaded in order leave every leaf at 8 keys with 6 free
+/// slots, exactly the moves an update of each of its keys needs, so an
+/// update tape would never capture a line.)
 fn probe_store() -> (PArena, Store) {
     let arena = PArena::builder().capacity_bytes(256 << 20).build().unwrap();
     let options = Options::new().threads(1).log_bytes_per_thread(256 << 10);
     let (store, _) = Store::open(&arena, options).unwrap();
     let sess = store.session().unwrap();
+    // The stride is coprime to `PROBE_KEYS`: every key once.
     for i in 0..PROBE_KEYS {
-        store.put(&sess, &key(i), &[1; 8]).unwrap();
+        store
+            .put(&sess, &key(i * 0x9E37_79B9 % PROBE_KEYS), &[1; 8])
+            .unwrap();
     }
     drop(sess);
     store.checkpoint();
@@ -628,8 +712,10 @@ fn probe_store() -> (PArena, Store) {
 }
 
 /// `PROBE_KEYS` updates scattered over the probe's keys: nearly every
-/// leaf takes several within an epoch, so each value line overflows its
-/// in-cache-line log and is captured — far more undo than the buffer
+/// leaf takes several within an epoch, so a second hot value in a line
+/// moves its key into a slot that was free at epoch start until a fuller
+/// leaf has none left, and from then on each value line that overflows
+/// its in-cache-line log is captured — far more undo than the buffer
 /// holds.
 fn scattered() -> impl Iterator<Item = Vec<u8>> {
     (0..PROBE_KEYS).map(|i| key(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % PROBE_KEYS))

@@ -1,12 +1,15 @@
-//! Cache-line-grain undo for leaves. A leaf reaches the external log one
-//! region at a time — value line 3, value line 4, the head — each at most
-//! once per epoch: a second hot value in a line captures that line, a
-//! change the in-line logs cannot absorb (an insert whose only free slots
-//! held keys at epoch start, a split) captures the regions still missing. No byte is logged twice in
-//! an epoch, so replay needs no order; these batteries crash around every
-//! kind of capture, on a tracked arena at shards {1, 4} and recovery
-//! workers {1, 4}, and demand the last checkpoint's contents and
-//! byte-identical arenas across worker counts.
+//! Cache-line-grain undo for leaves. A second hot value in a value line
+//! moves its key into a slot that was free at epoch start, which the
+//! epoch-start permutation InCLLp never names, and logs nothing. Only a
+//! leaf with no such slot left reaches the external log, one region at a
+//! time — value line 3, value line 4, the head — each at most once per
+//! epoch: a second hot value in a line captures that line, a change the
+//! in-line logs cannot absorb (an insert whose only free slots held keys
+//! at epoch start, a split) captures the regions still missing. No byte
+//! is logged twice in an epoch, so replay needs no order; these batteries
+//! crash around every kind of move and capture, on a tracked arena at
+//! shards {1, 4} and recovery workers {1, 4}, and demand the last
+//! checkpoint's contents and byte-identical arenas across worker counts.
 
 use std::collections::BTreeMap;
 
@@ -90,7 +93,8 @@ fn hot_keys(store: &Store) -> Vec<Vec<u8>> {
 }
 
 /// `ops` seeded operations on the hot keys, mirrored into `model`:
-/// updates (two hot values in one line capture it), removes, and inserts
+/// updates (a second hot value in a line moves its key, or captures the
+/// line once no slot free at epoch start is left), removes, and inserts
 /// of absent keys (once removes leave only slots that held keys at epoch
 /// start, they capture the head; into a full leaf they split it).
 fn tape(
@@ -171,15 +175,18 @@ fn hot_leaves_crashed_around_every_kind_of_capture_recover_the_checkpoint() {
     }
 }
 
-/// Ten keys on the last shard, inserted in order into its fresh root
-/// leaf: key `i` holds slot `i`, so keys 0–6 are in value line 3 and keys
-/// 7–9 in value line 4.
-fn slot_keys(store: &Store) -> Vec<Vec<u8>> {
-    let last = store.shard_count() - 1;
-    (0..)
-        .map(|i| format!("line/{i:03}").into_bytes())
-        .filter(|k| store.shard_of(k) == last)
-        .take(10)
+/// Fifteen keys per shard, in key order. Put in order into the shard's
+/// fresh root leaf, key `i` holds slot `i`: keys 0–6 are in value line 3,
+/// keys 7–13 in value line 4, and the fifteenth splits the full leaf.
+fn leaf_keys(store: &Store) -> Vec<Vec<Vec<u8>>> {
+    (0..store.shard_count())
+        .map(|s| {
+            (0..)
+                .map(|i| format!("leaf/{i:03}").into_bytes())
+                .filter(|k| store.shard_of(k) == s)
+                .take(15)
+                .collect()
+        })
         .collect()
 }
 
@@ -202,7 +209,9 @@ fn line_entry_cell(shards: usize, tail: bool, cut: usize, workers: usize) -> u64
     let (entry, stores) = {
         let (store, _) = Store::open(&arena, options(shards, 1)).unwrap();
         let sess = store.session().unwrap();
-        let keys = slot_keys(&store);
+        // A full leaf on the last shard: no slot was free at epoch start
+        // for a key to move to, so a second hot value captures its line.
+        let keys = &leaf_keys(&store)[shards - 1][..14];
         for (i, k) in keys.iter().enumerate() {
             store.put(&sess, k, &val(i as u64)).unwrap();
             model.insert(k.clone(), val(i as u64));
@@ -311,6 +320,221 @@ fn a_torn_line_entry_at_a_buffer_tail_ends_the_valid_prefix_and_its_store_never_
                 .map(|&w| line_entry_cell(shards, true, cut, w))
                 .collect();
             assert_eq!(digests[0], digests[1], "shards={shards} cut={cut}");
+        }
+    }
+}
+
+/// A move's crash cell: every shard's root leaf gets its first `written`
+/// keys (key `i` in slot `i`), checkpointed; `doomed` runs on every shard
+/// and the arena crashes at `seed`. The reopened store must hold the
+/// checkpoint; `doomed` runs again in the recovery epoch, on leaves lazy
+/// recovery re-stamped — when the store was read back first, or on the
+/// tape's own first access without `read_back` — and a second crash must
+/// land on the checkpoint too. Returns the final arena digest.
+fn move_cell(
+    shards: usize,
+    workers: usize,
+    seed: u64,
+    written: usize,
+    read_back: bool,
+    doomed: &impl Fn(&Store, &Session, &[Vec<u8>]),
+) -> u64 {
+    let what = format!("shards={shards} workers={workers} seed={seed}");
+    let arena = tracked();
+    let mut model = BTreeMap::new();
+    {
+        let (store, _) = Store::open(&arena, options(shards, 1)).unwrap();
+        let sess = store.session().unwrap();
+        for shard_keys in leaf_keys(&store) {
+            for (i, k) in shard_keys[..written].iter().enumerate() {
+                store.put(&sess, k, &val(i as u64)).unwrap();
+                model.insert(k.clone(), val(i as u64));
+            }
+        }
+        store.checkpoint();
+        for shard_keys in leaf_keys(&store) {
+            doomed(&store, &sess, &shard_keys);
+        }
+    }
+    arena.crash_seeded(2 * seed);
+    {
+        let (store, _) = Store::open(&arena, options(shards, workers)).unwrap();
+        if read_back {
+            assert_holds(&store, &model, &format!("{what}: first recovery"));
+        }
+        let sess = store.session().unwrap();
+        for shard_keys in leaf_keys(&store) {
+            doomed(&store, &sess, &shard_keys);
+        }
+    }
+    arena.crash_seeded(2 * seed + 1);
+    let (store, _) = Store::open(&arena, options(shards, workers)).unwrap();
+    assert_holds(&store, &model, &format!("{what}: second recovery"));
+    drop(store);
+    digest(&arena)
+}
+
+/// [`move_cell`] at shards {1, 4} and seeds 0..10, byte-identical at
+/// recovery workers {1, 4}.
+fn moves_recover_the_checkpoint(
+    written: usize,
+    read_back: bool,
+    doomed: impl Fn(&Store, &Session, &[Vec<u8>]),
+) {
+    for shards in SHARDS {
+        for seed in 0..10 {
+            let digests: Vec<u64> = WORKERS
+                .iter()
+                .map(|&w| move_cell(shards, w, seed, written, read_back, &doomed))
+                .collect();
+            assert_eq!(digests[0], digests[1], "shards={shards} seed={seed}");
+        }
+    }
+}
+
+#[test]
+fn crash_reverts_a_move_and_the_moved_keys_next_updates() {
+    moves_recover_the_checkpoint(7, true, |store, sess, keys| {
+        // Slot 0 takes line 3's ValInCLL; slots 1 and 2 move to 7 and 8.
+        store.put(sess, &keys[0], b"doomed").unwrap();
+        store.put(sess, &keys[1], b"moved").unwrap();
+        store.put(sess, &keys[1], b"moved again").unwrap();
+        store.put(sess, &keys[2], b"moved").unwrap();
+        store.put_u64(sess, &keys[2], 2).unwrap();
+        store.put(sess, &keys[0], b"doomed again").unwrap();
+    });
+}
+
+#[test]
+fn crash_reverts_a_move_then_removes_around_it() {
+    moves_recover_the_checkpoint(7, true, |store, sess, keys| {
+        store.put(sess, &keys[0], b"doomed").unwrap();
+        store.put(sess, &keys[1], b"moved").unwrap();
+        assert!(store.remove(sess, &keys[1]));
+        assert!(store.remove(sess, &keys[2]));
+        // Slot 2 fronts the free region but held a key at epoch start:
+        // the next move takes slot 7, which the removed moved key left.
+        store.put(sess, &keys[3], b"moved").unwrap();
+        store.put(sess, &keys[3], b"moved again").unwrap();
+        store.put(sess, &keys[7], b"inserted").unwrap();
+        assert!(store.remove(sess, &keys[3]));
+    });
+}
+
+#[test]
+fn crash_reverts_a_move_then_the_insert_that_captures_the_head() {
+    moves_recover_the_checkpoint(12, true, |store, sess, keys| {
+        // The move takes slot 12, the insert the last free slot, 13.
+        store.put(sess, &keys[0], b"doomed").unwrap();
+        store.put(sess, &keys[1], b"moved").unwrap();
+        store.put(sess, &keys[12], b"inserted").unwrap();
+        // Only slots the checkpoint's keys held are left: the next
+        // insert captures the head, and the epoch logs nothing more.
+        assert!(store.remove(sess, &keys[5]));
+        store.put(sess, &keys[13], b"captured").unwrap();
+        store.put(sess, &keys[2], b"after").unwrap();
+        store.put(sess, &keys[1], b"after").unwrap();
+    });
+}
+
+#[test]
+fn crash_reverts_a_move_then_a_split() {
+    moves_recover_the_checkpoint(13, true, |store, sess, keys| {
+        // The move takes slot 13; the insert after it reuses slot 1
+        // through the head capture, and the next one splits the leaf.
+        store.put(sess, &keys[0], b"doomed").unwrap();
+        store.put(sess, &keys[1], b"moved").unwrap();
+        store.put(sess, &keys[13], b"captured").unwrap();
+        store.put(sess, &keys[14], b"split").unwrap();
+        for k in keys {
+            store.put(sess, k, b"after the split").unwrap();
+        }
+    });
+}
+
+#[test]
+fn crash_reverts_a_move_on_a_leaf_lazy_recovery_restamped_under_it() {
+    // The recovery epoch's tape is the leaf's first access: its descent
+    // re-stamps the leaf, then the same update moves a key.
+    moves_recover_the_checkpoint(7, false, |store, sess, keys| {
+        store.put(sess, &keys[4], b"doomed").unwrap();
+        store.put(sess, &keys[5], b"moved").unwrap();
+        assert!(store.remove(sess, &keys[6]));
+        store.put(sess, &keys[3], b"moved").unwrap();
+        store.put(sess, &keys[5], b"moved again").unwrap();
+    });
+}
+
+/// The root leaf of `shard` (a leaf of at most 14 keys never split).
+fn root_leaf(arena: &PArena, shard: usize) -> u64 {
+    arena.pread_u64(superblock::shard_root_holder(shard))
+}
+
+/// Stores a move leaves unflushed in its leaf, per line: the lock, the
+/// dirty mark, the permutation and the unlock (line 0); the key (line 1);
+/// the `klenx` word (line 2); the value (line 4). Line 3 is the source
+/// line, which the move does not write.
+const MOVE_STORES: [usize; 5] = [4, 1, 1, 0, 1];
+
+/// Seven keys in the last shard's root leaf, checkpointed. In the doomed
+/// epoch slot 0 takes line 3's ValInCLL and everything so far reaches the
+/// medium; then slot 1's update moves its key to slot 7. The crash keeps
+/// the first `kept[l]` of leaf line `l`'s stores, and the value buffer's
+/// and allocator's lines whole with `rest`, not at all without. Recovery
+/// must replay nothing and land on the checkpoint. Returns the digest.
+fn move_prefix_cell(shards: usize, kept: [usize; 5], rest: bool, workers: usize) -> u64 {
+    let what = format!("shards={shards} kept={kept:?} rest={rest} workers={workers}");
+    let arena = tracked();
+    let mut model = BTreeMap::new();
+    let leaf = {
+        let (store, _) = Store::open(&arena, options(shards, 1)).unwrap();
+        let sess = store.session().unwrap();
+        let keys = &leaf_keys(&store)[shards - 1];
+        for (i, k) in keys[..7].iter().enumerate() {
+            store.put(&sess, k, &val(i as u64)).unwrap();
+            model.insert(k.clone(), val(i as u64));
+        }
+        store.checkpoint();
+        store.put(&sess, &keys[0], b"doomed").unwrap();
+        arena.global_flush();
+        store.put(&sess, &keys[1], b"moved").unwrap();
+        root_leaf(&arena, shards - 1) / 64
+    };
+    arena.crash_with(|line, n| match line.checked_sub(leaf) {
+        Some(l) if l < 5 => {
+            assert_eq!(n, MOVE_STORES[l as usize], "{what}: line {l}");
+            kept[l as usize]
+        }
+        _ if rest => n,
+        _ => 0,
+    });
+    let (store, report) = Store::open(&arena, options(shards, workers)).unwrap();
+    assert_eq!(report.replayed_entries, 0, "{what}: a move logs nothing");
+    assert_holds(&store, &model, &what);
+    drop(store);
+    digest(&arena)
+}
+
+#[test]
+fn every_persisted_prefix_of_a_moves_stores_recovers_the_checkpoint() {
+    for shards in SHARDS {
+        for cell in 0..MOVE_STORES.iter().map(|&n| n + 1).product::<usize>() {
+            let mut kept = [0; 5];
+            let mut digits = cell;
+            for (k, n) in kept.iter_mut().zip(MOVE_STORES) {
+                *k = digits % (n + 1);
+                digits /= n + 1;
+            }
+            for rest in [false, true] {
+                let digests: Vec<u64> = WORKERS
+                    .iter()
+                    .map(|&w| move_prefix_cell(shards, kept, rest, w))
+                    .collect();
+                assert_eq!(
+                    digests[0], digests[1],
+                    "shards={shards} kept={kept:?} rest={rest}"
+                );
+            }
         }
     }
 }
