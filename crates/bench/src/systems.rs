@@ -69,12 +69,12 @@ impl SystemConfig {
     }
 
     /// Arena bytes for the durable system: nodes (384-byte strides at
-    /// ~14 entries/leaf), value buffers (48-byte objects), log region,
-    /// plus headroom for epoch churn.
+    /// ~14 entries/leaf), value buffers (32-byte objects, as MT+'s),
+    /// log region, plus headroom for epoch churn.
     fn durable_capacity(&self) -> usize {
         let keys = self.keys as usize;
         let nodes = keys / 7 * 384 * 2;
-        let buffers = keys * 48 * 2;
+        let buffers = keys * 32 * 2;
         let log = self.threads * self.log_bytes_per_thread;
         (nodes + buffers + log + (96 << 20)).next_power_of_two()
     }

@@ -402,7 +402,7 @@
 //!
 //! # Media compatibility
 //!
-//! On-media layouts are version-screened: v10 (this build) refuses v1–v9
+//! On-media layouts are version-screened: v11 (this build) refuses v1–v10
 //! media with a typed [`Error::UnsupportedLayout`] — never a reformat.
 //!
 //! # One door
@@ -563,6 +563,30 @@ mod tests {
         assert_eq!(get(&t, &ctx, b"alpha"), Some(2));
         assert!(t.remove(&ctx, b"alpha"));
         assert_eq!(get(&t, &ctx, b"alpha"), None);
+    }
+
+    #[test]
+    fn small_values_take_one_32_byte_object_on_one_line() {
+        // Values of 0..=8 bytes: header 16 + length 8 + payload in one
+        // 32-byte object that never straddles a cache line.
+        let (_a, t) = fresh(false);
+        let ctx = t.thread_ctx(0).unwrap();
+        for i in 0..200u64 {
+            t.put_bytes(&ctx, &i.to_be_bytes(), &vec![i as u8; i as usize % 9])
+                .unwrap();
+        }
+        let mut bufs = Vec::new();
+        t.scan_raw(&ctx, b"", usize::MAX, &mut |_, buf| bufs.push(buf));
+        assert_eq!(bufs.len(), 200);
+        for &buf in &bufs {
+            let obj = buf - incll_palloc::HEADER_BYTES as u64;
+            assert_eq!(obj % VALUE_BUF_BYTES as u64, 0, "object at {obj}");
+            assert_eq!(obj / 64, (obj + 31) / 64, "object at {obj} crosses a line");
+        }
+        // Consecutive objects of one slab sit one object apart.
+        bufs.sort_unstable();
+        let closest = bufs.windows(2).map(|w| w[1] - w[0]).min();
+        assert_eq!(closest, Some(VALUE_BUF_BYTES as u64));
     }
 
     #[test]
@@ -1388,7 +1412,7 @@ mod tests {
         // beyond external-log seals.
         let (a, t) = fresh(false);
         let ctx = t.thread_ctx(0).unwrap();
-        // Warm up both the 32-byte and the 128-byte classes, then start a
+        // Warm up both the 32-byte and the 112-byte classes, then start a
         // fresh epoch.
         for i in 0..64u64 {
             t.put_bytes(&ctx, &i.to_be_bytes(), &[i as u8; 16]).unwrap();

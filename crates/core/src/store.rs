@@ -539,10 +539,10 @@ impl Store {
     /// [`Store::put`] for the paper's 8-byte payloads (stored
     /// little-endian; interchangeable with the byte-slice form).
     ///
-    /// The returned previous payload is meaningful only when the previous
-    /// value was itself 8 bytes; for mixed-width keys use [`Store::put`],
-    /// which returns the full previous value. Obeys the same log-room rule
-    /// as [`Store::put`].
+    /// The returned previous payload is the previous value's first 8
+    /// bytes, a shorter one zero-extended (as [`ValueRef::as_u64`]); for
+    /// mixed-width keys use [`Store::put`], which returns the full
+    /// previous value. Obeys the same log-room rule as [`Store::put`].
     ///
     /// # Errors
     ///
@@ -562,8 +562,9 @@ impl Store {
     ///
     /// Routed through the borrowed read path: equivalent to
     /// `store.get(&sess, key)` followed by a little-endian `u64` decode
-    /// of the 8-byte value, but decodes in place via
-    /// [`ValueRef::as_u64`] — no allocation, no byte copy.
+    /// of the value's first 8 bytes (a shorter value zero-extended), but
+    /// decodes in place via [`ValueRef::as_u64`] — no allocation, no byte
+    /// copy.
     pub fn get_u64(&self, sess: &Session, key: &[u8]) -> Option<u64> {
         self.get_ref(sess, key).map(|v| v.as_u64())
     }

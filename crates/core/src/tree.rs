@@ -46,12 +46,14 @@ use crate::layout::{
 };
 use crate::pversion as pv;
 
-/// Minimum durable value-buffer size (paper §6: 32-byte buffers).
+/// Smallest durable value object, allocator header included (paper §6:
+/// 32-byte buffers).
 ///
 /// Every value buffer is length-prefixed (`[len: u64][payload bytes]`) and
-/// allocated from the size class fitting `8 + len`, but never smaller than
-/// this — so the paper's fixed 32-byte-buffer regime is exactly what small
-/// (e.g. `u64`) values get.
+/// allocated from the size class fitting `8 + len`, floored at the 16-byte
+/// class — so a value of up to 8 bytes (a `u64`) lives in one 32-byte,
+/// 32-aligned object: the 16-byte header, the length and the payload on
+/// one cache line, the paper's buffer and what the MT+ pool spends.
 pub const VALUE_BUF_BYTES: usize = 32;
 /// Layer root-holder cell size.
 const HOLDER_BYTES: usize = 16;
@@ -257,10 +259,15 @@ pub struct ValueRef<'s> {
 
 impl<'s> ValueRef<'s> {
     /// Decodes the payload as the `u64` convenience encoding
-    /// (little-endian, as written by [`crate::Store::put_u64`]).
-    /// Meaningful only for 8-byte values.
+    /// (little-endian, as written by [`crate::Store::put_u64`]): its
+    /// first 8 bytes, a shorter payload zero-extended. Never reads past
+    /// the payload's length, so a short value never shows the bytes a
+    /// recycled buffer held before.
     pub fn as_u64(&self) -> u64 {
-        u64::from_le(self.arena.pread_u64(self.buf + 8))
+        let mut word = [0u8; 8];
+        let n = self.len.min(8);
+        word[..n].copy_from_slice(&self[..n]);
+        u64::from_le_bytes(word)
     }
 
     /// Copies the payload out (the escape hatch back to owned data; this
@@ -715,9 +722,9 @@ impl DurableMasstree {
     /// in a fresh length-prefixed durable buffer), returning the previous
     /// payload.
     ///
-    /// The returned payload is meaningful only when the previous value was
-    /// itself 8 bytes wide; use [`DurableMasstree::put_bytes`] to observe
-    /// the full previous value of mixed-width keys.
+    /// The returned payload is the previous value's first 8 bytes, a
+    /// shorter one zero-extended; use [`DurableMasstree::put_bytes`] to
+    /// observe the full previous value of mixed-width keys.
     ///
     /// # Errors
     ///
@@ -2062,18 +2069,23 @@ pub(crate) fn shard_of(key: &[u8], shards: usize) -> usize {
 // ======================================================================
 
 /// Allocation size for a value of `len` bytes: length prefix + payload,
-/// floored at the paper's 32-byte buffer so small values keep the §6
-/// regime.
+/// floored at the 16-byte class so a value of up to 8 bytes takes the
+/// paper's 32-byte buffer ([`VALUE_BUF_BYTES`], header included).
 #[inline]
 fn value_buf_size(len: usize) -> usize {
-    (8 + len).max(VALUE_BUF_BYTES)
+    (8 + len).max(VALUE_BUF_BYTES - HEADER_BYTES)
 }
 
-/// Reads a buffer's payload as the `u64` convenience encoding
-/// (little-endian, written by [`DurableMasstree::put`]).
+/// Reads a buffer's payload as the `u64` convenience encoding (written
+/// by [`DurableMasstree::put`]): its first 8 bytes, little-endian, a
+/// shorter payload zero-extended. Reads only the stored length's bytes,
+/// all on the length prefix's line for a value of up to 8 bytes.
 #[inline]
 fn read_value_u64(a: &PArena, buf: u64) -> u64 {
-    u64::from_le(a.pread_u64(buf + 8))
+    let len = (a.pread_u64(buf) as usize).min(8);
+    let mut word = [0u8; 8];
+    a.pread_bytes(buf + 8, &mut word[..len]);
+    u64::from_le_bytes(word)
 }
 
 /// Copies a buffer's payload out.

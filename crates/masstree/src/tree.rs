@@ -23,7 +23,9 @@ use crate::node::{
 };
 use crate::version::{self, INSERTING, IS_LEAF, IS_ROOT, SPLITTING};
 
-/// Size of a value buffer (paper §6: values live in 32-byte buffers).
+/// Size of a value buffer, the whole object (paper §6: values live in
+/// 32-byte buffers). The durable store's smallest value object is the
+/// same 32 bytes, its allocator header included.
 pub const VALUE_BUF_BYTES: usize = 32;
 /// Size of a layer root cell allocation.
 const ROOT_CELL_BYTES: usize = 16;

@@ -1,10 +1,16 @@
 //! Size classes for the durable allocator.
 //!
 //! Objects are served from per-(thread, class) free lists. Every object
-//! carries a 16-byte durable header ([`crate::header`]), so the class size
-//! is `header + payload` rounded to a 16-byte boundary. The paper's value
-//! buffers are 32 bytes (§6, footnote 6) and durable Masstree nodes are
-//! 320 bytes, so both must map to exact classes.
+//! carries a 16-byte durable header ([`crate::header`]), so an object's
+//! slab stride is `header + payload class`. Payload classes are spaced
+//! every 16 bytes up to 512, so no object under 512 bytes wastes more than
+//! 15; above that they are 768, 1024, 2048 and 4096. The paper's 32-byte
+//! value buffers (§6, footnote 6) are the 16-byte class behind its header,
+//! and durable Masstree nodes are 320 bytes, so both map to exact classes.
+//!
+//! A slab starts at the largest power of two (at most 64) that divides its
+//! stride ([`slab_align`]), so an object whose stride is 32 or 64 bytes
+//! never straddles a cache line.
 
 use crate::HEADER_BYTES;
 
@@ -13,7 +19,8 @@ use crate::HEADER_BYTES;
 /// The largest class bounds [`crate::PAlloc::alloc`]; larger requests are
 /// an error (the tree never makes one).
 pub const CLASS_SIZES: &[usize] = &[
-    16, 32, 48, 64, 96, 128, 192, 256, 320, 384, 512, 768, 1024, 2048, 4096,
+    16, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192, 208, 224, 240, 256, 272, 288, 304, 320,
+    336, 352, 368, 384, 400, 416, 432, 448, 464, 480, 496, 512, 768, 1024, 2048, 4096,
 ];
 
 /// Payload sizes served with **64-byte (cache-line) alignment** — durable
@@ -78,6 +85,15 @@ pub fn stride(class: usize) -> usize {
     }
 }
 
+/// Alignment of a class's slab start: the largest power of two, at most
+/// one cache line, that divides the stride. Every slot of the slab then
+/// keeps that alignment, so a 32- or 64-byte object lies inside one line
+/// and a 64-aligned class's payload lands on a line.
+pub fn slab_align(class: usize) -> usize {
+    let s = stride(class);
+    (s & s.wrapping_neg()).min(64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,8 +122,16 @@ mod tests {
     #[test]
     fn paper_sizes_map_exactly() {
         // 32-byte value buffers and 320-byte durable leaves.
-        assert_eq!(CLASS_SIZES[class_for(32).unwrap()], 32);
+        assert_eq!(stride(class_for(16).unwrap()), 32);
         assert_eq!(CLASS_SIZES[class_for(320).unwrap()], 320);
+    }
+
+    #[test]
+    fn small_objects_waste_at_most_15_bytes() {
+        for size in 1..=512 {
+            let class = CLASS_SIZES[class_for(size).unwrap()];
+            assert!(class - size <= 15, "{size} B lands in the {class} B class");
+        }
     }
 
     #[test]

@@ -772,11 +772,7 @@ impl PAlloc {
         let arena = &self.inner.arena;
         let stride = classes::stride(class) as u64;
         let head_off = classes::header_off_in_stride(class) as u64;
-        let align = if classes::is_aligned64(class) {
-            64u64
-        } else {
-            16
-        };
+        let align = classes::slab_align(class) as u64;
         let (slab, objs) = {
             let _g = self.inner.carve_locks[domain].lock();
             // Extents may be smaller than a full slab of the largest
@@ -962,6 +958,31 @@ mod tests {
         assert_ne!(x, y);
         assert_eq!(x % 16, 0);
         assert_eq!(y % 16, 0);
+    }
+
+    #[test]
+    fn line_sized_objects_never_straddle_a_line() {
+        // A one-object slab of a 48-byte stride leaves the frontier 48
+        // bytes into a line; the 32- and 64-byte strides carved right
+        // after it must still keep every object inside one line.
+        let (_a, alloc) = fresh(1);
+        for size in [16usize, 48] {
+            let stride = classes::stride(class_for(size).unwrap()) as u64;
+            assert!(stride == 32 || stride == 64);
+            {
+                let _g = alloc.inner.carve_locks[0].lock();
+                alloc.carve_objects(0, 48, 16, 1).unwrap();
+            }
+            assert_ne!(alloc.inner.frontier[0].load(Ordering::Relaxed) % 64, 0);
+            for _ in 0..2 * SLAB_OBJECTS {
+                let obj = alloc.alloc(0, 1, size).unwrap() - HEADER_BYTES as u64;
+                assert_eq!(
+                    obj / 64,
+                    (obj + stride - 1) / 64,
+                    "{stride} B object at {obj} crosses a line"
+                );
+            }
+        }
     }
 
     #[test]

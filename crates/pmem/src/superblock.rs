@@ -50,7 +50,7 @@ pub const MAGIC: u64 = 0x19C1_1C05_A5B1_2019;
 /// On-media format version. Every other version — older media included —
 /// must be rejected by openers, never reinterpreted or reformatted: the
 /// cells of one version read as garbage under another.
-pub const VERSION: u64 = 10;
+pub const VERSION: u64 = 11;
 
 /// Offset of the magic word.
 pub const SB_MAGIC: u64 = 64;

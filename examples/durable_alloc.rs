@@ -17,10 +17,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sess = store.session()?;
 
     // Epoch 1: three values across different size classes (each put
-    // allocates `8 + len` bytes, floored at the paper's 32-byte buffer).
-    store.put(&sess, b"small", b"hi")?; //            32-byte class
-    store.put(&sess, b"medium", &[1u8; 100])?; //    128-byte class
-    store.put(&sess, b"large", &[2u8; 1000])?; //   1024-byte class
+    // allocates `8 + len` bytes behind a 16-byte header, floored so a
+    // small value takes the paper's 32-byte buffer).
+    store.put(&sess, b"small", b"hi")?; //              32-byte object
+    store.put(&sess, b"medium", &[1u8; 100])?; //      128-byte object
+    store.put(&sess, b"large", &[2u8; 1000])?; //     1040-byte object
     let s = store.arena().stats().snapshot();
     println!(
         "epoch 1: {} durable allocations (values + tree nodes), {} frees",

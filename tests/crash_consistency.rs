@@ -871,3 +871,86 @@ fn crash_reverts_a_key_removed_and_reinserted_in_one_epoch() {
         });
     }
 }
+
+/// Value lengths one key steps through: objects of 32, 32, 48, 48, 96,
+/// 288 and 32 bytes, so the walk moves a value up and down the
+/// allocator's 16-byte-spaced classes and stays in one class twice.
+const CLASS_CROSSING_LENS: &[usize] = &[0, 8, 9, 24, 72, 264, 8];
+
+/// A value no other (step, key) pair writes.
+fn class_crossing_value(step: usize, key: usize) -> Vec<u8> {
+    let len = CLASS_CROSSING_LENS[step % CLASS_CROSSING_LENS.len()];
+    (0..len).map(|j| (step * 131 + key * 7 + j) as u8).collect()
+}
+
+#[test]
+fn class_crossing_updates_recover_the_checkpoint_at_every_worker_count() {
+    // Every key walks the length tape: a seeded prefix of the steps is
+    // checkpointed one step per epoch, the rest run in one doomed epoch
+    // (frees and allocations crossing classes within it), then a seeded
+    // crash. Recovery must land on the checkpoint, and a follow-up write
+    // of every key must read back intact — no object was handed out
+    // twice — leaving the same arena bytes at 1 and 4 recovery workers.
+    const KEYS: usize = 100;
+    let steps = CLASS_CROSSING_LENS.len();
+    for shards in [1usize, 4] {
+        for seed in 0..10u64 {
+            let committed = 1 + seed as usize % (steps - 1);
+            let run = |workers: usize| {
+                let arena = tracked_arena();
+                let opts = options().shards(shards).recovery_threads(workers);
+                let (store, _) = Store::open(&arena, opts.clone()).unwrap();
+                let sess = store.session().unwrap();
+                let keys: Vec<Vec<u8>> = (0..KEYS as u64)
+                    .map(|i| i.wrapping_mul(0x9E37_79B9).to_be_bytes().to_vec())
+                    .collect();
+                let write_step = |step: usize| {
+                    for (i, k) in keys.iter().enumerate() {
+                        store.put(&sess, k, &class_crossing_value(step, i)).unwrap();
+                    }
+                };
+                for step in 0..committed {
+                    write_step(step);
+                    store.checkpoint();
+                }
+                let checkpoint = collect(&store, &sess);
+                for step in committed..steps {
+                    write_step(step);
+                }
+                drop(sess);
+                drop(store);
+                arena.crash_seeded(seed * 17 + shards as u64);
+
+                let (store, report) = Store::open(&arena, opts).unwrap();
+                assert!(!report.created);
+                let sess = store.session().unwrap();
+                let at = format!("shards {shards} seed {seed} workers {workers}");
+                assert_eq!(collect(&store, &sess), checkpoint, "{at}");
+                // Two follow-up rounds, the second after a boundary that
+                // recycles the first round's frees.
+                for round in 0..2 {
+                    let step = steps + round;
+                    for (i, k) in keys.iter().enumerate() {
+                        store
+                            .put(&sess, k, &class_crossing_value(step + i, i))
+                            .unwrap();
+                    }
+                    for (i, k) in keys.iter().enumerate() {
+                        let want = class_crossing_value(step + i, i);
+                        assert_eq!(store.get(&sess, k), Some(want), "{at} round {round}");
+                    }
+                    store.checkpoint();
+                }
+                drop(sess);
+                drop(store);
+                let mut image = vec![0u8; arena.capacity()];
+                arena.pread_bytes(0, &mut image);
+                image
+            };
+            assert!(
+                run(1) == run(4),
+                "shards {shards} seed {seed}: the arenas differ by worker count"
+            );
+        }
+    }
+}

@@ -80,6 +80,25 @@ fn get_ref_matches_every_copying_read() {
     }
 }
 
+/// A value shorter than 8 bytes reads as a `u64` zero-extended — through
+/// `get_u64`, `as_u64` and the previous value `put_u64` returns — never
+/// with the tail of whatever its recycled buffer held before.
+#[test]
+fn short_values_read_as_u64_zero_extended() {
+    let store = fresh(1);
+    let sess = store.session().unwrap();
+    store.put(&sess, b"A", &[0xFF; 8]).unwrap();
+    // The overwrite frees A's first buffer; the checkpoint makes it
+    // allocatable, and B's put (same session, same size class) takes it.
+    store.put(&sess, b"A", &[1; 100]).unwrap();
+    store.checkpoint();
+    store.put(&sess, b"B", &[1, 2, 3]).unwrap();
+    assert_eq!(store.get_u64(&sess, b"B"), Some(0x03_02_01));
+    assert_eq!(store.get_ref(&sess, b"B").unwrap().as_u64(), 0x03_02_01);
+    assert_eq!(store.put_u64(&sess, b"B", 7).unwrap(), Some(0x03_02_01));
+    assert_eq!(store.get_u64(&sess, b"B"), Some(7));
+}
+
 // ---------------------------------------------------------------------
 // Guards under concurrent mutation
 // ---------------------------------------------------------------------
