@@ -69,8 +69,9 @@ impl SystemConfig {
     }
 
     /// Arena bytes for the durable system: nodes (384-byte strides at
-    /// ~14 entries/leaf), value buffers (32-byte objects, as MT+'s),
-    /// log region, plus headroom for epoch churn.
+    /// ~14 entries/leaf), value buffers (32-byte objects, as MT+'s), the
+    /// log's whole capacity (it claims only what it writes, but may
+    /// write that much), plus headroom for epoch churn.
     fn durable_capacity(&self) -> usize {
         let keys = self.keys as usize;
         let nodes = keys / 7 * 384 * 2;

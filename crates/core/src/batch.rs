@@ -465,7 +465,10 @@ impl<'s> WriteBatch<'s> {
     /// [`Error::BatchExceedsLog`] when one shard's share of the batch
     /// (intents plus the undo allowance) cannot fit an empty per-thread
     /// log buffer — equally clean: nothing was written. Split the batch
-    /// or raise [`crate::Options::log_bytes_per_thread`].
+    /// or raise [`crate::Options::log_bytes_per_thread`]. When the pool
+    /// has no extent left for the log's segments, the same overflow of
+    /// the segments an emptied buffer holds is an [`Error::Pmem`]`
+    /// (OutOfMemory)`, also with nothing written.
     ///
     /// [`Error::SessionPinned`] while this session holds an epoch pin (a
     /// live [`crate::ValueRef`] or [`Session::pin_shard`] guard), when

@@ -180,7 +180,10 @@
 //!   ([`ShardStats::advances_forced`]). The check is one load of the
 //!   slot's own cursor and one compare. This holds with or without a
 //!   cadence, and it is the only thing that ends an epoch on a store
-//!   without one.
+//!   without one. The buffer's size is a cap: it holds only the pool
+//!   segments its cursor has reached, taken in the same check, and when
+//!   the pool has none left the shard is forced over a boundary and the
+//!   buffer starts again in the segments it holds.
 //!
 //! A shard written from `T` slots may hold up to `T` such buffers, so
 //! what a crash may leave to replay on a shard is at most
@@ -778,7 +781,8 @@ mod tests {
     fn crash_persisting_nodes_but_dropping_log_lines_recovers_to_the_boundary() {
         // The write-ahead-undo invariant, probed adversarially: the
         // chooser persists EVERY in-flight store except those landing in
-        // the external-log region, which it drops wholesale. If any undo
+        // the external log — its segments and their directory — which it
+        // drops wholesale. If any undo
         // entry were merely staged (unsealed) when its guarded node
         // modification happened, this crash would persist the modified
         // node while erasing its pre-image, and recovery could not roll
@@ -807,23 +811,24 @@ mod tests {
         for i in 0..100u64 {
             tree.put(&ctx, &i.to_be_bytes(), i + 1000).unwrap();
         }
+        // The log's spans: every extent the owner table gives a log,
+        // and the segment directory.
+        let (_, extent, _) = tree.allocator().extent_pool();
+        let mut spans: Vec<(u64, u64)> = (0..cfg.shards)
+            .flat_map(|d| tree.allocator().log_extents(d))
+            .map(|e| (e, e + extent))
+            .collect();
+        assert!(!spans.is_empty(), "the log must own extents");
+        spans.push((superblock::SB_LOG_DIR, superblock::CARVE_START));
         drop(ctx);
         drop(tree);
-
-        // The log region, straight from the superblock descriptor.
-        let lo = arena.pread_u64(superblock::SB_EXTLOG_OFF);
-        let threads = arena.pread_u64(superblock::SB_EXTLOG_THREADS);
-        let per_slot = arena.pread_u64(superblock::SB_EXTLOG_PER_THREAD);
-        let domains = arena.pread_u64(superblock::SB_EXTLOG_DOMAINS);
-        let hi = lo + per_slot * threads * domains;
-        assert!(lo != 0 && hi > lo, "log descriptor must be present");
         // Sealed entries live in the durable base and are untouched
         // by the chooser; only unsealed (staged) log bytes can be
         // dropped — exactly the eviction pattern that breaks a
         // protocol which defers undo durability past the mutation.
         arena.crash_with(|line, n| {
             let off = line * 64;
-            if off >= lo && off < hi {
+            if spans.iter().any(|&(lo, hi)| off >= lo && off < hi) {
                 0
             } else {
                 n

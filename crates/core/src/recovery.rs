@@ -307,6 +307,11 @@ impl DurableMasstree {
                 //     (un-carving doomed slabs), pending-list splice.
                 alloc.recover_domain(d, failed_epoch + 1);
 
+                // 2e. The shard's log extents: segments no buffer's
+                //     directory names (a claim the crash left in doubt)
+                //     become its free segments again. Reads only.
+                log.adopt_extents(d, &alloc.log_extents(d));
+
                 let shard_replay = ShardReplay {
                     shard: d,
                     replayed_entries: replay.entries_applied,
@@ -417,6 +422,9 @@ fn resolve_in_doubt_batches(
         }
         for e in entries {
             in_doubt += ExtLog::entry_bytes(e.payload.len());
+            // Room for the op's undo without a boundary; with the pool
+            // full, the redo relies on the segments the buffer holds.
+            let _ = shard.grow_log(&ctx, crate::tree::OP_UNDO_BOUND);
             match crate::batch::decode_intent(&e.payload) {
                 Some(RedoOp::Put { key, val }) => {
                     shard

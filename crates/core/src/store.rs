@@ -92,10 +92,12 @@ impl Options {
     /// written from `T` slots may therefore hold up to `T` such buffers'
     /// worth of undo and intents — what a crash replays there.
     ///
-    /// The whole `threads × bytes` region's address space is claimed at
-    /// format, but its memory is resident only where a buffer has been
-    /// written, in 2 MiB steps taken ahead of the buffer's cursor: size
-    /// it for the worst epoch without paying for it in every epoch.
+    /// The value is a cap, and nothing is claimed for it up front: a
+    /// buffer is a list of segments cut from extents of the store's
+    /// pool, taken one at a time as its cursor reaches them (after one
+    /// segment per buffer at format). Claimed and resident memory both
+    /// follow what each buffer has written, so size it for the worst
+    /// epoch without paying for it in every epoch, or in every buffer.
     #[must_use]
     pub fn log_bytes_per_thread(mut self, bytes: usize) -> Self {
         self.config.log_bytes_per_thread = bytes;
@@ -785,9 +787,10 @@ impl Store {
 
     /// Extent-pool observability: the pool descriptor
     /// `(pool_base, extent_bytes, extent_count)` plus the number of
-    /// extents each shard currently owns (create claims one per shard;
-    /// hot shards claim more online). Always `Some`: every store, at
-    /// every shard count, carves from the pool. Diagnostics /
+    /// extents each shard currently owns, for its data and its external
+    /// log together (create claims one of each per shard; hot shards and
+    /// growing log buffers claim more online). Always `Some`: every store,
+    /// at every shard count, carves from the pool. Diagnostics /
     /// experiments.
     pub fn extent_stats(&self) -> Option<ExtentStats> {
         let alloc = self.shards[0].allocator();
@@ -797,7 +800,7 @@ impl Store {
             extent_bytes,
             extent_count,
             owned_per_shard: (0..self.shards.len())
-                .map(|d| alloc.owned_extents(d).len())
+                .map(|d| alloc.owned_extents(d).len() + alloc.log_extents(d).len())
                 .collect(),
         })
     }
@@ -842,8 +845,9 @@ pub struct ShardStats {
 }
 
 /// Extent-pool snapshot ([`Store::extent_stats`]): the superblock's pool
-/// descriptor plus each shard's current chain length, read from the
-/// durable owner table.
+/// descriptor plus how many extents each shard owns, read from the
+/// durable owner table. `pool_base + extent_bytes × Σ owned_per_shard` is
+/// every arena byte the store has claimed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExtentStats {
     /// Arena offset where the extent pool starts.
@@ -852,7 +856,9 @@ pub struct ExtentStats {
     pub extent_bytes: u64,
     /// Total extents in the pool.
     pub extent_count: usize,
-    /// `owned_per_shard[s]` = extents shard `s` has durably claimed.
+    /// `owned_per_shard[s]` = extents shard `s` has durably claimed: the
+    /// ones its allocator carves from and the ones its external-log
+    /// buffers' segments are cut from.
     pub owned_per_shard: Vec<usize>,
 }
 

@@ -118,9 +118,10 @@ pub(crate) const OP_UNDO_BOUND: u64 = UNDO_ALLOWANCE + SPLIT_CHAIN;
 pub(crate) struct DurableConfig {
     /// Worker-thread slots (allocator lists + log buffers are per-thread).
     pub threads: usize,
-    /// External-log capacity per thread, in bytes. Size for the worst-case
-    /// logged nodes per epoch (§6.3 measures 84 K nodes ≈ 30 MB on a
-    /// write-heavy 1 M-key tree); only what is written becomes resident.
+    /// External-log capacity per thread, in bytes: a cap, of which each
+    /// buffer claims pool extents only as it is written. Size for the
+    /// worst-case logged nodes per epoch (§6.3 measures 84 K nodes ≈ 30 MB
+    /// on a write-heavy 1 M-key tree).
     pub log_bytes_per_thread: usize,
     /// `false` selects the paper's LOGGING ablation: external log only.
     pub incll_enabled: bool,
@@ -415,18 +416,20 @@ impl DurableMasstree {
         );
         crate::tree::validate_shard_count(config.shards)?;
         // One epoch domain, one log buffer set and one allocator list set
-        // per shard: every shard checkpoints on its own timeline. The log
-        // region is reserved *before* the allocator, which turns all
-        // remaining carvable space into the extent pool and must be the
-        // last create-time carver.
+        // per shard: every shard checkpoints on its own timeline. The
+        // allocator turns all carvable space into the extent pool, and
+        // the log cuts its buffers' segments from extents of that pool:
+        // one per shard now, more as buffers grow.
         let mgr = EpochManager::with_domains(arena.clone(), EpochOptions::durable(), config.shards);
-        let log = ExtLog::create_sharded(
+        let alloc = PAlloc::create_sharded(arena, config.threads, config.shards)?;
+        let log = ExtLog::create_in_pool(
             arena,
             config.threads,
             config.log_bytes_per_thread,
             config.shards,
+            alloc.extent_pool().1,
+            |shard| alloc.claim_log_extent(shard),
         )?;
-        let alloc = PAlloc::create_sharded(arena, config.threads, config.shards)?;
         let epoch = mgr.current_epoch();
         let exec_epochs = (0..config.shards).map(|s| mgr.exec_epoch_of(s)).collect();
 
@@ -635,23 +638,33 @@ impl DurableMasstree {
     /// forced over an epoch boundary (which empties every one of its
     /// buffers). Log space is reclaimed nowhere else, so a write that
     /// passes this cannot overrun the buffer within its reservation. The
-    /// reservation also makes that room resident ([`ExtLog::back`], a huge
-    /// page at a time), so the write's appends meet no page fault under
-    /// its pin. The fast path is two relaxed loads from the slot's own
-    /// line (cursor and backing watermark) and one compare. Each (slot,
-    /// shard) buffer has a single writer and a concurrent boundary only
-    /// adds room, so nothing here is locked.
+    /// reservation also gives the buffer the segments that room needs
+    /// ([`ExtLog::grow`]: its shard's free segments first, else a fresh
+    /// log extent claimed from the pool), populated, so the write's
+    /// appends meet no page fault under its pin. The fast path is two
+    /// relaxed loads from the slot's own line (cursor and room) and one
+    /// compare. Each (slot, shard) buffer has a single writer and a
+    /// concurrent boundary only adds room, so nothing here is locked.
+    ///
+    /// When the pool has no extent left, the buffer makes do with the
+    /// segments it holds: the shard is forced over a boundary and the
+    /// write starts the buffer again. Every buffer holds one segment from
+    /// create on, and a segment holds at least [`OP_UNDO_BOUND`] unless
+    /// the whole buffer is smaller, so a single op always fits after that
+    /// boundary.
     ///
     /// # Errors
     ///
     /// [`Error::BatchExceedsLog`] when `need` exceeds an empty buffer;
-    /// [`Error::SessionPinned`] when the buffer is short while `ctx` holds
-    /// a pin on any shard — the boundary would wait for that pin forever,
+    /// [`Error::Pmem`]`(OutOfMemory)` when the pool is full and `need`
+    /// exceeds the segments an emptied buffer holds;
+    /// [`Error::SessionPinned`] when a boundary is due while `ctx` holds a
+    /// pin on any shard — the boundary would wait for that pin forever,
     /// and two writers each pinned on the other's shard would deadlock.
-    /// Either way nothing was written.
+    /// None of these writes anything.
     #[inline]
     pub(crate) fn reserve_log_room(&self, ctx: &DCtx, need: u64) -> Result<(), Error> {
-        if self.inner.log.has_backed_room(ctx.tid, self.shard_id, need) {
+        if self.inner.log.has_room(ctx.tid, self.shard_id, need) {
             return Ok(());
         }
         self.extend_log_room(ctx, need)
@@ -661,13 +674,23 @@ impl DurableMasstree {
     fn extend_log_room(&self, ctx: &DCtx, need: u64) -> Result<(), Error> {
         let log = &self.inner.log;
         let capacity = log.slot_capacity();
-        if log.used_in(ctx.tid, self.shard_id) + need > capacity {
-            if need > capacity {
-                return Err(Error::BatchExceedsLog {
-                    shard: self.shard_id,
-                    needed: need,
-                    capacity,
-                });
+        if need > capacity {
+            return Err(Error::BatchExceedsLog {
+                shard: self.shard_id,
+                needed: need,
+                capacity,
+            });
+        }
+        loop {
+            let used = log.used_in(ctx.tid, self.shard_id);
+            if used + need <= capacity {
+                match self.grow_log(ctx, need) {
+                    Ok(()) => return Ok(()),
+                    // Even an emptied buffer's segments cannot hold it.
+                    Err(e) if used == 0 => return Err(Error::Pmem(e)),
+                    // The pool is full: reuse the segments held.
+                    Err(_) => {}
+                }
             }
             if let Some(shard) = ctx.first_pinned() {
                 return Err(Error::SessionPinned { shard });
@@ -675,8 +698,17 @@ impl DurableMasstree {
             self.inner.mgr.advance_domain(self.shard_id);
             self.inner.forced_boundaries[self.shard_id].fetch_add(1, Ordering::Relaxed);
         }
-        log.back(ctx.tid, self.shard_id, need);
-        Ok(())
+    }
+
+    /// Gives `ctx`'s log buffer for this shard segments for `need` bytes
+    /// past its cursor, up to its capacity ([`ExtLog::grow`]), claiming
+    /// log extents from the pool where its shard has no free segment.
+    /// Never forces a boundary, which is what recovery's redo of
+    /// committed batches needs: a boundary would discard their intents.
+    pub(crate) fn grow_log(&self, ctx: &DCtx, need: u64) -> Result<(), incll_pmem::Error> {
+        self.inner.log.grow(ctx.tid, self.shard_id, need, || {
+            self.inner.alloc.claim_log_extent(self.shard_id)
+        })
     }
 
     /// Looks up `key`, returning a **borrowed, zero-copy** view of its

@@ -67,8 +67,8 @@
 //!
 //! # Epoch domains
 //!
-//! Under per-shard epoch domains the log region is subdivided into one
-//! append buffer per **(thread, domain)** pair, because the per-domain
+//! Under per-shard epoch domains the log is one append buffer per
+//! **(thread, domain)** pair, because the per-domain
 //! state above — discard cursors at *that domain's* boundary, replay *that
 //! domain's* contiguous failed run — only works if one buffer never mixes
 //! entries from two domains' epoch timelines. [`ExtLog::create_sharded`]
@@ -78,18 +78,42 @@
 //! [`ExtLog::reset_domain`] and [`ExtLog::replay_domain`] scope discard
 //! and replay to one domain.
 //!
-//! # Residency
+//! # Segments
 //!
 //! A buffer is sized for the worst epoch (the paper measures 84 K nodes
 //! per 64 ms epoch on a 1 M-key tree, §6.3), yet most epochs write a small
-//! fraction of it. [`ExtLog::create_sharded`] therefore claims the whole
-//! region's address space and none of its memory, and each buffer keeps a
-//! transient *backing watermark* beside its cursor. A writer reserving
-//! room checks both at once ([`ExtLog::has_backed_room`]) and, where only
-//! the backing is short, extends it a huge page at a time
-//! ([`ExtLog::back`]): resident memory follows each buffer's high-water
-//! mark, and its page faults land in the reservation, before the writer
-//! pins its epoch, so no checkpoint ever waits behind one.
+//! fraction of it, and most buffers of a sharded store are never written
+//! at all. So a buffer's capacity is a **cap**, not a reservation: the
+//! buffer is an ordered list of fixed-size **segments**, each found
+//! through the slot's words in the superblock's segment directory
+//! ([`superblock::SB_LOG_DIR`]), and it holds only the segments its
+//! cursor has reached. Byte `b` of a buffer lives at offset `b mod
+//! segment` of its `b / segment`-th segment; an entry that straddles two
+//! segments is written and read in two pieces, so the entry format and
+//! replay's valid-prefix scan are those of one contiguous buffer.
+//!
+//! A store's log ([`ExtLog::create_in_pool`]) cuts its segments from
+//! extents of the allocator's pool that it owns ([`superblock::log_owner`]):
+//! create claims one extent per domain and gives every slot its first
+//! segment from it, and a writer reserving room past its segments
+//! ([`ExtLog::has_room`], [`ExtLog::grow`]) takes the domain's next free
+//! segment, claiming a fresh extent only when none is left. The segment
+//! is populated there, before the writer pins its epoch, so resident and
+//! claimed memory both follow each buffer's high-water mark and no
+//! checkpoint waits behind a page fault. Segments are never given back;
+//! a boundary rewinds the cursor over them.
+//!
+//! The claim order makes a durable entry reachable: the extent's owner
+//! byte is CAS'd and fenced first, the directory word is stored next, and
+//! the drain that makes the first entry in the segment durable writes the
+//! directory line back under the same fence. A crash between the claim
+//! and that drain leaves the segment named by no durable word; opening
+//! the log returns it to its domain's free segments
+//! ([`ExtLog::adopt_extents`]) without writing anything, and it is never
+//! handed to the allocator.
+//!
+//! A standalone log ([`ExtLog::create_sharded`], no pool) carves every
+//! segment of every buffer from the arena at create.
 //!
 //! # Entry format
 //!
@@ -133,16 +157,21 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use incll_pmem::{superblock, PArena};
+use parking_lot::Mutex;
 
 mod checksum;
 
 /// Fixed per-entry header size in bytes.
 const HEADER: u64 = 32;
 
-/// [`ExtLog::back`] extends a buffer's backing to a multiple of this arena
-/// offset: the arena's huge page (its mapping is 2 MiB-aligned), so each
-/// step faults in whole pages and no page twice.
-const BACKING_STEP: u64 = 2 << 20;
+/// The smallest segment, unless a whole buffer is smaller: every store
+/// operation's worst-case undo fits an emptied buffer's first segment,
+/// so a write that forced a boundary always finds room.
+const MIN_SEGMENT: u64 = 16 << 10;
+
+/// A standalone log (no extent pool) sizes its segments as if its
+/// threads shared extents of this many bytes.
+const STANDALONE_EXTENT: u64 = 64 << 10;
 
 /// Replay prefetches at most this many bytes of a look-ahead entry's
 /// target (a node image is 320 B): the length comes from an unverified
@@ -189,10 +218,13 @@ struct Slot {
     /// Start of the **staged** (appended, not yet persisted) byte range,
     /// which always ends at `cursor`; `staged == cursor` means drained.
     staged: AtomicU64,
-    /// Bytes from the buffer's start that are backed by resident memory
-    /// ([`ExtLog::back`]). Transient, never reset: a boundary rewinds the
-    /// cursor over pages that stay resident.
-    backed: AtomicU64,
+    /// Bytes from the buffer's start its segments cover, capped at the
+    /// buffer's capacity. Never moves back: a boundary rewinds the cursor
+    /// over segments the slot keeps.
+    room: AtomicU64,
+    /// Leading directory words of the slot known to be written back; the
+    /// next drain writes back the rest of the slot's segments' words.
+    dir_durable: AtomicU64,
 }
 
 impl Slot {
@@ -239,6 +271,49 @@ pub struct ReplayReport {
     pub intents: Vec<IntentEntry>,
 }
 
+/// The segment size and directory words per slot of a log of `threads ×
+/// domains` buffers capped at `per_slot` bytes, whose extents hold
+/// `extent_bytes`: the largest power of two no larger than the buffer or
+/// an even share of one extent per thread, floored at [`MIN_SEGMENT`]
+/// unless one segment then holds the whole buffer, and doubled while the
+/// buffers' words would not fit the superblock's directory.
+fn geometry(
+    per_slot: u64,
+    extent_bytes: u64,
+    threads: usize,
+    domains: usize,
+) -> incll_pmem::Result<(u64, u64)> {
+    let share = per_slot.min(extent_bytes / threads as u64).max(1);
+    let mut segment = (1u64 << share.ilog2())
+        .max(MIN_SEGMENT)
+        .min(per_slot.next_power_of_two());
+    loop {
+        let words = per_slot.div_ceil(segment);
+        if (threads * domains) as u64 * words <= superblock::MAX_LOG_SEGMENTS as u64 {
+            return Ok((segment, words));
+        }
+        if segment >= extent_bytes {
+            return Err(incll_pmem::Error::OutOfMemory {
+                requested: threads * domains,
+                capacity: superblock::MAX_LOG_SEGMENTS,
+            });
+        }
+        segment *= 2;
+    }
+}
+
+/// The arena offset of byte `off` of `(thread, domain)`'s buffer, read
+/// from the durable descriptor and directory — a test seam for poking a
+/// log on media without a handle to it.
+#[doc(hidden)]
+pub fn slot_offset(arena: &PArena, thread: usize, domain: usize, off: u64) -> u64 {
+    let domains = arena.pread_u64(superblock::SB_EXTLOG_DOMAINS) as usize;
+    let segment = arena.pread_u64(superblock::SB_EXTLOG_SEGMENT);
+    let words = arena.pread_u64(superblock::SB_EXTLOG_DIR_WORDS);
+    let word = (thread * domains + domain) as u64 * words + off / segment;
+    arena.pread_u64(superblock::log_dir_off(word as usize)) + off % segment
+}
+
 /// The external undo log: per-thread durable append buffers.
 ///
 /// # Example
@@ -267,25 +342,32 @@ pub struct ReplayReport {
 /// ```
 pub struct ExtLog {
     arena: PArena,
-    region: u64,
     /// Capacity of one (thread, domain) buffer, in bytes.
     per_slot: u64,
+    /// Bytes per segment (a power of two).
+    segment: u64,
+    /// Directory words per slot.
+    words: u64,
+    /// Bytes per pool extent the log cuts segments from (0: standalone).
+    extent_bytes: u64,
     /// Thread slots.
     threads: usize,
     /// Epoch domains.
     domains: usize,
     /// One append state per (thread, domain), thread-major.
     slots: Vec<Slot>,
+    /// Per domain: segments of the domain's log extents that no slot
+    /// holds, in descending order (the lowest is taken first).
+    free: Vec<Mutex<Vec<u64>>>,
 }
 
 impl ExtLog {
-    /// Reserves a fresh single-domain log region for `slots` threads of
-    /// `per_thread` bytes each and records it in the superblock (see
-    /// [`ExtLog::create_sharded`]).
+    /// A standalone single-domain log for `slots` threads of `per_thread`
+    /// bytes each (see [`ExtLog::create_sharded`]).
     ///
     /// # Errors
     ///
-    /// Propagates arena reserve failures
+    /// Propagates arena carve failures
     /// ([`incll_pmem::Error::OutOfMemory`]).
     ///
     /// # Panics
@@ -295,19 +377,15 @@ impl ExtLog {
         Self::create_sharded(arena, slots, per_thread, 1)
     }
 
-    /// Reserves a fresh log region subdivided per (thread, domain): each
-    /// of `threads` thread slots gets `domains` independent buffers of
+    /// A standalone log, with no extent pool to grow into: each of
+    /// `threads` thread slots gets `domains` independent buffers of
     /// `per_thread / domains` bytes (the per-thread total is unchanged by
-    /// sharding), and the layout is recorded in the superblock.
-    ///
-    /// The region's address space is claimed here, its memory is not
-    /// ([`PArena::reserve`]): a buffer becomes resident as
-    /// [`ExtLog::back`] extends it ahead of its cursor, so a store sized
-    /// for the worst epoch holds only what its busiest epochs wrote.
+    /// sharding), every segment of which is carved from the arena here,
+    /// and the layout is recorded in the superblock.
     ///
     /// # Errors
     ///
-    /// Propagates arena reserve failures
+    /// Propagates arena carve failures
     /// ([`incll_pmem::Error::OutOfMemory`]).
     ///
     /// # Panics
@@ -319,61 +397,164 @@ impl ExtLog {
         per_thread: usize,
         domains: usize,
     ) -> incll_pmem::Result<Self> {
+        let layout = Self::describe(arena, threads, per_thread, domains, 0)?;
+        let words = (threads * domains) as u64 * layout.words;
+        // Position-major, so a buffer's consecutive segments are not
+        // adjacent in the arena once there are two buffers.
+        for pos in 0..layout.words {
+            for slot in 0..(threads * domains) as u64 {
+                let seg = arena.carve(layout.segment as usize, 64)?;
+                let word = slot * layout.words + pos;
+                arena.pwrite_u64(superblock::log_dir_off(word as usize), seg);
+            }
+        }
+        arena.clwb_range(superblock::SB_LOG_DIR, words as usize * 8);
+        arena.sfence();
+        Ok(Self::open(arena))
+    }
+
+    /// A store's log: `threads × domains` buffers of `per_thread /
+    /// domains` bytes each, whose segments are cut from pool extents of
+    /// `extent_bytes` bytes that `claim(domain)` claims durably for the
+    /// domain's log, returning the extent's offset. One extent is claimed
+    /// per domain here, and every slot of the domain takes its first
+    /// segment from it; buffers grow past that by [`ExtLog::grow`].
+    ///
+    /// # Errors
+    ///
+    /// What `claim` returns, and
+    /// [`incll_pmem::Error::OutOfMemory`] when the buffers would need more
+    /// segments than the superblock's directory holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads` or `domains` is zero.
+    pub fn create_in_pool(
+        arena: &PArena,
+        threads: usize,
+        per_thread: usize,
+        domains: usize,
+        extent_bytes: u64,
+        mut claim: impl FnMut(usize) -> incll_pmem::Result<u64>,
+    ) -> incll_pmem::Result<Self> {
+        let log = Self::with_layout(
+            arena.clone(),
+            Self::describe(arena, threads, per_thread, domains, extent_bytes)?,
+        );
+        for d in 0..domains {
+            for t in 0..threads {
+                log.grow(t, d, 1, || claim(d))?;
+            }
+        }
+        Ok(log)
+    }
+
+    /// Checks the geometry and writes the descriptor; holds no segment.
+    fn describe(
+        arena: &PArena,
+        threads: usize,
+        per_thread: usize,
+        domains: usize,
+        extent_bytes: u64,
+    ) -> incll_pmem::Result<Layout> {
         assert!(threads > 0, "external log needs at least one slot");
         assert!(domains > 0, "external log needs at least one domain");
-        let per_slot = ((per_thread / domains) as u64 + 63) & !63;
-        let region = arena.reserve(per_slot as usize * threads * domains, 64)?;
-        arena.pwrite_u64(superblock::SB_EXTLOG_OFF, region);
+        let per_slot = ((per_thread / domains) as u64).next_multiple_of(64).max(64);
+        let span = if extent_bytes == 0 {
+            STANDALONE_EXTENT
+        } else {
+            extent_bytes
+        };
+        let (segment, words) = geometry(per_slot, span, threads, domains)?;
         arena.pwrite_u64(superblock::SB_EXTLOG_THREADS, threads as u64);
         arena.pwrite_u64(superblock::SB_EXTLOG_PER_THREAD, per_slot);
         arena.pwrite_u64(superblock::SB_EXTLOG_DOMAINS, domains as u64);
-        arena.clwb_range(superblock::SB_EXTLOG_OFF, 32);
+        arena.pwrite_u64(superblock::SB_EXTLOG_SEGMENT, segment);
+        arena.pwrite_u64(superblock::SB_EXTLOG_DIR_WORDS, words);
+        arena.clwb(superblock::SB_EXTLOG_THREADS);
         arena.sfence();
-        Ok(Self::with_layout(
-            arena.clone(),
-            region,
+        Ok(Layout {
             per_slot,
+            segment,
+            words,
+            extent_bytes,
             threads,
             domains,
-        ))
+        })
     }
 
     /// Opens the log recorded in the superblock of a recovered arena.
     ///
     /// Cursors start at zero; [`ExtLog::replay_domain`] repositions them past the
     /// surviving valid prefix so new entries do not clobber pre-images that
-    /// are still needed.
+    /// are still needed. Each buffer holds the segments its directory
+    /// words name up to the first word that is empty; a store's log then
+    /// takes back the rest of each domain's extents with
+    /// [`ExtLog::adopt_extents`].
     ///
     /// # Panics
     ///
     /// Panics if the superblock carries no log descriptor.
     pub fn open(arena: &PArena) -> Self {
-        let region = arena.pread_u64(superblock::SB_EXTLOG_OFF);
-        let threads = arena.pread_u64(superblock::SB_EXTLOG_THREADS) as usize;
-        let per_slot = arena.pread_u64(superblock::SB_EXTLOG_PER_THREAD);
-        let domains = arena.pread_u64(superblock::SB_EXTLOG_DOMAINS) as usize;
+        let layout = Layout {
+            threads: arena.pread_u64(superblock::SB_EXTLOG_THREADS) as usize,
+            per_slot: arena.pread_u64(superblock::SB_EXTLOG_PER_THREAD),
+            domains: arena.pread_u64(superblock::SB_EXTLOG_DOMAINS) as usize,
+            segment: arena.pread_u64(superblock::SB_EXTLOG_SEGMENT),
+            words: arena.pread_u64(superblock::SB_EXTLOG_DIR_WORDS),
+            extent_bytes: arena.pread_u64(superblock::SB_ARENA_REGION_BYTES),
+        };
         assert!(
-            region != 0 && threads > 0 && domains > 0,
+            layout.threads > 0 && layout.domains > 0 && layout.segment.is_power_of_two(),
             "arena has no external log descriptor"
         );
-        Self::with_layout(arena.clone(), region, per_slot, threads, domains)
+        let log = Self::with_layout(arena.clone(), layout);
+        for (i, slot) in log.slots.iter().enumerate() {
+            let held = (0..log.words)
+                .take_while(|&p| arena.pread_u64(log.dir_off(i, p)) != 0)
+                .count() as u64;
+            slot.room
+                .store((held * log.segment).min(log.per_slot), Ordering::Relaxed);
+            slot.dir_durable.store(held, Ordering::Relaxed);
+        }
+        log
     }
 
-    fn with_layout(
-        arena: PArena,
-        region: u64,
-        per_slot: u64,
-        threads: usize,
-        domains: usize,
-    ) -> Self {
+    fn with_layout(arena: PArena, l: Layout) -> Self {
         ExtLog {
             arena,
-            region,
-            per_slot,
-            threads,
-            domains,
-            slots: (0..threads * domains).map(|_| Slot::default()).collect(),
+            per_slot: l.per_slot,
+            segment: l.segment,
+            words: l.words,
+            extent_bytes: l.extent_bytes,
+            threads: l.threads,
+            domains: l.domains,
+            slots: (0..l.threads * l.domains)
+                .map(|_| Slot::default())
+                .collect(),
+            free: (0..l.domains).map(|_| Mutex::new(Vec::new())).collect(),
         }
+    }
+
+    /// Takes back `domain`'s log extents (their offsets, as the owner
+    /// table names them) after [`ExtLog::open`]: every segment of them
+    /// that no slot's directory names becomes one of the domain's free
+    /// segments — those of a claim a crash left in doubt included. Reads
+    /// the directory, writes nothing.
+    pub fn adopt_extents(&self, domain: usize, extents: &[u64]) {
+        let held: std::collections::HashSet<u64> = (0..self.threads)
+            .flat_map(|t| {
+                let slot = self.slot_index(t, domain);
+                (0..self.words).map(move |p| self.arena.pread_u64(self.dir_off(slot, p)))
+            })
+            .collect();
+        let mut free: Vec<u64> = extents
+            .iter()
+            .flat_map(|&e| (0..self.extent_bytes / self.segment).map(move |i| e + i * self.segment))
+            .filter(|s| !held.contains(s))
+            .collect();
+        free.sort_unstable_by(|a, b| b.cmp(a));
+        *self.free[domain].lock() = free;
     }
 
     /// Bytes appended to `(thread, domain)`'s buffer but not yet
@@ -425,9 +606,11 @@ impl ExtLog {
         }
     }
 
-    /// Issues the `clwb_range` for `slot`'s staged run and marks it
-    /// drained; returns whether anything was staged. The caller owns the
-    /// trailing `sfence`.
+    /// Issues the `clwb_range` for `slot`'s staged run — and for the
+    /// directory words of segments the slot took since its last drain,
+    /// so the entries and the words that find them persist under the
+    /// same fence — and marks it drained; returns whether anything was
+    /// staged. The caller owns the trailing `sfence`.
     fn drain_clwb(&self, slot: usize) -> bool {
         let state = &self.slots[slot];
         let cur = state.cursor.load(Ordering::Relaxed);
@@ -435,13 +618,22 @@ impl ExtLog {
         if start >= cur {
             return false;
         }
-        self.arena
-            .clwb_range(self.slot_base(slot) + start, (cur - start) as usize);
+        self.for_each_piece(slot, start, cur - start, |at, len| {
+            self.arena.clwb_range(at, len)
+        });
+        let held = state.room.load(Ordering::Relaxed).div_ceil(self.segment);
+        let durable = state.dir_durable.load(Ordering::Relaxed);
+        if held > durable {
+            self.arena
+                .clwb_range(self.dir_off(slot, durable), ((held - durable) * 8) as usize);
+            state.dir_durable.store(held, Ordering::Relaxed);
+        }
         state.staged.store(cur, Ordering::Relaxed);
         true
     }
 
-    /// Capacity of one (thread, domain) buffer, in bytes.
+    /// Capacity of one (thread, domain) buffer, in bytes: the most it may
+    /// hold, whether or not it holds the segments for it yet.
     pub fn slot_capacity(&self) -> u64 {
         self.per_slot
     }
@@ -460,10 +652,87 @@ impl ExtLog {
         thread * self.domains + domain
     }
 
-    /// Arena offset of buffer `slot`'s first byte.
+    /// Offset of buffer `slot`'s directory word for segment `pos`.
     #[inline]
-    fn slot_base(&self, slot: usize) -> u64 {
-        self.region + (slot as u64) * self.per_slot
+    fn dir_off(&self, slot: usize, pos: u64) -> u64 {
+        superblock::log_dir_off((slot as u64 * self.words + pos) as usize)
+    }
+
+    /// The segment position of byte `off` of a buffer, and its offset
+    /// within that segment (a power of two: a shift and a mask).
+    #[inline]
+    fn split(&self, off: u64) -> (u64, u64) {
+        (
+            off >> self.segment.trailing_zeros(),
+            off & (self.segment - 1),
+        )
+    }
+
+    /// Arena offset of byte `off` of buffer `slot`.
+    #[inline]
+    fn at(&self, slot: usize, off: u64) -> u64 {
+        let (pos, within) = self.split(off);
+        self.arena.pread_u64(self.dir_off(slot, pos)) + within
+    }
+
+    /// [`ExtLog::at`], remembering in `last` the segment it looked up
+    /// (its position and arena offset): a scan through a buffer reads
+    /// each directory word once.
+    #[inline]
+    fn at_from(&self, slot: usize, off: u64, last: &mut (u64, u64)) -> u64 {
+        let (pos, within) = self.split(off);
+        if pos != last.0 {
+            *last = (pos, self.arena.pread_u64(self.dir_off(slot, pos)));
+        }
+        last.1 + within
+    }
+
+    /// Arena offsets of the four header words of the entry at byte `off`
+    /// of buffer `slot`. Words are 8-aligned and segments whole lines, so
+    /// each word lies in one segment, and all four share the entry's
+    /// first unless the header straddles a boundary: one directory
+    /// lookup in the common case.
+    #[inline]
+    fn header_words(&self, slot: usize, off: u64) -> [u64; 4] {
+        let at = self.at(slot, off);
+        let first = self.split(off).1;
+        std::array::from_fn(|i| {
+            let w = 8 * i as u64;
+            if first + w < self.segment {
+                at + w
+            } else {
+                self.at(slot, off + w)
+            }
+        })
+    }
+
+    /// Calls `f(arena offset, len)` for each piece of buffer `slot`'s
+    /// bytes `[off, off + len)` that lies in one segment, in order.
+    fn for_each_piece(&self, slot: usize, mut off: u64, len: u64, mut f: impl FnMut(u64, usize)) {
+        let end = off + len;
+        while off < end {
+            let n = (self.segment - self.split(off).1).min(end - off);
+            f(self.at(slot, off), n as usize);
+            off += n;
+        }
+    }
+
+    /// Writes `bytes` at byte `off` of buffer `slot`, a piece per segment.
+    fn write_at(&self, slot: usize, off: u64, bytes: &[u8]) {
+        let mut done = 0;
+        self.for_each_piece(slot, off, bytes.len() as u64, |at, n| {
+            self.arena.pwrite_bytes(at, &bytes[done..done + n]);
+            done += n;
+        });
+    }
+
+    /// Reads `buf.len()` bytes at byte `off` of buffer `slot`.
+    fn read_at(&self, slot: usize, off: u64, buf: &mut [u8]) {
+        let mut done = 0;
+        self.for_each_piece(slot, off, buf.len() as u64, |at, n| {
+            self.arena.pread_bytes(at, &mut buf[done..done + n]);
+            done += n;
+        });
     }
 
     /// Bytes currently appended in `(thread, domain)`'s buffer.
@@ -473,39 +742,72 @@ impl ExtLog {
             .load(Ordering::Relaxed)
     }
 
-    /// Whether `(thread, domain)`'s buffer has `need` bytes past its
-    /// cursor that are both inside the buffer and already resident: a
-    /// writer's room check, two loads from the slot's own line and one
-    /// compare. When `false`, the buffer is short (a boundary must empty
-    /// it) or only its backing is ([`ExtLog::back`]).
+    /// Whether `(thread, domain)`'s buffer holds segments for `need`
+    /// bytes past its cursor: a writer's room check, two loads from the
+    /// slot's own line and one compare. When `false`, the buffer is short
+    /// (a boundary must empty it) or only its segments are
+    /// ([`ExtLog::grow`]).
     #[inline]
-    pub fn has_backed_room(&self, thread: usize, domain: usize, need: u64) -> bool {
+    pub fn has_room(&self, thread: usize, domain: usize, need: u64) -> bool {
         let slot = &self.slots[self.slot_index(thread, domain)];
-        slot.cursor.load(Ordering::Relaxed) + need <= slot.backed.load(Ordering::Relaxed)
+        slot.cursor.load(Ordering::Relaxed) + need <= slot.room.load(Ordering::Relaxed)
     }
 
-    /// Makes `(thread, domain)`'s buffer resident through `cursor + need`,
-    /// so appends within that reservation meet no page fault: extends the
-    /// slot's backing watermark to the next 2 MiB boundary of the arena
-    /// (a huge page) at or past that point, capped at the buffer's end, and
-    /// [populates](PArena::populate) what it adds. The watermark never
-    /// moves back. Only the buffer's owning thread may call it.
+    /// Gives `(thread, domain)`'s buffer segments through `cursor + need`
+    /// (capped at its capacity), so appends within that reservation have
+    /// somewhere to go and meet no page fault. Each missing segment is
+    /// the one the slot's directory already names there, else the
+    /// domain's lowest free segment, else the first of a fresh extent
+    /// that `claim` claims durably for the domain's log (its offset); its
+    /// directory word is stored, and it is
+    /// [populated](PArena::populate). Only the buffer's owning thread may
+    /// call it.
     ///
-    /// Nothing depends on it for correctness: an append past the
-    /// watermark lands on pages the kernel zero-fills on first touch, as
-    /// recovery's redo appends do.
-    pub fn back(&self, thread: usize, domain: usize, need: u64) {
+    /// # Errors
+    ///
+    /// What `claim` returns (the pool is full); the segments taken before
+    /// it stay the slot's.
+    pub fn grow(
+        &self,
+        thread: usize,
+        domain: usize,
+        need: u64,
+        mut claim: impl FnMut() -> incll_pmem::Result<u64>,
+    ) -> incll_pmem::Result<()> {
         let slot = self.slot_index(thread, domain);
         let state = &self.slots[slot];
-        let backed = state.backed.load(Ordering::Relaxed);
         let want = (state.cursor.load(Ordering::Relaxed) + need).min(self.per_slot);
-        if want <= backed {
-            return;
+        let mut room = state.room.load(Ordering::Relaxed);
+        while room < want {
+            let pos = room.div_ceil(self.segment);
+            let word = self.dir_off(slot, pos);
+            let mut seg = self.arena.pread_u64(word);
+            if seg == 0 {
+                seg = self.take_segment(domain, &mut claim)?;
+                self.arena.pwrite_u64(word, seg);
+            }
+            self.arena.populate(seg, self.segment as usize);
+            room = ((pos + 1) * self.segment).min(self.per_slot);
+            state.room.store(room, Ordering::Relaxed);
         }
-        let base = self.slot_base(slot);
-        let to = ((base + want).next_multiple_of(BACKING_STEP) - base).min(self.per_slot);
-        self.arena.populate(base + backed, (to - backed) as usize);
-        state.backed.store(to, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// The domain's lowest free segment, or the first of a fresh extent
+    /// (whose other segments become free ones).
+    fn take_segment(
+        &self,
+        domain: usize,
+        claim: &mut impl FnMut() -> incll_pmem::Result<u64>,
+    ) -> incll_pmem::Result<u64> {
+        let mut free = self.free[domain].lock();
+        if let Some(seg) = free.pop() {
+            return Ok(seg);
+        }
+        let extent = claim()?;
+        let segments = self.extent_bytes / self.segment;
+        free.extend((1..segments).rev().map(|i| extent + i * self.segment));
+        Ok(extent)
     }
 
     /// Logs the `len` bytes at arena offset `target` as an undo entry for
@@ -521,9 +823,9 @@ impl ExtLog {
     ///
     /// # Panics
     ///
-    /// Panics if the buffer is full (size the log for the worst-case
-    /// nodes per epoch; only what is written becomes resident, see the
-    /// crate docs' *Residency*) or if `thread` or `domain` is out of range.
+    /// Panics if the buffer's segments are full (reserve room first, see
+    /// the crate docs' *Segments*) or if `thread` or `domain` is out of
+    /// range.
     pub fn log_object_in(&self, thread: usize, domain: usize, epoch: u64, target: u64, len: usize) {
         self.log_ranges_in(thread, domain, epoch, &[(target, len)], 1);
     }
@@ -598,28 +900,28 @@ impl ExtLog {
     }
 
     /// The one entry writer: payload, then the four header words, then
-    /// the cursor. The entry is only valid once the stored checksum
-    /// matches, so a torn entry is detected and ignored by replay.
-    /// Writes nothing durable by itself — the entry joins the slot's
-    /// staged run.
+    /// the cursor, each piece into the segment that holds it. The entry
+    /// is only valid once the stored checksum matches, so a torn entry is
+    /// detected and ignored by replay. Writes nothing durable by itself —
+    /// the entry joins the slot's staged run.
     fn append(&self, slot: usize, epoch: u64, target: u64, payload: Payload<'_>, tag: u16) {
         let len = match payload {
             Payload::Object(len) => len,
             Payload::Bytes(bytes) => bytes.len(),
         };
         let need = Self::entry_bytes(len);
-        let cur = self.slots[slot].cursor.load(Ordering::Relaxed);
+        let state = &self.slots[slot];
+        let cur = state.cursor.load(Ordering::Relaxed);
+        let room = state.room.load(Ordering::Relaxed);
         assert!(
-            cur + need <= self.per_slot,
-            "external log slot {slot} overflow: {cur} + {need} > {}; \
-             increase per-thread log capacity",
-            self.per_slot
+            cur + need <= room,
+            "external log slot {slot} overflow: {cur} + {need} > {room}; \
+             reserve log room first, or increase per-thread log capacity"
         );
-        let base = self.slot_base(slot) + cur;
 
         let mut hash = checksum::Xxh64::new();
         match payload {
-            // A pre-image: chunked copy arena -> arena, checksum streamed.
+            // A pre-image: chunked copy arena -> log, checksum streamed.
             Payload::Object(len) => {
                 let mut copied = 0usize;
                 let mut chunk = [0u8; 512];
@@ -628,24 +930,26 @@ impl ExtLog {
                     self.arena
                         .pread_bytes(target + copied as u64, &mut chunk[..n]);
                     hash.update(&chunk[..n]);
-                    self.arena
-                        .pwrite_bytes(base + HEADER + copied as u64, &chunk[..n]);
+                    self.write_at(slot, cur + HEADER + copied as u64, &chunk[..n]);
                     copied += n;
                 }
             }
             Payload::Bytes(bytes) => {
                 hash.update(bytes);
-                self.arena.pwrite_bytes(base + HEADER, bytes);
+                self.write_at(slot, cur + HEADER, bytes);
             }
         }
         let len_word = pack_len(len as u64, tag);
-        self.arena.pwrite_u64(base, epoch);
-        self.arena.pwrite_u64(base + 8, target);
-        self.arena.pwrite_u64(base + 16, len_word);
-        self.arena
-            .pwrite_u64(base + 24, checksum::seal(hash, epoch, target, len_word));
+        let sum = checksum::seal(hash, epoch, target, len_word);
+        for (at, word) in self
+            .header_words(slot, cur)
+            .into_iter()
+            .zip([epoch, target, len_word, sum])
+        {
+            self.arena.pwrite_u64(at, word);
+        }
 
-        self.slots[slot].cursor.store(cur + need, Ordering::Relaxed);
+        state.cursor.store(cur + need, Ordering::Relaxed);
         self.arena.stats().add_ext_bytes(len as u64);
     }
 
@@ -708,20 +1012,27 @@ impl ExtLog {
         domain: u16,
         report: &mut ReplayReport,
     ) {
-        let slot_base = self.slot_base(slot);
+        // Only the segments the slot's directory names hold entries.
+        let room = self.slots[slot].room.load(Ordering::Relaxed);
         // One payload buffer for the whole slot: each entry is read once,
         // verified in it and applied from it.
         let mut payload = Vec::new();
         let mut cur = 0u64;
+        let mut last = (u64::MAX, 0);
         loop {
-            if cur + HEADER > self.per_slot {
+            if cur + HEADER > room {
                 break;
             }
-            let base = slot_base + cur;
-            let epoch = self.arena.pread_u64(base);
-            let target = self.arena.pread_u64(base + 8);
-            let len_word = self.arena.pread_u64(base + 16);
-            let sum = self.arena.pread_u64(base + 24);
+            // Nearly every entry lies in one segment: its header words and
+            // payload are then plain offsets from one lookup.
+            let at = self.at_from(slot, cur, &mut last);
+            let whole = self.split(cur).1 + HEADER;
+            let [epoch, target, len_word, sum] = if whole <= self.segment {
+                [0, 8, 16, 24].map(|w| self.arena.pread_u64(at + w))
+            } else {
+                self.header_words(slot, cur)
+                    .map(|w| self.arena.pread_u64(w))
+            };
             let len = len_word & LEN_MASK;
             let tag = (len_word >> 48) as u16;
             let is_intent = tag & INTENT_TAG_BIT != 0;
@@ -731,7 +1042,7 @@ impl ExtLog {
             if epoch < min_epoch
                 || epoch > max_epoch
                 || len == 0
-                || cur + HEADER + len > self.per_slot
+                || cur + HEADER + len > room
                 || (tag != domain && tag != (domain | INTENT_TAG_BIT))
             {
                 break;
@@ -743,19 +1054,29 @@ impl ExtLog {
             // torn or stale debris), so it only ever feeds a bounded,
             // bounds-checked hint; nothing is applied before its own
             // checksum has matched.
-            if next + HEADER <= self.per_slot {
-                let ahead = slot_base + next;
-                let ahead_len_word = self.arena.pread_u64(ahead + 16);
+            if next + HEADER <= room {
+                let ahead = if self.split(next).1 + HEADER <= self.segment {
+                    let at = self.at_from(slot, next, &mut last);
+                    [at + 8, at + 16]
+                } else {
+                    let h = self.header_words(slot, next);
+                    [h[1], h[2]]
+                };
+                let ahead_len_word = self.arena.pread_u64(ahead[1]);
                 if (ahead_len_word >> 48) as u16 & INTENT_TAG_BIT == 0 {
                     self.arena.prefetch(
-                        self.arena.pread_u64(ahead + 8),
+                        self.arena.pread_u64(ahead[0]),
                         (ahead_len_word & LEN_MASK).min(PREFETCH_BYTES) as usize,
                     );
                 }
             }
             // Verify the checksum before trusting the entry.
             payload.resize(len as usize, 0);
-            self.arena.pread_bytes(base + HEADER, &mut payload);
+            if whole + len <= self.segment {
+                self.arena.pread_bytes(at + HEADER, &mut payload);
+            } else {
+                self.read_at(slot, cur + HEADER, &mut payload);
+            }
             if checksum::entry_checksum(&payload, epoch, target, len_word) != sum {
                 break; // torn tail entry: its modification never started
             }
@@ -790,12 +1111,23 @@ impl ExtLog {
     }
 }
 
+/// An [`ExtLog`]'s geometry, as its descriptor records it.
+struct Layout {
+    per_slot: u64,
+    segment: u64,
+    words: u64,
+    extent_bytes: u64,
+    threads: usize,
+    domains: usize,
+}
+
 impl std::fmt::Debug for ExtLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExtLog")
             .field("threads", &self.threads)
             .field("domains", &self.domains)
             .field("per_slot", &self.per_slot)
+            .field("segment", &self.segment)
             .finish()
     }
 }
@@ -940,7 +1272,7 @@ mod tests {
         fill(&arena, obj, 100);
         log.log_object_in(0, 0, 1, obj, 320);
         // Corrupt the payload to simulate a torn write.
-        let base = arena.pread_u64(superblock::SB_EXTLOG_OFF);
+        let base = log.at(0, 0);
         arena.pwrite_u64(base + HEADER + 8, 0xBAD);
         fill(&arena, obj, 500);
         let r = log.replay_domain(0, 1, 1);
@@ -1005,7 +1337,7 @@ mod tests {
         fill(&arena, obj, 100);
         log.log_object_in(0, 0, 1, obj, 320);
         fill(&arena, obj, 500);
-        let base = arena.pread_u64(superblock::SB_EXTLOG_OFF);
+        let base = log.at(0, 0);
         let w = arena.pread_u64(base + 16);
         arena.pwrite_u64(base + 16, (w & LEN_MASK) | u64::from(INTENT_TAG_BIT) << 48);
         let r = log.replay_domain(0, 1, 1);
@@ -1055,7 +1387,7 @@ mod tests {
         arena.pwrite_u64(obj, 8);
         // Rewrite the tag (re-sealing the checksum so only the tag check
         // can reject it).
-        let base = arena.pread_u64(superblock::SB_EXTLOG_OFF) + log.per_slot;
+        let base = log.at(log.slot_index(0, 1), 0);
         let len_word = pack_len(64, 0);
         let mut chunk = [0u8; 64];
         arena.pread_bytes(base + HEADER, &mut chunk);
@@ -1152,7 +1484,7 @@ mod tests {
         }
         // Poison domain 1's entry: re-seal it with a foreign tag so only
         // the tag check (not the checksum) can reject it.
-        let base = arena.pread_u64(superblock::SB_EXTLOG_OFF) + log.per_slot;
+        let base = log.at(log.slot_index(0, 1), 0);
         let len_word = pack_len(64, 2);
         let mut chunk = [0u8; 64];
         arena.pread_bytes(base + HEADER, &mut chunk);
@@ -1215,7 +1547,7 @@ mod tests {
         let log = ExtLog::create_sharded(&arena, 1, 16 * 1024, 1).unwrap();
         log.log_intent_in(0, 0, 3, 9, b"payload-bytes");
         // Corrupt the payload: the checksum no longer matches.
-        let base = arena.pread_u64(superblock::SB_EXTLOG_OFF);
+        let base = log.at(0, 0);
         arena.pwrite_u64(base + HEADER, 0xBAD);
         let r = log.replay_domain(0, 3, 3);
         assert!(r.intents.is_empty(), "torn intent must not surface");
@@ -1231,7 +1563,7 @@ mod tests {
         let log = ExtLog::create_sharded(&arena, 1, 16 * 1024, 3).unwrap();
         log.log_intent_in(0, 1, 5, 77, b"x");
         // Re-seal domain 1's entry with domain 2's intent tag.
-        let base = arena.pread_u64(superblock::SB_EXTLOG_OFF) + log.per_slot;
+        let base = log.at(log.slot_index(0, 1), 0);
         let len_word = pack_len(1, 2 | INTENT_TAG_BIT);
         arena.pwrite_u64(base + 16, len_word);
         arena.pwrite_u64(base + 24, checksum::entry_checksum(b"x", 5, 77, len_word));
@@ -1398,7 +1730,7 @@ mod tests {
                 if drained {
                     log.drain(0, 0);
                 }
-                let first_line = log.slot_base(0) / 64;
+                let first_line = log.at(0, 0) / 64;
                 arena.crash_with(|line, n| {
                     let rel = line.wrapping_sub(first_line);
                     if rel < lines && kept & (1 << rel) == 0 {
@@ -1427,58 +1759,202 @@ mod tests {
         }
     }
 
-    #[test]
-    fn backing_moves_in_huge_page_steps_up_to_capacity_and_never_back() {
-        // Buffers of 5 MiB + 320 B behind a 64-byte-aligned region start:
-        // neither a buffer's base nor its end sits on a huge page.
-        let arena = PArena::builder().capacity_bytes(16 << 20).build().unwrap();
+    /// A pooled log over a tracked arena: `threads` slots of `per_slot`
+    /// bytes on one domain, whose extents of `extent` bytes are carved
+    /// from the arena (the stand-in for the allocator's pool), and the
+    /// list of extents claimed so far.
+    fn pooled(
+        threads: usize,
+        per_slot: usize,
+        extent: u64,
+    ) -> (PArena, ExtLog, std::sync::Arc<Mutex<Vec<u64>>>) {
+        let arena = PArena::builder()
+            .capacity_bytes(4 << 20)
+            .tracked(true)
+            .build()
+            .unwrap();
         superblock::format(&arena);
-        let log = ExtLog::create_sharded(&arena, 1, 2 * ((5 << 20) + 320), 2).unwrap();
-        let cap = log.slot_capacity();
-        let base = log.slot_base(0);
-        let backed = |d: usize| {
-            log.slots[log.slot_index(0, d)]
-                .backed
-                .load(Ordering::Relaxed)
-        };
-        assert_eq!(backed(0), 0, "nothing is resident at create");
-        assert!(!log.has_backed_room(0, 0, 1));
+        arena.pwrite_u64(superblock::SB_ARENA_REGION_BYTES, extent);
+        let claimed = std::sync::Arc::new(Mutex::new(Vec::new()));
+        let c = claimed.clone();
+        let a = arena.clone();
+        let log = ExtLog::create_in_pool(&arena, threads, per_slot, 1, extent, move |_| {
+            let e = a.reserve(extent as usize, 64)?;
+            c.lock().push(e);
+            Ok(e)
+        })
+        .unwrap();
+        arena.global_flush();
+        (arena, log, claimed)
+    }
 
-        let payload = vec![7u8; 60 << 10];
-        let need = ExtLog::entry_bytes(payload.len());
-        let mut steps = Vec::new();
-        while log.used_in(0, 0) + need <= cap {
-            if !log.has_backed_room(0, 0, need) {
-                let before = backed(0);
-                log.back(0, 0, need);
-                steps.push((before, backed(0)));
-                assert!(log.has_backed_room(0, 0, need));
-            }
-            log.log_intent_in(0, 0, 1, 1, &payload);
-            assert!(log.used_in(0, 0) <= backed(0));
+    /// Carves a fresh extent for `log`'s growth, recording it.
+    fn claim_into<'a>(
+        arena: &PArena,
+        claimed: &'a Mutex<Vec<u64>>,
+        extent: u64,
+    ) -> impl FnMut() -> incll_pmem::Result<u64> + 'a {
+        let arena = arena.clone();
+        move || {
+            let e = arena.reserve(extent as usize, 64)?;
+            claimed.lock().push(e);
+            Ok(e)
         }
-        // A reservation past the end backs to the end, not beyond it.
-        log.back(0, 0, need);
-        assert_eq!(backed(0), cap);
-        for &(from, to) in &steps {
-            assert!(to > from && to <= cap, "{from} -> {to}");
-            assert!(
-                to - from <= BACKING_STEP,
-                "{from} -> {to}: one huge page per step"
-            );
-            if to < cap {
-                assert_eq!((base + to) % BACKING_STEP, 0, "ends on a huge page");
-            }
+    }
+
+    #[test]
+    fn segments_follow_the_rule_and_slots_share_an_extent() {
+        // 4 slots of 1 MiB on 256 KiB extents: 64 KiB segments, one
+        // extent gives every slot its first, and nothing else is held.
+        let (_arena, log, claimed) = pooled(4, 1 << 20, 256 << 10);
+        assert_eq!((log.segment, log.words), (64 << 10, 16));
+        assert_eq!(claimed.lock().len(), 1);
+        let e = claimed.lock()[0];
+        for t in 0..4 {
+            assert_eq!(log.at(log.slot_index(t, 0), 0), e + t as u64 * (64 << 10));
+            assert!(log.has_room(t, 0, 64 << 10));
+            assert!(!log.has_room(t, 0, (64 << 10) + 1));
         }
-        assert!(steps.len() >= 3, "{steps:?}");
-        // A boundary rewinds the cursor, never the backing.
-        log.reset_domain(0);
-        log.back(0, 0, need);
-        assert_eq!(backed(0), cap);
+        // Tiny buffers take one segment each, never below a whole buffer;
+        // large shares are floored at the minimum segment.
+        assert_eq!(geometry(4096, 1 << 20, 8, 1).unwrap(), (4096, 1));
+        assert_eq!(geometry(6144, 1 << 20, 8, 1).unwrap(), (8192, 1));
+        assert_eq!(
+            geometry(1 << 20, 64 << 10, 16, 1).unwrap(),
+            (MIN_SEGMENT, 64)
+        );
+        // Too many buffers for the directory double the segment until
+        // they fit, and fail typed when even a whole extent does not.
+        let (seg, words) = geometry(16 << 20, 1 << 20, 64, 4).unwrap();
+        assert!(256 * words <= superblock::MAX_LOG_SEGMENTS as u64 && seg > 16 << 10);
+        assert!(geometry(16 << 20, 1 << 20, 64, 64).is_err());
+    }
+
+    #[test]
+    fn growth_takes_free_segments_first_and_claims_only_when_none_is_left() {
+        // Three slots of 192 KiB on 512 KiB extents: 128 KiB segments,
+        // two per slot at most, and create's extent leaves one free.
+        let (arena, log, claimed) = pooled(3, 192 << 10, 512 << 10);
+        let seg = log.segment;
+        assert_eq!((seg, log.words), (128 << 10, 2));
+        let e0 = claimed.lock()[0];
+        log.grow(0, 0, 192 << 10, claim_into(&arena, &claimed, 512 << 10))
+            .unwrap();
+        assert_eq!(log.at(0, seg), e0 + 3 * seg, "the free segment first");
+        assert_eq!(claimed.lock().len(), 1);
+        log.grow(1, 0, 192 << 10, claim_into(&arena, &claimed, 512 << 10))
+            .unwrap();
+        let e1 = claimed.lock()[1];
+        assert_eq!(log.at(log.slot_index(1, 0), seg), e1, "then a fresh extent");
+        // The cap bounds growth, and the fresh extent's rest is free.
+        log.grow(2, 0, 1 << 30, claim_into(&arena, &claimed, 512 << 10))
+            .unwrap();
+        assert!(log.has_room(2, 0, 192 << 10) && !log.has_room(2, 0, (192 << 10) + 1));
+        assert_eq!(log.at(log.slot_index(2, 0), seg), e1 + seg);
+        assert_eq!(claimed.lock().len(), 2);
+        // A boundary rewinds cursors over segments the slots keep.
+        log.log_intent_in(0, 0, 1, 7, &[1; 100]);
         log.reset();
-        assert!(log.has_backed_room(0, 0, need));
-        assert_eq!(backed(0), cap);
-        assert_eq!(backed(1), 0, "the other domain's buffer is untouched");
+        assert!(log.has_room(0, 0, 192 << 10));
+        // A full pool fails typed, and the slot keeps what it took.
+        let (_arena, log, _) = pooled(3, 192 << 10, 512 << 10);
+        let full = || {
+            Err(incll_pmem::Error::OutOfMemory {
+                requested: 1,
+                capacity: 1,
+            })
+        };
+        assert!(log.grow(0, 0, 192 << 10, full).is_ok(), "one free segment");
+        assert!(log.grow(1, 0, 192 << 10, full).is_err());
+        assert!(log.has_room(1, 0, seg) && !log.has_room(1, 0, seg + 1));
+    }
+
+    #[test]
+    fn an_entry_straddling_two_segments_is_written_and_replayed_in_two_pieces() {
+        // Two slots of a standalone log, carved position by position, so
+        // slot 0's two segments are not adjacent.
+        let arena = PArena::builder()
+            .capacity_bytes(1 << 20)
+            .tracked(true)
+            .build()
+            .unwrap();
+        superblock::format(&arena);
+        let log = ExtLog::create(&arena, 2, 64 << 10).unwrap();
+        assert_eq!((log.segment, log.words), (32 << 10, 2));
+        assert_ne!(log.at(0, 32 << 10), log.at(0, 0) + (32 << 10));
+        let objs: Vec<u64> = (0..120).map(|_| arena.carve(320, 64).unwrap()).collect();
+        for (i, &o) in objs.iter().enumerate() {
+            fill(&arena, o, 100 * i as u64);
+        }
+        arena.global_flush();
+        let mut straddled = false;
+        for &o in &objs {
+            let cur = log.used_in(0, 0);
+            let end = cur + ExtLog::entry_bytes(320);
+            straddled |= cur < 32 << 10 && end > 32 << 10;
+            log.log_object_in(0, 0, 3, o, 320);
+            fill(&arena, o, 0xDEAD);
+        }
+        assert!(straddled, "no entry crossed the segment boundary");
+        arena.crash_seeded(9);
+        let r = ExtLog::open(&arena).replay_domain(0, 3, 3);
+        assert_eq!(r.entries_applied, 120);
+        for (i, &o) in objs.iter().enumerate() {
+            assert!(check(&arena, o, 100 * i as u64), "object {i}");
+        }
+    }
+
+    #[test]
+    fn a_segments_directory_word_persists_with_its_first_entry() {
+        // Slot 0 grows into its second segment and seals an entry there:
+        // the drain writes the directory word back under the entry's own
+        // fence, so a crash keeping nothing unflushed still finds it.
+        let (arena, log, claimed) = pooled(1, 256 << 10, 128 << 10);
+        let obj = arena.carve(64, 64).unwrap();
+        arena.pwrite_u64(obj, 5);
+        arena.global_flush();
+        let seg = log.segment;
+        let payload = vec![1u8; seg as usize - 2 * HEADER as usize];
+        log.log_intent_in(0, 0, 4, 1, &payload);
+        log.grow(
+            0,
+            0,
+            2 * HEADER + 64,
+            claim_into(&arena, &claimed, 128 << 10),
+        )
+        .unwrap();
+        let before = arena.stats().snapshot();
+        log.log_object_in(0, 0, 4, obj, 64);
+        assert_eq!(arena.stats().snapshot().delta(&before).sfence, 1);
+        arena.pwrite_u64(obj, 6);
+        arena.crash_with(|_, _| 0);
+        let log = ExtLog::open(&arena);
+        let r = log.replay_domain(0, 4, 4);
+        assert_eq!((r.entries_applied, r.intents.len()), (1, 1));
+        assert_eq!(arena.pread_u64(obj), 5);
+    }
+
+    #[test]
+    fn a_segment_whose_word_never_persisted_returns_to_the_free_segments() {
+        // Slot 0 takes its second segment, then the store crashes before
+        // any entry there is drained: the word is lost, the segment is in
+        // doubt, and adopting the extent frees it without a write.
+        let (arena, log, claimed) = pooled(1, 256 << 10, 128 << 10);
+        let second = log.segment;
+        log.grow(0, 0, second + 1, claim_into(&arena, &claimed, 128 << 10))
+            .unwrap();
+        let seg = log.at(0, second);
+        arena.crash_with(|_, _| 0);
+        let log = ExtLog::open(&arena);
+        assert!(log.has_room(0, 0, second) && !log.has_room(0, 0, second + 1));
+        let before = arena.stats().snapshot();
+        log.adopt_extents(0, &claimed.lock());
+        assert_eq!(*log.free[0].lock(), vec![seg]);
+        let d = arena.stats().snapshot().delta(&before);
+        assert_eq!((d.clwb, d.sfence), (0, 0));
+        log.grow(0, 0, second + 1, || panic!("a free segment is left"))
+            .unwrap();
+        assert_eq!(log.at(0, second), seg);
     }
 
     #[test]

@@ -64,6 +64,13 @@
 //! **pool** is exhausted (every extent claimed and the shard's chain
 //! full). A one-shard store is the same pool with a single claimant.
 //!
+//! The external log takes its buffers' segments from the same pool:
+//! [`PAlloc::claim_log_extent`] claims an extent under the shard's *log*
+//! owner code ([`incll_pmem::superblock::log_owner`]), and
+//! [`PAlloc::log_extents`] lists them for the log to take back at open.
+//! A log extent is never on a carve chain, and a data extent is never
+//! cut into log segments, in-doubt claims of either kind included.
+//!
 //! # Example
 //!
 //! ```
@@ -232,9 +239,10 @@ impl PAlloc {
     /// extents (default [`DEFAULT_EXTENT_BYTES`], shrunk for
     /// tiny arenas, grown for huge ones), each shard eagerly claims one,
     /// and further extents are claimed online from the shared durable
-    /// owner table as shards exhaust their chains. The pool claims the
-    /// rest of the arena, so this must be the *last* create-time carver —
-    /// carve or reserve shared regions (e.g. the external log) first.
+    /// owner table as shards exhaust their chains (the external log's
+    /// segments included, [`PAlloc::claim_log_extent`]). The pool claims
+    /// the rest of the arena, so this must be the *last* create-time
+    /// carver.
     ///
     /// # Errors
     ///
@@ -256,12 +264,13 @@ impl PAlloc {
         arena.pwrite_u64(superblock::SB_PALLOC_HEADS + 24, ndomains as u64);
 
         // Size the pool: start at the default extent, shrink while the
-        // pool cannot give every domain an extent, grow while it would
+        // pool cannot give every domain two extents (one to carve from,
+        // one for its external log's segments), grow while it would
         // overflow the owner table.
         let base = (arena.bump() + 63) & !63;
         let avail = (arena.capacity() as u64).saturating_sub(base);
         let mut extent_bytes = DEFAULT_EXTENT_BYTES;
-        while extent_bytes > MIN_EXTENT_BYTES && avail / extent_bytes < ndomains as u64 {
+        while extent_bytes > MIN_EXTENT_BYTES && avail / extent_bytes < 2 * ndomains as u64 {
             extent_bytes /= 2;
         }
         while avail / extent_bytes > superblock::MAX_EXTENTS as u64 {
@@ -292,7 +301,7 @@ impl PAlloc {
             // Eagerly claim extent d for shard d: the claim flushes
             // itself, so the pool starts with a durable one-extent
             // chain per shard.
-            let claimed = superblock::claim_extent(arena, d, d);
+            let claimed = superblock::claim_extent(arena, d, superblock::data_owner(d));
             debug_assert!(claimed, "fresh pool extent must be claimable");
             let start = pool.start(d);
             arena.populate(start, extent_bytes as usize);
@@ -449,7 +458,7 @@ impl PAlloc {
     fn rebuild_chain(&self, domain: usize, frontier: u64) {
         let pool = &self.inner.pool;
         let arena = &self.inner.arena;
-        let owner = u8::try_from(domain + 1).expect("shard fits the owner byte");
+        let owner = superblock::data_owner(domain);
         // Until an owned extent contains the frontier, the shard may not
         // carve (frontier sits exactly on an extent-end boundary).
         let mut limit = frontier;
@@ -476,16 +485,30 @@ impl PAlloc {
         (p.base, p.extent_bytes, p.count)
     }
 
-    /// The `[start, end)` spans of every extent currently owned by
-    /// `domain` (ascending). Reads the durable owner table. Diagnostics /
-    /// tests.
+    /// The `[start, end)` spans of every extent `domain`'s allocator
+    /// currently owns (ascending). Reads the durable owner table.
+    /// Diagnostics / tests.
     pub fn owned_extents(&self, domain: usize) -> Vec<(u64, u64)> {
         let pool = &self.inner.pool;
-        let owner = u8::try_from(domain + 1).expect("shard fits the owner byte");
-        (0..pool.count)
-            .filter(|&i| superblock::extent_owner(&self.inner.arena, i) == owner)
+        self.extents_of(superblock::data_owner(domain))
             .map(|i| (pool.start(i), pool.end(i)))
             .collect()
+    }
+
+    /// The offsets of every extent `domain`'s external log owns
+    /// (ascending), claimed by [`PAlloc::claim_log_extent`] — those whose
+    /// claim a crash left in doubt included. Reads the durable owner
+    /// table.
+    pub fn log_extents(&self, domain: usize) -> Vec<u64> {
+        self.extents_of(superblock::log_owner(domain))
+            .map(|i| self.inner.pool.start(i))
+            .collect()
+    }
+
+    /// The indices of the extents whose owner byte is `owner`.
+    fn extents_of(&self, owner: u8) -> impl Iterator<Item = usize> + '_ {
+        (0..self.inner.pool.count)
+            .filter(move |&i| superblock::extent_owner(&self.inner.arena, i) == owner)
     }
 
     /// Reads the two durable header words of the object whose payload
@@ -749,18 +772,40 @@ impl PAlloc {
     /// on to the next free index.
     fn claim_free_extent(&self, domain: usize, stride: u64) -> Result<usize, Error> {
         let pool = &self.inner.pool;
+        let i = self.claim_lowest_free(superblock::data_owner(domain), stride)?;
+        self.inner
+            .arena
+            .populate(pool.start(i), pool.extent_bytes as usize);
+        Ok(i)
+    }
+
+    /// Claims the lowest-index free extent for `domain`'s external log,
+    /// durably (the claim CAS flushes itself), and returns its offset.
+    /// Nothing is populated: the log populates each segment as a buffer
+    /// takes it.
+    ///
+    /// # Errors
+    ///
+    /// [`incll_pmem::Error::OutOfMemory`] when every extent of the pool
+    /// is claimed.
+    pub fn claim_log_extent(&self, domain: usize) -> incll_pmem::Result<u64> {
+        let i = self.claim_lowest_free(superblock::log_owner(domain), 0)?;
+        Ok(self.inner.pool.start(i))
+    }
+
+    /// Claims the lowest-index free extent under `owner`; losing a race
+    /// to another claimant moves on to the next free index.
+    fn claim_lowest_free(&self, owner: u8, requested: u64) -> incll_pmem::Result<usize> {
+        let pool = &self.inner.pool;
         let arena = &self.inner.arena;
-        for i in 0..pool.count {
-            if superblock::extent_owner(arena, i) == 0 && superblock::claim_extent(arena, i, domain)
-            {
-                arena.populate(pool.start(i), pool.extent_bytes as usize);
-                return Ok(i);
-            }
-        }
-        Err(Error::Pmem(incll_pmem::Error::OutOfMemory {
-            requested: stride as usize,
-            capacity: (pool.extent_bytes * pool.count as u64) as usize,
-        }))
+        (0..pool.count)
+            .find(|&i| {
+                superblock::extent_owner(arena, i) == 0 && superblock::claim_extent(arena, i, owner)
+            })
+            .ok_or(incll_pmem::Error::OutOfMemory {
+                requested: requested as usize,
+                capacity: (pool.extent_bytes * pool.count as u64) as usize,
+            })
     }
 
     /// Carves a fresh slab for (thread, domain, class) and chains it onto
@@ -1642,7 +1687,11 @@ mod tests {
             while arena.pread_u64(superblock::shard_bump_off(d)) == wm {
                 alloc2.alloc_in(0, d, 7, 4096).unwrap();
             }
-            for _ in 0..400 {
+            // One extent's worth: past what the reverted frontier's extent
+            // has left, within the reserve extent behind it.
+            let per_extent =
+                alloc2.extent_pool().1 / classes::stride(class_for(4096).unwrap()) as u64;
+            for _ in 0..per_extent {
                 alloc2.alloc_in(0, d, 7, 4096).unwrap();
             }
             assert_eq!(
@@ -1651,6 +1700,52 @@ mod tests {
                 "ndomains={ndomains}: reserve extents must be consumed before any fresh claim"
             );
         }
+    }
+
+    #[test]
+    fn log_extents_share_the_owner_table_and_never_join_a_carve_chain() {
+        // Shard 1's log claims the lowest free extents between the data
+        // claims; a crash keeps them the log's, and a domain that fills
+        // its chain claims past them, never into them.
+        let (arena, alloc) = tracked_sharded(1, 2);
+        let (_, ext, count) = alloc.extent_pool();
+        let log = [
+            alloc.claim_log_extent(1).unwrap(),
+            alloc.claim_log_extent(1).unwrap(),
+        ];
+        assert_eq!(alloc.log_extents(1), log.to_vec());
+        assert!(alloc.log_extents(0).is_empty());
+        let before = arena.stats().snapshot().sfence;
+        alloc.claim_log_extent(0).unwrap();
+        assert_eq!(
+            arena.stats().snapshot().sfence,
+            before + 1,
+            "a claim fences once"
+        );
+        superblock::record_failed_epoch_for(&arena, 1, 1).unwrap();
+        arena.crash_with(|_, _| 0);
+        let alloc = reopen(&arena, &[2, 2]);
+        assert_eq!(alloc.log_extents(1), log.to_vec(), "claims are never torn");
+        let data = alloc.owned_extents(1);
+        while alloc.alloc_in(0, 1, 2, 4096).is_ok() {}
+        for (s, _) in alloc
+            .owned_extents(0)
+            .into_iter()
+            .chain(alloc.owned_extents(1))
+        {
+            assert!(!log.contains(&s), "log extent {s:#x} joined a carve chain");
+        }
+        assert!(alloc.owned_extents(1).len() > data.len());
+        // The pool is full now: a log claim fails typed.
+        assert_eq!(
+            alloc.owned_extents(0).len() + alloc.owned_extents(1).len() + 3,
+            count
+        );
+        assert!(matches!(
+            alloc.claim_log_extent(1),
+            Err(incll_pmem::Error::OutOfMemory { .. })
+        ));
+        assert!(ext.is_power_of_two());
     }
 
     #[test]

@@ -395,10 +395,10 @@ impl PArena {
 
     /// [`PArena::carve`] without the populate: takes the space and leaves
     /// it unbacked. For a region whose owner hands it out piecemeal and
-    /// populates each piece as it does: the external log, whose buffers
-    /// are backed in huge-page steps as their cursors approach, and the
-    /// allocator's extent pool, which takes the whole rest of the arena at
-    /// create.
+    /// populates each piece as it does: the allocator's extent pool, which
+    /// takes the whole rest of the arena at create, populates an extent
+    /// when a shard's allocator claims it, and a log segment when a log
+    /// buffer takes it.
     ///
     /// # Errors
     ///
@@ -436,8 +436,8 @@ impl PArena {
     /// memory now, so no later access to it page-faults. A huge page's
     /// zero-fill costs ~150 µs; the places that extend into untouched
     /// arena ([`PArena::carve`], the allocator's extent claim, the
-    /// external log's backing step) pay it here, where the work is already
-    /// rare and slow, and no store operation ever does.
+    /// external log's segment growth) pay it here, where the work is
+    /// already rare and slow, and no store operation ever does.
     ///
     /// One `madvise(MADV_POPULATE_WRITE)` over the range's pages; where
     /// the kernel refuses it (before Linux 5.14, or another host), one

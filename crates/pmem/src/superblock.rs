@@ -16,15 +16,15 @@
 //! |--------|---------|----------|
 //! | 0      | 0       | reserved (offset 0 means null) |
 //! | 64     | 1       | magic, version, tree-created flag, shard count |
-//! | 128    | 2       | external-log descriptor (region, threads, per-slot bytes, domains) |
+//! | 128    | 2       | external-log descriptor (threads, per-slot cap, domains, segment bytes, directory words per slot) |
 //! | 192    | 3       | allocator descriptor (head-cell region, threads, classes, domains) |
 //! | 256    | 4       | extent-pool descriptor (pool base, extent bytes, extent count) |
 //! | 320    | 5       | batch-id ceiling word (durable batch-id allocator, bumped a block at a time) |
-//! | 384    | 6–7     | spare |
-//! | 512    | 8–9     | extent-owner table: one owner byte per extent (up to 128) |
+//! | 384    | 6–9     | extent-owner table: one owner byte per extent (up to 256) |
 //! | 640    | 10–63   | batch-commit table: 108 × 32 B commit-run slots (lo, hi, shard mask) |
 //! | 4096   | 64–1151 | shard cells: [`MAX_SHARDS`] × [`SHARD_CELL_BYTES`] |
-//! | 73728  | —       | start of carvable space |
+//! | 73728  | 1152–1663 | external-log segment directory: [`MAX_LOG_SEGMENTS`] words |
+//! | 106496 | —       | start of carvable space |
 //!
 //! **Shard cells.** Every shard `s` in `0..MAX_SHARDS` — a `shards(1)`
 //! store's only shard included — owns the 17 cache lines at
@@ -50,7 +50,12 @@ pub const MAGIC: u64 = 0x19C1_1C05_A5B1_2019;
 /// On-media format version. Every other version — older media included —
 /// must be rejected by openers, never reinterpreted or reformatted: the
 /// cells of one version read as garbage under another.
-pub const VERSION: u64 = 11;
+///
+/// Version 12 dropped the external log's reserved region: a log buffer
+/// is an ordered list of segments carved from pool extents the log owns
+/// ([`log_owner`]), found through the segment directory
+/// ([`SB_LOG_DIR`]). Version 11 media are refused with nothing written.
+pub const VERSION: u64 = 12;
 
 /// Offset of the magic word.
 pub const SB_MAGIC: u64 = 64;
@@ -62,14 +67,18 @@ pub const SB_TREE_META: u64 = 80;
 /// two, `1..=`[`MAX_SHARDS`]).
 pub const SB_SHARD_COUNT: u64 = 88;
 
-/// Offset of the external-log region pointer.
-pub const SB_EXTLOG_OFF: u64 = 128;
-/// Offset of the external-log thread-count word.
-pub const SB_EXTLOG_THREADS: u64 = 136;
-/// Offset of the external-log per-slot capacity word.
-pub const SB_EXTLOG_PER_THREAD: u64 = 144;
+/// Offset of the external-log thread-count word (0 = no log).
+pub const SB_EXTLOG_THREADS: u64 = 128;
+/// Offset of the external-log per-slot capacity word: the most bytes one
+/// (thread, domain) buffer may hold, a cap rather than a reservation.
+pub const SB_EXTLOG_PER_THREAD: u64 = 136;
 /// Offset of the external-log domain-count word.
-pub const SB_EXTLOG_DOMAINS: u64 = 152;
+pub const SB_EXTLOG_DOMAINS: u64 = 144;
+/// Offset of the external-log segment-size word (a power of two).
+pub const SB_EXTLOG_SEGMENT: u64 = 152;
+/// Offset of the directory-words-per-slot word: slot `s`'s segments are
+/// directory entries `s · words .. (s + 1) · words`.
+pub const SB_EXTLOG_DIR_WORDS: u64 = 160;
 
 /// Offset of the allocator descriptor: head-cell region base, then (at
 /// `+8`, `+16`, `+24`) the thread, class and domain counts.
@@ -91,24 +100,51 @@ pub const SB_EXTENT_COUNT: u64 = 272;
 // ---------------------------------------------------------------------
 
 /// Offset of the extent-owner table: one byte per extent, 0 = free,
-/// `shard + 1` = owned by that shard. The table occupies two dedicated
-/// cache lines (no other superblock field shares them), so claim
-/// write-backs never race another subsystem's line state.
+/// [`data_owner`]`(shard)` = carved by that shard's allocator,
+/// [`log_owner`]`(shard)` = cut into that shard's external-log segments.
+/// The table occupies four dedicated cache lines (no other superblock
+/// field shares them), so claim write-backs never race another
+/// subsystem's line state.
 ///
-/// A claim is a byte CAS (`0 → shard + 1`) followed by `clwb`/`sfence`
+/// A claim is a byte CAS (`0 → owner`) followed by `clwb`/`sfence`
 /// ([`claim_extent`]): the byte is the *only* durable word naming the
 /// owner, so a crash anywhere in the protocol leaves the extent either
-/// durably owned or durably free — never torn. The shard's carve
-/// frontier can only reference the extent *after* the fence, and
-/// frontiers persist no earlier than the shard's next checkpoint flush,
-/// so a durable frontier inside an extent implies a durable claim.
-/// The converse crash shape — claim durable, frontier not — is the
-/// **in-doubt claim**: recovery keeps the extent on the owning shard's
-/// reserve chain (extents are never released), with zero media writes,
-/// so the repair is byte-identical at every recovery worker count.
-pub const SB_EXTENT_OWNERS: u64 = 512;
-/// Maximum number of pool extents (the owner table is two cache lines).
-pub const MAX_EXTENTS: usize = 128;
+/// durably owned or durably free — never torn. What references the
+/// extent can only do so *after* the fence: a shard's carve frontier,
+/// which persists no earlier than the shard's next checkpoint flush, or
+/// a log slot's directory entry ([`SB_LOG_DIR`]), which persists with the
+/// drain of the first entry appended to the segment. So a durable
+/// reference implies a durable claim. The converse crash shape — claim
+/// durable, reference not — is the **in-doubt claim**: recovery keeps a
+/// data extent on the owning shard's reserve chain, and a log extent's
+/// unreferenced segments on the shard's log reserve (extents are never
+/// released, and neither kind ever becomes the other), with zero media
+/// writes, so the repair is byte-identical at every recovery worker
+/// count.
+pub const SB_EXTENT_OWNERS: u64 = 384;
+/// Maximum number of pool extents (the owner table is four cache lines).
+pub const MAX_EXTENTS: usize = 256;
+/// The owner-byte bit that marks a log extent.
+const LOG_OWNER_BIT: u8 = 0x80;
+
+/// The owner byte of an extent shard `shard`'s allocator carves from.
+///
+/// # Panics
+///
+/// Panics if `shard >= MAX_SHARDS`.
+pub const fn data_owner(shard: usize) -> u8 {
+    assert!(shard < MAX_SHARDS, "shard index out of range");
+    shard as u8 + 1
+}
+
+/// The owner byte of an extent cut into shard `shard`'s log segments.
+///
+/// # Panics
+///
+/// Panics if `shard >= MAX_SHARDS`.
+pub const fn log_owner(shard: usize) -> u8 {
+    LOG_OWNER_BIT | data_owner(shard)
+}
 
 /// The offset of extent `i`'s owner byte.
 ///
@@ -121,21 +157,18 @@ pub const fn extent_owner_off(i: usize) -> u64 {
     SB_EXTENT_OWNERS + i as u64
 }
 
-/// Reads extent `i`'s owner byte: 0 = free, `shard + 1` = owned.
+/// Reads extent `i`'s owner byte: 0 = free, else [`data_owner`] or
+/// [`log_owner`] of the owning shard.
 pub fn extent_owner(arena: &PArena, i: usize) -> u8 {
     arena.pread_u8(extent_owner_off(i))
 }
 
-/// Claims extent `i` for `shard` if it is free, making the claim durable
-/// before returning `true`. Returns `false` when another shard (or a
-/// prior claim by this one) already owns it. See [`SB_EXTENT_OWNERS`]
+/// Claims extent `i` for `owner` ([`data_owner`] or [`log_owner`]) if it
+/// is free, making the claim durable before returning `true`. Returns
+/// `false` when it is already owned, by anyone. See [`SB_EXTENT_OWNERS`]
 /// for the crash-atomicity argument.
-///
-/// # Panics
-///
-/// Panics if `shard + 1` does not fit the owner byte.
-pub fn claim_extent(arena: &PArena, i: usize, shard: usize) -> bool {
-    let owner = u8::try_from(shard + 1).expect("shard fits the owner byte");
+pub fn claim_extent(arena: &PArena, i: usize, owner: u8) -> bool {
+    debug_assert_ne!(owner, 0, "0 is the free owner byte");
     let off = extent_owner_off(i);
     if arena.pcas_u8(off, 0, owner).is_err() {
         return false;
@@ -372,8 +405,41 @@ const fn failed_arr_off(s: usize) -> u64 {
     shard_cell(s) + CELL_FAILED_ARR
 }
 
+// ---------------------------------------------------------------------
+// External-log segment directory
+// ---------------------------------------------------------------------
+
+/// Offset of the external-log **segment directory**: one word per
+/// segment position of every (thread, domain) buffer, slot-major (see
+/// [`SB_EXTLOG_DIR_WORDS`]). Word `p` of a slot holds the arena offset of
+/// the slot's `p`-th segment, or 0 while the slot has none there. A
+/// segment's bytes are the slot's bytes `p · segment .. (p + 1) ·
+/// segment`, so an entry that straddles two segments is written and read
+/// in two pieces and the entry format does not change.
+///
+/// A word is written once, after the claim of the extent it points into
+/// is durable, and never moves: segments are not given back. It is not
+/// flushed on its own; the log's drain writes the line back under the
+/// fence that makes the first entry in the segment durable, so a durable
+/// entry is always reachable and a word that never persisted leaves its
+/// segment on the shard's log reserve (see [`SB_EXTENT_OWNERS`]).
+pub const SB_LOG_DIR: u64 = SB_SHARD_CELLS + MAX_SHARDS as u64 * SHARD_CELL_BYTES;
+/// Directory words: the most segments all log buffers together may hold.
+pub const MAX_LOG_SEGMENTS: usize = 4096;
+
+/// The offset of directory word `i`.
+///
+/// # Panics
+///
+/// Panics if `i >= MAX_LOG_SEGMENTS`.
+#[inline]
+pub const fn log_dir_off(i: usize) -> u64 {
+    assert!(i < MAX_LOG_SEGMENTS, "log directory index out of range");
+    SB_LOG_DIR + i as u64 * 8
+}
+
 /// First carvable offset (end of the superblock).
-pub const CARVE_START: u64 = SB_SHARD_CELLS + MAX_SHARDS as u64 * SHARD_CELL_BYTES;
+pub const CARVE_START: u64 = SB_LOG_DIR + MAX_LOG_SEGMENTS as u64 * 8;
 
 /// Formats a fresh arena: writes magic/version, zeroes all superblock
 /// fields, and flushes the superblock.
@@ -505,15 +571,16 @@ mod tests {
     }
 
     /// `(offset, bytes)` of every global cell.
-    const GLOBAL_CELLS: [(u64, u64); 8] = [
+    const GLOBAL_CELLS: [(u64, u64); 9] = [
         (SB_MAGIC, 32), // magic, version, tree meta, shard count
-        (SB_EXTLOG_OFF, 32),
+        (SB_EXTLOG_THREADS, 40),
         (SB_PALLOC_HEADS, 32),
         (SB_ARENA_SPLIT, 24),
         (SB_BATCH_NEXT_ID, 8),
         (SB_BATCH_TABLE, BATCH_RUNS as u64 * 32),
         (SB_EXTENT_OWNERS, MAX_EXTENTS as u64),
         (SB_SHARD_CELLS, MAX_SHARDS as u64 * SHARD_CELL_BYTES),
+        (SB_LOG_DIR, MAX_LOG_SEGMENTS as u64 * 8),
     ];
 
     #[test]
@@ -527,16 +594,20 @@ mod tests {
         }
         // Groups written back as one unit share one line.
         assert_eq!(SB_MAGIC / 64, SB_SHARD_COUNT / 64);
-        assert_eq!(SB_EXTLOG_OFF / 64, SB_EXTLOG_DOMAINS / 64);
+        assert_eq!(SB_EXTLOG_THREADS / 64, SB_EXTLOG_DIR_WORDS / 64);
         assert_eq!(SB_ARENA_SPLIT / 64, SB_EXTENT_COUNT / 64);
         for i in 0..BATCH_RUNS {
             assert_eq!(batch_run_off(i) / 64, (batch_run_off(i) + 16) / 64);
         }
         // The table ends exactly where the shard cells begin.
         assert_eq!(batch_run_off(BATCH_RUNS - 1) + 32, SB_SHARD_CELLS);
-        // The owner table is on dedicated lines.
+        // The owner table is on dedicated lines, and ends where the
+        // commit table begins.
         assert_eq!(SB_EXTENT_OWNERS % 64, 0);
         assert_eq!(MAX_EXTENTS % 64, 0);
+        assert_eq!(SB_EXTENT_OWNERS + MAX_EXTENTS as u64, SB_BATCH_TABLE);
+        assert_eq!(SB_LOG_DIR % 64, 0);
+        assert_eq!(log_dir_off(MAX_LOG_SEGMENTS - 1) + 8, CARVE_START);
         assert_eq!(CARVE_START % 64, 0);
 
         assert_eq!(SB_SHARD_CELLS % 64, 0);
@@ -794,18 +865,28 @@ mod tests {
         for i in 0..MAX_EXTENTS {
             assert_eq!(extent_owner(&a, i), 0, "fresh pool is all-free");
         }
-        assert!(claim_extent(&a, 3, 0));
+        assert!(claim_extent(&a, 3, data_owner(0)));
         assert_eq!(extent_owner(&a, 3), 1);
-        // Neither the owner nor anyone else can claim it again.
-        assert!(!claim_extent(&a, 3, 0));
-        assert!(!claim_extent(&a, 3, 5));
+        // Neither the owner nor anyone else can claim it again, for data
+        // or for a log.
+        assert!(!claim_extent(&a, 3, data_owner(0)));
+        assert!(!claim_extent(&a, 3, data_owner(5)));
+        assert!(!claim_extent(&a, 3, log_owner(0)));
         assert_eq!(extent_owner(&a, 3), 1);
         // Adjacent extents (same owner-table word) claim independently.
-        assert!(claim_extent(&a, 2, 7));
-        assert!(claim_extent(&a, 4, 63));
+        assert!(claim_extent(&a, 2, data_owner(7)));
+        assert!(claim_extent(&a, 4, data_owner(63)));
+        assert!(claim_extent(&a, MAX_EXTENTS - 1, log_owner(63)));
         assert_eq!(extent_owner(&a, 2), 8);
         assert_eq!(extent_owner(&a, 3), 1);
         assert_eq!(extent_owner(&a, 4), 64);
+        assert_eq!(extent_owner(&a, MAX_EXTENTS - 1), log_owner(63));
+        // Every shard's data and log codes are distinct and non-zero.
+        let codes: std::collections::HashSet<u8> = (0..MAX_SHARDS)
+            .flat_map(|s| [data_owner(s), log_owner(s)])
+            .collect();
+        assert_eq!(codes.len(), 2 * MAX_SHARDS);
+        assert!(!codes.contains(&0));
     }
 
     #[test]
@@ -819,7 +900,7 @@ mod tests {
         a.global_flush();
         // A completed claim is durable the moment claim_extent returns:
         // even the harshest crash (drop every unflushed store) keeps it.
-        assert!(claim_extent(&a, 9, 4));
+        assert!(claim_extent(&a, 9, data_owner(4)));
         a.crash_with(|_, _| 0);
         assert_eq!(extent_owner(&a, 9), 5, "a returned claim must survive");
         // A claim that crashed *before* its write-back (simulated by the
@@ -828,8 +909,8 @@ mod tests {
         assert!(a.pcas_u8(extent_owner_off(10), 0, 3).is_ok());
         a.crash_with(|_, _| 0);
         assert_eq!(extent_owner(&a, 10), 0, "a pre-flush claim vanishes");
-        assert!(claim_extent(&a, 10, 6));
-        assert_eq!(extent_owner(&a, 10), 7);
+        assert!(claim_extent(&a, 10, log_owner(6)));
+        assert_eq!(extent_owner(&a, 10), log_owner(6));
     }
 
     #[test]
@@ -846,7 +927,7 @@ mod tests {
                     s.spawn(move || {
                         let mut got = 0;
                         for i in 0..MAX_EXTENTS {
-                            if claim_extent(&a, i, shard) {
+                            if claim_extent(&a, i, data_owner(shard)) {
                                 got += 1;
                             }
                         }

@@ -8,6 +8,10 @@
 //! `--workers` is the number of session slots the connections share.
 //! `group` (the default) has nothing to tune: a connection's thread
 //! commits together whatever writes had arrived when it read its socket.
+//! Nor is there a checkpoint cadence to set: a shard's epoch ends when a
+//! write finds its log buffer short, so what a crash can leave to redo is
+//! bounded in bytes (`in_doubt_log_bytes` in `STATS`, at most the bound
+//! printed at start-up), not in time.
 //!
 //! The store lives in an in-memory persistent-arena emulation; the
 //! binary exists to put the full network stack (framing, pipelining,
@@ -59,7 +63,9 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err("usage: incll-server [--addr HOST:PORT] [--mem MIB] \
                             [--shards N] [--threads N] [--workers N] \
-                            [--commit per-request|group|async]"
+                            [--commit per-request|group|async]\n\
+                            no checkpoint cadence to set: in_doubt_log_bytes \
+                            (STATS) bounds what a crash redoes"
                     .into())
             }
             other => return Err(format!("unknown flag {other}")),

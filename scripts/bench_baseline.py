@@ -6,7 +6,10 @@ Runs the traced counted pass of each workload below at each seed, under
 compares every counter the file names with the run's value. The counters
 repeat bit for bit per seed, so any difference fails. `space_amp` comes
 from the same workload's timed run (it is measured after preload, which
-the traced run does not report).
+the traced run does not report); that preload runs under the workload's
+background cadence, which decides how far its external-log buffers grow,
+so `space_amp` may move by a pool extent between runs and is held within
+SPACE_AMP_TOLERANCE of the file instead.
 
     python3 scripts/bench_baseline.py check [--bin PATH]   # exit 1 on any difference
     python3 scripts/bench_baseline.py write [--bin PATH]   # rewrite the file
@@ -26,6 +29,7 @@ FILE = os.path.join(ROOT, "BENCH_baseline.json")
 WORKLOADS = ["ycsb_a", "ycsb_c", "churn"]
 SEEDS = [1, 2]
 SECONDS = 2
+SPACE_AMP_TOLERANCE = 0.03
 COUNTERS = [
     "pmem.sfence_per_kop",
     "pmem.clwb_per_kop",
@@ -72,7 +76,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("mode", choices=["check", "write"])
     ap.add_argument("--bin", default=None, help="a built benchmark binary "
-                    "(default: cargo run --release on benchmark/Cargo.toml)")
+                    "(default: cargo build --release of benchmark/Cargo.toml)")
     args = ap.parse_args()
     binary = args.bin
     if binary is None:
@@ -87,8 +91,9 @@ def main():
             "about": "Exact counters of the repo benchmark's traced counted pass "
                      f"({SECONDS} s, one driver thread) and space_amp of its timed "
                      "run, per workload and seed. Checked by "
-                     "scripts/bench_baseline.py; a change that moves one says why "
-                     "in CHANGES.md.",
+                     "scripts/bench_baseline.py (exactly; space_amp within "
+                     f"{SPACE_AMP_TOLERANCE:.0%}); a change that moves one says "
+                     "why in CHANGES.md.",
             "values": got,
         }
         with open(FILE, "w") as f:
@@ -101,8 +106,12 @@ def main():
     for key in sorted(set(want) | set(got)):
         w, g = want.get(key, {}), got.get(key, {})
         for name in sorted(set(w) | set(g)):
-            if w.get(name) != g.get(name):
-                diffs.append(f"{key} {name}: file {w.get(name)}, run {g.get(name)}")
+            a, b = w.get(name), g.get(name)
+            if name == "space_amp" and a and b is not None \
+                    and abs(b - a) <= SPACE_AMP_TOLERANCE * a:
+                continue
+            if a != b:
+                diffs.append(f"{key} {name}: file {a}, run {b}")
     for d in diffs:
         print(d)
     print(f"{len(diffs)} values differ from {os.path.basename(FILE)}"

@@ -113,7 +113,7 @@ fn a_large_log_region_is_resident_only_where_it_is_written() {
         println!("skipped: no VmRSS in /proc/self/status on this host");
         return;
     };
-    // 8 slots x 16 MiB: a 128 MiB log region, 32 buffers of 4 MiB.
+    // 8 slots x 16 MiB: 128 MiB of log capacity, 32 buffers of 4 MiB.
     let a = arena(192 * MIB);
     let options = Options::new()
         .threads(8)
@@ -127,7 +127,7 @@ fn a_large_log_region_is_resident_only_where_it_is_written() {
     let after = proc_kib("/proc/self/status", "VmRSS").unwrap();
     assert!(
         after < before + 32 * 1024,
-        "VmRSS grew {before} -> {after} KiB for 1 000 puts on a 128 MiB log region"
+        "VmRSS grew {before} -> {after} KiB for 1 000 puts on 128 MiB of log capacity"
     );
 }
 

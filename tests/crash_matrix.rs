@@ -64,6 +64,34 @@ fn options(shards: usize, workers: usize) -> Options {
         .recovery_threads(workers)
 }
 
+/// Warms `sess`'s shard-0 log buffer until it holds segments for its
+/// whole capacity, with durable deletes of absent keys (intents only):
+/// from then on no log claim can make shard 0's owned extents grow, so
+/// the loops that wait for that growth wait for a *data* claim.
+fn warm_log(store: &Store, sess: &Session) {
+    use incll_pmem::superblock;
+    // Thread slot 0's shard-0 buffer owns the directory's first words.
+    let full = |arena: &PArena| {
+        let words = arena.pread_u64(superblock::SB_EXTLOG_DIR_WORDS) as usize;
+        (0..words).all(|p| arena.pread_u64(superblock::log_dir_off(p)) != 0)
+    };
+    let mut i = 0u64;
+    while !full(store.arena()) {
+        let mut b = sess.batch();
+        let key = (0u64..)
+            .map(|j| format!("warm{i}-{j}").into_bytes())
+            .find(|k| store.shard_of(k) == 0)
+            .unwrap();
+        b.delete(&key).unwrap();
+        b.commit_durable().unwrap();
+        i += 1;
+        assert!(
+            i < 100_000,
+            "shard 0's log buffer never grew to its capacity"
+        );
+    }
+}
+
 /// Deterministic variable-length value: spans the small/medium classes.
 fn bval(i: u64) -> Vec<u8> {
     let len = ((i * 37) % 347) as usize;
@@ -1055,6 +1083,7 @@ fn run_claim_cell(shards: usize, final_workers: usize) -> ClaimCell {
         // until shard 0's frontier spills into a freshly claimed extent,
         // then stop — the crash lands with the claim durable but every
         // store that motivated it doomed.
+        warm_log(&store, &sess);
         let before = store.extent_stats().unwrap().owned_per_shard[0];
         let big = carve_val(2); // 3500 → the 4096 class
         let mut i = 0usize;
@@ -1170,6 +1199,7 @@ fn recovered_reserve_extent_is_reused_before_any_fresh_claim() {
                 store.put(&sess, k, b"seed").unwrap();
             }
             store.checkpoint();
+            warm_log(&store, &sess);
             let before = store.extent_stats().unwrap().owned_per_shard[0];
             let big = carve_val(2);
             let mut i = 0usize;

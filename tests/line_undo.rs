@@ -190,10 +190,9 @@ fn leaf_keys(store: &Store) -> Vec<Vec<Vec<u8>>> {
         .collect()
 }
 
-/// Thread 0's log buffer for `shard` (buffers are thread-major).
-fn log_buffer(arena: &PArena, shard: usize) -> u64 {
-    arena.pread_u64(superblock::SB_EXTLOG_OFF)
-        + shard as u64 * arena.pread_u64(superblock::SB_EXTLOG_PER_THREAD)
+/// Where byte `off` of thread 0's log buffer for `shard` lies.
+fn log_buffer(arena: &PArena, shard: usize, off: u64) -> u64 {
+    incll_extlog::slot_offset(arena, 0, shard, off)
 }
 
 /// A line entry (32 B header + 64 B line image) and the value store it
@@ -230,7 +229,7 @@ fn line_entry_cell(shards: usize, tail: bool, cut: usize, workers: usize) -> u64
         }
         // Everything before the entry under test reaches the medium.
         arena.global_flush();
-        let entry = log_buffer(&arena, shards - 1) + if tail { 96 } else { 0 };
+        let entry = log_buffer(&arena, shards - 1, if tail { 96 } else { 0 });
         let lines: Vec<u64> = (entry / 64..=(entry + 95) / 64).collect();
         let before: Vec<Vec<u8>> = lines.iter().map(|l| read(&arena, l * 64, 64)).collect();
         store.put(&sess, &keys[hot], b"doomed").unwrap();

@@ -1,8 +1,8 @@
-//! Restarts across the external log's backing steps. A (slot, shard) log
-//! buffer is backed a huge page at a time as its cursor approaches, so an
-//! epoch whose undo outgrows the first 2 MiB appends into pages the
-//! reservation backed mid-epoch, and one that fills the buffer forces a
-//! boundary and starts again on pages that stay backed. Either way a
+//! Restarts across the external log's segment growth. A (slot, shard) log
+//! buffer takes its pool segments one at a time as its cursor approaches
+//! them, so an epoch whose undo outgrows the first 2 MiB appends into
+//! segments the reservation took mid-epoch, and one that fills the buffer
+//! forces a boundary and starts again in segments it keeps. Either way a
 //! restart must roll the shard back to its last checkpoint.
 
 use std::collections::BTreeMap;
@@ -17,8 +17,8 @@ const MIB: usize = 1 << 20;
 /// the inserts used up, and the parents the inserts split.
 const KEYS: u64 = 100_000;
 
-/// What the tape's first round logs more than: past the first 2 MiB
-/// backing step, and the capacity of the buffer it fills.
+/// What the tape's first round logs more than: past the first 2 MiB of
+/// segments, and the capacity of the buffer it fills.
 const PAST_FIRST_STEP: usize = 2 * MIB + (256 << 10);
 
 fn key(i: u64) -> Vec<u8> {
@@ -84,7 +84,7 @@ fn an_epoch_whose_undo_passes_the_first_backing_step_rolls_back() {
     assert_eq!(stats.advances_forced, 0, "the buffer never ran short");
     assert!(
         stats.bytes_since_boundary > PAST_FIRST_STEP as u64,
-        "{} log bytes: the epoch stayed inside the first backing step",
+        "{} log bytes: the epoch stayed inside the first 2 MiB of segments",
         stats.bytes_since_boundary
     );
     restart_holds(&arena, store, log_bytes, &checkpoint);

@@ -213,7 +213,7 @@ fn key_routing_is_pinned_to_fnv1a64() {
 #[test]
 fn older_layouts_fail_typed_and_unwritten() {
     use incll_pmem::superblock;
-    assert_eq!(superblock::VERSION, 11);
+    assert_eq!(superblock::VERSION, 12);
     // Every older generation, on a real store rewound to that version
     // word: each differs from this build in superblock shape or log-entry
     // checksum, so its cells would be misread. The opener must return
@@ -235,7 +235,7 @@ fn older_layouts_fail_typed_and_unwritten() {
         match Store::open(&arena, options()) {
             Err(Error::UnsupportedLayout { found, expected }) => {
                 assert_eq!(found, stale_version);
-                assert_eq!(expected, 11);
+                assert_eq!(expected, 12);
             }
             other => panic!("v{stale_version}: expected UnsupportedLayout, got {other:?}"),
         }

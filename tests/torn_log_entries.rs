@@ -66,7 +66,7 @@ impl Fixture {
             .unwrap();
         superblock::format(&arena);
         let log = ExtLog::create(&arena, 1, PER_SLOT as usize).unwrap();
-        let slot = arena.pread_u64(superblock::SB_EXTLOG_OFF);
+        let slot = incll_extlog::slot_offset(&arena, 0, 0, 0);
         let obj_a = arena.carve(64, 64).unwrap();
         let obj_b = arena.carve(NODE_BYTES, 64).unwrap();
         let obj_c = arena.carve(64, 64).unwrap();
