@@ -35,16 +35,19 @@
 //! regions the epoch has not captured yet and sets `meta::LOGGED`. Each region is captured at most once per epoch, so
 //! no byte is logged twice and replay needs no order.
 //!
-//! The durable leaf holds **14** entries — one fewer than transient
-//! Masstree — paying for the embedded logs exactly as the paper does
-//! (§4.1, footnote 4).
+//! The durable leaf holds **14** entries — one fewer than the transient
+//! MT/MT+ leaf's 15 — paying for the embedded logs exactly as the paper
+//! does (§4.1, footnote 4). The width and these offsets are all that
+//! differs between the two trees' nodes: both run the one algorithm of
+//! `incll_masstree::tree`, which reads every field at the offset its
+//! instantiation names (`crate::tree`'s `NodeStore` impl).
 //!
 //! Durable interior nodes are also 320 bytes; all their modifications go
 //! through the external log (§4.2), so they carry no InCLLs.
 
 use incll_masstree::Permutation;
 
-/// Entries per durable leaf (one fewer than transient, §4.1).
+/// Entries per durable leaf (one fewer than the transient 15, §4.1).
 pub const LEAF_WIDTH: usize = 14;
 /// Separator keys per durable interior node.
 pub const INT_WIDTH: usize = 14;

@@ -426,7 +426,7 @@
 //! use incll::DurableConfig;
 //! ```
 //!
-//! Node offsets and version-word locking are the tree's own, too:
+//! Node offsets are the tree's own, too:
 //!
 //! ```compile_fail
 //! use incll::layout::val_incll;
@@ -435,7 +435,6 @@
 mod batch;
 mod error;
 mod layout;
-mod pversion;
 mod recovery;
 mod store;
 mod tree;
@@ -554,6 +553,34 @@ mod tests {
             settled,
             "no driver without a cadence"
         );
+    }
+
+    #[test]
+    fn version_lock_on_durable_words_is_exclusive() {
+        use incll_masstree::NodeStore;
+        let (a, t) = fresh(false);
+        let root = a.pread_u64(superblock::shard_root_holder(0));
+        let counter = std::sync::atomic::AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..500 {
+                        // SAFETY: `root` is the live root leaf of `t`.
+                        unsafe { t.lock(root) };
+                        // Non-atomic increment under the lock.
+                        let x = counter.load(std::sync::atomic::Ordering::Relaxed);
+                        counter.store(x + 1, std::sync::atomic::Ordering::Relaxed);
+                        // SAFETY: as above.
+                        unsafe { t.unlock(root, false, false) };
+                    }
+                });
+            }
+        });
+        assert_eq!(counter.load(std::sync::atomic::Ordering::Relaxed), 2000);
+        // SAFETY: as above.
+        let v = unsafe { t.stable(root) };
+        let leaf_root = incll_masstree::version::IS_LEAF | incll_masstree::version::IS_ROOT;
+        assert_eq!(v, leaf_root, "idle unlocks leave the word as created");
     }
 
     #[test]

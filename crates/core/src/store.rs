@@ -449,7 +449,7 @@ impl Store {
 
     /// The shard tree `key` routes to.
     #[inline]
-    fn route(&self, key: &[u8]) -> &DurableMasstree {
+    fn tree_for(&self, key: &[u8]) -> &DurableMasstree {
         &self.shards[crate::tree::shard_of(key, self.shards.len())]
     }
 
@@ -472,7 +472,7 @@ impl Store {
     /// that pin; [`Error::BatchExceedsLog`] when even an empty buffer
     /// cannot hold one op's worst case. None of these writes anything.
     pub fn put(&self, sess: &Session, key: &[u8], value: &[u8]) -> Result<Option<Vec<u8>>, Error> {
-        let tree = self.route(key);
+        let tree = self.tree_for(key);
         tree.reserve_log_room(&sess.ctx, OP_UNDO_BOUND)?;
         tree.put_bytes(&sess.ctx, key, value)
     }
@@ -506,7 +506,7 @@ impl Store {
     /// # }
     /// ```
     pub fn get_ref<'s>(&'s self, sess: &'s Session, key: &[u8]) -> Option<ValueRef<'s>> {
-        self.route(key).get_ref(&sess.ctx, key)
+        self.tree_for(key).get_ref(&sess.ctx, key)
     }
 
     /// Looks up `key`, returning a copy of its value.
@@ -531,7 +531,7 @@ impl Store {
     /// for one op's worst case, where [`Store::put`] fails with
     /// [`Error::BatchExceedsLog`].
     pub fn remove(&self, sess: &Session, key: &[u8]) -> bool {
-        let tree = self.route(key);
+        let tree = self.tree_for(key);
         // Err only in the cases the Panics section names: the write goes
         // ahead without a checkpoint, and usually fits anyway.
         let _ = tree.reserve_log_room(&sess.ctx, OP_UNDO_BOUND);
@@ -555,7 +555,7 @@ impl Store {
     /// holds a pin; [`Error::BatchExceedsLog`] when even an empty buffer
     /// cannot hold one op's worst case. None of these writes anything.
     pub fn put_u64(&self, sess: &Session, key: &[u8], value: u64) -> Result<Option<u64>, Error> {
-        let tree = self.route(key);
+        let tree = self.tree_for(key);
         tree.reserve_log_room(&sess.ctx, OP_UNDO_BOUND)?;
         tree.put(&sess.ctx, key, value)
     }

@@ -1,8 +1,16 @@
 //! The durable Masstree: fine-grain checkpointing + in-cache-line logging.
 //!
-//! Structure and concurrency protocol mirror the transient tree
-//! (`incll_masstree::tree`); every *durable mutation* additionally runs the
-//! paper's logging discipline:
+//! The tree is the one Masstree algorithm of `incll_masstree::tree` —
+//! descent, splits, layer conversion, remove, scan and the version lock —
+//! instantiated over this shard's nodes in the arena (the
+//! [`NodeStore`] impl at the end of this file): the paper's Fig. 1 layout
+//! ([`crate::layout`]), every load, store and CAS through [`PArena`], and
+//! the logging discipline as the algorithm's hooks, each called before the
+//! store it guards. This file keeps what is durable: the InCLL engine
+//! behind the hooks, the external-log captures, lazy recovery and the
+//! failed-epoch sweep, the value-buffer codec and the log-room rule.
+//!
+//! Every *durable mutation* runs the paper's logging discipline:
 //!
 //! * permutation changes (insert/remove) are guarded by `InCLLp`
 //!   (Listing 3) — one same-cache-line log write, no flush. Removes are
@@ -34,7 +42,9 @@ use parking_lot::Mutex;
 
 use incll_epoch::{EpochManager, EpochOptions, Guard, ThreadHandle};
 use incll_extlog::ExtLog;
-use incll_masstree::key::{entry_cmp, ikey_bytes, search_klenx, KeyCursor, KLEN_LAYER};
+use incll_masstree::key::KLEN_LAYER;
+use incll_masstree::tree::NodeStore;
+use incll_masstree::version::{IS_LEAF, IS_ROOT, LOCK};
 use incll_palloc::{PAlloc, HEADER_BYTES};
 use incll_pmem::{superblock, FlushDomainScope, PArena};
 
@@ -42,9 +52,8 @@ use crate::error::{Error, MAX_VALUE_BYTES};
 use crate::layout::{
     incll_for, meta, off_ikey, off_int_child, off_int_key, off_val, val_incll, val_region, DPerm,
     INT_WIDTH, LEAF_REGIONS, LEAF_WIDTH, NODE_BYTES, OFF_INCLL1, OFF_INCLL2, OFF_INT_NKEYS,
-    OFF_KLENX, OFF_META, OFF_NEXT, OFF_PARENT, OFF_PERM, OFF_PERM_INCLL,
+    OFF_KLENX, OFF_META, OFF_NEXT, OFF_PARENT, OFF_PERM, OFF_PERM_INCLL, OFF_VERSION,
 };
-use crate::pversion as pv;
 
 /// Smallest durable value object, allocator header included (paper §6:
 /// 32-byte buffers).
@@ -380,18 +389,6 @@ pub(crate) struct DurableMasstree {
     exec_epoch: u64,
 }
 
-enum Search {
-    Found {
-        pos: usize,
-        slot: usize,
-        klenx: u8,
-        val: u64,
-    },
-    NotFound {
-        pos: usize,
-    },
-}
-
 impl DurableMasstree {
     // ==================================================================
     // Construction
@@ -450,7 +447,7 @@ impl DurableMasstree {
         let tree = Self::shard_handle(&inner, 0);
         // One empty root leaf per shard, each behind its own holder cell.
         for s in 0..config.shards {
-            let root = tree.new_leaf(0, epoch, /*is_root*/ true, /*locked*/ false)?;
+            let root = tree.new_leaf((0, epoch), /*is_root*/ true, /*locked*/ false)?;
             arena.pwrite_u64(superblock::shard_root_holder(s), root);
         }
         // Seal the mkfs epoch before the flush below makes it a durable
@@ -732,13 +729,11 @@ impl DurableMasstree {
             let _scope = FlushDomainScope::enter(self.shard_id as u16);
             // SAFETY: guard pinned; offsets reachable from the root are
             // nodes.
-            unsafe {
-                self.get_inner(key, |a, buf| {
-                    let len = a.pread_u64(buf) as usize;
-                    debug_assert!(len <= MAX_VALUE_BYTES, "corrupt value-buffer length");
-                    (buf, len, alloc.payload_header_words(buf))
-                })
-            }
+            unsafe { self.get_inner(self.root_holder, key) }.map(|buf| {
+                let len = self.inner.arena.pread_u64(buf) as usize;
+                debug_assert!(len <= MAX_VALUE_BYTES, "corrupt value-buffer length");
+                (buf, len, alloc.payload_header_words(buf))
+            })
         };
         found.map(|(buf, len, hdr)| ValueRef {
             arena: &self.inner.arena,
@@ -818,11 +813,19 @@ impl DurableMasstree {
         }
         let (g, _s) = self.enter_mut(ctx);
         let epoch = g.epoch();
-        // SAFETY: as for `get`.
-        let out = unsafe { self.put_inner(ctx, epoch, key, val, &mut prealloc, read_old) };
+        let mut new_val = || match prealloc.take() {
+            Some(b) => Ok(b),
+            None => self.new_value_buf(ctx.tid, epoch, val),
+        };
+        // SAFETY: as for `get_ref`.
+        let old = unsafe { self.put_inner((ctx.tid, epoch), self.root_holder, key, &mut new_val) }?;
         // No drain on exit: every undo entry the operation appended was
-        // sealed before its guarded modification (see `log_node`).
-        out
+        // sealed before its guarded modification (see `log_ranges`).
+        Ok(old.map(|buf| {
+            let payload = read_old(&self.inner.arena, buf);
+            self.free_value_buf(ctx.tid, epoch, buf);
+            payload
+        }))
     }
 
     /// Allocates — and fills — the value buffer a later
@@ -840,7 +843,7 @@ impl DurableMasstree {
                 max: MAX_VALUE_BYTES,
             });
         }
-        self.new_value_buf(ctx.tid, epoch, val)
+        Ok(self.new_value_buf(ctx.tid, epoch, val)?)
     }
 
     /// Returns an unused [`DurableMasstree::prepare_value_buf`] reservation
@@ -853,10 +856,11 @@ impl DurableMasstree {
     pub fn remove(&self, ctx: &DCtx, key: &[u8]) -> bool {
         let (g, _s) = self.enter_mut(ctx);
         let epoch = g.epoch();
-        // SAFETY: as for `get`.
-        let out = unsafe { self.remove_inner(ctx, epoch, key) };
+        // SAFETY: as for `get_ref`.
+        let old = unsafe { self.remove_inner((ctx.tid, epoch), self.root_holder, key) };
         // No drain on exit — as for `put`: undo entries seal themselves.
-        out
+        old.map(|buf| self.free_value_buf(ctx.tid, epoch, buf))
+            .is_some()
     }
 
     /// Callback scan over (key, value-buffer offset) pairs.
@@ -867,91 +871,13 @@ impl DurableMasstree {
         limit: usize,
         f: &mut dyn FnMut(&[u8], u64),
     ) -> usize {
-        if limit == 0 {
-            return 0;
-        }
         let _g = self.enter(ctx);
-        let mut remaining = limit;
-        let mut prefix = Vec::with_capacity(start.len() + 8);
-        // SAFETY: as for `get`.
-        unsafe {
-            self.scan_layer(
-                self.root_holder,
-                Some(KeyCursor::new(start)),
-                &mut prefix,
-                &mut remaining,
-                f,
-            );
-        }
-        limit - remaining
+        // SAFETY: as for `get_ref`.
+        unsafe { self.scan_from(self.root_holder, start, limit, f) }
     }
 
     // ==================================================================
-    // Node creation
-    // ==================================================================
-
-    fn new_leaf(
-        &self,
-        tid: usize,
-        epoch: u64,
-        is_root: bool,
-        locked: bool,
-    ) -> Result<u64, incll_palloc::Error> {
-        let a = &self.inner.arena;
-        let off = self
-            .inner
-            .alloc
-            .alloc_aligned64_in(tid, self.shard_id, epoch, NODE_BYTES)?;
-        let mut vflags = pv::IS_LEAF;
-        let mut mflags = meta::IS_LEAF | meta::LOGGED;
-        if is_root {
-            vflags |= pv::IS_ROOT;
-            mflags |= meta::IS_ROOT;
-        }
-        pv::reinit(a, off, if locked { vflags | pv::LOCK } else { vflags });
-        a.pwrite_u64(off + OFF_PARENT, 0);
-        a.pwrite_u64(off + OFF_NEXT, 0);
-        a.pwrite_u64(off + OFF_PERM_INCLL, DPerm::empty().raw());
-        a.pwrite_u64(off + OFF_PERM, DPerm::empty().raw());
-        a.pwrite_u64(off + OFF_INCLL1, val_incll::invalid(epoch as u16));
-        a.pwrite_u64(off + OFF_INCLL2, val_incll::invalid(epoch as u16));
-        // klenx words zeroed (slots are gated by the permutation, but keep
-        // recycled-node debris out of debug dumps).
-        a.pwrite_u64(off + OFF_KLENX, 0);
-        a.pwrite_u64(off + OFF_KLENX + 8, 0);
-        // Fresh node: `logged` set — a crash reverts the allocator and the
-        // referencing pointer, so the node needs no pre-image this epoch.
-        a.pwrite_u64_release(off + OFF_META, meta::with_epoch(mflags, epoch));
-        Ok(off)
-    }
-
-    fn new_interior(
-        &self,
-        tid: usize,
-        epoch: u64,
-        is_root: bool,
-        locked: bool,
-    ) -> Result<u64, incll_palloc::Error> {
-        let a = &self.inner.arena;
-        let off = self
-            .inner
-            .alloc
-            .alloc_aligned64_in(tid, self.shard_id, epoch, NODE_BYTES)?;
-        let mut vflags = 0;
-        let mut mflags = meta::LOGGED;
-        if is_root {
-            vflags |= pv::IS_ROOT;
-            mflags |= meta::IS_ROOT;
-        }
-        pv::reinit(a, off, if locked { vflags | pv::LOCK } else { vflags });
-        a.pwrite_u64(off + OFF_PARENT, 0);
-        a.pwrite_u64(off + OFF_INT_NKEYS, 0);
-        a.pwrite_u64_release(off + OFF_META, meta::with_epoch(mflags, epoch));
-        Ok(off)
-    }
-
-    // ==================================================================
-    // The InCLL engine (Listing 3)
+    // The InCLL engine (Listing 3): what the hooks below share
     // ==================================================================
 
     /// Seals undo entries for `ranges` of a node into this shard's
@@ -999,92 +925,6 @@ impl DurableMasstree {
         self.log_ranges(tid, epoch, &ranges[..n], first);
     }
 
-    /// `InCLL()` for a removal: InCLLp absorbs any number of them, since
-    /// a removal overwrites no slot.
-    fn incll_remove(&self, tid: usize, epoch: u64, lf: u64) {
-        let m = self.inner.arena.pread_u64(lf + OFF_META);
-        if meta::epoch(m) != epoch {
-            self.incll_new_epoch(tid, epoch, lf, m, None);
-        }
-    }
-
-    /// `InCLL()` for an insertion into `perm`, the leaf's current
-    /// permutation (not full). InCLLp absorbs an insert whose slot was
-    /// free at epoch start: restoring the epoch-start permutation never
-    /// names that slot, so the key, `klenx` and value written into it need
-    /// no undo. The first free slot always qualifies in a leaf with no
-    /// removal this epoch; after removals, `perm`'s free region is
-    /// reordered to put such a slot first. Only when every free slot held
-    /// a key at epoch start — the remove-then-insert hazard of §4.1.1 —
-    /// does the leaf fall back to the external log.
-    fn incll_insert(&self, tid: usize, epoch: u64, lf: u64, perm: &mut DPerm) {
-        let a = &self.inner.arena;
-        let m = a.pread_u64(lf + OFF_META);
-        if meta::epoch(m) != epoch {
-            self.incll_new_epoch(tid, epoch, lf, m, None);
-        } else if m & meta::LOGGED == 0
-            && !perm.front_free_outside(DPerm::from_raw(a.pread_u64(lf + OFF_PERM_INCLL)))
-        {
-            self.log_leaf(tid, epoch, lf, m);
-            a.pwrite_u64_release(lf + OFF_META, m | meta::LOGGED);
-        }
-    }
-
-    /// `InCLL()` for a value update of slot `idx` whose current value is
-    /// `oldval`. Returns the permutation to publish when the update must
-    /// not store into `idx` but move its key: the leaf's current one, with
-    /// a slot that was free at epoch start at the front of its free region.
-    ///
-    /// A slot free at epoch start (its key was inserted or moved this
-    /// epoch) needs no undo: restoring InCLLp never names it, so the
-    /// store goes in place and the line's ValInCLL stays free. Otherwise
-    /// the line's ValInCLL takes the old value. When it already holds
-    /// another slot — two hot values in one line — the key moves to a
-    /// slot free at epoch start, which InCLLp covers as it covers an
-    /// insert; the old slot keeps the epoch-start value InCLLp names.
-    /// Only a leaf with no such slot left captures the 64-byte line
-    /// (§4.2).
-    fn incll_val(&self, tid: usize, epoch: u64, lf: u64, idx: usize, oldval: u64) -> Option<DPerm> {
-        let a = &self.inner.arena;
-        let m = a.pread_u64(lf + OFF_META);
-        if meta::epoch(m) != epoch {
-            self.incll_new_epoch(tid, epoch, lf, m, Some((idx, oldval)));
-            return None;
-        }
-        let region = val_region(idx);
-        let line_logged = meta::REGION_LOGGED[region];
-        if m & (meta::LOGGED | line_logged) != 0 {
-            return None;
-        }
-        let start = DPerm::from_raw(a.pread_u64(lf + OFF_PERM_INCLL));
-        if !start.occupied().any(|s| s == idx) {
-            return None;
-        }
-        let incll_off = lf + incll_for(idx);
-        let w = a.pread_u64(incll_off);
-        if val_incll::idx(w) == idx {
-            // This slot's epoch-start value is already captured.
-        } else if val_incll::idx(w) == val_incll::INVALID_IDX {
-            // The line's log is free: take it. Ordered before the value
-            // store by the same-line rule.
-            a.pwrite_u64_release(incll_off, val_incll::pack(oldval, idx, epoch as u16));
-            a.stats().add_incll_val();
-        } else {
-            let mut perm = self.perm_of(lf);
-            if perm.front_free_outside(start) {
-                return Some(perm);
-            }
-            // No slot free at epoch start is left: fall back (§4.2) — to
-            // the line alone. Its ValInCLL is inside the captured image,
-            // so replay plus lazy recovery still restore the first value.
-            let (off, len) = LEAF_REGIONS[region];
-            let first = m & (meta::VAL1_LOGGED | meta::VAL2_LOGGED) == 0;
-            self.log_ranges(tid, epoch, &[(lf + off, len)], first);
-            a.pwrite_u64_release(lf + OFF_META, m | line_logged);
-        }
-        None
-    }
-
     /// First modification of the node in `epoch`: stamp all three in-line
     /// logs (or external-log the whole leaf on the 16-bit epoch-window
     /// wrap, §4.1.3), then advance `nodeEpoch`. Store order per line: log
@@ -1119,64 +959,12 @@ impl DurableMasstree {
         a.pwrite_u64_release(lf + OFF_META, meta::with_epoch(flags, epoch));
     }
 
-    /// Ensures a leaf is externally logged this epoch (split / conversion
-    /// paths: subsequent modifications in the epoch are then free).
-    fn ensure_leaf_logged(&self, tid: usize, epoch: u64, lf: u64) {
-        let a = &self.inner.arena;
-        let m = a.pread_u64(lf + OFF_META);
-        if meta::epoch(m) == epoch && m & meta::LOGGED != 0 {
-            return;
-        }
-        self.log_leaf(tid, epoch, lf, m);
-        let kind = m & (meta::IS_LEAF | meta::IS_ROOT);
-        a.pwrite_u64_release(lf + OFF_META, meta::with_epoch(kind | meta::LOGGED, epoch));
-    }
-
-    /// Externally logs a 16-byte root-holder cell at most once per epoch
-    /// (the cell's second word tags the last logged epoch). At-most-once
-    /// matters: replay applies entries in order, so a second entry would
-    /// re-install a mid-epoch (doomed) root.
-    fn log_holder(&self, tid: usize, epoch: u64, holder: u64) {
-        let a = &self.inner.arena;
-        if a.pread_u64(holder + 8) != epoch {
-            self.log_ranges(tid, epoch, &[(holder, HOLDER_BYTES)], true);
-            a.pwrite_u64_release(holder + 8, epoch);
-        }
-    }
-
-    /// Ensures an interior node is externally logged this epoch — interior
-    /// nodes have no InCLLs; this is their entire logging story (§4.2's
-    /// per-node epoch check prevents duplicate logging).
-    fn ensure_int_logged(&self, tid: usize, epoch: u64, node: u64) {
-        let a = &self.inner.arena;
-        let m = a.pread_u64(node + OFF_META);
-        if meta::epoch(m) == epoch && m & meta::LOGGED != 0 {
-            return;
-        }
-        a.stats().add_ext_interior();
-        // Identical mechanics: an interior never sets a line bit, so its
-        // regions coalesce into one whole-node entry — the 320-byte image
-        // recovery re-derives child parent pointers from.
-        self.ensure_leaf_logged(tid, epoch, node);
-    }
-
     // ==================================================================
     // Lazy recovery (Listing 4)
     // ==================================================================
 
-    /// Recovery check on every node access: nodes stamped before this
-    /// shard's execution are repaired in place before use (against this
-    /// shard's failed-epoch set — each shard rolls back to its own
-    /// boundary).
-    #[inline]
-    pub(crate) fn maybe_recover(&self, node: u64) {
-        let m = self.inner.arena.pread_u64(node + OFF_META);
-        if meta::epoch(m) >= self.exec_epoch {
-            return;
-        }
-        self.recover_node_slow(node);
-    }
-
+    /// [`NodeStore::maybe_recover`]'s slow path: repairs a node stamped
+    /// before this shard's execution.
     #[cold]
     fn recover_node_slow(&self, node: u64) {
         let inner = &self.inner;
@@ -1222,12 +1010,12 @@ impl DurableMasstree {
         // the durable kind bits (`basenode::initlock()`).
         let mut vflags = 0;
         if is_leaf {
-            vflags |= pv::IS_LEAF;
+            vflags |= IS_LEAF;
         }
         if m & meta::IS_ROOT != 0 {
-            vflags |= pv::IS_ROOT;
+            vflags |= IS_ROOT;
         }
-        pv::reinit(a, node, vflags);
+        a.pwrite_u64_release(node + OFF_VERSION, vflags);
         // Publish: stamping exec_epoch ends recovery for this node. Note
         // the refreshed InCLLp above makes this exactly equivalent to a
         // first-modification stamp in exec_epoch.
@@ -1289,178 +1077,16 @@ impl DurableMasstree {
     }
 
     // ==================================================================
-    // Descent (mirrors the transient tree)
+    // Value buffers (codec below)
     // ==================================================================
-
-    unsafe fn find_leaf(&self, holder: u64, ikey: u64) -> (u64, u64) {
-        let a = &self.inner.arena;
-        'retry: loop {
-            let n0 = a.pread_u64_acquire(holder);
-            self.maybe_recover(n0);
-            let v0 = pv::stable(a, n0);
-            if v0 & pv::IS_ROOT == 0 {
-                std::hint::spin_loop();
-                continue 'retry;
-            }
-            let mut n = n0;
-            let mut v = v0;
-            loop {
-                if v & pv::IS_LEAF != 0 {
-                    return (n, v);
-                }
-                let idx = self.route(n, ikey);
-                let child = a.pread_u64_acquire(n + off_int_child(idx));
-                if child == 0 {
-                    continue 'retry;
-                }
-                self.maybe_recover(child);
-                let vc = pv::stable(a, child);
-                if pv::changed(v, pv::load(a, n)) {
-                    continue 'retry;
-                }
-                n = child;
-                v = vc;
-            }
-        }
-    }
-
-    fn route(&self, int: u64, ikey: u64) -> usize {
-        let a = &self.inner.arena;
-        let n = a.pread_u64_acquire(int + OFF_INT_NKEYS) as usize;
-        let n = n.min(INT_WIDTH);
-        let mut i = 0;
-        while i < n && a.pread_u64_acquire(int + off_int_key(i)) <= ikey {
-            i += 1;
-        }
-        i
-    }
-
-    fn klenx_at(&self, lf: u64, slot: usize) -> u8 {
-        let word = self
-            .inner
-            .arena
-            .pread_u64_acquire(lf + OFF_KLENX + ((slot as u64) / 8) * 8);
-        (word >> ((slot % 8) * 8)) as u8
-    }
-
-    /// Writes `klenx[slot]` (leaf locked: exclusive writer).
-    fn set_klenx(&self, lf: u64, slot: usize, klenx: u8) {
-        let a = &self.inner.arena;
-        let off = lf + OFF_KLENX + ((slot as u64) / 8) * 8;
-        let shift = (slot % 8) * 8;
-        let word = a.pread_u64(off);
-        let new = (word & !(0xFFu64 << shift)) | ((klenx as u64) << shift);
-        a.pwrite_u64_release(off, new);
-    }
-
-    fn perm_of(&self, lf: u64) -> DPerm {
-        DPerm::from_raw(self.inner.arena.pread_u64_acquire(lf + OFF_PERM))
-    }
-
-    unsafe fn search_leaf(&self, lf: u64, ikey: u64, klenx: u8) -> Search {
-        let a = &self.inner.arena;
-        let perm = self.perm_of(lf);
-        for pos in 0..perm.len() {
-            let slot = perm.slot_at(pos);
-            let k = a.pread_u64_acquire(lf + off_ikey(slot));
-            let kl = self.klenx_at(lf, slot);
-            match entry_cmp(k, kl, ikey, klenx) {
-                std::cmp::Ordering::Less => continue,
-                std::cmp::Ordering::Equal => {
-                    return Search::Found {
-                        pos,
-                        slot,
-                        klenx: kl,
-                        val: a.pread_u64_acquire(lf + off_val(slot)),
-                    }
-                }
-                std::cmp::Ordering::Greater => return Search::NotFound { pos },
-            }
-        }
-        Search::NotFound { pos: perm.len() }
-    }
-
-    unsafe fn entry_at(&self, lf: u64, pos: usize) -> (u64, u8, u64) {
-        let a = &self.inner.arena;
-        let slot = self.perm_of(lf).slot_at(pos);
-        (
-            a.pread_u64_acquire(lf + off_ikey(slot)),
-            self.klenx_at(lf, slot),
-            a.pread_u64_acquire(lf + off_val(slot)),
-        )
-    }
-
-    // ==================================================================
-    // get
-    // ==================================================================
-
-    unsafe fn get_inner<R>(
-        &self,
-        key: &[u8],
-        mut read: impl FnMut(&PArena, u64) -> R,
-    ) -> Option<R> {
-        unsafe {
-            let a = &self.inner.arena;
-            let mut cur = KeyCursor::new(key);
-            let mut holder = self.root_holder;
-            'layer: loop {
-                let ikey = cur.ikey();
-                let target = search_klenx(&cur);
-                'retry: loop {
-                    let (lf, v) = self.find_leaf(holder, ikey);
-                    enum Act {
-                        Ret(Option<u64>),
-                        Descend(u64),
-                    }
-                    let act = match self.search_leaf(lf, ikey, target) {
-                        Search::Found { klenx, val, .. } => {
-                            if klenx == KLEN_LAYER {
-                                Act::Descend(val)
-                            } else {
-                                Act::Ret(Some(val))
-                            }
-                        }
-                        Search::NotFound { pos } => {
-                            if target == 8 && pos < self.perm_of(lf).len() {
-                                let (k, kl, val) = self.entry_at(lf, pos);
-                                if k == ikey && kl == KLEN_LAYER {
-                                    Act::Descend(val)
-                                } else {
-                                    Act::Ret(None)
-                                }
-                            } else {
-                                Act::Ret(None)
-                            }
-                        }
-                    };
-                    if pv::changed(v, pv::load(a, lf)) {
-                        continue 'retry;
-                    }
-                    match act {
-                        Act::Ret(Some(buf)) => return Some(read(a, buf)),
-                        Act::Ret(None) => return None,
-                        Act::Descend(h) => {
-                            holder = h;
-                            cur.descend();
-                            continue 'layer;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // ==================================================================
-    // put
-    // ==================================================================
-
-    fn moved_since(before: u64, now: u64) -> bool {
-        const VSPLIT_MASK: u64 = !((1u64 << 36) - 1);
-        (before ^ now) & (VSPLIT_MASK | pv::DELETED) != 0
-    }
 
     /// Allocates a fresh length-prefixed value buffer holding `data`.
-    fn new_value_buf(&self, tid: usize, epoch: u64, data: &[u8]) -> Result<u64, Error> {
+    fn new_value_buf(
+        &self,
+        tid: usize,
+        epoch: u64,
+        data: &[u8],
+    ) -> Result<u64, incll_palloc::Error> {
         let buf =
             self.inner
                 .alloc
@@ -1482,597 +1108,305 @@ impl DurableMasstree {
             .alloc
             .free_in(tid, self.shard_id, epoch, buf, value_buf_size(len));
     }
+}
 
-    /// Starts loading the lines [`DurableMasstree::free_value_buf`] will
-    /// touch — the buffer's allocator header and its length prefix — so
-    /// the miss overlaps the write's own work instead of following it.
-    fn prefetch_value_buf(&self, buf: u64) {
+/// The durable tree's nodes: the paper's Fig. 1 layout in the arena, every
+/// load, store and CAS through [`PArena`] (so a tracked arena journals
+/// each store), and the InCLL engine (Listing 3) and lazy recovery
+/// (Listing 4) as the algorithm's hooks.
+// SAFETY: nodes and holders are fresh arena allocations of `NODE_BYTES`
+// (64-aligned) and `HOLDER_BYTES`; every word goes through `PArena`.
+unsafe impl NodeStore<LEAF_WIDTH> for DurableMasstree {
+    const INT_WIDTH: usize = INT_WIDTH;
+    const OFF_PARENT: u64 = OFF_PARENT;
+    const OFF_NEXT: u64 = OFF_NEXT;
+    const OFF_PERM: u64 = OFF_PERM;
+    const OFF_KLENX: u64 = OFF_KLENX;
+    const OFF_INT_NKEYS: u64 = OFF_INT_NKEYS;
+    #[inline]
+    fn off_ikey(slot: usize) -> u64 {
+        off_ikey(slot)
+    }
+    #[inline]
+    fn off_val(slot: usize) -> u64 {
+        off_val(slot)
+    }
+    #[inline]
+    fn off_int_key(i: usize) -> u64 {
+        off_int_key(i)
+    }
+    #[inline]
+    fn off_int_child(i: usize) -> u64 {
+        off_int_child(i)
+    }
+
+    /// The thread slot and the epoch the write lands in.
+    type Cx = (usize, u64);
+    type Error = incll_palloc::Error;
+
+    #[inline]
+    unsafe fn load(&self, addr: u64) -> u64 {
+        self.inner.arena.pread_u64(addr)
+    }
+    #[inline]
+    unsafe fn load_acquire(&self, addr: u64) -> u64 {
+        self.inner.arena.pread_u64_acquire(addr)
+    }
+    #[inline]
+    unsafe fn store(&self, addr: u64, val: u64) {
+        self.inner.arena.pwrite_u64(addr, val)
+    }
+    #[inline]
+    unsafe fn store_release(&self, addr: u64, val: u64) {
+        self.inner.arena.pwrite_u64_release(addr, val)
+    }
+    #[inline]
+    unsafe fn cas(&self, addr: u64, current: u64, new: u64) -> bool {
         self.inner
             .arena
-            .prefetch(buf.wrapping_sub(HEADER_BYTES as u64), HEADER_BYTES + 8);
+            .pcompare_exchange_u64(addr, current, new, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok()
     }
 
-    unsafe fn put_inner<R>(
+    fn new_leaf(
         &self,
-        ctx: &DCtx,
-        epoch: u64,
-        key: &[u8],
-        val: &[u8],
-        prealloc: &mut Option<u64>,
-        read_old: impl Fn(&PArena, u64) -> R,
-    ) -> Result<Option<R>, Error> {
-        // Allocation failures below must release the held leaf lock before
-        // surfacing, or the leaf would be stuck locked forever.
-        macro_rules! alloc_or_unlock {
-            ($a:expr, $lf:expr, $alloc:expr) => {
-                match $alloc {
-                    Ok(off) => off,
-                    Err(e) => {
-                        pv::unlock($a, $lf, false, false);
-                        return Err(e.into());
-                    }
-                }
-            };
-        }
-        unsafe {
-            let a = &self.inner.arena;
-            let tid = ctx.tid;
-            let mut cur = KeyCursor::new(key);
-            let mut holder = self.root_holder;
-            'layer: loop {
-                let ikey = cur.ikey();
-                let target = search_klenx(&cur);
-                'retry: loop {
-                    let (lf, v) = self.find_leaf(holder, ikey);
-
-                    if target == KLEN_LAYER {
-                        if let Search::Found { val: h, .. } = self.search_leaf(lf, ikey, KLEN_LAYER)
-                        {
-                            if pv::changed(v, pv::load(a, lf)) {
-                                continue 'retry;
-                            }
-                            holder = h;
-                            cur.descend();
-                            continue 'layer;
-                        }
-                    }
-
-                    let lv = pv::lock(a, lf);
-                    if Self::moved_since(v, lv) {
-                        pv::unlock(a, lf, false, false);
-                        continue 'retry;
-                    }
-
-                    match self.search_leaf(lf, ikey, target) {
-                        Search::Found {
-                            pos,
-                            slot,
-                            klenx,
-                            val: old,
-                        } => {
-                            if klenx == KLEN_LAYER {
-                                pv::unlock(a, lf, false, false);
-                                holder = old;
-                                cur.descend();
-                                continue 'layer;
-                            }
-                            // Update: InCLL-log the old pointer, then swap.
-                            self.prefetch_value_buf(old);
-                            let nb = match prealloc.take() {
-                                Some(b) => b,
-                                None => {
-                                    alloc_or_unlock!(a, lf, self.new_value_buf(tid, epoch, val))
-                                }
-                            };
-                            if let Some(mut perm) = self.incll_val(tid, epoch, lf, slot, old) {
-                                // Move the key to a slot free at epoch
-                                // start, published as an insert is.
-                                pv::mark_dirty(a, lf, pv::DIRTY_INSERT);
-                                let to = perm.replace_at(pos);
-                                a.pwrite_u64(lf + off_ikey(to), ikey);
-                                self.set_klenx(lf, to, klenx);
-                                a.pwrite_u64(lf + off_val(to), nb);
-                                a.pwrite_u64_release(lf + OFF_PERM, perm.raw());
-                                pv::unlock(a, lf, true, false);
-                            } else {
-                                a.pwrite_u64_release(lf + off_val(slot), nb);
-                                pv::unlock(a, lf, false, false);
-                            }
-                            let old_payload = read_old(a, old);
-                            self.free_value_buf(tid, epoch, old);
-                            return Ok(Some(old_payload));
-                        }
-                        Search::NotFound { pos } => {
-                            if target == 8 && pos < self.perm_of(lf).len() {
-                                let (k, kl, h) = self.entry_at(lf, pos);
-                                if k == ikey && kl == KLEN_LAYER {
-                                    pv::unlock(a, lf, false, false);
-                                    holder = h;
-                                    cur.descend();
-                                    continue 'layer;
-                                }
-                            }
-                            if target == KLEN_LAYER {
-                                // Terminal-8 conversion: complex op → external
-                                // log the node, then swing the slot to a layer.
-                                if pos > 0 {
-                                    let (k, kl, old) = self.entry_at(lf, pos - 1);
-                                    if k == ikey && kl == 8 {
-                                        let slot = self.perm_of(lf).slot_at(pos - 1);
-                                        let h = alloc_or_unlock!(
-                                            a,
-                                            lf,
-                                            self.new_layer_with(tid, epoch, 0, 0, old)
-                                        );
-                                        self.ensure_leaf_logged(tid, epoch, lf);
-                                        pv::mark_dirty(a, lf, pv::DIRTY_INSERT);
-                                        a.pwrite_u64_release(lf + off_val(slot), h);
-                                        self.set_klenx(lf, slot, KLEN_LAYER);
-                                        pv::unlock(a, lf, true, false);
-                                        holder = h;
-                                        cur.descend();
-                                        continue 'layer;
-                                    }
-                                }
-                                let mut sub = cur;
-                                sub.descend();
-                                let h = alloc_or_unlock!(
-                                    a,
-                                    lf,
-                                    self.build_layer_chain(tid, epoch, sub, val, prealloc)
-                                );
-                                self.insert_entry(ctx, epoch, holder, lf, pos, ikey, KLEN_LAYER, h);
-                                return Ok(None);
-                            }
-                            let nb = match prealloc.take() {
-                                Some(b) => b,
-                                None => {
-                                    alloc_or_unlock!(a, lf, self.new_value_buf(tid, epoch, val))
-                                }
-                            };
-                            self.insert_entry(ctx, epoch, holder, lf, pos, ikey, target, nb);
-                            return Ok(None);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Builds a single-entry sub-layer; returns the holder-cell offset.
-    fn new_layer_with(
-        &self,
-        tid: usize,
-        epoch: u64,
-        ikey: u64,
-        klenx: u8,
-        val: u64,
+        (tid, epoch): (usize, u64),
+        is_root: bool,
+        locked: bool,
     ) -> Result<u64, incll_palloc::Error> {
         let a = &self.inner.arena;
-        let leaf = self.new_leaf(tid, epoch, /*is_root*/ true, /*locked*/ false)?;
-        let mut perm = DPerm::empty();
-        let slot = perm.insert_at(0);
-        a.pwrite_u64(leaf + off_ikey(slot), ikey);
-        self.set_klenx(leaf, slot, klenx);
-        a.pwrite_u64(leaf + off_val(slot), val);
-        a.pwrite_u64_release(leaf + OFF_PERM, perm.raw());
+        let off = self
+            .inner
+            .alloc
+            .alloc_aligned64_in(tid, self.shard_id, epoch, NODE_BYTES)?;
+        let mut vflags = if locked { IS_LEAF | LOCK } else { IS_LEAF };
+        let mut mflags = meta::IS_LEAF | meta::LOGGED;
+        if is_root {
+            vflags |= IS_ROOT;
+            mflags |= meta::IS_ROOT;
+        }
+        a.pwrite_u64_release(off + OFF_VERSION, vflags);
+        a.pwrite_u64(off + OFF_PARENT, 0);
+        a.pwrite_u64(off + OFF_NEXT, 0);
+        a.pwrite_u64(off + OFF_PERM_INCLL, DPerm::empty().raw());
+        a.pwrite_u64(off + OFF_PERM, DPerm::empty().raw());
+        a.pwrite_u64(off + OFF_INCLL1, val_incll::invalid(epoch as u16));
+        a.pwrite_u64(off + OFF_INCLL2, val_incll::invalid(epoch as u16));
+        // klenx words zeroed (slots are gated by the permutation, but keep
+        // recycled-node debris out of debug dumps).
+        a.pwrite_u64(off + OFF_KLENX, 0);
+        a.pwrite_u64(off + OFF_KLENX + 8, 0);
+        // Fresh node: `logged` set — a crash reverts the allocator and the
+        // referencing pointer, so the node needs no pre-image this epoch.
+        a.pwrite_u64_release(off + OFF_META, meta::with_epoch(mflags, epoch));
+        Ok(off)
+    }
+
+    fn new_interior(
+        &self,
+        (tid, epoch): (usize, u64),
+        is_root: bool,
+        locked: bool,
+    ) -> Result<u64, incll_palloc::Error> {
+        let a = &self.inner.arena;
+        let off = self
+            .inner
+            .alloc
+            .alloc_aligned64_in(tid, self.shard_id, epoch, NODE_BYTES)?;
+        let mut vflags = if locked { LOCK } else { 0 };
+        let mut mflags = meta::LOGGED;
+        if is_root {
+            vflags |= IS_ROOT;
+            mflags |= meta::IS_ROOT;
+        }
+        a.pwrite_u64_release(off + OFF_VERSION, vflags);
+        a.pwrite_u64(off + OFF_PARENT, 0);
+        a.pwrite_u64(off + OFF_INT_NKEYS, 0);
+        a.pwrite_u64_release(off + OFF_META, meta::with_epoch(mflags, epoch));
+        Ok(off)
+    }
+
+    fn new_holder(
+        &self,
+        (tid, epoch): (usize, u64),
+        root: u64,
+    ) -> Result<u64, incll_palloc::Error> {
+        let a = &self.inner.arena;
         let holder = self
             .inner
             .alloc
             .alloc_in(tid, self.shard_id, epoch, HOLDER_BYTES)?;
-        a.pwrite_u64(holder, leaf);
+        a.pwrite_u64(holder, root);
         // Fresh holder: tag it as already logged this epoch (a crash
         // reverts the whole allocation, so no pre-image is needed).
         a.pwrite_u64_release(holder + 8, epoch);
         Ok(holder)
     }
 
-    unsafe fn build_layer_chain(
-        &self,
-        tid: usize,
-        epoch: u64,
-        cur: KeyCursor<'_>,
-        val: &[u8],
-        prealloc: &mut Option<u64>,
-    ) -> Result<u64, Error> {
-        unsafe {
-            if cur.is_terminal() {
-                let buf = match prealloc.take() {
-                    Some(b) => b,
-                    None => self.new_value_buf(tid, epoch, val)?,
-                };
-                Ok(self.new_layer_with(tid, epoch, cur.ikey(), cur.klen(), buf)?)
-            } else {
-                let mut sub = cur;
-                sub.descend();
-                let inner = self.build_layer_chain(tid, epoch, sub, val, prealloc)?;
-                Ok(self.new_layer_with(tid, epoch, cur.ikey(), KLEN_LAYER, inner)?)
-            }
+    /// Recovery check on every node access: nodes stamped before this
+    /// shard's execution are repaired in place before use (against this
+    /// shard's failed-epoch set — each shard rolls back to its own
+    /// boundary).
+    #[inline]
+    fn maybe_recover(&self, node: u64) {
+        let m = self.inner.arena.pread_u64(node + OFF_META);
+        if meta::epoch(m) >= self.exec_epoch {
+            return;
         }
+        self.recover_node_slow(node);
     }
 
-    // ==================================================================
-    // remove
-    // ==================================================================
-
-    unsafe fn remove_inner(&self, ctx: &DCtx, epoch: u64, key: &[u8]) -> bool {
-        unsafe {
-            let a = &self.inner.arena;
-            let tid = ctx.tid;
-            let mut cur = KeyCursor::new(key);
-            let mut holder = self.root_holder;
-            'layer: loop {
-                let ikey = cur.ikey();
-                let target = search_klenx(&cur);
-                'retry: loop {
-                    let (lf, v) = self.find_leaf(holder, ikey);
-                    let lv = pv::lock(a, lf);
-                    if Self::moved_since(v, lv) {
-                        pv::unlock(a, lf, false, false);
-                        continue 'retry;
-                    }
-                    match self.search_leaf(lf, ikey, target) {
-                        Search::Found {
-                            pos, klenx, val, ..
-                        } => {
-                            if klenx == KLEN_LAYER {
-                                pv::unlock(a, lf, false, false);
-                                holder = val;
-                                cur.descend();
-                                continue 'layer;
-                            }
-                            self.prefetch_value_buf(val);
-                            // InCLLp absorbs every removal. The freed slot
-                            // may hold an entry the epoch-start permutation
-                            // names, so an insert this epoch reuses it only
-                            // through the fallback (`incll_insert`).
-                            self.incll_remove(tid, epoch, lf);
-                            pv::mark_dirty(a, lf, pv::DIRTY_INSERT);
-                            let mut perm = self.perm_of(lf);
-                            perm.remove_at(pos);
-                            a.pwrite_u64_release(lf + OFF_PERM, perm.raw());
-                            pv::unlock(a, lf, true, false);
-                            self.free_value_buf(tid, epoch, val);
-                            return true;
-                        }
-                        Search::NotFound { pos } => {
-                            if target == 8 && pos < self.perm_of(lf).len() {
-                                let (k, kl, h) = self.entry_at(lf, pos);
-                                if k == ikey && kl == KLEN_LAYER {
-                                    pv::unlock(a, lf, false, false);
-                                    holder = h;
-                                    cur.descend();
-                                    continue 'layer;
-                                }
-                            }
-                            pv::unlock(a, lf, false, false);
-                            return false;
-                        }
-                    }
-                }
-            }
-        }
+    /// Starts loading the lines [`DurableMasstree::free_value_buf`] will
+    /// touch — the buffer's allocator header and its length prefix — so
+    /// the miss overlaps the write's own work instead of following it.
+    fn prefetch_value(&self, buf: u64) {
+        self.inner
+            .arena
+            .prefetch(buf.wrapping_sub(HEADER_BYTES as u64), HEADER_BYTES + 8);
     }
 
-    // ==================================================================
-    // insert + splits
-    // ==================================================================
-
-    #[allow(clippy::too_many_arguments)] // one flat hot-path call, no natural struct
-    unsafe fn insert_entry(
-        &self,
-        ctx: &DCtx,
-        epoch: u64,
-        holder: u64,
-        lf: u64,
-        pos: usize,
-        ikey: u64,
-        klenx: u8,
-        val: u64,
-    ) {
-        unsafe {
-            let a = &self.inner.arena;
-            let tid = ctx.tid;
-            let mut perm = self.perm_of(lf);
-            if !perm.is_full() {
-                self.incll_insert(tid, epoch, lf, &mut perm);
-                pv::mark_dirty(a, lf, pv::DIRTY_INSERT);
-                let slot = perm.insert_at(pos);
-                a.pwrite_u64(lf + off_ikey(slot), ikey);
-                self.set_klenx(lf, slot, klenx);
-                a.pwrite_u64(lf + off_val(slot), val);
-                a.pwrite_u64_release(lf + OFF_PERM, perm.raw());
-                pv::unlock(a, lf, true, false);
-                return;
-            }
-
-            let (right, sep) = self.split_leaf(ctx, epoch, holder, lf);
-            let target = if ikey < sep { lf } else { right };
-            let tpos = match self.search_leaf(target, ikey, klenx) {
-                Search::NotFound { pos } => pos,
-                Search::Found { .. } => unreachable!("key appeared during split"),
-            };
-            let mut tperm = self.perm_of(target);
-            pv::mark_dirty(a, target, pv::DIRTY_INSERT);
-            let slot = tperm.insert_at(tpos);
-            a.pwrite_u64(target + off_ikey(slot), ikey);
-            self.set_klenx(target, slot, klenx);
-            a.pwrite_u64(target + off_val(slot), val);
-            a.pwrite_u64_release(target + OFF_PERM, tperm.raw());
-
-            let left_was_target = target == lf;
-            pv::unlock(a, lf, left_was_target, true);
-            pv::unlock(a, right, !left_was_target, false);
-        }
-    }
-
-    /// Splits the locked, full leaf (external-logged first: splits are the
-    /// "complex modification" case, §4.2). Both halves stay locked.
-    unsafe fn split_leaf(&self, ctx: &DCtx, epoch: u64, holder: u64, lf: u64) -> (u64, u64) {
-        unsafe {
-            let a = &self.inner.arena;
-            let tid = ctx.tid;
-            self.ensure_leaf_logged(tid, epoch, lf);
-            pv::mark_dirty(a, lf, pv::DIRTY_SPLIT);
-            let perm = self.perm_of(lf);
-            let count = perm.len();
-            debug_assert!(perm.is_full());
-
-            let ikey_at = |p: usize| a.pread_u64(lf + off_ikey(perm.slot_at(p)));
-            let mid = count / 2 + 1;
-            let mut split_pos = None;
-            for delta in 0..count {
-                for cand in [mid.saturating_sub(delta), mid + delta] {
-                    if cand >= 1 && cand < count && ikey_at(cand - 1) != ikey_at(cand) {
-                        split_pos = Some(cand);
-                        break;
-                    }
-                }
-                if split_pos.is_some() {
-                    break;
-                }
-            }
-            let p = split_pos.expect("a full leaf holds at least two distinct ikeys");
-
-            let right = self
-                .new_leaf(tid, epoch, /*is_root*/ false, /*locked*/ true)
-                .expect("arena full");
-            let mut rperm = DPerm::empty();
-            for (j, posn) in (p..count).enumerate() {
-                let slot = perm.slot_at(posn);
-                let rslot = rperm.insert_at(j);
-                a.pwrite_u64(right + off_ikey(rslot), a.pread_u64(lf + off_ikey(slot)));
-                self.set_klenx(right, rslot, self.klenx_at(lf, slot));
-                a.pwrite_u64(right + off_val(rslot), a.pread_u64(lf + off_val(slot)));
-            }
-            a.pwrite_u64_release(right + OFF_PERM, rperm.raw());
-            let sep = a.pread_u64(right + off_ikey(rperm.slot_at(0)));
-            a.pwrite_u64(right + OFF_NEXT, a.pread_u64(lf + OFF_NEXT));
-            a.pwrite_u64(right + OFF_PARENT, a.pread_u64(lf + OFF_PARENT));
-            a.pwrite_u64_release(lf + OFF_NEXT, right);
-            a.pwrite_u64_release(lf + OFF_PERM, perm.truncated(p).raw());
-
-            self.insert_upward(ctx, epoch, holder, lf, right, sep);
-            (right, sep)
-        }
-    }
-
-    unsafe fn insert_upward(
-        &self,
-        ctx: &DCtx,
-        epoch: u64,
-        holder: u64,
-        left: u64,
-        right: u64,
-        sep: u64,
-    ) {
-        unsafe {
-            let a = &self.inner.arena;
-            let tid = ctx.tid;
-            loop {
-                let p = a.pread_u64_acquire(left + OFF_PARENT);
-                if p == 0 {
-                    // Layer-root split: grow an interior root and swing the
-                    // holder (both external-logged; the holder is tiny but
-                    // must revert with everything else).
-                    let nr = self
-                        .new_interior(tid, epoch, /*is_root*/ true, /*locked*/ false)
-                        .expect("arena full");
-                    a.pwrite_u64(nr + off_int_key(0), sep);
-                    a.pwrite_u64(nr + off_int_child(0), left);
-                    a.pwrite_u64(nr + off_int_child(1), right);
-                    a.pwrite_u64_release(nr + OFF_INT_NKEYS, 1);
-                    a.pwrite_u64_release(left + OFF_PARENT, nr);
-                    a.pwrite_u64_release(right + OFF_PARENT, nr);
-                    self.log_holder(tid, epoch, holder);
-                    a.pwrite_u64_release(holder, nr);
-                    // Demote `left` (logged above by its split path): durable
-                    // root bit then transient flag.
-                    let m = a.pread_u64(left + OFF_META);
-                    a.pwrite_u64_release(left + OFF_META, m & !meta::IS_ROOT);
-                    pv::set_flag(a, left, pv::IS_ROOT, false);
-                    return;
-                }
-                self.maybe_recover(p);
-                pv::lock(a, p);
-                if a.pread_u64_acquire(left + OFF_PARENT) != p {
-                    pv::unlock(a, p, false, false);
-                    continue;
-                }
-                let n = a.pread_u64(p + OFF_INT_NKEYS) as usize;
-                if n < INT_WIDTH {
-                    self.ensure_int_logged(tid, epoch, p);
-                    self.interior_insert(p, sep, right);
-                    pv::unlock(a, p, true, false);
-                    return;
-                }
-                let (pr, psep) = self.split_interior(ctx, epoch, holder, p);
-                let target = if sep < psep { p } else { pr };
-                self.interior_insert(target, sep, right);
-                pv::unlock(a, p, target == p, true);
-                pv::unlock(a, pr, target == pr, false);
-                return;
-            }
-        }
-    }
-
-    unsafe fn interior_insert(&self, pi: u64, sep: u64, right: u64) {
+    /// `InCLL()` for an insertion into `perm`, the leaf's current
+    /// permutation (not full). InCLLp absorbs an insert whose slot was
+    /// free at epoch start: restoring the epoch-start permutation never
+    /// names that slot, so the key, `klenx` and value written into it need
+    /// no undo. The first free slot always qualifies in a leaf with no
+    /// removal this epoch; after removals, `perm`'s free region is
+    /// reordered to put such a slot first. Only when every free slot held
+    /// a key at epoch start — the remove-then-insert hazard of §4.1.1 —
+    /// does the leaf fall back to the external log.
+    #[inline]
+    fn incll_insert(&self, (tid, epoch): (usize, u64), lf: u64, perm: &mut DPerm) {
         let a = &self.inner.arena;
-        pv::mark_dirty(a, pi, pv::DIRTY_INSERT);
-        let n = a.pread_u64(pi + OFF_INT_NKEYS) as usize;
-        let mut idx = 0;
-        while idx < n && a.pread_u64(pi + off_int_key(idx)) < sep {
-            idx += 1;
-        }
-        let mut j = n;
-        while j > idx {
-            a.pwrite_u64(pi + off_int_key(j), a.pread_u64(pi + off_int_key(j - 1)));
-            a.pwrite_u64(
-                pi + off_int_child(j + 1),
-                a.pread_u64(pi + off_int_child(j)),
-            );
-            j -= 1;
-        }
-        a.pwrite_u64(pi + off_int_key(idx), sep);
-        a.pwrite_u64(pi + off_int_child(idx + 1), right);
-        a.pwrite_u64_release(pi + OFF_INT_NKEYS, n as u64 + 1);
-        a.pwrite_u64_release(right + OFF_PARENT, pi);
-    }
-
-    unsafe fn split_interior(&self, ctx: &DCtx, epoch: u64, holder: u64, p: u64) -> (u64, u64) {
-        unsafe {
-            let a = &self.inner.arena;
-            let tid = ctx.tid;
-            self.ensure_int_logged(tid, epoch, p);
-            pv::mark_dirty(a, p, pv::DIRTY_SPLIT);
-            let n = a.pread_u64(p + OFF_INT_NKEYS) as usize;
-            debug_assert_eq!(n, INT_WIDTH);
-            let mid = n / 2;
-            let psep = a.pread_u64(p + off_int_key(mid));
-
-            let r = self
-                .new_interior(tid, epoch, /*is_root*/ false, /*locked*/ true)
-                .expect("arena full");
-            let rcount = n - mid - 1;
-            for j in 0..rcount {
-                a.pwrite_u64(
-                    r + off_int_key(j),
-                    a.pread_u64(p + off_int_key(mid + 1 + j)),
-                );
-            }
-            for j in 0..=rcount {
-                let child = a.pread_u64(p + off_int_child(mid + 1 + j));
-                a.pwrite_u64(r + off_int_child(j), child);
-                // The move of the child's parent word is NOT logged here:
-                // recovery re-derives every parent pointer from the restored
-                // interior images (see `recovery.rs`), which both avoids
-                // racing the (unlocked) child's own logging and keeps each
-                // log target single-entry.
-                self.maybe_recover(child);
-                pv_store_parent(a, child, r);
-            }
-            a.pwrite_u64_release(r + OFF_INT_NKEYS, rcount as u64);
-            a.pwrite_u64(r + OFF_PARENT, a.pread_u64(p + OFF_PARENT));
-            a.pwrite_u64_release(p + OFF_INT_NKEYS, mid as u64);
-
-            self.insert_upward(ctx, epoch, holder, p, r, psep);
-            (r, psep)
+        let m = a.pread_u64(lf + OFF_META);
+        if meta::epoch(m) != epoch {
+            self.incll_new_epoch(tid, epoch, lf, m, None);
+        } else if m & meta::LOGGED == 0
+            && !perm.front_free_outside(DPerm::from_raw(a.pread_u64(lf + OFF_PERM_INCLL)))
+        {
+            self.log_leaf(tid, epoch, lf, m);
+            a.pwrite_u64_release(lf + OFF_META, m | meta::LOGGED);
         }
     }
 
-    // ==================================================================
-    // scan
-    // ==================================================================
-
-    unsafe fn scan_layer(
+    /// `InCLL()` for a value update of slot `idx` whose current value is
+    /// `oldval`. Returns the permutation to publish when the update must
+    /// not store into `idx` but move its key: the leaf's current one, with
+    /// a slot that was free at epoch start at the front of its free region.
+    ///
+    /// A slot free at epoch start (its key was inserted or moved this
+    /// epoch) needs no undo: restoring InCLLp never names it, so the
+    /// store goes in place and the line's ValInCLL stays free. Otherwise
+    /// the line's ValInCLL takes the old value. When it already holds
+    /// another slot — two hot values in one line — the key moves to a
+    /// slot free at epoch start, which InCLLp covers as it covers an
+    /// insert; the old slot keeps the epoch-start value InCLLp names.
+    /// Only a leaf with no such slot left captures the 64-byte line
+    /// (§4.2).
+    fn incll_val(
         &self,
-        holder: u64,
-        start: Option<KeyCursor<'_>>,
-        prefix: &mut Vec<u8>,
-        remaining: &mut usize,
-        f: &mut dyn FnMut(&[u8], u64),
-    ) -> bool {
-        unsafe {
-            let a = &self.inner.arena;
-            let start_ikey = start.map(|c| c.ikey()).unwrap_or(0);
-            let (mut lf, _) = self.find_leaf(holder, start_ikey);
-            let mut first = true;
-            loop {
-                self.maybe_recover(lf);
-                let mut entries: Vec<(u64, u8, u64)> = Vec::with_capacity(LEAF_WIDTH);
-                let next;
-                loop {
-                    entries.clear();
-                    let v = pv::stable(a, lf);
-                    let perm = self.perm_of(lf);
-                    for pos in 0..perm.len() {
-                        let slot = perm.slot_at(pos);
-                        entries.push((
-                            a.pread_u64_acquire(lf + off_ikey(slot)),
-                            self.klenx_at(lf, slot),
-                            a.pread_u64_acquire(lf + off_val(slot)),
-                        ));
-                    }
-                    let nx = a.pread_u64_acquire(lf + OFF_NEXT);
-                    if !pv::changed(v, pv::load(a, lf)) {
-                        next = nx;
-                        break;
-                    }
-                }
-                for &(k, kl, val) in &entries {
-                    if first {
-                        if let Some(sc) = start {
-                            let skl = search_klenx(&sc);
-                            match entry_cmp(k, kl, sc.ikey(), skl) {
-                                std::cmp::Ordering::Less => continue,
-                                std::cmp::Ordering::Equal
-                                    if kl == KLEN_LAYER && !sc.is_terminal() =>
-                                {
-                                    let mut sub = sc;
-                                    sub.descend();
-                                    prefix.extend_from_slice(&k.to_be_bytes());
-                                    let go = self.scan_layer(val, Some(sub), prefix, remaining, f);
-                                    prefix.truncate(prefix.len() - 8);
-                                    if !go {
-                                        return false;
-                                    }
-                                    continue;
-                                }
-                                _ => {}
-                            }
-                        }
-                    }
-                    if kl == KLEN_LAYER {
-                        prefix.extend_from_slice(&k.to_be_bytes());
-                        let go = self.scan_layer(val, None, prefix, remaining, f);
-                        prefix.truncate(prefix.len() - 8);
-                        if !go {
-                            return false;
-                        }
-                    } else {
-                        let keylen = prefix.len() + kl as usize;
-                        prefix.extend_from_slice(&ikey_bytes(k, kl));
-                        f(&prefix[..keylen], val);
-                        prefix.truncate(keylen - kl as usize);
-                        *remaining -= 1;
-                        if *remaining == 0 {
-                            return false;
-                        }
-                    }
-                }
-                first = false;
-                if next == 0 {
-                    return true;
-                }
-                lf = next;
+        (tid, epoch): (usize, u64),
+        lf: u64,
+        idx: usize,
+        oldval: u64,
+    ) -> Option<DPerm> {
+        let a = &self.inner.arena;
+        let m = a.pread_u64(lf + OFF_META);
+        if meta::epoch(m) != epoch {
+            self.incll_new_epoch(tid, epoch, lf, m, Some((idx, oldval)));
+            return None;
+        }
+        let region = val_region(idx);
+        let line_logged = meta::REGION_LOGGED[region];
+        if m & (meta::LOGGED | line_logged) != 0 {
+            return None;
+        }
+        let start = DPerm::from_raw(a.pread_u64(lf + OFF_PERM_INCLL));
+        if !start.occupied().any(|s| s == idx) {
+            return None;
+        }
+        let incll_off = lf + incll_for(idx);
+        let w = a.pread_u64(incll_off);
+        if val_incll::idx(w) == idx {
+            // This slot's epoch-start value is already captured.
+        } else if val_incll::idx(w) == val_incll::INVALID_IDX {
+            // The line's log is free: take it. Ordered before the value
+            // store by the same-line rule.
+            a.pwrite_u64_release(incll_off, val_incll::pack(oldval, idx, epoch as u16));
+            a.stats().add_incll_val();
+        } else {
+            // SAFETY: `lf` is a live leaf, locked by the caller.
+            let mut perm = unsafe { self.perm_of(lf) };
+            if perm.front_free_outside(start) {
+                return Some(perm);
             }
+            // No slot free at epoch start is left: fall back (§4.2) — to
+            // the line alone. Its ValInCLL is inside the captured image,
+            // so replay plus lazy recovery still restore the first value.
+            let (off, len) = LEAF_REGIONS[region];
+            let first = m & (meta::VAL1_LOGGED | meta::VAL2_LOGGED) == 0;
+            self.log_ranges(tid, epoch, &[(lf + off, len)], first);
+            a.pwrite_u64_release(lf + OFF_META, m | line_logged);
+        }
+        None
+    }
+
+    /// `InCLL()` for a removal: InCLLp absorbs any number of them, since
+    /// a removal overwrites no slot.
+    fn incll_remove(&self, (tid, epoch): (usize, u64), lf: u64) {
+        let m = self.inner.arena.pread_u64(lf + OFF_META);
+        if meta::epoch(m) != epoch {
+            self.incll_new_epoch(tid, epoch, lf, m, None);
         }
     }
-}
 
-/// Stores a node's parent word (helper shared by split paths).
-fn pv_store_parent(a: &PArena, node: u64, parent: u64) {
-    a.pwrite_u64_release(node + OFF_PARENT, parent);
+    /// Ensures a leaf is externally logged this epoch (split / conversion
+    /// paths: subsequent modifications in the epoch are then free).
+    fn ensure_leaf_logged(&self, (tid, epoch): (usize, u64), lf: u64) {
+        let a = &self.inner.arena;
+        let m = a.pread_u64(lf + OFF_META);
+        if meta::epoch(m) == epoch && m & meta::LOGGED != 0 {
+            return;
+        }
+        self.log_leaf(tid, epoch, lf, m);
+        let kind = m & (meta::IS_LEAF | meta::IS_ROOT);
+        a.pwrite_u64_release(lf + OFF_META, meta::with_epoch(kind | meta::LOGGED, epoch));
+    }
+
+    /// Ensures an interior node is externally logged this epoch — interior
+    /// nodes have no InCLLs; this is their entire logging story (§4.2's
+    /// per-node epoch check prevents duplicate logging).
+    fn ensure_int_logged(&self, (tid, epoch): (usize, u64), node: u64) {
+        let a = &self.inner.arena;
+        let m = a.pread_u64(node + OFF_META);
+        if meta::epoch(m) == epoch && m & meta::LOGGED != 0 {
+            return;
+        }
+        a.stats().add_ext_interior();
+        // Identical mechanics: an interior never sets a line bit, so its
+        // regions coalesce into one whole-node entry — the 320-byte image
+        // recovery re-derives child parent pointers from.
+        self.ensure_leaf_logged((tid, epoch), node);
+    }
+
+    /// Externally logs a 16-byte root-holder cell at most once per epoch
+    /// (the cell's second word tags the last logged epoch). At-most-once
+    /// matters: replay applies entries in order, so a second entry would
+    /// re-install a mid-epoch (doomed) root.
+    fn log_holder(&self, (tid, epoch): (usize, u64), holder: u64) {
+        let a = &self.inner.arena;
+        if a.pread_u64(holder + 8) != epoch {
+            self.log_ranges(tid, epoch, &[(holder, HOLDER_BYTES)], true);
+            a.pwrite_u64_release(holder + 8, epoch);
+        }
+    }
+
+    /// Demotes the old root's durable kind bit (the node was logged by its
+    /// split path); the version word's flag follows.
+    fn demote_root(&self, node: u64) {
+        let a = &self.inner.arena;
+        let m = a.pread_u64(node + OFF_META);
+        a.pwrite_u64_release(node + OFF_META, m & !meta::IS_ROOT);
+    }
 }
 
 /// FNV-1a 64 of `bytes`: the **routing hash**. It belongs to
@@ -2140,10 +1474,6 @@ impl std::fmt::Debug for DurableMasstree {
             .finish()
     }
 }
-
-// Keep AtomicU64 import alive for the doc examples in lib.rs.
-#[allow(unused)]
-type _A = AtomicU64;
 
 #[cfg(test)]
 mod tests {

@@ -92,12 +92,6 @@ pub fn ikey_of(bytes: &[u8]) -> u64 {
     u64::from_be_bytes(buf)
 }
 
-/// Reconstructs the terminal bytes of an entry: the first `klen` bytes of
-/// its `ikey` (big-endian).
-pub fn ikey_bytes(ikey: u64, klen: u8) -> Vec<u8> {
-    ikey.to_be_bytes()[..klen as usize].to_vec()
-}
-
 /// Compares two layer entries by `(ikey, keylenx)` with the layer marker
 /// ordered after all terminal lengths.
 #[inline]
@@ -179,15 +173,6 @@ mod tests {
             entry_cmp(ikey_of(b"aa"), KLEN_LAYER, ikey_of(b"ab"), 0),
             Ordering::Less
         );
-    }
-
-    #[test]
-    fn ikey_bytes_roundtrip() {
-        let ik = ikey_of(b"xyz");
-        assert_eq!(ikey_bytes(ik, 3), b"xyz");
-        assert_eq!(ikey_bytes(ik, 0), b"");
-        let ik8 = ikey_of(b"abcdefgh");
-        assert_eq!(ikey_bytes(ik8, 8), b"abcdefgh");
     }
 
     #[test]

@@ -1,12 +1,18 @@
-//! Transient Masstree substrate: the paper's MT and MT+ baselines (§2.2,
-//! §6), plus the building blocks the durable tree shares (permutation
-//! word, key slicing, version-lock protocol).
+//! Masstree (§2.2), one algorithm for two trees: the paper's transient
+//! MT and MT+ baselines (§6) and the durable tree of the `incll` crate.
 //!
 //! Masstree is a trie of B+trees: each trie layer consumes 8 key bytes
-//! ([`key`]), each layer is a concurrent B+tree whose border nodes keep 15
+//! ([`key`]), each layer is a concurrent B+tree whose border nodes keep
 //! unsorted entries ordered by a permutation word ([`perm`]), and all
 //! synchronisation follows the optimistic version-validation protocol
-//! ([`version`]).
+//! ([`version`]). The algorithm — descent, insert, splits, layer
+//! conversion, remove and scan — is written once ([`tree`]), over a trait
+//! that supplies word access at a node address, the node layout, node
+//! creation and the durable hooks ([`NodeStore`]). The transient tree
+//! ([`Masstree`]) is its instantiation over plain memory with 15-wide
+//! leaves; the durable tree instantiates it over a persistent arena with
+//! the paper's 14-wide Fig. 1 leaves, adding in-cache-line logging through
+//! the hooks.
 //!
 //! Two allocation policies reproduce the paper's baselines ([`alloc`]):
 //! MT uses the global allocator; MT+ uses a pre-mapped pool with
@@ -38,15 +44,15 @@
 
 pub mod alloc;
 pub mod key;
-pub mod node;
 pub mod perm;
+mod transient;
 pub mod tree;
 pub mod version;
 
 pub use alloc::{AllocMode, TransientAlloc};
-pub use node::{Interior, Leaf, RootCell, INT_WIDTH, LEAF_WIDTH, NODE_BYTES};
 pub use perm::Permutation;
-pub use tree::{Masstree, TreeCtx, VALUE_BUF_BYTES};
+pub use transient::{Masstree, TreeCtx, VALUE_BUF_BYTES};
+pub use tree::NodeStore;
 
 #[cfg(test)]
 mod tree_tests {
@@ -352,6 +358,73 @@ mod tree_tests {
         let mut count = 0usize;
         t.scan(&ctx, b"", usize::MAX, &mut |_, _| count += 1);
         assert!(count <= 5000);
+    }
+
+    #[test]
+    fn version_protocol_over_node_words() {
+        use crate::version::{changed, is_dirty, is_locked, INSERTING, IS_LEAF};
+        let t = mt();
+        let Ok(n) = t.new_leaf(0, false, false);
+        // SAFETY: `n` is a live leaf of `t`, used by this thread only until
+        // the reader below, which only loads it.
+        unsafe {
+            let before = t.stable(n);
+            assert_eq!(before & IS_LEAF, IS_LEAF);
+            t.lock(n);
+            t.unlock(n, false, false);
+            assert!(
+                !changed(before, t.stable(n)),
+                "an idle lock changes nothing"
+            );
+            t.lock(n);
+            t.mark_dirty(n, INSERTING);
+            let t = &t;
+            std::thread::scope(|s| {
+                let reader = s.spawn(move || t.stable(n));
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                t.unlock(n, true, false);
+                let after = reader.join().unwrap();
+                assert!(!is_dirty(after) && !is_locked(after));
+                assert!(changed(before, after), "an insert bumps vinsert");
+            });
+        }
+    }
+
+    #[test]
+    fn contended_lock_is_exclusive() {
+        let t = mt();
+        let Ok(n) = t.new_interior(0, false, false);
+        let counter = std::sync::atomic::AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..1000 {
+                        // SAFETY: `n` is a live node of `t`.
+                        unsafe { t.lock(n) };
+                        // Non-atomic increment under the lock.
+                        let x = counter.load(std::sync::atomic::Ordering::Relaxed);
+                        counter.store(x + 1, std::sync::atomic::Ordering::Relaxed);
+                        // SAFETY: as above.
+                        unsafe { t.unlock(n, false, false) };
+                    }
+                });
+            }
+        });
+        assert_eq!(counter.load(std::sync::atomic::Ordering::Relaxed), 4000);
+    }
+
+    #[test]
+    fn interior_routing_sends_equal_keys_right() {
+        let t = mt();
+        let Ok(n) = t.new_interior(0, false, false);
+        // SAFETY: `n` is a live interior node of `t`, unpublished.
+        unsafe {
+            t.store(n + Masstree::off_int_key(0), 10);
+            t.store(n + Masstree::off_int_key(1), 20);
+            t.store(n + Masstree::OFF_INT_NKEYS, 2);
+            let route: Vec<usize> = [5, 10, 15, 20, 99].iter().map(|&k| t.route(n, k)).collect();
+            assert_eq!(route, [0, 1, 1, 2, 2]);
+        }
     }
 
     #[test]

@@ -20,12 +20,11 @@
 //! the read raced a writer and must retry. Writers lock, set a dirty bit,
 //! mutate, and unlock-with-increment in one release store.
 //!
-//! The bit functions are pure `u64` helpers so the durable tree (which
-//! stores version words in persistent memory) reuses them unchanged; the
-//! lock word is semantically transient and reinitialised by recovery
-//! (§4.3).
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! The bits and the pure `u64` helpers live here; the protocol itself
+//! (`stable`, `lock`, `mark_dirty`, `unlock`, `set_flag`) is written once
+//! over a tree's word access ([`crate::tree::NodeStore`]), so the transient
+//! and the durable tree lock the same way. In persistent memory the word is
+//! semantically transient: recovery reinitialises it (§4.3).
 
 /// Writer lock bit.
 pub const LOCK: u64 = 1 << 0;
@@ -43,8 +42,6 @@ pub const IS_LEAF: u64 = 1 << 5;
 const VINSERT_SHIFT: u32 = 8;
 const VINSERT_UNIT: u64 = 1 << VINSERT_SHIFT;
 const VSPLIT_SHIFT: u32 = 36;
-#[cfg(test)]
-const VSPLIT_UNIT: u64 = 1 << VSPLIT_SHIFT;
 const DIRTY: u64 = INSERTING | SPLITTING;
 
 /// Whether a version word is dirty (contents unstable).
@@ -86,144 +83,31 @@ pub fn unlock_word(v: u64, did_insert: bool, did_split: bool) -> u64 {
     flags | (vins << VINSERT_SHIFT) | (vspl << VSPLIT_SHIFT)
 }
 
-/// A transient atomic version word.
-#[derive(Debug, Default)]
-pub struct NodeVersion(AtomicU64);
+/// Whether the leaf's keys may have moved elsewhere since snapshot
+/// `before` (split or retirement) — insert/remove churn is fine, the leaf
+/// still covers the key range.
+#[inline]
+pub fn moved_since(before: u64, now: u64) -> bool {
+    const VSPLIT_MASK: u64 = !((1u64 << VSPLIT_SHIFT) - 1);
+    (before ^ now) & (VSPLIT_MASK | DELETED) != 0
+}
 
-impl NodeVersion {
-    /// Creates a version word with the given flag bits set.
-    pub fn with_flags(flags: u64) -> Self {
-        NodeVersion(AtomicU64::new(flags))
-    }
-
-    /// Raw relaxed load.
-    #[inline]
-    pub fn load(&self) -> u64 {
-        self.0.load(Ordering::Acquire)
-    }
-
-    /// Spins until the word is not dirty, returning the stable snapshot.
-    #[inline]
-    pub fn stable(&self) -> u64 {
-        let mut spins = 0u32;
-        loop {
-            let v = self.0.load(Ordering::Acquire);
-            if !is_dirty(v) {
-                return v;
-            }
-            spins += 1;
-            if spins < 128 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    /// Acquires the writer lock (spinning).
-    pub fn lock(&self) -> u64 {
-        let mut spins = 0u32;
-        loop {
-            let v = self.0.load(Ordering::Relaxed);
-            if !is_locked(v)
-                && self
-                    .0
-                    .compare_exchange_weak(v, v | LOCK, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-            {
-                return v | LOCK;
-            }
-            spins += 1;
-            if spins < 128 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    /// Tries to acquire the writer lock without spinning.
-    pub fn try_lock(&self) -> Option<u64> {
-        let v = self.0.load(Ordering::Relaxed);
-        if is_locked(v) {
-            return None;
-        }
-        self.0
-            .compare_exchange(v, v | LOCK, Ordering::Acquire, Ordering::Relaxed)
-            .ok()
-            .map(|w| w | LOCK)
-    }
-
-    /// Sets a dirty bit while holding the lock.
-    ///
-    /// # Panics
-    ///
-    /// Debug-panics if the lock is not held.
-    #[inline]
-    pub fn mark_dirty(&self, bit: u64) {
-        let v = self.0.load(Ordering::Relaxed);
-        debug_assert!(is_locked(v), "dirty bit without the lock");
-        self.0.store(v | bit, Ordering::Release);
-    }
-
-    /// Releases the lock, clearing dirty bits and bumping counters.
-    #[inline]
-    pub fn unlock(&self, did_insert: bool, did_split: bool) {
-        let v = self.0.load(Ordering::Relaxed);
-        debug_assert!(is_locked(v));
-        self.0
-            .store(unlock_word(v, did_insert, did_split), Ordering::Release);
-    }
-
-    /// Sets or clears a flag bit (e.g. [`IS_ROOT`]) while holding the lock.
-    pub fn set_flag(&self, bit: u64, on: bool) {
-        let v = self.0.load(Ordering::Relaxed);
-        debug_assert!(is_locked(v));
-        let w = if on { v | bit } else { v & !bit };
-        self.0.store(w, Ordering::Release);
-    }
-
-    /// Whether the node is a border (leaf) node.
-    #[inline]
-    pub fn is_leaf(&self) -> bool {
-        self.load() & IS_LEAF != 0
+/// One step of a spin wait: a pause for the first 128 steps, then a yield.
+#[inline]
+pub fn backoff(spins: &mut u32) {
+    *spins += 1;
+    if *spins < 128 {
+        std::hint::spin_loop();
+    } else {
+        std::thread::yield_now();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
-    #[test]
-    fn flags_roundtrip() {
-        let v = NodeVersion::with_flags(IS_LEAF | IS_ROOT);
-        assert!(v.is_leaf());
-        assert!(v.load() & IS_ROOT != 0);
-        assert!(!is_dirty(v.load()));
-    }
-
-    #[test]
-    fn lock_unlock_bumps_vinsert() {
-        let v = NodeVersion::with_flags(IS_LEAF);
-        let before = v.stable();
-        v.lock();
-        v.mark_dirty(INSERTING);
-        v.unlock(true, false);
-        let after = v.stable();
-        assert!(changed(before, after));
-        assert!(!is_locked(after));
-        assert!(!is_dirty(after));
-    }
-
-    #[test]
-    fn unlock_without_work_changes_nothing_observable() {
-        let v = NodeVersion::with_flags(IS_LEAF);
-        let before = v.stable();
-        v.lock();
-        v.unlock(false, false);
-        assert!(!changed(before, v.stable()));
-    }
+    const VSPLIT_UNIT: u64 = 1 << VSPLIT_SHIFT;
 
     #[test]
     fn split_bumps_vsplit_not_vinsert_only() {
@@ -243,49 +127,18 @@ mod tests {
     }
 
     #[test]
-    fn stable_waits_for_dirty_clear() {
-        let v = Arc::new(NodeVersion::with_flags(IS_LEAF));
-        v.lock();
-        v.mark_dirty(INSERTING);
-        let v2 = v.clone();
-        let t = std::thread::spawn(move || {
-            let s = v2.stable();
-            assert!(!is_dirty(s));
-        });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        v.unlock(true, false);
-        t.join().unwrap();
+    fn unlock_keeps_kind_flags() {
+        let w = unlock_word(IS_LEAF | IS_ROOT | LOCK | INSERTING, true, false);
+        assert_eq!(w & (IS_LEAF | IS_ROOT), IS_LEAF | IS_ROOT);
+        assert!(!is_locked(w) && !is_dirty(w));
     }
 
     #[test]
-    fn try_lock_fails_when_held() {
-        let v = NodeVersion::with_flags(0);
-        v.lock();
-        assert!(v.try_lock().is_none());
-        v.unlock(false, false);
-        assert!(v.try_lock().is_some());
-    }
-
-    #[test]
-    fn contended_lock_is_exclusive() {
-        let v = Arc::new(NodeVersion::with_flags(0));
-        let counter = Arc::new(AtomicU64::new(0));
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let v = v.clone();
-                let c = counter.clone();
-                s.spawn(move || {
-                    for _ in 0..1000 {
-                        v.lock();
-                        // Non-atomic increment under the lock.
-                        let x = c.load(Ordering::Relaxed);
-                        c.store(x + 1, Ordering::Relaxed);
-                        v.unlock(false, false);
-                    }
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 4000);
+    fn only_splits_and_retirement_move_keys() {
+        let v = IS_LEAF;
+        assert!(!moved_since(v, unlock_word(v | LOCK, true, false)));
+        assert!(moved_since(v, unlock_word(v | LOCK, false, true)));
+        assert!(moved_since(v, v | DELETED));
     }
 
     #[test]

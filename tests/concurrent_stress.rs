@@ -282,3 +282,187 @@ fn concurrent_scans_with_writers_at(shards: usize) {
     });
     drop(driver);
 }
+
+const RACE_WRITERS: u64 = 2;
+const RACE_READERS: usize = 2;
+const RACE_OPS: u64 = 4_000;
+/// Long keys per shared 8-byte prefix: enough to split the sub-layer.
+const RACE_GROUP: u64 = 32;
+/// Writers wait for every reader to finish one more pass every this many
+/// ops.
+const RACE_STEP: u64 = 250;
+
+/// The value every racing key holds: a function of the key alone, so a
+/// reader can check any key it finds.
+fn race_val(key: &[u8]) -> u64 {
+    key.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// Writer `w`'s op `j` inserts two fresh keys: the ascending 8-byte key
+/// `j·W + w`, and a 9–24-byte key under the 8-byte key of op
+/// `j / RACE_GROUP` (already present: the first such key converts it into
+/// a layer, the rest split that layer and build layers below it).
+fn race_keys(w: u64, j: u64) -> [Vec<u8>; 2] {
+    let short = (j * RACE_WRITERS + w).to_be_bytes().to_vec();
+    let mut long = ((j / RACE_GROUP) * RACE_WRITERS + w).to_be_bytes().to_vec();
+    let mix = j.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let suffix = [mix.to_be_bytes(), (!mix).to_be_bytes()].concat();
+    long.extend_from_slice(&suffix[..1 + (j % 16) as usize]);
+    [short, long]
+}
+
+/// Marks a reader gone, even one that panics, so no writer waits on it.
+struct PassesGuard<'a>(&'a AtomicU64);
+
+impl Drop for PassesGuard<'_> {
+    fn drop(&mut self) {
+        self.0.store(u64::MAX, Ordering::Release);
+    }
+}
+
+/// Leaf and interior splits, root swings and layer conversions racing
+/// readers. Writers insert fresh keys (see [`race_keys`]) and publish a
+/// watermark after each op; readers snapshot the watermarks, then check
+/// that every key published before the read is found with its value, and
+/// that a scan is strictly ascending and holds every published key in
+/// the range it covered.
+fn race_splits_with_readers<K: KvBench>(
+    tree: &K,
+    scan: impl Fn(&K, &K::Ctx, &[u8], usize, &mut dyn FnMut(&[u8], u64)) -> usize + Sync,
+) {
+    use std::collections::{BTreeMap, HashMap};
+    // Every key the writers will insert, with the first op inserting it.
+    let mut model: BTreeMap<Vec<u8>, (u64, u64)> = BTreeMap::new();
+    for w in 0..RACE_WRITERS {
+        for j in 0..RACE_OPS {
+            for k in race_keys(w, j) {
+                model.entry(k).or_insert((w, j));
+            }
+        }
+    }
+    let marks: Vec<AtomicU64> = (0..RACE_WRITERS).map(|_| AtomicU64::new(0)).collect();
+    let writers_done = AtomicU64::new(0);
+    // Reads interleave with the writes at every stage of the tree's
+    // growth, however the threads are scheduled: every RACE_STEP ops a
+    // writer waits until each reader has finished one more pass.
+    let passes: Vec<AtomicU64> = (0..RACE_READERS).map(|_| AtomicU64::new(0)).collect();
+    std::thread::scope(|s| {
+        for w in 0..RACE_WRITERS {
+            let (marks, writers_done, passes) = (&marks, &writers_done, &passes);
+            s.spawn(move || {
+                let ctx = tree.bench_ctx(w as usize);
+                for j in 0..RACE_OPS {
+                    if j % RACE_STEP == 0 {
+                        let want: Vec<u64> = passes
+                            .iter()
+                            .map(|p| p.load(Ordering::Acquire).saturating_add(1))
+                            .collect();
+                        while passes
+                            .iter()
+                            .zip(&want)
+                            .any(|(p, &n)| p.load(Ordering::Acquire) < n)
+                        {
+                            std::thread::yield_now();
+                        }
+                    }
+                    for k in race_keys(w, j) {
+                        tree.bench_put(&ctx, &k, race_val(&k));
+                    }
+                    marks[w as usize].store(j + 1, Ordering::Release);
+                }
+                writers_done.fetch_add(1, Ordering::Release);
+            });
+        }
+        for r in 0..RACE_READERS {
+            let (marks, writers_done, model, scan) = (&marks, &writers_done, &model, &scan);
+            let passes = &passes;
+            s.spawn(move || {
+                let _gone = PassesGuard(&passes[r]);
+                let ctx = tree.bench_ctx(RACE_WRITERS as usize + r);
+                let mut rng = StdRng::seed_from_u64(r as u64);
+                let mut scans = 0u64;
+                loop {
+                    let last = writers_done.load(Ordering::Acquire) == RACE_WRITERS;
+                    let seen: Vec<u64> = marks.iter().map(|m| m.load(Ordering::Acquire)).collect();
+                    let published = |&(w, j): &(u64, u64)| j < seen[w as usize];
+                    // Point reads of published keys.
+                    let w = rng.gen_range(0..RACE_WRITERS);
+                    if seen[w as usize] > 0 {
+                        let j = rng.gen_range(0..seen[w as usize]);
+                        for k in race_keys(w, j) {
+                            assert_eq!(tree.bench_get(&ctx, &k), Some(race_val(&k)), "{k:?}");
+                        }
+                    }
+                    // A scan from a random key of the model.
+                    let skip = rng.gen_range(0..model.len());
+                    let start = model.keys().nth(skip).unwrap().clone();
+                    let mut got: HashMap<Vec<u8>, u64> = HashMap::new();
+                    let mut prev: Option<Vec<u8>> = None;
+                    let n = scan(tree, &ctx, &start, 40, &mut |k, v| {
+                        assert!(k >= &start[..], "scan below its start");
+                        if let Some(p) = &prev {
+                            assert!(p.as_slice() < k, "scan order violated");
+                        }
+                        prev = Some(k.to_vec());
+                        got.insert(k.to_vec(), v);
+                    });
+                    let covered: Vec<_> = match (&prev, n) {
+                        (Some(end), 40) => model.range(start.clone()..=end.clone()).collect(),
+                        _ => model.range(start.clone()..).collect(),
+                    };
+                    for (k, op) in covered {
+                        if published(op) {
+                            assert_eq!(got.get(k), Some(&race_val(k)), "scan missed {k:?}");
+                        }
+                    }
+                    for (k, v) in &got {
+                        assert_eq!(*v, race_val(k), "scan value of {k:?}");
+                    }
+                    scans += 1;
+                    passes[r].fetch_add(1, Ordering::Release);
+                    if last {
+                        break;
+                    }
+                }
+                assert!(scans >= RACE_OPS / RACE_STEP);
+            });
+        }
+    });
+    let ctx = tree.bench_ctx(0);
+    let mut all = Vec::new();
+    scan(tree, &ctx, b"", usize::MAX, &mut |k, v| {
+        all.push((k.to_vec(), v))
+    });
+    let expect: Vec<_> = model.keys().map(|k| (k.clone(), race_val(k))).collect();
+    assert_eq!(all, expect);
+}
+
+#[test]
+fn splits_and_layer_conversions_race_readers_on_mtplus() {
+    let pool = PArena::builder().capacity_bytes(64 << 20).build().unwrap();
+    let mgr = EpochManager::new(pool.clone(), EpochOptions::transient());
+    let alloc = TransientAlloc::new(AllocMode::Pool, 4, Some(pool));
+    let tree = Masstree::new(mgr.clone(), alloc);
+    let driver = AdvanceDriver::spawn(mgr, Duration::from_millis(4));
+    race_splits_with_readers(&tree, |t, ctx, start, n, f| t.scan(ctx, start, n, f));
+    drop(driver);
+}
+
+#[test]
+fn splits_and_layer_conversions_race_readers_on_store() {
+    for shards in [1usize, 4] {
+        let arena = PArena::builder().capacity_bytes(64 << 20).build().unwrap();
+        let opts = Options::new()
+            .threads(4)
+            .log_bytes_per_thread(4 << 20)
+            .shards(shards);
+        let (store, _) = Store::open(&arena, opts).unwrap();
+        let driver = AdvanceDriver::spawn(store.epoch_manager().clone(), Duration::from_millis(4));
+        race_splits_with_readers(&store, |st, sess, start, n, f| {
+            st.scan(sess, start, n, &mut |k, v| f(k, val_of(v)))
+        });
+        drop(driver);
+    }
+}
