@@ -1,6 +1,6 @@
 //! Regenerates the figures and in-text tables of the paper's evaluation
-//! (Fig. 2–8, §6.1's ablation, §6.2's flush cost) plus the checkpoint
-//! cadence table, all through the `Store` facade. Recovery, scans, sharding, churn
+//! (Fig. 2–8, §6.1's ablation, §6.2's flush cost), all through the
+//! `Store` facade. Recovery, scans, sharding, checkpoint cadence, churn
 //! and the network path are the repo benchmark's (`benchmark/`).
 //!
 //! ```text
@@ -8,8 +8,7 @@
 //! cargo run --release -p incll-bench --bin figures -- --plot [results/BENCH_results.json] [--out DIR]
 //!
 //! experiments:
-//!   fig2 fig3 fig4 fig5 fig6 fig7 fig8 flushcost ablation
-//!   cadence all
+//!   fig2 fig3 fig4 fig5 fig6 fig7 fig8 flushcost ablation all
 //!
 //! options:
 //!   --paper            paper-scale parameters (20M keys, 8x1M ops)
@@ -88,7 +87,7 @@ fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
         "usage: figures <fig2|fig3|fig4|fig5|fig6|fig7|fig8|flushcost|ablation\
-         |cadence|all> \
+         |all> \
          [--paper] [--scale F] [--keys N] [--ops N] [--threads N] [--out DIR]\n\
          \x20      figures --plot [RESULTS.json] [--out DIR]"
     );
@@ -236,7 +235,6 @@ fn main() {
             "fig8" => ("fig8", vec![experiments::fig8(p)]),
             "flushcost" => ("flushcost", vec![experiments::flush_cost(p)]),
             "ablation" => ("ablation", vec![experiments::ablation_internal(p)]),
-            "cadence" => ("cadence", vec![experiments::cadence(p)]),
             other => usage(&format!("unknown experiment {other}")),
         };
         save(&args.out, file, &tables);
@@ -253,7 +251,6 @@ fn main() {
             "fig8",
             "flushcost",
             "ablation",
-            "cadence",
         ] {
             println!("---- {name} ----");
             results.push(run_one(name));

@@ -493,232 +493,3 @@ pub fn ablation_internal(p: &ExpParams) -> Table {
     t.print();
     t
 }
-
-// =====================================================================
-// Per-shard checkpoint cadence: a time bound against a byte bound
-// =====================================================================
-
-/// Shards the cadence experiment runs on.
-pub const CADENCE_SHARDS: usize = 4;
-/// Static per-shard cadences (ms), each a row of its own.
-pub const CADENCE_STATIC_MS: &[u64] = &[2, 10, 40];
-/// The log-room row's byte budget per (slot, shard) buffer, under the
-/// laziest static cadence.
-pub const CADENCE_LOG_ROOM_BYTES: usize = 512 << 10;
-/// Run→crash→recover cycles per cadence mode. Several cycles, each
-/// crashing at an uncorrelated point of the checkpoint window, so no
-/// mode gets lucky with a crash right after (or right before) a
-/// boundary.
-pub const CADENCE_SEGMENTS: usize = 16;
-
-/// A checkpoint byte budget against static checkpoint intervals on a
-/// **skew-shifting** workload: a migrating tenant sweeps one shard's whole
-/// bucket uniformly (its undo footprint grows with the checkpoint window)
-/// and rotates across the 4 shards, while small Zipfian resident sets
-/// keep every shard mildly dirty.
-///
-/// Each mode runs [`CADENCE_SEGMENTS`] cycles of *run → fail → recover*:
-/// writers run for a fixed slice, the store is torn down mid-flight, and
-/// the reopen's undo replay back to each shard's last boundary is timed
-/// under an emulated NVM streaming-read cost. The score is **effective
-/// throughput over the whole horizon including recoveries** —
-/// `ops / (run + recovery)` — the quantity a cadence actually trades:
-/// checkpointing too often stalls writers on per-shard scoped flushes
-/// and once-per-epoch relogging, too rarely leaves long undo tails to
-/// replay. A static interval is wrong for some shard in every phase
-/// (the per-shard optimum tracks the shard's write rate, which the
-/// rotating hotspot keeps moving). The `log_room_40ms` row keeps the
-/// laziest interval and sizes the log at [`CADENCE_LOG_ROOM_BYTES`] per
-/// (slot, shard): the log-room rule then checkpoints a shard exactly when
-/// its undo fills that budget, so a hot shard checkpoints by bytes and a
-/// cold one by the clock. `crash_tail_kb` is the log a crash leaves per
-/// segment, entry headers included.
-///
-/// Runs the paper's external-LOGGING mode: with InCLL on, the in-line
-/// logs absorb nearly all undo traffic (the paper's point) and cadence
-/// barely moves the undo tail; the cadence trade-off is legible in the
-/// mode whose undo bytes are explicit.
-pub fn cadence(p: &ExpParams) -> Table {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-    use incll_epoch::Cadence;
-    use incll_ycsb::{storage_key, ShiftingHotspot};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    let mut t = Table::new(
-        "Log-room byte budget vs static per-shard cadence on a skew-shifting workload (score includes recovery after each of the 16 mid-flight failures)",
-        &[
-            "cadence",
-            "put_mops",
-            "advances",
-            "skipped",
-            "crash_tail_kb",
-            "recovery_ms",
-            "eff_mops",
-        ],
-    );
-    // One writer: the cadence driver must actually *deliver* the tight
-    // intervals under test, and on small CPU budgets a pack of writers
-    // starves it into a blunt every-few-ms policy no matter what the
-    // cadence asks for — which would measure the scheduler, not the
-    // policy.
-    let threads = 1;
-    // Not a multiple of any swept interval: every static cadence crashes
-    // mid-window, so the measured undo tail reflects the cadence rather
-    // than a razor-edge race between the segment end and a boundary.
-    let seg = Duration::from_millis(415);
-    let keys = p.keys.clamp(4_000, 1_000_000);
-    let laziest = *CADENCE_STATIC_MS.last().unwrap();
-
-    // (row, cadence, log bytes per (slot, shard); `None` = the default).
-    let mut modes: Vec<(String, Cadence, Option<usize>)> = CADENCE_STATIC_MS
-        .iter()
-        .map(|&ms| {
-            (
-                format!("static_{ms}ms"),
-                Cadence::lazy(Duration::from_millis(ms)),
-                None,
-            )
-        })
-        .collect();
-    modes.push((
-        format!("log_room_{laziest}ms"),
-        Cadence::lazy(Duration::from_millis(laziest)),
-        Some(CADENCE_LOG_ROOM_BYTES),
-    ));
-
-    for (name, cadence, log_room) in modes {
-        let mut cfg = p.sys_config();
-        cfg.threads = threads;
-        cfg.shards = CADENCE_SHARDS;
-        cfg.keys = keys;
-        if let Some(bytes) = log_room {
-            cfg.log_bytes_per_thread = bytes * CADENCE_SHARDS;
-        }
-        // Preload on a driverless store: no cadence ticks pollute the
-        // counters; the log-room rule alone ends its epochs. The mode's
-        // cadence arrives with the reopen below.
-        cfg.epoch_interval = None;
-        cfg.incll = false;
-        cfg.sfence_ns = 600;
-        cfg.scoped_flush_ns = Some(1_000_000);
-        cfg.replay_read_ns_per_kb = 600_000;
-        let sys = build_incll(&cfg);
-        let arena = sys.arena.clone();
-        // The open used after each simulated failure: same shape the
-        // store runs with (cadence included, so each segment's driver
-        // comes back up with it).
-        let reopen_options = || {
-            incll::Options::new()
-                .threads(cfg.threads)
-                .log_bytes_per_thread(cfg.log_bytes_per_thread)
-                .incll(cfg.incll)
-                .shards(cfg.shards)
-                .cadence(cadence)
-        };
-        let store = sys.store.clone();
-        drop(sys); // keep exactly one owner; `store` is rebuilt per segment
-        {
-            let sess = store.session().expect("preload session");
-            let val = [7u8; 64];
-            for i in 0..keys {
-                store.put(&sess, &storage_key(i), &val).expect("preload");
-            }
-        }
-        store.checkpoint();
-        drop(store);
-        // Untimed cadenced reopen: segment 1 starts from a clean boundary
-        // with zeroed counters and the mode's own driver.
-        let (s0, _report) = incll::Store::open(&arena, reopen_options()).expect("cadenced open");
-        let mut store = s0;
-
-        // Per-thread generators survive the failures: the rotation and
-        // the RNG streams continue across segments.
-        let mut gens: Vec<(ShiftingHotspot, StdRng)> = (0..threads)
-            .map(|tid| {
-                (
-                    ShiftingHotspot::new(
-                        keys,
-                        CADENCE_SHARDS,
-                        |k| store.shard_of(k),
-                        220_000,
-                        0.7,
-                        128,
-                    ),
-                    StdRng::seed_from_u64(p.seed ^ ((tid as u64) << 17)),
-                )
-            })
-            .collect();
-
-        let (mut total, mut run_secs, mut rec_secs) = (0u64, 0.0f64, 0.0f64);
-        let (mut fired, mut skipped, mut tail_kb) = (0u64, 0u64, 0u64);
-        for _ in 0..CADENCE_SEGMENTS {
-            let stop = AtomicBool::new(false);
-            let puts = AtomicU64::new(0);
-            let t0 = Instant::now();
-            std::thread::scope(|s| {
-                for (hotspot, rng) in gens.iter_mut() {
-                    let store = store.clone();
-                    let stop = &stop;
-                    let puts = &puts;
-                    s.spawn(move || {
-                        let sess = store.session().expect("writer session");
-                        let val = [9u8; 64];
-                        let mut n = 0u64;
-                        while !stop.load(Ordering::Relaxed) {
-                            let idx = hotspot.next_index(rng);
-                            store
-                                .put(&sess, &storage_key(idx), &val)
-                                .expect("fits size class");
-                            n += 1;
-                        }
-                        puts.fetch_add(n, Ordering::Relaxed);
-                    });
-                }
-                std::thread::sleep(seg);
-                // Freeze the cadence *before* quiescing the writers: this
-                // teardown stands in for a power failure, and a backlogged
-                // driver must not spend the sudden idle time on one last
-                // catch-up advance that erases the very undo tail the
-                // reopen below is supposed to replay.
-                store.halt_cadence();
-                stop.store(true, Ordering::Relaxed);
-            });
-            run_secs += t0.elapsed().as_secs_f64();
-            total += puts.load(Ordering::Relaxed);
-
-            // Counters at this failure point (they reset with the store,
-            // so sample before tearing it down).
-            for d in 0..CADENCE_SHARDS {
-                let st = store.shard_stats(d);
-                fired += st.advances_fired;
-                skipped += st.advances_skipped;
-                tail_kb += st.bytes_since_boundary >> 10;
-            }
-            drop(store); // the last owner: the cadence driver stops too
-
-            // Fail + recover: the reopen replays each shard's undo tail
-            // back to its last boundary — the exposure the cadence was
-            // (or wasn't) bounding — and doubles as the next segment's
-            // store.
-            let t0 = Instant::now();
-            let (s2, _report) = incll::Store::open(&arena, reopen_options()).expect("recovery");
-            rec_secs += t0.elapsed().as_secs_f64();
-            store = s2;
-        }
-        drop(store);
-
-        t.push(vec![
-            name,
-            f2(total as f64 / run_secs / 1e6),
-            fired.to_string(),
-            skipped.to_string(),
-            (tail_kb / CADENCE_SEGMENTS as u64).to_string(),
-            ((rec_secs * 1e3) as u64).to_string(),
-            f2(total as f64 / (run_secs + rec_secs) / 1e6),
-        ]);
-    }
-    t.print();
-    t
-}

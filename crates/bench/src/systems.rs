@@ -5,7 +5,7 @@
 //!   per-epoch global barrier (the two enhancements named in §6).
 //! * **INCLL** — the durable store (this paper's system) behind its
 //!   [`Store`] facade, checkpointing every 64 ms at an emulated `wbinvd`
-//!   cost of 1.38 ms (§6.2) unless overridden.
+//!   cost of 1.38 ms (§6.2).
 
 use std::time::Duration;
 
@@ -15,56 +15,36 @@ use incll_masstree::{AllocMode, Masstree, TransientAlloc};
 use incll_pmem::PArena;
 
 /// The measured `wbinvd` cost on the paper's hardware (§6.2), injected at
-/// every checkpoint flush by default.
-pub const PAPER_WBINVD_NS: u64 = 1_380_000;
+/// every checkpoint flush.
+const PAPER_WBINVD_NS: u64 = 1_380_000;
 
-/// Shared sizing/latency knobs.
+/// External-log capacity per thread: a cap, of which each buffer claims
+/// arena only as it is written.
+const LOG_BYTES_PER_THREAD: usize = 32 << 20;
+
+/// Shared sizing knobs.
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
     /// Key-space size the tree will hold.
     pub keys: u64,
     /// Worker threads (allocator slots, log slots).
     pub threads: usize,
-    /// Emulated post-`sfence` NVM latency (Figs. 3, 8).
-    pub sfence_ns: u64,
-    /// Emulated whole-cache-flush cost (§6.2).
-    pub wbinvd_ns: u64,
     /// `false` = the paper's LOGGING ablation (external log only).
     pub incll: bool,
-    /// External-log capacity per thread.
-    pub log_bytes_per_thread: usize,
     /// Epoch length for the background driver (the durable system's is
-    /// the store's own, one eager cadence per shard); `None` = no driver
-    /// (tests advance manually).
+    /// the store's own, one eager cadence); `None` = no driver (tests
+    /// advance manually).
     pub epoch_interval: Option<Duration>,
-    /// Keyspace shards for the durable system (power of two; 1 = the
-    /// paper's single-tree configuration). Each shard is its own epoch
-    /// domain with an independent checkpoint cadence.
-    pub shards: usize,
-    /// Emulated cost of one **scoped** (per-domain) flush, used by
-    /// sharded systems' per-shard advances. `None` models a dirty-line
-    /// write-back walk over one shard's working set: `wbinvd_ns /
-    /// shards`.
-    pub scoped_flush_ns: Option<u64>,
-    /// Emulated NVM streaming-read cost replay pays per KB of valid log
-    /// prefix at recovery (0 = free).
-    pub replay_read_ns_per_kb: u64,
 }
 
 impl SystemConfig {
-    /// Defaults for a given scale: paper latencies, 64 ms epochs.
+    /// Defaults for a given scale: InCLL on, 64 ms epochs.
     pub fn new(keys: u64, threads: usize) -> Self {
         SystemConfig {
             keys,
             threads,
-            sfence_ns: 0,
-            wbinvd_ns: PAPER_WBINVD_NS,
             incll: true,
-            log_bytes_per_thread: 32 << 20,
             epoch_interval: Some(DEFAULT_EPOCH_INTERVAL),
-            shards: 1,
-            scoped_flush_ns: None,
-            replay_read_ns_per_kb: 0,
         }
     }
 
@@ -76,7 +56,7 @@ impl SystemConfig {
         let keys = self.keys as usize;
         let nodes = keys / 7 * 384 * 2;
         let buffers = keys * 32 * 2;
-        let log = self.threads * self.log_bytes_per_thread;
+        let log = self.threads * LOG_BYTES_PER_THREAD;
         (nodes + buffers + log + (96 << 20)).next_power_of_two()
     }
 
@@ -142,24 +122,13 @@ pub fn build_mtplus(cfg: &SystemConfig) -> TransientSystem {
 pub fn build_incll(cfg: &SystemConfig) -> DurableSystem {
     let arena = PArena::builder()
         .capacity_bytes(cfg.durable_capacity())
-        .wbinvd_latency_ns(cfg.wbinvd_ns)
-        .sfence_latency_ns(cfg.sfence_ns)
+        .wbinvd_latency_ns(PAPER_WBINVD_NS)
         .build()
         .unwrap();
-    // Sharded advances issue scoped flushes; emulate one shard's share of
-    // the whole-cache cost unless overridden.
-    arena.latency().set_scoped_flush_ns(
-        cfg.scoped_flush_ns
-            .unwrap_or(cfg.wbinvd_ns / cfg.shards.max(1) as u64),
-    );
-    arena
-        .latency()
-        .set_replay_read_ns_per_kb(cfg.replay_read_ns_per_kb);
     let mut options = Options::new()
         .threads(cfg.threads)
-        .log_bytes_per_thread(cfg.log_bytes_per_thread)
-        .incll(cfg.incll)
-        .shards(cfg.shards);
+        .log_bytes_per_thread(LOG_BYTES_PER_THREAD)
+        .incll(cfg.incll);
     if let Some(interval) = cfg.epoch_interval {
         options = options.cadence(Cadence::eager(interval));
     }
@@ -174,9 +143,7 @@ mod tests {
 
     fn tiny_cfg() -> SystemConfig {
         let mut c = SystemConfig::new(2_000, 2);
-        c.wbinvd_ns = 0;
         c.epoch_interval = Some(Duration::from_millis(8));
-        c.log_bytes_per_thread = 1 << 20;
         c
     }
 
@@ -206,11 +173,15 @@ mod tests {
 
     #[test]
     fn sharded_durable_system_serves_the_workload() {
-        let mut cfg = tiny_cfg();
-        cfg.shards = 4;
-        let sys = build_incll(&cfg);
-        assert_eq!(sys.store.shard_count(), 4);
-        load(&sys.store, cfg.keys, cfg.threads);
+        let cfg = tiny_cfg();
+        let arena = PArena::builder().capacity_bytes(64 << 20).build().unwrap();
+        let options = Options::new()
+            .threads(cfg.threads)
+            .log_bytes_per_thread(1 << 20)
+            .shards(4);
+        let (store, _) = Store::open(&arena, options).unwrap();
+        assert_eq!(store.shard_count(), 4);
+        load(&store, cfg.keys, cfg.threads);
         let rc = RunConfig {
             threads: 2,
             ops_per_thread: 2_000,
@@ -219,7 +190,7 @@ mod tests {
             dist: Dist::Uniform,
             seed: 11,
         };
-        assert_eq!(run(&sys.store, &rc).ops, 4_000);
+        assert_eq!(run(&store, &rc).ops, 4_000);
     }
 
     #[test]

@@ -119,11 +119,12 @@
 //! * **Recovery is parallel — and deterministic.** [`Store::open`]
 //!   spreads the per-shard recovery steps (failed-epoch resolution, log
 //!   replay, parent re-derivation, epoch restart, allocator repair) over
-//!   up to [`Options::recovery_threads`] workers, one strided shard
-//!   subset each. Every durable object is owned by exactly one shard for
-//!   life — log buffers are per-(thread × shard), allocator lists and
-//!   carve regions are per-shard, epoch and watermark cells sit on
-//!   per-shard cache lines — so the workers write disjoint state and the
+//!   up to [`Options::recovery_threads`] workers (by default one per
+//!   available core), one strided shard subset each. Every durable
+//!   object is owned by exactly one shard for life — log buffers are
+//!   per-(thread × shard), allocator lists and carve regions are
+//!   per-shard, epoch and watermark cells sit on per-shard cache
+//!   lines — so the workers write disjoint state and the
 //!   recovered arena is **byte-identical at every worker count**,
 //!   including 1. The knob changes restart latency only, never the
 //!   outcome ([`RecoveryReport::parallel_workers`] and per-shard
@@ -304,10 +305,8 @@
 //! to a fresh buffer and frees the old one, but the free path rewrites
 //! only the 16-byte allocator header in front of the payload, never the
 //! payload itself: a held `ValueRef` therefore always reads an intact,
-//! complete value — possibly superseded, never torn.
-//! [`ValueRef::is_stale`] reports supersession by re-checking the header
-//! words against a lookup-time snapshot (exact across epoch boundaries,
-//! best-effort within one epoch). Across an *advance* the view simply
+//! complete value — possibly superseded, never torn; a fresh lookup
+//! sees the new one. Across an *advance* the view simply
 //! keeps reading the same bytes — advances flush caches, they do not
 //! move live data — but note the pin itself is what delays that shard's
 //! advance, so long-held views should be dropped (or copied with
@@ -373,21 +372,19 @@
 //! connection can pin, however fast it pipelines.
 //!
 //! **Group commit.** The server's write durability is a configuration,
-//! not a wire flag — the same client bytes get three different
+//! not a wire flag — the same client bytes get two different
 //! guarantees depending on the server's commit mode:
 //!
-//! * **Per-request** — each `PUT`/`DEL` becomes a one-op
-//!   [`WriteBatch::commit_durable`]: durable when the `OK` arrives, at
-//!   the price of one fence pair per request.
 //! * **Group** *(default)* — the small writes a connection has sent by
 //!   the time its thread reads the socket are coalesced: whatever
 //!   arrived while the previous group was committing is the next group
 //!   (no timer, nothing to tune), and the whole group commits as one
 //!   durable batch — one commit record, one fence pair, shared by every
 //!   write in the group. Acks are withheld until the group's commit
-//!   record is durable, so `OK` still means exactly what it means
-//!   per-request, and they leave in request order with the replies to
-//!   the reads around them.
+//!   record is durable, so an `OK` means what a one-op
+//!   [`WriteBatch::commit_durable`] per request would mean — durable —
+//!   at one fence pair per group instead of per request, and the acks
+//!   leave in request order with the replies to the reads around them.
 //! * **Async** — plain [`Store::put`]/[`Store::remove`]: `OK` means
 //!   *applied*, durable only at the shard's next checkpoint. A crash
 //!   before one erases acknowledged writes.

@@ -134,8 +134,8 @@ impl Options {
     /// state is byte-identical at every worker count, because each shard's
     /// recovery touches only shard-owned state.
     ///
-    /// Defaults to the `INCLL_RECOVERY_THREADS` environment variable when
-    /// set, else 1.
+    /// Defaults to [`std::thread::available_parallelism`], so a
+    /// multi-shard store recovers one shard per core.
     #[must_use]
     pub fn recovery_threads(mut self, workers: usize) -> Self {
         self.config.recovery_threads = workers.max(1);
@@ -485,9 +485,8 @@ impl Store {
     /// cannot checkpoint until the view is dropped (other shards are
     /// unaffected). Concurrent overwrites or removes of the key leave the
     /// viewed bytes intact — the reader always sees a complete old-or-
-    /// current value, never a torn one — and can be detected with
-    /// [`ValueRef::is_stale`]. [`Store::get`] and [`Store::get_u64`] are
-    /// thin wrappers over this method.
+    /// current value, never a torn one. [`Store::get`] and
+    /// [`Store::get_u64`] are thin wrappers over this method.
     ///
     /// ```
     /// # use incll_pmem::PArena;
@@ -500,7 +499,6 @@ impl Store {
     /// store.put(&sess, b"k", b"value bytes")?;
     /// let v = store.get_ref(&sess, b"k").unwrap();
     /// assert_eq!(&*v, b"value bytes"); // no allocation, no copy
-    /// assert!(!v.is_stale());
     /// drop(v); // releases the shard's read pin
     /// # Ok(())
     /// # }

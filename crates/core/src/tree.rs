@@ -143,20 +143,9 @@ pub(crate) struct DurableConfig {
     /// state is byte-identical at every worker count — shards recover on
     /// disjoint state — so this is purely a restart-latency knob.
     ///
-    /// Defaults to the `INCLL_RECOVERY_THREADS` environment variable when
-    /// set (so a whole test suite can be rerun under parallel recovery),
-    /// else 1.
+    /// Defaults to [`std::thread::available_parallelism`] (1 where that
+    /// is unknown).
     pub recovery_threads: usize,
-}
-
-/// The default for [`DurableConfig::recovery_threads`]: the
-/// `INCLL_RECOVERY_THREADS` environment override, or 1 (sequential).
-pub(crate) fn default_recovery_threads() -> usize {
-    std::env::var("INCLL_RECOVERY_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
 }
 
 impl Default for DurableConfig {
@@ -166,7 +155,7 @@ impl Default for DurableConfig {
             log_bytes_per_thread: 16 << 20,
             incll_enabled: true,
             shards: 1,
-            recovery_threads: default_recovery_threads(),
+            recovery_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 }
@@ -249,21 +238,11 @@ impl std::fmt::Debug for DCtx {
 /// itself — and cannot recycle the buffer before an epoch boundary this
 /// pin blocks. So a held `ValueRef` always reads an intact, complete
 /// value (possibly superseded), never a torn one.
-///
-/// [`ValueRef::is_stale`] detects supersession: it re-reads the buffer's
-/// header words and compares them against the snapshot taken at lookup.
-/// Any cross-epoch free rewrites both words (bumping the §5.1 ABA
-/// counter) and is always detected; a same-epoch free is detected on a
-/// best-effort basis (see [`PAlloc::payload_header_words`]). Either way
-/// the payload bytes remain the intact old value.
 pub struct ValueRef<'s> {
     arena: &'s PArena,
-    alloc: &'s PAlloc,
     /// Offset of the `[len: u64][payload]` value buffer.
     buf: u64,
     len: usize,
-    /// Header-word snapshot taken at lookup, for [`ValueRef::is_stale`].
-    hdr: (u64, u64),
     pin: Guard<'s>,
 }
 
@@ -284,16 +263,6 @@ impl<'s> ValueRef<'s> {
     /// is exactly what the allocating `get` does).
     pub fn to_vec(&self) -> Vec<u8> {
         (**self).to_vec()
-    }
-
-    /// Whether the value has been superseded (overwritten or removed)
-    /// since lookup, detected by re-reading the buffer's allocator header
-    /// words against the snapshot taken at lookup. The payload bytes stay
-    /// the intact old value either way — this is a freshness signal, not
-    /// a validity one. Detection is exact across epoch boundaries and
-    /// best-effort within one epoch (see the type docs).
-    pub fn is_stale(&self) -> bool {
-        self.alloc.payload_header_words(self.buf) != self.hdr
     }
 
     /// The epoch this view is pinned in.
@@ -327,7 +296,6 @@ impl std::fmt::Debug for ValueRef<'_> {
         f.debug_struct("ValueRef")
             .field("len", &self.len)
             .field("epoch", &self.epoch())
-            .field("stale", &self.is_stale())
             .finish()
     }
 }
@@ -715,32 +683,26 @@ impl DurableMasstree {
     /// recycle the buffer) until the view is dropped.
     ///
     /// The view is validated at construction: the leaf's version is
-    /// re-checked after the slot read (so the buffer was `key`'s current
-    /// value at that instant) and the buffer's allocator header words are
-    /// snapshotted for later [`ValueRef::is_stale`] checks. See
-    /// [`ValueRef`] for the full read-semantics contract.
+    /// re-checked after the slot read, so the buffer was `key`'s current
+    /// value at that instant. See [`ValueRef`] for the full read-semantics
+    /// contract.
     pub fn get_ref<'s>(&'s self, ctx: &'s DCtx, key: &[u8]) -> Option<ValueRef<'s>> {
         let guard = ctx.handle.pin_domain_read(self.shard_id);
-        let alloc = &self.inner.alloc;
-        let found = {
+        let buf = {
             // Lazy-recovery repairs during the descent are writes; scope
             // them to this shard for the lookup only — the returned view
             // itself never writes, so it does not hold the scope.
             let _scope = FlushDomainScope::enter(self.shard_id as u16);
             // SAFETY: guard pinned; offsets reachable from the root are
             // nodes.
-            unsafe { self.get_inner(self.root_holder, key) }.map(|buf| {
-                let len = self.inner.arena.pread_u64(buf) as usize;
-                debug_assert!(len <= MAX_VALUE_BYTES, "corrupt value-buffer length");
-                (buf, len, alloc.payload_header_words(buf))
-            })
+            unsafe { self.get_inner(self.root_holder, key) }?
         };
-        found.map(|(buf, len, hdr)| ValueRef {
+        let len = self.inner.arena.pread_u64(buf) as usize;
+        debug_assert!(len <= MAX_VALUE_BYTES, "corrupt value-buffer length");
+        Some(ValueRef {
             arena: &self.inner.arena,
-            alloc,
             buf,
             len,
-            hdr,
             pin: guard,
         })
     }

@@ -185,14 +185,9 @@ impl EpochManager {
         self.shared.domains[d].epoch.load(Ordering::Acquire)
     }
 
-    /// The first epoch of domain 0's current execution (`currExecEpoch` in
-    /// Listing 4). Nodes stamped with an older epoch need lazy recovery.
-    #[inline]
-    pub fn exec_epoch(&self) -> u64 {
-        self.exec_epoch_of(0)
-    }
-
-    /// The first epoch of domain `d`'s current execution.
+    /// The first epoch of domain `d`'s current execution (`currExecEpoch`
+    /// in Listing 4). Nodes stamped with an older epoch need lazy
+    /// recovery.
     #[inline]
     pub fn exec_epoch_of(&self, d: usize) -> u64 {
         self.shared.domains[d].exec.load(Ordering::Acquire)
@@ -388,7 +383,7 @@ impl std::fmt::Debug for EpochManager {
         f.debug_struct("EpochManager")
             .field("domains", &self.domains())
             .field("epoch", &self.current_epoch())
-            .field("exec_epoch", &self.exec_epoch())
+            .field("exec_epoch", &self.exec_epoch_of(0))
             .field("options", &self.shared.options)
             .finish()
     }
@@ -591,7 +586,7 @@ mod tests {
     fn starts_at_formatted_epoch() {
         let mgr = durable_mgr();
         assert_eq!(mgr.current_epoch(), 1);
-        assert_eq!(mgr.exec_epoch(), 1);
+        assert_eq!(mgr.exec_epoch_of(0), 1);
     }
 
     #[test]
@@ -758,7 +753,7 @@ mod tests {
         let mgr = durable_mgr();
         mgr.restart_domain_at(0, 7);
         assert_eq!(mgr.current_epoch(), 7);
-        assert_eq!(mgr.exec_epoch(), 7);
+        assert_eq!(mgr.exec_epoch_of(0), 7);
         let arena = &mgr.shared.arena;
         assert_eq!(arena.pread_u64(superblock::domain_cur_epoch_off(0)), 7);
         assert_eq!(arena.pread_u64(superblock::domain_exec_epoch_off(0)), 7);

@@ -511,27 +511,6 @@ impl PAlloc {
             .filter(move |&i| superblock::extent_owner(&self.inner.arena, i) == owner)
     }
 
-    /// Reads the two durable header words of the object whose payload
-    /// starts at `payload` (an offset from [`PAlloc::alloc`] that is
-    /// still live or epoch-protected). Two atomic word loads, no copying,
-    /// no header mutation — the **borrowed-read revalidation** primitive:
-    /// a live object's header words are rewritten only when the object is
-    /// freed (the §5.1 two-word protocol in [`PAlloc::free`]) or spliced
-    /// at an epoch boundary, so a reader that snapshots the words at
-    /// borrow time and re-reads them later detects a concurrent
-    /// free/overwrite of the object without ever touching its payload.
-    ///
-    /// Best-effort by design: a same-epoch free whose list linkage
-    /// happens to reproduce the exact prior words is indistinguishable
-    /// from "still live". That is benign for epoch-pinned readers — the
-    /// payload bytes themselves are untouched by `free` and cannot be
-    /// recycled until the pinned domain's next boundary.
-    pub fn payload_header_words(&self, payload: u64) -> (u64, u64) {
-        let obj = payload - HEADER_BYTES as u64;
-        let a = &self.inner.arena;
-        (a.pread_u64(obj), a.pread_u64(obj + 8))
-    }
-
     /// Number of per-thread slots.
     pub fn threads(&self) -> usize {
         self.inner.nthreads

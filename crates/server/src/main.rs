@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! incll-server [--addr HOST:PORT] [--mem MIB] [--shards N] [--threads N]
-//!              [--workers N] [--commit per-request|group|async]
+//!              [--workers N] [--commit group|async]
 //! ```
 //!
 //! `--workers` is the number of session slots the connections share.
@@ -54,7 +54,6 @@ fn parse_args() -> Result<Args, String> {
             "--workers" => args.workers = num(&val("--workers")?)?,
             "--commit" => {
                 args.commit = match val("--commit")?.as_str() {
-                    "per-request" => CommitMode::PerRequest,
                     "group" => CommitMode::Group,
                     "async" => CommitMode::Async,
                     other => return Err(format!("unknown commit mode {other}")),
@@ -63,7 +62,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err("usage: incll-server [--addr HOST:PORT] [--mem MIB] \
                             [--shards N] [--threads N] [--workers N] \
-                            [--commit per-request|group|async]\n\
+                            [--commit group|async]\n\
                             no checkpoint cadence to set: in_doubt_log_bytes \
                             (STATS) bounds what a crash redoes"
                     .into())

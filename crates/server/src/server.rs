@@ -59,10 +59,6 @@ pub const DRAIN_BYTES: usize = 64 << 10;
 /// How (and when) a PUT or DEL becomes durable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommitMode {
-    /// Every write commits durably before its response — one
-    /// intent/commit protocol (and its fences) per request. The
-    /// baseline group commit is measured against.
-    PerRequest,
     /// The writes of one drain — everything a connection had sent by
     /// the time its thread read the socket — commit together, and their
     /// responses are sent only once that group is durable. The next read
@@ -247,18 +243,15 @@ impl Drain<'_> {
                     BatchOpRef::Put(..) => c.puts.fetch_add(1, Ordering::Relaxed),
                     BatchOpRef::Del(_) => c.dels.fetch_add(1, Ordering::Relaxed),
                 };
-                let done = match svc.commit {
-                    CommitMode::Group => return self.stage(&op, frame),
-                    CommitMode::PerRequest => {
-                        commit_alone(sess, std::slice::from_ref(&op)).map(|_| ())
+                if svc.commit == CommitMode::Group {
+                    return self.stage(&op, frame);
+                }
+                let done = match op {
+                    BatchOpRef::Put(key, val) => store.put(sess, key, val).map(|_| ()),
+                    BatchOpRef::Del(key) => {
+                        store.remove(sess, key);
+                        Ok(())
                     }
-                    CommitMode::Async => match op {
-                        BatchOpRef::Put(key, val) => store.put(sess, key, val).map(|_| ()),
-                        BatchOpRef::Del(key) => {
-                            store.remove(sess, key);
-                            Ok(())
-                        }
-                    },
                 };
                 match done {
                     Ok(()) => self.reply(&Response::Ok),
@@ -596,7 +589,6 @@ fn stats_json(svc: &Service) -> String {
     let forced: u64 = shards.iter().map(|s| s.advances_forced).sum();
     let in_doubt = shards.iter().map(|s| s.in_doubt_log_bytes).max();
     let mode = match &svc.commit {
-        CommitMode::PerRequest => "per_request",
         CommitMode::Group => "group",
         CommitMode::Async => "async",
     };

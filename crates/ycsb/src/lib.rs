@@ -7,8 +7,6 @@
 //!
 //! * [`zipf`] — Zipfian (θ = 0.99) and scrambled-Zipfian generators;
 //! * [`workload`] — the operation mixes and key mapping;
-//! * [`shift`] — a skew-shifting variant whose Zipfian hotspot rotates
-//!   across shards (for checkpoint-cadence experiments);
 //! * [`runner`] — a multi-threaded load/run driver generic over the
 //!   three systems under test via [`runner::KvBench`].
 //!
@@ -35,11 +33,9 @@
 //! ```
 
 pub mod runner;
-pub mod shift;
 pub mod workload;
 pub mod zipf;
 
 pub use runner::{load, run, KvBench, RunConfig, RunResult};
-pub use shift::ShiftingHotspot;
 pub use workload::{storage_key, Dist, Mix, Op, OpStream};
 pub use zipf::{ScrambledZipfian, Zipfian};

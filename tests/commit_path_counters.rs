@@ -788,3 +788,51 @@ fn the_log_room_probe_passes_through_an_async_server() {
     drop(svc);
     probe_holds(&store);
 }
+
+/// A cadence bounds the time between a shard's checkpoints, the log-room
+/// rule the bytes: on a sharded store whose lazy cadence never fires
+/// during the run, scattered updates that log far more than the cap
+/// still leave every shard's log, summed over its sessions' buffers,
+/// within `threads × cap / shards`, each shard having forced its own
+/// boundaries.
+#[test]
+fn a_lazy_cadence_still_bounds_each_shards_log_by_bytes() {
+    const KEYS: u64 = 80_000;
+    const THREADS: usize = 2;
+    const CAP: usize = 64 << 10;
+    let arena = PArena::builder().capacity_bytes(128 << 20).build().unwrap();
+    let options = Options::new()
+        .threads(THREADS)
+        .log_bytes_per_thread(CAP)
+        .shards(SHARDS)
+        .cadence(Cadence::lazy(std::time::Duration::from_secs(3600)));
+    let (store, _) = Store::open(&arena, options).unwrap();
+    let sessions = [store.session().unwrap(), store.session().unwrap()];
+    // The stride is coprime to `KEYS`: every key once, scattered.
+    for i in 0..KEYS {
+        let k = key(i * 0x9E37_79B9 % KEYS);
+        store.put(&sessions[0], &k, &[1; 8]).unwrap();
+    }
+    store.checkpoint();
+    let before: Vec<ShardStats> = (0..SHARDS).map(|s| store.shard_stats(s)).collect();
+    let bound = (THREADS * CAP / SHARDS) as u64;
+    for i in 0..KEYS {
+        let k = key(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % KEYS);
+        store
+            .put(&sessions[i as usize % THREADS], &k, &[2; 8])
+            .unwrap();
+        let st = store.shard_stats(store.shard_of(&k));
+        assert!(st.bytes_since_boundary <= bound, "put {i}: {st:?}");
+    }
+    for (s, before) in before.iter().enumerate() {
+        let st = store.shard_stats(s);
+        let forced = st.advances_forced - before.advances_forced;
+        assert!(forced > 0, "shard {s}: {st:?}");
+        assert_eq!(
+            st.advances_fired - before.advances_fired,
+            forced,
+            "shard {s}: only the log-room rule ends an epoch"
+        );
+        assert!(st.bytes_since_boundary <= bound, "shard {s}: {st:?}");
+    }
+}

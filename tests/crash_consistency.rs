@@ -693,10 +693,13 @@ fn a_crash_right_after_a_forced_boundary_recovers_exactly_that_boundary() {
     // back as the forced boundary left it — that put rolled back, every
     // earlier one kept — and shard 1, which no boundary reached since the
     // checkpoint, as the checkpoint left it; byte-identically at every
-    // recovery worker count.
-    let run = |workers: usize| {
+    // recovery worker count, the default (one per core) included.
+    let run = |workers: Option<usize>| {
         let arena = tracked_arena();
-        let opts = options().shards(4).recovery_threads(workers);
+        let mut opts = options().shards(4);
+        if let Some(n) = workers {
+            opts = opts.recovery_threads(n);
+        }
         let (store, _) = Store::open(&arena, opts.clone()).unwrap();
         let sess = store.session().unwrap();
         let keys_on = |shard: usize, n: usize| -> Vec<Vec<u8>> {
@@ -748,6 +751,8 @@ fn a_crash_right_after_a_forced_boundary_recovers_exactly_that_boundary() {
 
         let (store, report) = Store::open(&arena, opts).unwrap();
         assert!(!report.created);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(report.parallel_workers, workers.unwrap_or(cores).min(4));
         let sess = store.session().unwrap();
         let mut expect: BTreeMap<Vec<u8>, Vec<u8>> = boundary
             .into_iter()
@@ -761,13 +766,15 @@ fn a_crash_right_after_a_forced_boundary_recovers_exactly_that_boundary() {
         assert_eq!(
             collect(&store, &sess),
             model_vec(&expect),
-            "workers={workers}"
+            "workers={workers:?}"
         );
         drop(sess);
         drop(store);
         arena_digest(&arena)
     };
-    assert_eq!(run(1), run(4));
+    let sequential = run(Some(1));
+    assert_eq!(sequential, run(Some(4)));
+    assert_eq!(sequential, run(None));
 }
 
 /// Keys each shard's test leaf is given: a full leaf and one more.

@@ -501,7 +501,7 @@ fn recovery_report_names_workers_and_per_shard_times() {
     );
     drop(store);
     arena.crash_seeded(52);
-    // Sequential recovery (explicit, immune to INCLL_RECOVERY_THREADS).
+    // Sequential recovery, asked for explicitly.
     let (_, report) = Store::open(&arena, opts(1)).unwrap();
     assert_eq!(report.parallel_workers, 1);
 }
@@ -518,7 +518,7 @@ fn exec_epoch_monotonically_grows() {
     let (store, _) = Store::open(&arena, options()).unwrap();
     assert!(store.epoch_manager().current_epoch() > before);
     assert_eq!(
-        store.epoch_manager().exec_epoch(),
+        store.epoch_manager().exec_epoch_of(0),
         store.epoch_manager().current_epoch()
     );
 }

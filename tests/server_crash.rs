@@ -2,10 +2,9 @@
 //!
 //! The durability contract the protocol documentation promises:
 //!
-//! * **Group** (and per-request) mode: once a PUT's response arrives,
-//!   the write's commit record is durable — it survives a crash with
-//!   *no* epoch boundary ever taken, replayed from the batch intent at
-//!   recovery.
+//! * **Group** mode: once a PUT's response arrives, the write's commit
+//!   record is durable — it survives a crash with *no* epoch boundary
+//!   ever taken, replayed from the batch intent at recovery.
 //! * **Async** mode: an acknowledged PUT is durable only after the next
 //!   checkpoint. Killed before one, it vanishes wholesale.
 //!
@@ -102,19 +101,6 @@ fn group_committed_acks_survive_a_kill_with_no_checkpoint() {
     // The recovered store keeps working.
     store.put(&sess, &key(999), &val(9)).unwrap();
     assert_eq!(store.get(&sess, &key(999)), Some(val(9)));
-}
-
-#[test]
-fn per_request_acks_survive_a_kill_with_no_checkpoint() {
-    let arena = tracked();
-    let (store, sess) = ack_then_crash(&arena, CommitMode::PerRequest, 0xFACE);
-    for i in 0..KEYS {
-        assert_eq!(
-            store.get(&sess, &key(i)),
-            Some(val(i)),
-            "per-request put {i} was acknowledged durably and must survive"
-        );
-    }
 }
 
 #[test]

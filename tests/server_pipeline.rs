@@ -149,7 +149,7 @@ fn batch_scan_del_and_stats_cover_the_request_surface() {
     let arena = arena();
     let options = Options::new().threads(5).log_bytes_per_thread(4 << 20);
     let (store, _) = Store::open(&arena, options).unwrap();
-    let server = serve(&store, CommitMode::PerRequest, 2);
+    let server = serve(&store, CommitMode::Async, 2);
     let mut client = Client::connect(server.local_addr()).unwrap();
 
     // BATCH commits atomically and reports the batch id.
@@ -194,10 +194,7 @@ fn batch_scan_del_and_stats_cover_the_request_surface() {
         panic!("stats must answer");
     };
     assert!(json.starts_with('{') && json.ends_with('}'), "got {json}");
-    assert!(
-        json.contains("\"commit_mode\":\"per_request\""),
-        "got {json}"
-    );
+    assert!(json.contains("\"commit_mode\":\"async\""), "got {json}");
     assert!(json.contains("\"batches\":1"), "got {json}");
 
     // An oversized value is a per-request error, not a dead connection.
@@ -279,7 +276,7 @@ fn a_scan_reply_over_the_frame_cap_gets_a_typed_error_and_the_stream_continues()
 /// commit mode.
 #[test]
 fn pipelined_same_key_writes_resolve_to_the_last_one_in_every_mode() {
-    for commit in [CommitMode::Group, CommitMode::PerRequest, CommitMode::Async] {
+    for commit in [CommitMode::Group, CommitMode::Async] {
         let arena = arena();
         let options = Options::new()
             .threads(8)
