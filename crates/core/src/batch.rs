@@ -73,9 +73,13 @@
 //! intent bytes plus an undo allowance per op and one split chain, and
 //! forces a boundary on every shard whose (thread, shard) buffer lacks
 //! that room — the same rule, in the same function, that every
-//! [`crate::Store::put`] obeys with one op's worst case. A batch that
-//! would not fit an *empty* buffer fails with [`Error::BatchExceedsLog`]
-//! before any id, intent or record is written.
+//! [`crate::Store::put`] obeys with one op's worst case. A boundary
+//! between that reservation and the pins may trim a buffer back to its
+//! first segment, so commit checks each covered shard's room again once
+//! its pins hold boundaries off, and on a short buffer drops the pins
+//! and the table lock and reserves again. A batch that would not fit an
+//! *empty* buffer fails with [`Error::BatchExceedsLog`] before any id,
+//! intent or record is written.
 //!
 //! **No pin across a commit that may checkpoint.** A forced boundary waits
 //! for every pin on the shard to drop — the committing session's own
@@ -542,10 +546,18 @@ impl<'s> WriteBatch<'s> {
             // Fast path: one mutating pin holds the shard's epoch open
             // across every op, so the whole batch lands in a single epoch
             // of its single shard — crash-atomic with no media additions.
-            // The pin also holds off any boundary, so the room comes first.
+            // The pin also holds off any boundary, so the room comes
+            // first, and is checked again under the pin: a boundary
+            // between the two may have trimmed the buffer.
             let shard = mask.trailing_zeros() as usize;
-            store.shard_tree(shard).reserve_log_room(ctx, undo[shard])?;
-            let pin = ctx.pin_shard_mut(shard);
+            let tree = store.shard_tree(shard);
+            let pin = loop {
+                tree.reserve_log_room(ctx, undo[shard])?;
+                let pin = ctx.pin_shard_mut(shard);
+                if tree.has_log_room(ctx, undo[shard]) {
+                    break pin;
+                }
+            };
             // Reserve every value buffer first: a full shard fails the
             // whole batch here, before any tree state moves.
             let bufs = self.prepare_bufs(store, |_| pin.epoch())?;
@@ -561,23 +573,34 @@ impl<'s> WriteBatch<'s> {
         if let Some(shard) = ctx.first_pinned() {
             return Err(Error::SessionPinned { shard });
         }
-        for d in (0..superblock::MAX_SHARDS).filter(|&d| mask & (1u64 << d) != 0) {
-            store
-                .shard_tree(d)
-                .reserve_log_room(ctx, intent[d] + undo[d])?;
-        }
+        let covered = || (0..superblock::MAX_SHARDS).filter(|&d| mask & (1u64 << d) != 0);
         let inner = &store.shard_tree(0).inner;
-        // The table lock is the global commit lock: one intent-protocol
-        // commit at a time (the run protocol and the id sequence stay
-        // race-free; per-key throughput is unaffected).
-        let mut table = inner.batches.lock();
+        let (mut table, slot, guards) = loop {
+            for d in covered() {
+                store
+                    .shard_tree(d)
+                    .reserve_log_room(ctx, intent[d] + undo[d])?;
+            }
+            // The table lock is the global commit lock: one
+            // intent-protocol commit at a time (the run protocol and the
+            // id sequence stay race-free; per-key throughput is
+            // unaffected).
+            let mut table = inner.batches.lock();
+            // Eviction may force epoch advances, so it runs before any
+            // pin.
+            let slot = table.acquire(inner);
+            // Pin every touched shard (ascending, one consistent order)
+            // so intents are stamped with — and the apply below lands in
+            // — one epoch per shard.
+            let guards = ctx.pin_shards_mut(mask);
+            // A boundary since the reservation — an eviction's, another
+            // writer's, the cadence's — trims a buffer back to its first
+            // segment: reserve again, pins and lock dropped.
+            if covered().all(|d| store.shard_tree(d).has_log_room(ctx, intent[d] + undo[d])) {
+                break (table, slot, guards);
+            }
+        };
         let tid = self.sess.tid();
-        // Eviction may force epoch advances, so it runs before any pin.
-        let slot = table.acquire(inner);
-        // Pin every touched shard (ascending, one consistent order) so
-        // intents are stamped with — and the apply below lands in — one
-        // epoch per shard.
-        let guards = ctx.pin_shards_mut(mask);
         let mut epoch = [0u64; superblock::MAX_SHARDS];
         for g in &guards {
             epoch[g.domain()] = g.epoch();
@@ -601,7 +624,7 @@ impl<'s> WriteBatch<'s> {
         // shard behind one fence. Every intent is then durable — and
         // reachable through replay's valid-prefix scan — before anything
         // durable can name the batch id.
-        inner.log.drain_thread(tid);
+        inner.log.drain_thread(tid, mask);
         if !commit {
             // Intents durable, commit record absent: the in-doubt state
             // the crash matrix probes. The id was consumed (monotonicity

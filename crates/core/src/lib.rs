@@ -185,15 +185,26 @@
 //!   segments its cursor has reached, taken in the same check, and when
 //!   the pool has none left the shard is forced over a boundary and the
 //!   buffer starts again in the segments it holds.
+//! * **`cap + T × segment` bounds a shard's whole log.** A boundary keeps
+//!   each of the shard's `T` buffers' first segment and gives the rest
+//!   back to the shard, and a growing buffer takes those before it
+//!   claims a fresh log extent — which it does only while the shard's
+//!   log segments, held and free ([`ShardStats::log_bytes_held`]), are
+//!   under one buffer's cap plus one segment per slot. Past that the
+//!   writer forces the shard's boundary and takes what it returned. So a
+//!   shard written by `k` sessions at once checkpoints once per cap of
+//!   log they write together — up to `k` times as often as one session
+//!   writing alone — and holds one cap of log, not `k`.
 //!
-//! A shard written from `T` slots may hold up to `T` such buffers, so
-//! what a crash may leave to replay on a shard is at most
-//! `T × log_bytes_per_thread / shards` bytes
-//! ([`ShardStats::bytes_since_boundary`] is the live figure). A write
-//! whose session already holds a pin (a live [`ValueRef`], a
+//! What a crash may leave to replay on a shard is therefore at most
+//! `cap + T × segment` bytes, rounded up to whole pool extents
+//! ([`Store::in_doubt_bound_bytes`]; [`ShardStats::bytes_since_boundary`]
+//! is the live figure), where `cap` is `log_bytes_per_thread / shards`.
+//! A write whose session already holds a pin (a live [`ValueRef`], a
 //! [`Session::pin_shard`] guard) cannot force that boundary — it would
 //! wait for its own pin — so on a short buffer it fails with
-//! [`Error::SessionPinned`] instead, before writing anything.
+//! [`Error::SessionPinned`] instead, before writing anything; when only
+//! the shard's bound stands in its way, it claims past the bound.
 //!
 //! # Batch atomicity and crash semantics
 //!

@@ -424,7 +424,7 @@ fn resolve_in_doubt_batches(
             in_doubt += ExtLog::entry_bytes(e.payload.len());
             // Room for the op's undo without a boundary; with the pool
             // full, the redo relies on the segments the buffer holds.
-            let _ = shard.grow_log(&ctx, crate::tree::OP_UNDO_BOUND);
+            let _ = shard.grow_log(&ctx, crate::tree::OP_UNDO_BOUND, false);
             match crate::batch::decode_intent(&e.payload) {
                 Some(RedoOp::Put { key, val }) => {
                     shard

@@ -89,15 +89,20 @@ impl Options {
     /// checkpoints*: every write checks its buffer for room before it
     /// starts and forces its shard over a boundary when the buffer is
     /// short (see the crate docs' "When a shard checkpoints"). A shard
-    /// written from `T` slots may therefore hold up to `T` such buffers'
-    /// worth of undo and intents — what a crash replays there.
+    /// written from `T` slots holds one such buffer's worth of undo and
+    /// intents plus one log segment per slot, not `T` buffers' worth: a
+    /// checkpoint gives each buffer's segments past its first back to
+    /// the shard, and a writer that finds the shard's log at that bound
+    /// forces the checkpoint and reuses them. That is also what a crash
+    /// replays there.
     ///
     /// The value is a cap, and nothing is claimed for it up front: a
     /// buffer is a list of segments cut from extents of the store's
     /// pool, taken one at a time as its cursor reaches them (after one
     /// segment per buffer at format). Claimed and resident memory both
-    /// follow what each buffer has written, so size it for the worst
-    /// epoch without paying for it in every epoch, or in every buffer.
+    /// follow what the shard's buffers have written since its last
+    /// checkpoint, so size it for the worst epoch without paying for it
+    /// in every epoch, or in every buffer.
     #[must_use]
     pub fn log_bytes_per_thread(mut self, bytes: usize) -> Self {
         self.config.log_bytes_per_thread = bytes;
@@ -760,6 +765,7 @@ impl Store {
             epoch: mgr.current_epoch_of(i),
             bytes_since_boundary: (0..self.threads()).map(|t| inner.log.used_in(t, i)).sum(),
             in_doubt_log_bytes: inner.in_doubt_bytes[i].load(Ordering::Relaxed),
+            log_bytes_held: inner.log.bytes_held(i),
             advances_fired: c.advances_fired,
             advances_forced: inner.forced_boundaries[i].load(Ordering::Relaxed),
             advances_skipped: c.advances_skipped,
@@ -767,12 +773,19 @@ impl Store {
     }
 
     /// The most [`ShardStats::in_doubt_log_bytes`] can read on any shard:
-    /// every session slot's log buffer for that shard, full of intents.
+    /// the shard's log full of intents, which is one (slot, shard)
+    /// buffer's cap plus one log segment per session slot, rounded up to
+    /// whole pool extents (and never more than every slot's buffer full).
     /// With no cadence this — a function of [`Options::threads`],
-    /// [`Options::shards`] and [`Options::log_bytes_per_thread`] — is
-    /// what bounds the work a recovery may have to redo per shard.
+    /// [`Options::shards`], [`Options::log_bytes_per_thread`] and the
+    /// arena's extent size — is what bounds the work a recovery may have
+    /// to redo per shard. Only a write whose session holds a pin while its
+    /// buffer is short grows a shard's log past it.
     pub fn in_doubt_bound_bytes(&self) -> u64 {
-        self.threads() as u64 * self.shards[0].inner.log.slot_capacity()
+        let log = &self.shards[0].inner.log;
+        let extent = self.shards[0].allocator().extent_pool().1;
+        let all_full = self.threads() as u64 * log.slot_capacity();
+        log.held_bound().next_multiple_of(extent).min(all_full)
     }
 
     /// Commit runs still naming a shard: the batch-table slots a crash
@@ -828,9 +841,18 @@ pub struct ShardStats {
     pub advances_fired: u64,
     /// Log bytes of committed batch intents staged on this shard since
     /// its last completed checkpoint: what a crash right now would redo
-    /// here. Bounded by the shard's share of
-    /// [`Options::log_bytes_per_thread`] per session slot.
+    /// here. Bounded by the shard's log: one (slot, shard) buffer's cap
+    /// plus one segment per session slot ([`Store::in_doubt_bound_bytes`]),
+    /// not one cap per slot.
     pub in_doubt_log_bytes: u64,
+    /// Bytes of the pool extents the shard's external log owns: the
+    /// segments its (slot, shard) buffers hold and the free ones a
+    /// boundary returned. A boundary keeps each buffer's first segment
+    /// and returns the rest, and a writer claims a fresh log extent only
+    /// while this is under one buffer's cap plus one segment per slot, so
+    /// it stays within that bound rounded up to whole extents, unless a
+    /// session holding a pin had to grow its buffer past it.
+    pub log_bytes_held: u64,
     /// The subset of [`ShardStats::advances_fired`] that a write forced:
     /// the log-room rule, when a put, remove or commit found its
     /// (slot, shard) log buffer short, or — the full-table fallback — a

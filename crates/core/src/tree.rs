@@ -503,8 +503,17 @@ impl DurableMasstree {
                 Box::new(move |new_epoch| {
                     if let Some(inner) = weak.upgrade() {
                         // The preceding flush made all of this shard's
-                        // logged pre-images obsolete.
+                        // logged pre-images obsolete: the buffers start
+                        // again, each in its first segment.
                         inner.log.reset_domain(d);
+                        // So a single op, which reserves its room before
+                        // it pins, still fits however a boundary between
+                        // the two trimmed its buffer.
+                        debug_assert!((0..inner.alloc.threads()).all(|t| {
+                            inner
+                                .log
+                                .has_room(t, d, OP_UNDO_BOUND.min(inner.log.slot_capacity()))
+                        }));
                         inner.alloc.on_domain_boundary(d, new_epoch);
                         superblock::prune_failed_epochs(&inner.arena, d, new_epoch);
                         // The log reset just discarded this shard's batch
@@ -604,19 +613,28 @@ impl DurableMasstree {
     /// buffers). Log space is reclaimed nowhere else, so a write that
     /// passes this cannot overrun the buffer within its reservation. The
     /// reservation also gives the buffer the segments that room needs
-    /// ([`ExtLog::grow`]: its shard's free segments first, else a fresh
-    /// log extent claimed from the pool), populated, so the write's
-    /// appends meet no page fault under its pin. The fast path is two
-    /// relaxed loads from the slot's own line (cursor and room) and one
-    /// compare. Each (slot, shard) buffer has a single writer and a
-    /// concurrent boundary only adds room, so nothing here is locked.
+    /// ([`ExtLog::grow`]: segments the shard's boundaries returned first,
+    /// then fresh ones, else a fresh log extent claimed from the pool),
+    /// populated, so the write's appends meet no page fault under its
+    /// pin. The fast path is two relaxed loads from the slot's own line
+    /// (cursor and room) and one compare, with nothing locked.
+    ///
+    /// A boundary returns every buffer's segments past its first, and the
+    /// shard claims a fresh extent only while its log's segments stay
+    /// under one buffer's cap plus one segment per slot
+    /// ([`ExtLog::held_bound`]). Past that a writer forces the boundary
+    /// and takes the segments it returned. A writer holding a pin cannot
+    /// force one, so it claims past the bound instead.
+    ///
+    /// A boundary between this reservation and the write's pin may trim
+    /// the buffer back to its first segment with its cursor at 0. A
+    /// segment holds at least [`OP_UNDO_BOUND`] unless the whole buffer
+    /// is smaller, so a single op still fits; a batch commit, which may
+    /// need more, checks its room again under its pins.
     ///
     /// When the pool has no extent left, the buffer makes do with the
     /// segments it holds: the shard is forced over a boundary and the
-    /// write starts the buffer again. Every buffer holds one segment from
-    /// create on, and a segment holds at least [`OP_UNDO_BOUND`] unless
-    /// the whole buffer is smaller, so a single op always fits after that
-    /// boundary.
+    /// write starts the buffer again.
     ///
     /// # Errors
     ///
@@ -629,10 +647,17 @@ impl DurableMasstree {
     /// None of these writes anything.
     #[inline]
     pub(crate) fn reserve_log_room(&self, ctx: &DCtx, need: u64) -> Result<(), Error> {
-        if self.inner.log.has_room(ctx.tid, self.shard_id, need) {
+        if self.has_log_room(ctx, need) {
             return Ok(());
         }
         self.extend_log_room(ctx, need)
+    }
+
+    /// Whether `ctx`'s log buffer for this shard has `need` bytes of room
+    /// now ([`ExtLog::has_room`]).
+    #[inline]
+    pub(crate) fn has_log_room(&self, ctx: &DCtx, need: u64) -> bool {
+        self.inner.log.has_room(ctx.tid, self.shard_id, need)
     }
 
     #[cold]
@@ -646,18 +671,21 @@ impl DurableMasstree {
                 capacity,
             });
         }
+        let pinned = ctx.first_pinned();
         loop {
             let used = log.used_in(ctx.tid, self.shard_id);
             if used + need <= capacity {
-                match self.grow_log(ctx, need) {
-                    Ok(()) => return Ok(()),
+                match self.grow_log(ctx, need, pinned.is_none()) {
+                    Ok(true) => return Ok(()),
+                    // At the bound: the boundary below returns segments.
+                    Ok(false) => {}
                     // Even an emptied buffer's segments cannot hold it.
                     Err(e) if used == 0 => return Err(Error::Pmem(e)),
                     // The pool is full: reuse the segments held.
                     Err(_) => {}
                 }
             }
-            if let Some(shard) = ctx.first_pinned() {
+            if let Some(shard) = pinned {
                 return Err(Error::SessionPinned { shard });
             }
             self.inner.mgr.advance_domain(self.shard_id);
@@ -667,13 +695,22 @@ impl DurableMasstree {
 
     /// Gives `ctx`'s log buffer for this shard segments for `need` bytes
     /// past its cursor, up to its capacity ([`ExtLog::grow`]), claiming
-    /// log extents from the pool where its shard has no free segment.
-    /// Never forces a boundary, which is what recovery's redo of
-    /// committed batches needs: a boundary would discard their intents.
-    pub(crate) fn grow_log(&self, ctx: &DCtx, need: u64) -> Result<(), incll_pmem::Error> {
-        self.inner.log.grow(ctx.tid, self.shard_id, need, || {
-            self.inner.alloc.claim_log_extent(self.shard_id)
-        })
+    /// log extents from the pool where its shard has no free segment —
+    /// when `bounded`, only while the shard's log is under its bound
+    /// (`Ok(false)` past it). Never forces a boundary, which is what
+    /// recovery's redo of committed batches needs: a boundary would
+    /// discard their intents.
+    pub(crate) fn grow_log(
+        &self,
+        ctx: &DCtx,
+        need: u64,
+        bounded: bool,
+    ) -> Result<bool, incll_pmem::Error> {
+        self.inner
+            .log
+            .grow(ctx.tid, self.shard_id, need, bounded, || {
+                self.inner.alloc.claim_log_extent(self.shard_id)
+            })
     }
 
     /// Looks up `key`, returning a **borrowed, zero-copy** view of its

@@ -96,12 +96,33 @@
 //! extents of the allocator's pool that it owns ([`superblock::log_owner`]):
 //! create claims one extent per domain and gives every slot its first
 //! segment from it, and a writer reserving room past its segments
-//! ([`ExtLog::has_room`], [`ExtLog::grow`]) takes the domain's next free
-//! segment, claiming a fresh extent only when none is left. The segment
-//! is populated there, before the writer pins its epoch, so resident and
-//! claimed memory both follow each buffer's high-water mark and no
-//! checkpoint waits behind a page fault. Segments are never given back;
-//! a boundary rewinds the cursor over them.
+//! ([`ExtLog::has_room`], [`ExtLog::grow`]) takes one of the domain's
+//! free segments, claiming a fresh extent only when none is left. The
+//! segment is populated there, before the writer pins its epoch, so
+//! resident and claimed memory both follow what the buffers reach and no
+//! checkpoint waits behind a page fault.
+//!
+//! **A boundary gives segments back.** [`ExtLog::reset_domain`] keeps each
+//! buffer's first segment and returns the rest to the domain's free
+//! segments, where the next buffer to grow takes them (already resident:
+//! no second populate). So a domain's log is bounded by one buffer's cap
+//! plus one segment per slot, `cap + T × segment`, not by `T × cap`: a
+//! bounded [`ExtLog::grow`] claims a fresh extent only while the domain's
+//! segments, held and free, stay under that bound
+//! ([`ExtLog::bytes_held`]), and past it reports the buffer short, so the
+//! caller ends the domain's epoch and takes the segments that boundary
+//! returns. That bound is also what a crash may leave to replay in the
+//! domain. A domain written by `k` slots at once therefore reaches a
+//! boundary once per cap of log its writers append together — up to `k`
+//! times as often as `k` separate caps would.
+//!
+//! The return is ordered for a crash: the trimmed directory words are
+//! zeroed and written back behind one `sfence` before any segment joins
+//! the free list, so no two buffers' durable words ever name one segment,
+//! and replay never reads one buffer's entries through another buffer's
+//! stale word. `grow` and the trim both hold the domain's free-segment
+//! lock, so a writer growing its buffer and a boundary trimming it run
+//! one at a time.
 //!
 //! The claim order makes a durable entry reachable: the extent's owner
 //! byte is CAS'd and fenced first, the directory word is stored next, and
@@ -113,7 +134,7 @@
 //! handed to the allocator.
 //!
 //! A standalone log ([`ExtLog::create_sharded`], no pool) carves every
-//! segment of every buffer from the arena at create.
+//! segment of every buffer from the arena at create and keeps them all.
 //!
 //! # Entry format
 //!
@@ -219,8 +240,12 @@ struct Slot {
     /// which always ends at `cursor`; `staged == cursor` means drained.
     staged: AtomicU64,
     /// Bytes from the buffer's start its segments cover, capped at the
-    /// buffer's capacity. Never moves back: a boundary rewinds the cursor
-    /// over segments the slot keeps.
+    /// buffer's capacity. Moves back only at a boundary that returns the
+    /// segments past the first ([`ExtLog::reset_domain`]). Stored only
+    /// under the domain's free-segment lock; the owner's unlocked read in
+    /// [`ExtLog::has_room`] may be stale, and the boundary that trims it
+    /// completes before any pin the owner takes after it, so a check made
+    /// under a pin sees the trim.
     room: AtomicU64,
     /// Leading directory words of the slot known to be written back; the
     /// next drain writes back the rest of the slot's segments' words.
@@ -232,6 +257,20 @@ impl Slot {
         self.cursor.store(0, Ordering::Relaxed);
         self.staged.store(0, Ordering::Relaxed);
     }
+}
+
+/// One domain's log segments that no buffer holds, and how many it owns.
+#[derive(Default)]
+struct Free {
+    /// Returned by boundaries: resident already, so taken first (the
+    /// most recently returned first) and never populated again.
+    returned: Vec<u64>,
+    /// Cut from a claimed or adopted extent and not held since, in
+    /// descending order (the lowest is taken first).
+    fresh: Vec<u64>,
+    /// Segments of the domain's log extents, held and free (0 for a
+    /// standalone log, which owns no extent).
+    owned: u64,
 }
 
 /// A batch intent entry surfaced (not applied) by replay: the staged redo
@@ -356,9 +395,9 @@ pub struct ExtLog {
     domains: usize,
     /// One append state per (thread, domain), thread-major.
     slots: Vec<Slot>,
-    /// Per domain: segments of the domain's log extents that no slot
-    /// holds, in descending order (the lowest is taken first).
-    free: Vec<Mutex<Vec<u64>>>,
+    /// Per domain: its free segments. The lock also makes a buffer's
+    /// growth and a boundary's trim of it run one at a time.
+    free: Vec<Mutex<Free>>,
 }
 
 impl ExtLog {
@@ -443,7 +482,7 @@ impl ExtLog {
         );
         for d in 0..domains {
             for t in 0..threads {
-                log.grow(t, d, 1, || claim(d))?;
+                log.grow(t, d, 1, false, || claim(d))?;
             }
         }
         Ok(log)
@@ -532,7 +571,9 @@ impl ExtLog {
             slots: (0..l.threads * l.domains)
                 .map(|_| Slot::default())
                 .collect(),
-            free: (0..l.domains).map(|_| Mutex::new(Vec::new())).collect(),
+            free: (0..l.domains)
+                .map(|_| Mutex::new(Free::default()))
+                .collect(),
         }
     }
 
@@ -548,13 +589,36 @@ impl ExtLog {
                 (0..self.words).map(move |p| self.arena.pread_u64(self.dir_off(slot, p)))
             })
             .collect();
-        let mut free: Vec<u64> = extents
+        let per_extent = self.extent_bytes / self.segment;
+        let mut fresh: Vec<u64> = extents
             .iter()
-            .flat_map(|&e| (0..self.extent_bytes / self.segment).map(move |i| e + i * self.segment))
+            .flat_map(|&e| (0..per_extent).map(move |i| e + i * self.segment))
             .filter(|s| !held.contains(s))
             .collect();
-        free.sort_unstable_by(|a, b| b.cmp(a));
-        *self.free[domain].lock() = free;
+        fresh.sort_unstable_by(|a, b| b.cmp(a));
+        *self.free[domain].lock() = Free {
+            returned: Vec::new(),
+            fresh,
+            owned: extents.len() as u64 * per_extent,
+        };
+    }
+
+    /// Bytes of the pool extents `domain`'s log owns: its buffers'
+    /// segments and its free ones. A bounded [`ExtLog::grow`] claims no
+    /// extent once this reaches one buffer's capacity plus one segment
+    /// per thread slot, so it stays within that bound rounded up to whole
+    /// extents, unless unbounded growth claimed more. 0 for a standalone
+    /// log. Briefly takes the domain's free-segment lock.
+    pub fn bytes_held(&self, domain: usize) -> u64 {
+        self.free[domain].lock().owned * self.segment
+    }
+
+    /// The bytes past which a bounded [`ExtLog::grow`] claims no extent
+    /// for a domain: one buffer's capacity plus one segment per thread
+    /// slot — what every buffer keeps across a boundary, plus room for
+    /// one buffer to fill to its cap.
+    pub fn held_bound(&self) -> u64 {
+        self.per_slot + self.threads as u64 * self.segment
     }
 
     /// Bytes appended to `(thread, domain)`'s buffer but not yet
@@ -591,14 +655,16 @@ impl ExtLog {
         }
     }
 
-    /// Persists every staged run of `thread`, whichever domains they are
-    /// in — the batch layer's drain: one commit's intents, staged across
-    /// all the shards it covers, become durable behind a single trailing
-    /// `sfence` (the per-thread mirror of [`ExtLog::drain_domain`]). Only
-    /// the owning thread may call it.
-    pub fn drain_thread(&self, thread: usize) {
+    /// Persists `thread`'s staged runs in the domains of `mask` (bit `d`
+    /// for domain `d`) — the batch layer's drain: one commit's intents,
+    /// staged across all the shards it covers, become durable behind a
+    /// single trailing `sfence` (the per-thread mirror of
+    /// [`ExtLog::drain_domain`]). Only the owning thread may call it, and
+    /// only while it holds pins on those domains: a boundary in a domain
+    /// it does not pin may be trimming that buffer.
+    pub fn drain_thread(&self, thread: usize, mask: u64) {
         let mut any = false;
-        for d in 0..self.domains {
+        for d in (0..self.domains).filter(|&d| mask & (1u64 << d) != 0) {
             any |= self.drain_clwb(self.slot_index(thread, d));
         }
         if any {
@@ -746,7 +812,10 @@ impl ExtLog {
     /// bytes past its cursor: a writer's room check, two loads from the
     /// slot's own line and one compare. When `false`, the buffer is short
     /// (a boundary must empty it) or only its segments are
-    /// ([`ExtLog::grow`]).
+    /// ([`ExtLog::grow`]). A `true` holds until the domain's next
+    /// boundary, which may trim the buffer back to its first segment: a
+    /// writer that needs more than that segment checks again once its pin
+    /// holds boundaries off.
     #[inline]
     pub fn has_room(&self, thread: usize, domain: usize, need: u64) -> bool {
         let slot = &self.slots[self.slot_index(thread, domain)];
@@ -756,12 +825,19 @@ impl ExtLog {
     /// Gives `(thread, domain)`'s buffer segments through `cursor + need`
     /// (capped at its capacity), so appends within that reservation have
     /// somewhere to go and meet no page fault. Each missing segment is
-    /// the one the slot's directory already names there, else the
-    /// domain's lowest free segment, else the first of a fresh extent
-    /// that `claim` claims durably for the domain's log (its offset); its
-    /// directory word is stored, and it is
-    /// [populated](PArena::populate). Only the buffer's owning thread may
-    /// call it.
+    /// the one the slot's directory already names there, else one the
+    /// domain's boundaries returned, else the domain's lowest fresh
+    /// segment, else the first of a fresh extent that `claim` claims
+    /// durably for the domain's log (its offset). Its directory word is
+    /// stored, and it is [populated](PArena::populate) unless a boundary
+    /// returned it. Only the buffer's owning thread may call it.
+    ///
+    /// `bounded` caps the domain's log: no extent is claimed once its
+    /// segments, held and free, reach [`ExtLog::held_bound`]. Then, and
+    /// only then, this returns `Ok(false)`, with the segments taken
+    /// before it kept: a boundary in the domain returns every buffer's
+    /// segments past its first, which are enough for this buffer's whole
+    /// capacity.
     ///
     /// # Errors
     ///
@@ -772,42 +848,71 @@ impl ExtLog {
         thread: usize,
         domain: usize,
         need: u64,
+        bounded: bool,
         mut claim: impl FnMut() -> incll_pmem::Result<u64>,
-    ) -> incll_pmem::Result<()> {
+    ) -> incll_pmem::Result<bool> {
         let slot = self.slot_index(thread, domain);
         let state = &self.slots[slot];
-        let want = (state.cursor.load(Ordering::Relaxed) + need).min(self.per_slot);
-        let mut room = state.room.load(Ordering::Relaxed);
-        while room < want {
-            let pos = room.div_ceil(self.segment);
-            let word = self.dir_off(slot, pos);
-            let mut seg = self.arena.pread_u64(word);
-            if seg == 0 {
-                seg = self.take_segment(domain, &mut claim)?;
+        let mut cold = Vec::new();
+        let grown = {
+            let mut free = self.free[domain].lock();
+            let want = (state.cursor.load(Ordering::Relaxed) + need).min(self.per_slot);
+            let mut room = state.room.load(Ordering::Relaxed);
+            loop {
+                if room >= want {
+                    break Ok(true);
+                }
+                let pos = room.div_ceil(self.segment);
+                let word = self.dir_off(slot, pos);
+                let named = self.arena.pread_u64(word);
+                let seg = if named != 0 {
+                    cold.push(named);
+                    named
+                } else if let Some(seg) = free.returned.pop() {
+                    seg
+                } else {
+                    match self.take_fresh(&mut free, bounded, &mut claim) {
+                        Ok(Some(seg)) => {
+                            cold.push(seg);
+                            seg
+                        }
+                        Ok(None) => break Ok(false),
+                        Err(e) => break Err(e),
+                    }
+                };
                 self.arena.pwrite_u64(word, seg);
+                room = ((pos + 1) * self.segment).min(self.per_slot);
+                state.room.store(room, Ordering::Relaxed);
             }
+        };
+        // Outside the lock: a boundary's trim never waits on a page fault.
+        for seg in cold {
             self.arena.populate(seg, self.segment as usize);
-            room = ((pos + 1) * self.segment).min(self.per_slot);
-            state.room.store(room, Ordering::Relaxed);
         }
-        Ok(())
+        grown
     }
 
-    /// The domain's lowest free segment, or the first of a fresh extent
-    /// (whose other segments become free ones).
-    fn take_segment(
+    /// The domain's lowest fresh segment, else the first of a fresh
+    /// extent (whose other segments become fresh ones) — or `None` when
+    /// `bounded` and the domain's segments have reached the bound.
+    fn take_fresh(
         &self,
-        domain: usize,
+        free: &mut Free,
+        bounded: bool,
         claim: &mut impl FnMut() -> incll_pmem::Result<u64>,
-    ) -> incll_pmem::Result<u64> {
-        let mut free = self.free[domain].lock();
-        if let Some(seg) = free.pop() {
-            return Ok(seg);
+    ) -> incll_pmem::Result<Option<u64>> {
+        if let Some(seg) = free.fresh.pop() {
+            return Ok(Some(seg));
+        }
+        if bounded && free.owned * self.segment >= self.held_bound() {
+            return Ok(None);
         }
         let extent = claim()?;
         let segments = self.extent_bytes / self.segment;
-        free.extend((1..segments).rev().map(|i| extent + i * self.segment));
-        Ok(extent)
+        free.fresh
+            .extend((1..segments).rev().map(|i| extent + i * self.segment));
+        free.owned += segments;
+        Ok(Some(extent))
     }
 
     /// Logs the `len` bytes at arena offset `target` as an undo entry for
@@ -963,9 +1068,37 @@ impl ExtLog {
     /// Logically discards one domain's buffers (that domain's
     /// epoch-boundary hook): its completed epoch's pre-images are obsolete,
     /// while other domains' still-at-risk entries are untouched.
+    ///
+    /// A store's log also gives back every segment past each buffer's
+    /// first: their directory words are zeroed and written back behind one
+    /// `sfence`, and only then do the segments join the domain's free
+    /// ones (see the crate docs' *Segments*). A standalone log keeps
+    /// every segment. The domain's writers must be quiesced.
     pub fn reset_domain(&self, domain: usize) {
+        let mut free = self.free[domain].lock();
+        let mut back = Vec::new();
         for t in 0..self.threads {
-            self.slots[self.slot_index(t, domain)].reset();
+            let slot = self.slot_index(t, domain);
+            let state = &self.slots[slot];
+            state.reset();
+            let held = state.room.load(Ordering::Relaxed).div_ceil(self.segment);
+            if free.owned == 0 || held <= 1 {
+                continue;
+            }
+            for pos in 1..held {
+                let word = self.dir_off(slot, pos);
+                back.push(self.arena.pread_u64(word));
+                self.arena.pwrite_u64(word, 0);
+            }
+            self.arena
+                .clwb_range(self.dir_off(slot, 1), ((held - 1) * 8) as usize);
+            state.room.store(self.segment, Ordering::Relaxed);
+            let durable = state.dir_durable.load(Ordering::Relaxed);
+            state.dir_durable.store(durable.min(1), Ordering::Relaxed);
+        }
+        if !back.is_empty() {
+            self.arena.sfence();
+            free.returned.extend(back);
         }
     }
 
@@ -1586,11 +1719,13 @@ mod tests {
             log.log_intent_in(0, d, 1, 40 + d as u64, b"mine");
         }
         log.log_intent_in(1, 1, 1, 99, b"another thread's");
+        log.log_intent_in(0, 1, 1, 41, b"unpinned");
         let before = arena.stats().snapshot();
-        log.drain_thread(0);
+        log.drain_thread(0, 0b1101);
         assert_eq!(arena.stats().snapshot().delta(&before).sfence, 1);
         assert_ne!(log.staged_bytes(1, 1), 0, "only the caller's runs drain");
-        log.drain_thread(0);
+        assert_ne!(log.staged_bytes(0, 1), 0, "only the named domains drain");
+        log.drain_thread(0, 0b1101);
         assert_eq!(
             arena.stats().snapshot().delta(&before).sfence,
             1,
@@ -1838,17 +1973,35 @@ mod tests {
         let seg = log.segment;
         assert_eq!((seg, log.words), (128 << 10, 2));
         let e0 = claimed.lock()[0];
-        log.grow(0, 0, 192 << 10, claim_into(&arena, &claimed, 512 << 10))
-            .unwrap();
+        log.grow(
+            0,
+            0,
+            192 << 10,
+            false,
+            claim_into(&arena, &claimed, 512 << 10),
+        )
+        .unwrap();
         assert_eq!(log.at(0, seg), e0 + 3 * seg, "the free segment first");
         assert_eq!(claimed.lock().len(), 1);
-        log.grow(1, 0, 192 << 10, claim_into(&arena, &claimed, 512 << 10))
-            .unwrap();
+        log.grow(
+            1,
+            0,
+            192 << 10,
+            false,
+            claim_into(&arena, &claimed, 512 << 10),
+        )
+        .unwrap();
         let e1 = claimed.lock()[1];
         assert_eq!(log.at(log.slot_index(1, 0), seg), e1, "then a fresh extent");
         // The cap bounds growth, and the fresh extent's rest is free.
-        log.grow(2, 0, 1 << 30, claim_into(&arena, &claimed, 512 << 10))
-            .unwrap();
+        log.grow(
+            2,
+            0,
+            1 << 30,
+            false,
+            claim_into(&arena, &claimed, 512 << 10),
+        )
+        .unwrap();
         assert!(log.has_room(2, 0, 192 << 10) && !log.has_room(2, 0, (192 << 10) + 1));
         assert_eq!(log.at(log.slot_index(2, 0), seg), e1 + seg);
         assert_eq!(claimed.lock().len(), 2);
@@ -1864,9 +2017,86 @@ mod tests {
                 capacity: 1,
             })
         };
-        assert!(log.grow(0, 0, 192 << 10, full).is_ok(), "one free segment");
-        assert!(log.grow(1, 0, 192 << 10, full).is_err());
+        assert!(
+            log.grow(0, 0, 192 << 10, false, full).is_ok(),
+            "one free segment"
+        );
+        assert!(log.grow(1, 0, 192 << 10, false, full).is_err());
         assert!(log.has_room(1, 0, seg) && !log.has_room(1, 0, seg + 1));
+    }
+
+    #[test]
+    fn a_boundary_returns_segments_past_the_first_and_bounded_growth_takes_them() {
+        // Two slots of 512 KiB on 256 KiB extents: 128 KiB segments, and
+        // the domain's bound is 512 + 2 × 128 KiB, three extents.
+        let (arena, log, claimed) = pooled(2, 512 << 10, 256 << 10);
+        let seg = log.segment;
+        assert_eq!((seg, log.held_bound()), (128 << 10, 768 << 10));
+        let claim = || claim_into(&arena, &claimed, 256 << 10);
+        assert!(log.grow(0, 0, 512 << 10, true, claim()).unwrap());
+        assert!(log.grow(1, 0, 2 * seg, true, claim()).unwrap());
+        assert_eq!(claimed.lock().len(), 3);
+        assert_eq!(log.bytes_held(0), 768 << 10);
+        // At the bound: no claim, the buffer reported short, and what it
+        // took before stays.
+        assert!(!log.grow(1, 0, 512 << 10, true, claim()).unwrap());
+        assert_eq!(claimed.lock().len(), 3);
+        assert!(log.has_room(1, 0, 2 * seg) && !log.has_room(1, 0, 2 * seg + 1));
+        // Unbounded growth claims past it.
+        let (_a, unbounded, c) = pooled(2, 512 << 10, 256 << 10);
+        assert!(unbounded
+            .grow(0, 0, 512 << 10, true, claim_into(&_a, &c, 256 << 10))
+            .unwrap());
+        assert!(unbounded
+            .grow(1, 0, 512 << 10, false, claim_into(&_a, &c, 256 << 10))
+            .unwrap());
+        assert_eq!(unbounded.bytes_held(0), 1 << 20);
+
+        // The boundary: every word past a buffer's first is zeroed and
+        // written back behind one fence, so a crash right after it keeps
+        // no word naming a returned segment.
+        let words = |t: usize| -> Vec<u64> {
+            (0..log.words)
+                .map(|p| arena.pread_u64(log.dir_off(log.slot_index(t, 0), p)))
+                .collect()
+        };
+        let first = [words(0)[0], words(1)[0]];
+        let returned: Vec<u64> = words(0)[1..]
+            .iter()
+            .chain(&words(1)[1..2])
+            .copied()
+            .collect();
+        let before = arena.stats().snapshot();
+        log.reset_domain(0);
+        assert_eq!(arena.stats().snapshot().delta(&before).sfence, 1);
+        arena.crash_with(|_, _| 0);
+        for (t, &first) in first.iter().enumerate() {
+            assert_eq!(words(t)[0], first, "slot {t} keeps its first segment");
+            assert!(
+                words(t)[1..].iter().all(|&w| w == 0),
+                "slot {t}: {:?}",
+                words(t)
+            );
+            assert!(log.has_room(t, 0, seg) && !log.has_room(t, 0, seg + 1));
+        }
+        assert_eq!(log.bytes_held(0), 768 << 10, "returned, not released");
+        // Growth takes the returned segments, claiming nothing.
+        assert!(log
+            .grow(1, 0, 512 << 10, true, || panic!(
+                "claimed past returned segments"
+            ))
+            .unwrap());
+        let got = &words(1)[1..];
+        assert!(
+            got.iter().all(|w| returned.contains(w)),
+            "{got:?} ⊄ {returned:?}"
+        );
+        // A standalone log owns no extent and keeps every segment.
+        let (_arena, standalone, _) = setup(1);
+        standalone.log_object_in(0, 0, 1, _arena.carve(64, 64).unwrap(), 64);
+        standalone.reset_domain(0);
+        assert!(standalone.has_room(0, 0, standalone.per_slot));
+        assert_eq!(standalone.bytes_held(0), 0);
     }
 
     #[test]
@@ -1920,6 +2150,7 @@ mod tests {
             0,
             0,
             2 * HEADER + 64,
+            false,
             claim_into(&arena, &claimed, 128 << 10),
         )
         .unwrap();
@@ -1941,18 +2172,24 @@ mod tests {
         // doubt, and adopting the extent frees it without a write.
         let (arena, log, claimed) = pooled(1, 256 << 10, 128 << 10);
         let second = log.segment;
-        log.grow(0, 0, second + 1, claim_into(&arena, &claimed, 128 << 10))
-            .unwrap();
+        log.grow(
+            0,
+            0,
+            second + 1,
+            false,
+            claim_into(&arena, &claimed, 128 << 10),
+        )
+        .unwrap();
         let seg = log.at(0, second);
         arena.crash_with(|_, _| 0);
         let log = ExtLog::open(&arena);
         assert!(log.has_room(0, 0, second) && !log.has_room(0, 0, second + 1));
         let before = arena.stats().snapshot();
         log.adopt_extents(0, &claimed.lock());
-        assert_eq!(*log.free[0].lock(), vec![seg]);
+        assert_eq!(log.free[0].lock().fresh, vec![seg]);
         let d = arena.stats().snapshot().delta(&before);
         assert_eq!((d.clwb, d.sfence), (0, 0));
-        log.grow(0, 0, second + 1, || panic!("a free segment is left"))
+        log.grow(0, 0, second + 1, false, || panic!("a free segment is left"))
             .unwrap();
         assert_eq!(log.at(0, second), seg);
     }

@@ -9,9 +9,10 @@
 //! `group` (the default) has nothing to tune: a connection's thread
 //! commits together whatever writes had arrived when it read its socket.
 //! Nor is there a checkpoint cadence to set: a shard's epoch ends when a
-//! write finds its log buffer short, so what a crash can leave to redo is
-//! bounded in bytes (`in_doubt_log_bytes` in `STATS`, at most the bound
-//! printed at start-up), not in time.
+//! write finds its log buffer short, or the shard's log at its bound of
+//! one buffer's cap plus a segment per slot, so what a crash can leave to
+//! redo is bounded in bytes (`in_doubt_log_bytes` in `STATS`, at most the
+//! bound printed at start-up), not in time.
 //!
 //! The store lives in an in-memory persistent-arena emulation; the
 //! binary exists to put the full network stack (framing, pipelining,
@@ -117,7 +118,8 @@ fn main() -> ExitCode {
         eprintln!("recovered: {report:?}");
     }
     // No cadence runs here: a shard's epoch ends when a write finds its
-    // log buffer short, so this is what a crash can leave to redo.
+    // log buffer short or the shard's log at its bound, so this is what a
+    // crash can leave to redo.
     println!(
         "commit log: at most {} KiB in doubt per shard ({} shards)",
         store.in_doubt_bound_bytes() >> 10,

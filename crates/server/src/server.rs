@@ -575,7 +575,9 @@ fn collect_scan(
 /// exited, so the server is running `1 + live_connections` threads.
 /// `in_doubt_log_bytes` is the largest shard's share of committed intents
 /// no boundary has retired yet — what a crash right now would redo there
-/// — under `commit_runs_live` commit records; `forced_boundaries` counts
+/// — under `commit_runs_live` commit records; `log_bytes_held` is the
+/// external log's footprint summed over shards, segments held and free
+/// ([`incll::ShardStats::log_bytes_held`]); `forced_boundaries` counts
 /// the checkpoints writes had to force: the log-room rule, which every
 /// put, remove and commit obeys whatever the commit mode, and a full run
 /// table.
@@ -588,6 +590,7 @@ fn stats_json(svc: &Service) -> String {
         .collect();
     let forced: u64 = shards.iter().map(|s| s.advances_forced).sum();
     let in_doubt = shards.iter().map(|s| s.in_doubt_log_bytes).max();
+    let held: u64 = shards.iter().map(|s| s.log_bytes_held).sum();
     let mode = match &svc.commit {
         CommitMode::Group => "group",
         CommitMode::Async => "async",
@@ -598,6 +601,7 @@ fn stats_json(svc: &Service) -> String {
             "\"requests\":{},\"gets\":{},\"puts\":{},\"dels\":{},\"batches\":{},",
             "\"scans\":{},\"wire_errors\":{},\"groups_committed\":{},\"ops_grouped\":{},",
             "\"forced_boundaries\":{},\"commit_runs_live\":{},\"in_doubt_log_bytes\":{},",
+            "\"log_bytes_held\":{},",
             "\"sfences\":{},\"clwbs\":{},\"shards\":{}}}"
         ),
         mode,
@@ -615,6 +619,7 @@ fn stats_json(svc: &Service) -> String {
         forced,
         svc.store.commit_runs_live(),
         in_doubt.unwrap_or(0),
+        held,
         pm.sfence,
         pm.clwb,
         shards.len(),

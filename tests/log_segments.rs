@@ -620,3 +620,410 @@ fn every_persisted_prefix_of_a_segment_claim_recovers_the_committed_prefix() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Segments a boundary gives back
+// ---------------------------------------------------------------------
+
+/// Durable commits of 16 puts of 1000-byte values each, cycling through
+/// `keys` from `*next`, until `done` holds; the model follows.
+fn commit_until(
+    store: &Store,
+    sess: &Session,
+    keys: &[Vec<u8>],
+    next: &mut usize,
+    model: &mut BTreeMap<Vec<u8>, Vec<u8>>,
+    mut done: impl FnMut(&Store) -> bool,
+) {
+    let mut commits = 0;
+    while !done(store) {
+        let mut b = sess.batch();
+        for _ in 0..16 {
+            let k = &keys[*next % keys.len()];
+            let v = vec![(*next % 251) as u8; 1000];
+            b.put(k, &v).unwrap();
+            model.insert(k.clone(), v);
+            *next += 1;
+        }
+        b.commit_durable().unwrap();
+        commits += 1;
+        assert!(commits < 10_000, "no progress");
+    }
+}
+
+#[test]
+fn a_boundary_hands_a_full_buffers_segments_to_the_next_writer() {
+    // Two slots, four shards, 2 MiB per (slot, shard) on 1 MiB extents:
+    // 512 KiB segments, four a buffer. A shard's log is bounded by one
+    // cap plus a segment per slot, 3 MiB: three extents.
+    let arena = PArena::builder().capacity_bytes(64 * MIB).build().unwrap();
+    let opts = Options::new()
+        .threads(2)
+        .shards(4)
+        .log_bytes_per_thread(8 * MIB);
+    let (store, _) = Store::open(&arena, opts).unwrap();
+    let seg = arena.pread_u64(superblock::SB_EXTLOG_SEGMENT);
+    let ext = store.extent_stats().unwrap().extent_bytes;
+    assert_eq!((seg, ext), (512 << 10, MIB as u64));
+    let s = 2;
+    let keys = keys_on(&store, s, "r", 2048);
+    let (a, b) = (store.session().unwrap(), store.session().unwrap());
+    let (ta, tb) = (a.tid(), b.tid());
+    let mut model = BTreeMap::new();
+    let mut next = 0;
+
+    // A fills its buffer on the shard to its cap, within one epoch.
+    commit_until(&store, &a, &keys, &mut next, &mut model, |_| {
+        !dir_words(&arena, ta, s).contains(&0)
+    });
+    let st = store.shard_stats(s);
+    assert_eq!(st.advances_forced, 0);
+    assert_eq!(st.log_bytes_held, 3 * ext, "{st:?}");
+    assert_eq!(count(&owners(&arena, &store), superblock::log_owner(s)), 3);
+    let held_by_a = dir_words(&arena, ta, s);
+
+    // B writes past its first segment, then its second: the shard's log
+    // is at its bound, so B forces the boundary, which hands A's
+    // segments back, and B grows into them without claiming.
+    commit_until(&store, &b, &keys, &mut next, &mut model, |st| {
+        st.shard_stats(s).advances_forced > 0
+    });
+    commit_until(&store, &b, &keys, &mut next, &mut model, |_| {
+        dir_words(&arena, tb, s)[2] != 0
+    });
+    let st = store.shard_stats(s);
+    assert_eq!(st.advances_forced, 1, "{st:?}");
+    assert_eq!(
+        count(&owners(&arena, &store), superblock::log_owner(s)),
+        3,
+        "the log claimed an extent"
+    );
+    assert_eq!(st.log_bytes_held, 3 * ext);
+    let a_words = dir_words(&arena, ta, s);
+    assert_eq!(a_words[0], held_by_a[0], "A keeps its first segment");
+    assert!(
+        a_words[1..].iter().all(|&w| w == 0),
+        "A's words past its first are not cleared on media: {a_words:?}"
+    );
+    assert!(
+        dir_words(&arena, tb, s)[1..3]
+            .iter()
+            .any(|w| held_by_a[1..].contains(w)),
+        "B grew into none of A's returned segments"
+    );
+    for other in (0..4).filter(|&o| o != s) {
+        assert_eq!(store.shard_stats(other).advances_forced, 0);
+    }
+
+    // Every key reads back, live and after a reopen.
+    for (k, v) in &model {
+        assert_eq!(store.get(&a, k).as_deref(), Some(&v[..]));
+    }
+    let want: Vec<_> = model.into_iter().collect();
+    let live: Vec<_> = store.iter(&a).collect();
+    assert!(live == want, "live contents differ");
+    drop((a, b));
+    drop(store);
+    let opts = Options::new()
+        .threads(2)
+        .shards(4)
+        .log_bytes_per_thread(8 * MIB);
+    let (store, _) = Store::open(&arena, opts).unwrap();
+    assert!(contents(&store) == want, "reopened contents differ");
+}
+
+/// Where [`return_cell`] crashes.
+#[derive(Clone, Copy, Debug)]
+enum ReturnCrash {
+    /// Right after the boundary that returned A's segment, keeping
+    /// nothing that was not flushed.
+    AfterTrim,
+    /// At the end, keeping nothing that was not flushed.
+    AtEnd,
+    /// The return's and the reuse's stores are taken off the medium and
+    /// re-issued unflushed in protocol order — A's directory word
+    /// cleared, B's word naming the segment, the straddling entry's
+    /// line, B's entry lines in the segment, the commit record, the
+    /// applies' undo — and the crash keeps the first `k` of them.
+    Prefix(usize),
+}
+
+/// One durable delete of an absent `len`-byte key: an intent and
+/// nothing else.
+fn intent_only(store: &Store, sess: &Session, len: usize, i: u64) {
+    let mut b = sess.batch();
+    b.delete(&absent(store, len, i)).unwrap();
+    b.commit_durable().unwrap();
+}
+
+/// Arena offset of `(thread, shard)`'s directory word `pos`.
+fn dir_word_off(arena: &PArena, thread: usize, shard: usize, pos: usize) -> u64 {
+    let domains = arena.pread_u64(superblock::SB_EXTLOG_DOMAINS) as usize;
+    let words = arena.pread_u64(superblock::SB_EXTLOG_DIR_WORDS) as usize;
+    superblock::log_dir_off((thread * domains + shard) * words + pos)
+}
+
+/// On shard 0 of a one-shard store, slot A grows into its second log
+/// segment, and a checkpoint of the shard returns that segment. Slot B
+/// then fills its first segment to just below the boundary and commits
+/// a batch that grows it into the returned segment: two intents before
+/// the boundary, one straddling it, one past it. The crash falls where
+/// `crash` says; recovery must give the committed state, and at no
+/// crash may two directory words on media name one segment, so replay
+/// never reads B's entries through A's stale word. Returns `false` once
+/// `Prefix(k)` is past the last store.
+fn return_cell(crash: ReturnCrash) -> bool {
+    let what = format!("{crash:?}");
+    let arena = tracked();
+    let (store, _) = Store::open(&arena, options(1, 1)).unwrap();
+    let seg = arena.pread_u64(superblock::SB_EXTLOG_SEGMENT);
+    let mut model = BTreeMap::new();
+    let (a, b) = (store.session().unwrap(), store.session().unwrap());
+    let (ta, tb) = (a.tid(), b.tid());
+    for k in keys_on(&store, 0, "b", 8) {
+        store.put(&a, &k, &k).unwrap();
+        model.insert(k.clone(), k);
+    }
+    store.checkpoint();
+    let used = |store: &Store| store.shard_stats(0).bytes_since_boundary;
+    let mut i = 0;
+    while used(&store) < seg + 8192 {
+        intent_only(&store, &a, 4000, i);
+        i += 1;
+    }
+    let returned = dir_words(&arena, ta, 0)[1];
+    assert_ne!(returned, 0, "{what}: A never grew");
+    let (a_line, b_line) = (
+        dir_word_off(&arena, ta, 0, 1) / 64,
+        dir_word_off(&arena, tb, 0, 1) / 64,
+    );
+    let pre_trim = read_line(&arena, a_line);
+    store.checkpoint_shard(0);
+    assert_eq!(dir_words(&arena, ta, 0)[1], 0, "{what}: A kept its segment");
+    // No two words on media name one segment.
+    let named_once = |what: &str| {
+        let mut named: Vec<u64> = (0..4)
+            .flat_map(|t| dir_words(&arena, t, 0))
+            .filter(|&w| w != 0)
+            .collect();
+        let n = named.len();
+        named.sort_unstable();
+        named.dedup();
+        assert_eq!(named.len(), n, "{what}: a segment named twice");
+    };
+    if let ReturnCrash::AfterTrim = crash {
+        drop((a, b));
+        drop(store);
+        arena.crash_with(|_, _| 0);
+        assert_eq!(
+            dir_words(&arena, ta, 0)[1],
+            0,
+            "{what}: the clear was not fenced"
+        );
+        recover(&arena, 1, 1, &model, &what);
+        return true;
+    }
+    let trimmed = read_line(&arena, a_line);
+
+    // B's fillers end at most 4 688 bytes below its segment boundary
+    // (see `claim_cell`), then the batch under test.
+    let lo = seg - 8192;
+    while used(&store) < lo {
+        let room = seg - 4688 - used(&store);
+        intent_only(&store, &b, (room.min(4096) - 56) as usize, i);
+        i += 1;
+    }
+    let c0 = used(&store);
+    assert!(c0 <= seg - 4688, "{what}: a filler crossed");
+    assert_eq!(dir_words(&arena, tb, 0)[1], 0, "{what}: B grew early");
+    let k = keys_on(&store, 0, "x", 4);
+    let e1 = put_entry(8, 4000);
+    let e2 = seg - 40 - c0 - e1;
+    let v2 = (e2 - put_entry(8, 0)) as usize;
+    assert!(v2 <= 4096, "{what}: A2 needs {v2} bytes");
+    let vals = [vec![1u8; 4000], vec![2u8; v2], vec![3u8; 40], vec![4u8; 40]];
+    let s_at = seg - 40;
+    let c1 = s_at + 2 * put_entry(8, 40);
+    let table: Vec<u64> =
+        (superblock::SB_BATCH_TABLE / 64..superblock::SB_SHARD_CELLS / 64).collect();
+    let straddle_line = incll_extlog::slot_offset(&arena, tb, 0, s_at) / 64;
+    let seg_lines: Vec<u64> = (0..64).map(|l| returned / 64 + l).collect();
+    let mut pre: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+    for &l in table
+        .iter()
+        .chain(&seg_lines)
+        .chain([&straddle_line, &b_line])
+    {
+        pre.insert(l, read_line(&arena, l));
+    }
+    pre.insert(a_line, pre_trim);
+    let mut bt = b.batch();
+    for (key, val) in k.iter().zip(&vals) {
+        bt.put(key, val).unwrap();
+        model.insert(key.clone(), val.clone());
+    }
+    bt.commit_durable().unwrap();
+    let c2 = used(&store);
+    assert_eq!(
+        dir_words(&arena, tb, 0)[1],
+        returned,
+        "{what}: B did not take the returned segment"
+    );
+    assert!(c2 - seg <= 64 * 64, "{what}: B wrote past the lines saved");
+    drop((a, b));
+    drop(store);
+
+    let Some(cut) = (match crash {
+        ReturnCrash::Prefix(cut) => Some(cut),
+        _ => None,
+    }) else {
+        arena.crash_with(|_, _| 0);
+        named_once(&what);
+        recover(&arena, 1, 1, &model, &what);
+        return true;
+    };
+    // The stores in protocol order: (line, content).
+    let line_of = |off: u64| incll_extlog::slot_offset(&arena, tb, 0, off) / 64;
+    let mut order: Vec<(u64, Vec<u8>)> = vec![
+        (a_line, trimmed),
+        (b_line, read_line(&arena, b_line)),
+        (straddle_line, read_line(&arena, straddle_line)),
+    ];
+    let mut off = seg;
+    while off < c1 {
+        order.push((line_of(off), read_line(&arena, line_of(off))));
+        off += 64;
+    }
+    for &l in &table {
+        if read_line(&arena, l) != pre[&l] {
+            order.push((l, read_line(&arena, l)));
+        }
+    }
+    let mut off = c1 & !63;
+    while off < c2 {
+        let l = line_of(off);
+        if !order.iter().any(|e| e.0 == l) {
+            order.push((l, read_line(&arena, l)));
+        }
+        off += 64;
+    }
+    if cut > order.len() {
+        return false;
+    }
+    let committed_at = order.len()
+        - order
+            .iter()
+            .rev()
+            .position(|e| table.contains(&e.0))
+            .unwrap();
+    if cut < committed_at {
+        for key in &k {
+            model.remove(key);
+        }
+    }
+    // Off the medium: each line's content before its first store here,
+    // flushed; then every store re-issued unflushed, in order.
+    let mut lines: Vec<u64> = order.iter().map(|e| e.0).collect();
+    lines.sort_unstable();
+    lines.dedup();
+    for &l in &lines {
+        arena.pwrite_bytes(l * 64, &pre[&l]);
+        arena.clwb(l * 64);
+    }
+    arena.sfence();
+    for (l, content) in &order {
+        arena.pwrite_bytes(l * 64, content);
+    }
+    arena.crash_with(|line, n| {
+        let stores = order.iter().filter(|e| e.0 == line).count();
+        assert!(
+            stores == 0 || n == stores,
+            "{what}: line {line} holds other stores"
+        );
+        order[..cut].iter().filter(|e| e.0 == line).count()
+    });
+    named_once(&what);
+    recover(&arena, 1, 1, &model, &what);
+    true
+}
+
+#[test]
+fn every_persisted_prefix_of_a_segment_return_recovers_the_committed_state() {
+    assert!(return_cell(ReturnCrash::AfterTrim));
+    assert!(return_cell(ReturnCrash::AtEnd));
+    for cut in 0.. {
+        if !return_cell(ReturnCrash::Prefix(cut)) {
+            assert!(cut > 4, "only {cut} stores enumerated");
+            break;
+        }
+    }
+}
+
+#[test]
+fn a_commit_rechecks_its_room_when_a_boundary_trims_its_buffer() {
+    // Eight slots of 1 MiB per shard on 1 MiB extents: 128 KiB segments.
+    // Every commit below reserves more than a first segment, so a
+    // boundary between its reservation and its pins trims the buffer
+    // under it: the commit must see that and reserve again, never
+    // append past its room.
+    let arena = PArena::builder().capacity_bytes(64 * MIB).build().unwrap();
+    let opts = Options::new()
+        .threads(8)
+        .shards(2)
+        .log_bytes_per_thread(2 * MIB);
+    let (store, _) = Store::open(&arena, opts).unwrap();
+    let seg = arena.pread_u64(superblock::SB_EXTLOG_SEGMENT);
+    assert_eq!(seg, 128 << 10);
+    let keys: Vec<Vec<Vec<u8>>> = (0..2).map(|s| keys_on(&store, s, "c", 200)).collect();
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    let model = std::thread::scope(|sc| {
+        let committer = sc.spawn(|| {
+            let sess = store.session().unwrap();
+            let mut model = BTreeMap::new();
+            let mut n = 0u32;
+            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                let mut b = sess.batch();
+                if n.is_multiple_of(2) {
+                    // A durable commit on both shards: 128 intents of
+                    // 1 KiB and their undo allowance on each.
+                    for (j, k) in keys.iter().flat_map(|ks| &ks[..128]).enumerate() {
+                        let v = vec![(n as usize + j) as u8; 1000];
+                        b.put(k, &v).unwrap();
+                        model.insert(k.clone(), v);
+                    }
+                    b.commit_durable().unwrap();
+                } else {
+                    // The single-shard fast path: 200 ops' undo allowance.
+                    for (j, k) in keys[n as usize / 2 % 2].iter().enumerate() {
+                        let v = (n as u64 * 1000 + j as u64).to_le_bytes().to_vec();
+                        b.put(k, &v).unwrap();
+                        model.insert(k.clone(), v);
+                    }
+                    b.commit().unwrap();
+                }
+                n += 1;
+            }
+            assert!(n > 4, "only {n} commits");
+            model
+        });
+        let start = std::time::Instant::now();
+        let mut s = 0;
+        while start.elapsed() < std::time::Duration::from_secs(1) {
+            store.checkpoint_shard(s);
+            s ^= 1;
+        }
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        committer.join().expect("a commit overran its log room")
+    });
+    let want: Vec<_> = model.into_iter().collect();
+    assert!(contents(&store) == want, "an acknowledged batch is missing");
+    // A plain commit is durable at its shard's next boundary.
+    store.checkpoint();
+    drop(store);
+    let opts = Options::new()
+        .threads(8)
+        .shards(2)
+        .log_bytes_per_thread(2 * MIB);
+    let (store, _) = Store::open(&arena, opts).unwrap();
+    assert!(contents(&store) == want, "reopened contents differ");
+}
