@@ -37,7 +37,7 @@
 //!    uncommitted id can lie inside one — never a watermark.
 //! 4. **Apply** — the staged operations run through the ordinary put /
 //!    remove paths while every touched shard is pinned
-//!    (`ThreadHandle::pin_domains_mut`, ascending shard order), so each
+//!    (`ThreadHandle::pin_mask`, ascending shard order), so each
 //!    shard's half lands in a single epoch of that shard.
 //!
 //! So a durable commit costs exactly two fences of its own, at any shard
@@ -93,7 +93,7 @@
 //!
 //! **Single-shard batches take none of the intent machinery**: when
 //! every staged key routes to one shard (always true with `shards(1)`),
-//! commit holds one mutating pin on that shard across the ordinary put /
+//! commit holds one pin on that shard across the ordinary put /
 //! remove calls — same-epoch atomicity with no batch id, no intents, no
 //! commit record. `shards(1)` media and semantics are unchanged.
 
@@ -543,7 +543,7 @@ impl<'s> WriteBatch<'s> {
             if !commit {
                 return Ok(0);
             }
-            // Fast path: one mutating pin holds the shard's epoch open
+            // Fast path: one pin holds the shard's epoch open
             // across every op, so the whole batch lands in a single epoch
             // of its single shard — crash-atomic with no media additions.
             // The pin also holds off any boundary, so the room comes
@@ -553,7 +553,7 @@ impl<'s> WriteBatch<'s> {
             let tree = store.shard_tree(shard);
             let pin = loop {
                 tree.reserve_log_room(ctx, undo[shard])?;
-                let pin = ctx.pin_shard_mut(shard);
+                let pin = ctx.pin_shard(shard);
                 if tree.has_log_room(ctx, undo[shard]) {
                     break pin;
                 }
@@ -592,7 +592,7 @@ impl<'s> WriteBatch<'s> {
             // Pin every touched shard (ascending, one consistent order)
             // so intents are stamped with — and the apply below lands in
             // — one epoch per shard.
-            let guards = ctx.pin_shards_mut(mask);
+            let guards = ctx.pin_shards(mask);
             // A boundary since the reservation — an eviction's, another
             // writer's, the cadence's — trims a buffer back to its first
             // segment: reserve again, pins and lock dropped.

@@ -16,15 +16,16 @@
 //!   8-byte-payload convenience.
 //! * **Zero-copy reads** — [`Store::get_ref`] returns a borrowed
 //!   [`ValueRef`] view of the value bytes in place, backed by an epoch
-//!   read pin; `get`/`get_u64` are wrappers over it.
+//!   pin; `get`/`get_u64` are wrappers over it.
 //! * **Scans** — callback ([`Store::scan`]) and iterator
 //!   ([`Store::range`], [`Store::iter`]) forms, both in global key order.
 //! * **Sharding** — [`Options::shards`] hash partitions the keyspace over
 //!   N independent durable trees, **each with its own epoch domain**:
 //!   point ops route by key hash, scans k-way merge, and every shard
 //!   checkpoints ([`Store::checkpoint_shard`]) and crash-recovers on its
-//!   own cadence ([`Store::checkpoint`] remains the all-shards barrier).
-//!   See the crate docs' "crash semantics under independent cadences".
+//!   own epoch timeline ([`Store::checkpoint`] remains the all-shards
+//!   barrier). See the crate docs' "crash semantics under per-shard
+//!   checkpoints".
 //!
 //! ```
 //! use incll_pmem::PArena;
@@ -148,9 +149,10 @@ impl Options {
     }
 
     /// Background checkpoint cadence: [`Store::open`] spawns an
-    /// [`incll_epoch::AdvanceDriver`] applying this [`Cadence`] to
-    /// **every** shard's epoch domain, and the store owns the driver for
-    /// its lifetime (it stops when the last clone drops). The cadence
+    /// [`incll_epoch::AdvanceDriver`] that checkpoints **every** shard, in
+    /// shard order, once per [`Cadence::interval`], and the store owns
+    /// the driver for its lifetime (it stops when the last clone drops).
+    /// Every tick advances every shard, written or not. The cadence
     /// bounds the *time* between a shard's checkpoints;
     /// [`Options::log_bytes_per_thread`] bounds the *bytes*, on every
     /// write, with or without a cadence — see the crate docs' "When a
@@ -298,7 +300,7 @@ impl std::fmt::Debug for Session {
 /// route by key hash; [`Store::scan`], [`Store::range`] and [`Store::iter`]
 /// merge the per-shard trees lazily into one globally key-ordered stream.
 /// Every shard is its **own epoch domain**: [`Store::checkpoint_shard`]
-/// (or a per-domain driver cadence) makes one shard durable, stalling
+/// (or a forced boundary) makes one shard durable, stalling
 /// only sessions pinned in it, and a crash rolls each shard back to its
 /// own last completed boundary. [`Store::checkpoint`] is the all-domains
 /// barrier yielding one common cross-shard point-in-time.
@@ -365,9 +367,9 @@ impl Store {
         let slots = SlotPool::new(tree.allocator().threads());
         let shards: Vec<DurableMasstree> = (0..tree.shard_count()).map(|i| tree.shard(i)).collect();
         let driver = options.cadence.map(|c| {
-            Arc::new(AdvanceDriver::spawn_per_domain(
+            Arc::new(AdvanceDriver::spawn(
                 tree.epoch_manager().clone(),
-                vec![c; shards.len()],
+                c.interval,
             ))
         });
         Ok((
@@ -486,7 +488,7 @@ impl Store {
     /// value bytes in place in the durable buffer.
     ///
     /// The returned [`ValueRef`] dereferences to `&[u8]` without copying
-    /// a byte; it holds a read pin on the key's shard, so that one shard
+    /// a byte; it holds a pin on the key's shard, so that one shard
     /// cannot checkpoint until the view is dropped (other shards are
     /// unaffected). Concurrent overwrites or removes of the key leave the
     /// viewed bytes intact — the reader always sees a complete old-or-
@@ -504,7 +506,7 @@ impl Store {
     /// store.put(&sess, b"k", b"value bytes")?;
     /// let v = store.get_ref(&sess, b"k").unwrap();
     /// assert_eq!(&*v, b"value bytes"); // no allocation, no copy
-    /// drop(v); // releases the shard's read pin
+    /// drop(v); // releases the shard's pin
     /// # Ok(())
     /// # }
     /// ```
@@ -677,8 +679,7 @@ impl Store {
     ///
     /// For a scoped checkpoint that stalls only one shard's sessions, use
     /// [`Store::checkpoint_shard`]. (Background cadence:
-    /// [`incll_epoch::AdvanceDriver`] — per-domain cadences via
-    /// [`incll_epoch::AdvanceDriver::spawn_per_domain`] — on
+    /// [`Options::cadence`], or an [`incll_epoch::AdvanceDriver`] on
     /// [`Store::epoch_manager`].)
     ///
     /// # Deadlocks
@@ -759,16 +760,15 @@ impl Store {
     pub fn shard_stats(&self, i: usize) -> ShardStats {
         assert!(i < self.shards.len(), "shard out of range");
         let mgr = self.epoch_manager();
-        let c = mgr.domain_counters(i);
         let inner = &self.shards[0].inner;
         ShardStats {
             epoch: mgr.current_epoch_of(i),
             bytes_since_boundary: (0..self.threads()).map(|t| inner.log.used_in(t, i)).sum(),
             in_doubt_log_bytes: inner.in_doubt_bytes[i].load(Ordering::Relaxed),
             log_bytes_held: inner.log.bytes_held(i),
-            advances_fired: c.advances_fired,
+            advances_fired: mgr.advances_fired(i),
             advances_forced: inner.forced_boundaries[i].load(Ordering::Relaxed),
-            advances_skipped: c.advances_skipped,
+            advances_skipped: 0,
         }
     }
 
@@ -825,8 +825,8 @@ impl Store {
 
 /// One shard's checkpoint observability snapshot ([`Store::shard_stats`]).
 ///
-/// The advance counters come from the shard's epoch domain
-/// ([`incll_epoch::EpochManager::domain_counters`]).
+/// The advance count comes from the shard's epoch domain
+/// ([`incll_epoch::EpochManager::advances_fired`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardStats {
     /// The shard's current epoch.
@@ -859,8 +859,9 @@ pub struct ShardStats {
     /// commit reusing a commit-run slot (see `crate::batch`). On a store
     /// with no cadence these are the only checkpoints nobody asked for.
     pub advances_forced: u64,
-    /// Driver ticks skipped because the shard was clean (the dirty-work
-    /// heuristic of a lazy cadence).
+    /// Always `0`: every cadence tick advances every shard, so none is
+    /// skipped. Kept because the benchmark's `epoch.skipped` metric reads
+    /// it.
     pub advances_skipped: u64,
 }
 
@@ -896,7 +897,7 @@ impl std::fmt::Debug for Store {
 /// k-way merge over one batched cursor per shard, yielding global key
 /// order.
 ///
-/// Each refill runs one bounded scan on one shard under a short read pin
+/// Each refill runs one bounded scan on one shard under a short pin
 /// released before the refill returns — the iterator holds **no** epoch
 /// pin between `next()` calls, so shards checkpoint freely mid-scan. A
 /// cursor revalidates its position on every refill by descending afresh

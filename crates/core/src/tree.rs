@@ -184,22 +184,16 @@ impl DCtx {
     }
 
     /// Pins shard `shard`'s epoch domain: that shard cannot checkpoint
-    /// while the guard lives.
+    /// while the guard lives (the batch fast path holds one across every
+    /// op of a single-shard batch so all of them land in one epoch).
     pub fn pin_shard(&self, shard: usize) -> Guard<'_> {
-        self.handle.pin_domain_read(shard)
+        self.handle.pin_on(shard)
     }
 
-    /// Mutating pin on one shard (marks the domain dirty): the batch
-    /// fast path holds one of these across every op of a single-shard
-    /// batch so all of them land in one epoch.
-    pub(crate) fn pin_shard_mut(&self, shard: usize) -> Guard<'_> {
-        self.handle.pin_domain_mut(shard)
-    }
-
-    /// Mutating pins on every shard named by `mask`, taken in ascending
-    /// shard order (the batch-commit pin set; see `crate::batch`).
-    pub(crate) fn pin_shards_mut(&self, mask: u64) -> Vec<Guard<'_>> {
-        self.handle.pin_domains_mut(mask)
+    /// Pins every shard named by `mask`, in ascending shard order (the
+    /// batch-commit pin set; see `crate::batch`).
+    pub(crate) fn pin_shards(&self, mask: u64) -> Vec<Guard<'_>> {
+        self.handle.pin_mask(mask)
     }
 
     /// The lowest shard this thread holds a pin on, if any (batch
@@ -222,11 +216,10 @@ impl std::fmt::Debug for DCtx {
 /// no copy; the view holds an epoch pin on its shard, so the buffer
 /// cannot be recycled while the view lives.
 ///
-/// The pin is a *read* pin ([`incll_epoch::ThreadHandle::pin_domain_read`]):
-/// it writes no log-buffer or arena byte and never marks the domain dirty,
-/// so holding a view briefly is free — but holding one across long pauses
-/// delays that one shard's checkpoints, exactly like an open transaction.
-/// Drop the view before blocking.
+/// The pin ([`incll_epoch::ThreadHandle::pin_on`]) writes no log-buffer
+/// or arena byte, so holding a view briefly is free — but holding one
+/// across long pauses delays that one shard's checkpoints, exactly like
+/// an open transaction. Drop the view before blocking.
 ///
 /// # What a `ValueRef` may observe
 ///
@@ -583,25 +576,15 @@ impl DurableMasstree {
     // Public operations
     // ==================================================================
 
-    /// Pins this handle's shard domain (the cheap **read** pin — no
-    /// log-buffer touch, never dirties the domain) and enters its flush
-    /// scope (ops on shard `s` stall only behind shard `s`'s advances,
-    /// and any writes they do make — lazy-recovery repairs on the read
-    /// path — are covered by shard `s`'s scoped checkpoint flush).
+    /// Pins this handle's shard domain and enters its flush scope: ops
+    /// on shard `s` stall only behind shard `s`'s advances, and every
+    /// write they make — a put's or remove's, or a lazy-recovery repair
+    /// on the read path — is covered by shard `s`'s scoped checkpoint
+    /// flush.
     #[inline]
     fn enter<'c>(&self, ctx: &'c DCtx) -> (Guard<'c>, FlushDomainScope) {
         (
-            ctx.handle.pin_domain_read(self.shard_id),
-            FlushDomainScope::enter(self.shard_id as u16),
-        )
-    }
-
-    /// [`DurableMasstree::enter`] for mutating operations: also stamps the
-    /// shard's domain dirty so lazily cadenced drivers checkpoint it.
-    #[inline]
-    fn enter_mut<'c>(&self, ctx: &'c DCtx) -> (Guard<'c>, FlushDomainScope) {
-        (
-            ctx.handle.pin_domain_mut(self.shard_id),
+            ctx.handle.pin_on(self.shard_id),
             FlushDomainScope::enter(self.shard_id as u16),
         )
     }
@@ -715,7 +698,7 @@ impl DurableMasstree {
 
     /// Looks up `key`, returning a **borrowed, zero-copy** view of its
     /// value bytes in the durable buffer. No byte is copied; the returned [`ValueRef`] dereferences
-    /// to the payload in place and holds a read pin on this shard's epoch
+    /// to the payload in place and holds a pin on this shard's epoch
     /// domain, so the shard cannot checkpoint (and the allocator cannot
     /// recycle the buffer) until the view is dropped.
     ///
@@ -724,7 +707,7 @@ impl DurableMasstree {
     /// value at that instant. See [`ValueRef`] for the full read-semantics
     /// contract.
     pub fn get_ref<'s>(&'s self, ctx: &'s DCtx, key: &[u8]) -> Option<ValueRef<'s>> {
-        let guard = ctx.handle.pin_domain_read(self.shard_id);
+        let guard = ctx.handle.pin_on(self.shard_id);
         let buf = {
             // Lazy-recovery repairs during the descent are writes; scope
             // them to this shard for the lookup only — the returned view
@@ -810,7 +793,7 @@ impl DurableMasstree {
                 max: MAX_VALUE_BYTES,
             });
         }
-        let (g, _s) = self.enter_mut(ctx);
+        let (g, _s) = self.enter(ctx);
         let epoch = g.epoch();
         let mut new_val = || match prealloc.take() {
             Some(b) => Ok(b),
@@ -829,7 +812,7 @@ impl DurableMasstree {
 
     /// Allocates — and fills — the value buffer a later
     /// [`DurableMasstree::put_bytes_with_buf`] for `val` will consume.
-    /// Must run under a mutating pin on this shard carrying `epoch`.
+    /// Must run under a pin on this shard carrying `epoch`.
     pub(crate) fn prepare_value_buf(
         &self,
         ctx: &DCtx,
@@ -853,7 +836,7 @@ impl DurableMasstree {
 
     /// Removes `key`, returning whether it was present.
     pub fn remove(&self, ctx: &DCtx, key: &[u8]) -> bool {
-        let (g, _s) = self.enter_mut(ctx);
+        let (g, _s) = self.enter(ctx);
         let epoch = g.epoch();
         // SAFETY: as for `get_ref`.
         let old = unsafe { self.remove_inner((ctx.tid, epoch), self.root_holder, key) };

@@ -36,89 +36,42 @@ pub struct AdvanceDriver {
     thread: Option<JoinHandle<()>>,
 }
 
-/// One domain's checkpoint cadence in a per-domain driver
-/// ([`AdvanceDriver::spawn_per_domain`]): a fixed interval, optionally
-/// skipping clean domains. Build one with [`Cadence::lazy`] or
-/// [`Cadence::eager`].
+/// A checkpoint cadence: the fixed interval between epoch boundaries,
+/// the paper's unconditional epoch clock ([`crate::DEFAULT_EPOCH_INTERVAL`]).
+/// Build one with [`Cadence::eager`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cadence {
-    /// Target time between this domain's advances.
+    /// Target time between advances.
     pub interval: Duration,
-    /// Skip an advance when the domain saw no **write** pins since its
-    /// last one (the dirty-work heuristic: a clean domain has nothing to
-    /// flush and nothing new to checkpoint, so stalling its — nonexistent
-    /// — writers buys nothing). Read-only pins — borrowed `get_ref`
-    /// lookups, snapshot-scan batch refills — never count as dirty work,
-    /// so a pure-read workload leaves a lazy cadence idle forever. The
-    /// skipped tick still reschedules normally.
-    pub skip_clean: bool,
 }
 
 impl Cadence {
-    /// A cadence advancing every `interval`, skipping clean domains.
-    pub fn lazy(interval: Duration) -> Self {
-        Cadence {
-            interval,
-            skip_clean: true,
-        }
-    }
-
-    /// A cadence advancing every `interval` unconditionally.
+    /// A cadence advancing every `interval`.
     pub fn eager(interval: Duration) -> Self {
-        Cadence {
-            interval,
-            skip_clean: false,
-        }
+        Cadence { interval }
     }
 }
 
 impl AdvanceDriver {
-    /// Spawns a driver advancing every domain of `mgr` (in index order)
-    /// every `interval` — the single global cadence. For independent
-    /// per-domain cadences see [`AdvanceDriver::spawn_per_domain`].
+    /// Spawns a driver advancing every domain of `mgr`, in index order,
+    /// every `interval` — one clock for every domain. Each domain's
+    /// advance is still its own (it quiesces only that domain's pins and
+    /// flushes only its lines), so a tick stalls one shard at a time.
+    ///
+    /// Scheduling is **fixed-rate**, not fixed-delay: each deadline is
+    /// computed from the *previous deadline*, so a slow tick (long
+    /// quiesce, big flush, slow boundary hooks) eats into its own period
+    /// instead of silently stretching every subsequent one. Only when a
+    /// tick overruns its whole period does the schedule re-anchor at
+    /// "now" (no catch-up bursts).
     pub fn spawn(mgr: EpochManager, interval: Duration) -> Self {
-        let cadences = vec![Cadence::eager(interval); mgr.domains()];
-        Self::spawn_per_domain(mgr, cadences)
-    }
-
-    /// Spawns a driver scheduling each domain on its **own** cadence: a
-    /// hot shard can checkpoint every few milliseconds while cold shards
-    /// tick lazily (or, with [`Cadence::lazy`], not at all while idle).
-    /// One background thread serves every domain, always advancing the
-    /// earliest-deadline domain next.
-    ///
-    /// Scheduling is **fixed-rate**, not fixed-delay: each domain's next
-    /// deadline is computed from its *previous deadline*, so a slow
-    /// advance (long quiesce, big flush, slow boundary hooks) eats into
-    /// its own period instead of silently stretching every subsequent
-    /// one. Only when an advance overruns its whole period does the
-    /// schedule re-anchor at "now" (no catch-up bursts).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cadences.len() != mgr.domains()`.
-    pub fn spawn_per_domain(mgr: EpochManager, cadences: Vec<Cadence>) -> Self {
-        assert_eq!(
-            cadences.len(),
-            mgr.domains(),
-            "one cadence per epoch domain"
-        );
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
         let thread = std::thread::Builder::new()
             .name("incll-epoch-driver".into())
             .spawn(move || {
-                let now = Instant::now();
-                let mut deadlines: Vec<Instant> =
-                    cadences.iter().map(|c| now + c.interval).collect();
+                let mut deadline = Instant::now() + interval;
                 loop {
-                    // Next event: the earliest deadline across every domain.
-                    let (d, deadline) = deadlines
-                        .iter()
-                        .copied()
-                        .enumerate()
-                        .min_by_key(|&(_, t)| t)
-                        .expect("at least one domain");
                     loop {
                         if stop2.load(Ordering::Acquire) {
                             return;
@@ -129,21 +82,12 @@ impl AdvanceDriver {
                         }
                         std::thread::park_timeout(deadline - now);
                     }
-                    let cadence = cadences[d];
-                    if !cadence.skip_clean || mgr.domain_dirty(d) {
-                        mgr.advance_domain(d);
-                    } else {
-                        mgr.note_advance_skipped(d);
-                    }
+                    mgr.advance();
                     // Fixed-rate rescheduling: from the deadline that just
                     // fired, re-anchoring only on a whole-period overrun.
-                    let next = deadline + cadence.interval;
+                    let next = deadline + interval;
                     let now = Instant::now();
-                    deadlines[d] = if next > now {
-                        next
-                    } else {
-                        now + cadence.interval
-                    };
+                    deadline = if next > now { next } else { now + interval };
                 }
             })
             .expect("spawn epoch driver");
@@ -243,91 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn per_domain_driver_runs_independent_cadences() {
-        let arena = PArena::builder().capacity_bytes(1 << 20).build().unwrap();
-        superblock::format(&arena);
-        let mgr = EpochManager::with_domains(arena, EpochOptions::durable(), 2);
-        // Domain 0 hot (2 ms, eager), domain 1 cold (lazy: skip while
-        // clean, so it must never advance — nothing ever pins it).
-        let driver = AdvanceDriver::spawn_per_domain(
-            mgr.clone(),
-            vec![
-                Cadence::eager(Duration::from_millis(2)),
-                Cadence::lazy(Duration::from_millis(2)),
-            ],
-        );
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while mgr.current_epoch_of(0) < 4 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        drop(driver);
-        assert!(mgr.current_epoch_of(0) >= 4, "hot domain must tick");
-        assert_eq!(
-            mgr.current_epoch_of(1),
-            1,
-            "clean lazy domain must be skipped"
-        );
-    }
-
-    #[test]
-    fn lazy_cadence_advances_once_dirty() {
-        let arena = PArena::builder().capacity_bytes(1 << 20).build().unwrap();
-        superblock::format(&arena);
-        let mgr = EpochManager::with_domains(arena, EpochOptions::durable(), 2);
-        let driver = AdvanceDriver::spawn_per_domain(
-            mgr.clone(),
-            vec![
-                Cadence::lazy(Duration::from_millis(2)),
-                Cadence::lazy(Duration::from_millis(2)),
-            ],
-        );
-        let h = mgr.register();
-        drop(h.pin_domain_mut(1)); // dirty domain 1 only
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while mgr.current_epoch_of(1) < 2 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        drop(driver);
-        assert!(mgr.current_epoch_of(1) >= 2, "dirty domain must advance");
-        assert_eq!(mgr.current_epoch_of(0), 1);
-    }
-
-    #[test]
-    fn lazy_cadence_ignores_read_pins() {
-        // Regression for the read-path contract: read pins
-        // (`pin_domain_read`) must not mark a domain dirty, so a pure-scan
-        // workload hammering a lazily cadenced domain leaves its
-        // checkpoint timer idle.
-        let arena = PArena::builder().capacity_bytes(1 << 20).build().unwrap();
-        superblock::format(&arena);
-        let mgr = EpochManager::with_domains(arena, EpochOptions::durable(), 2);
-        let driver = AdvanceDriver::spawn_per_domain(
-            mgr.clone(),
-            vec![
-                Cadence::lazy(Duration::from_millis(1)),
-                Cadence::lazy(Duration::from_millis(1)),
-            ],
-        );
-        let h = mgr.register();
-        let t0 = std::time::Instant::now();
-        while t0.elapsed() < Duration::from_millis(20) {
-            drop(h.pin_domain_read(0));
-            drop(h.pin_domain_read(1));
-        }
-        drop(driver);
-        assert_eq!(
-            mgr.current_epoch_of(0),
-            1,
-            "read pins must not dirty domain 0"
-        );
-        assert_eq!(
-            mgr.current_epoch_of(1),
-            1,
-            "read pins must not dirty domain 1"
-        );
-    }
-
-    #[test]
     fn driver_with_workers() {
         let arena = PArena::builder().capacity_bytes(1 << 20).build().unwrap();
         superblock::format(&arena);
@@ -354,26 +213,33 @@ mod tests {
         // recomputed from `Instant::now()` *after* the advance completed,
         // so a slow flush/hook stretched every subsequent period
         // (fixed-delay). With a 14 ms boundary hook on a 20 ms cadence,
-        // fixed-delay manages at most 1000/34 ≈ 29 advances per second;
+        // fixed-delay manages at most 1000/34 ≈ 29 ticks per second;
         // fixed-rate holds the 20 ms period (the hook fits inside it) and
-        // reaches ~50.
+        // reaches ~50. One clock serves every domain: the slow hook on
+        // domain 2 delays the others' advances within a tick but never
+        // costs any of them a tick.
         let arena = PArena::builder().capacity_bytes(1 << 20).build().unwrap();
         superblock::format(&arena);
-        let mgr = EpochManager::with_domains(arena, EpochOptions::durable(), 1);
+        let mgr = EpochManager::with_domains(arena, EpochOptions::durable(), 4);
         mgr.add_advance_hook_on(
-            0,
+            2,
             Box::new(|_| std::thread::sleep(Duration::from_millis(14))),
         );
-        let driver = AdvanceDriver::spawn_per_domain(
-            mgr.clone(),
-            vec![Cadence::eager(Duration::from_millis(20))],
-        );
+        let driver = AdvanceDriver::spawn(mgr.clone(), Duration::from_millis(20));
         std::thread::sleep(Duration::from_millis(1_000));
         drop(driver);
-        let advances = mgr.current_epoch_of(0) - 1;
+        let advances: Vec<u64> = (0..4).map(|d| mgr.advances_fired(d)).collect();
+        let (lo, hi) = (
+            advances.iter().min().unwrap(),
+            advances.iter().max().unwrap(),
+        );
         assert!(
-            advances >= 32,
-            "{advances} advances in 1 s: the slow hook stretched the \
+            hi - lo <= 1,
+            "{advances:?}: every domain ticks on the one clock"
+        );
+        assert!(
+            *lo >= 32,
+            "{advances:?} advances in 1 s: the slow hook stretched the \
              cadence (fixed-delay scheduling)"
         );
     }

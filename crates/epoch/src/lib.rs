@@ -14,10 +14,10 @@
 //! epoch. With [`EpochManager::with_domains`], each keyspace shard gets
 //! its **own** counter, quiescence set, advance path and boundary hooks:
 //! advancing one domain quiesces only the threads pinned in it
-//! ([`ThreadHandle::pin_domain_read`]) and issues a *scoped* flush
+//! ([`ThreadHandle::pin_on`]) and issues a *scoped* flush
 //! ([`incll_pmem::PArena::flush_domain`]) covering only that domain's
-//! dirty lines, so a hot shard can checkpoint on a tight cadence while
-//! cold shards idle — without ever stalling each other.
+//! dirty lines, so checkpointing one shard never stalls another's
+//! threads.
 //!
 //! This crate provides:
 //!
@@ -26,18 +26,17 @@
 //!   recording, boundary hooks, and pre-flush hooks (where failed-epoch
 //!   compaction sweeps run).
 //! * [`ThreadHandle`]/[`Guard`] — per-thread, per-domain epoch pinning.
-//!   Every data structure operation runs inside a guard; a domain cannot
-//!   advance while any of *its* guards is live. Mutating operations pin
-//!   with [`ThreadHandle::pin_domain_mut`], which feeds the dirty-work
-//!   heuristic ([`EpochManager::domain_dirty`]).
-//! * [`AdvanceDriver`] — a background thread advancing on a timer, like
-//!   the paper's 64 ms cadence; [`AdvanceDriver::spawn_per_domain`] gives
-//!   every domain an independent [`Cadence`]: a fixed interval,
-//!   optionally skipping domains with no dirty work. The timer bounds the
-//!   *time* between a domain's checkpoints; what bounds the *bytes* is
-//!   the caller's to enforce (the durable store forces a domain over a
-//!   boundary when a writer's log buffer for it runs short), so no
-//!   controller here estimates a write rate.
+//!   Every data structure operation, read or write, runs inside a guard
+//!   ([`ThreadHandle::pin_on`], or [`ThreadHandle::pin_mask`] for a set
+//!   of domains); a domain cannot advance while any of *its* guards is
+//!   live.
+//! * [`AdvanceDriver`] — a background thread advancing every domain on
+//!   one fixed clock, like the paper's unconditional 64 ms epoch (a
+//!   store's options carry that interval as a [`Cadence`]). The timer
+//!   bounds the *time* between a domain's checkpoints; what bounds the
+//!   *bytes* is the caller's to enforce (the durable store forces a
+//!   domain over a boundary when a writer's log buffer for it runs
+//!   short), so no controller here estimates a write rate.
 //!
 //! # Example
 //!
@@ -64,7 +63,7 @@ mod driver;
 mod manager;
 
 pub use driver::{AdvanceDriver, Cadence};
-pub use manager::{AdvanceHook, DomainCounters, EpochManager, EpochOptions, Guard, ThreadHandle};
+pub use manager::{AdvanceHook, EpochManager, EpochOptions, Guard, ThreadHandle};
 
 /// The paper's epoch length: 64 ms (Masstree's reclamation interval, §4).
 pub const DEFAULT_EPOCH_INTERVAL: std::time::Duration = std::time::Duration::from_millis(64);

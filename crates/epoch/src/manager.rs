@@ -37,13 +37,10 @@ impl EpochOptions {
 /// Per-registered-thread state: one pin word per domain.
 ///
 /// `states[d]` is 0 when the thread is quiescent in domain `d` (no live
-/// guard) and 1 when it is inside a guard; `wrote[d]` records the domain's
-/// advance sequence number at the thread's last **write** pin (the
-/// dirty-work signal — read pins leave nothing to checkpoint); `dead`
-/// marks deregistered threads the advancer must skip.
+/// guard) and 1 when it is inside a guard; `dead` marks deregistered
+/// threads the advancer must skip.
 struct SlotRow {
     states: Vec<AtomicU64>,
-    wrote: Vec<AtomicU64>,
     dead: AtomicBool,
 }
 
@@ -67,22 +64,8 @@ struct DomainState {
     pre_flush_hooks: Mutex<Vec<AdvanceHook>>,
     /// Hooks run after the durable epoch bump, with the new epoch.
     hooks: Mutex<Vec<AdvanceHook>>,
-    /// Completed advances of this domain (the dirty-work clock).
-    seq: AtomicU64,
-    /// Advances completed / ticks skipped as clean (driver-reported).
-    advances_fired: AtomicU64,
-    advances_skipped: AtomicU64,
-}
-
-/// A snapshot of one domain's advance counters
-/// ([`EpochManager::domain_counters`]), what `Store::shard_stats`
-/// surfaces per shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DomainCounters {
     /// Advances this domain completed.
-    pub advances_fired: u64,
-    /// Driver ticks skipped because the domain was clean.
-    pub advances_skipped: u64,
+    advances_fired: AtomicU64,
 }
 
 struct Shared {
@@ -98,9 +81,9 @@ struct Shared {
 /// A single-domain manager (the default, [`EpochManager::new`]) behaves
 /// exactly like the paper's global epoch: one counter, one barrier, a
 /// whole-cache flush per advance. [`EpochManager::with_domains`] gives
-/// every shard its own counter, quiescence set and advance path, so a hot
-/// shard can checkpoint on a tight cadence while cold shards advance
-/// lazily — and an advance only stalls threads pinned in *that* domain.
+/// every shard its own counter, quiescence set and advance path, so an
+/// advance only stalls threads pinned in *that* domain and flushes only
+/// its lines.
 ///
 /// Cloneable handle; all clones share state.
 #[derive(Clone)]
@@ -151,9 +134,7 @@ impl EpochManager {
                     park_cv: Condvar::new(),
                     pre_flush_hooks: Mutex::new(Vec::new()),
                     hooks: Mutex::new(Vec::new()),
-                    seq: AtomicU64::new(0),
                     advances_fired: AtomicU64::new(0),
-                    advances_skipped: AtomicU64::new(0),
                 }
             })
             .collect();
@@ -216,16 +197,19 @@ impl EpochManager {
     }
 
     /// Registers the calling thread, returning its pinning handle (valid
-    /// for every domain).
+    /// for every domain). Rows of dropped handles are pruned first, so
+    /// the list holds no more rows than live handles plus those dropped
+    /// since the last registration or advance.
     pub fn register(&self) -> ThreadHandle {
         let n = self.domains();
         let row = Arc::new(SlotRow {
             states: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            // u64::MAX: "never wrote", distinct from any seq value.
-            wrote: (0..n).map(|_| AtomicU64::new(u64::MAX)).collect(),
             dead: AtomicBool::new(false),
         });
-        self.shared.slots.lock().push(row.clone());
+        let mut slots = self.shared.slots.lock();
+        slots.retain(|s| !s.dead.load(Ordering::Acquire));
+        slots.push(row.clone());
+        drop(slots);
         ThreadHandle {
             mgr: self.clone(),
             row,
@@ -334,7 +318,6 @@ impl EpochManager {
             hook(new_epoch);
         }
         dom.advances_fired.fetch_add(1, Ordering::Relaxed);
-        dom.seq.fetch_add(1, Ordering::Release);
 
         // Resume this domain's world.
         dom.advancing.store(false, Ordering::SeqCst);
@@ -343,38 +326,12 @@ impl EpochManager {
         new_epoch
     }
 
-    /// Whether domain `d` has seen any **write** pin
-    /// ([`ThreadHandle::pin_domain_mut`]) since its last completed advance
-    /// — the dirty-work heuristic the driver uses to skip advancing clean
-    /// domains (a domain with no dirty lines has nothing to flush and
-    /// nothing new to checkpoint; read-only traffic never forces an
-    /// advance).
-    pub fn domain_dirty(&self, d: usize) -> bool {
-        let seq = self.shared.domains[d].seq.load(Ordering::Acquire);
-        let slots = self.shared.slots.lock();
-        slots
-            .iter()
-            .filter(|s| !s.dead.load(Ordering::Acquire))
-            .any(|s| s.wrote[d].load(Ordering::Relaxed) == seq)
-    }
-
-    /// Records that a driver tick skipped advancing domain `d` because it
-    /// was clean (pairs with the fired count bumped by
-    /// [`EpochManager::advance_domain`]).
-    #[inline]
-    pub fn note_advance_skipped(&self, d: usize) {
+    /// Advances domain `d` completed: driver ticks, explicit calls and
+    /// the boundaries its callers forced.
+    pub fn advances_fired(&self, d: usize) -> u64 {
         self.shared.domains[d]
-            .advances_skipped
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A snapshot of domain `d`'s advance counters.
-    pub fn domain_counters(&self, d: usize) -> DomainCounters {
-        let dom = &self.shared.domains[d];
-        DomainCounters {
-            advances_fired: dom.advances_fired.load(Ordering::Relaxed),
-            advances_skipped: dom.advances_skipped.load(Ordering::Relaxed),
-        }
+            .advances_fired
+            .load(Ordering::Relaxed)
     }
 }
 
@@ -399,63 +356,25 @@ pub struct ThreadHandle {
 
 impl ThreadHandle {
     /// Pins domain 0's current epoch — the whole system's epoch on a
-    /// single-domain manager. See [`ThreadHandle::pin_domain_read`].
+    /// single-domain manager. See [`ThreadHandle::pin_on`].
     #[inline]
     pub fn pin(&self) -> Guard<'_> {
-        self.pin_domain_read(0)
+        self.pin_on(0)
     }
 
     /// Pins domain `d`'s current epoch, blocking briefly if that domain's
     /// advance is in progress (the per-epoch barrier, scoped: only this
     /// domain's advances ever stall this pin). While the guard lives the
     /// domain cannot advance, so epoch-based reclamation cannot recycle
-    /// anything the holder can still observe.
+    /// anything the holder can still observe, and every write made under
+    /// it belongs to the guard's epoch.
     ///
-    /// This is the cheap pin for borrowed reads and snapshot scans: it
-    /// performs **no** arena or log-buffer write of any kind — one store
-    /// to this thread's transient slot word plus one atomic epoch load —
-    /// and it never stamps the domain dirty, so a pure-read workload
-    /// (point `get`s, long scans) leaves a lazily cadenced driver
-    /// ([`crate::Cadence::lazy`]) completely idle. For operations that
-    /// will *mutate* the domain, use [`ThreadHandle::pin_domain_mut`] so
-    /// the dirty-work heuristic sees the write.
+    /// The pin performs **no** arena or log-buffer write of any kind: one
+    /// store to this thread's transient slot word plus one atomic epoch
+    /// load. Reads and writes pin alike. Pins nest: an inner pin on a
+    /// domain this thread already holds is free.
     #[inline]
-    pub fn pin_domain_read(&self, d: usize) -> Guard<'_> {
-        self.pin_inner(d, false)
-    }
-
-    /// [`ThreadHandle::pin_domain_read`] for a mutating operation:
-    /// additionally stamps the domain dirty, so a lazily cadenced driver
-    /// ([`crate::Cadence::lazy`]) knows the next advance has work.
-    #[inline]
-    pub fn pin_domain_mut(&self, d: usize) -> Guard<'_> {
-        self.pin_inner(d, true)
-    }
-
-    /// Pins every domain in `mask` (bit `d` = domain `d`) for writing, in
-    /// ascending index order, returning the guards likewise ordered — the
-    /// batch-scoped pin a cross-shard write batch holds while it stages,
-    /// commits and applies. While the guards live, none of the covered
-    /// domains can advance, so all of the batch's writes land in each
-    /// guard's pinned epoch. Pins are not locks (two threads may pin the
-    /// same domain concurrently); the ascending order just makes the
-    /// acquisition deterministic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mask` names a domain this manager does not have.
-    pub fn pin_domains_mut(&self, mask: u64) -> Vec<Guard<'_>> {
-        (0..64)
-            .filter(|d| mask & (1u64 << d) != 0)
-            .map(|d| {
-                assert!(d < self.mgr.domains(), "domain {d} out of range");
-                self.pin_domain_mut(d)
-            })
-            .collect()
-    }
-
-    #[inline]
-    fn pin_inner(&self, d: usize, write: bool) -> Guard<'_> {
+    pub fn pin_on(&self, d: usize) -> Guard<'_> {
         let dom = &self.mgr.shared.domains[d];
         if self.depth[d].get() == 0 {
             loop {
@@ -473,20 +392,34 @@ impl ThreadHandle {
                 }
             }
         }
-        if write {
-            // Even for nested pins: an inner write under an outer read
-            // guard must still mark the domain dirty.
-            let seq = dom.seq.load(Ordering::Acquire);
-            if self.row.wrote[d].load(Ordering::Relaxed) != seq {
-                self.row.wrote[d].store(seq, Ordering::Relaxed);
-            }
-        }
         self.depth[d].set(self.depth[d].get() + 1);
         Guard {
             handle: self,
             domain: d,
             epoch: self.mgr.current_epoch_of(d),
         }
+    }
+
+    /// Pins every domain in `mask` (bit `d` = domain `d`), in ascending
+    /// index order, returning the guards likewise ordered — the
+    /// batch-scoped pin a cross-shard write batch holds while it stages,
+    /// commits and applies. While the guards live, none of the covered
+    /// domains can advance, so all of the batch's writes land in each
+    /// guard's pinned epoch. Pins are not locks (two threads may pin the
+    /// same domain concurrently); the ascending order just makes the
+    /// acquisition deterministic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mask` names a domain this manager does not have.
+    pub fn pin_mask(&self, mask: u64) -> Vec<Guard<'_>> {
+        (0..64)
+            .filter(|d| mask & (1u64 << d) != 0)
+            .map(|d| {
+                assert!(d < self.mgr.domains(), "domain {d} out of range");
+                self.pin_on(d)
+            })
+            .collect()
     }
 
     /// The lowest domain this thread currently holds a [`Guard`] on, if
@@ -722,6 +655,21 @@ mod tests {
     }
 
     #[test]
+    fn dropped_handles_do_not_pile_up_without_an_advance() {
+        // Regression: dead rows used to be pruned only by an advance, so
+        // a store that never checkpoints grew its row list by one per
+        // session opened. Registration prunes them too.
+        let mgr = durable_mgr_domains(4);
+        let _held = mgr.register();
+        for _ in 0..10_000 {
+            let h = mgr.register();
+            assert!(mgr.shared.slots.lock().len() <= 2, "live handles: 2");
+            drop(h);
+        }
+        assert_eq!(mgr.current_epoch_of(0), 1, "no advance ran");
+    }
+
+    #[test]
     fn concurrent_workers_and_advancer() {
         let mgr = durable_mgr();
         let stop = Arc::new(AtomicBool::new(false));
@@ -841,7 +789,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(10));
         let h = mgr.register();
         let t0 = std::time::Instant::now();
-        let g = h.pin_domain_read(0); // must NOT park behind domain 1's advance
+        let g = h.pin_on(0); // must NOT park behind domain 1's advance
         assert!(
             t0.elapsed() < Duration::from_millis(40),
             "domain-0 pin stalled behind domain-1 advance"
@@ -854,7 +802,7 @@ mod tests {
     fn advance_waits_only_for_its_own_domains_guards() {
         let mgr = durable_mgr_domains(2);
         let h = mgr.register();
-        let g0 = h.pin_domain_read(0); // held across domain 1's advance
+        let g0 = h.pin_on(0); // held across domain 1's advance
         let mgr2 = mgr.clone();
         let t = std::thread::spawn(move || mgr2.advance_domain(1));
         t.join().unwrap(); // completes even though domain 0 is pinned
@@ -863,63 +811,25 @@ mod tests {
     }
 
     #[test]
-    fn domain_dirty_tracks_write_pins_per_domain() {
-        let mgr = durable_mgr_domains(2);
-        let h = mgr.register();
-        assert!(!mgr.domain_dirty(0));
-        assert!(!mgr.domain_dirty(1));
-        // Read pins never dirty a domain: a scanner must not force
-        // checkpoints on a cold shard.
-        drop(h.pin_domain_read(1));
-        assert!(!mgr.domain_dirty(1));
-        drop(h.pin_domain_mut(1));
-        assert!(!mgr.domain_dirty(0));
-        assert!(mgr.domain_dirty(1));
-        mgr.advance_domain(1);
-        assert!(!mgr.domain_dirty(1), "advance resets the dirty signal");
-        drop(h.pin_domain_mut(1));
-        assert!(mgr.domain_dirty(1));
-    }
-
-    #[test]
     fn domain_counters_track_advances_per_domain() {
         let mgr = durable_mgr_domains(2);
-        assert_eq!(mgr.domain_counters(0), DomainCounters::default());
+        assert_eq!(mgr.advances_fired(0), 0);
         mgr.advance_domain(0);
-        assert_eq!(mgr.domain_counters(0).advances_fired, 1);
+        assert_eq!(mgr.advances_fired(0), 1);
         // Domain 1 is untouched by domain 0's advance.
-        assert_eq!(mgr.domain_counters(1), DomainCounters::default());
-        mgr.note_advance_skipped(1);
-        assert_eq!(mgr.domain_counters(1).advances_skipped, 1);
-        assert_eq!(mgr.domain_counters(0).advances_skipped, 0);
+        assert_eq!(mgr.advances_fired(1), 0);
     }
 
     #[test]
-    fn nested_write_pin_under_read_guard_marks_dirty() {
-        let mgr = durable_mgr_domains(1);
-        let h = mgr.register();
-        let outer = h.pin_domain_read(0);
-        let inner = h.pin_domain_mut(0);
-        assert!(mgr.domain_dirty(0));
-        drop(inner);
-        drop(outer);
-    }
-
-    #[test]
-    fn pin_domains_mut_covers_exactly_the_mask_in_order() {
+    fn pin_mask_covers_exactly_the_mask_in_order() {
         let mgr = durable_mgr_domains(4);
         let h = mgr.register();
-        let guards = h.pin_domains_mut(0b1011); // domains 0, 1, 3
+        let guards = h.pin_mask(0b1011); // domains 0, 1, 3
         assert_eq!(
             guards.iter().map(Guard::domain).collect::<Vec<_>>(),
             vec![0, 1, 3]
         );
-        // Every covered domain is dirty and cannot advance; the uncovered
-        // one advances freely.
-        for d in [0usize, 1, 3] {
-            assert!(mgr.domain_dirty(d));
-        }
-        assert!(!mgr.domain_dirty(2));
+        // The uncovered domain advances freely.
         let mgr2 = mgr.clone();
         let t = std::thread::spawn(move || mgr2.advance_domain(2));
         t.join().unwrap();
@@ -941,8 +851,8 @@ mod tests {
         // outer guards; nesting must stay re-entrant and epoch-stable.
         let mgr = durable_mgr_domains(2);
         let h = mgr.register();
-        let outer = h.pin_domains_mut(0b11);
-        let inner = h.pin_domain_mut(1);
+        let outer = h.pin_mask(0b11);
+        let inner = h.pin_on(1);
         assert_eq!(inner.epoch(), outer[1].epoch());
         drop(inner);
         drop(outer);
@@ -955,9 +865,9 @@ mod tests {
         let mgr = durable_mgr_domains(2);
         let h = mgr.register();
         assert_eq!(h.first_pinned(), None);
-        let g1 = h.pin_domain_read(1);
+        let g1 = h.pin_on(1);
         assert_eq!(h.first_pinned(), Some(1));
-        let g0 = h.pin_domain_read(0);
+        let g0 = h.pin_on(0);
         assert_eq!(h.first_pinned(), Some(0));
         assert_eq!(g0.domain(), 0);
         assert_eq!(g1.domain(), 1);

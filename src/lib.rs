@@ -16,7 +16,7 @@ pub mod prelude {
         Store, ValueRef, WriteBatch, MAX_BATCH_OPS, MAX_VALUE_BYTES,
     };
     pub use incll_epoch::{
-        AdvanceDriver, Cadence, DomainCounters, EpochManager, EpochOptions, DEFAULT_EPOCH_INTERVAL,
+        AdvanceDriver, Cadence, EpochManager, EpochOptions, DEFAULT_EPOCH_INTERVAL,
     };
     pub use incll_masstree::{AllocMode, Masstree, TransientAlloc, TreeCtx};
     pub use incll_pmem::{PArena, StatsSnapshot};

@@ -790,13 +790,13 @@ fn the_log_room_probe_passes_through_an_async_server() {
 }
 
 /// A cadence bounds the time between a shard's checkpoints, the log-room
-/// rule the bytes: on a sharded store whose lazy cadence never fires
-/// during the run, scattered updates that log far more than the cap
+/// rule the bytes: on a sharded store whose cadence never fires during
+/// the run, scattered updates that log far more than the cap
 /// still leave every shard's log, summed over its sessions' buffers,
 /// within `threads × cap / shards`, each shard having forced its own
 /// boundaries.
 #[test]
-fn a_lazy_cadence_still_bounds_each_shards_log_by_bytes() {
+fn a_long_cadence_still_bounds_each_shards_log_by_bytes() {
     const KEYS: u64 = 80_000;
     const THREADS: usize = 2;
     const CAP: usize = 64 << 10;
@@ -805,7 +805,7 @@ fn a_lazy_cadence_still_bounds_each_shards_log_by_bytes() {
         .threads(THREADS)
         .log_bytes_per_thread(CAP)
         .shards(SHARDS)
-        .cadence(Cadence::lazy(std::time::Duration::from_secs(3600)));
+        .cadence(Cadence::eager(std::time::Duration::from_secs(3600)));
     let (store, _) = Store::open(&arena, options).unwrap();
     let sessions = [store.session().unwrap(), store.session().unwrap()];
     // The stride is coprime to `KEYS`: every key once, scattered.

@@ -117,8 +117,8 @@ fn overwrite_under_outstanding_guard_reads_old_and_detects() {
     store.checkpoint();
 
     let v = store.get_ref(&sess, b"k").expect("present");
-    // Same-session overwrite under the outstanding guard (read pins are
-    // re-entrant with the write pin the put takes).
+    // Same-session overwrite under the outstanding guard (the view's pin
+    // is re-entrant with the pin the put takes).
     store.put(&sess, b"k", &tagged(b'N', 200)).unwrap();
     assert_eq!(&*v, &old[..], "guard must keep the old bytes intact");
     assert!(v.iter().all(|&b| b == b'O'), "never torn");
@@ -316,36 +316,6 @@ fn scan_callback_may_checkpoint_its_own_shard() {
     });
     assert_eq!(n, 300);
     assert_eq!(visited, 300);
-}
-
-/// A pure-read workload — `get_ref` lookups and full scans — never marks
-/// a domain dirty: lazy per-domain cadence drivers skip every tick and
-/// the epochs stay where they started.
-#[test]
-fn pure_reads_leave_lazy_cadence_idle() {
-    let shards = 2;
-    let store = fresh(shards);
-    let sess = store.session().unwrap();
-    for i in 0..200u64 {
-        store.put_u64(&sess, &storage_key(i), i).unwrap();
-    }
-    store.checkpoint(); // flush the load, start from a clean boundary
-    let mgr = store.epoch_manager().clone();
-    let before: Vec<u64> = (0..shards).map(|d| mgr.current_epoch_of(d)).collect();
-    let driver = AdvanceDriver::spawn_per_domain(
-        mgr.clone(),
-        vec![Cadence::lazy(Duration::from_millis(1)); shards],
-    );
-    let t0 = std::time::Instant::now();
-    while t0.elapsed() < Duration::from_millis(30) {
-        for i in 0..50u64 {
-            assert!(store.get_ref(&sess, &storage_key(i)).is_some());
-        }
-        store.scan(&sess, b"", usize::MAX, &mut |_, _| {});
-    }
-    drop(driver);
-    let after: Vec<u64> = (0..shards).map(|d| mgr.current_epoch_of(d)).collect();
-    assert_eq!(before, after, "read-only traffic must not force advances");
 }
 
 // ---------------------------------------------------------------------
